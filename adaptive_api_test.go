@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mnemo/internal/client"
 	"mnemo/internal/core"
 	"mnemo/internal/registry"
 	"mnemo/internal/server"
@@ -116,6 +117,54 @@ func TestMeasureAdaptive(t *testing.T) {
 	}
 	if g := ac.RuntimeGain(); g < -1 || g > 10 {
 		t.Fatalf("runtime gain %v out of any plausible range", g)
+	}
+}
+
+// TestMeasureAdaptiveMatchesSerialLegs: MeasureAdaptive runs its two
+// measured legs concurrently on a shared worker budget; each must be
+// bit-identical to the same leg executed alone, back to back, for single
+// and repeated (Runs-fan-out) measurements.
+func TestMeasureAdaptiveMatchesSerialLegs(t *testing.T) {
+	w := driftAPIWorkload(t)
+	ctx := context.Background()
+	for _, runs := range []int{1, 3} {
+		opts := Options{
+			Store: DynamoLike, Seed: 13, SLO: 0.01, Runs: runs,
+			Policy: "adaptive-freq", EpochOps: 4096, MigrationCostPerByte: 0.5,
+		}
+		rep, err := Profile(w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac, err := MeasureAdaptive(ctx, w, rep, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := opts.coreConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pe core.PlacementEngine
+		placement, err := pe.PlacementFor(rep.Ordering, rep.Advice.Point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staticCfg := cfg.Server
+		staticCfg.Adaptive, staticCfg.EpochOps = nil, 0
+		static, err := client.ExecuteMeanCtx(ctx, staticCfg, w, placement, cfg.Runs, 0, cfg.Resilience)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adaptive, err := client.ExecuteMeanCtx(ctx, cfg.Server, w, placement, cfg.Runs, 0, cfg.Resilience)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ac.Static, static) {
+			t.Errorf("Runs %d: concurrent static leg diverged from the serial one", runs)
+		}
+		if !reflect.DeepEqual(ac.Adaptive, adaptive) {
+			t.Errorf("Runs %d: concurrent adaptive leg diverged from the serial one", runs)
+		}
 	}
 }
 

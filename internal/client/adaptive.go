@@ -194,13 +194,16 @@ func replayEpochs(ctx context.Context, d *server.Deployment, src server.EpochSou
 		}
 		tel.traffic = append(tel.traffic, row)
 
-		// The observer borrows the slices during Observe only; zero them
-		// for the next epoch.
-		for i := range reads {
-			reads[i] = 0
-		}
-		for i := range writes {
-			writes[i] = 0
+		// The observer borrows the slices during Observe only; re-zero
+		// the entries this chunk touched for the next epoch.
+		if batched {
+			for _, k := range keys[lo:hi] {
+				reads[k], writes[k] = 0, 0
+			}
+		} else {
+			for _, op := range ops[lo:hi] {
+				reads[op.Key], writes[op.Key] = 0, 0
+			}
 		}
 	}
 	if crashAt >= 0 {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
+	"mnemo/internal/kvstore"
 	"mnemo/internal/memsim"
 	"mnemo/internal/server"
 	"mnemo/internal/ycsb"
@@ -308,5 +310,46 @@ func TestAdaptiveRespectsContext(t *testing.T) {
 	cancel()
 	if _, err := ExecuteCtx(ctx, cfg, w, halfFast(w)); err == nil {
 		t.Fatal("cancelled adaptive run returned no error")
+	}
+}
+
+// tallySource checks every epoch's tallies against a recount of that
+// epoch's slice of the trace — the tally arrays are re-zeroed only where
+// the previous chunk touched them, so a missed entry would leak counts
+// into the next epoch.
+type tallySource struct {
+	t   *testing.T
+	ops []ycsb.Op
+	at  int
+}
+
+func (s *tallySource) Begin(*ycsb.Workload) (server.EpochObserver, error) { s.at = 0; return s, nil }
+
+func (s *tallySource) Observe(st server.EpochStats) []server.Move {
+	reads, writes := make([]int32, len(st.Reads)), make([]int32, len(st.Writes))
+	for _, op := range s.ops[s.at : s.at+st.Ops] {
+		if op.Kind == kvstore.Read {
+			reads[op.Key]++
+		} else {
+			writes[op.Key]++
+		}
+	}
+	s.at += st.Ops
+	if !slices.Equal(st.Reads, reads) || !slices.Equal(st.Writes, writes) {
+		s.t.Errorf("epoch %d: tallies differ from a recount of the epoch's ops", st.Epoch)
+	}
+	return nil
+}
+
+func TestAdaptiveTalliesArePerEpoch(t *testing.T) {
+	w := adaptiveTestWorkload(0.7)
+	for _, perOp := range []bool{false, true} {
+		cfg := server.DefaultConfig(server.RedisLike, 7)
+		cfg.Adaptive = &tallySource{t: t, ops: w.Ops}
+		cfg.EpochOps = 4096
+		cfg.DisableBatchReplay = perOp
+		if _, err := Execute(cfg, w, halfFast(w)); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

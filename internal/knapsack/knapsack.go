@@ -11,8 +11,9 @@
 package knapsack
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Item is one key-value pair.
@@ -41,12 +42,11 @@ func DensityOrder(items []Item) []int {
 		}
 		return it.Profit / float64(it.Weight)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := density(items[order[a]]), density(items[order[b]])
-		if da != db {
-			return da > db
+	slices.SortFunc(order, func(a, b int) int {
+		if da, db := density(items[a]), density(items[b]); da != db {
+			return cmp.Compare(db, da)
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return order
 }
@@ -78,41 +78,76 @@ func Greedy(items []Item, capacity int64) (picked []bool, profit float64) {
 // capacity in coarse units (the ablation uses 4 KB pages). It panics on
 // negative weights or capacity; use Greedy for byte-granularity problems.
 func Exact(items []Item, capacity int64) (picked []bool, profit float64) {
-	if capacity < 0 {
-		panic(fmt.Sprintf("knapsack: negative capacity %d", capacity))
+	return Solve(items, capacity).Picked(capacity)
+}
+
+// Table is a solved 0/1 knapsack DP. The array solved at capacity C also
+// holds the optimum of every capacity ≤ C — a smaller problem's cells
+// never read a larger one's — so one Table answers Picked for a whole
+// ladder of capacities.
+type Table struct {
+	items []Item
+	dp    []float64 // dp[c] = best profit within weight c
+	// keep is the decision bitset for reconstruction: bit c of row i is
+	// set when item i improved dp[c]. Rows are stride words long.
+	keep   []uint64
+	stride int
+}
+
+// Solve runs the dynamic program over capacities 0 … maxCap. It panics
+// on negative weights or capacity, or when the table would exceed 200 M
+// cells.
+func Solve(items []Item, maxCap int64) *Table {
+	if maxCap < 0 {
+		panic(fmt.Sprintf("knapsack: negative capacity %d", maxCap))
 	}
 	const maxCells = 200_000_000
-	if int64(len(items)+1)*(capacity+1) > maxCells {
+	if int64(len(items)+1)*(maxCap+1) > maxCells {
 		panic(fmt.Sprintf("knapsack: DP of %d items × %d capacity too large; coarsen units",
-			len(items), capacity))
+			len(items), maxCap))
 	}
-	cap := int(capacity)
-	// dp[w] = best profit using items seen so far within weight w;
-	// keep[i][w] records the decision for reconstruction.
-	dp := make([]float64, cap+1)
-	keep := make([][]bool, len(items))
+	cap := int(maxCap)
+	t := &Table{items: items, dp: make([]float64, cap+1), stride: cap/64 + 1}
+	t.keep = make([]uint64, len(items)*t.stride)
+	dp := t.dp
 	for i, it := range items {
 		if it.Weight < 0 {
 			panic(fmt.Sprintf("knapsack: negative weight %d", it.Weight))
 		}
-		keep[i] = make([]bool, cap+1)
+		row := t.keep[i*t.stride : (i+1)*t.stride]
 		w := int(it.Weight)
-		for c := cap; c >= w; c-- {
-			if cand := dp[c-w] + it.Profit; cand > dp[c] {
-				dp[c] = cand
-				keep[i][c] = true
+		// One keep word at a time, its bits gathered in a register.
+		for hi := cap; hi >= w; {
+			lo := max(w, hi&^63)
+			var bits uint64
+			for c := hi; c >= lo; c-- {
+				if cand := dp[c-w] + it.Profit; cand > dp[c] {
+					dp[c] = cand
+					bits |= 1 << (c & 63)
+				}
 			}
+			row[hi>>6] = bits
+			hi = lo - 1
 		}
 	}
-	picked = make([]bool, len(items))
-	c := cap
-	for i := len(items) - 1; i >= 0; i-- {
-		if keep[i][c] {
+	return t
+}
+
+// Picked reconstructs the optimal packing at capacity ≤ the solved
+// maximum, exactly as a Solve at that capacity alone would have.
+func (t *Table) Picked(capacity int64) (picked []bool, profit float64) {
+	if capacity < 0 || capacity >= int64(len(t.dp)) {
+		panic(fmt.Sprintf("knapsack: capacity %d outside the solved range [0, %d]", capacity, len(t.dp)-1))
+	}
+	picked = make([]bool, len(t.items))
+	c := int(capacity)
+	for i := len(t.items) - 1; i >= 0; i-- {
+		if t.keep[i*t.stride+c>>6]&(1<<(c&63)) != 0 {
 			picked[i] = true
-			c -= int(items[i].Weight)
+			c -= int(t.items[i].Weight)
 		}
 	}
-	return picked, dp[cap]
+	return picked, t.dp[capacity]
 }
 
 // TotalWeight sums the weights of picked items.

@@ -2,6 +2,7 @@ package knapsack
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -105,6 +106,7 @@ func TestExactPanics(t *testing.T) {
 		func() { Exact([]Item{{Weight: -1, Profit: 1}}, 10) },
 		func() { Exact(nil, -1) },
 		func() { Greedy(nil, -1) },
+		func() { Solve(nil, 3).Picked(4) },
 		func() {
 			big := make([]Item, 100000)
 			Exact(big, 1<<40)
@@ -125,5 +127,51 @@ func TestTotalWeight(t *testing.T) {
 	items := []Item{{Weight: 3}, {Weight: 5}, {Weight: 7}}
 	if got := TotalWeight(items, []bool{true, false, true}); got != 10 {
 		t.Fatalf("TotalWeight = %d", got)
+	}
+}
+
+// TestSolvePickedMatchesExactAtEveryCapacity: one table solved at C
+// answers every capacity c ≤ C with the picked set and profit a
+// dedicated Exact(items, c) produces — the property the knapsack
+// policy's shared ladder table rests on. Zero-weight items are included.
+func TestSolvePickedMatchesExactAtEveryCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 60; trial++ {
+		items := make([]Item, 1+rng.Intn(14))
+		for i := range items {
+			items[i] = Item{Weight: int64(rng.Intn(25)), Profit: float64(rng.Intn(40))}
+		}
+		maxCap := int64(rng.Intn(150))
+		table := Solve(items, maxCap)
+		for c := int64(0); c <= maxCap; c++ {
+			gotPicked, gotProfit := table.Picked(c)
+			wantPicked, wantProfit := Exact(items, c)
+			if gotProfit != wantProfit || !slices.Equal(gotPicked, wantPicked) {
+				t.Fatalf("trial %d capacity %d/%d: table picked %v (profit %v), Exact %v (profit %v)",
+					trial, c, maxCap, gotPicked, gotProfit, wantPicked, wantProfit)
+			}
+			if TotalWeight(items, gotPicked) > c {
+				t.Fatalf("trial %d capacity %d: packing overflows", trial, c)
+			}
+		}
+		// The bitset reconstruction still finds the true optimum: compare
+		// the top rung against exhaustive search.
+		var best float64
+		for mask := 0; mask < 1<<len(items); mask++ {
+			var weight int64
+			var profit float64
+			for i, it := range items {
+				if mask>>i&1 == 1 {
+					weight += it.Weight
+					profit += it.Profit
+				}
+			}
+			if weight <= maxCap && profit > best {
+				best = profit
+			}
+		}
+		if _, profit := table.Picked(maxCap); profit != best {
+			t.Fatalf("trial %d: DP profit %v, exhaustive optimum %v", trial, profit, best)
+		}
 	}
 }

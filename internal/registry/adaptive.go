@@ -1,9 +1,10 @@
 package registry
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mnemo/internal/core"
 	"mnemo/internal/kvstore"
@@ -18,6 +19,13 @@ import (
 // Begin returns — never on the policy value — so one policy instance can
 // serve many concurrent runs (the registry freshness contract).
 
+// moveScratch holds planMoves' working buffers so an observer plans every
+// epoch without allocating; the zero value is ready to use.
+type moveScratch struct {
+	inTarget []bool
+	moves    []server.Move
+}
+
 // planMoves turns a priority order into the migrations that reshape the
 // current placement toward it. The FastMem byte budget is what the
 // current placement already spends — the sum of fast-resident record
@@ -26,8 +34,10 @@ import (
 // change. The target set packs the priority order greedily (records that
 // do not fit are skipped, not cut off), then promotes target records now
 // slow and demotes fast records outside the target. An all-fast or
-// all-slow placement has nothing to swap and yields no moves.
-func planMoves(order []int, recs []ycsb.Record, tiers []memsim.Tier) []server.Move {
+// all-slow placement has nothing to swap and yields no moves. The
+// returned slice is the scratch's own and is overwritten by the next
+// call.
+func (s *moveScratch) planMoves(order []int, recs []ycsb.Record, tiers []memsim.Tier) []server.Move {
 	var budget int64
 	for i, t := range tiers {
 		if t == memsim.Fast {
@@ -37,41 +47,55 @@ func planMoves(order []int, recs []ycsb.Record, tiers []memsim.Tier) []server.Mo
 	if budget == 0 {
 		return nil
 	}
-	inTarget := make([]bool, len(recs))
+	if len(s.inTarget) != len(recs) {
+		s.inTarget = make([]bool, len(recs))
+	}
+	clear(s.inTarget)
 	var used int64
 	for _, idx := range order {
-		s := int64(recs[idx].Size)
-		if used+s > budget {
+		size := int64(recs[idx].Size)
+		if used+size > budget {
 			continue
 		}
-		used += s
-		inTarget[idx] = true
+		used += size
+		s.inTarget[idx] = true
 	}
-	var moves []server.Move
+	s.moves = s.moves[:0]
 	for i, t := range tiers {
 		switch {
-		case inTarget[i] && t != memsim.Fast:
-			moves = append(moves, server.Move{Index: i, To: memsim.Fast})
-		case !inTarget[i] && t == memsim.Fast:
-			moves = append(moves, server.Move{Index: i, To: memsim.Slow})
+		case s.inTarget[i] && t != memsim.Fast:
+			s.moves = append(s.moves, server.Move{Index: i, To: memsim.Fast})
+		case !s.inTarget[i] && t == memsim.Fast:
+			s.moves = append(s.moves, server.Move{Index: i, To: memsim.Slow})
 		}
 	}
-	return moves
+	return s.moves
 }
 
-// scoreOrder returns record indices sorted by descending score, index
-// ascending on ties — the stable order every frequency policy here uses.
-func scoreOrder(score []float64) []int {
-	order := make([]int, len(score))
+// identityOrder returns the record indices 0 … n-1.
+func identityOrder(n int) []int {
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if score[order[a]] != score[order[b]] {
-			return score[order[a]] > score[order[b]]
+	return order
+}
+
+// scoreCompare is the strict total order every frequency policy here
+// ranks by: descending score, index ascending on ties.
+func scoreCompare(score []float64) func(a, b int) int {
+	return func(a, b int) int {
+		if score[a] != score[b] {
+			return cmp.Compare(score[b], score[a])
 		}
-		return order[a] < order[b]
-	})
+		return cmp.Compare(a, b)
+	}
+}
+
+// scoreOrder returns record indices sorted by scoreCompare.
+func scoreOrder(score []float64) []int {
+	order := identityOrder(len(score))
+	slices.SortFunc(order, scoreCompare(score))
 	return order
 }
 
@@ -118,10 +142,13 @@ func (p adaptiveFreqPolicy) Begin(w *ycsb.Workload) (server.EpochObserver, error
 	if p.decay <= 0 || p.decay > 1 {
 		return nil, fmt.Errorf("adaptive-freq: decay %v outside (0,1]", p.decay)
 	}
+	n := len(w.Dataset.Records)
 	return &freqObserver{
 		decay: p.decay,
 		recs:  w.Dataset.Records,
-		score: make([]float64, len(w.Dataset.Records)),
+		score: make([]float64, n),
+		order: identityOrder(n), // the ranking of all-zero scores
+		next:  make([]int, n),
 	}, nil
 }
 
@@ -130,6 +157,10 @@ type freqObserver struct {
 	decay float64
 	recs  []ycsb.Record
 	score []float64
+	// order is the ranking of score as of the last Observe; next and
+	// side are rerank's buffers.
+	order, next, side []int
+	plan              moveScratch
 }
 
 // Observe implements server.EpochObserver.
@@ -138,7 +169,47 @@ func (o *freqObserver) Observe(st server.EpochStats) []server.Move {
 		o.score[i] *= o.decay
 		o.score[i] += float64(st.Reads[i]) + float64(st.Writes[i])
 	}
-	return planMoves(scoreOrder(o.score), o.recs, st.Tiers)
+	o.rerank(st)
+	return o.plan.planMoves(o.order, o.recs, st.Tiers)
+}
+
+// rerank brings o.order from last epoch's ranking to the ranking of the
+// updated scores at a cost proportional to what the epoch changed.
+// Uniform decay preserves the relative order of records the epoch did
+// not access, so one walk over the previous order keeps those in place —
+// checking each against its kept predecessor, since decay can round two
+// distinct scores into a tie the index must then break — and sends every
+// accessed or out-of-place record to the side list. The kept run is
+// sorted by construction; the side list is sorted and the two are
+// merged. scoreCompare is a strict total order, so the sorted
+// permutation is unique and the result equals scoreOrder(o.score) for
+// any input; the worst case is a full sort of the side list.
+func (o *freqObserver) rerank(st server.EpochStats) {
+	compare := scoreCompare(o.score)
+	kept, side := o.next[:0], o.side[:0]
+	for _, idx := range o.order {
+		untouched := st.Reads[idx] == 0 && st.Writes[idx] == 0
+		if untouched && (len(kept) == 0 || compare(kept[len(kept)-1], idx) < 0) {
+			kept = append(kept, idx)
+		} else {
+			side = append(side, idx)
+		}
+	}
+	slices.SortFunc(side, compare)
+	// Merge from the back into next, whose front already holds kept: the
+	// write position never falls below the unread part of kept.
+	out := o.next[:len(o.order)]
+	i, j := len(kept)-1, len(side)-1
+	for w := len(out) - 1; j >= 0; w-- {
+		if i >= 0 && compare(kept[i], side[j]) > 0 {
+			out[w] = kept[i]
+			i--
+		} else {
+			out[w] = side[j]
+			j--
+		}
+	}
+	o.order, o.next, o.side = out, o.order, side
 }
 
 // Adaptive wraps any static tiering policy as an epoch policy: each
@@ -177,6 +248,7 @@ func (p adaptiveWrapper) Begin(w *ycsb.Workload) (server.EpochObserver, error) {
 type wrapperObserver struct {
 	inner core.TieringPolicy
 	w     *ycsb.Workload
+	plan  moveScratch
 }
 
 // Observe implements server.EpochObserver. The synthetic workload it
@@ -207,5 +279,5 @@ func (o *wrapperObserver) Observe(st server.EpochStats) []server.Move {
 	for i, k := range ord.Keys {
 		order[i] = k.Index
 	}
-	return planMoves(order, o.w.Dataset.Records, st.Tiers)
+	return o.plan.planMoves(order, o.w.Dataset.Records, st.Tiers)
 }

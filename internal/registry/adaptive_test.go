@@ -2,6 +2,8 @@ package registry
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -115,20 +117,87 @@ func TestAdaptiveWrapperStaticOrderMatchesInner(t *testing.T) {
 func TestPlanMovesPreservesBudgetAndSkipsDegenerate(t *testing.T) {
 	recs := []ycsb.Record{{Size: 1024}, {Size: 1024}, {Size: 1024}, {Size: 1024}}
 	allSlow := []memsim.Tier{memsim.Slow, memsim.Slow, memsim.Slow, memsim.Slow}
-	if moves := planMoves([]int{0, 1, 2, 3}, recs, allSlow); moves != nil {
+	if moves := new(moveScratch).planMoves([]int{0, 1, 2, 3}, recs, allSlow); moves != nil {
 		t.Fatalf("all-slow placement produced moves: %v", moves)
 	}
 	allFast := []memsim.Tier{memsim.Fast, memsim.Fast, memsim.Fast, memsim.Fast}
-	if moves := planMoves([]int{3, 2, 1, 0}, recs, allFast); moves != nil {
+	if moves := new(moveScratch).planMoves([]int{3, 2, 1, 0}, recs, allFast); moves != nil {
 		t.Fatalf("all-fast placement produced moves: %v", moves)
 	}
 	// One fast slot, priority order wants record 2: swap, nothing more.
 	tiers := []memsim.Tier{memsim.Fast, memsim.Slow, memsim.Slow, memsim.Slow}
-	moves := planMoves([]int{2, 0, 1, 3}, recs, tiers)
+	moves := new(moveScratch).planMoves([]int{2, 0, 1, 3}, recs, tiers)
 	wantDemote := server.Move{Index: 0, To: memsim.Slow}
 	wantPromote := server.Move{Index: 2, To: memsim.Fast}
 	if len(moves) != 2 || moves[0] != wantDemote && moves[1] != wantDemote ||
 		moves[0] != wantPromote && moves[1] != wantPromote {
 		t.Fatalf("single-slot swap planned %v", moves)
+	}
+}
+
+// TestRerankMatchesFullSort is the property behind the O(touched) epoch
+// boundary: after every epoch of a random count stream the observer's
+// incrementally maintained ranking equals a full scoreOrder of its
+// scores, and the moves planned from reused scratch equal the moves
+// planned from fresh scratch. The streams cover epochs touching no key,
+// every key and a sparse subset, duplicate scores, and — via decay < 1
+// on scores seeded near the bottom of the float64 range — scores that a
+// decay step collapses into ties the index must break.
+func TestRerankMatchesFullSort(t *testing.T) {
+	const n, epochs = 257, 40
+	for _, decay := range []float64{1, 0.9, 0.5} {
+		rng := rand.New(rand.NewSource(int64(decay * 1000)))
+		recs := make([]ycsb.Record, n)
+		for i := range recs {
+			recs[i].Size = 512 << rng.Intn(4)
+		}
+		w := &ycsb.Workload{Dataset: ycsb.Dataset{Records: recs}}
+		obsv, err := AdaptiveFreq(decay).Begin(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obsv.(*freqObserver)
+		// Distinct denormal scores ascending in index, so the seeded
+		// ranking is the reverse identity: a decay step rounds neighbours
+		// into ties, which the index then orders the other way round.
+		for i := range o.score {
+			o.score[i] = float64(i+1) * 5e-324
+		}
+		copy(o.order, scoreOrder(o.score))
+		tiers := make([]memsim.Tier, n)
+		for i := range tiers {
+			tiers[i] = memsim.Tier(rng.Intn(2))
+		}
+		reads, writes := make([]int32, n), make([]int32, n)
+		for epoch := 0; epoch < epochs; epoch++ {
+			clear(reads)
+			clear(writes)
+			var touch float64 // share of keys the epoch accesses
+			switch epoch % 4 {
+			case 1:
+				touch = 1
+			case 2:
+				touch = 0.05
+			case 3:
+				touch = 0.5
+			}
+			for i := range reads {
+				if rng.Float64() < touch {
+					// Small counts make duplicate scores common.
+					reads[i], writes[i] = int32(rng.Intn(3)), int32(rng.Intn(2))
+				}
+			}
+			moves := o.Observe(server.EpochStats{Epoch: epoch, Reads: reads, Writes: writes, Tiers: tiers})
+			if want := scoreOrder(o.score); !slices.Equal(o.order, want) {
+				t.Fatalf("decay %v epoch %d: incremental ranking diverged from the full sort", decay, epoch)
+			}
+			if want := new(moveScratch).planMoves(o.order, recs, tiers); !slices.Equal(moves, want) {
+				t.Fatalf("decay %v epoch %d: reused scratch planned %v, fresh scratch %v", decay, epoch, moves, want)
+			}
+			// Apply the plan so the next epoch starts from a new placement.
+			for _, m := range moves {
+				tiers[m.Index] = m.To
+			}
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -84,16 +86,12 @@ func (tahoePolicy) Name() string { return "tahoe" }
 
 func (tahoePolicy) Order(_ context.Context, w *ycsb.Workload) (core.Ordering, error) {
 	stats := keyStats(w)
-	order := make([]int, len(stats))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		fa, fb := stats[order[a]].Accesses(), stats[order[b]].Accesses()
-		if fa != fb {
-			return fa > fb
+	order := identityOrder(len(stats))
+	slices.SortFunc(order, func(a, b int) int {
+		if fa, fb := stats[a].Accesses(), stats[b].Accesses(); fa != fb {
+			return cmp.Compare(fb, fa)
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return orderingOf("tahoe", stats, order), nil
 }
@@ -148,17 +146,7 @@ func (p freqDecayPolicy) Order(_ context.Context, w *ycsb.Workload) (core.Orderi
 	}); err != nil {
 		return core.Ordering{}, fmt.Errorf("freqdecay: reading trace: %w", err)
 	}
-	order := make([]int, len(stats))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if score[order[a]] != score[order[b]] {
-			return score[order[a]] > score[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return orderingOf(p.Name(), stats, order), nil
+	return orderingOf(p.Name(), stats, scoreOrder(score)), nil
 }
 
 // PageSample wraps the generic page-granularity sampling profiler
@@ -316,14 +304,25 @@ func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Order
 	for i := range tiers {
 		tiers[i] = len(capacities) + 1 // never optimal at any rung
 	}
-	for tier, capUnits := range capacities {
-		if err := ctx.Err(); err != nil {
-			return core.Ordering{}, err
-		}
-		// Coarsen until the DP table fits the budget.
+	// coarsening is the factor weights are scaled down by so a rung's DP
+	// table fits the budget; it is monotone in the capacity.
+	coarsening := func(capUnits int64) int64 {
 		unit := int64(1)
 		for int64(len(items)+1)*(capUnits/unit+1) > dpBudget {
 			unit *= 2
+		}
+		return unit
+	}
+	// Consecutive rungs with the same coarsening share one DP table,
+	// solved at the largest of them (knapsack.Table).
+	for lo := 0; lo < len(capacities); {
+		if err := ctx.Err(); err != nil {
+			return core.Ordering{}, err
+		}
+		unit := coarsening(capacities[lo])
+		hi := lo + 1
+		for hi < len(capacities) && coarsening(capacities[hi]) == unit {
+			hi++
 		}
 		scaled := items
 		if unit > 1 {
@@ -332,34 +331,34 @@ func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Order
 				scaled[i] = knapsack.Item{Weight: (it.Weight + unit - 1) / unit, Profit: it.Profit}
 			}
 		}
-		picked, _ := knapsack.Exact(scaled, capUnits/unit)
-		for i, in := range picked {
-			if in && tier < tiers[i] {
-				tiers[i] = tier
+		table := knapsack.Solve(scaled, capacities[hi-1]/unit)
+		for tier := lo; tier < hi; tier++ {
+			picked, _ := table.Picked(capacities[tier] / unit)
+			for i, in := range picked {
+				if in && tier < tiers[i] {
+					tiers[i] = tier
+				}
 			}
 		}
+		lo = hi
 	}
 	// Keys outside every rung's optimal packing are approximated by
 	// density to keep the DP ladder short.
-	order := make([]int, len(stats))
-	for i := range order {
-		order[i] = i
-	}
 	density := func(i int) float64 {
 		if items[i].Weight <= 0 {
 			return items[i].Profit
 		}
 		return items[i].Profit / float64(items[i].Weight)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if tiers[order[a]] != tiers[order[b]] {
-			return tiers[order[a]] < tiers[order[b]]
+	order := identityOrder(len(stats))
+	slices.SortFunc(order, func(a, b int) int {
+		if tiers[a] != tiers[b] {
+			return cmp.Compare(tiers[a], tiers[b])
 		}
-		da, db := density(order[a]), density(order[b])
-		if da != db {
-			return da > db
+		if da, db := density(a), density(b); da != db {
+			return cmp.Compare(db, da)
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return orderingOf(p.Name(), stats, order), nil
 }

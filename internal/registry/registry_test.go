@@ -2,9 +2,15 @@ package registry
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"mnemo/internal/core"
+	"mnemo/internal/knapsack"
+	"mnemo/internal/kvstore"
 	"mnemo/internal/ycsb"
 )
 
@@ -245,5 +251,79 @@ func TestResolveWorkload(t *testing.T) {
 	}
 	if _, err := ResolveWorkload("trending", 42, 0, -1); err == nil {
 		t.Error("negative requests accepted")
+	}
+}
+
+// TestKnapsackSharedTableMatchesPerRungDP pins the shared ladder table
+// against the definition it replaced: one independent exact DP per
+// rung, each at its own coarsening. The dataset is sized so the top rung
+// needs a coarser unit than the lower two, covering both a shared table
+// and the boundary between two.
+func TestKnapsackSharedTableMatchesPerRungDP(t *testing.T) {
+	const keys, pageUnit = 1500, 4096
+	rng := rand.New(rand.NewSource(23))
+	w := &ycsb.Workload{}
+	for i := 0; i < keys; i++ {
+		w.Dataset.Records = append(w.Dataset.Records,
+			ycsb.Record{Key: fmt.Sprintf("k%d", i), Size: (1 + rng.Intn(39)) * pageUnit})
+	}
+	for i := 0; i < 20000; i++ {
+		w.Ops = append(w.Ops, ycsb.Op{Key: int(float64(keys) * math.Pow(rng.Float64(), 3)), Kind: kvstore.Read})
+	}
+	p := knapsackPolicy{anchor: 0.31}
+	got, err := p.Order(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stats := keyStats(w)
+	items := make([]knapsack.Item, keys)
+	var totalUnits int64
+	for i, k := range stats {
+		items[i] = knapsack.Item{Weight: int64(k.Size / pageUnit), Profit: float64(k.Accesses())}
+		totalUnits += items[i].Weight
+	}
+	capacities := p.capacityLadder(totalUnits)
+	tiers := make([]int, keys)
+	for i := range tiers {
+		tiers[i] = len(capacities) + 1
+	}
+	units := map[int64]bool{}
+	for tier, capUnits := range capacities {
+		unit := int64(1)
+		for int64(keys+1)*(capUnits/unit+1) > dpBudget {
+			unit *= 2
+		}
+		units[unit] = true
+		scaled := make([]knapsack.Item, keys)
+		for i, it := range items {
+			scaled[i] = knapsack.Item{Weight: (it.Weight + unit - 1) / unit, Profit: it.Profit}
+		}
+		picked, _ := knapsack.Exact(scaled, capUnits/unit)
+		for i, in := range picked {
+			if in && tier < tiers[i] {
+				tiers[i] = tier
+			}
+		}
+	}
+	if len(capacities) != 4 || len(units) != 2 {
+		t.Fatalf("ladder %v uses coarsenings %v; the test needs 4 rungs over 2 units", capacities, units)
+	}
+	want := identityOrder(keys)
+	sort.SliceStable(want, func(a, b int) bool {
+		ia, ib := want[a], want[b]
+		if tiers[ia] != tiers[ib] {
+			return tiers[ia] < tiers[ib]
+		}
+		da, db := items[ia].Profit/float64(items[ia].Weight), items[ib].Profit/float64(items[ib].Weight)
+		if da != db {
+			return da > db
+		}
+		return ia < ib
+	})
+	for i, k := range got.Keys {
+		if k.Index != want[i] {
+			t.Fatalf("rank %d: shared-table ladder placed record %d, per-rung DP %d", i, k.Index, want[i])
+		}
 	}
 }

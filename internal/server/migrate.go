@@ -39,8 +39,10 @@ type EpochStats struct {
 
 // EpochObserver is one run's adaptive state: it receives each epoch's
 // access stats and answers with the moves to apply before the next
-// epoch. Returning nil keeps the placement. Observers are single-run,
-// single-goroutine objects; a fresh one is issued per run by Begin.
+// epoch. Returning nil keeps the placement; the returned slice is the
+// observer's to reuse, so it is valid only until the next Observe.
+// Observers are single-run, single-goroutine objects; a fresh one is
+// issued per run by Begin.
 type EpochObserver interface {
 	Observe(EpochStats) []Move
 }

@@ -31,6 +31,7 @@ import (
 	"mnemo/internal/core"
 	"mnemo/internal/costmodel"
 	"mnemo/internal/obs"
+	"mnemo/internal/pool"
 	"mnemo/internal/registry"
 	"mnemo/internal/server"
 	"mnemo/internal/shard"
@@ -525,15 +526,27 @@ func MeasureAdaptive(ctx context.Context, w *Workload, rep *Report, opts Options
 	}
 	staticCfg := cfg.Server
 	staticCfg.Adaptive, staticCfg.EpochOps = nil, 0
-	st, err := client.ExecuteMeanCtx(ctx, staticCfg, w, placement, cfg.Runs, 0, cfg.Resilience)
-	if err != nil {
-		return nil, fmt.Errorf("mnemo: static measured run: %w", err)
+	legs := []struct {
+		name string
+		cfg  server.Config
+	}{{"static", staticCfg}, {"adaptive", cfg.Server}}
+	var runs [2]RunStats
+	var errs [2]error
+	// The two legs are independent simulations with fixed seeds, so they
+	// run concurrently and bit-identically to back to back, sharing one
+	// worker budget with their nested repetition fan-outs.
+	ctx = pool.EnsureBudget(ctx)
+	if err := pool.RunObs(ctx, len(legs), len(legs), cfg.Server.Obs, func(i int) {
+		runs[i], errs[i] = client.ExecuteMeanCtx(ctx, legs[i].cfg, w, placement, cfg.Runs, 0, cfg.Resilience)
+	}); err != nil {
+		return nil, fmt.Errorf("mnemo: measured runs: %w", err)
 	}
-	ad, err := client.ExecuteMeanCtx(ctx, cfg.Server, w, placement, cfg.Runs, 0, cfg.Resilience)
-	if err != nil {
-		return nil, fmt.Errorf("mnemo: adaptive measured run: %w", err)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("mnemo: %s measured run: %w", legs[i].name, err)
+		}
 	}
-	return &AdaptiveComparison{Static: st, Adaptive: ad}, nil
+	return &AdaptiveComparison{Static: runs[0], Adaptive: runs[1]}, nil
 }
 
 // TieringPolicy orders a workload's keys by FastMem priority — the seam
