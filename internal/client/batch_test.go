@@ -3,9 +3,12 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"mnemo/internal/obs"
 	"mnemo/internal/server"
 	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
@@ -21,10 +24,15 @@ var goldenEngines = []server.Engine{server.RedisLike, server.MemcachedLike, serv
 func executeBoth(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Placement) (batched, perOp RunStats, errB, errP error) {
 	t.Helper()
 	batched, errB = Execute(cfg, w, p)
-	ref := cfg
-	ref.DisableBatchReplay = true
-	perOp, errP = Execute(ref, w, p)
+	perOp, errP = Execute(perOpReference(cfg), w, p)
 	return
+}
+
+// perOpReference is the config's per-op twin, the reference every
+// batched outcome is held against.
+func perOpReference(cfg server.Config) server.Config {
+	cfg.DisableBatchReplay = true
+	return cfg
 }
 
 // requireSameOutcome asserts bit-identical stats and identical error
@@ -131,6 +139,91 @@ func TestBatchedReplayTimeoutParity(t *testing.T) {
 		t.Fatalf("wrong error types: %v / %v", eb, ep)
 	}
 	requireSameOutcome(t, "timeout", b, r, eb, ep)
+}
+
+// TestBatchedCutOffTelemetryParity drives the cut-off contract of the
+// staged kernel through the whole execute path with a live sink on each
+// side: the kernel has touched the LLC and drawn noise for the rest of
+// its block when the cut is found, and none of that may show in the
+// error's request index and clock or in the counters runAndFlush
+// publishes for the partial run. Every engine (treekv's pause mirror
+// included) is cut twice in the middle of its second block — by
+// RunTimeout, and by a scheduled stall — and must leave the same error
+// text and the same metrics dump as the DisableBatchReplay reference.
+func TestBatchedCutOffTelemetryParity(t *testing.T) {
+	w := ycsb.MustGenerate(ycsb.Spec{
+		Name: "cutoff", Keys: 1000, Requests: 3 * replayBlockOps,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
+		ReadRatio: 0.9, Sizes: ycsb.SizeFixed100KB, Seed: 5,
+	})
+	// cutIndex extracts the served-request count from a timeout error.
+	cutIndex := func(err error) int {
+		var served, total int
+		text := err.Error()
+		if _, serr := fmt.Sscanf(text[strings.Index(text, "after "):], "after %d/%d requests", &served, &total); serr != nil {
+			t.Fatalf("unparseable timeout error %q: %v", text, serr)
+		}
+		return served
+	}
+	midBlock := func(n int) bool {
+		return n > replayBlockOps && n%replayBlockOps > 100 && n%replayBlockOps < replayBlockOps-100
+	}
+	run := func(cfg server.Config) (string, error) {
+		cfg.Obs = obs.NewSink()
+		_, err := Execute(cfg, w, server.AllSlow())
+		var dump strings.Builder
+		if werr := cfg.Obs.Registry().WritePrometheus(&dump); werr != nil {
+			t.Fatal(werr)
+		}
+		return dump.String(), err
+	}
+
+	for _, e := range goldenEngines {
+		for _, mode := range []string{"timeout", "stall"} {
+			t.Run(e.String()+"/"+mode, func(t *testing.T) {
+				cfg := server.DefaultConfig(e, 7)
+				var wantDump string
+				var wantErr error
+				if mode == "timeout" {
+					// Half a full run's simulated time runs out in the
+					// middle of the second of the three blocks.
+					full, err := Execute(perOpReference(cfg), w, server.AllSlow())
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.RunTimeout = full.Runtime / 2
+					wantDump, wantErr = run(perOpReference(cfg))
+				} else {
+					// Walk fault seeds to a stall scheduled mid-block.
+					cfg.RunTimeout = 5 * simclock.Second
+					cfg.Fault = server.FaultSpec{StallProb: 1, StallWindowOps: len(w.Ops)}
+					for {
+						wantDump, wantErr = run(perOpReference(cfg))
+						if wantErr != nil && midBlock(cutIndex(wantErr)) {
+							break
+						}
+						cfg.Fault.Seed++
+					}
+				}
+				if !errors.Is(wantErr, ErrRunTimeout) || !midBlock(cutIndex(wantErr)) {
+					t.Fatalf("reference was not cut mid-block: %v", wantErr)
+				}
+
+				gotDump, gotErr := run(cfg)
+				if gotErr == nil || gotErr.Error() != wantErr.Error() {
+					t.Fatalf("error diverged:\n  batched: %v\n  per-op:  %v", gotErr, wantErr)
+				}
+				if gotDump != wantDump {
+					t.Fatalf("metrics diverged:\n--- batched ---\n%s--- per-op ---\n%s", gotDump, wantDump)
+				}
+				for _, name := range []string{"mnemo_server_ops_total", "mnemo_server_llc_hits_total", "mnemo_server_llc_misses_total"} {
+					if !strings.Contains(gotDump, name) {
+						t.Fatalf("metrics dump carries no %s:\n%s", name, gotDump)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestBatchedReplayCancellation verifies the block-granularity ctx poll:

@@ -236,6 +236,16 @@ func (a *replayAccum) observe(kind kvstore.OpKind, bucket int, ns float64) {
 	}
 }
 
+// foldBlock folds one block served by the batched kernel into the
+// accumulators, in request order: request i addressed record keys[i]
+// with op kind kinds[i] and took lat[i]. The caller cuts keys, kinds
+// and lat to the served prefix.
+func (a *replayAccum) foldBlock(keys []uint32, kinds []uint8, classes []uint8, lat []simclock.Duration) {
+	for i, l := range lat {
+		a.observe(kvstore.OpKind(kinds[i]), int(classes[keys[i]]), float64(l.Nanoseconds()))
+	}
+}
+
 // sizeClasses computes each record's power-of-two size class once, so the
 // replay loop reads a byte from an L1-resident table instead of chasing
 // into the records array and re-deriving the bucket per request.
@@ -344,9 +354,7 @@ func replayBatchedChunk(ctx context.Context, d *server.Deployment, t *server.Rep
 		}
 		bkeys, bkinds := keys[blk:end], kinds[blk:end]
 		served := t.Serve(bkeys, bkinds, maxClock, lat)
-		for i := 0; i < served; i++ {
-			a.observe(kvstore.OpKind(bkinds[i]), int(classes[bkeys[i]]), float64(lat[i].Nanoseconds()))
-		}
+		a.foldBlock(bkeys[:served], bkinds[:served], classes, lat[:served])
 		if served < len(bkeys) {
 			return fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
 				ErrRunTimeout, done+blk+served, total, d.Clock()-start, budget)

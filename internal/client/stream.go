@@ -90,9 +90,7 @@ func replayStream(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		}
 		if servable {
 			served := t.Serve(keys, kinds, maxClock, lat)
-			for i := 0; i < served; i++ {
-				a.observe(kvstore.OpKind(kinds[i]), int(classes[keys[i]]), float64(lat[i].Nanoseconds()))
-			}
+			a.foldBlock(keys[:served], kinds[:served], classes, lat[:served])
 			if served < len(keys) {
 				return fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
 					ErrRunTimeout, done+served, total, d.Clock()-start, budget)

@@ -155,6 +155,70 @@ func TestStreamedReplayDeleteBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStreamedFramesShareOneLLC proves the batched and the per-op
+// frames of one streamed run see a single LLC — both address it by
+// record index. The trace is three frames over a dataset that fits the
+// cache: frame 0 reads every record once (kernel, all misses); frame 1
+// reads them again but deletes and re-inserts one (a structural frame,
+// served per-op — every read hits only if it finds what the kernel
+// inserted); frame 2 reads every record once more (kernel again, after
+// the table re-price — every read hits only if it finds what the per-op
+// frame left, including the re-inserted record). The exact hit count
+// follows, and the whole run must equal the all-per-op reference.
+// (treekv's delete leaves a full node behind, so that engine stops
+// promising static traces and serves frame 2 per-op as well; it still
+// covers the kernel-to-per-op direction, with the pause handshake.)
+func TestStreamedFramesShareOneLLC(t *testing.T) {
+	const n = replayBlockOps
+	w := ycsb.MustGenerate(ycsb.Spec{
+		Name: "one-llc", Keys: n, Requests: 3 * n,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Uniform},
+		ReadRatio: 1.0, Sizes: ycsb.SizeFixed1KB, Seed: 17,
+	})
+	for i := range w.Ops {
+		w.Ops[i] = ycsb.Op{Key: i % n, Kind: kvstore.Read}
+	}
+	// Frame 1: records 7 and 8 give up their reads to a delete and a
+	// re-inserting write of record 7.
+	w.Ops[n+7].Kind = kvstore.Delete
+	w.Ops[n+8] = ycsb.Op{Key: 7, Kind: kvstore.Write}
+	tw := streamedTwin(t, w)
+
+	// Frame 1: its n-2 reads hit; the delete (footprint 0, a size
+	// change) and the re-inserting write miss. Frame 2: all n reads hit,
+	// record 8 included — nothing was evicted.
+	wantHitRate := float64((n-2)+n) / float64(3*n)
+
+	for _, e := range goldenEngines {
+		cfg := server.DefaultConfig(e, 42)
+		want, err := Execute(perOpReference(cfg), w, server.AllSlow())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		d := server.NewDeployment(cfg)
+		if err := d.Load(tw.Dataset, server.AllSlow()); err != nil {
+			t.Fatal(err)
+		}
+		if d.BatchTable() == nil {
+			t.Fatalf("%v: no batch table; frame 0 would not take the kernel", e)
+		}
+		got, err := RunCtx(context.Background(), d, tw, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.BatchTable() == nil && e != server.DynamoLike {
+			t.Fatalf("%v: table not re-priced after the structural frame; frame 2 did not take the kernel", e)
+		}
+		if got.LLCHitRate != wantHitRate {
+			t.Errorf("%v: LLC hit rate %v, want exactly %v", e, got.LLCHitRate, wantHitRate)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: streamed run diverged from the per-op reference:\n  streamed: %+v\n  per-op:   %+v", e, got, want)
+		}
+	}
+}
+
 // TestStreamedReplayBitIdenticalWithFaults drives both backings through
 // the fault fates — fail, stall, outlier — across enough seeds to roll
 // each at least once.

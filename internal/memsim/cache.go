@@ -7,14 +7,26 @@ package memsim
 // — repeatedly touched small hot records are served at cache speed, large
 // or cold records pay full memory cost.
 //
-// The cache sits on the replay hot path (one Access per request), so it
+// The cache sits on the replay hot path (one access per request), so it
 // is built from flat slices instead of container/list plus a built-in
 // map: resident records live in a slot arena threaded into an intrusive
-// doubly-linked recency list, and an open-addressed table with linear
-// probing maps record IDs to slots. Record IDs are already FNV-64a
-// hashes (kvstore.KeyID), so the table indexes them directly without
-// re-hashing. Steady-state accesses — hits and miss/evict cycles alike —
-// allocate nothing.
+// doubly-linked recency list, and record IDs map to slots through one of
+// two indexes, chosen by the ID's value:
+//
+//   - IDs below the size declared by Reserve are dense record indices
+//     and address a handle array directly — a lookup is one load, an
+//     eviction clears one handle. This is how a server.Deployment
+//     addresses its LLC (by dataset record index, on every path).
+//   - every other ID goes through an open-addressed table with linear
+//     probing and backward-shift deletion. Such IDs are expected to be
+//     FNV-64a hashes already (kvstore.KeyID), so the table indexes them
+//     without re-hashing. A cache that never called Reserve sends every
+//     ID here.
+//
+// The two ranges are disjoint, so one cache may hold both kinds; what a
+// caller must not do is address one record under both a dense and a
+// hashed ID. Steady-state accesses — hits and miss/evict cycles alike —
+// allocate nothing, and neither does Flush.
 type LRUCache struct {
 	capacity int64
 	used     int64
@@ -25,8 +37,9 @@ type LRUCache struct {
 	tail  int32   // least recently used, -1 when empty
 	size  int     // resident records
 
-	table []int32 // open-addressed id index; -1 = empty, else slot index
-	mask  uint64
+	direct []int32 // reserved IDs: direct[id] = slot index, -1 = absent
+	table  []int32 // other IDs: open-addressed index; -1 = empty, else slot index
+	mask   uint64
 
 	hits, misses int64
 }
@@ -35,14 +48,15 @@ type cacheSlot struct {
 	id         uint64
 	bytes      int64
 	prev, next int32  // intrusive recency list, -1 terminated
-	pos        uint32 // current probe-table position, kept in sync by moves
+	pos        uint32 // probe-table position (hashed IDs only), kept in sync by moves
 }
 
 // minTableSize keeps the probe table a power of two; it doubles whenever
 // residency reaches half the table, bounding probe sequences.
 const minTableSize = 64
 
-// NewLRUCache creates a cache with the given byte capacity.
+// NewLRUCache creates a cache with the given byte capacity and no
+// reserved ID range: every ID is looked up through the probe table.
 func NewLRUCache(capacity int64) *LRUCache {
 	if capacity <= 0 {
 		panic("memsim: cache capacity must be positive")
@@ -52,11 +66,32 @@ func NewLRUCache(capacity int64) *LRUCache {
 	return c
 }
 
-func (c *LRUCache) resetTable(n int) {
-	c.table = make([]int32, n)
-	for i := range c.table {
-		c.table[i] = -1
+// Reserve empties the cache and declares IDs [0, n) to be dense record
+// indices, looked up through a directly indexed handle array of n
+// entries instead of the probe table. IDs at or above n keep the probe
+// table. Reserve(0) returns the cache to hashed-only addressing.
+func (c *LRUCache) Reserve(n int) {
+	c.Flush()
+	if n == len(c.direct) {
+		return // Flush left every handle cleared
 	}
+	c.direct = emptyIndex(n)
+}
+
+// dense reports whether id lies in the reserved, directly indexed range.
+func (c *LRUCache) dense(id uint64) bool { return id < uint64(len(c.direct)) }
+
+// emptyIndex returns an ID index of n entries, none of them occupied.
+func emptyIndex(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = -1
+	}
+	return idx
+}
+
+func (c *LRUCache) resetTable(n int) {
+	c.table = emptyIndex(n)
 	c.mask = uint64(n - 1)
 }
 
@@ -149,20 +184,40 @@ func (c *LRUCache) pushFront(s int32) {
 	}
 }
 
-// removeAt evicts the record at table position pos.
-func (c *LRUCache) removeAt(pos uint64) {
-	s := c.table[pos]
+// lookup returns the slot holding id, or -1 when it is not resident.
+func (c *LRUCache) lookup(id uint64) int32 {
+	if c.dense(id) {
+		return c.direct[id]
+	}
+	if pos, ok := c.findPos(id); ok {
+		return c.table[pos]
+	}
+	return -1
+}
+
+// remove evicts the record in slot s. The slot remembers its own ID and
+// probe-table position, so neither index is searched; the sanity checks
+// keep index/list desyncs loud.
+func (c *LRUCache) remove(s int32) {
+	sl := &c.slots[s]
+	if c.dense(sl.id) {
+		if c.direct[sl.id] != s {
+			panic("memsim: cache recency list out of sync with index")
+		}
+		c.direct[sl.id] = -1
+	} else {
+		if c.table[sl.pos] != s {
+			panic("memsim: cache recency list out of sync with index")
+		}
+		c.tableDelete(uint64(sl.pos))
+	}
 	c.unlink(s)
-	c.tableDelete(pos)
-	c.used -= c.slots[s].bytes
+	c.used -= sl.bytes
 	c.size--
 	c.free = append(c.free, s)
 }
 
 func (c *LRUCache) insert(id uint64, size int64) {
-	if (c.size+1)*2 > len(c.table) {
-		c.grow()
-	}
 	var s int32
 	if n := len(c.free); n > 0 {
 		s = c.free[n-1]
@@ -171,74 +226,100 @@ func (c *LRUCache) insert(id uint64, size int64) {
 		c.slots = append(c.slots, cacheSlot{})
 		s = int32(len(c.slots) - 1)
 	}
-	pos, _ := c.findPos(id)
-	c.slots[s] = cacheSlot{id: id, bytes: size, prev: -1, next: -1, pos: uint32(pos)}
-	c.table[pos] = s
+	sl := &c.slots[s] // pushFront links it
+	sl.id, sl.bytes = id, size
+	if c.dense(id) {
+		c.direct[id] = s
+	} else {
+		// The threshold counts every resident, dense ones included, so
+		// a mixed cache only ever over-sizes the table.
+		if (c.size+1)*2 > len(c.table) {
+			c.grow()
+		}
+		pos, _ := c.findPos(id)
+		sl.pos = uint32(pos)
+		c.table[pos] = s
+	}
 	c.pushFront(s)
 	c.used += size
 	c.size++
 }
 
-// Access records a touch of rec and reports whether it was a hit. On a
-// miss the record is inserted (if it fits at all) and cold entries are
-// evicted LRU-first. Records larger than the whole cache never hit.
+// Access records a touch of rec, counts it as a hit or a miss, and
+// reports whether it was a hit. On a miss the record is inserted (if it
+// fits at all) and cold entries are evicted LRU-first. Records larger
+// than the whole cache never hit.
 func (c *LRUCache) Access(rec RecordRef) bool {
+	if c.Touch(rec) {
+		c.hits++
+		return true
+	}
+	c.misses++
+	return false
+}
+
+// Touch is Access without the hit/miss statistics: residency and
+// recency change exactly as they would under Access, the counters do
+// not. It serves callers that look ahead of what they will end up
+// reporting — the batched replay kernel touches a whole block and then
+// credits only the requests it served (Credit).
+func (c *LRUCache) Touch(rec RecordRef) bool {
 	size := int64(rec.Bytes)
-	if pos, ok := c.findPos(rec.ID); ok {
-		s := c.table[pos]
+	if s := c.lookup(rec.ID); s >= 0 {
 		if c.slots[s].bytes == size {
 			if c.head != s {
 				c.unlink(s)
 				c.pushFront(s)
 			}
-			c.hits++
 			return true
 		}
 		// Size changed (record overwritten with a different value):
 		// treat as a miss and reinsert below.
-		c.removeAt(pos)
+		c.remove(s)
 	}
-	c.misses++
 	if size > c.capacity {
 		return false // streaming record, uncacheable
 	}
 	for c.used+size > c.capacity {
-		c.evictOldest()
+		c.remove(c.tail)
 	}
 	c.insert(rec.ID, size)
 	return false
 }
 
-// Remove invalidates a record, if present.
-func (c *LRUCache) Remove(id uint64) {
-	if pos, ok := c.findPos(id); ok {
-		c.removeAt(pos)
-	}
+// Credit adds to the hit/miss statistics on behalf of accesses made
+// through Touch.
+func (c *LRUCache) Credit(hits, misses int64) {
+	c.hits += hits
+	c.misses += misses
 }
 
-func (c *LRUCache) evictOldest() {
-	if c.tail < 0 {
-		return
+// Remove invalidates a record, if present.
+func (c *LRUCache) Remove(id uint64) {
+	if s := c.lookup(id); s >= 0 {
+		c.remove(s)
 	}
-	// The slot remembers its own probe-table position, so eviction does
-	// not re-probe; the sanity check keeps index/list desyncs loud.
-	pos := uint64(c.slots[c.tail].pos)
-	if c.table[pos] != c.tail {
-		panic("memsim: cache recency list out of sync with index")
-	}
-	c.removeAt(pos)
 }
 
 // Flush empties the cache (used between baseline runs so each starts
-// cold, as the paper's repeated fresh executions do). The probe table
-// keeps its size, since the next run typically reaches similar residency.
+// cold, as the paper's repeated fresh executions do). It walks the
+// recency list clearing each resident's index entry, so it costs
+// O(resident) whatever the reserved range, and allocates nothing. Both
+// indexes keep their size, since the next run typically reaches similar
+// residency.
 func (c *LRUCache) Flush() {
+	for s := c.head; s >= 0; s = c.slots[s].next {
+		if sl := &c.slots[s]; c.dense(sl.id) {
+			c.direct[sl.id] = -1
+		} else {
+			c.table[sl.pos] = -1
+		}
+	}
 	c.slots = c.slots[:0]
 	c.free = c.free[:0]
 	c.head, c.tail = -1, -1
 	c.size = 0
 	c.used = 0
-	c.resetTable(len(c.table))
 }
 
 // ResetStats zeroes the hit/miss counters without touching contents.

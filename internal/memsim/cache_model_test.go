@@ -73,50 +73,86 @@ func (c *refCache) flush() {
 	c.used = 0
 }
 
+// TestLRUCacheMatchesReferenceModel drives the same randomized sequence
+// — accesses, size-changing overwrites, oversize records, removals,
+// flushes — through each way a cache can be addressed: dense IDs inside
+// a reserved range (the handle array), hash-like IDs on an un-reserved
+// cache (the probe table), and both kinds mixed in one cache, where the
+// two indexes share one recency list and one byte budget.
 func TestLRUCacheMatchesReferenceModel(t *testing.T) {
-	const capacity = 64 << 10
-	got := NewLRUCache(capacity)
-	want := newRefCache(capacity)
-	rng := rand.New(rand.NewSource(99))
+	const (
+		capacity = 64 << 10
+		nIDs     = 512
+		steps    = 250000
+	)
+	for _, tc := range []struct {
+		name    string
+		reserve int
+		dense   int // how many of the nIDs are record indices below reserve
+	}{
+		{"dense", nIDs, nIDs},
+		{"hashed", 0, 0},
+		// The mixed population also holds the first IDs past the
+		// reserved range, which must take the probe table.
+		{"mixed", nIDs / 2, nIDs / 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := NewLRUCache(capacity)
+			if tc.reserve > 0 {
+				got.Reserve(tc.reserve)
+			}
+			want := newRefCache(capacity)
+			rng := rand.New(rand.NewSource(99))
 
-	// IDs drawn from a working set a few times the cache's record
-	// capacity force constant eviction churn; a sprinkle of size changes,
-	// removals and flushes exercises every mutation path.
-	ids := make([]uint64, 512)
-	for i := range ids {
-		ids[i] = rng.Uint64() // hash-like IDs, as kvstore.KeyID produces
-	}
-	for step := 0; step < 200000; step++ {
-		switch r := rng.Intn(100); {
-		case r < 90:
-			rec := RecordRef{ID: ids[rng.Intn(len(ids))], Bytes: 1 << (5 + rng.Intn(8))}
-			if g, w := got.Access(rec), want.access(rec); g != w {
-				t.Fatalf("step %d: Access(%+v) = %v, reference says %v", step, rec, g, w)
+			// IDs drawn from a working set a few times the cache's record
+			// capacity force constant eviction churn.
+			ids := make([]uint64, nIDs)
+			for i := range ids {
+				switch {
+				case i < tc.dense:
+					ids[i] = uint64(i)
+				case tc.reserve > 0 && i < tc.dense+8:
+					ids[i] = uint64(tc.reserve + i - tc.dense)
+				default:
+					ids[i] = rng.Uint64() | 1<<40 // hash-like IDs, as kvstore.KeyID produces
+				}
 			}
-		case r < 97:
-			id := ids[rng.Intn(len(ids))]
-			got.Remove(id)
-			want.remove(id)
-		case r < 99:
-			// Uncacheable streaming record.
-			rec := RecordRef{ID: ids[rng.Intn(len(ids))], Bytes: capacity * 2}
-			if g, w := got.Access(rec), want.access(rec); g != w {
-				t.Fatalf("step %d: streaming Access = %v, reference says %v", step, g, w)
+			for step := 0; step < steps; step++ {
+				switch r := rng.Intn(1000); {
+				case r < 900:
+					rec := RecordRef{ID: ids[rng.Intn(len(ids))], Bytes: 1 << (5 + rng.Intn(8))}
+					if g, w := got.Access(rec), want.access(rec); g != w {
+						t.Fatalf("step %d: Access(%+v) = %v, reference says %v", step, rec, g, w)
+					}
+				case r < 970:
+					id := ids[rng.Intn(len(ids))]
+					got.Remove(id)
+					want.remove(id)
+				case r < 990:
+					// Uncacheable streaming record.
+					rec := RecordRef{ID: ids[rng.Intn(len(ids))], Bytes: capacity * 2}
+					if g, w := got.Access(rec), want.access(rec); g != w {
+						t.Fatalf("step %d: streaming Access = %v, reference says %v", step, g, w)
+					}
+				default:
+					got.Flush()
+					want.flush()
+				}
+				if got.Used() != want.used {
+					t.Fatalf("step %d: used %d, reference %d", step, got.Used(), want.used)
+				}
+				if got.Len() != want.order.Len() {
+					t.Fatalf("step %d: len %d, reference %d", step, got.Len(), want.order.Len())
+				}
+				if got.Hits() != want.hits || got.Misses() != want.misses {
+					t.Fatalf("step %d: hits/misses %d/%d, reference %d/%d",
+						step, got.Hits(), got.Misses(), want.hits, want.misses)
+				}
 			}
-		default:
-			got.Flush()
-			want.flush()
-		}
-		if got.Used() != want.used {
-			t.Fatalf("step %d: used %d, reference %d", step, got.Used(), want.used)
-		}
-		if got.Len() != want.order.Len() {
-			t.Fatalf("step %d: len %d, reference %d", step, got.Len(), want.order.Len())
-		}
-		if got.Hits() != want.hits || got.Misses() != want.misses {
-			t.Fatalf("step %d: hits/misses %d/%d, reference %d/%d",
-				step, got.Hits(), got.Misses(), want.hits, want.misses)
-		}
+			if want.hits == 0 || want.misses == 0 {
+				t.Fatalf("vacuous run: %d hits, %d misses", want.hits, want.misses)
+			}
+		})
 	}
 }
 

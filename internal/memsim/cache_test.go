@@ -132,3 +132,94 @@ func TestCacheInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCacheTouchLeavesStatsToCredit pins the split the batched replay
+// kernel relies on: Touch changes residency and recency exactly like
+// Access but counts nothing; Credit is the only other way in.
+func TestCacheTouchLeavesStatsToCredit(t *testing.T) {
+	c := NewLRUCache(1 << 20)
+	a := RecordRef{ID: 7, Bytes: 512}
+	if c.Touch(a) {
+		t.Fatal("cold touch hit")
+	}
+	if !c.Touch(a) {
+		t.Fatal("warm touch missed")
+	}
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatalf("Touch counted: hits/misses = %d/%d", c.Hits(), c.Misses())
+	}
+	if !c.Access(a) {
+		t.Fatal("Access after Touch missed: Touch did not insert")
+	}
+	c.Credit(1, 1)
+	if c.Hits() != 2 || c.Misses() != 1 {
+		t.Fatalf("after Access + Credit(1, 1): hits/misses = %d/%d, want 2/1", c.Hits(), c.Misses())
+	}
+}
+
+// TestCacheReserve covers the reserved range's lifecycle: Reserve
+// empties the cache, IDs on either side of the bound are independent
+// residents, and re-reserving — larger, smaller, or back to none —
+// leaves no stale handle behind.
+func TestCacheReserve(t *testing.T) {
+	c := NewLRUCache(1 << 20)
+	c.Access(RecordRef{ID: 3, Bytes: 100})
+	c.Reserve(8)
+	if c.Len() != 0 || c.Used() != 0 {
+		t.Fatal("Reserve did not empty the cache")
+	}
+	inside, edge := RecordRef{ID: 7, Bytes: 100}, RecordRef{ID: 8, Bytes: 100}
+	if c.Access(inside) || c.Access(edge) {
+		t.Fatal("cold access hit after Reserve")
+	}
+	if !c.Access(inside) || !c.Access(edge) {
+		t.Fatal("warm access missed on one side of the reserved bound")
+	}
+	c.Remove(7)
+	if c.Access(inside) || !c.Access(edge) {
+		t.Fatal("Remove inside the reserved range disturbed the wrong record")
+	}
+	for _, n := range []int{16, 4, 0, 4} {
+		c.Access(inside)
+		c.Access(edge)
+		c.Reserve(n)
+		if c.Len() != 0 {
+			t.Fatalf("Reserve(%d) did not empty the cache", n)
+		}
+		if c.Access(inside) || c.Access(edge) {
+			t.Fatalf("Reserve(%d) left a stale resident", n)
+		}
+		if !c.Access(inside) || !c.Access(edge) || c.Len() != 2 {
+			t.Fatalf("cache unusable after Reserve(%d)", n)
+		}
+	}
+}
+
+// TestCacheFlushZeroAllocs pins the rewind cost of a repeated run: on a
+// warmed cache holding both dense and hashed residents, Flush clears
+// both indexes in place.
+func TestCacheFlushZeroAllocs(t *testing.T) {
+	c := NewLRUCache(1 << 20)
+	c.Reserve(256)
+	warm := func() {
+		for i := uint64(0); i < 200; i++ {
+			c.Access(RecordRef{ID: i, Bytes: 64})
+			c.Access(RecordRef{ID: i<<32 | 1<<50, Bytes: 64})
+		}
+	}
+	warm()
+	c.Flush()
+	allocs := testing.AllocsPerRun(10, func() {
+		warm()
+		c.Flush()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm + Flush allocates %.1f times per run, want 0", allocs)
+	}
+	if c.Len() != 0 || c.Used() != 0 {
+		t.Fatal("flush did not empty cache")
+	}
+	if c.Access(RecordRef{ID: 5, Bytes: 64}) || c.Access(RecordRef{ID: 5<<32 | 1<<50, Bytes: 64}) {
+		t.Fatal("post-flush access hit")
+	}
+}

@@ -37,10 +37,9 @@ const ReplayBlockOps = 4096
 type opCost struct {
 	readHitNs, readMissNs   float64
 	writeHitNs, writeMissNs float64
-	id                      uint64 // record identity for the LLC model
-	readBytes, writeBytes   int32  // LLC footprint (valueBytes) per kind
-	size                    int32  // payload bytes charged to the GC model
-	tier                    uint8  // serving instance, for pause routing
+	readBytes, writeBytes   int32 // LLC footprint (valueBytes) per kind
+	size                    int32 // payload bytes charged to the GC model
+	tier                    uint8 // serving instance, for pause routing
 }
 
 // pauseState is the kernel-side mirror of one instance's
@@ -53,15 +52,18 @@ type pauseState struct {
 }
 
 // ReplayTable is a deployment's batched-replay state: the per-record
-// cost table, the per-tier pause models, and a block-sized latency
-// scratch buffer. It is bound to the deployment that built it and shares
-// its single-threaded discipline.
+// cost table, the per-tier pause models, and the block-sized scratch
+// buffers — the latency buffer handed to callers and the two arrays
+// Serve's stages communicate through. It is bound to the deployment
+// that built it and shares its single-threaded discipline.
 type ReplayTable struct {
 	d       *Deployment
 	costs   []opCost
 	pause   [2]pauseState // indexed by memsim.Tier
 	stallNs float64       // precomputed stall jump of the fault plan
 	lat     [ReplayBlockOps]simclock.Duration
+	ns      [ReplayBlockOps]float64 // service time: pre-noise after stage 1, noised after stage 2
+	hit     [ReplayBlockOps]uint8   // stage 1's LLC outcome, 1 = hit
 }
 
 // Block returns the table's block-sized latency scratch buffer for Serve
@@ -130,7 +132,6 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 		return false
 	}
 	c := &t.costs[i]
-	c.id = rec.ID
 	c.size = int32(rec.Size)
 	c.tier = uint8(tier)
 
@@ -172,68 +173,97 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 	return cpuNs + memNs
 }
 
-// Serve replays one block of requests — keys[i] is a dataset record
-// index, kinds[i] its op kind — through the cost table, advancing the
-// clock and writing each request's latency into lat. It returns the
-// number of requests served: len(keys) normally, or fewer when maxClock
-// (an absolute simulated-time bound, 0 = none) was exceeded — the
-// request that crossed the bound is served and counted, matching the
-// per-op path's post-op budget check.
+// Serve replays one block of at most ReplayBlockOps requests — keys[i]
+// is a dataset record index, kinds[i] its op kind — through the cost
+// table, advancing the clock and writing each request's latency into
+// lat. It returns the number of requests served: len(keys) normally, or
+// fewer when maxClock (an absolute simulated-time bound, 0 = none) was
+// exceeded — the request that crossed the bound is served and counted,
+// matching the per-op path's post-op budget check.
+//
+// The block passes through three stages, each owning one slice of the
+// per-request state:
+//
+//  1. LLC: touch every record in order and select its hit or miss cost
+//     row into the ns scratch, remembering the outcome in hit.
+//  2. noise: multiply the block by the noise stream (Noise.Scale).
+//  3. clock: apply the pause mirror, the fault factor and stall, round
+//     to a latency, advance the clock and check maxClock.
+//
+// Stages 1 and 2 run over the whole block before stage 3 can discover
+// a cut, so a Serve that returns short has advanced the LLC contents
+// and the noise stream past the requests it served. Everything that is
+// reported — clock, op count, latencies, pause accumulators, and the
+// LLC hit/miss counters, which are credited for the served prefix only —
+// is exact for the served requests, but the deployment cannot resume:
+// after a short Serve the only legal next steps are ResetRun or
+// discarding the deployment. (Every client treats a short Serve as the
+// run's timeout and returns at once.)
 func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Duration, lat []simclock.Duration) int {
 	d := t.d
-	llc := d.machine.LLC()
-	noise := d.noise
-	for i := range keys {
-		c := &t.costs[keys[i]]
-		read := kinds[i] == uint8(kvstore.Read)
-		var ref memsim.RecordRef
-		if read {
-			ref = memsim.RecordRef{ID: c.id, Bytes: int(c.readBytes)}
-		} else {
-			ref = memsim.RecordRef{ID: c.id, Bytes: int(c.writeBytes)}
-		}
-		hit := llc != nil && llc.Access(ref)
-		var base float64
-		switch {
-		case read && hit:
-			base = c.readHitNs
-		case read:
-			base = c.readMissNs
-		case hit:
-			base = c.writeHitNs
-		default:
-			base = c.writeMissNs
-		}
+	ns, hit := t.ns[:len(keys)], t.hit[:len(keys)]
 
-		// Mirror of TakePauseNs: the engine's own GC accounting would
-		// charge this op's bytes and stall when the budget is crossed.
-		var pause float64
-		if ps := &t.pause[c.tier]; ps.budget > 0 {
-			ps.accum += int64(c.size) + ps.perOp
-			if ps.accum >= ps.budget {
-				ps.accum = 0
-				pause = ps.pauseNs
+	llc := d.machine.LLC()
+	for i, k := range keys {
+		c := &t.costs[k]
+		hitNs, missNs, bytes := c.readHitNs, c.readMissNs, c.readBytes
+		if kinds[i] != uint8(kvstore.Read) {
+			hitNs, missNs, bytes = c.writeHitNs, c.writeMissNs, c.writeBytes
+		}
+		if llc != nil && llc.Touch(memsim.RecordRef{ID: uint64(k), Bytes: int(bytes)}) {
+			ns[i], hit[i] = hitNs, 1
+		} else {
+			ns[i], hit[i] = missNs, 0
+		}
+	}
+
+	d.noise.Scale(ns)
+
+	start := d.clock.Now()
+	now := start
+	pausing := t.pause[memsim.Fast].budget > 0 || t.pause[memsim.Slow].budget > 0
+	factor := d.fault.factor
+	stallAt := d.fault.stallAt - d.ops // block-relative; negative when unscheduled or past
+	served := len(ns)
+	for i, serviceNs := range ns {
+		if pausing {
+			// Mirror of TakePauseNs: the engine's own GC accounting would
+			// charge this op's bytes and stall when the budget is crossed.
+			c := &t.costs[keys[i]]
+			if ps := &t.pause[c.tier]; ps.budget > 0 {
+				ps.accum += int64(c.size) + ps.perOp
+				if ps.accum >= ps.budget {
+					ps.accum = 0
+					serviceNs += ps.pauseNs
+				}
 			}
 		}
-
-		serviceNs := base*noise.Factor() + pause
-		if d.fault.factor != 1 {
-			serviceNs *= d.fault.factor
+		if factor != 1 {
+			serviceNs *= factor
 		}
-		if d.ops == d.fault.stallAt { // stallAt is −1 when unscheduled
+		if i == stallAt {
 			serviceNs += t.stallNs
 			d.telem.faultFired(d, FaultStall)
 		}
-		d.ops++
-
 		l := simclock.FromNanos(serviceNs)
-		d.clock.Advance(l)
+		now += l
 		lat[i] = l
-		if maxClock > 0 && d.clock.Now() > maxClock {
-			return i + 1
+		if maxClock > 0 && now > maxClock {
+			served = i + 1
+			break
 		}
 	}
-	return len(keys)
+	d.clock.Advance(now - start)
+	d.ops += served
+
+	if llc != nil {
+		hits := 0
+		for _, h := range hit[:served] {
+			hits += int(h)
+		}
+		llc.Credit(int64(hits), int64(served-hits))
+	}
+	return served
 }
 
 // ResetRun rewinds a batch-capable deployment to its post-Load state

@@ -233,3 +233,115 @@ func TestResetRunTelemetryParity(t *testing.T) {
 		t.Fatalf("ops counter after two flushed runs = %d, want %d", ops, 2*len(w.Ops))
 	}
 }
+
+// TestServeCutOffParity pins the staged kernel's cut-off contract
+// against the per-op reference (DisableBatchReplay, so the engines keep
+// their own pause accounting — treekv's GC model fires every few
+// hundred of these requests). Stages 1 and 2 run ahead over the whole
+// block, so a cut in the middle of one is where a staged kernel could
+// leak look-ahead into what it reports. Two cuts are driven, both in
+// the middle of the second block: a clock bound crossed by ordinary
+// service time, and a scheduled stall. Served count, clock, every
+// latency, and the op and LLC hit/miss counters flushed to a live sink
+// must all equal the reference's.
+func TestServeCutOffParity(t *testing.T) {
+	w := ycsb.MustGenerate(ycsb.Spec{
+		Name: "cutoff", Keys: 1000, Requests: 3 * ReplayBlockOps,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
+		ReadRatio: 0.9, Sizes: ycsb.SizeFixed100KB, Seed: 5,
+	})
+	pt := w.Packed()
+	const seed, cutAt = 23, ReplayBlockOps + 1500
+	midBlock := func(n int) bool {
+		return n > ReplayBlockOps && n%ReplayBlockOps > 100 && n%ReplayBlockOps < ReplayBlockOps-100
+	}
+
+	for _, e := range Engines() {
+		for _, mode := range []string{"timeout", "stall"} {
+			t.Run(e.String()+"/"+mode, func(t *testing.T) {
+				cfg := DefaultConfig(e, seed)
+				var maxClock simclock.Duration
+				if mode == "stall" {
+					// Walk fault seeds to a schedule whose stall lands
+					// mid-block; the bound then sits between any healthy
+					// clock reading and the 10 s jump.
+					cfg.Fault = FaultSpec{StallProb: 1, StallWindowOps: len(w.Ops)}
+					for !midBlock(cfg.Fault.roll(seed).stallAt) {
+						cfg.Fault.Seed++
+					}
+					maxClock = 5 * simclock.Second
+				} else {
+					probe := loadHalfFast(t, cfg, w)
+					for _, op := range w.Ops[:cutAt] {
+						probe.DoIndex(op.Key, op.Kind)
+					}
+					maxClock = probe.Clock() - 1
+				}
+
+				refSink, gotSink := obs.NewSink(), obs.NewSink()
+				refCfg := cfg
+				refCfg.DisableBatchReplay = true
+				refCfg.Obs = refSink
+				ref := loadHalfFast(t, refCfg, w)
+				var want []simclock.Duration
+				for _, op := range w.Ops {
+					want = append(want, ref.DoIndex(op.Key, op.Kind).Latency)
+					if ref.Clock() > maxClock {
+						break
+					}
+				}
+				if !midBlock(len(want)) {
+					t.Fatalf("reference cut after %d requests, not mid-block", len(want))
+				}
+
+				cfg.Obs = gotSink
+				d := loadHalfFast(t, cfg, w)
+				tab := d.BatchTable()
+				if tab == nil {
+					t.Fatal("no batch table")
+				}
+				var got []simclock.Duration
+				lat := tab.Block()
+				for blk := 0; blk < len(pt.Keys); blk += ReplayBlockOps {
+					end := min(blk+ReplayBlockOps, len(pt.Keys))
+					served := tab.Serve(pt.Keys[blk:end], pt.Kinds[blk:end], maxClock, lat)
+					got = append(got, lat[:served]...)
+					if served < end-blk {
+						break
+					}
+				}
+
+				if len(got) != len(want) {
+					t.Fatalf("batched served %d requests, per-op %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("op %d: batched latency %v != per-op %v", i, got[i], want[i])
+					}
+				}
+				if d.Clock() != ref.Clock() {
+					t.Fatalf("clocks diverged: batched %v, per-op %v", d.Clock(), ref.Clock())
+				}
+				ref.FlushObs()
+				d.FlushObs()
+				for _, name := range []string{
+					obs.Name("mnemo_server_ops_total", "engine", e.String()),
+					"mnemo_server_llc_hits_total",
+					"mnemo_server_llc_misses_total",
+					obs.Name("mnemo_server_faults_total", "kind", FaultStall.String()),
+				} {
+					if g, w := gotSink.Counter(name).Value(), refSink.Counter(name).Value(); g != w {
+						t.Errorf("%s: batched flushed %d, per-op %d", name, g, w)
+					}
+				}
+				if ops := gotSink.Counter(obs.Name("mnemo_server_ops_total", "engine", e.String())).Value(); ops != int64(len(want)) {
+					t.Errorf("ops counter %d, want the %d served requests", ops, len(want))
+				}
+				hits := gotSink.Counter("mnemo_server_llc_hits_total").Value()
+				if misses := gotSink.Counter("mnemo_server_llc_misses_total").Value(); hits == 0 || hits+misses != int64(len(want)) {
+					t.Errorf("LLC counters %d hits + %d misses, want %d accesses with some hits", hits, misses, len(want))
+				}
+			})
+		}
+	}
+}

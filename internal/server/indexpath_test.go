@@ -7,6 +7,7 @@ package server
 import (
 	"testing"
 
+	"mnemo/internal/kvstore"
 	"mnemo/internal/memsim"
 	"mnemo/internal/ycsb"
 )
@@ -87,6 +88,56 @@ func TestDoIndexMatchesDo(t *testing.T) {
 	}
 }
 
+// TestDoAndDoIndexShareLLCEntry alternates the string-keyed and the
+// index-keyed form on one record: whichever touches it second must find
+// the entry the first one left, because both address the LLC by record
+// index. (Under the old hashed identity for Do this would be two
+// entries, and a dense placement would have routed Do to the wrong
+// tier.) A key outside the dataset keeps an identity of its own.
+func TestDoAndDoIndexShareLLCEntry(t *testing.T) {
+	w := smallWorkload(t, ycsb.SizeFixed1KB, 1.0)
+	recs := w.Dataset.Records
+	d := NewDeployment(DefaultConfig(RedisLike, 3))
+	if err := d.Load(w.Dataset, FastIndices([]int{0}, len(recs))); err != nil {
+		t.Fatal(err)
+	}
+
+	if first := d.Do(recs[0].Key, kvstore.Read, 0); first.Hit || !first.Found || first.Tier != memsim.Fast {
+		t.Fatalf("cold Do: %+v, want a FastMem miss on a found record", first)
+	}
+	if !d.DoIndex(0, kvstore.Read).Hit {
+		t.Fatal("DoIndex missed the entry Do inserted")
+	}
+	if d.DoIndex(1, kvstore.Read).Hit {
+		t.Fatal("cold DoIndex hit")
+	}
+	if second := d.Do(recs[1].Key, kvstore.Read, 0); !second.Hit || second.Tier != memsim.Slow {
+		t.Fatalf("Do after DoIndex: %+v, want a SlowMem hit", second)
+	}
+
+	// A delete through one form invalidates what the other sees.
+	d.Do(recs[1].Key, kvstore.Delete, 0)
+	d.DoIndex(1, kvstore.Write)
+	if res := d.Do(recs[1].Key, kvstore.Read, 0); !res.Hit || !res.Found {
+		t.Fatalf("read after delete + re-insert: %+v, want a hit on the rewritten record", res)
+	}
+	if llc := d.machine.LLC(); llc.Len() != 2 {
+		t.Fatalf("LLC holds %d entries for 2 touched records", llc.Len())
+	}
+
+	// Not in the dataset: absent from the store, cached under its own
+	// identity, and no dataset record's entry is disturbed.
+	if res := d.Do("no-such-key", kvstore.Read, 0); res.Found || res.Hit {
+		t.Fatalf("foreign key: %+v, want a not-found miss", res)
+	}
+	if !d.Do("no-such-key", kvstore.Read, 0).Hit {
+		t.Fatal("foreign key's second touch missed")
+	}
+	if !d.DoIndex(0, kvstore.Read).Hit || !d.DoIndex(1, kvstore.Read).Hit {
+		t.Fatal("foreign key disturbed a dataset record's entry")
+	}
+}
+
 // TestLoadResolvesDensePlacement checks that Load routes records through
 // a dense placement's index table (TierOf is useless on a dense
 // placement, so this exercises tierForRecord).
@@ -106,8 +157,8 @@ func TestLoadResolvesDensePlacement(t *testing.T) {
 }
 
 // BenchmarkDeploymentDo compares the per-request cost of the string-keyed
-// path (placement map lookup + key re-hash inside the engine) against the
-// index-addressed path (two slice loads + cached KeyID).
+// path (a key-to-index map lookup in front of the shared body) against
+// the index-addressed path (two slice loads + cached KeyID).
 func BenchmarkDeploymentDo(b *testing.B) {
 	w := ycsb.MustGenerate(ycsb.Spec{
 		Name: "bench", Keys: 1000, Requests: 10000,

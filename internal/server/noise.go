@@ -36,6 +36,19 @@ func (n *Noise) Factor() float64 {
 	return math.Exp(n.sigma * n.rng.NormFloat64())
 }
 
+// Scale multiplies every element of xs by the next noise factor, in
+// order — xs[i] *= Factor() — as one tight loop: the same draws, in the
+// same order, as len(xs) Factor calls. This is the batched replay
+// kernel's noise stage.
+func (n *Noise) Scale(xs []float64) {
+	if n == nil || n.sigma == 0 {
+		return
+	}
+	for i := range xs {
+		xs[i] *= math.Exp(n.sigma * n.rng.NormFloat64())
+	}
+}
+
 // Sigma reports the configured σ.
 func (n *Noise) Sigma() float64 {
 	if n == nil {

@@ -165,6 +165,9 @@ type Deployment struct {
 	// with two slice loads instead of a map lookup plus a key hash.
 	records []ycsb.Record
 	tiers   []memsim.Tier
+	// keyIndex resolves a key string to its record index for the
+	// string-keyed Do; built on Do's first call, dropped by Load.
+	keyIndex map[string]int32
 
 	// fault is this run's rolled fate and ops the served-request count
 	// that triggers a scheduled stall. The inert plan costs two
@@ -250,9 +253,16 @@ func (d *Deployment) CrashError() error {
 // neither advances the clock nor perturbs the LLC model. Node capacity is
 // accounted; an error is returned if a tier overflows a configured
 // capacity.
+//
+// Load also fixes how the deployment addresses its LLC: the cache
+// reserves one directly indexed handle per dataset record, and from
+// here on every path — Serve, DoIndex, Do, streamed per-op frames,
+// delete invalidation — identifies a record to the cache by its dataset
+// index, never by its key hash.
 func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	d.placement = p
 	d.records = ds.Records
+	d.keyIndex = nil
 	d.tiers = make([]memsim.Tier, len(ds.Records))
 	for i, rec := range ds.Records {
 		tier := p.tierForRecord(i, rec.Key)
@@ -277,7 +287,7 @@ func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	d.table, d.tableBuilt = nil, false
 	d.migrated = false
 	if llc := d.machine.LLC(); llc != nil {
-		llc.Flush()
+		llc.Reserve(len(ds.Records))
 		llc.ResetStats()
 	}
 	return nil
@@ -292,25 +302,32 @@ type Result struct {
 	Hit     bool // LLC hit
 }
 
-// Do executes one request against the deployment, advancing the clock by
-// its service time. This is the string-keyed path; replay loops holding
-// dataset indices should use DoIndex, which skips the placement map
-// lookup and the key re-hash.
+// foreignLLCBit is forced on in the LLC identity of a key outside the
+// loaded dataset. Such a key is known to the cache by its 64-bit hash;
+// with the top bit set no hash can fall inside the range of record
+// indices Load reserved, so dense and hashed identities never alias.
+const foreignLLCBit = 1 << 63
+
+// Do executes one request addressed by key string, advancing the clock
+// by its service time. It resolves the key to its dataset record index
+// — through a map built on first use — and shares DoIndex's body, so the
+// two forms address the same LLC entry and may be mixed on one
+// deployment; replay loops holding indices should call DoIndex and skip
+// the lookup. size is the value size a write stores. A key outside the
+// loaded dataset is routed by the placement and served under its hashed
+// identity.
 func (d *Deployment) Do(key string, kind kvstore.OpKind, size int) Result {
-	tier := d.placement.TierOf(key)
-	st := d.instances[tier]
-	var tr kvstore.OpTrace
-	switch kind {
-	case kvstore.Read:
-		_, tr = st.Get(key)
-	case kvstore.Write:
-		tr = st.Put(key, kvstore.Sized(size))
-	case kvstore.Delete:
-		tr = st.Del(key)
-	default:
-		panic(fmt.Sprintf("server: unknown op kind %v", kind))
+	if d.keyIndex == nil {
+		d.keyIndex = make(map[string]int32, len(d.records))
+		for i := range d.records {
+			d.keyIndex[d.records[i].Key] = int32(i)
+		}
 	}
-	return d.price(tier, st, kind, tr, size)
+	if idx, ok := d.keyIndex[key]; ok {
+		return d.do(d.tiers[idx], key, d.records[idx].ID, uint64(idx), kind, size)
+	}
+	id := kvstore.KeyID(key)
+	return d.do(d.placement.TierOf(key), key, id, id|foreignLLCBit, kind, size)
 }
 
 // DoIndex executes one request addressed by dataset record index — the
@@ -321,29 +338,35 @@ func (d *Deployment) Do(key string, kind kvstore.OpKind, size int) Result {
 // panics if the deployment has not been loaded or idx is out of range.
 func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
 	rec := &d.records[idx]
-	tier := d.tiers[idx]
+	return d.do(d.tiers[idx], rec.Key, rec.ID, uint64(idx), kind, rec.Size)
+}
+
+// do is the shared body of Do and DoIndex: one engine operation on the
+// given tier's instance, priced. id is the record's engine identity
+// (KeyID), llcID its identity in the LLC model.
+func (d *Deployment) do(tier memsim.Tier, key string, id, llcID uint64, kind kvstore.OpKind, size int) Result {
 	st := d.instances[tier]
 	var tr kvstore.OpTrace
 	switch kind {
 	case kvstore.Read:
-		_, tr = st.GetID(rec.Key, rec.ID)
+		_, tr = st.GetID(key, id)
 	case kvstore.Write:
-		tr = st.PutID(rec.Key, rec.ID, kvstore.Value{Size: rec.Size})
+		tr = st.PutID(key, id, kvstore.Value{Size: size})
 	case kvstore.Delete:
-		tr = st.DelID(rec.Key, rec.ID)
+		tr = st.DelID(key, id)
 	default:
 		panic(fmt.Sprintf("server: unknown op kind %v", kind))
 	}
-	return d.price(tier, st, kind, tr, rec.Size)
+	return d.price(tier, st, kind, tr, size, llcID)
 }
 
 // price turns an operation trace into simulated service time and
-// advances the clock — the shared back half of Do and DoIndex.
-func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKind, tr kvstore.OpTrace, size int) Result {
+// advances the clock. llcID identifies the record to the LLC model.
+func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKind, tr kvstore.OpTrace, size int, llcID uint64) Result {
 	// Cache residency is tracked at the record's value size; pricing uses
 	// the engine's (possibly amplified) touched bytes.
 	vb := d.valueBytes(tr, size)
-	ref := memsim.RecordRef{ID: tr.RecordID, Bytes: vb}
+	ref := memsim.RecordRef{ID: llcID, Bytes: vb}
 	hit := d.machine.TouchHit(ref)
 	if kind == kvstore.Delete {
 		d.machine.Invalidate(ref)
@@ -365,7 +388,10 @@ func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKi
 	}
 
 	cpuNs := d.profile.CPUBaseNs + d.profile.CPUPerByteNs*float64(vb)
-	serviceNs := (cpuNs+memNs)*d.noise.Factor() + st.TakePauseNs()
+	// The conversion rounds the product before the pause is added, so a
+	// platform that fuses multiply-add cannot round this path differently
+	// from the batched kernel, which applies the two in separate stages.
+	serviceNs := float64((cpuNs+memNs)*d.noise.Factor()) + st.TakePauseNs()
 
 	// Scheduled faults: an outlier run inflates every service time; a
 	// stalled run jumps the clock once, at its rolled request index.

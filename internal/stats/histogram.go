@@ -69,22 +69,28 @@ func (h *Histogram) bucketFor(v float64) int {
 }
 
 // bucketTable precomputes the exact bucket boundaries of one (minVal,
-// growth) geometry so the per-Record bucket lookup is a polynomial log2
-// estimate snapped to the exact boundary array — no logarithms on the hot
+// growth) geometry so the per-Record bucket lookup is a table load plus
+// a short walk of the exact boundary array — no logarithms on the hot
 // path. bounds[i] is the smallest float64 whose logBucket is i+2 (the
 // boundary between buckets i+1 and i+2), found by ulp-walking around
 // minVal·growth^(i+1), so table and formula agree on every input bit for
-// bit.
+// bit. cells cuts the tabulated range into cells of equal top float bits
+// (cellShift: sign, exponent and 8 mantissa bits, 256 cells per octave):
+// cells[k] counts the boundaries at or below the lowest value of cell
+// k+cellBase, which is where a lookup in that cell starts walking.
 type bucketTable struct {
-	bounds        []float64
-	last          float64 // bounds[len-1]; values at or above fall back to the formula
-	log2Min       float64 // log2(minVal)
-	invLog2Growth float64 // 1 / log2(growth)
+	bounds   []float64
+	last     float64 // bounds[len-1]; values at or above fall back to the formula
+	cells    []int32
+	cellBase uint64 // cell number of minVal
 }
 
 // Boundaries are tabulated up to 1e15 (for latency histograms: ~11 days
 // in nanoseconds); larger values are rare enough to pay the Log.
-const maxTableBound = 1e15
+const (
+	maxTableBound = 1e15
+	cellShift     = 44
+)
 
 func buildBucketTable(minVal, growth float64) *bucketTable {
 	logGrowth := math.Log(growth)
@@ -107,36 +113,28 @@ func buildBucketTable(minVal, growth float64) *bucketTable {
 	if len(bounds) == 0 {
 		return &bucketTable{last: minVal} // degenerate geometry, formula only
 	}
-	return &bucketTable{
-		bounds:        bounds,
-		last:          bounds[len(bounds)-1],
-		log2Min:       math.Log2(minVal),
-		invLog2Growth: 1 / math.Log2(growth),
+	t := &bucketTable{bounds: bounds, last: bounds[len(bounds)-1], cellBase: math.Float64bits(minVal) >> cellShift}
+	t.cells = make([]int32, math.Float64bits(t.last)>>cellShift-t.cellBase+1)
+	c := 0
+	for k := range t.cells {
+		lowest := math.Float64frombits((t.cellBase + uint64(k)) << cellShift)
+		for c < len(bounds) && bounds[c] <= lowest {
+			c++
+		}
+		t.cells[k] = int32(c)
 	}
+	return t
 }
 
 // lookup returns the bucket of v; the caller guarantees
-// minVal < v < t.last. The bucket is 1 + (number of boundaries ≤ v). A
-// quadratic estimate of log2(v) built from the raw float bits lands
-// within a fraction of a bucket for common growth factors; the estimate
-// is then snapped to the exact boundary array, so the result matches the
-// defining formula bit for bit no matter how coarse the estimate was.
+// minVal < v < t.last. The bucket is 1 + (number of boundaries ≤ v):
+// the count for v's cell, then a forward walk over the boundaries inside
+// the cell that v has passed — at most one step when a bucket is wider
+// than a cell (growth above 1.004), a few for finer geometries.
 func (t *bucketTable) lookup(v float64) int {
-	bits := math.Float64bits(v)
-	m := 1 + float64(bits&(1<<52-1))*(1.0/(1<<52)) // mantissa in [1, 2)
-	// Quadratic minimax fit of log2(m) on [1, 2); |error| < 0.009.
-	log2 := float64(int(bits>>52&0x7ff)-1023) + (2.0248613-0.3448549*m)*m - 1.6799357
-	c := int((log2 - t.log2Min) * t.invLog2Growth)
-	if c < 0 {
-		c = 0
-	} else if c >= len(t.bounds) {
-		c = len(t.bounds) - 1
-	}
+	c := int(t.cells[math.Float64bits(v)>>cellShift-t.cellBase])
 	for c < len(t.bounds) && t.bounds[c] <= v {
 		c++
-	}
-	for c > 0 && t.bounds[c-1] > v {
-		c--
 	}
 	return c + 1
 }

@@ -9,7 +9,11 @@ import (
 // TestBucketTableMatchesLogFormula is the exactness contract of the
 // boundary table: for every float64 the table must return the bucket the
 // defining log formula returns — including one ulp either side of every
-// tabulated boundary, where an off-by-one would silently skew quantiles.
+// tabulated boundary and of every lookup-cell edge, where an off-by-one
+// would silently skew quantiles. The four geometries put the cells in
+// every relation to the buckets: about seven cells per bucket (1.02),
+// eighteen (1.05), a hundred and fifty (1.5), and two or three
+// boundaries inside one cell (1.001).
 func TestBucketTableMatchesLogFormula(t *testing.T) {
 	for _, geom := range []struct{ min, growth float64 }{
 		{100, 1.02},
@@ -35,6 +39,17 @@ func TestBucketTableMatchesLogFormula(t *testing.T) {
 			check(math.Nextafter(b, 0))
 			check(b)
 			check(math.Nextafter(b, math.Inf(1)))
+		}
+		tab := h.table
+		for k := range tab.cells {
+			edge := math.Float64frombits((tab.cellBase + uint64(k)) << cellShift)
+			check(math.Nextafter(edge, 0))
+			check(edge)
+			check(math.Nextafter(edge, math.Inf(1)))
+		}
+		if top := math.Float64bits(tab.last)>>cellShift - tab.cellBase; int(top) != len(tab.cells)-1 {
+			t.Fatalf("geometry (%v, %v): %d cells do not end at the last boundary's cell %d",
+				geom.min, geom.growth, len(tab.cells), top)
 		}
 		rng := rand.New(rand.NewSource(4))
 		for i := 0; i < 200000; i++ {
