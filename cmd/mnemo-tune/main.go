@@ -105,6 +105,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	fmt.Fprintf(stderr, "tuned %s on %s: %d candidates, %d baseline measurement(s)\n",
 		*workload, *store, len(res.Evals), res.Stats.Measurements)
+	knapsacks := 0
+	for _, e := range res.Evals {
+		if e.Candidate.Policy == "knapsack" {
+			knapsacks++
+		}
+	}
+	fmt.Fprintf(stderr, "%d knapsack candidate(s); %d shared analysis artifact(s) computed (key stats, one DP table per coarsening), %d read(s) served from cache\n",
+		knapsacks, res.Stats.AnalysisComputes, res.Stats.AnalysisHits)
 	fmt.Fprintf(stderr, "winner %s: cost %.4f (slowdown %.4f, %s FastMem)\n",
 		res.Winner.PolicyName, res.Winner.CostFactor, res.Winner.Slowdown,
 		report.FormatBytes(res.Winner.FastBytes))

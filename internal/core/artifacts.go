@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -25,7 +27,10 @@ import (
 // call can retry rather than caching the error forever. Construct with
 // NewArtifactCache and hand the same cache to each session via
 // NewSharedSession. Cached artifacts are shared structures — treat them
-// as immutable.
+// as immutable: an artifact is published only after its computation has
+// returned, is read concurrently by every session on the cache, and is
+// never written again. Nothing is evicted on success; artifacts live and
+// die with the cache that holds them.
 type ArtifactCache struct {
 	mu      sync.Mutex
 	whashes map[*ycsb.Workload]uint64
@@ -33,11 +38,14 @@ type ArtifactCache struct {
 	baselines map[uint64]*flight[Baselines]
 	orderings map[uint64]*flight[Ordering]
 	curves    map[uint64]*flight[*Curve]
+	analyses  map[uint64]*flight[any]
 
-	measurements atomic.Int64
-	baselineHits atomic.Int64
-	orderingHits atomic.Int64
-	curveHits    atomic.Int64
+	measurements     atomic.Int64
+	baselineHits     atomic.Int64
+	orderingHits     atomic.Int64
+	curveHits        atomic.Int64
+	analysisComputes atomic.Int64
+	analysisHits     atomic.Int64
 }
 
 // NewArtifactCache returns an empty cache, ready to share across
@@ -48,6 +56,7 @@ func NewArtifactCache() *ArtifactCache {
 		baselines: map[uint64]*flight[Baselines]{},
 		orderings: map[uint64]*flight[Ordering]{},
 		curves:    map[uint64]*flight[*Curve]{},
+		analyses:  map[uint64]*flight[any]{},
 	}
 }
 
@@ -62,6 +71,12 @@ type CacheStats struct {
 	BaselineHits int64
 	OrderingHits int64
 	CurveHits    int64
+	// AnalysisComputes / AnalysisHits count the workload-only analysis
+	// artifacts (SharedAnalysis) computed through the cache and served
+	// from it: in a tuning search, the DP tables solved against the
+	// knapsack candidates that read them.
+	AnalysisComputes int64
+	AnalysisHits     int64
 }
 
 // Stats snapshots the cache's counters.
@@ -71,6 +86,9 @@ func (c *ArtifactCache) Stats() CacheStats {
 		BaselineHits: c.baselineHits.Load(),
 		OrderingHits: c.orderingHits.Load(),
 		CurveHits:    c.curveHits.Load(),
+
+		AnalysisComputes: c.analysisComputes.Load(),
+		AnalysisHits:     c.analysisHits.Load(),
 	}
 }
 
@@ -82,10 +100,25 @@ type flight[T any] struct {
 	err  error
 }
 
+// ComputePanicError is what callers waiting on an artifact receive when
+// the computation they were waiting for panicked. The panic itself
+// continues on the goroutine that ran the computation.
+type ComputePanicError struct {
+	// Value is the recovered panic value.
+	Value any
+}
+
+// Error implements error.
+func (e *ComputePanicError) Error() string {
+	return fmt.Sprintf("core: artifact computation panicked: %v", e.Value)
+}
+
 // flightDo returns the cached value for key, computing it via compute if
 // absent. Concurrent callers for the same key block on the first
-// caller's computation; failures are evicted. The returned bool reports
-// whether this caller ran compute.
+// caller's computation; failures are evicted. A compute that panics is a
+// failure too: waiters get a *ComputePanicError, the entry is evicted and
+// the panic is re-raised on the computing goroutine. The returned bool
+// reports whether this caller ran compute.
 func flightDo[T any](mu *sync.Mutex, m map[uint64]*flight[T], hits *atomic.Int64, key uint64, compute func() (T, error)) (T, bool, error) {
 	mu.Lock()
 	if f, ok := m[key]; ok {
@@ -102,13 +135,25 @@ func flightDo[T any](mu *sync.Mutex, m map[uint64]*flight[T], hits *atomic.Int64
 	m[key] = f
 	mu.Unlock()
 
+	returned := false
+	defer func() {
+		var v any
+		if !returned {
+			v = recover()
+			f.err = &ComputePanicError{Value: v}
+		}
+		if f.err != nil {
+			mu.Lock()
+			delete(m, key)
+			mu.Unlock()
+		}
+		close(f.done)
+		if !returned {
+			panic(v)
+		}
+	}()
 	f.val, f.err = compute()
-	if f.err != nil {
-		mu.Lock()
-		delete(m, key)
-		mu.Unlock()
-	}
-	close(f.done)
+	returned = true
 	var zero T
 	if f.err != nil {
 		return zero, true, f.err
@@ -253,6 +298,15 @@ func curveKey(mkey, okey uint64, priceFactor float64, sizeAware bool) uint64 {
 	return x.h
 }
 
+// analysisKey fingerprints an analysis artifact: the workload and the
+// string the owning policy names the sub-result by.
+func analysisKey(whash uint64, key string) uint64 {
+	x := newArtifactHasher()
+	x.u64(whash)
+	x.str(key)
+	return x.h
+}
+
 // sharedBaselines serves the (workload, config) baseline measurement,
 // computing it at most once across every session sharing the cache.
 func (c *ArtifactCache) sharedBaselines(whash uint64, cfg Config, compute func() (Baselines, error)) (Baselines, bool, error) {
@@ -277,6 +331,56 @@ func (c *ArtifactCache) sharedCurve(whash uint64, cfg Config, policyName string,
 	key := curveKey(measurementKey(whash, cfg), orderingKey(whash, policyName, cfg.Server.Seed),
 		cfg.PriceFactor, cfg.SizeAwareEstimate)
 	return flightDo(&c.mu, c.curves, &c.curveHits, key, compute)
+}
+
+// analysisSessionKey is the context key under which a shared session's
+// analyze stage hands itself to TieringPolicy.Order: its cache and
+// workload hash are where SharedAnalysis keeps artifacts.
+type analysisSessionKey struct{}
+
+// SharedAnalysis is how a policy's Order shares work between candidates:
+// it returns the analysis artifact stored under key, running compute to
+// produce it if it is the first to ask. Under a session that has an
+// ArtifactCache, the artifact is held under (workload hash, key) for the
+// cache's lifetime and every later Order over the same workload content
+// — another parameter vector of the same policy, say — gets the same
+// value back. Anywhere else (a plain Session, a direct Order call) there
+// is nothing to share with, and SharedAnalysis just runs compute.
+//
+// What may be stored: a value that is a function of the workload content
+// and the key alone — never of the policy's parameters, unless they are
+// spelled into the key — and that nobody writes after compute returns.
+// The value is handed to concurrent sessions as is; callers copy out of
+// it, they do not modify it.
+//
+// compute is told whether its result will be shared, so it can produce
+// the form that serves every caller (a DP table solved at the largest
+// capacity anyone can ask for) instead of the one this caller needs.
+func SharedAnalysis[T any](ctx context.Context, key string, compute func(shared bool) (T, error)) (T, error) {
+	s, _ := ctx.Value(analysisSessionKey{}).(*Session)
+	if s == nil {
+		return compute(false)
+	}
+	c := s.shared
+	v, computed, err := flightDo(&c.mu, c.analyses, &c.analysisHits, analysisKey(s.whash, key), func() (any, error) {
+		v, err := compute(true)
+		if err == nil {
+			c.analysisComputes.Add(1)
+		}
+		return v, err
+	})
+	var zero T
+	if err != nil {
+		return zero, err
+	}
+	if !computed {
+		s.cacheHit("analysis", "shared artifact cache, "+key)
+	}
+	t, ok := v.(T)
+	if !ok {
+		return zero, fmt.Errorf("core: analysis artifact %q holds a %T, not a %T", key, v, zero)
+	}
+	return t, nil
 }
 
 // artifactHasher is FNV-64a over typed fields.

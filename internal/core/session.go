@@ -223,9 +223,15 @@ func (s *Session) analyzeLocked(ctx context.Context, p TieringPolicy) (Ordering,
 }
 
 // runAnalyze executes the policy's Pattern Engine and validates the
-// resulting ordering covers the dataset.
+// resulting ordering covers the dataset. Under a shared cache the policy
+// gets a context through which SharedAnalysis reaches that cache (the
+// shared branch of analyzeLocked has resolved whash by now); a plain
+// session has nothing to share with and passes ctx on as it came.
 func (s *Session) runAnalyze(ctx context.Context, p TieringPolicy) (Ordering, error) {
 	span := s.sink().StartSpan("analyze")
+	if s.shared != nil {
+		ctx = context.WithValue(ctx, analysisSessionKey{}, s)
+	}
 	ord, err := p.Order(ctx, s.w)
 	if err != nil {
 		return Ordering{}, fmt.Errorf("core: policy %q: %w", p.Name(), err)

@@ -3,6 +3,7 @@ package knapsack
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -174,4 +175,34 @@ func TestSolvePickedMatchesExactAtEveryCapacity(t *testing.T) {
 			t.Fatalf("trial %d: DP profit %v, exhaustive optimum %v", trial, profit, best)
 		}
 	}
+}
+
+// A solved Table is read-only: concurrent Picked calls at different
+// capacities (sessions sharing one cached table) agree with serial ones.
+func TestTablePickedConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	items := make([]Item, 40)
+	for i := range items {
+		items[i] = Item{Weight: int64(1 + rng.Intn(30)), Profit: float64(rng.Intn(100))}
+	}
+	const maxCap = 400
+	table := Solve(items, maxCap)
+	want := make([][]bool, maxCap+1)
+	for c := range want {
+		want[c], _ = Exact(items, int64(c))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for c := g; c <= maxCap; c += 3 {
+				if got, _ := table.Picked(int64(c)); !slices.Equal(got, want[c]) {
+					t.Errorf("reader %d, capacity %d: picked set differs from Exact", g, c)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -53,17 +53,22 @@ var (
 )
 
 // keyStats tallies the per-key access pattern, mirroring what the core
-// pattern engines compute internally.
-func keyStats(w *ycsb.Workload) []core.KeyStat {
-	reads, writes := w.AccessCounts()
-	out := make([]core.KeyStat, len(w.Dataset.Records))
-	for i, rec := range w.Dataset.Records {
-		out[i] = core.KeyStat{Index: i, Key: rec.Key, Size: rec.Size, Reads: reads[i], Writes: writes[i]}
-	}
-	return out
+// pattern engines compute internally. It walks the whole trace and
+// depends on nothing else, so sessions on one artifact cache share one
+// tally (core.SharedAnalysis): the slice is read-only.
+func keyStats(ctx context.Context, w *ycsb.Workload) ([]core.KeyStat, error) {
+	return core.SharedAnalysis(ctx, "registry.keystats", func(bool) ([]core.KeyStat, error) {
+		reads, writes := w.AccessCounts()
+		out := make([]core.KeyStat, len(w.Dataset.Records))
+		for i, rec := range w.Dataset.Records {
+			out[i] = core.KeyStat{Index: i, Key: rec.Key, Size: rec.Size, Reads: reads[i], Writes: writes[i]}
+		}
+		return out, nil
+	})
 }
 
-// orderingOf assembles an Ordering from record indices in priority order.
+// orderingOf assembles an Ordering from record indices in priority order,
+// copying the entries out of the (possibly shared) stats.
 func orderingOf(name string, stats []core.KeyStat, order []int) core.Ordering {
 	keys := make([]core.KeyStat, len(order))
 	for i, idx := range order {
@@ -84,8 +89,11 @@ type tahoePolicy struct{}
 
 func (tahoePolicy) Name() string { return "tahoe" }
 
-func (tahoePolicy) Order(_ context.Context, w *ycsb.Workload) (core.Ordering, error) {
-	stats := keyStats(w)
+func (tahoePolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
+	stats, err := keyStats(ctx, w)
+	if err != nil {
+		return core.Ordering{}, err
+	}
 	order := identityOrder(len(stats))
 	slices.SortFunc(order, func(a, b int) int {
 		if fa, fb := stats[a].Accesses(), stats[b].Accesses(); fa != fb {
@@ -121,14 +129,17 @@ func (p freqDecayPolicy) Name() string {
 	return p.name
 }
 
-func (p freqDecayPolicy) Order(_ context.Context, w *ycsb.Workload) (core.Ordering, error) {
+func (p freqDecayPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
 	if p.epochs <= 0 {
 		return core.Ordering{}, fmt.Errorf("freqdecay: epochs %d must be positive", p.epochs)
 	}
 	if p.decay <= 0 || p.decay > 1 {
 		return core.Ordering{}, fmt.Errorf("freqdecay: decay %v outside (0,1]", p.decay)
 	}
-	stats := keyStats(w)
+	stats, err := keyStats(ctx, w)
+	if err != nil {
+		return core.Ordering{}, err
+	}
 	score := make([]float64, len(stats))
 	per := (w.RequestCount() + p.epochs - 1) / p.epochs
 	if per == 0 {
@@ -192,7 +203,7 @@ func (p *PageSamplePolicy) Samples() int64 {
 
 // Order implements core.TieringPolicy by profiling the replay and
 // translating the resulting key priority into an Ordering.
-func (p *PageSamplePolicy) Order(_ context.Context, w *ycsb.Workload) (core.Ordering, error) {
+func (p *PageSamplePolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
 	if p.rate <= 0 {
 		return core.Ordering{}, fmt.Errorf("pagesample: sampling rate %d must be positive", p.rate)
 	}
@@ -203,7 +214,10 @@ func (p *PageSamplePolicy) Order(_ context.Context, w *ycsb.Workload) (core.Orde
 	p.samples = prof.Samples()
 	p.mu.Unlock()
 
-	stats := keyStats(w)
+	stats, err := keyStats(ctx, w)
+	if err != nil {
+		return core.Ordering{}, err
+	}
 	byKey := make(map[string]int, len(stats))
 	for i, k := range stats {
 		byKey[k.Key] = i
@@ -287,7 +301,10 @@ func (p knapsackPolicy) capacityLadder(totalUnits int64) []int64 {
 }
 
 func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
-	stats := keyStats(w)
+	stats, err := keyStats(ctx, w)
+	if err != nil {
+		return core.Ordering{}, err
+	}
 	const pageUnit = int64(4096)
 	items := make([]knapsack.Item, len(stats))
 	var totalUnits int64
@@ -306,15 +323,20 @@ func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Order
 	}
 	// coarsening is the factor weights are scaled down by so a rung's DP
 	// table fits the budget; it is monotone in the capacity.
+	maxCap := dpBudget/int64(len(items)+1) - 1 // largest scaled capacity within the budget
 	coarsening := func(capUnits int64) int64 {
 		unit := int64(1)
-		for int64(len(items)+1)*(capUnits/unit+1) > dpBudget {
+		for capUnits/unit > maxCap {
 			unit *= 2
 		}
 		return unit
 	}
 	// Consecutive rungs with the same coarsening share one DP table,
-	// solved at the largest of them (knapsack.Table).
+	// solved at the largest of them (knapsack.Table). The items, and so
+	// the table of a given coarsening, are the workload's alone — no
+	// parameter enters them — so when the table will be shared it is
+	// solved at the coarsening's ceiling instead: the largest scaled
+	// capacity any ladder or anchor can reach with this unit.
 	for lo := 0; lo < len(capacities); {
 		if err := ctx.Err(); err != nil {
 			return core.Ordering{}, err
@@ -324,14 +346,24 @@ func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Order
 		for hi < len(capacities) && coarsening(capacities[hi]) == unit {
 			hi++
 		}
-		scaled := items
-		if unit > 1 {
-			scaled = make([]knapsack.Item, len(items))
-			for i, it := range items {
-				scaled[i] = knapsack.Item{Weight: (it.Weight + unit - 1) / unit, Profit: it.Profit}
-			}
+		table, err := core.SharedAnalysis(ctx, fmt.Sprintf("registry.knapsack.table/unit=%d", unit),
+			func(shared bool) (*knapsack.Table, error) {
+				scaled := items
+				if unit > 1 {
+					scaled = make([]knapsack.Item, len(items))
+					for i, it := range items {
+						scaled[i] = knapsack.Item{Weight: (it.Weight + unit - 1) / unit, Profit: it.Profit}
+					}
+				}
+				solveCap := capacities[hi-1] / unit
+				if shared {
+					solveCap = min(totalUnits/unit, maxCap)
+				}
+				return knapsack.Solve(scaled, solveCap), nil
+			})
+		if err != nil {
+			return core.Ordering{}, err
 		}
-		table := knapsack.Solve(scaled, capacities[hi-1]/unit)
 		for tier := lo; tier < hi; tier++ {
 			picked, _ := table.Picked(capacities[tier] / unit)
 			for i, in := range picked {

@@ -276,7 +276,10 @@ func TestKnapsackSharedTableMatchesPerRungDP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := keyStats(w)
+	stats, err := keyStats(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
 	items := make([]knapsack.Item, keys)
 	var totalUnits int64
 	for i, k := range stats {

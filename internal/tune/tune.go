@@ -8,9 +8,11 @@
 // The tuner is fast because evaluations share a content-addressed
 // artifact cache (core.ArtifactCache): all N candidate configs reuse
 // exactly one Fast+Slow baseline measurement, candidates that share a
-// parameter vector reuse cached orderings and curves, and re-runs that
-// only move the SLO cut re-read cached curves without touching the
-// testbed at all. Search combines successive halving with coordinate
+// parameter vector reuse cached orderings and curves, candidates of one
+// policy share whatever part of its analysis is the workload's alone
+// (core.SharedAnalysis: one knapsack DP table per weight coarsening,
+// not one per candidate), and re-runs that only move the SLO cut
+// re-read cached curves without touching the testbed at all. Search combines successive halving with coordinate
 // descent (DESIGN.md §17), fans evaluations out on the pool worker
 // budget, and is bit-deterministic under a fixed seed for any worker
 // count.
@@ -267,35 +269,6 @@ func (t *Tuner) Sweep(ctx context.Context, cfg Config, w *ycsb.Workload, cands [
 		if err != nil {
 			return nil, fmt.Errorf("tune: candidate %s: %w", cands[i], err)
 		}
-	}
-	return evals, nil
-}
-
-// Naive evaluates the candidates through the frozen per-config
-// pipeline: one fresh, unshared profiling session per candidate, each
-// re-measuring its own baselines — what evaluating N configs cost
-// before the content-addressed cache. It is the benchmark and
-// equivalence reference for Sweep and is intentionally kept dumb.
-func Naive(ctx context.Context, cfg Config, w *ycsb.Workload, cands []Candidate) ([]Eval, error) {
-	evals := make([]Eval, len(cands))
-	for i, cand := range cands {
-		pol, err := registry.NewParams(cand.Policy, cfg.Core.Server.Seed, cand.Params)
-		if err != nil {
-			return nil, fmt.Errorf("tune: %w", err)
-		}
-		s, err := core.NewSession(cfg.Core, w)
-		if err != nil {
-			return nil, err
-		}
-		curve, err := s.Estimate(ctx, pol)
-		if err != nil {
-			return nil, fmt.Errorf("tune: candidate %s: %w", cand, err)
-		}
-		adv, err := core.Advise(curve, cfg.SLO)
-		if err != nil {
-			return nil, err
-		}
-		evals[i] = evalOf(cand, pol.Name(), curve, adv)
 	}
 	return evals, nil
 }

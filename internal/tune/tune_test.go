@@ -283,3 +283,47 @@ func TestDefaultGrid(t *testing.T) {
 		t.Fatal("DefaultGrid did not extend to 48")
 	}
 }
+
+// A sweep solves one knapsack table per distinct coarsening however many
+// knapsack candidates it holds and however many workers race for it, and
+// what it returns is what unshared sessions compute.
+func TestSweepSharesAnalysisAcrossCandidates(t *testing.T) {
+	w := tuneWorkload(t)
+	cfg := tuneConfig()
+	ctx := context.Background()
+	cands := DefaultGrid(32)
+	knapsacks := 0
+	for _, c := range cands {
+		if c.Policy == "knapsack" {
+			knapsacks++
+		}
+	}
+	want, err := Naive(ctx, cfg, w, cands)
+	if err != nil {
+		t.Fatalf("Naive: %v", err)
+	}
+	var first core.CacheStats
+	for _, workers := range []int{1, 2, 4} {
+		cfg.Workers = workers
+		tuner := New()
+		got, err := tuner.Sweep(ctx, cfg, w, cands)
+		if err != nil {
+			t.Fatalf("Sweep(workers=%d): %v", workers, err)
+		}
+		if !reflect.DeepEqual(stripped(got), stripped(want)) {
+			t.Fatalf("workers=%d: sweep differs from unshared sessions", workers)
+		}
+		st := tuner.Cache().Stats()
+		// The 150-key dataset fits the DP budget uncoarsened: the key
+		// stats and one table are all there is to compute.
+		if st.AnalysisComputes != 2 || st.AnalysisHits < int64(knapsacks-1) {
+			t.Fatalf("workers=%d: %+v, want 2 analysis artifacts computed and ≥ %d hits for %d knapsack candidates",
+				workers, st, knapsacks-1, knapsacks)
+		}
+		if workers == 1 {
+			first = st
+		} else if st != first {
+			t.Fatalf("workers=%d changed the cache stats: %+v vs %+v", workers, st, first)
+		}
+	}
+}
