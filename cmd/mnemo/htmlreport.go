@@ -172,7 +172,7 @@ func curveSamples(c *mnemo.Curve) []mnemo.CurvePoint {
 // advice, just the dataset) out over the same consistent-hash partition
 // the sharded replay used.
 func shardLayoutRows(rep *mnemo.Report, w *mnemo.Workload, shards int) ([]report.ShardRow, error) {
-	part, err := shard.For(w, shards, 0, !w.Packed().Batchable())
+	part, err := shard.For(w, shards, 0, false)
 	if err != nil {
 		return nil, err
 	}

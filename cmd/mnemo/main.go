@@ -13,7 +13,7 @@
 //	-trace file       profile a binary .mtrc trace (cmd/workloadgen
 //	                  -o trace.mtrc) streamed frame by frame — traces far
 //	                  larger than RAM replay in O(frame) memory; overrides
-//	                  -workload, incompatible with -epoch-ops
+//	                  -workload
 //	-store name       redislike | memcachedlike | dynamolike
 //	-policy name      tiering policy (see -list-policies; default touch)
 //	-compare a,b,...  profile extra policies against the same baseline
@@ -23,7 +23,6 @@
 //	-config file      replay a tuned-config spec written by
 //	                  cmd/mnemo-tune and verify its advised outcome
 //	                  bit-identically; composes with -o for the curve
-//	-mode name        deprecated alias: standalone | mnemot
 //	-slo pct          permissible slowdown, e.g. 0.10 (0 = no advice)
 //	-p factor         SlowMem:FastMem per-byte price ratio (default 0.2)
 //	-runs n           repetitions per baseline measurement
@@ -92,7 +91,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		policy       = fs.String("policy", "", "tiering policy (see -list-policies; default touch)")
 		compare      = fs.String("compare", "", "comma-separated extra policies to profile on the same baselines")
 		listPol      = fs.Bool("list-policies", false, "print the tiering-policy catalog and exit")
-		mode         = fs.String("mode", "", "deprecated alias for -policy: standalone|mnemot")
 		slo          = fs.Float64("slo", 0.10, "permissible slowdown for the advisor (0 disables)")
 		price        = fs.Float64("p", mnemo.DefaultPriceFactor, "SlowMem:FastMem per-byte price ratio")
 		runs         = fs.Int("runs", 1, "repetitions per baseline measurement")
@@ -125,12 +123,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *configPath != "" {
 		return replayTunedConfig(*configPath, *outPath, stdout, stderr)
 	}
-	policyName, err := resolvePolicyName(*policy, *mode)
-	if err != nil {
-		return err
-	}
+	policyName := resolvePolicyName(*policy)
 
-	var w *mnemo.Workload
+	var (
+		w   *mnemo.Workload
+		err error
+	)
 	switch {
 	case *tracePath != "":
 		if *monitor {
@@ -361,28 +359,12 @@ func policyCatalog() []report.CatalogEntry {
 	return out
 }
 
-// resolvePolicyName folds the deprecated -mode spelling into -policy.
-func resolvePolicyName(policy, mode string) (string, error) {
-	mapped := ""
-	switch mode {
-	case "":
-	case "standalone":
-		mapped = "touch"
-	case "mnemot":
-		mapped = "mnemot"
-	default:
-		return "", fmt.Errorf("unknown mode %q", mode)
-	}
-	if mapped != "" {
-		if policy != "" && policy != mapped {
-			return "", fmt.Errorf("-mode %s conflicts with -policy %s", mode, policy)
-		}
-		return mapped, nil
-	}
+// resolvePolicyName applies the -policy default.
+func resolvePolicyName(policy string) string {
 	if policy == "" {
-		return "touch", nil
+		return "touch"
 	}
-	return policy, nil
+	return policy
 }
 
 // runComparison profiles the primary policy plus every -compare policy

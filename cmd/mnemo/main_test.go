@@ -42,7 +42,7 @@ func TestRunWritesFile(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "curve.csv")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
-		"-workload", "timeline", "-store", "memcachedlike", "-mode", "mnemot",
+		"-workload", "timeline", "-store", "memcachedlike", "-policy", "mnemot",
 		"-keys", "200", "-requests", "2000", "-o", out, "-plot",
 	}, strings.NewReader(""), &stdout, &stderr)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-workload", "bogus"},
 		{"-store", "bogus", "-keys", "10", "-requests", "10"},
-		{"-mode", "bogus", "-keys", "10", "-requests", "10"},
+		{"-mode", "mnemot", "-keys", "10", "-requests", "10"}, // the pre-registry alias flag is gone
 		{"-workload", "trending", "-p", "7", "-keys", "10", "-requests", "10"},
 	}
 	for _, args := range cases {

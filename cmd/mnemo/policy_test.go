@@ -122,41 +122,10 @@ func TestRunCompare(t *testing.T) {
 }
 
 func TestResolvePolicyName(t *testing.T) {
-	cases := []struct {
-		policy, mode string
-		want         string
-		wantErr      bool
-	}{
-		{"", "", "touch", false},
-		{"mnemot", "", "mnemot", false},
-		{"", "standalone", "touch", false},
-		{"", "mnemot", "mnemot", false},
-		{"mnemot", "mnemot", "mnemot", false},
-		{"touch", "mnemot", "", true},
-		{"", "bogus", "", true},
-	}
-	for _, c := range cases {
-		got, err := resolvePolicyName(c.policy, c.mode)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("(%q,%q): no error", c.policy, c.mode)
-			}
-			continue
+	for policy, want := range map[string]string{"": "touch", "mnemot": "mnemot"} {
+		if got := resolvePolicyName(policy); got != want {
+			t.Errorf("resolvePolicyName(%q) = %q, want %q", policy, got, want)
 		}
-		if err != nil || got != c.want {
-			t.Errorf("(%q,%q) = %q, %v; want %q", c.policy, c.mode, got, err, c.want)
-		}
-	}
-}
-
-func TestRunPolicyModeConflict(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{
-		"-workload", "trending", "-policy", "touch", "-mode", "mnemot",
-		"-keys", "10", "-requests", "10",
-	}, strings.NewReader(""), &stdout, &stderr)
-	if err == nil {
-		t.Fatal("conflicting -policy/-mode accepted")
 	}
 }
 

@@ -50,12 +50,53 @@ func TestRunTraceFlagErrors(t *testing.T) {
 		{"-trace", path, "-monitor"},
 		{"-trace", path, "-keys", "10"},
 		{"-trace", path, "-requests", "10"},
-		{"-trace", path, "-epoch-ops", "256"}, // adaptive replay needs a materialized trace
+		{"-trace", path, "-epoch-ops", "256"}, // -epoch-ops needs an adaptive -policy, on any backing
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, strings.NewReader(""), &stdout, &stderr); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestRunTraceAdaptiveMatchesInMemory: adaptive replay of a .mtrc trace
+// goes through the same frame loop as the in-memory workload it was
+// written from, so the curve and the static-vs-adaptive line must match
+// byte for byte.
+func TestRunTraceAdaptiveMatchesInMemory(t *testing.T) {
+	w, err := loadWorkload("hot_drift", 42, 300, 3*4096, strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "drift.mtrc")
+	if err := trace.WriteWorkload(w, path); err != nil {
+		t.Fatal(err)
+	}
+	adaptive := []string{"-store", "dynamolike", "-seed", "42", "-slo", "0.01",
+		"-policy", "adaptive-freq", "-epoch-ops", "4096", "-migration-cost", "0.5", "-o", "-"}
+	outcome := func(source ...string) (string, string) {
+		var stdout, stderr bytes.Buffer
+		if err := run(append(source, adaptive...), strings.NewReader(""), &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v", source, err)
+		}
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if strings.HasPrefix(line, "adaptive (") {
+				return stdout.String(), line
+			}
+		}
+		t.Fatalf("%v: no adaptive line on stderr:\n%s", source, stderr.String())
+		return "", ""
+	}
+	wantCSV, wantLine := outcome("-workload", "hot_drift", "-keys", "300", "-requests", "12288")
+	gotCSV, gotLine := outcome("-trace", path)
+	if gotCSV != wantCSV {
+		t.Error("curve csv of the streamed trace differs from the in-memory workload's")
+	}
+	if gotLine != wantLine {
+		t.Errorf("adaptive outcome differs:\n  streamed:  %s\n  in-memory: %s", gotLine, wantLine)
+	}
+	if !strings.Contains(gotLine, "3 epochs") || strings.Contains(gotLine, " 0 moves") {
+		t.Errorf("adaptive run did not adapt: %s", gotLine)
 	}
 }

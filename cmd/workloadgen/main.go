@@ -206,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // that a skewed hot set really spans shard boundaries before anyone
 // provisions a cluster for the trace.
 func renderShardLayout(stderr io.Writer, w *ycsb.Workload, n int) error {
-	part, err := shard.For(w, n, 0, !w.Packed().Batchable())
+	part, err := shard.For(w, n, 0, false)
 	if err != nil {
 		return err
 	}

@@ -23,9 +23,9 @@ func main() {
 	// Profile once with MnemoT's tiered ordering (Fig 2c): the curve is
 	// reused for every question below — no further executions happen.
 	rep, err := mnemo.Profile(w, mnemo.Options{
-		Store:     mnemo.RedisLike,
-		Seed:      11,
-		UseMnemoT: true,
+		Store:  mnemo.RedisLike,
+		Seed:   11,
+		Policy: "mnemot",
 	})
 	if err != nil {
 		log.Fatal(err)

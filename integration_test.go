@@ -162,7 +162,7 @@ func TestExternalTieringPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 104, SLO: 0.10, UseMnemoT: true})
+	good, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 104, SLO: 0.10, Policy: "mnemot"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,11 @@ func TestSizeAwareOptionThreadsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	global, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 106, UseMnemoT: true})
+	global, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 106, Policy: "mnemot"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 106, UseMnemoT: true,
+	aware, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 106, Policy: "mnemot",
 		SizeAwareEstimate: true})
 	if err != nil {
 		t.Fatal(err)

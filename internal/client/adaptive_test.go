@@ -172,8 +172,7 @@ func (o *dropTableObserver) Observe(s server.EpochStats) []server.Move {
 
 // TestAdaptiveFallbackMidRun is the regression for the batched→per-op
 // fallback: when the batch table disappears at an epoch boundary, the
-// remaining epochs must replay (and tally) the per-op trace — the
-// pre-fix code sliced a nil ops slice and panicked — and the run must
+// remaining frames must be served (and tallied) per-op, and the run must
 // stay bit-identical to an all-per-op run making the same moves.
 func TestAdaptiveFallbackMidRun(t *testing.T) {
 	w := adaptiveTestWorkload(0.9)
@@ -220,8 +219,7 @@ func TestAdaptiveFallbackMidRun(t *testing.T) {
 }
 
 // TestAdaptiveFallbackRespectsCrash: a run that falls back mid-run must
-// still honor its scheduled crash point — the per-op trace carries the
-// same truncation as the batched one, so the crash fires at the same
+// still honor its scheduled crash point — the crash fires at the same
 // request index instead of the fallback replaying past it.
 func TestAdaptiveFallbackRespectsCrash(t *testing.T) {
 	w := adaptiveTestWorkload(0.9)
@@ -280,12 +278,12 @@ func TestAdaptiveDeploymentNotReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Migrated() {
+	if st.MovesApplied == 0 {
 		t.Fatalf("adaptive run never migrated: %+v", st)
 	}
 	// A migrated deployment's placement no longer matches the requested
 	// one; the execute-reuse fast path must rebuild, not replay on it.
-	if canReuse(d, w) {
+	if canReuse(d) {
 		t.Fatal("migrated deployment offered for snapshot reuse")
 	}
 	// Repetition sweeps therefore fold independent migrated runs; the
@@ -299,8 +297,8 @@ func TestAdaptiveDeploymentNotReused(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRespectsContext: cancellation still lands between blocks
-// on the epoch-chunked path.
+// TestAdaptiveRespectsContext: cancellation still lands between frames
+// of an adaptive run.
 func TestAdaptiveRespectsContext(t *testing.T) {
 	w := adaptiveTestWorkload(1.0)
 	cfg := server.DefaultConfig(server.RedisLike, 7)
@@ -315,7 +313,7 @@ func TestAdaptiveRespectsContext(t *testing.T) {
 
 // tallySource checks every epoch's tallies against a recount of that
 // epoch's slice of the trace — the tally arrays are re-zeroed only where
-// the previous chunk touched them, so a missed entry would leak counts
+// the previous epoch touched them, so a missed entry would leak counts
 // into the next epoch.
 type tallySource struct {
 	t   *testing.T

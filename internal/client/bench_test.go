@@ -38,13 +38,32 @@ func benchWorkload(b *testing.B) *ycsb.Workload {
 	})
 }
 
-func benchDeployment(b *testing.B, w *ycsb.Workload, p server.Placement) *server.Deployment {
+func benchConfig() server.Config { return server.DefaultConfig(server.RedisLike, 42) }
+
+func benchDeployment(b *testing.B, cfg server.Config, w *ycsb.Workload, p server.Placement) *server.Deployment {
 	b.Helper()
-	d := server.NewDeployment(server.DefaultConfig(server.RedisLike, 42))
+	d := server.NewDeployment(cfg)
 	if err := d.Load(w.Dataset, p); err != nil {
 		b.Fatal(err)
 	}
 	return d
+}
+
+// benchReplay times b.N passes of the replay loop over one deployment —
+// client.Run without the RunStats assembly. Which path serves the frames
+// is the deployment's configuration: DisableBatchReplay for per-op,
+// EpochOps with an adaptive source for epochs, a stream-backed workload
+// for decoded frames.
+func benchReplay(b *testing.B, d *server.Deployment, w *ycsb.Workload) {
+	b.Helper()
+	classes := sizeClasses(w.Dataset.Records)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := replayFrames(ctx, d, w, classes, newReplayAccum(), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // legacyLLC is the pre-optimization memsim.LRUCache: container/list
@@ -357,13 +376,7 @@ func BenchmarkReplay(b *testing.B) {
 		perOp(b)
 	})
 	b.Run("Indexed", func(b *testing.B) {
-		d := benchDeployment(b, w, server.FastIndices(fastIdx, len(recs)))
-		classes := sizeClasses(recs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a := newReplayAccum()
-			replay(d, w, classes, a)
-		}
+		benchReplay(b, benchDeployment(b, perOpReference(benchConfig()), w, server.FastIndices(fastIdx, len(recs))), w)
 		perOp(b)
 	})
 }
@@ -388,42 +401,22 @@ func BenchmarkReplayBatched(b *testing.B) {
 	}
 
 	b.Run("Indexed", func(b *testing.B) {
-		d := benchDeployment(b, w, p)
-		classes := sizeClasses(recs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a := newReplayAccum()
-			replay(d, w, classes, a)
-		}
+		benchReplay(b, benchDeployment(b, perOpReference(benchConfig()), w, p), w)
 		perOp(b)
 	})
 	b.Run("Batched", func(b *testing.B) {
-		d := benchDeployment(b, w, p)
-		tab := d.BatchTable()
-		if tab == nil {
-			b.Fatal("no batch table")
-		}
-		pt := w.Packed()
-		if !pt.Batchable() {
-			b.Fatal("trace not batchable")
-		}
-		classes := sizeClasses(recs)
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a := newReplayAccum()
-			if err := replayBatched(ctx, d, tab, pt.Keys, pt.Kinds, classes, a, 0); err != nil {
-				b.Fatal(err)
-			}
+		d := benchDeployment(b, benchConfig(), w, p)
+		benchReplay(b, d, w)
+		if !d.Rewindable() {
+			b.Fatal("a frame left the kernel path")
 		}
 		perOp(b)
 	})
 }
 
-// BenchmarkReplayAdaptive measures the epoch-chunked adaptive replay
-// against the static path it wraps, on the same stationary trace and
-// placement. The adaptive side pays the epoch machinery in full: chunk
-// boundaries, the per-record access tally, an observer call per epoch,
+// BenchmarkReplayAdaptive measures the adaptive replay against the
+// static one, on the same stationary trace and placement. The adaptive
+// side pays the epoch machinery in full: the per-record access tally, an observer call per epoch,
 // and a two-record migration with the cost-table re-price behind it.
 // The benchgate family for this benchmark gates overhead, not speedup:
 // its static-over-adaptive ratio sits near (slightly below) 1.0, and
@@ -441,36 +434,16 @@ func BenchmarkReplayAdaptive(b *testing.B) {
 	perOp := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(w.Ops)), "ns/req")
 	}
-	ctx := context.Background()
 
 	b.Run("Static", func(b *testing.B) {
-		d := benchDeployment(b, w, p)
-		classes := sizeClasses(recs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a := newReplayAccum()
-			if err := replayStatic(ctx, d, w, classes, a, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchReplay(b, benchDeployment(b, benchConfig(), w, p), w)
 		perOp(b)
 	})
 	b.Run("Adaptive", func(b *testing.B) {
-		cfg := server.DefaultConfig(server.RedisLike, 42)
+		cfg := benchConfig()
 		cfg.Adaptive = greedySource{}
 		cfg.EpochOps = 4096
-		d := server.NewDeployment(cfg)
-		if err := d.Load(w.Dataset, p); err != nil {
-			b.Fatal(err)
-		}
-		classes := sizeClasses(recs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a := newReplayAccum()
-			if _, err := replayEpochs(ctx, d, greedySource{}, cfg.EpochOps, w, classes, a, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchReplay(b, benchDeployment(b, cfg, w, p), w)
 		perOp(b)
 	})
 }

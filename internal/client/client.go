@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"mnemo/internal/kvstore"
@@ -257,110 +258,116 @@ func sizeClasses(recs []ycsb.Record) []uint8 {
 	return classes
 }
 
-// replayBlockOps is the replay block size shared by both replay paths,
-// equal to the batched kernel's server.ReplayBlockOps. It replaces the
-// per-op `i&4095 == 4095` cancellation poll of the original loop: one
-// ctx check per 4096-request block bounds wall-clock cancellation
-// latency to microseconds (replay advances only simulated time) while
-// keeping every block-granularity branch — cancellation, and the choice
-// between the budget-checking and unbudgeted inner loops — off the
-// steady-state per-op path.
+// replayBlockOps is the frame size of an in-memory trace and the upper
+// bound of a streamed one, equal to the batched kernel's
+// server.ReplayBlockOps.
 const replayBlockOps = server.ReplayBlockOps
 
-// replay drives the workload trace through the deployment's
-// index-addressed request path, folding every response into the
-// accumulators. The loop body does no string work: requests address
-// records by trace index, size classes come from the precomputed table,
-// and the accumulators are slice-indexed.
-func replay(d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum) {
-	_ = replayBounded(context.Background(), d, w.Ops, classes, a, 0)
-}
-
-// replayBounded is the per-operation replay path under a watchdog: a
-// per-run budget in simulated time (0 = unbounded, checked every request
-// so an injected stall is caught at the op where the clock jumped) and a
-// cancellable context, polled once per replayBlockOps-request block. The
-// common unbudgeted case runs an inner loop with no per-op checks at
-// all; both variants stay allocation-free.
-func replayBounded(ctx context.Context, d *server.Deployment, ops []ycsb.Op, classes []uint8, a *replayAccum, budget simclock.Duration) error {
-	return replayBoundedChunk(ctx, d, ops, classes, a, budget, d.Clock(), 0, len(ops))
-}
-
-// replayBoundedChunk is the per-operation replay of one trace chunk
-// inside a larger run: the budget is measured against the run's start
-// clock and progress is reported in run-global request indices, so an
-// epoch-chunked run times out at the same request, with the same
-// message, as an unchunked one. replayBounded is the whole-trace case
-// (start = now, done = 0, total = len(ops)).
-func replayBoundedChunk(ctx context.Context, d *server.Deployment, ops []ycsb.Op, classes []uint8, a *replayAccum, budget simclock.Duration, start simclock.Duration, done, total int) error {
-	for blk := 0; blk < len(ops); blk += replayBlockOps {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := blk + replayBlockOps
-		if end > len(ops) {
-			end = len(ops)
-		}
-		if budget <= 0 {
-			for _, op := range ops[blk:end] {
-				res := d.DoIndex(op.Key, op.Kind)
-				a.observe(op.Kind, int(classes[op.Key]), float64(res.Latency.Nanoseconds()))
-			}
-			continue
-		}
-		for i := blk; i < end; i++ {
-			op := ops[i]
-			res := d.DoIndex(op.Key, op.Kind)
-			a.observe(op.Kind, int(classes[op.Key]), float64(res.Latency.Nanoseconds()))
-			if d.Clock()-start > budget {
-				return fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
-					ErrRunTimeout, done+i+1, total, d.Clock()-start, budget)
-			}
+// replayFrames is the replay loop — the only one: it drives the
+// workload's frames (ycsb.Workload.Frames: 4096-op windows over an
+// in-memory or packed-only trace, decoded frames of a .mtrc stream)
+// through the deployment and folds every response into the accumulators.
+// The loop body does no string work: requests address records by trace
+// index, size classes come from the precomputed table, and the
+// accumulators are slice-indexed; a steady-state pass allocates nothing.
+//
+// Each frame is served whole by one of two paths, chosen by the
+// deployment (server.Deployment.FrameTable): through the batched kernel's
+// cost table, or request by request through DoIndex when there is no
+// table (DisableBatchReplay, an engine without static traces) or the
+// frame carries a Delete or touches a deleted record. The two are
+// bit-identical — same pricing constants, same noise draws, same LLC —
+// so a run that mixes them equals the all-per-op run of the same trace.
+//
+// The cut-offs live here and nowhere else. Cancellation is polled once
+// per frame, which bounds its wall-clock latency to microseconds (replay
+// advances only simulated time). The budget (0 = unbounded) is an
+// absolute clock bound checked after every request on both paths, so an
+// injected stall is caught at the request where the clock jumped and the
+// error names the same run-global request index whichever path served
+// it. A scheduled crash (FaultSpec.CrashProb) ends the trace early at its
+// request index; the prefix is served and the crash reported, unless a
+// timeout or cancellation inside the prefix fires first.
+//
+// With an adaptive source configured (DESIGN.md §15) an epoch is a frame
+// boundary: see epochs.
+func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum, budget simclock.Duration) (epochTelemetry, error) {
+	var tel epochTelemetry
+	frames, err := w.Frames()
+	if err != nil {
+		return tel, fmt.Errorf("client: opening trace: %w", err)
+	}
+	total := w.RequestCount()
+	end := total // where the trace ends for this run: its length, or a crash point before it
+	crashes := false
+	if at := d.CrashOp(); at >= 0 && at < total {
+		end, crashes = at, true
+	}
+	var ep *epochs
+	if src, epochOps := d.AdaptiveSpec(); src != nil && epochOps > 0 {
+		if ep, err = beginEpochs(src, epochOps, w); err != nil {
+			return tel, err
 		}
 	}
-	return nil
-}
-
-// replayBatched drives the workload through the deployment's batched
-// replay kernel: the packed struct-of-arrays trace is served one
-// replayBlockOps block at a time by ReplayTable.Serve, and the returned
-// per-request latencies are folded into the accumulators afterwards.
-// Cancellation is polled per block, like replayBounded; the simulated
-// budget becomes an absolute clock bound the kernel checks after each
-// request, so a budget-tripping run reports the same request index, the
-// same clock reading — and, being built from the same pricing constants
-// and the same noise draws, the same latencies — as the per-op path.
-func replayBatched(ctx context.Context, d *server.Deployment, t *server.ReplayTable, keys []uint32, kinds []uint8, classes []uint8, a *replayAccum, budget simclock.Duration) error {
-	return replayBatchedChunk(ctx, d, t, keys, kinds, classes, a, budget, d.Clock(), 0, len(keys))
-}
-
-// replayBatchedChunk is the batched replay of one trace chunk inside a
-// larger run, with the budget anchored at the run's start clock and
-// progress reported in run-global request indices — the batched twin of
-// replayBoundedChunk.
-func replayBatchedChunk(ctx context.Context, d *server.Deployment, t *server.ReplayTable, keys []uint32, kinds []uint8, classes []uint8, a *replayAccum, budget simclock.Duration, start simclock.Duration, done, total int) error {
+	start := d.Clock()
 	var maxClock simclock.Duration
 	if budget > 0 {
 		maxClock = start + budget
 	}
-	lat := t.Block()
-	for blk := 0; blk < len(keys); blk += replayBlockOps {
+	overBudget := func() bool { return maxClock > 0 && d.Clock() > maxClock }
+	done := 0
+	for {
+		if crashes && done == end {
+			return tel, d.CrashError()
+		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return tel, err
 		}
-		end := blk + replayBlockOps
-		if end > len(keys) {
-			end = len(keys)
+		keys, kinds, rw, err := frames.Next()
+		if err == io.EOF {
+			break
 		}
-		bkeys, bkinds := keys[blk:end], kinds[blk:end]
-		served := t.Serve(bkeys, bkinds, maxClock, lat)
-		a.foldBlock(bkeys[:served], bkinds[:served], classes, lat[:served])
-		if served < len(bkeys) {
-			return fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
-				ErrRunTimeout, done+blk+served, total, d.Clock()-start, budget)
+		if err != nil {
+			return tel, fmt.Errorf("client: decoding trace frame at request %d: %w", done, err)
+		}
+		if crashes && len(keys) > end-done {
+			keys, kinds = keys[:end-done], kinds[:end-done]
+		}
+		served := len(keys)
+		if t := d.FrameTable(keys, rw); t != nil {
+			lat := t.Block()
+			served = t.Serve(keys, kinds, maxClock, lat)
+			a.foldBlock(keys[:served], kinds[:served], classes, lat[:served])
+		} else {
+			for i, k := range keys {
+				kind := kvstore.OpKind(kinds[i])
+				res := d.DoIndex(int(k), kind)
+				a.observe(kind, int(classes[k]), float64(res.Latency.Nanoseconds()))
+				if overBudget() {
+					served = i + 1
+					break
+				}
+			}
+		}
+		done += served
+		// The run's last epoch is not observed: no requests remain to
+		// recoup a migration, so consulting the policy there could only
+		// burn simulated time.
+		if ep != nil && !overBudget() && done < end && ep.frame(keys, kinds, done) {
+			ep.migrate(d, done, &tel)
+		}
+		if overBudget() {
+			return tel, fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
+				ErrRunTimeout, done, end, d.Clock()-start, budget)
 		}
 	}
-	return nil
+	if done != total {
+		return tel, fmt.Errorf("client: trace stream ended after %d of %d requests", done, total)
+	}
+	if ep != nil && total > 0 {
+		tel.epochs++ // the unobserved last epoch
+	}
+	return tel, nil
 }
 
 // mergedHistogram folds the per-size-class histograms of both request
@@ -400,18 +407,7 @@ func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget 
 	start := d.Clock()
 	a := newReplayAccum()
 	classes := sizeClasses(w.Dataset.Records)
-	var tel epochTelemetry
-	var err error
-	if src, epochOps := d.AdaptiveSpec(); src != nil && epochOps > 0 {
-		if w.Stream != nil {
-			// Epoch chunking needs random access into the trace to
-			// re-run boundary analysis; a streamed trace has none.
-			return RunStats{}, fmt.Errorf("client: adaptive tiering (EpochOps) does not support streamed traces")
-		}
-		tel, err = replayEpochs(ctx, d, src, epochOps, w, classes, a, budget)
-	} else {
-		err = replayStatic(ctx, d, w, classes, a, budget)
-	}
+	tel, err := replayFrames(ctx, d, w, classes, a, budget)
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -455,44 +451,6 @@ func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget 
 	out.MigrationNs = tel.costNs
 	out.EpochTraffic = tel.traffic
 	return out, nil
-}
-
-// replayStatic is the legacy single-placement replay — the whole trace
-// in one pass, batched when the deployment and trace support it. It is
-// the EpochOps=0 path and stays bit-identical to the pre-adaptive stack.
-func replayStatic(ctx context.Context, d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum, budget simclock.Duration) error {
-	if w.Stream != nil {
-		return replayStream(ctx, d, w, classes, a, budget)
-	}
-	crashAt := d.CrashOp()
-	var err error
-	if t := d.BatchTable(); t != nil && w.Packed().Batchable() {
-		pt := w.Packed()
-		keys, kinds := pt.Keys, pt.Kinds
-		if crashAt >= 0 && crashAt < len(keys) {
-			keys, kinds = keys[:crashAt], kinds[:crashAt]
-		} else {
-			crashAt = -1 // crash point beyond the trace: never fires
-		}
-		err = replayBatched(ctx, d, t, keys, kinds, classes, a, budget)
-	} else if w.Ops == nil && w.RequestCount() > 0 {
-		// A packed-only trace (a shard partitioner sub-workload) cannot
-		// drive the per-operation path; failing beats silently replaying
-		// zero requests.
-		return fmt.Errorf("client: packed-only trace requires the batched replay path")
-	} else {
-		ops := w.Ops
-		if crashAt >= 0 && crashAt < len(ops) {
-			ops = ops[:crashAt]
-		} else {
-			crashAt = -1
-		}
-		err = replayBounded(ctx, d, ops, classes, a, budget)
-	}
-	if err == nil && crashAt >= 0 {
-		err = d.CrashError()
-	}
-	return err
 }
 
 // Execute builds a fresh deployment, loads the dataset under the given
@@ -575,15 +533,11 @@ func executeReused(ctx context.Context, cfg server.Config, w *ycsb.Workload, d *
 	return runAndFlush(ctx, cfg, w, d)
 }
 
-// canReuse reports whether a deployment that just executed this workload
-// can serve further repetitions via ResetRun: the replay must have gone
-// through the batched kernel (the per-op path mutates engine state the
-// snapshot does not cover), and the placement must not have migrated
-// mid-run (ApplyMoves leaves the store contents diverged from the
-// post-Load snapshot, so adaptive runs that moved records rebuild fresh).
-func canReuse(d *server.Deployment, w *ycsb.Workload) bool {
-	return d != nil && !d.Migrated() && d.BatchTable() != nil && w.Packed().Batchable()
-}
+// canReuse reports whether a deployment that just executed a workload
+// can serve further repetitions via ResetRun: it holds a cost table, it
+// has not migrated, and the run served every frame through the kernel
+// (server.Deployment.Rewindable).
+func canReuse(d *server.Deployment) bool { return d != nil && d.Rewindable() }
 
 // runAndFlush is the shared back half of the execute paths: the bounded
 // replay, the post-run telemetry flush (covering complete and cut-off

@@ -44,8 +44,8 @@ func TestExecuteMeanWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReplaySteadyStateZeroAllocs pins the per-op allocation count of the
-// replay loop at zero. The dataset (512 × 1 KB) fits the 12 MB LLC, so
+// TestReplaySteadyStateZeroAllocs pins the allocation count of the
+// replay loop's per-op path at zero. The dataset (512 × 1 KB) fits the 12 MB LLC, so
 // after a warmup pass every request is a cache hit against warm
 // accumulators — any allocation the loop still performs is per-op
 // overhead that would show up millions of times at full scale.
@@ -57,18 +57,10 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 	})
 	cfg := server.DefaultConfig(server.RedisLike, 3)
 	cfg.NoiseSigma = 0 // keep the latency set closed across passes
+	cfg.DisableBatchReplay = true
 	d := server.NewDeployment(cfg)
 	if err := d.Load(w.Dataset, server.AllFast()); err != nil {
 		t.Fatal(err)
 	}
-	classes := sizeClasses(w.Dataset.Records)
-	a := newReplayAccum()
-	replay(d, w, classes, a) // warm the LLC and size every accumulator
-
-	allocs := testing.AllocsPerRun(5, func() {
-		replay(d, w, classes, a)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state replay allocates %.1f times per pass, want 0", allocs)
-	}
+	requireZeroAllocReplay(t, d, w)
 }

@@ -196,7 +196,7 @@ func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Wor
 		return executeReused(ctx, cfg, w, r.d)
 	}
 	st, d, err := executeFresh(ctx, cfg, w, p)
-	if r != nil && canReuse(d, w) {
+	if r != nil && canReuse(d) {
 		r.d = d
 	}
 	return st, err

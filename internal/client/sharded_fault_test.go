@@ -290,9 +290,9 @@ func TestShardedCancellationNotRemediated(t *testing.T) {
 }
 
 // deleteTraceWorkload generates a read-heavy trace and rewrites a few
-// ops into Deletes, making the trace non-batchable: the per-op replay
-// path mutates engine state, so member deployments cannot be rewound by
-// the snapshot reset and ResetShard must rebuild them fresh.
+// ops into Deletes: their frames are served per-op, which mutates engine
+// state, so member deployments cannot be rewound by the snapshot reset
+// and ResetShard must rebuild them fresh.
 func deleteTraceWorkload(t *testing.T) *ycsb.Workload {
 	t.Helper()
 	w, err := ycsb.Generate(ycsb.Spec{
@@ -315,8 +315,8 @@ func deleteTraceWorkload(t *testing.T) *ycsb.Workload {
 }
 
 // TestShardedResetShardRebuildFresh covers ResetShard's rebuild-fresh
-// fallback: on a non-batchable (Delete-bearing) trace the snapshot
-// reset is unavailable, so ResetShard must replace the consumed member
+// fallback: a member that served Delete-bearing frames per-op cannot
+// take the snapshot reset, so ResetShard must replace the consumed member
 // with a freshly populated one — and a rewound-then-rerun cluster must
 // measure byte-identically to a cluster built fresh at the same seed,
 // injected fault state included.
@@ -334,11 +334,11 @@ func TestShardedResetShardRebuildFresh(t *testing.T) {
 	if err := sd.Load(p); err != nil {
 		t.Fatal(err)
 	}
-	if sd.Reusable() {
-		t.Fatal("delete-trace cluster should not be snapshot-reusable")
-	}
 	if _, err := runSharded(context.Background(), cfg, sd, Policy{}); err != nil {
 		t.Fatal(err)
+	}
+	if sd.Reusable() {
+		t.Fatal("a cluster that served Delete frames per-op should not be snapshot-reusable")
 	}
 
 	const seedB = 4242

@@ -67,12 +67,12 @@ func TestStreamedReplayEngages(t *testing.T) {
 	if tw.Packed() != nil {
 		t.Fatal("stream-backed workload still exposes a packed trace")
 	}
-	it, err := tw.Stream.Frames()
+	frames, err := tw.Frames()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for {
-		_, _, rw, err := it.Next()
+		_, _, rw, err := frames.Next()
 		if err != nil {
 			break
 		}
@@ -139,11 +139,11 @@ func deleteStreamWorkload(t *testing.T) *ycsb.Workload {
 // path: Delete-bearing frames drop to per-op pricing (with the
 // pause-state handshake around them) while read/write frames before and
 // after still take the kernel — and the result must equal the in-memory
-// run, which on a Delete-bearing trace is per-op throughout.
+// run on either path.
 func TestStreamedReplayDeleteBitIdentical(t *testing.T) {
 	w := deleteStreamWorkload(t)
 	if w.Packed().Batchable() {
-		t.Fatal("delete trace still batchable; kernel fallback not exercised")
+		t.Fatal("delete trace still batchable; per-op frames not exercised")
 	}
 	tw := streamedTwin(t, w)
 	for _, e := range goldenEngines {
@@ -298,25 +298,13 @@ func TestStreamedShardedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStreamedAdaptiveRejected pins the explicit incompatibility:
-// adaptive tiering replays epoch windows out of a materialized trace,
-// so a streamed workload must be refused up front, not half-replayed.
-func TestStreamedAdaptiveRejected(t *testing.T) {
-	tw := streamedTwin(t, testWorkload(0.9))
-	cfg := server.DefaultConfig(server.RedisLike, 1)
-	cfg.Adaptive = greedySource{}
-	cfg.EpochOps = 4096
-	if _, err := Execute(cfg, tw, server.AllFast()); err == nil {
-		t.Fatal("adaptive replay accepted a streamed trace")
-	}
-}
-
 // TestStreamedReplayBoundedMemory is the O(frame) guarantee: heap
-// allocation during a streamed replay must not scale with trace length.
-// The default trace is ~2.6M ops (64× the frame size); setting
+// allocation during a streamed replay must not scale with trace length —
+// static or adaptive, where the epoch tallies add O(records), not
+// O(trace). The default trace is 64 frames; setting
 // MNEMO_BIGTRACE_OPS=100000000 scales the same check to a 100M-op,
-// ~500MB trace. Materializing the default trace would need ≥13MB for
-// the packed ops alone; the streamed replay must stay far under that.
+// ~500MB trace. Materializing a 2.6M-op trace would need ≥13MB for the
+// packed ops alone; the streamed replay must stay far under that.
 func TestStreamedReplayBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-million-op trace replay")
@@ -345,32 +333,44 @@ func TestStreamedReplayBoundedMemory(t *testing.T) {
 	}
 	t.Logf("trace: %d ops, %d bytes on disk", ops, st.Size())
 
-	d := server.NewDeployment(server.DefaultConfig(server.RedisLike, 3))
-	if err := d.Load(w.Dataset, server.AllFast()); err != nil {
-		t.Fatal(err)
-	}
-	classes := sizeClasses(w.Dataset.Records)
-	a := newReplayAccum()
-	ctx := context.Background()
+	for _, mode := range []string{"static", "adaptive"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := server.DefaultConfig(server.RedisLike, 3)
+			if mode == "adaptive" {
+				cfg.Adaptive = greedySource{}
+				cfg.EpochOps = 4 * replayBlockOps
+			}
+			d := server.NewDeployment(cfg)
+			if err := d.Load(w.Dataset, halfFast(w)); err != nil {
+				t.Fatal(err)
+			}
+			classes := sizeClasses(w.Dataset.Records)
+			a := newReplayAccum()
 
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := replayStatic(ctx, d, w, classes, a, 0); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	allocated := after.TotalAlloc - before.TotalAlloc
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tel, err := replayFrames(context.Background(), d, w, classes, a, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocated := after.TotalAlloc - before.TotalAlloc
+			if mode == "adaptive" && tel.moves == 0 {
+				t.Fatal("adaptive run never migrated")
+			}
 
-	// The whole replay may allocate a few frame buffers and iterator
-	// scaffolding — nothing that grows with the trace. 8MB is ~40× the
-	// per-iterator footprint and far below the packed in-memory cost of
-	// even the default trace length.
-	const capBytes = 8 << 20
-	if allocated > capBytes {
-		t.Fatalf("streamed replay of %d ops allocated %d bytes, cap %d", ops, allocated, capBytes)
+			// The whole replay may allocate a few frame buffers and iterator
+			// scaffolding — nothing that grows with the trace. 8MB is ~40× the
+			// per-iterator footprint and far below the packed in-memory cost of
+			// even the default trace length.
+			const capBytes = 8 << 20
+			if allocated > capBytes {
+				t.Fatalf("streamed replay of %d ops allocated %d bytes, cap %d", ops, allocated, capBytes)
+			}
+			t.Logf("replay allocated %d bytes total (cap %d)", allocated, capBytes)
+		})
 	}
-	t.Logf("replay allocated %d bytes total (cap %d)", allocated, capBytes)
 }
 
 // BenchmarkReplayStreamed measures the streamed frame path against the
@@ -401,35 +401,13 @@ func BenchmarkReplayStreamed(b *testing.B) {
 	perOp := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(w.Ops)), "ns/req")
 	}
-	ctx := context.Background()
 
 	b.Run("Batched", func(b *testing.B) {
-		d := benchDeployment(b, w, p)
-		tab := d.BatchTable()
-		if tab == nil {
-			b.Fatal("no batch table")
-		}
-		pt := w.Packed()
-		classes := sizeClasses(recs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a := newReplayAccum()
-			if err := replayBatched(ctx, d, tab, pt.Keys, pt.Kinds, classes, a, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchReplay(b, benchDeployment(b, benchConfig(), w, p), w)
 		perOp(b)
 	})
 	b.Run("Streamed", func(b *testing.B) {
-		d := benchDeployment(b, tw, p)
-		classes := sizeClasses(recs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a := newReplayAccum()
-			if err := replayStatic(ctx, d, tw, classes, a, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchReplay(b, benchDeployment(b, benchConfig(), tw, p), tw)
 		perOp(b)
 	})
 }

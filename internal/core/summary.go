@@ -6,10 +6,6 @@ package core
 type Summary struct {
 	Workload string `json:"workload"`
 	Engine   string `json:"engine"`
-	// Mode is the legacy deployment-mode label kept for downstream
-	// consumers ("standalone" | "mnemot" | "external", or the policy name
-	// for policies outside the original three).
-	Mode string `json:"mode"`
 	// Policy is the tiering policy's registry name.
 	Policy   string `json:"policy"`
 	Ordering string `json:"ordering"`
@@ -55,16 +51,6 @@ type PointSummary struct {
 	EstOpsPerSec float64 `json:"est_ops_per_sec"`
 }
 
-// legacyMode maps a policy name onto the deployment-mode vocabulary the
-// pre-registry JSON schema used (Fig 2's three scenarios). Policies
-// beyond the original three report their own name.
-func legacyMode(policy string) string {
-	if policy == "touch" {
-		return "standalone"
-	}
-	return policy
-}
-
 // Summary digests the report, sampling the curve down to at most
 // curveSamples evenly spaced interior points plus both endpoints.
 // curveSamples ≤ 0 omits the curve entirely.
@@ -72,7 +58,6 @@ func (r *Report) Summary(curveSamples int) Summary {
 	s := Summary{
 		Workload:     r.Workload,
 		Engine:       r.Engine,
-		Mode:         legacyMode(r.Policy),
 		Policy:       r.Policy,
 		Ordering:     r.Ordering.Name,
 		Keys:         len(r.Ordering.Keys),

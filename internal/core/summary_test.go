@@ -15,7 +15,7 @@ func TestReportSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := rep.Summary(8)
-	if s.Workload != "trending_small" || s.Engine != "redislike" || s.Mode != "standalone" {
+	if s.Workload != "trending_small" || s.Engine != "redislike" || s.Policy != "touch" {
 		t.Errorf("labels: %+v", s)
 	}
 	if s.Keys != 1000 || s.Requests != 10000 {

@@ -95,8 +95,7 @@ func ClusterSweep(scale Scale, seed int64) (*ClusterSweepResult, error) {
 
 	// Lay the advised placement out over the ring. The partition is the
 	// cached one the sharded replay built, so this costs one map lookup.
-	withOps := scale.DisableBatchReplay || !w.Packed().Batchable()
-	part, err := shard.For(w, scale.Shards, 0, withOps)
+	part, err := shard.For(w, scale.Shards, 0, false)
 	if err != nil {
 		return nil, err
 	}

@@ -71,37 +71,79 @@ type ReplayTable struct {
 // valid only until the next Serve.
 func (t *ReplayTable) Block() []simclock.Duration { return t.lat[:] }
 
-// BatchTable returns the deployment's batched-replay cost table,
-// building it on first call after Load. It returns nil — directing the
-// caller to the per-operation path — when batching is disabled by
-// config, the deployment is unloaded, or an engine instance cannot
-// promise static traces (kvstore.BatchReplayer absent or not
-// ReplayReady). The probe result is latched until the next Load.
+// repriceCause says why the cost table is stale; priced means it is not.
+type repriceCause uint8
+
+const (
+	priced repriceCause = iota
+	causeLoad
+	causeMigrate
+	causeStructural
+	numRepriceCauses
+)
+
+// BatchTable returns the deployment's batched-replay cost table, pricing
+// it first if a Load, a migration or a structural per-op request left it
+// stale. It returns nil — directing the caller to the per-operation
+// path — when batching is disabled by config, the deployment is
+// unloaded, or an engine instance cannot promise static traces
+// (kvstore.BatchReplayer absent or not ReplayReady); that answer is
+// latched until the table next goes stale.
 //
-// Once a table exists, all replay against the deployment must go through
-// Serve: the kernel mirrors engine-internal accounting (the GC budget)
-// instead of advancing it, so interleaving per-op requests afterwards
-// would let the two diverge.
+// Replay loops ask FrameTable, per frame, instead: per-op requests may
+// interleave with Serve only under its pause handshake.
 func (d *Deployment) BatchTable() *ReplayTable {
-	if d.tableBuilt {
-		return d.table
-	}
-	d.tableBuilt = true
-	if d.cfg.DisableBatchReplay || d.records == nil {
+	if d.cfg.DisableBatchReplay {
 		return nil
 	}
+	if d.stale != priced {
+		d.reprice()
+	}
+	return d.table
+}
+
+// reprice prices the cost table from the engines' live structure — the
+// one routine behind the first build after Load and the refresh after a
+// migration or a structural frame. Both engines are probed, every live
+// row is re-probed, not just those an event named — inserting or
+// removing a record reshapes an engine's internal structure (hash
+// chains, tree nodes), which can change the static trace of records that
+// never moved, and the per-op reference path would price those live —
+// and the pause mirrors are snapshotted from the engines, which hold the
+// current accumulators at every event that leaves the table stale. The
+// table's identity and its latency scratch survive a refresh. Rows of
+// deleted records are skipped: the engines hold no trace for them, and
+// FrameTable never hands out the table for a frame touching one.
+//
+// Nothing is quiesced here: Load and ApplyMoves settle deferred
+// structural work themselves, and after a structural frame the per-op
+// reference replay of the same trace leaves it pending too.
+//
+// When an engine has stopped promising static traces (a tree
+// delete-merge that left a full node, say) the table is dropped and the
+// kernel stays off until the next event retries.
+func (d *Deployment) reprice() {
+	d.repriced[d.stale]++
+	d.stale = priced
+	t := d.table
+	d.table = nil
 	var brs [2]kvstore.BatchReplayer
 	for i, inst := range d.instances {
 		br, ok := inst.(kvstore.BatchReplayer)
 		if !ok || !br.ReplayReady() {
-			return nil
+			return
 		}
 		brs[i] = br
 	}
-	t := &ReplayTable{d: d, costs: make([]opCost, len(d.records)), stallNs: float64(d.cfg.Fault.stall())}
+	if t == nil {
+		t = &ReplayTable{d: d, costs: make([]opCost, len(d.records)), stallNs: float64(d.cfg.Fault.stall())}
+	}
 	for i := range d.records {
+		if d.nDead > 0 && d.dead[i] {
+			continue
+		}
 		if !d.fillCost(t, i, brs) {
-			return nil
+			return
 		}
 	}
 	for i, br := range brs {
@@ -109,21 +151,22 @@ func (d *Deployment) BatchTable() *ReplayTable {
 		t.pause[i] = pauseState{budget: pm.BudgetBytes, perOp: pm.PerOpBytes,
 			pauseNs: pm.PauseNs, accum: pm.Accum, reset: pm.Accum}
 	}
-	d.table = t
-	return t
+	d.table, d.perOp = t, false
 }
 
 // DropBatchTable latches the batched kernel off for the rest of the
-// deployment's life: BatchTable returns nil from now on — the state a
-// failed migration re-probe leaves behind when the rebuild cannot
-// recover either. It exists for chaos and regression tests that need to
-// force the mid-run per-op fallback deterministically.
-func (d *Deployment) DropBatchTable() { d.table, d.tableBuilt = nil, true }
+// deployment's life, as DisableBatchReplay would have from the start:
+// the engines take the pause accounting over and every later frame goes
+// per-op. It exists for chaos and regression tests that need to force
+// the mid-run per-op fallback deterministically.
+func (d *Deployment) DropBatchTable() {
+	d.enginesTakePauses()
+	d.cfg.DisableBatchReplay, d.table = true, nil
+}
 
 // fillCost prices one record into the table from its current tier's
-// static trace. It is the per-record half of the BatchTable build,
-// shared with ApplyMoves, which re-invokes it to patch migrated records
-// in place. It returns false when the record's trace is not static.
+// static trace — the per-record half of reprice. It returns false when
+// the record's trace is not static.
 func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplayer) bool {
 	rec := &d.records[i]
 	tier := d.tiers[i]
@@ -275,19 +318,13 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 // post-load snapshot; telemetry parity with a fresh deployment is kept
 // by re-counting the deployment and re-journaling an outlier fate.
 //
-// It returns false — leaving the deployment untouched — when no batch
-// table is available: the per-op path mutates engine state during
-// replay, so only table-driven runs are rewindable. A deployment whose
-// placement migrated mid-run (ApplyMoves) also refuses: its store
-// contents no longer match the post-Load snapshot.
+// It returns false — leaving the deployment untouched — when the
+// deployment is not Rewindable.
 func (d *Deployment) ResetRun(seed int64) bool {
-	if d.migrated {
+	if !d.Rewindable() {
 		return false
 	}
-	t := d.BatchTable()
-	if t == nil {
-		return false
-	}
+	t := d.table
 	d.cfg.Seed = seed
 	d.clock.Reset()
 	d.ops = 0
@@ -303,6 +340,14 @@ func (d *Deployment) ResetRun(seed int64) bool {
 	d.resetRunTelemetry()
 	return true
 }
+
+// Rewindable reports whether ResetRun can rewind the deployment for
+// another repetition: it has a cost table, and every frame since Load
+// went through it. A frame served per-op advances engine state the
+// post-Load snapshot does not cover, and a migration leaves the store
+// contents diverged from it; either latches the deployment mutated and
+// callers rebuild fresh.
+func (d *Deployment) Rewindable() bool { return !d.mutated && d.BatchTable() != nil }
 
 // resetRunTelemetry re-establishes the observability state a fresh
 // deployment would have: zeroed flush cursors, the deployments counter

@@ -77,9 +77,14 @@ type MigrationResult struct {
 // record keeps its cache state, since the copy moves it between memory
 // nodes, not out of the cache.
 //
+// Migrating a record writes it to the destination tier whether or not
+// the trace has since deleted it: a deleted record comes back live.
+//
 // A deployment that has migrated is permanently dirty for snapshot
 // reuse: its store contents no longer match the post-Load snapshot, so
-// ResetRun refuses and callers must rebuild fresh for the next run.
+// ResetRun refuses and callers must rebuild fresh for the next run. Its
+// cost table goes stale and is re-priced, skipping deleted records, when
+// the next frame asks for it.
 func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 	var res MigrationResult
 	if len(moves) == 0 {
@@ -103,6 +108,8 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 				res.SkippedFull++
 				continue
 			}
+			// The copy drives the engines directly, like a per-op frame.
+			d.enginesTakePauses()
 			from := d.tiers[m.Index]
 			d.instances[from].DelID(rec.Key, rec.ID)
 			d.instances[from].TakePauseNs() // migration stalls are untimed, like Load
@@ -110,12 +117,16 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 			d.instances[m.To].PutID(rec.Key, rec.ID, kvstore.Sized(rec.Size))
 			d.instances[m.To].TakePauseNs()
 			d.tiers[m.Index] = m.To
+			if d.nDead > 0 && d.dead[m.Index] {
+				d.dead[m.Index] = false
+				d.nDead--
+			}
 			res.Moves++
 			res.Bytes += size
 		}
 	}
-	d.migrated = d.migrated || res.Moves > 0
 	if res.Moves > 0 {
+		d.mutated, d.stale = true, causeMigrate
 		// Settle deferred structural work (rehash steps, node splits) the
 		// migration writes queued, so post-migration traces are static
 		// again — the same discipline Load applies.
@@ -125,7 +136,6 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 				inst.TakePauseNs()
 			}
 		}
-		d.patchTable()
 	}
 	res.CostNs = float64(res.Bytes) * d.cfg.MigrationCostPerByte
 	if res.CostNs > 0 {
@@ -133,52 +143,6 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 	}
 	return res
 }
-
-// patchTable re-prices the batched-replay cost table in place after a
-// migration, keeping the kernel hot across epochs instead of rebuilding
-// the whole table: the table identity, its LLC/noise/clock state and the
-// latency scratch all survive, only the cost rows are refreshed. Every
-// row is re-probed, not just the moved ones — inserting or removing a
-// record reshapes an engine's internal structure (hash chains, tree
-// nodes), which can change the static trace of records that never moved,
-// and the per-op reference path would price those live. If any re-probe
-// fails (an engine stopped promising static traces) the table is
-// invalidated so the next BatchTable call rebuilds or falls back to the
-// per-op path.
-func (d *Deployment) patchTable() {
-	t := d.table
-	if t == nil {
-		return
-	}
-	var brs [2]kvstore.BatchReplayer
-	for i, inst := range d.instances {
-		br, ok := inst.(kvstore.BatchReplayer)
-		if !ok || !br.ReplayReady() {
-			d.table, d.tableBuilt = nil, false
-			return
-		}
-		brs[i] = br
-	}
-	for idx := range d.records {
-		if !d.fillCost(t, idx, brs) {
-			d.table, d.tableBuilt = nil, false
-			return
-		}
-	}
-	// Migration writes advanced the engines' GC accounting; re-snapshot
-	// the kernel's mirrors so the next block charges from the engines'
-	// true post-migration accumulators.
-	for i, br := range brs {
-		pm := br.ReplayPauses()
-		t.pause[i] = pauseState{budget: pm.BudgetBytes, perOp: pm.PerOpBytes,
-			pauseNs: pm.PauseNs, accum: pm.Accum, reset: pm.Accum}
-	}
-}
-
-// Migrated reports whether ApplyMoves has changed this deployment's
-// placement since Load — in which case the post-Load snapshot is stale
-// and ResetRun refuses to rewind.
-func (d *Deployment) Migrated() bool { return d.migrated }
 
 // RecordTiers exposes the live per-record placement (indexed by dataset
 // record index). The returned slice is the deployment's own serving

@@ -44,8 +44,8 @@ func TestApplyMovesMigratesAndCharges(t *testing.T) {
 	if tiers[0] != memsim.Slow || tiers[1] != memsim.Fast || tiers[2] != memsim.Fast {
 		t.Fatalf("tiers after swap: %v %v %v", tiers[0], tiers[1], tiers[2])
 	}
-	if !d.Migrated() {
-		t.Fatal("Migrated() false after a real move")
+	if !d.mutated {
+		t.Fatal("not mutated after a real move")
 	}
 	if d.ResetRun(2) {
 		t.Fatal("migrated deployment must refuse the post-Load snapshot reset")
@@ -64,7 +64,7 @@ func TestApplyMovesSkipsNoopsAndBadIndices(t *testing.T) {
 	if res != (MigrationResult{}) {
 		t.Fatalf("result %+v, want all-zero", res)
 	}
-	if d.Migrated() {
+	if d.mutated {
 		t.Fatal("no-op call marked the deployment migrated")
 	}
 	if d.Clock() != before {
@@ -103,7 +103,7 @@ func TestApplyMovesFullTier(t *testing.T) {
 	if res.Moves != 0 || res.SkippedFull != 1 {
 		t.Fatalf("promotion into a full tier: %+v", res)
 	}
-	if d.Migrated() {
+	if d.mutated {
 		t.Fatal("dropped move marked the deployment migrated")
 	}
 }

@@ -66,16 +66,38 @@ func (t *deployTelemetry) faultFired(d *Deployment, kind FaultKind) {
 		kind, d.cfg.Engine, d.cfg.Seed)
 }
 
+// framePathLabels and repriceCauseLabels are the label values of the
+// replay loop's traffic record: which path FrameTable sent each frame
+// down, and why the cost table was re-priced.
+var (
+	framePathLabels    = [...]string{pathKernel: "kernel", pathPerOp: "perop"}
+	repriceCauseLabels = [...]string{causeLoad: "load", causeMigrate: "migrate", causeStructural: "structural"}
+)
+
+// flushTallies adds each non-zero tally to the counter labelled with its
+// index's value and zeroes it.
+func (t *deployTelemetry) flushTallies(name, label string, values []string, tallies []int64) {
+	for i, n := range tallies {
+		if n > 0 {
+			t.sink.Counter(obs.Name(name, label, values[i])).Add(n)
+			tallies[i] = 0
+		}
+	}
+}
+
 // FlushObs publishes the deployment's accumulated op and LLC hit/miss
-// counts to the configured sink — the run-granularity flush the client
-// calls after a replay (including a replay cut off mid-run, so partial
-// runs stay observable). It is a no-op without a sink and idempotent
-// per served request: repeated flushes publish only new deltas.
+// counts, and the frame-path and re-price tallies, to the configured
+// sink — the run-granularity flush the client calls after a replay
+// (including a replay cut off mid-run, so partial runs stay observable).
+// It is a no-op without a sink and idempotent per served request:
+// repeated flushes publish only new deltas.
 func (d *Deployment) FlushObs() {
 	t := &d.telem
 	if t.sink == nil {
 		return
 	}
+	t.flushTallies("mnemo_client_frames_total", "path", framePathLabels[:], d.frames[:])
+	t.flushTallies("mnemo_server_reprice_total", "cause", repriceCauseLabels[:], d.repriced[:])
 	t.ops.Add(int64(d.ops - t.flushedOps))
 	t.flushedOps = d.ops
 	if llc := d.machine.LLC(); llc != nil {

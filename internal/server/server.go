@@ -111,11 +111,12 @@ type Config struct {
 	// nothing and adds no per-request work beyond an inert branch, so
 	// the replay fast path stays allocation-free.
 	Obs *obs.Sink
-	// DisableBatchReplay forces the per-operation replay path even when
-	// the engine supports the batched kernel (BatchTable returns nil).
+	// DisableBatchReplay makes the replay loop serve every frame request
+	// by request (BatchTable and FrameTable return nil) even when the
+	// engine supports the batched kernel — the loop's only fork selector.
 	// It exists as the reference knob for the golden equivalence tests
-	// and frozen benchmarks; the two paths are bit-identical, so there
-	// is no reason to set it in production.
+	// and benchmarks; the two paths are bit-identical, so there is no
+	// reason to set it in production.
 	DisableBatchReplay bool
 	// Shards splits the deployment into a consistent-hash cluster of N
 	// independent fast+slow pairs (DESIGN.md §13). 0 keeps the legacy
@@ -179,16 +180,32 @@ type Deployment struct {
 	// (all nil without a configured sink; see obs.go).
 	telem deployTelemetry
 
-	// table is the lazily built batched-replay cost table (batch.go);
-	// tableBuilt latches the build attempt so an unsupported deployment
-	// is probed once, not per run. Load invalidates both.
-	table      *ReplayTable
-	tableBuilt bool
+	// table is the batched-replay cost table and stale the reason it must
+	// be priced again before its next use (batch.go): Load, a migration
+	// and a structural per-op request each leave it stale, and BatchTable
+	// re-prices lazily. A nil table that is not stale is the kernel
+	// latched off until the next of those events.
+	table *ReplayTable
+	stale repriceCause
+	// perOp records that the engines were last driven directly (a per-op
+	// frame, a migration), so they — not the kernel's mirror — hold the
+	// current pause accumulators (frame.go).
+	perOp bool
 
-	// migrated latches once ApplyMoves changes the placement: the store
-	// contents then diverge from the post-Load snapshot, so ResetRun
-	// refuses to rewind (migrate.go). Load clears it.
-	migrated bool
+	// mutated latches once the store diverges from its post-Load
+	// snapshot — a migration, or any frame served per-op — after which
+	// ResetRun refuses to rewind. Load clears it.
+	mutated bool
+	// dead marks the dataset records a Delete removed and no Write has
+	// re-inserted since (nDead of them); nil until the first Delete. Their
+	// cost rows are not priced and frames touching them go per-op.
+	dead  []bool
+	nDead int
+
+	// frames and repriced tally, since the last FlushObs, the frames
+	// FrameTable routed to each path and the table re-prices by cause.
+	frames   [2]int64
+	repriced [numRepriceCauses]int64
 }
 
 // NewDeployment builds an empty deployment with an AllFast placement.
@@ -284,8 +301,9 @@ func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 			inst.TakePauseNs()
 		}
 	}
-	d.table, d.tableBuilt = nil, false
-	d.migrated = false
+	d.table, d.stale = nil, causeLoad
+	d.mutated = false
+	d.dead, d.nDead = nil, 0
 	if llc := d.machine.LLC(); llc != nil {
 		llc.Reserve(len(ds.Records))
 		llc.ResetStats()
@@ -324,6 +342,9 @@ func (d *Deployment) Do(key string, kind kvstore.OpKind, size int) Result {
 		}
 	}
 	if idx, ok := d.keyIndex[key]; ok {
+		if kind != kvstore.Read {
+			d.noteStructural(int(idx), kind)
+		}
 		return d.do(d.tiers[idx], key, d.records[idx].ID, uint64(idx), kind, size)
 	}
 	id := kvstore.KeyID(key)
@@ -338,7 +359,37 @@ func (d *Deployment) Do(key string, kind kvstore.OpKind, size int) Result {
 // panics if the deployment has not been loaded or idx is out of range.
 func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
 	rec := &d.records[idx]
+	if kind != kvstore.Read {
+		d.noteStructural(idx, kind)
+	}
 	return d.do(d.tiers[idx], rec.Key, rec.ID, uint64(idx), kind, rec.Size)
+}
+
+// noteStructural tracks the deleted-record set for a non-read request
+// on dataset record idx. A Delete of a live record and a Write that
+// re-inserts a deleted one change store structure (hash chains, tree
+// nodes), which can change the static trace of records the request never
+// named: the cost table goes stale and the store no longer matches its
+// post-Load snapshot. An overwrite of a live record changes neither.
+func (d *Deployment) noteStructural(idx int, kind kvstore.OpKind) {
+	if kind == kvstore.Delete {
+		if d.dead == nil {
+			d.dead = make([]bool, len(d.records))
+		}
+		if d.dead[idx] {
+			return
+		}
+		d.dead[idx] = true
+		d.nDead++
+	} else {
+		if d.nDead == 0 || !d.dead[idx] {
+			return
+		}
+		d.dead[idx] = false
+		d.nDead--
+	}
+	d.mutated = true
+	d.stale = causeStructural
 }
 
 // do is the shared body of Do and DoIndex: one engine operation on the

@@ -72,11 +72,9 @@ func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, err
 	if cfg.VirtualNodes < 0 {
 		return nil, fmt.Errorf("server: sharded deployment needs VirtualNodes ≥ 0 (0 = default %d), got %d", shard.DefaultVirtualNodes, cfg.VirtualNodes)
 	}
-	// The batched kernel consumes the packed sub-traces directly; only
-	// a config or engine that forces the per-op path needs Ops
-	// materialized per shard.
-	withOps := cfg.DisableBatchReplay || !w.Packed().Batchable()
-	part, err := shard.For(w, cfg.Shards, cfg.VirtualNodes, withOps)
+	// Replay reads a sub-trace as frames, whichever path serves them, so
+	// no shard needs Ops materialized.
+	part, err := shard.For(w, cfg.Shards, cfg.VirtualNodes, false)
 	if err != nil {
 		return nil, err
 	}
@@ -185,11 +183,7 @@ func (sd *ShardedDeployment) ResetShard(s int, memberSeed int64) bool {
 	if !sd.loaded {
 		return false
 	}
-	// The snapshot reset is only sound when the member replays through
-	// the batched kernel: a non-batchable sub-trace runs the per-op path,
-	// which mutates engine state the snapshot does not cover (the same
-	// condition as the client's canReuse).
-	if sd.part.Subs[s].W.Packed().Batchable() && sd.deps[s].ResetRun(memberSeed) {
+	if sd.deps[s].ResetRun(memberSeed) {
 		return true
 	}
 	c := sd.cfg.shardConfig(s)
@@ -226,14 +220,13 @@ func (sd *ShardedDeployment) FlushObs() {
 }
 
 // Reusable reports whether every shard can serve further repetitions
-// via the snapshot reset (all batch-capable) — the cluster analogue of
-// the client's canReuse.
+// via the snapshot reset (all Rewindable).
 func (sd *ShardedDeployment) Reusable() bool {
 	if !sd.loaded {
 		return false
 	}
-	for s, d := range sd.deps {
-		if d.BatchTable() == nil || !sd.part.Subs[s].W.Packed().Batchable() {
+	for _, d := range sd.deps {
+		if !d.Rewindable() {
 			return false
 		}
 	}

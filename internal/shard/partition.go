@@ -13,10 +13,9 @@ type Sub struct {
 	// W is the shard-local sub-workload: its dataset holds only the
 	// records the ring assigns to this shard (in global index order, so
 	// relative record order is preserved) and its trace refers to them
-	// by shard-local index. When the parent trace is batchable and ops
-	// were not requested, the sub-trace exists only in packed form
-	// (W.Ops is nil) — half the per-request footprint at 100M-request
-	// cluster scale.
+	// by shard-local index. Unless ops were requested, an in-memory
+	// parent's sub-trace exists only in packed form (W.Ops is nil) — a
+	// third of the per-request footprint at 100M-request cluster scale.
 	W *ycsb.Workload
 	// GlobalIndex maps shard-local record indices back to the parent
 	// dataset (GlobalIndex[local] = global), for placement remapping and
@@ -38,8 +37,8 @@ type Partition struct {
 }
 
 // Split partitions the workload over a fresh ring. withOps materializes
-// per-shard Op slices (required for the per-operation replay path);
-// without it, batchable parent traces are split in packed form only.
+// per-shard Op slices, which nothing on the replay path reads any more;
+// without it an in-memory parent trace is split in packed form only.
 // Callers should prefer the cached For.
 func Split(w *ycsb.Workload, shards, vnodes int, withOps bool) (*Partition, error) {
 	ring, err := NewRing(shards, vnodes)
@@ -77,18 +76,17 @@ func Split(w *ycsb.Workload, shards, vnodes int, withOps bool) (*Partition, erro
 
 	// Pass 2: split the trace, preserving per-shard op order. A
 	// stream-backed parent is spooled into per-shard .mtrc temp files
-	// (O(frame) memory, stream.go); withOps is moot there — a streamed
-	// sub falls back per-op frame by frame on its own. A batchable
+	// (O(frame) memory, stream.go); withOps is moot there. An in-memory
 	// parent without the ops requirement is split in packed form only
-	// (one uint32+uint8 per op instead of a 16-byte Op).
+	// (one uint32+uint8 per op instead of a 16-byte Op), Deletes and all:
+	// replay decides kernel or per-op frame by frame.
 	if w.Stream != nil {
 		if err := splitStream(w, p, datasets, local); err != nil {
 			return nil, err
 		}
 		return p, nil
 	}
-	pt := w.Packed()
-	if pt.Batchable() && !withOps {
+	if pt := w.Packed(); pt != nil && !withOps {
 		perShard := make([]int, shards)
 		for _, k := range pt.Keys {
 			perShard[p.Assign[k]]++

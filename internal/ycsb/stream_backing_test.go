@@ -128,3 +128,46 @@ func TestRequestCountEmpty(t *testing.T) {
 		t.Fatalf("empty workload RequestCount = %d", n)
 	}
 }
+
+// TestFramesWindows pins the one frame source on the in-memory
+// backings: StreamFrameOps-sized windows over the packed encoding whose
+// concatenation is the trace, with the read/write-only flag decided per
+// window — one Delete costs its own window the flag, not the trace.
+func TestFramesWindows(t *testing.T) {
+	const n = 2*StreamFrameOps + 100
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = Op{Key: i % 7, Kind: kvstore.OpKind(i % 2)}
+	}
+	ops[StreamFrameOps+5].Kind = kvstore.Delete
+	inMem := &Workload{Dataset: testDataset(7), Ops: ops}
+	pt := inMem.Packed()
+	packedOnly := FromPacked(Spec{}, inMem.Dataset, pt.Keys, pt.Kinds)
+
+	for name, w := range map[string]*Workload{"ops": inMem, "packed-only": packedOnly} {
+		frames, err := w.Frames()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		at := 0
+		for _, want := range []struct {
+			len int
+			rw  bool
+		}{{StreamFrameOps, true}, {StreamFrameOps, false}, {100, true}} {
+			keys, kinds, rw, err := frames.Next()
+			if err != nil || len(keys) != want.len || len(kinds) != want.len || rw != want.rw {
+				t.Fatalf("%s: frame at %d: %d keys, %d kinds, rw=%t, err %v; want %d ops, rw=%t",
+					name, at, len(keys), len(kinds), rw, err, want.len, want.rw)
+			}
+			for i := range keys {
+				if int(keys[i]) != ops[at+i].Key || kvstore.OpKind(kinds[i]) != ops[at+i].Kind {
+					t.Fatalf("%s: op %d differs from the trace", name, at+i)
+				}
+			}
+			at += len(keys)
+		}
+		if _, _, _, err := frames.Next(); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+	}
+}

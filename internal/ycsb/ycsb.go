@@ -218,10 +218,11 @@ type Op struct {
 }
 
 // Workload is a generated dataset plus request trace — the full workload
-// descriptor Mnemo consumes. The trace has three possible backings, in
-// lookup order: materialized Ops, the packed struct-of-arrays encoding
-// (shard sub-workloads), or a Stream (an on-disk .mtrc trace yielded
-// frame by frame, for traces larger than memory).
+// descriptor Mnemo consumes. The trace has three possible backings:
+// materialized Ops, the packed struct-of-arrays encoding alone (shard
+// sub-workloads), or a Stream (an on-disk .mtrc trace, for traces larger
+// than memory). Replay reads it one way, as the frame sequence Frames
+// yields; Ops is an input representation only.
 type Workload struct {
 	Spec    Spec
 	Dataset Dataset
@@ -229,8 +230,7 @@ type Workload struct {
 
 	// Stream backs the trace with an external frame source instead of
 	// in-memory ops. A streamed workload has nil Ops and a nil packed
-	// encoding; replay consumes frames directly (internal/client), and
-	// the trace-wide helpers below iterate the stream.
+	// encoding; Frames delegates to the stream.
 	Stream TraceStream
 
 	// packed caches the struct-of-arrays trace encoding; built at most
@@ -293,17 +293,14 @@ func (w *Workload) Packed() *PackedTrace {
 			return
 		}
 		pt := &PackedTrace{
-			Keys:          make([]uint32, len(w.Ops)),
-			Kinds:         make([]uint8, len(w.Ops)),
-			readWriteOnly: true,
+			Keys:  make([]uint32, len(w.Ops)),
+			Kinds: make([]uint8, len(w.Ops)),
 		}
 		for i, op := range w.Ops {
 			pt.Keys[i] = uint32(op.Key)
 			pt.Kinds[i] = uint8(op.Kind)
-			if op.Kind != kvstore.Read && op.Kind != kvstore.Write {
-				pt.readWriteOnly = false
-			}
 		}
+		pt.readWriteOnly = readWriteOnly(pt.Kinds)
 		w.packed = pt
 	})
 	return w.packed
@@ -319,13 +316,7 @@ func KeyName(i int) string { return fmt.Sprintf("user%08d", i) }
 // materializing 16-byte Ops per shard. Keys and kinds must reference
 // ds.Records; the caller transfers ownership of both slices.
 func FromPacked(spec Spec, ds Dataset, keys []uint32, kinds []uint8) *Workload {
-	pt := &PackedTrace{Keys: keys, Kinds: kinds, readWriteOnly: true}
-	for _, k := range kinds {
-		if kvstore.OpKind(k) != kvstore.Read && kvstore.OpKind(k) != kvstore.Write {
-			pt.readWriteOnly = false
-			break
-		}
-	}
+	pt := &PackedTrace{Keys: keys, Kinds: kinds, readWriteOnly: readWriteOnly(kinds)}
 	w := &Workload{Spec: spec, Dataset: ds}
 	w.packedOnce.Do(func() { w.packed = pt })
 	return w
@@ -347,43 +338,90 @@ func (w *Workload) RequestCount() int {
 	return 0
 }
 
-// ForEachOp visits every trace op in order, whichever backing the trace
-// has: materialized Ops, the packed encoding, or a stream (iterated
-// frame by frame in O(frame) memory). It is the trace-wide iteration
-// primitive behind AccessCounts, TouchOrder and ReadFraction, and the
-// one policies should use instead of reaching for w.Ops. The only error
-// source is a stream that fails to decode.
+// Frames is a cursor over a trace's frames, whichever backing the trace
+// has — the one frame source of replay (internal/client) and of the
+// trace-wide helpers below. An in-memory or packed-only trace yields
+// StreamFrameOps-sized windows over Packed(); a streamed trace delegates
+// to its stream's iterator. It is a value, not an interface, so starting
+// an in-memory iteration allocates nothing.
+type Frames struct {
+	keys  []uint32 // unread remainder of the packed trace
+	kinds []uint8
+	rwAll bool      // whole packed trace is read/write-only
+	it    FrameIter // non-nil for a streamed trace
+}
+
+// Frames starts an iteration from the trace's first frame. The errors
+// are a stream that cannot be opened and a trace Packed cannot encode.
+func (w *Workload) Frames() (Frames, error) {
+	if w.Stream != nil {
+		it, err := w.Stream.Frames()
+		return Frames{it: it}, err
+	}
+	pt := w.Packed()
+	if pt == nil {
+		return Frames{}, fmt.Errorf("ycsb: workload %q: %d keys exceed the packed key index range", w.Spec.Name, len(w.Dataset.Records))
+	}
+	return Frames{keys: pt.Keys, kinds: pt.Kinds, rwAll: pt.readWriteOnly}, nil
+}
+
+// Next yields the next frame under the FrameIter contract: the slices
+// are valid until the next call, rw reports a frame of only Read and
+// Write ops, and the iteration ends with io.EOF.
+func (f *Frames) Next() (keys []uint32, kinds []uint8, rw bool, err error) {
+	if f.it != nil {
+		return f.it.Next()
+	}
+	if len(f.keys) == 0 {
+		return nil, nil, false, io.EOF
+	}
+	n := min(len(f.keys), StreamFrameOps)
+	keys, kinds = f.keys[:n], f.kinds[:n]
+	f.keys, f.kinds = f.keys[n:], f.kinds[n:]
+	return keys, kinds, f.rwAll || readWriteOnly(kinds), nil
+}
+
+// readWriteOnly reports whether kinds holds only Read and Write ops.
+func readWriteOnly(kinds []uint8) bool {
+	for _, k := range kinds {
+		if kvstore.OpKind(k) != kvstore.Read && kvstore.OpKind(k) != kvstore.Write {
+			return false
+		}
+	}
+	return true
+}
+
+// ForEachOp visits every trace op in order. It is the trace-wide
+// iteration primitive behind AccessCounts, TouchOrder and ReadFraction,
+// and the one policies should use instead of reaching for w.Ops. Ops,
+// the input representation, is read as it stands — packing a trace that
+// may never be replayed (a workload being spilled to .mtrc) would hold
+// 5 B/op for nothing; every other trace is read from its frame source
+// (O(frame) memory on a streamed one). The only error sources are those
+// of Frames and a stream that fails to decode.
 func (w *Workload) ForEachOp(fn func(key int, kind kvstore.OpKind)) error {
-	switch {
-	case w.Ops != nil:
+	if w.Ops != nil {
 		for _, op := range w.Ops {
 			fn(op.Key, op.Kind)
 		}
-	case w.Stream != nil:
-		it, err := w.Stream.Frames()
+		return nil
+	}
+	frames, err := w.Frames()
+	if err != nil {
+		return err
+	}
+	for {
+		keys, kinds, _, err := frames.Next()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		for {
-			keys, kinds, _, err := it.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			for i := range keys {
-				fn(int(keys[i]), kvstore.OpKind(kinds[i]))
-			}
-		}
-	default:
-		if pt := w.Packed(); pt != nil {
-			for i := range pt.Keys {
-				fn(int(pt.Keys[i]), kvstore.OpKind(pt.Kinds[i]))
-			}
+		for i := range keys {
+			fn(int(keys[i]), kvstore.OpKind(kinds[i]))
 		}
 	}
-	return nil
 }
 
 // Generate builds the workload deterministically from its spec and

@@ -190,13 +190,6 @@ type Options struct {
 	// without a tunable surface are rejected. See Policies() for each
 	// policy's space, and Tune to search it automatically.
 	PolicyParams map[string]float64
-	// UseMnemoT is the pre-registry switch to MnemoT's weighted tiering
-	// ordering.
-	//
-	// Deprecated: set Policy to "mnemot" instead. UseMnemoT remains an
-	// alias for exactly that; combining it with a conflicting Policy is
-	// an error.
-	UseMnemoT bool
 	// NoiseSigma overrides the per-request measurement noise; negative
 	// disables noise entirely.
 	NoiseSigma float64
@@ -357,7 +350,7 @@ func (o Options) validate() error {
 }
 
 // policy resolves the options' tiering policy: Policy by name through
-// the registry, the deprecated UseMnemoT alias, or the "touch" default.
+// the registry, or the "touch" default.
 // Validation uses this uncounted form; resolvePolicy is the counting
 // variant the profiling entry points call.
 func (o Options) policy() (core.TieringPolicy, error) {
@@ -368,12 +361,6 @@ func (o Options) policy() (core.TieringPolicy, error) {
 // (mnemo_registry_policy_resolutions_total{policy=…}).
 func (o Options) resolvePolicy(sink *Sink) (core.TieringPolicy, error) {
 	name := o.Policy
-	if o.UseMnemoT {
-		if name != "" && name != "mnemot" {
-			return nil, fmt.Errorf("mnemo: UseMnemoT conflicts with Policy %q", name)
-		}
-		name = "mnemot"
-	}
 	if name == "" {
 		name = "touch"
 	}
@@ -453,9 +440,6 @@ func ProfileContext(ctx context.Context, w *Workload, opts Options) (*Report, er
 	cfg, err := opts.coreConfig()
 	if err != nil {
 		return nil, err
-	}
-	if w != nil && w.Stream != nil && opts.EpochOps > 0 {
-		return nil, fmt.Errorf("mnemo: EpochOps (adaptive replay) does not support streamed traces; materialize the workload or set EpochOps to 0")
 	}
 	pol, err := opts.resolvePolicy(opts.Obs)
 	if err != nil {
@@ -732,7 +716,8 @@ func LoadWorkloadCSV(r io.Reader) (*Workload, error) { return ycsb.ReadCSV(r) }
 // reconstructed from the schema header and the request trace stays on
 // disk, replayed frame by frame in O(frame) resident memory — traces
 // far larger than RAM profile fine. Streamed workloads measure through
-// every pipeline except adaptive replay (Options.EpochOps must be 0).
+// every pipeline, adaptive replay (Options.EpochOps) included; only
+// Workload.Downsample needs the trace in memory.
 func OpenTrace(path string) (*Workload, error) { return trace.Open(path) }
 
 // WriteTrace spills a workload's trace to a binary .mtrc file, whatever

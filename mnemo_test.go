@@ -67,7 +67,7 @@ func TestProfileEndToEnd(t *testing.T) {
 
 func TestProfileMnemoTMode(t *testing.T) {
 	w := smallWorkload(t)
-	rep, err := Profile(w, Options{Store: RedisLike, Seed: 2, UseMnemoT: true})
+	rep, err := Profile(w, Options{Store: RedisLike, Seed: 2, Policy: "mnemot"})
 	if err != nil {
 		t.Fatal(err)
 	}

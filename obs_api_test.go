@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mnemo/internal/kvstore"
 	"mnemo/internal/obs"
 )
 
@@ -78,5 +79,50 @@ func TestObsSinkExposition(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestObsFrameTrafficRecord pins what the replay loop's traffic record
+// says about the two extreme traces, through the whole Profile pipeline:
+// a read/write trace is served by the kernel alone, one table price per
+// loaded deployment; a capture with a Delete in every frame never takes
+// the kernel and — the table being priced only when a frame it could
+// serve arrives — never prices or re-prices it either.
+func TestObsFrameTrafficRecord(t *testing.T) {
+	frames := func(sink *Sink, path string) int64 {
+		return sink.Counter(obs.Name("mnemo_client_frames_total", "path", path)).Value()
+	}
+	reprices := func(sink *Sink) (n int64) {
+		for _, cause := range []string{"load", "migrate", "structural"} {
+			n += sink.Counter(obs.Name("mnemo_server_reprice_total", "cause", cause)).Value()
+		}
+		return n
+	}
+
+	w := smallWorkload(t)
+	sink := NewSink()
+	if _, err := Profile(w, Options{Store: RedisLike, Seed: 3, Obs: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if k, p := frames(sink, "kernel"), frames(sink, "perop"); k != 2*2 || p != 0 {
+		t.Errorf("read/write trace: %d kernel + %d per-op frames, want 2 baselines × 2 frames through the kernel", k, p)
+	}
+	if n := sink.Counter(obs.Name("mnemo_server_reprice_total", "cause", "load")).Value(); n != 2 || reprices(sink) != 2 {
+		t.Errorf("read/write trace: %d load re-prices of %d, want one per baseline deployment and no other", n, reprices(sink))
+	}
+
+	for i := 17; i < len(w.Ops); i += 1000 {
+		w.Ops[i].Kind = kvstore.Delete
+	}
+	capture := &Workload{Spec: w.Spec, Dataset: w.Dataset, Ops: w.Ops}
+	sink = NewSink()
+	if _, err := Profile(capture, Options{Store: RedisLike, Seed: 3, Obs: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if k, p := frames(sink, "kernel"), frames(sink, "perop"); k != 0 || p != 2*2 {
+		t.Errorf("Delete in every frame: %d kernel + %d per-op frames, want all 4 per-op", k, p)
+	}
+	if n := reprices(sink); n != 0 {
+		t.Errorf("Delete in every frame: table priced %d times, want never", n)
 	}
 }

@@ -17,30 +17,19 @@ func apiWorkload(t *testing.T) *mnemo.Workload {
 	return w
 }
 
-// TestOptionsPolicy exercises the named-policy path of the public API
-// and its compatibility contract with the deprecated UseMnemoT switch.
+// TestOptionsPolicy exercises the named-policy path of the public API.
 func TestOptionsPolicy(t *testing.T) {
 	w := apiWorkload(t)
 	viaName, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 71, SLO: 0.10, Policy: "mnemot"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFlag, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 71, SLO: 0.10, UseMnemoT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaName, viaFlag) {
-		t.Fatal("Policy \"mnemot\" and UseMnemoT disagree")
-	}
 	if viaName.Policy != "mnemot" {
 		t.Fatalf("report policy %q", viaName.Policy)
 	}
-	// The alias spelling works; the conflict is rejected.
+	// The registry's alias spelling of the default policy works.
 	if _, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 71, Policy: "standalone"}); err != nil {
 		t.Fatalf("standalone alias: %v", err)
-	}
-	if _, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 71, Policy: "touch", UseMnemoT: true}); err == nil {
-		t.Fatal("conflicting Policy+UseMnemoT accepted")
 	}
 	if _, err := mnemo.Profile(w, mnemo.Options{Store: mnemo.RedisLike, Seed: 71, Policy: "bogus"}); err == nil {
 		t.Fatal("unknown policy accepted")

@@ -50,7 +50,7 @@ func tuneConfig(opts Options, topts TuneOptions) (tune.Config, error) {
 	if opts.SLO <= 0 {
 		return tune.Config{}, fmt.Errorf("mnemo: Tune requires Options.SLO > 0 (the objective is the cheapest sizing within the SLO)")
 	}
-	if opts.Policy != "" || opts.UseMnemoT || len(opts.PolicyParams) > 0 {
+	if opts.Policy != "" || len(opts.PolicyParams) > 0 {
 		return tune.Config{}, fmt.Errorf("mnemo: Tune searches the policy space itself; leave Options.Policy/PolicyParams empty and restrict the search with TuneOptions.Policies")
 	}
 	if opts.EpochOps > 0 {
