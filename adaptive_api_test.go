@@ -140,7 +140,7 @@ func TestMeasureAdaptiveMatchesSerialLegs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := opts.coreConfig()
+		cfg, _, err := opts.coreConfig(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

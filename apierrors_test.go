@@ -4,6 +4,10 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"mnemo/internal/core"
+	"mnemo/internal/experiments"
+	"mnemo/internal/server"
 )
 
 // tinyAPIWorkload is the smallest workload the error-path tests profile.
@@ -46,7 +50,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"MAD without min runs", Options{OutlierMAD: 3.5}, "MinRuns"},
 		{"negative shards", Options{Shards: -1}, "Shards"},
 		{"shards above max", Options{Shards: 257}, "Shards"},
-		{"negative virtual nodes", Options{VirtualNodes: -1}, "VirtualNodes"},
 		{"negative crash prob", Options{Fault: FaultSpec{CrashProb: -0.1}}, "CrashProb"},
 		{"crash prob above 1", Options{Fault: FaultSpec{CrashProb: 1.5}}, "CrashProb"},
 		{"straggler prob above 1", Options{Fault: FaultSpec{StragglerProb: 2}}, "StragglerProb"},
@@ -85,6 +88,119 @@ func TestOptionsValidation(t *testing.T) {
 	// PriceFactor 1 is the edge of the legal (0,1] range.
 	if _, err := Profile(w, Options{PriceFactor: 1}); err != nil {
 		t.Fatalf("PriceFactor 1 rejected: %v", err)
+	}
+}
+
+// TestKnobTableThreeEntryPoints drives one table of bad run-knob values
+// through the three places a run knob is set: Options (via Profile),
+// experiments.Scale and core.Config. Every entry point that exposes a
+// knob must reject it with an error naming the same exported field —
+// the rule is written once, in core.Config.Validate and the validators
+// it calls.
+func TestKnobTableThreeEntryPoints(t *testing.T) {
+	w := tinyAPIWorkload(t)
+	type (
+		optsMut  func(*Options)
+		scaleMut func(*experiments.Scale)
+		coreMut  func(*core.Config)
+	)
+	cases := []struct {
+		name, want string
+		opts       optsMut
+		scale      scaleMut // nil: experiments.Scale does not expose the knob
+		core       coreMut
+	}{
+		{"runs", "Runs",
+			func(o *Options) { o.Runs = -1 },
+			func(s *experiments.Scale) { s.Runs = -1 },
+			func(c *core.Config) { c.Runs = -1 }},
+		{"price factor", "PriceFactor",
+			func(o *Options) { o.PriceFactor = 1.5 },
+			nil,
+			func(c *core.Config) { c.PriceFactor = 1.5 }},
+		{"fault prob", "FailProb",
+			func(o *Options) { o.Fault.FailProb = 2 },
+			func(s *experiments.Scale) { s.Fault.FailProb = 2 },
+			func(c *core.Config) { c.Server.Fault.FailProb = 2 }},
+		{"run timeout", "RunTimeout",
+			func(o *Options) { o.RunTimeout = -1 },
+			func(s *experiments.Scale) { s.RunTimeout = -1 },
+			func(c *core.Config) { c.Server.RunTimeout = -1 }},
+		{"shards", "Shards",
+			func(o *Options) { o.Shards = 257 },
+			func(s *experiments.Scale) { s.Shards = 257 },
+			func(c *core.Config) { c.Server.Shards = 257 }},
+		{"epoch ops", "EpochOps",
+			func(o *Options) { o.EpochOps = -1 },
+			func(s *experiments.Scale) { s.EpochOps = -1 },
+			func(c *core.Config) { c.Server.EpochOps = -1 }},
+		{"migration cost", "MigrationCostPerByte",
+			func(o *Options) { o.MigrationCostPerByte = -0.5 },
+			func(s *experiments.Scale) { s.MigrationCostPerByte = -0.5 },
+			func(c *core.Config) { c.Server.MigrationCostPerByte = -0.5 }},
+		{"migration budget", "MigrationBudget",
+			func(o *Options) { o.MigrationBudget = -1 },
+			func(s *experiments.Scale) { s.MigrationBudget = -1 },
+			func(c *core.Config) { c.Server.MigrationBudget = -1 }},
+		{"retries", "Retries",
+			func(o *Options) { o.Retries = -1 },
+			nil,
+			func(c *core.Config) { c.Resilience.Retries = -1 }},
+		{"min runs", "MinRuns",
+			func(o *Options) { o.MinRuns = -1 },
+			nil,
+			func(c *core.Config) { c.Resilience.MinRuns = -1 }},
+		{"outlier MAD", "OutlierMAD",
+			func(o *Options) { o.OutlierMAD = -1 },
+			nil,
+			func(c *core.Config) { c.Resilience.OutlierMAD = -1 }},
+		{"outlier MAD in strict mode", "MinRuns ≥ 1",
+			func(o *Options) { o.OutlierMAD = 3.5 },
+			nil,
+			func(c *core.Config) { c.Resilience.OutlierMAD = 3.5 }},
+		{"shard retries", "ShardRetries",
+			func(o *Options) { o.Shards, o.ShardRetries = 2, -1 },
+			func(s *experiments.Scale) { s.Shards, s.ShardRetries = 2, -1 },
+			func(c *core.Config) { c.Server.Shards, c.Resilience.ShardRetries = 2, -1 }},
+		{"shard fault budget", "ShardFaultBudget",
+			func(o *Options) { o.Shards, o.ShardFaultBudget = 2, -1 },
+			func(s *experiments.Scale) { s.Shards, s.ShardFaultBudget = 2, -1 },
+			func(c *core.Config) { c.Server.Shards, c.Resilience.ShardFaultBudget = 2, -1 }},
+		{"hedge factor", "HedgeFactor",
+			func(o *Options) { o.Shards, o.HedgeFactor = 2, 0.5 },
+			func(s *experiments.Scale) { s.Shards, s.HedgeFactor = 2, 0.5 },
+			func(c *core.Config) { c.Server.Shards, c.Resilience.HedgeFactor = 2, 0.5 }},
+		{"shard knobs on one shard", "Shards ≥ 2",
+			func(o *Options) { o.Shards, o.HedgeFactor = 1, 2 },
+			func(s *experiments.Scale) { s.Shards, s.HedgeFactor = 1, 2 },
+			func(c *core.Config) { c.Server.Shards, c.Resilience.HedgeFactor = 1, 2 }},
+	}
+	check := func(t *testing.T, entry string, err error, want string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted the bad knob", entry)
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s error %q does not mention %q", entry, err, want)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var opts Options
+			tc.opts(&opts)
+			_, err := Profile(w, opts)
+			check(t, "Profile", err, tc.want)
+
+			cfg := core.DefaultConfig(server.RedisLike, 1)
+			tc.core(&cfg)
+			check(t, "core.Config.Validate", cfg.Validate(), tc.want)
+
+			if tc.scale != nil {
+				s := experiments.Quick
+				tc.scale(&s)
+				check(t, "experiments.Scale.Validate", s.Validate(), tc.want)
+			}
+		})
 	}
 }
 

@@ -349,58 +349,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *quick {
 		scale = experiments.Quick
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be non-negative", *shards)
-	}
 	scale.Shards = *shards
-	if *keys < 0 || *requests < 0 {
-		return fmt.Errorf("-keys/-requests must be non-negative")
-	}
-	if *keys > 0 {
+	// Nonzero overrides go into the scale as given, so Validate below
+	// rejects a negative one.
+	if *keys != 0 {
 		scale.Keys = *keys
 	}
-	if *requests > 0 {
+	if *requests != 0 {
 		scale.Requests = *requests
-	}
-	if *fault < 0 || *fault > 1 {
-		return fmt.Errorf("-fault %v outside [0,1]", *fault)
-	}
-	if *timeout < 0 {
-		return fmt.Errorf("-timeout %v must be non-negative", *timeout)
 	}
 	// Per-class probabilities: -fault sets all three, -fault-<class>
 	// overrides one (≥ 0 wins over the shared default).
-	classProb := func(name string, class float64) (float64, error) {
+	classProb := func(class float64) float64 {
 		if class < 0 {
-			return *fault, nil
+			return *fault
 		}
-		if class > 1 {
-			return 0, fmt.Errorf("-fault-%s %v outside [0,1]", name, class)
-		}
-		return class, nil
+		return class
 	}
-	failP, err := classProb("fail", *faultFail)
-	if err != nil {
-		return err
-	}
-	stallP, err := classProb("stall", *faultStall)
-	if err != nil {
-		return err
-	}
-	outlierP, err := classProb("outlier", *faultOutlier)
-	if err != nil {
-		return err
-	}
-	if *faultShard < 0 || *faultShard > 1 {
-		return fmt.Errorf("-fault-shard %v outside [0,1]", *faultShard)
-	}
-	if *hedge != 0 && *hedge < 1 {
-		return fmt.Errorf("-hedge %v must be 0 (off) or ≥ 1", *hedge)
-	}
-	if (*faultShard > 0 || *hedge > 0) && *shards < 2 {
-		return fmt.Errorf("-fault-shard/-hedge need -shards ≥ 2, got %d", *shards)
-	}
-	if failP > 0 || stallP > 0 || outlierP > 0 || *faultShard > 0 {
+	failP, stallP, outlierP := classProb(*faultFail), classProb(*faultStall), classProb(*faultOutlier)
+	if failP != 0 || stallP != 0 || outlierP != 0 || *faultShard != 0 {
 		scale.Fault = server.FaultSpec{
 			Seed:          *faultSeed,
 			FailProb:      failP,
@@ -415,21 +382,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// default to one in-place retry per shard and a quarter of the
 		// cluster as the fault budget.
 		scale.ShardRetries = 1
-		if b := *shards / 4; b > 0 {
-			scale.ShardFaultBudget = b
-		} else {
-			scale.ShardFaultBudget = 1
-		}
+		scale.ShardFaultBudget = max(*shards/4, 1)
 	}
 	scale.HedgeFactor = *hedge
-	if *epochOps < 0 || *migCost < 0 || *migBudget < 0 {
-		return fmt.Errorf("-epoch-ops/-migration-cost/-migration-budget must be non-negative")
-	}
 	scale.EpochOps = *epochOps
 	scale.MigrationCostPerByte = *migCost
 	scale.MigrationBudget = *migBudget
 	scale.RunTimeout = simclock.Duration(*timeout * float64(simclock.Second))
 	scale.DisableBatchReplay = *noBatch
+	if err := scale.Validate(); err != nil {
+		return err
+	}
 	if *metrics != "" {
 		sink := obs.NewSink()
 		scale.Obs = sink

@@ -117,6 +117,73 @@ func TestAdaptiveBatchedMatchesPerOp(t *testing.T) {
 	}
 }
 
+// TestAdaptiveShardedTelemetryMerged pins the cluster migration ledger:
+// moves, bytes and charged ns are the sums of the shards' own runs,
+// per-epoch rows are summed by epoch index, and Epochs is the longest
+// shard's count.
+func TestAdaptiveShardedTelemetryMerged(t *testing.T) {
+	w := ycsb.MustGenerate(ycsb.Spec{
+		Name: "adaptshard", Keys: 500, Requests: 64_000,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
+		ReadRatio: 0.9, Sizes: ycsb.SizeFixed1KB, Seed: 11,
+	})
+	p := halfFast(w)
+	cfg := server.DefaultConfig(server.RedisLike, 7)
+	cfg.Adaptive = greedySource{}
+	cfg.EpochOps = 4096
+	cfg.MigrationCostPerByte = 0.5
+	cfg.Shards = 4
+	got, err := Execute(cfg, w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sd, err := server.NewShardedDeployment(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	var want RunStats
+	perEpoch := map[int]EpochTraffic{}
+	for s := 0; s < sd.Shards(); s++ {
+		st, err := RunCtx(context.Background(), sd.Dep(s), sd.Sub(s), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Epochs = max(want.Epochs, st.Epochs)
+		want.MovesApplied += st.MovesApplied
+		want.MigratedBytes += st.MigratedBytes
+		want.MigrationNs += st.MigrationNs
+		for _, row := range st.EpochTraffic {
+			sum := perEpoch[row.Epoch]
+			sum.Epoch = row.Epoch
+			sum.Moves += row.Moves
+			sum.Bytes += row.Bytes
+			sum.CostNs += row.CostNs
+			perEpoch[row.Epoch] = sum
+		}
+	}
+	if want.Epochs < 2 || want.MovesApplied == 0 {
+		t.Fatalf("shards did not adapt: %+v", want)
+	}
+	if got.Epochs != want.Epochs || got.MovesApplied != want.MovesApplied ||
+		got.MigratedBytes != want.MigratedBytes || got.MigrationNs != want.MigrationNs {
+		t.Fatalf("merged telemetry %d epochs, %d moves, %d B, %v ns; shards give %d, %d, %d, %v",
+			got.Epochs, got.MovesApplied, got.MigratedBytes, got.MigrationNs,
+			want.Epochs, want.MovesApplied, want.MigratedBytes, want.MigrationNs)
+	}
+	if len(got.EpochTraffic) != len(perEpoch) {
+		t.Fatalf("merged %d epoch rows, shards cover %d epochs", len(got.EpochTraffic), len(perEpoch))
+	}
+	for _, row := range got.EpochTraffic {
+		if row != perEpoch[row.Epoch] {
+			t.Fatalf("epoch %d: merged %+v, shard sum %+v", row.Epoch, row, perEpoch[row.Epoch])
+		}
+	}
+}
+
 // TestAdaptiveTelemetry checks the migration ledger adds up: epoch count
 // covers the trace, per-epoch traffic sums to the run totals, and the
 // simulated cost charge matches bytes × cost.

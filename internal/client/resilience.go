@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"time"
 
 	"mnemo/internal/obs"
 	"mnemo/internal/pool"
@@ -22,18 +20,16 @@ import (
 var ErrRunTimeout = errors.New("client: run exceeded simulated time budget")
 
 // Policy configures graceful degradation of repeated measurement runs:
-// bounded retry with capped exponential backoff for runs that fail or
-// stall, and median-absolute-deviation rejection of runs that complete
-// with outlier runtimes. The zero value is the strict legacy behavior —
+// bounded, immediate retry for runs that fail or stall, and
+// median-absolute-deviation rejection of runs that complete with
+// outlier runtimes. The zero value is the strict legacy behavior —
 // no retries, no rejection, any failed repetition aborts the aggregate.
 type Policy struct {
 	// Retries is the extra attempts allowed per repetition after a
-	// failure; each attempt re-rolls the measurement seed.
+	// failure; each attempt re-rolls the measurement seed. A retry re-runs
+	// a deterministic in-process simulation, so it starts immediately:
+	// there is no remote state to wait out.
 	Retries int
-	// BackoffBase and BackoffCap bound the capped exponential wall-clock
-	// backoff between attempts (defaults 1ms and 50ms). The jitter is
-	// drawn from a seeded stream, so retry schedules are reproducible.
-	BackoffBase, BackoffCap time.Duration
 	// MinRuns is the minimum surviving repetitions required for the
 	// aggregate; ≤ 0 keeps strict mode (all must survive, and outlier
 	// rejection is disabled). With MinRuns ≥ 1 the aggregate degrades to
@@ -70,41 +66,40 @@ type Policy struct {
 	HedgeFactor float64
 }
 
-// Validate rejects malformed policies with descriptive errors.
+// Validate rejects malformed policies with errors naming the field.
 func (p Policy) Validate() error {
 	if p.Retries < 0 {
-		return fmt.Errorf("client: policy retries %d must be non-negative", p.Retries)
+		return fmt.Errorf("client: Retries %d must be non-negative", p.Retries)
 	}
-	if p.BackoffBase < 0 || p.BackoffCap < 0 {
-		return fmt.Errorf("client: policy backoff (base %v, cap %v) must be non-negative",
-			p.BackoffBase, p.BackoffCap)
+	if p.MinRuns < 0 {
+		return fmt.Errorf("client: MinRuns %d must be non-negative (0 means strict)", p.MinRuns)
 	}
 	if p.OutlierMAD < 0 {
-		return fmt.Errorf("client: policy outlier MAD gate %v must be non-negative", p.OutlierMAD)
+		return fmt.Errorf("client: OutlierMAD %v must be non-negative", p.OutlierMAD)
+	}
+	if p.OutlierMAD > 0 && p.MinRuns == 0 {
+		return fmt.Errorf("client: OutlierMAD %v requires MinRuns ≥ 1 (strict mode cannot drop runs)", p.OutlierMAD)
 	}
 	if p.ShardRetries < 0 {
-		return fmt.Errorf("client: policy shard retries %d must be non-negative", p.ShardRetries)
+		return fmt.Errorf("client: ShardRetries %d must be non-negative", p.ShardRetries)
 	}
 	if p.ShardFaultBudget < 0 {
-		return fmt.Errorf("client: policy shard fault budget %d must be non-negative", p.ShardFaultBudget)
+		return fmt.Errorf("client: ShardFaultBudget %d must be non-negative", p.ShardFaultBudget)
 	}
 	if p.HedgeFactor != 0 && p.HedgeFactor < 1 {
-		return fmt.Errorf("client: policy hedge factor %v must be 0 (disabled) or ≥ 1", p.HedgeFactor)
+		return fmt.Errorf("client: HedgeFactor %v must be 0 (disabled) or ≥ 1", p.HedgeFactor)
 	}
 	return nil
 }
 
-// shardFaultDomains reports whether any shard fault-domain remediation
+// ShardFaultDomains reports whether any shard fault-domain remediation
 // is enabled; false keeps the sharded path on its legacy all-or-nothing
 // behavior, bit-identical to the pre-fault-domain client.
-func (p Policy) shardFaultDomains() bool {
+func (p Policy) ShardFaultDomains() bool {
 	return p.ShardRetries > 0 || p.ShardFaultBudget > 0 || p.HedgeFactor > 0
 }
 
 const (
-	defaultBackoffBase = time.Millisecond
-	defaultBackoffCap  = 50 * time.Millisecond
-
 	// runSeedStride decorrelates repetitions (the legacy stride — it must
 	// not change, or aggregates stop being bit-identical to the seed
 	// repo's) and attemptSeedStride decorrelates retry attempts of one
@@ -112,46 +107,6 @@ const (
 	runSeedStride     = 1009
 	attemptSeedStride = 15485863
 )
-
-// backoffDelay computes the capped exponential delay before retry
-// `attempt` (0-based), with seeded jitter in [delay/2, delay].
-func (p Policy) backoffDelay(attempt int, jitter *rand.Rand) time.Duration {
-	base, cap := p.BackoffBase, p.BackoffCap
-	if base == 0 {
-		base = defaultBackoffBase
-	}
-	if cap == 0 {
-		cap = defaultBackoffCap
-	}
-	d := base
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + time.Duration(jitter.Int63n(int64(half)+1))
-}
-
-// sleepBackoff waits for d, returning early with ctx's error when the
-// context is cancelled.
-func sleepBackoff(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
 
 // repOutcome is one repetition's final state after retries.
 type repOutcome struct {
@@ -207,7 +162,6 @@ func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Wor
 // so attempt 0 reproduces the legacy seed schedule exactly and every
 // retry is a fresh, deterministic re-measurement.
 func executeRepetition(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement, i int, pol Policy, r *meanRunner) repOutcome {
-	jitter := rand.New(rand.NewSource(cfg.Seed*2654435761 + int64(i)))
 	var out repOutcome
 	for attempt := 0; ; attempt++ {
 		c := cfg
@@ -228,9 +182,6 @@ func executeRepetition(ctx context.Context, cfg server.Config, w *ycsb.Workload,
 		out.retries++
 		cfg.Obs.Counter("mnemo_client_run_retries_total").Inc()
 		cfg.Obs.Eventf(obs.EventRetry, "client", 0, "repetition %d attempt %d failed: %v", i, attempt, err)
-		if serr := sleepBackoff(ctx, pol.backoffDelay(attempt, jitter)); serr != nil {
-			return out
-		}
 	}
 }
 

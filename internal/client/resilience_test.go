@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -23,12 +22,6 @@ func resWorkload() *ycsb.Workload {
 	})
 }
 
-func fastPolicyBackoff(p Policy) Policy {
-	p.BackoffBase = time.Microsecond
-	p.BackoffCap = 10 * time.Microsecond
-	return p
-}
-
 func TestPolicyValidate(t *testing.T) {
 	good := []Policy{{}, {Retries: 3, MinRuns: 1, OutlierMAD: 3.5}}
 	for _, p := range good {
@@ -38,35 +31,14 @@ func TestPolicyValidate(t *testing.T) {
 	}
 	bad := []Policy{
 		{Retries: -1},
-		{BackoffBase: -time.Second},
-		{BackoffCap: -time.Second},
+		{MinRuns: -1},
 		{OutlierMAD: -1},
+		{OutlierMAD: 3.5},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%+v: accepted", p)
 		}
-	}
-}
-
-func TestBackoffDelayCappedAndJittered(t *testing.T) {
-	pol := Policy{BackoffBase: time.Millisecond, BackoffCap: 8 * time.Millisecond}
-	jitter := rand.New(rand.NewSource(1))
-	prevMax := time.Duration(0)
-	for attempt := 0; attempt < 10; attempt++ {
-		d := pol.backoffDelay(attempt, jitter)
-		if d > pol.BackoffCap {
-			t.Fatalf("attempt %d: delay %v exceeds cap", attempt, d)
-		}
-		if d <= 0 {
-			t.Fatalf("attempt %d: non-positive delay %v", attempt, d)
-		}
-		if d > prevMax {
-			prevMax = d
-		}
-	}
-	if prevMax < pol.BackoffCap/2 {
-		t.Fatalf("delays never grew toward the cap (max %v)", prevMax)
 	}
 }
 
@@ -123,7 +95,7 @@ func TestExecuteMeanCtxRetryRecovers(t *testing.T) {
 	w := resWorkload()
 	cfg := server.DefaultConfig(server.RedisLike, 11)
 	cfg.Fault = server.FaultSpec{Seed: 9, FailProb: 0.5}
-	pol := fastPolicyBackoff(Policy{Retries: 8, MinRuns: 1})
+	pol := Policy{Retries: 8, MinRuns: 1}
 	st, err := ExecuteMeanCtx(context.Background(), cfg, w, server.AllFast(), 8, 1, pol)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +198,7 @@ func TestExecuteMeanCtxDeterministicAcrossWorkers(t *testing.T) {
 	w := resWorkload()
 	cfg := server.DefaultConfig(server.DynamoLike, 53)
 	cfg.Fault = server.FaultSpec{Seed: 31, FailProb: 0.2, OutlierProb: 0.2, OutlierFactor: 20}
-	pol := fastPolicyBackoff(Policy{Retries: 2, MinRuns: 1, OutlierMAD: 3.5})
+	pol := Policy{Retries: 2, MinRuns: 1, OutlierMAD: 3.5}
 	var ref RunStats
 	for i, workers := range []int{1, 2, 4, 7} {
 		st, err := ExecuteMeanCtx(context.Background(), cfg, w, server.AllFast(), 6, workers, pol)

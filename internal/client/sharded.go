@@ -44,7 +44,7 @@ func executeShardedFresh(ctx context.Context, cfg server.Config, w *ycsb.Workloa
 	// On the fault-domain path a fail-fated shard is a per-shard matter
 	// (retried, then charged to the shard fault budget), not a
 	// connect-time cluster failure.
-	if !pol.shardFaultDomains() || sd.Shards() == 1 {
+	if !pol.ShardFaultDomains() || sd.Shards() == 1 {
 		if err := sd.InjectedFailure(); err != nil {
 			sink.Counter("mnemo_client_run_failures_total").Inc()
 			return RunStats{}, nil, err
@@ -71,7 +71,7 @@ func executeShardedReused(ctx context.Context, cfg server.Config, w *ycsb.Worklo
 	if !sd.ResetRun(cfg.Seed) {
 		return RunStats{}, fmt.Errorf("client: cached cluster lost its run snapshot")
 	}
-	if !pol.shardFaultDomains() || sd.Shards() == 1 {
+	if !pol.ShardFaultDomains() || sd.Shards() == 1 {
 		if err := sd.InjectedFailure(); err != nil {
 			sink.Counter("mnemo_client_run_failures_total").Inc()
 			return RunStats{}, err
@@ -150,7 +150,7 @@ func runSharded(ctx context.Context, cfg server.Config, sd *server.ShardedDeploy
 	errs := make([]error, n)
 	retries := make([]int, n)
 	ctx = pool.EnsureBudget(ctx)
-	faultDomains := pol.shardFaultDomains()
+	faultDomains := pol.ShardFaultDomains()
 	if perr := pool.RunObs(ctx, n, n, cfg.Obs, func(s int) {
 		if faultDomains {
 			per[s], retries[s], errs[s] = runShardAttempts(ctx, cfg, sd, s, pol)
@@ -323,7 +323,10 @@ func hedgeStragglers(ctx context.Context, cfg server.Config, sd *server.ShardedD
 // is max-over-shards (the scatter-gather completes with its slowest
 // shard) and throughput is total requests over that makespan. The LLC
 // hit rate is the request-weighted mean, which equals total hits over
-// total accesses.
+// total accesses. Migration telemetry sums (moves, bytes and charged ns
+// are cluster totals), per-epoch rows merge by epoch index, and Epochs
+// is the most any shard served: shards cut epochs on their own
+// sub-traces, so the longest one sets the cluster's epoch count.
 func mergeShardRuns(per []RunStats) RunStats {
 	agg := RunStats{
 		Workload: per[0].Workload,
@@ -341,6 +344,11 @@ func mergeShardRuns(per []RunStats) RunStats {
 		agg.ReadLatency = mergeHistograms(agg.ReadLatency, st.ReadLatency)
 		agg.WriteLatency = mergeHistograms(agg.WriteLatency, st.WriteLatency)
 		hitWeighted += st.LLCHitRate * float64(st.Requests)
+		agg.Epochs = max(agg.Epochs, st.Epochs)
+		agg.MovesApplied += st.MovesApplied
+		agg.MigratedBytes += st.MigratedBytes
+		agg.MigrationNs += st.MigrationNs
+		agg.EpochTraffic = mergeEpochTraffic(agg.EpochTraffic, st.EpochTraffic)
 	}
 	if agg.Runtime > 0 {
 		agg.ThroughputOpsSec = float64(agg.Requests) / agg.Runtime.Seconds()

@@ -247,7 +247,6 @@ func measurementKey(whash uint64, cfg Config) uint64 {
 	x.u64(uint64(s.RunTimeout))
 	x.bool(s.DisableBatchReplay)
 	x.u64(uint64(s.Shards))
-	x.u64(uint64(s.VirtualNodes))
 	x.u64(uint64(s.EpochOps))
 	x.f64(s.MigrationCostPerByte)
 	x.u64(uint64(s.MigrationBudget))
@@ -264,8 +263,6 @@ func measurementKey(whash uint64, cfg Config) uint64 {
 
 	r := cfg.Resilience
 	x.u64(uint64(r.Retries))
-	x.u64(uint64(r.BackoffBase))
-	x.u64(uint64(r.BackoffCap))
 	x.u64(uint64(r.MinRuns))
 	x.f64(r.OutlierMAD)
 	x.u64(uint64(r.ShardRetries))

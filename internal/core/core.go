@@ -17,7 +17,6 @@ import (
 	"mnemo/internal/client"
 	"mnemo/internal/costmodel"
 	"mnemo/internal/server"
-	"mnemo/internal/shard"
 	"mnemo/internal/simclock"
 )
 
@@ -152,45 +151,38 @@ type Config struct {
 	Resilience client.Policy
 }
 
+// Validate rejects malformed run knobs with errors naming the field. Each
+// knob group is checked by the layer that owns it — server.Config and
+// client.Policy — and Validate adds Runs, PriceFactor and the one rule
+// spanning both groups. Zero values are the defaults and always pass.
+func (c Config) Validate() error {
+	if c.Runs < 0 {
+		return fmt.Errorf("core: Runs %d must be non-negative (0 means the default of 1)", c.Runs)
+	}
+	if c.PriceFactor < 0 || c.PriceFactor > 1 {
+		return fmt.Errorf("core: PriceFactor %v outside (0,1] (0 means the paper's %v)", c.PriceFactor, costmodel.DefaultPriceFactor)
+	}
+	if err := c.Server.Validate(); err != nil {
+		return err
+	}
+	if err := c.Resilience.Validate(); err != nil {
+		return err
+	}
+	if c.Resilience.ShardFaultDomains() && c.Server.Shards < 2 {
+		return fmt.Errorf("core: shard fault-domain knobs (ShardRetries/ShardFaultBudget/HedgeFactor) require Shards ≥ 2, got Shards %d", c.Server.Shards)
+	}
+	return nil
+}
+
 // normalized applies defaults and validates.
 func (c Config) normalized() (Config, error) {
 	if c.Runs == 0 {
 		c.Runs = 1
 	}
-	if c.Runs < 0 {
-		return c, fmt.Errorf("core: runs %d must be positive", c.Runs)
-	}
 	if c.PriceFactor == 0 {
 		c.PriceFactor = costmodel.DefaultPriceFactor
 	}
-	if c.PriceFactor <= 0 || c.PriceFactor > 1 {
-		return c, fmt.Errorf("core: price factor %v outside (0,1]", c.PriceFactor)
-	}
-	if err := c.Server.Fault.Validate(); err != nil {
-		return c, err
-	}
-	if c.Server.RunTimeout < 0 {
-		return c, fmt.Errorf("core: run timeout %v must be non-negative", c.Server.RunTimeout)
-	}
-	if c.Server.Shards < 0 || c.Server.Shards > shard.MaxShards {
-		return c, fmt.Errorf("core: shards %d outside [0,%d]", c.Server.Shards, shard.MaxShards)
-	}
-	if c.Server.VirtualNodes < 0 {
-		return c, fmt.Errorf("core: virtual nodes %d must be non-negative", c.Server.VirtualNodes)
-	}
-	if c.Server.EpochOps < 0 {
-		return c, fmt.Errorf("core: epoch ops %d must be non-negative", c.Server.EpochOps)
-	}
-	if c.Server.MigrationCostPerByte < 0 {
-		return c, fmt.Errorf("core: migration cost %v ns/byte must be non-negative", c.Server.MigrationCostPerByte)
-	}
-	if c.Server.MigrationBudget < 0 {
-		return c, fmt.Errorf("core: migration budget %d bytes must be non-negative", c.Server.MigrationBudget)
-	}
-	if err := c.Resilience.Validate(); err != nil {
-		return c, err
-	}
-	return c, nil
+	return c, c.Validate()
 }
 
 // DefaultConfig returns a profiling config for the engine with the

@@ -28,11 +28,10 @@ const clusterHotKeys = 64
 // shards, how much FastMem does each shard need to stay within the
 // slowdown SLO — and does the merged sharded measurement confirm it?
 type ClusterSweepResult struct {
-	Workload     string
-	Engine       string
-	Shards       int
-	VirtualNodes int
-	SLO          float64
+	Workload string
+	Engine   string
+	Shards   int
+	SLO      float64
 
 	// Advice is the curve advisor's cluster-wide sweet spot (cheapest
 	// sizing within the SLO), measured over the sharded replay.
@@ -84,13 +83,12 @@ func ClusterSweep(scale Scale, seed int64) (*ClusterSweepResult, error) {
 		return nil, err
 	}
 	res := &ClusterSweepResult{
-		Workload:     w.Spec.Name,
-		Engine:       engineLabel(engine),
-		Shards:       scale.Shards,
-		VirtualNodes: shard.DefaultVirtualNodes,
-		SLO:          SLO,
-		Advice:       *rep.Advice,
-		TotalBytes:   rep.Ordering.TotalBytes(),
+		Workload:   w.Spec.Name,
+		Engine:     engineLabel(engine),
+		Shards:     scale.Shards,
+		SLO:        SLO,
+		Advice:     *rep.Advice,
+		TotalBytes: rep.Ordering.TotalBytes(),
 	}
 
 	// Lay the advised placement out over the ring. The partition is the
@@ -179,6 +177,6 @@ func (r *ClusterSweepResult) Render(w io.Writer) error {
 		}
 	}
 	return report.ShardTable(
-		fmt.Sprintf("Per-shard layout (%d virtual nodes per shard)", r.VirtualNodes),
+		fmt.Sprintf("Per-shard layout (%d virtual nodes per shard)", shard.DefaultVirtualNodes),
 		r.PerShard, costmodel.DefaultPriceFactor).Render(w)
 }

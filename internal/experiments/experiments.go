@@ -16,7 +16,6 @@ import (
 	"mnemo/internal/core"
 	"mnemo/internal/obs"
 	"mnemo/internal/server"
-	"mnemo/internal/shard"
 	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
 )
@@ -78,40 +77,22 @@ var Full = Scale{Name: "full", Keys: 10_000, Requests: 100_000, Runs: 1, CurveSa
 // Quick is a 10×-reduced scale for tests and benchmarks.
 var Quick = Scale{Name: "quick", Keys: 1_000, Requests: 10_000, Runs: 1, CurveSamples: 4}
 
-// Validate checks the scale.
+// Validate checks the scale's own dimensions, then every run knob
+// through the profiling config it builds (core.Config.Validate), so a
+// rejected knob is named exactly as in server.Config and client.Policy.
 func (s Scale) Validate() error {
-	if s.Keys <= 0 || s.Requests <= 0 || s.Runs <= 0 || s.CurveSamples <= 0 {
-		return fmt.Errorf("experiments: invalid scale %+v", s)
+	for _, d := range []struct {
+		name string
+		v    int
+	}{{"Keys", s.Keys}, {"Requests", s.Requests}, {"Runs", s.Runs}, {"CurveSamples", s.CurveSamples}} {
+		if d.v <= 0 {
+			return fmt.Errorf("experiments: scale %s %d must be positive", d.name, d.v)
+		}
 	}
-	if err := s.Fault.Validate(); err != nil {
-		return err
-	}
-	if s.RunTimeout < 0 {
-		return fmt.Errorf("experiments: run timeout %v must be non-negative", s.RunTimeout)
-	}
-	if s.Shards < 0 || s.Shards > shard.MaxShards {
-		return fmt.Errorf("experiments: shards %d outside [0,%d]", s.Shards, shard.MaxShards)
-	}
-	if s.ShardRetries < 0 || s.ShardFaultBudget < 0 {
-		return fmt.Errorf("experiments: shard retries %d and fault budget %d must be non-negative",
-			s.ShardRetries, s.ShardFaultBudget)
-	}
-	if s.HedgeFactor != 0 && s.HedgeFactor < 1 {
-		return fmt.Errorf("experiments: hedge factor %v must be 0 (disabled) or ≥ 1", s.HedgeFactor)
-	}
-	if (s.ShardRetries > 0 || s.ShardFaultBudget > 0 || s.HedgeFactor > 0) && s.Shards < 2 {
-		return fmt.Errorf("experiments: shard fault-domain knobs require shards ≥ 2, got %d", s.Shards)
-	}
-	if s.EpochOps < 0 {
-		return fmt.Errorf("experiments: epoch ops %d must be non-negative", s.EpochOps)
-	}
-	if s.MigrationCostPerByte < 0 {
-		return fmt.Errorf("experiments: migration cost %v ns/byte must be non-negative", s.MigrationCostPerByte)
-	}
-	if s.MigrationBudget < 0 {
-		return fmt.Errorf("experiments: migration budget %d bytes must be non-negative", s.MigrationBudget)
-	}
-	return nil
+	cfg := s.coreConfig(server.RedisLike, 0)
+	// Only AdaptiveCompare reads EpochOps, so coreConfig leaves it unset.
+	cfg.Server.EpochOps = s.EpochOps
+	return cfg.Validate()
 }
 
 // workload generates a Table III workload at this scale.

@@ -23,6 +23,7 @@ import (
 	"mnemo/internal/kvstore/treekv"
 	"mnemo/internal/memsim"
 	"mnemo/internal/obs"
+	"mnemo/internal/shard"
 	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
 )
@@ -124,9 +125,6 @@ type Config struct {
 	// ShardedDeployment (Shards=1 is a one-shard cluster, bit-identical
 	// to the single deployment — the golden equivalence anchor).
 	Shards int
-	// VirtualNodes is the ring points per shard
-	// (0 = shard.DefaultVirtualNodes).
-	VirtualNodes int
 	// EpochOps is the adaptive-replay epoch length in requests; the
 	// client re-consults Adaptive after every EpochOps served requests.
 	// 0 — the zero value — disables epochs and keeps the static replay
@@ -147,6 +145,30 @@ type Config struct {
 // DefaultConfig returns the Table I machine with default noise.
 func DefaultConfig(e Engine, seed int64) Config {
 	return Config{Engine: e, Machine: memsim.DefaultConfig(), NoiseSigma: DefaultNoiseSigma, Seed: seed}
+}
+
+// Validate rejects malformed run knobs with errors naming the field. Zero
+// values are the defaults and always pass.
+func (c Config) Validate() error {
+	if err := c.Fault.Validate(); err != nil {
+		return err
+	}
+	if c.RunTimeout < 0 {
+		return fmt.Errorf("server: RunTimeout %v must be non-negative (0 disables it)", c.RunTimeout)
+	}
+	if c.Shards < 0 || c.Shards > shard.MaxShards {
+		return fmt.Errorf("server: Shards %d outside [0,%d] (0 means a single deployment)", c.Shards, shard.MaxShards)
+	}
+	if c.EpochOps < 0 {
+		return fmt.Errorf("server: EpochOps %d must be non-negative (0 disables adaptive replay)", c.EpochOps)
+	}
+	if c.MigrationCostPerByte < 0 {
+		return fmt.Errorf("server: MigrationCostPerByte %v ns/byte must be non-negative", c.MigrationCostPerByte)
+	}
+	if c.MigrationBudget < 0 {
+		return fmt.Errorf("server: MigrationBudget %d bytes must be non-negative (0 means unlimited)", c.MigrationBudget)
+	}
+	return nil
 }
 
 // Deployment is two engine instances on the hybrid machine with a

@@ -53,28 +53,19 @@ func (cfg Config) shardConfig(s int) Config {
 	c := cfg
 	c.Seed = cfg.Seed + int64(s)*shardSeedStride
 	c.Shards = 0
-	c.VirtualNodes = 0
 	return c
 }
 
 // NewShardedDeployment partitions the workload over cfg.Shards shards
-// (cfg.VirtualNodes ring points each) and builds one empty member
+// (shard.DefaultVirtualNodes ring points each) and builds one empty member
 // deployment per shard. Partitioning is cached across clusters of the
 // same workload and shape; per-shard noise and fault fates are rolled
 // from the shard seeds at construction, like NewDeployment.
 func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("server: sharded deployment needs Shards ≥ 1, got %d", cfg.Shards)
-	}
-	if cfg.Shards > shard.MaxShards {
-		return nil, fmt.Errorf("server: sharded deployment supports at most %d shards, got %d", shard.MaxShards, cfg.Shards)
-	}
-	if cfg.VirtualNodes < 0 {
-		return nil, fmt.Errorf("server: sharded deployment needs VirtualNodes ≥ 0 (0 = default %d), got %d", shard.DefaultVirtualNodes, cfg.VirtualNodes)
-	}
 	// Replay reads a sub-trace as frames, whichever path serves them, so
-	// no shard needs Ops materialized.
-	part, err := shard.For(w, cfg.Shards, cfg.VirtualNodes, false)
+	// no shard needs Ops materialized. For rejects a shard count outside
+	// [1, shard.MaxShards].
+	part, err := shard.For(w, cfg.Shards, shard.DefaultVirtualNodes, false)
 	if err != nil {
 		return nil, err
 	}

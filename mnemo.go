@@ -34,7 +34,6 @@ import (
 	"mnemo/internal/pool"
 	"mnemo/internal/registry"
 	"mnemo/internal/server"
-	"mnemo/internal/shard"
 	"mnemo/internal/simclock"
 	"mnemo/internal/trace"
 	"mnemo/internal/ycsb"
@@ -206,8 +205,8 @@ type Options struct {
 	// ErrRunTimeout. 0 disables the bound.
 	RunTimeout Duration
 	// Retries is how many times a failed measurement run is re-attempted
-	// (with a re-rolled seed and capped exponential backoff) before the
-	// repetition counts as lost.
+	// (immediately, with a re-rolled seed) before the repetition counts
+	// as lost.
 	Retries int
 	// MinRuns, when ≥ 1, lets baselines degrade gracefully: an aggregate
 	// is reported from the surviving repetitions (flagged via
@@ -232,9 +231,6 @@ type Options struct {
 	// DESIGN.md §13). 0 keeps the single deployment; Shards=1 routes
 	// through the cluster machinery and is bit-identical to 0.
 	Shards int
-	// VirtualNodes is the consistent-hash ring points per shard
-	// (0 = the shard package default of 64).
-	VirtualNodes int
 	// ShardRetries, with Shards ≥ 2, retries a shard that hits an
 	// injected fail, crash or timeout fault in place (rewinding just
 	// that member under a re-rolled seed) up to N extra attempts before
@@ -269,96 +265,73 @@ type Options struct {
 	MigrationBudget int64
 }
 
-// validate rejects malformed options with descriptive errors before any
-// measurement is attempted.
-func (o Options) validate() error {
+// coreConfig validates the options and assembles the core config
+// together with the tiering policy, resolved once and counted against
+// sink (nil leaves the resolution uncounted). It checks only the
+// facade's own rules; every range rule on a run knob is
+// core.Config.Validate's, so the knob names in its errors are the
+// Options field names.
+func (o Options) coreConfig(sink *Sink) (core.Config, core.TieringPolicy, error) {
 	if _, ok := EngineByName(o.Store.String()); !ok {
-		return fmt.Errorf("mnemo: unknown store engine %v", o.Store)
-	}
-	if o.Runs < 0 {
-		return fmt.Errorf("mnemo: Runs %d must be non-negative (0 means the default of 1)", o.Runs)
-	}
-	if o.PriceFactor < 0 || o.PriceFactor > 1 {
-		return fmt.Errorf("mnemo: PriceFactor %v outside (0,1] (0 means the paper's %v)",
-			o.PriceFactor, DefaultPriceFactor)
+		return core.Config{}, nil, fmt.Errorf("mnemo: unknown store engine %v", o.Store)
 	}
 	if o.SLO < 0 {
-		return fmt.Errorf("mnemo: SLO %v must be non-negative (0 disables the advisor)", o.SLO)
+		return core.Config{}, nil, fmt.Errorf("mnemo: SLO %v must be non-negative (0 disables the advisor)", o.SLO)
 	}
-	if _, err := o.policy(); err != nil {
-		return err
-	}
-	if err := o.Fault.Validate(); err != nil {
-		return fmt.Errorf("mnemo: %w", err)
-	}
-	if o.RunTimeout < 0 {
-		return fmt.Errorf("mnemo: RunTimeout %v must be non-negative (0 disables it)", o.RunTimeout)
-	}
-	if o.Shards < 0 || o.Shards > shard.MaxShards {
-		return fmt.Errorf("mnemo: Shards %d outside [0,%d] (0 means a single deployment)",
-			o.Shards, shard.MaxShards)
-	}
-	if o.VirtualNodes < 0 {
-		return fmt.Errorf("mnemo: VirtualNodes %d must be non-negative (0 means the default)", o.VirtualNodes)
-	}
-	if o.Retries < 0 {
-		return fmt.Errorf("mnemo: Retries %d must be non-negative", o.Retries)
-	}
-	if o.MinRuns < 0 {
-		return fmt.Errorf("mnemo: MinRuns %d must be non-negative (0 means strict)", o.MinRuns)
-	}
-	if o.OutlierMAD < 0 {
-		return fmt.Errorf("mnemo: OutlierMAD %v must be non-negative", o.OutlierMAD)
-	}
-	if o.OutlierMAD > 0 && o.MinRuns == 0 {
-		return fmt.Errorf("mnemo: OutlierMAD %v requires MinRuns ≥ 1 (strict mode cannot drop runs)", o.OutlierMAD)
-	}
-	if o.ShardRetries < 0 {
-		return fmt.Errorf("mnemo: ShardRetries %d must be non-negative", o.ShardRetries)
-	}
-	if o.ShardFaultBudget < 0 {
-		return fmt.Errorf("mnemo: ShardFaultBudget %d must be non-negative", o.ShardFaultBudget)
-	}
-	if o.HedgeFactor != 0 && o.HedgeFactor < 1 {
-		return fmt.Errorf("mnemo: HedgeFactor %v must be 0 (disabled) or ≥ 1", o.HedgeFactor)
-	}
-	if (o.ShardRetries > 0 || o.ShardFaultBudget > 0 || o.HedgeFactor > 0) && o.Shards < 2 {
-		return fmt.Errorf("mnemo: shard fault-domain knobs (ShardRetries/ShardFaultBudget/HedgeFactor) require Shards ≥ 2, got Shards %d", o.Shards)
-	}
-	if o.EpochOps < 0 {
-		return fmt.Errorf("mnemo: EpochOps %d must be non-negative (0 disables adaptive replay)", o.EpochOps)
-	}
-	if o.MigrationCostPerByte < 0 {
-		return fmt.Errorf("mnemo: MigrationCostPerByte %v ns/byte must be non-negative", o.MigrationCostPerByte)
-	}
-	if o.MigrationBudget < 0 {
-		return fmt.Errorf("mnemo: MigrationBudget %d bytes must be non-negative (0 means unlimited)", o.MigrationBudget)
-	}
+	// core lets migration knobs sit inert without epochs; a caller of the
+	// facade who sets them almost certainly forgot EpochOps.
 	if (o.MigrationCostPerByte > 0 || o.MigrationBudget > 0) && o.EpochOps == 0 {
-		return fmt.Errorf("mnemo: migration knobs (MigrationCostPerByte/MigrationBudget) require EpochOps ≥ 1, got EpochOps 0")
+		return core.Config{}, nil, fmt.Errorf("mnemo: migration knobs (MigrationCostPerByte/MigrationBudget) require EpochOps ≥ 1, got EpochOps 0")
+	}
+	cfg := core.DefaultConfig(o.Store, o.Seed)
+	if o.Runs != 0 {
+		cfg.Runs = o.Runs
+	}
+	if o.PriceFactor != 0 {
+		cfg.PriceFactor = o.PriceFactor
+	}
+	if o.NoiseSigma > 0 {
+		cfg.Server.NoiseSigma = o.NoiseSigma
+	} else if o.NoiseSigma < 0 {
+		cfg.Server.NoiseSigma = 0
+	}
+	cfg.SizeAwareEstimate = o.SizeAwareEstimate
+	cfg.Server.Fault = o.Fault
+	cfg.Server.RunTimeout = o.RunTimeout
+	cfg.Server.Obs = o.Obs
+	cfg.Server.DisableBatchReplay = o.DisableBatchReplay
+	cfg.Server.Shards = o.Shards
+	cfg.Server.EpochOps = o.EpochOps
+	cfg.Server.MigrationCostPerByte = o.MigrationCostPerByte
+	cfg.Server.MigrationBudget = o.MigrationBudget
+	cfg.Resilience = client.Policy{
+		Retries:          o.Retries,
+		MinRuns:          o.MinRuns,
+		OutlierMAD:       o.OutlierMAD,
+		ShardRetries:     o.ShardRetries,
+		ShardFaultBudget: o.ShardFaultBudget,
+		HedgeFactor:      o.HedgeFactor,
+	}
+	if err := cfg.Validate(); err != nil {
+		return core.Config{}, nil, fmt.Errorf("mnemo: %w", err)
+	}
+	pol, err := o.resolvePolicy(sink)
+	if err != nil {
+		return core.Config{}, nil, err
 	}
 	if o.EpochOps > 0 {
-		pol, err := o.policy()
-		if err != nil {
-			return err
+		ep, ok := core.AsEpochPolicy(pol)
+		if !ok {
+			return core.Config{}, nil, fmt.Errorf("mnemo: EpochOps %d requires an adaptive policy (e.g. \"adaptive-freq\", \"adaptive-mnemot\"), but policy %q is static-only", o.EpochOps, pol.Name())
 		}
-		if _, ok := core.AsEpochPolicy(pol); !ok {
-			return fmt.Errorf("mnemo: EpochOps %d requires an adaptive policy (e.g. \"adaptive-freq\", \"adaptive-mnemot\"), but policy %q is static-only", o.EpochOps, pol.Name())
-		}
+		cfg.Server.Adaptive = ep
 	}
-	return nil
+	return cfg, pol, nil
 }
 
-// policy resolves the options' tiering policy: Policy by name through
-// the registry, or the "touch" default.
-// Validation uses this uncounted form; resolvePolicy is the counting
-// variant the profiling entry points call.
-func (o Options) policy() (core.TieringPolicy, error) {
-	return o.resolvePolicy(nil)
-}
-
-// resolvePolicy is policy with the resolution counted against the sink
-// (mnemo_registry_policy_resolutions_total{policy=…}).
+// resolvePolicy resolves the options' tiering policy — Policy by name
+// through the registry, or the "touch" default — counting the
+// resolution against the sink (mnemo_registry_policy_resolutions_total).
 func (o Options) resolvePolicy(sink *Sink) (core.TieringPolicy, error) {
 	name := o.Policy
 	if name == "" {
@@ -379,52 +352,6 @@ func (o Options) resolvePolicy(sink *Sink) (core.TieringPolicy, error) {
 	return p, nil
 }
 
-func (o Options) coreConfig() (core.Config, error) {
-	if err := o.validate(); err != nil {
-		return core.Config{}, err
-	}
-	cfg := core.DefaultConfig(o.Store, o.Seed)
-	if o.Runs > 0 {
-		cfg.Runs = o.Runs
-	}
-	if o.PriceFactor != 0 {
-		cfg.PriceFactor = o.PriceFactor
-	}
-	if o.NoiseSigma > 0 {
-		cfg.Server.NoiseSigma = o.NoiseSigma
-	} else if o.NoiseSigma < 0 {
-		cfg.Server.NoiseSigma = 0
-	}
-	cfg.SizeAwareEstimate = o.SizeAwareEstimate
-	cfg.Server.Fault = o.Fault
-	cfg.Server.RunTimeout = o.RunTimeout
-	cfg.Server.Obs = o.Obs
-	cfg.Server.DisableBatchReplay = o.DisableBatchReplay
-	cfg.Server.Shards = o.Shards
-	cfg.Server.VirtualNodes = o.VirtualNodes
-	cfg.Server.MigrationCostPerByte = o.MigrationCostPerByte
-	cfg.Server.MigrationBudget = o.MigrationBudget
-	if o.EpochOps > 0 {
-		// validate() established the policy resolves and is adaptive.
-		pol, err := o.policy()
-		if err != nil {
-			return core.Config{}, err
-		}
-		ep, _ := core.AsEpochPolicy(pol)
-		cfg.Server.Adaptive = ep
-		cfg.Server.EpochOps = o.EpochOps
-	}
-	cfg.Resilience = client.Policy{
-		Retries:          o.Retries,
-		MinRuns:          o.MinRuns,
-		OutlierMAD:       o.OutlierMAD,
-		ShardRetries:     o.ShardRetries,
-		ShardFaultBudget: o.ShardFaultBudget,
-		HedgeFactor:      o.HedgeFactor,
-	}
-	return cfg, nil
-}
-
 // Profile runs the full Mnemo pipeline on the workload: real baseline
 // executions, pattern analysis, the analytical estimate curve, and (when
 // Options.SLO > 0) the advised sweet spot.
@@ -437,11 +364,7 @@ func Profile(w *Workload, opts Options) (*Report, error) {
 // error. Since the testbed advances simulated time, cancellation takes
 // effect within microseconds of wall time.
 func ProfileContext(ctx context.Context, w *Workload, opts Options) (*Report, error) {
-	cfg, err := opts.coreConfig()
-	if err != nil {
-		return nil, err
-	}
-	pol, err := opts.resolvePolicy(opts.Obs)
+	cfg, pol, err := opts.coreConfig(opts.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +381,7 @@ func ProfileWithTiering(w *Workload, tieredKeys []string, opts Options) (*Report
 
 // ProfileWithTieringContext is ProfileWithTiering with cancellation.
 func ProfileWithTieringContext(ctx context.Context, w *Workload, tieredKeys []string, opts Options) (*Report, error) {
-	cfg, err := opts.coreConfig()
+	cfg, _, err := opts.coreConfig(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +416,7 @@ func (c AdaptiveComparison) RuntimeGain() float64 {
 // Options.EpochOps ≥ 1 with an adaptive Policy, and a report carrying
 // advice (Options.SLO > 0). See DESIGN.md §15.
 func MeasureAdaptive(ctx context.Context, w *Workload, rep *Report, opts Options) (*AdaptiveComparison, error) {
-	cfg, err := opts.coreConfig()
+	cfg, _, err := opts.coreConfig(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -550,7 +473,7 @@ type Session = core.Session
 // Session.Compare to profile several policies against one baseline
 // measurement, or drive the stages individually.
 func NewSession(w *Workload, opts Options) (*Session, error) {
-	cfg, err := opts.coreConfig()
+	cfg, _, err := opts.coreConfig(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func ProfileMatrixContext(ctx context.Context, req MatrixRequest) ([]MatrixCell,
 	if len(req.Workloads)+len(req.Specs) == 0 {
 		return nil, fmt.Errorf("mnemo: ProfileMatrix needs at least one workload")
 	}
-	if err := req.Options.validate(); err != nil {
+	if _, _, err := req.Options.coreConfig(nil); err != nil {
 		return nil, err
 	}
 	engines := req.Engines

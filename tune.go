@@ -56,7 +56,7 @@ func tuneConfig(opts Options, topts TuneOptions) (tune.Config, error) {
 	if opts.EpochOps > 0 {
 		return tune.Config{}, fmt.Errorf("mnemo: Tune measures candidates statically; EpochOps must be 0 (adaptive policies still compete via their static orderings)")
 	}
-	cfg, err := opts.coreConfig()
+	cfg, _, err := opts.coreConfig(nil)
 	if err != nil {
 		return tune.Config{}, err
 	}
