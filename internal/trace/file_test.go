@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -95,6 +96,54 @@ func TestValidateFileRejects(t *testing.T) {
 	}
 	if _, err := ValidateFile(bad); err == nil {
 		t.Error("ValidateFile accepted garbage bytes")
+	}
+}
+
+// ValidateFile closes what it opens: with the GC (and so the os.File
+// finalizer) off, repeated calls leave the descriptor count unchanged.
+func TestValidateFileClosesDescriptor(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd on this platform")
+	}
+	path := filepath.Join(t.TempDir(), "fd.mtrc")
+	keys, kinds := genOps(4, 3, 100)
+	if err := os.WriteFile(path, encode(t, "fd", []int32{1, 2, 3}, nil, keys, kinds), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := openFDs()
+	for i := 0; i < 100; i++ {
+		if _, err := ValidateFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("100 ValidateFile calls: %d open descriptors, started with %d", after, before)
+	}
+}
+
+// ValidateFile is Validate over the file's bytes — no reader code runs
+// first, so a corrupt header yields the validator's section-prefixed
+// error, not the reader's.
+func TestValidateFileMatchesValidate(t *testing.T) {
+	keys, kinds := genOps(4, 3, 100)
+	raw := encode(t, "hdr", []int32{1, 2, 3}, nil, keys, kinds)
+	raw[frameOffset(raw)-1] ^= 0xFF // corrupt the stored header CRC
+	path := filepath.Join(t.TempDir(), "hdr.mtrc")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := Validate(bytes.NewReader(raw), int64(len(raw)))
+	_, got := ValidateFile(path)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("ValidateFile err %v, Validate err %v", got, want)
 	}
 }
 

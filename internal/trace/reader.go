@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"sync"
 )
 
@@ -213,73 +212,39 @@ func (f *File) decodeHeader() error {
 // Iterators share nothing but the (read-only) source, so concurrent
 // iterators are safe.
 func (f *File) Frames() (*FrameReader, error) {
-	r := readAheadPool.Get().(*bufio.Reader)
-	r.Reset(io.NewSectionReader(f.src, f.frameOff, f.size-f.frameOff))
-	p := &framePrefetcher{
-		f:         f,
-		r:         r,
-		off:       f.frameOff,
-		remaining: f.Header.Requests,
-		out:       make(chan frameResult, 1),
-		free:      make(chan *frameBuf, 2),
-		quit:      make(chan struct{}),
-	}
-	// Two buffers ping-pong between the prefetcher and the consumer:
-	// while the consumer replays one decoded frame, the prefetcher reads,
-	// CRC-checks and decodes the next into the other. They come from a
-	// shared pool — replay paths open iterators per repetition (and per
-	// shard), and re-zeroing 40KB twice per open would dominate short
-	// traces.
-	p.free <- frameBufPool.Get().(*frameBuf)
-	p.free <- frameBufPool.Get().(*frameBuf)
-	go p.run()
-	it := &FrameReader{out: p.out, free: p.free, quit: p.quit}
-	// The prefetcher deliberately holds no reference to the FrameReader,
-	// so an iterator abandoned mid-trace (an error return in a replay
-	// loop) becomes garbage; this finalizer then releases the goroutine,
-	// which would otherwise block forever on its channels.
-	runtime.SetFinalizer(it, func(it *FrameReader) { close(it.quit) })
-	return it, nil
+	buf := frameBufPool.Get().(*frameBuf)
+	buf.r.Reset(io.NewSectionReader(f.src, f.frameOff, f.size-f.frameOff))
+	return &FrameReader{f: f, buf: buf, off: f.frameOff, remaining: f.Header.Requests}, nil
 }
 
-// frameBuf holds one decoded frame. Two of them ping-pong per iterator,
-// so a frame handed to the consumer stays untouched while the next one
-// is decoded — exactly two frames are resident per reader.
+// frameBuf is one iterator's working set: the read-ahead over the frame
+// section and the decoded frame. Exactly one frame is resident per
+// reader.
 type frameBuf struct {
+	r       *bufio.Reader
 	keys    [FrameOps]uint32
 	kinds   [FrameOps]uint8
 	payload [FrameOps * 5]byte
-	n       int
-	rw      bool
 }
 
-// frameResult is the prefetcher→consumer handoff: a decoded buffer, or
-// the terminal error (io.EOF at a clean end of trace).
-type frameResult struct {
-	buf *frameBuf
-	err error
-}
+// frameBufPool recycles frame buffers across iterators: replay paths
+// open an iterator per repetition (and per shard), and allocating the
+// 64KB read-ahead plus 40KB of frame arrays per open would dominate
+// short traces. A buffer's contents are only ever read up to the
+// decoded op count, so reuse without zeroing is safe.
+var frameBufPool = sync.Pool{New: func() any { return &frameBuf{r: bufio.NewReaderSize(nil, 1<<16)} }}
 
-// frameBufPool recycles frame buffers across iterators. A buffer's
-// contents are only ever read up to the decoded op count, so reuse
-// without zeroing is safe.
-var frameBufPool = sync.Pool{New: func() any { return new(frameBuf) }}
-
-// readAheadPool recycles the 64KB read-ahead buffers across iterators
-// for the same reason: allocating one per Frames() call would dominate
-// short traces replayed many times.
-var readAheadPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
-
-// FrameReader streams a trace's frames in order, decoded one frame
-// ahead by a prefetch goroutine so the next frame's read+CRC+decode
-// overlaps consumption of the current one. Next's returned slices alias
-// the reader's fixed frame buffers and are valid until the next call.
+// FrameReader streams a trace's frames in order, reading, CRC-checking
+// and decoding each one in the caller's goroutine. Next's returned
+// slices alias the reader's frame buffer and are valid until the next
+// call. The buffer goes back to the pool when the iterator ends (EOF or
+// error); an iterator abandoned mid-trace leaves it to the GC.
 type FrameReader struct {
-	out  chan frameResult
-	free chan *frameBuf
-	quit chan struct{}
-	cur  *frameBuf // buffer handed out by the last Next, recycled on the following call
-	err  error     // terminal state, sticky once set
+	f         *File
+	buf       *frameBuf // nil once the iterator has ended
+	off       int64     // absolute offset of the next unread byte
+	remaining uint64
+	err       error // terminal state, sticky once set
 }
 
 // Next returns the next frame's key indices, op kinds, and whether the
@@ -291,128 +256,62 @@ func (it *FrameReader) Next() (keys []uint32, kinds []uint8, rw bool, err error)
 	if it.err != nil {
 		return nil, nil, false, it.err
 	}
-	if it.cur != nil {
-		it.free <- it.cur // cap 2, consumer holds at most 1: never blocks
-		it.cur = nil
+	n, rw, err := it.decode()
+	if err != nil {
+		it.err = err
+		it.buf.r.Reset(nil) // drop the section-reader reference
+		frameBufPool.Put(it.buf)
+		it.buf = nil
+		return nil, nil, false, err
 	}
-	res := <-it.out
-	// Keep the iterator reachable across the channel ops above so the
-	// abandonment finalizer cannot fire mid-call.
-	runtime.KeepAlive(it)
-	if res.err != nil {
-		it.err = res.err
-		// The prefetcher exits after sending the terminal result, so the
-		// abandonment finalizer has nothing left to release; clearing it
-		// lets a completed iterator be collected in one GC cycle instead
-		// of queueing finalizer work — replay paths open one iterator per
-		// repetition, so this is per-replay cost.
-		runtime.SetFinalizer(it, nil)
-		// Terminal: recycle whatever buffers are still parked in the free
-		// channel (the prefetcher pools its own on exit). Abandoned
-		// iterators skip this and let the GC take the buffers instead.
-		for {
-			select {
-			case b := <-it.free:
-				frameBufPool.Put(b)
-			default:
-				return nil, nil, false, res.err
-			}
-		}
-	}
-	it.cur = res.buf
-	return res.buf.keys[:res.buf.n], res.buf.kinds[:res.buf.n], res.buf.rw, nil
+	return it.buf.keys[:n], it.buf.kinds[:n], rw, nil
 }
 
-// framePrefetcher is the read-ahead half of a FrameReader: it decodes
-// frames into recycled buffers one ahead of the consumer and exits on
-// the terminal result (or when the quit channel closes — the abandoned-
-// iterator path).
-type framePrefetcher struct {
-	f         *File
-	r         *bufio.Reader
-	off       int64 // absolute offset of the next unread byte
-	remaining uint64
-
-	out  chan frameResult
-	free chan *frameBuf
-	quit chan struct{}
-}
-
-func (p *framePrefetcher) run() {
-	// The read-ahead buffer is touched only by this goroutine, so it can
-	// be recycled on every exit path — terminal result sent or quit
-	// closed. Reset drops the section-reader reference.
-	defer func() {
-		p.r.Reset(nil)
-		readAheadPool.Put(p.r)
-	}()
-	for {
-		var buf *frameBuf
-		select {
-		case buf = <-p.free:
-		case <-p.quit:
-			return
-		}
-		err := p.decode(buf)
-		res := frameResult{buf: buf, err: err}
-		if err != nil {
-			res.buf = nil
-			frameBufPool.Put(buf)
-		}
-		select {
-		case p.out <- res:
-		case <-p.quit:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// decode reads, checksums and validates the next frame into buf. It
+// decode reads, checksums and validates the next frame into the
+// iterator's buffer, returning its op count and read/write flag. It
 // returns io.EOF exactly when the declared request total has been
 // consumed and the file ends.
-func (p *framePrefetcher) decode(buf *frameBuf) error {
-	if p.remaining == 0 {
-		if _, err := p.r.ReadByte(); err != io.EOF {
-			return formatErr(p.off, ErrSchema, "trailing bytes after declared %d ops", p.f.Header.Requests)
+func (it *FrameReader) decode() (int, bool, error) {
+	buf := it.buf
+	if it.remaining == 0 {
+		if _, err := buf.r.ReadByte(); err != io.EOF {
+			return 0, false, formatErr(it.off, ErrSchema, "trailing bytes after declared %d ops", it.f.Header.Requests)
 		}
-		return io.EOF
+		return 0, false, io.EOF
 	}
 	var head [frameHeadLen]byte
-	if _, err := io.ReadFull(p.r, head[:]); err != nil {
-		return formatErr(p.off, ErrTruncated, "frame header: %v", err)
+	if _, err := io.ReadFull(buf.r, head[:]); err != nil {
+		return 0, false, formatErr(it.off, ErrTruncated, "frame header: %v", err)
 	}
 	count := binary.LittleEndian.Uint32(head[0:4])
 	flags := head[4]
 	if count == 0 || count > FrameOps {
-		return formatErr(p.off, ErrSchema, "frame op count %d outside [1, %d]", count, FrameOps)
+		return 0, false, formatErr(it.off, ErrSchema, "frame op count %d outside [1, %d]", count, FrameOps)
 	}
-	if uint64(count) > p.remaining {
-		return formatErr(p.off, ErrSchema, "frame op count %d exceeds remaining declared ops %d", count, p.remaining)
+	if uint64(count) > it.remaining {
+		return 0, false, formatErr(it.off, ErrSchema, "frame op count %d exceeds remaining declared ops %d", count, it.remaining)
 	}
 	n := int(count)
 	need := n * 5
 	payload := buf.payload[:need]
-	if _, err := io.ReadFull(p.r, payload); err != nil {
-		return formatErr(p.off+frameHeadLen, ErrTruncated, "frame payload: %v", err)
+	if _, err := io.ReadFull(buf.r, payload); err != nil {
+		return 0, false, formatErr(it.off+frameHeadLen, ErrTruncated, "frame payload: %v", err)
 	}
 	var crcb [frameCRCLen]byte
-	if _, err := io.ReadFull(p.r, crcb[:]); err != nil {
-		return formatErr(p.off+frameHeadLen+int64(need), ErrTruncated, "frame checksum: %v", err)
+	if _, err := io.ReadFull(buf.r, crcb[:]); err != nil {
+		return 0, false, formatErr(it.off+frameHeadLen+int64(need), ErrTruncated, "frame checksum: %v", err)
 	}
 	crc := crc32.ChecksumIEEE(head[:])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	if want := binary.LittleEndian.Uint32(crcb[:]); crc != want {
-		return formatErr(p.off, ErrChecksum, "frame crc %08x, stored %08x", crc, want)
+		return 0, false, formatErr(it.off, ErrChecksum, "frame crc %08x, stored %08x", crc, want)
 	}
 
-	nkeys := f32(p.f.Header.Keys)
+	nkeys := f32(it.f.Header.Keys)
 	for i := 0; i < n; i++ {
 		k := binary.LittleEndian.Uint32(payload[i*4:])
 		if k >= nkeys {
-			return formatErr(p.off, ErrSchema, "key index %d outside key space %d", k, nkeys)
+			return 0, false, formatErr(it.off, ErrSchema, "key index %d outside key space %d", k, nkeys)
 		}
 		buf.keys[i] = k
 	}
@@ -421,21 +320,20 @@ func (p *framePrefetcher) decode(buf *frameBuf) error {
 	for i := 0; i < n; i++ {
 		k := kindBytes[i]
 		if k >= OpKinds {
-			return formatErr(p.off, ErrSchema, "op kind %d outside legend %d", k, OpKinds)
+			return 0, false, formatErr(it.off, ErrSchema, "op kind %d outside legend %d", k, OpKinds)
 		}
 		if k > 1 {
 			rwActual = false
 		}
 		buf.kinds[i] = k
 	}
-	if flags&FrameReadWrite != 0 && !rwActual {
-		return formatErr(p.off, ErrSchema, "frame flagged read/write-only but contains structural ops")
+	rw := flags&FrameReadWrite != 0
+	if rw && !rwActual {
+		return 0, false, formatErr(it.off, ErrSchema, "frame flagged read/write-only but contains structural ops")
 	}
-	p.remaining -= uint64(count)
-	p.off += frameLen(n)
-	buf.n = n
-	buf.rw = flags&FrameReadWrite != 0
-	return nil
+	it.remaining -= uint64(count)
+	it.off += frameLen(n)
+	return n, rw, nil
 }
 
 // f32 converts a validated key-space size to uint32.

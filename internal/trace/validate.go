@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 )
 
 // Independent schema validation, in the pack/scheme idiom: the .mtrc
 // layout is written down once more as a declarative section scheme —
 // each section a name, a size rule and a check — and Validate walks the
-// scheme over the raw bytes. It shares no code with the Reader's decode
+// scheme over the raw bytes. It shares no code with the FrameReader's decode
 // path, so an encoder or reader bug that slips a malformed file through
 // one implementation is caught by the other; the format tests run every
 // fixture through both.
@@ -63,18 +64,25 @@ func (v *walker) read(n int64, what string) ([]byte, error) {
 	return b, nil
 }
 
-// ValidateFile runs the scheme over a trace file on disk.
+// ValidateFile runs the scheme over a trace file on disk. It opens the
+// file itself rather than through OpenFile, so no reader code decodes
+// the header first, and it closes the file before returning.
 func ValidateFile(path string) (*Summary, error) {
-	f, err := OpenFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return Validate(f.src, f.size)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return Validate(f, st.Size())
 }
 
 // Validate checks a raw .mtrc byte stream against the scheme,
-// independently of the Reader. It reads the whole file once (header
-// plus every frame), so it is the strong end-to-end check — the Reader
+// independently of the FrameReader. It reads the whole file once (header
+// plus every frame), so it is the strong end-to-end check — the FrameReader
 // performs the same per-frame validation lazily during replay.
 func Validate(src io.ReaderAt, size int64) (*Summary, error) {
 	v := &walker{src: src, size: size}
