@@ -128,6 +128,7 @@ func (s *Store) removeEntry(key string, id uint64) bool {
 				}
 				t.used--
 				s.dataBytes -= int64(e.val.Size)
+				s.journalChain(idx)
 				return true
 			}
 			prev = e

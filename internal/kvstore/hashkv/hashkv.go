@@ -55,6 +55,12 @@ type Store struct {
 	ops          int64 // logical operation clock for TTLs
 	expirations  int64
 	volatileKeys map[string]struct{} // keys carrying a TTL (Redis "expires" dict)
+
+	// relaid journals the ht[0] buckets whose chains an insert or a
+	// remove reshaped since the last Relaid; relaidAll latches that the
+	// change is unbounded (replay.go).
+	relaid    []uint64
+	relaidAll bool
 }
 
 const initialTableSize = 16
@@ -100,6 +106,7 @@ func (s *Store) rehashing() bool { return s.rehashIdx >= 0 }
 func (s *Store) startRehash(size int) {
 	s.ht[1] = newTable(size)
 	s.rehashIdx = 0
+	s.relaidAll = true // every chain is rebuilt
 	// Allocating and zeroing the new bucket array stalls the event loop
 	// briefly — ~10 ns per bucket pointer is a conservative page-touch
 	// cost. This is the rehash hiccup visible in Redis tail latencies.
@@ -245,6 +252,7 @@ func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
 	idx := id & t.mask()
 	t.buckets[idx] = &entry{key: key, id: id, val: v, next: t.buckets[idx]}
 	t.used++
+	s.journalChain(idx)
 	s.dataBytes += int64(v.Size)
 	return tr
 }

@@ -98,3 +98,109 @@ func TestReplayPausesIsZero(t *testing.T) {
 		t.Errorf("hashkv PauseModel = %+v, want zero", pm)
 	}
 }
+
+// TestRelaidReportsReshapedChains pins the relayout journal: an insert
+// reports its bucket mates and itself, a remove the rest of its chain,
+// an overwrite nothing; a rehash — and a journal past its cap — reports
+// unbounded until a call finds the table settled; and a drained journal
+// reports nothing.
+func TestRelaidReportsReshapedChains(t *testing.T) {
+	s := New()
+	keys := populate(s, 20)
+	s.Quiesce()
+	drain := func() (map[string]bool, bool) {
+		got := map[string]bool{}
+		ok := s.Relaid(func(key string, id uint64) {
+			if id != kvstore.KeyID(key) {
+				t.Fatalf("Relaid reported %q with id %#x", key, id)
+			}
+			got[key] = true
+		})
+		return got, ok
+	}
+	same := func(got map[string]bool, want ...string) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for _, k := range want {
+			if !got[k] {
+				return false
+			}
+		}
+		return true
+	}
+	if _, ok := drain(); ok {
+		t.Fatal("the load's rehashes reported bounded")
+	}
+	if got, ok := drain(); !ok || len(got) != 0 {
+		t.Fatalf("second call after draining: %v, %v; want nothing, bounded", got, ok)
+	}
+
+	// A new key landing in the chain of a resident one.
+	mask := s.ht[0].mask()
+	var x string
+	var mates []string
+	for i := 0; len(mates) == 0; i++ {
+		x, mates = fmt.Sprintf("new%d", i), nil
+		for _, k := range keys {
+			if kvstore.KeyID(k)&mask == kvstore.KeyID(x)&mask {
+				mates = append(mates, k)
+			}
+		}
+	}
+	s.Put(x, kvstore.Sized(64))
+	if got, ok := drain(); !ok || !same(got, append([]string{x}, mates...)...) {
+		t.Fatalf("insert of %q reported %v, %v; want it and its bucket mates %v", x, got, ok, mates)
+	}
+	s.Put(x, kvstore.Sized(64))
+	s.Get(mates[0])
+	if got, ok := drain(); !ok || len(got) != 0 {
+		t.Fatalf("overwrite and read reported %v, %v; want nothing", got, ok)
+	}
+	s.Del(x)
+	if got, ok := drain(); !ok || !same(got, mates...) {
+		t.Fatalf("remove of %q reported %v, %v; want the rest of its chain %v", x, got, ok, mates)
+	}
+
+	// Back-to-back changes to one chain journal it once.
+	s.Put(x, kvstore.Sized(64))
+	s.Del(x)
+	if len(s.relaid) != 1 {
+		t.Fatalf("insert and remove of %q journaled %d chains, want 1", x, len(s.relaid))
+	}
+	if got, ok := drain(); !ok || !same(got, mates...) {
+		t.Fatalf("insert and remove of %q reported %v, %v; want its chain %v", x, got, ok, mates)
+	}
+
+	// Past a quarter of the buckets in one journal: unbounded.
+	chains := map[uint64]bool{}
+	for _, k := range keys {
+		if b := kvstore.KeyID(k) & mask; !chains[b] && len(chains) <= len(s.ht[0].buckets)/4 {
+			chains[b] = true
+			s.Del(k)
+		}
+	}
+	if len(chains) <= len(s.ht[0].buckets)/4 {
+		t.Fatalf("only %d distinct chains to remove from", len(chains))
+	}
+	if _, ok := drain(); ok {
+		t.Fatal("journal past its cap reported bounded")
+	}
+
+	// Grow into a rehash and drain mid-flight: unbounded until settled.
+	for i := 0; !s.rehashing(); i++ {
+		s.Put(fmt.Sprintf("grow%d", i), kvstore.Sized(64))
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := drain(); ok || !s.rehashing() {
+			t.Fatalf("call %d mid-rehash reported bounded", i)
+		}
+	}
+	s.Quiesce()
+	if _, ok := drain(); ok {
+		t.Fatal("first call after the rehash settled reported bounded")
+	}
+	if got, ok := drain(); !ok || len(got) != 0 {
+		t.Fatalf("drained settled table reported %v, %v; want nothing, bounded", got, ok)
+	}
+}

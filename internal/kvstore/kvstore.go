@@ -154,7 +154,9 @@ type PauseModel struct {
 // that, once quiesced, its per-operation traces for resident keys are
 // static: no rehash in flight, no TTL reaping, no structural mutation on
 // overwrite — so Get/Put traces can be precomputed once into a flat cost
-// table and replayed without touching the store at all.
+// table and replayed without touching the store at all — and say which
+// of those traces an insert or remove has since moved (Relaid), so the
+// table is refreshed row by row rather than rebuilt.
 type BatchReplayer interface {
 	// Quiesce drives deferred background work (incremental rehash,
 	// pending node splits) to completion so subsequent operations on
@@ -183,6 +185,16 @@ type BatchReplayer interface {
 	// accumulator back (ReplayPauses().Accum) afterwards. Engines with a
 	// zero PauseModel may ignore the call.
 	SyncReplayAccum(accum int64)
+	// Relaid drains the engine's relayout journal: it calls fn for every
+	// resident key whose StaticTrace may differ from what it was at the
+	// previous Relaid call — the keys an insert or remove since then
+	// moved in the engine's layout, inserted keys included — and returns
+	// true. It returns false, after draining, when that set is unbounded
+	// (a table resize, a journal past its cap, or an engine that keeps
+	// no journal): the caller must then treat every resident key as
+	// changed. fn may be called more than once per key and must not
+	// mutate the store.
+	Relaid(fn func(key string, id uint64)) bool
 }
 
 // EngineProfile captures how an engine converts memory traffic into

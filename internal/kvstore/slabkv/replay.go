@@ -45,4 +45,11 @@ func (s *Store) ReplayPauses() kvstore.PauseModel { return kvstore.PauseModel{} 
 // no steady-state pause accumulator to restore.
 func (s *Store) SyncReplayAccum(int64) {}
 
+// Relaid implements kvstore.BatchReplayer and always reports the change
+// unbounded, so callers re-probe every key. With constant traces a
+// journal of inserted keys would do, but ReplayReady walks the whole
+// index on every re-price anyway, and no measured workload re-prices a
+// slab store's table often enough for the journal to pay for itself.
+func (s *Store) Relaid(func(key string, id uint64)) bool { return false }
+
 var _ kvstore.BatchReplayer = (*Store)(nil)

@@ -120,4 +120,13 @@ func (s *Store) ReplayPauses() kvstore.PauseModel {
 // same point the kernel reached.
 func (s *Store) SyncReplayAccum(accum int64) { s.allocBytes = accum }
 
+// Relaid implements kvstore.BatchReplayer and always reports the change
+// unbounded, so callers re-probe every key. A key's trace counts the
+// nodes on its descent and the binary-search comparisons within each,
+// so an insert or remove, by changing one node's item count, can shift
+// the trace of every key whose descent passes through that node — its
+// whole subtree — and a split or merge reshapes descents outright:
+// there is no cheap bound on whose trace moved.
+func (s *Store) Relaid(func(key string, id uint64)) bool { return false }
+
 var _ kvstore.BatchReplayer = (*Store)(nil)

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"slices"
+
 	"mnemo/internal/kvstore"
 	"mnemo/internal/memsim"
 	"mnemo/internal/obs"
@@ -104,16 +106,22 @@ func (d *Deployment) BatchTable() *ReplayTable {
 
 // reprice prices the cost table from the engines' live structure — the
 // one routine behind the first build after Load and the refresh after a
-// migration or a structural frame. Both engines are probed, every live
-// row is re-probed, not just those an event named — inserting or
-// removing a record reshapes an engine's internal structure (hash
-// chains, tree nodes), which can change the static trace of records that
-// never moved, and the per-op reference path would price those live —
-// and the pause mirrors are snapshotted from the engines, which hold the
-// current accumulators at every event that leaves the table stale. The
-// table's identity and its latency scratch survive a refresh. Rows of
-// deleted records are skipped: the engines hold no trace for them, and
-// FrameTable never hands out the table for a frame touching one.
+// migration or a structural frame. Inserting or removing a record
+// reshapes an engine's internal structure (hash chains, tree nodes),
+// which can change the static trace of records no event named, and the
+// per-op reference path would price those live; so a refresh re-probes
+// exactly the rows the engines' relayout journals report
+// (kvstore.BatchReplayer.Relaid) — the moved and re-inserted records and
+// their chain mates — and every live row when there is no table to
+// refresh (Load drops it) or an engine reports its change unbounded (a
+// hash table resize, any slabkv or treekv insert or remove). Both journals are
+// drained on every call, so each covers exactly the changes since the
+// table was last priced. The pause mirrors are snapshotted from the
+// engines, which hold the current accumulators at every event that
+// leaves the table stale. The table's identity and its latency scratch
+// survive a refresh. Rows of deleted records are skipped: the engines
+// hold no trace for them, and FrameTable never hands out the table for a
+// frame touching one.
 //
 // Nothing is quiesced here: Load and ApplyMoves settle deferred
 // structural work themselves, and after a structural frame the per-op
@@ -123,27 +131,46 @@ func (d *Deployment) BatchTable() *ReplayTable {
 // delete-merge that left a full node, say) the table is dropped and the
 // kernel stays off until the next event retries.
 func (d *Deployment) reprice() {
-	d.repriced[d.stale]++
+	cause := d.stale
+	d.repriced[cause]++
 	d.stale = priced
 	t := d.table
 	d.table = nil
 	var brs [2]kvstore.BatchReplayer
 	for i, inst := range d.instances {
 		br, ok := inst.(kvstore.BatchReplayer)
-		if !ok || !br.ReplayReady() {
+		if !ok {
 			return
 		}
 		brs[i] = br
 	}
-	if t == nil {
-		t = &ReplayTable{d: d, costs: make([]opCost, len(d.records)), stallNs: float64(d.cfg.Fault.stall())}
-	}
-	for i := range d.records {
-		if d.nDead > 0 && d.dead[i] {
-			continue
-		}
-		if !d.fillCost(t, i, brs) {
+	bounded := d.drainRelaid(brs, t != nil)
+	for _, br := range brs {
+		if !br.ReplayReady() {
 			return
+		}
+	}
+	if bounded {
+		// A chain reshaped twice is reported twice: probe each row once,
+		// so the tally counts live rows on both paths (a reported key is
+		// resident, so its row is live).
+		slices.Sort(d.relaid)
+		d.relaid = slices.Compact(d.relaid)
+		d.repricedRows[cause] += int64(len(d.relaid))
+		for _, i := range d.relaid {
+			if !d.fillCost(t, int(i), brs) {
+				return
+			}
+		}
+	} else {
+		if t == nil {
+			t = &ReplayTable{d: d, costs: make([]opCost, len(d.records)), stallNs: float64(d.cfg.Fault.stall())}
+		}
+		d.repricedRows[cause] += int64(len(d.records) - d.nDead)
+		for i := range d.records {
+			if !d.fillCost(t, i, brs) {
+				return
+			}
 		}
 	}
 	for i, br := range brs {
@@ -164,10 +191,39 @@ func (d *Deployment) DropBatchTable() {
 	d.cfg.DisableBatchReplay, d.table = true, nil
 }
 
+// drainRelaid drains both engines' relayout journals. With collect set it
+// gathers the dataset rows they report into d.relaid and returns whether
+// both journals were bounded; otherwise it discards them and returns
+// false.
+func (d *Deployment) drainRelaid(brs [2]kvstore.BatchReplayer, collect bool) bool {
+	fn := func(string, uint64) {}
+	if collect {
+		if d.noteRelaid == nil {
+			d.noteRelaid = func(key string, id uint64) {
+				if i, ok := d.row(key, id); ok {
+					d.relaid = append(d.relaid, int32(i))
+				}
+			}
+		}
+		fn = d.noteRelaid
+		d.relaid = d.relaid[:0]
+	}
+	bounded := collect
+	for _, br := range brs {
+		if !br.Relaid(fn) {
+			bounded = false
+		}
+	}
+	return bounded
+}
+
 // fillCost prices one record into the table from its current tier's
-// static trace — the per-record half of reprice. It returns false when
-// the record's trace is not static.
+// static trace — the per-record half of reprice. A deleted record is
+// skipped. It returns false when the record's trace is not static.
 func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplayer) bool {
+	if d.nDead > 0 && d.dead[i] {
+		return true
+	}
 	rec := &d.records[i]
 	tier := d.tiers[i]
 	getChases, putChases, ok := brs[tier].StaticTrace(rec.Key, rec.ID)

@@ -15,10 +15,12 @@ import "mnemo/internal/kvstore"
 //     back — or re-snapshotted by a re-price;
 //   - whether the cost rows are current. A structural request (a Delete,
 //     a Write re-inserting a deleted record) or a migration only marks
-//     the table stale; the O(records) re-price runs when a frame the
-//     kernel could serve actually arrives, so a trace whose every frame
-//     carries a Delete never pays it and one Delete frame in 100M
-//     requests pays it once;
+//     the table stale; the re-price — O(rows the hash engine relaid),
+//     or O(records) after a table resize or on the slab and tree
+//     engines — runs when a frame the kernel
+//     could serve actually arrives, so a trace whose every frame carries
+//     a Delete never pays it and one Delete frame in 100M requests pays
+//     it once;
 //   - whether the deployment can still be rewound: a frame served per-op
 //     latches it mutated.
 

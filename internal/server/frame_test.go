@@ -213,9 +213,10 @@ func TestRetryBatchTableUnavailable(t *testing.T) {
 	}
 }
 
-// TestFrameTrafficFlush: the frame-path and re-price tallies reach the
-// sink through FlushObs, once, and DropBatchTable sends every later
-// frame per-op.
+// TestFrameTrafficFlush: the frame-path, re-price and re-priced-row
+// tallies reach the sink through FlushObs, once — a Load re-price probes
+// every row, a Delete or a migration only the rows its engine relaid —
+// and DropBatchTable sends every later frame per-op.
 func TestFrameTrafficFlush(t *testing.T) {
 	w := smallWorkload(t, ycsb.SizeFixed1KB, 0.9)
 	cfg := DefaultConfig(RedisLike, 5)
@@ -236,6 +237,21 @@ func TestFrameTrafficFlush(t *testing.T) {
 	if l, s, m := value("mnemo_server_reprice_total", "cause", "load"), value("mnemo_server_reprice_total", "cause", "structural"),
 		value("mnemo_server_reprice_total", "cause", "migrate"); l != 1 || s != 1 || m != 0 {
 		t.Fatalf("flushed re-prices load=%d structural=%d migrate=%d, want 1, 1, 0", l, s, m)
+	}
+	rows := func(cause string) int64 { return value("mnemo_server_reprice_rows_total", "cause", cause) }
+	if l, s := rows("load"), rows("structural"); l != int64(len(w.Dataset.Records)) || s >= 16 {
+		t.Fatalf("flushed re-priced rows load=%d structural=%d, want every record and the deleted one's chain mates", l, s)
+	}
+
+	to := memsim.Slow
+	if d.RecordTiers()[4] == memsim.Slow {
+		to = memsim.Fast
+	}
+	d.ApplyMoves([]Move{{Index: 4, To: to}})
+	d.FrameTable(keys[1:], true)
+	d.FlushObs()
+	if m, r := value("mnemo_server_reprice_total", "cause", "migrate"), rows("migrate"); m != 1 || r < 1 || r >= 16 {
+		t.Fatalf("one move: %d migrate re-prices of %d rows, want 1 of the moved record and its chain mates", m, r)
 	}
 
 	d.DropBatchTable()

@@ -86,9 +86,10 @@ func (t *deployTelemetry) flushTallies(name, label string, values []string, tall
 }
 
 // FlushObs publishes the deployment's accumulated op and LLC hit/miss
-// counts, and the frame-path and re-price tallies, to the configured
-// sink — the run-granularity flush the client calls after a replay
-// (including a replay cut off mid-run, so partial runs stay observable).
+// counts, and the frame-path, re-price and re-priced-row tallies, to
+// the configured sink — the run-granularity flush the client calls after
+// a replay (including a replay cut off mid-run, so partial runs stay
+// observable).
 // It is a no-op without a sink and idempotent per served request:
 // repeated flushes publish only new deltas.
 func (d *Deployment) FlushObs() {
@@ -98,6 +99,7 @@ func (d *Deployment) FlushObs() {
 	}
 	t.flushTallies("mnemo_client_frames_total", "path", framePathLabels[:], d.frames[:])
 	t.flushTallies("mnemo_server_reprice_total", "cause", repriceCauseLabels[:], d.repriced[:])
+	t.flushTallies("mnemo_server_reprice_rows_total", "cause", repriceCauseLabels[:], d.repricedRows[:])
 	t.ops.Add(int64(d.ops - t.flushedOps))
 	t.flushedOps = d.ops
 	if llc := d.machine.LLC(); llc != nil {

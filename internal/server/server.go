@@ -188,9 +188,11 @@ type Deployment struct {
 	// with two slice loads instead of a map lookup plus a key hash.
 	records []ycsb.Record
 	tiers   []memsim.Tier
-	// keyIndex resolves a key string to its record index for the
-	// string-keyed Do; built on Do's first call, dropped by Load.
-	keyIndex map[string]int32
+	// rows resolves a (key, KeyID) pair to its record index for the
+	// string-keyed Do and the journal-driven re-price: an open-addressed
+	// table of record index + 1 (0 = empty slot), probed linearly from
+	// the KeyID. Built on first use, dropped by Load.
+	rows []int32
 
 	// fault is this run's rolled fate and ops the served-request count
 	// that triggers a scheduled stall. The inert plan costs two
@@ -224,10 +226,18 @@ type Deployment struct {
 	dead  []bool
 	nDead int
 
-	// frames and repriced tally, since the last FlushObs, the frames
-	// FrameTable routed to each path and the table re-prices by cause.
-	frames   [2]int64
-	repriced [numRepriceCauses]int64
+	// relaid collects the rows the engines' relayout journals report for
+	// a re-price (batch.go); noteRelaid is the callback that appends to
+	// it, made once so a warm re-price allocates nothing.
+	relaid     []int32
+	noteRelaid func(key string, id uint64)
+
+	// frames, repriced and repricedRows tally, since the last FlushObs,
+	// the frames FrameTable routed to each path, the table re-prices by
+	// cause and the rows those re-prices probed.
+	frames       [2]int64
+	repriced     [numRepriceCauses]int64
+	repricedRows [numRepriceCauses]int64
 }
 
 // NewDeployment builds an empty deployment with an AllFast placement.
@@ -301,7 +311,7 @@ func (d *Deployment) CrashError() error {
 func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	d.placement = p
 	d.records = ds.Records
-	d.keyIndex = nil
+	d.rows = nil
 	d.tiers = make([]memsim.Tier, len(ds.Records))
 	for i, rec := range ds.Records {
 		tier := p.tierForRecord(i, rec.Key)
@@ -350,27 +360,52 @@ const foreignLLCBit = 1 << 63
 
 // Do executes one request addressed by key string, advancing the clock
 // by its service time. It resolves the key to its dataset record index
-// — through a map built on first use — and shares DoIndex's body, so the
-// two forms address the same LLC entry and may be mixed on one
-// deployment; replay loops holding indices should call DoIndex and skip
-// the lookup. size is the value size a write stores. A key outside the
-// loaded dataset is routed by the placement and served under its hashed
-// identity.
+// and shares DoIndex's body, so the two forms address the same LLC
+// entry and may be mixed on one deployment; replay loops holding
+// indices should call DoIndex and skip the lookup. size is the value
+// size a write stores. A key outside the loaded dataset is routed by the
+// placement and served under its hashed identity; writing or deleting
+// one reshapes the engine as a structural request does, so it too
+// leaves the cost table stale and the deployment mutated.
 func (d *Deployment) Do(key string, kind kvstore.OpKind, size int) Result {
-	if d.keyIndex == nil {
-		d.keyIndex = make(map[string]int32, len(d.records))
-		for i := range d.records {
-			d.keyIndex[d.records[i].Key] = int32(i)
-		}
-	}
-	if idx, ok := d.keyIndex[key]; ok {
-		if kind != kvstore.Read {
-			d.noteStructural(int(idx), kind)
-		}
-		return d.do(d.tiers[idx], key, d.records[idx].ID, uint64(idx), kind, size)
-	}
 	id := kvstore.KeyID(key)
+	if idx, ok := d.row(key, id); ok {
+		if kind != kvstore.Read {
+			d.noteStructural(idx, kind)
+		}
+		return d.do(d.tiers[idx], key, id, uint64(idx), kind, size)
+	}
+	if kind != kvstore.Read && d.tiers != nil { // unloaded: no table to price
+		d.mutated, d.stale = true, causeStructural
+	}
 	return d.do(d.placement.TierOf(key), key, id, id|foreignLLCBit, kind, size)
+}
+
+// row resolves a key and its KeyID to the dataset record index, building
+// the rows table on first use.
+func (d *Deployment) row(key string, id uint64) (int, bool) {
+	if d.rows == nil {
+		size := 2
+		for size < len(d.records)+len(d.records)/2 { // load factor ≤ 2/3
+			size <<= 1
+		}
+		d.rows = make([]int32, size)
+		mask := uint64(size - 1)
+		for i := range d.records {
+			h := d.records[i].ID & mask
+			for d.rows[h] != 0 {
+				h = (h + 1) & mask
+			}
+			d.rows[h] = int32(i + 1)
+		}
+	}
+	mask := uint64(len(d.rows) - 1)
+	for h := id & mask; d.rows[h] != 0; h = (h + 1) & mask {
+		if i := int(d.rows[h] - 1); d.records[i].ID == id && d.records[i].Key == key {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // DoIndex executes one request addressed by dataset record index — the
