@@ -7,27 +7,36 @@ import (
 	"mnemo/internal/ycsb"
 )
 
-// keyStats tallies the per-key access pattern of the trace.
-func keyStats(w *ycsb.Workload) []KeyStat {
-	reads, writes := w.AccessCounts()
+// KeyStats tallies the per-key access pattern of the trace. The error is
+// the trace's read error (a streamed trace that fails to decode); the
+// tally then covers only the ops before it.
+func KeyStats(w *ycsb.Workload) ([]KeyStat, error) {
+	reads, writes, err := w.CountAccesses()
 	out := make([]KeyStat, len(w.Dataset.Records))
 	for i, rec := range w.Dataset.Records {
 		out[i] = KeyStat{Index: i, Key: rec.Key, Size: rec.Size, Reads: reads[i], Writes: writes[i]}
 	}
-	return out
+	return out, err
 }
 
 // TouchOrdering is the stand-alone Mnemo Pattern Engine (Fig 2a): keys
 // are prioritized for FastMem in the order the workload first touches
-// them. Untouched keys follow in index order.
+// them. Untouched keys follow in index order. Like ycsb.AccessCounts it
+// is best-effort on a trace that fails to read; the Touch policy
+// reports that error.
 func TouchOrdering(w *ycsb.Workload) Ordering {
-	stats := keyStats(w)
+	ord, _ := touchOrdering(w)
+	return ord
+}
+
+func touchOrdering(w *ycsb.Workload) (Ordering, error) {
+	stats, err := KeyStats(w)
 	order := w.TouchOrder()
 	keys := make([]KeyStat, len(order))
 	for i, idx := range order {
 		keys[i] = stats[idx]
 	}
-	return Ordering{Name: "touch", Keys: keys}
+	return Ordering{Name: "touch", Keys: keys}, err
 }
 
 // MnemoTOrdering is the MnemoT Pattern Engine (Fig 7): each key gets a
@@ -35,9 +44,15 @@ func TouchOrdering(w *ycsb.Workload) Ordering {
 // descending weight — the 0/1-knapsack density heuristic predominant
 // across existing tiering solutions, computed here from just the workload
 // description at key-value granularity (Table IV's zero-overhead tiering
-// calculation).
+// calculation). It is best-effort on a trace that fails to read; the
+// MnemoT policy reports that error.
 func MnemoTOrdering(w *ycsb.Workload) Ordering {
-	stats := keyStats(w)
+	ord, _ := mnemoTOrdering(w)
+	return ord
+}
+
+func mnemoTOrdering(w *ycsb.Workload) (Ordering, error) {
+	stats, err := KeyStats(w)
 	items := make([]knapsack.Item, len(stats))
 	for i, k := range stats {
 		items[i] = knapsack.Item{Weight: int64(k.Size), Profit: float64(k.Accesses())}
@@ -47,7 +62,7 @@ func MnemoTOrdering(w *ycsb.Workload) Ordering {
 	for i, idx := range order {
 		keys[i] = stats[idx]
 	}
-	return Ordering{Name: "mnemot", Keys: keys}
+	return Ordering{Name: "mnemot", Keys: keys}, err
 }
 
 // ExternalOrdering wraps a key ordering produced by an existing generic
@@ -56,7 +71,10 @@ func MnemoTOrdering(w *ycsb.Workload) Ordering {
 // ordering". Keys absent from the external list are appended in dataset
 // order; unknown keys are rejected.
 func ExternalOrdering(w *ycsb.Workload, tieredKeys []string) (Ordering, error) {
-	stats := keyStats(w)
+	stats, err := KeyStats(w)
+	if err != nil {
+		return Ordering{}, fmt.Errorf("core: reading trace: %w", err)
+	}
 	byKey := make(map[string]int, len(stats))
 	for i, k := range stats {
 		byKey[k.Key] = i

@@ -37,7 +37,11 @@ type touchPolicy struct{}
 func (touchPolicy) Name() string { return "touch" }
 
 func (touchPolicy) Order(_ context.Context, w *ycsb.Workload) (Ordering, error) {
-	return TouchOrdering(w), nil
+	ord, err := touchOrdering(w)
+	if err != nil {
+		return Ordering{}, fmt.Errorf("touch: reading trace: %w", err)
+	}
+	return ord, nil
 }
 
 // MnemoT is the MnemoT Pattern Engine (Fig 2c / Fig 7) as a policy: keys
@@ -49,7 +53,11 @@ type mnemotPolicy struct{}
 func (mnemotPolicy) Name() string { return "mnemot" }
 
 func (mnemotPolicy) Order(_ context.Context, w *ycsb.Workload) (Ordering, error) {
-	return MnemoTOrdering(w), nil
+	ord, err := mnemoTOrdering(w)
+	if err != nil {
+		return Ordering{}, fmt.Errorf("mnemot: reading trace: %w", err)
+	}
+	return ord, nil
 }
 
 // External wraps an existing tiering solution's DRAM key allocation

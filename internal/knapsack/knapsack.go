@@ -97,6 +97,15 @@ type Table struct {
 // Solve runs the dynamic program over capacities 0 … maxCap. It panics
 // on negative weights or capacity, or when the table would exceed 200 M
 // cells.
+//
+// Cells at or above the prefix weight W of the items so far all hold the
+// same value P, the profit of packing every one of them: the recurrence
+// at such a cell reads dp[c] = dp[c−w] = P, so it evaluates the same
+// fl(P+p) > P for all of them, and one evaluation decides their values
+// and their keep bits. The loop therefore runs the recurrence only below
+// W, fills the keep bits at and above it a word at a time, and writes P
+// into dp only as W grows past a cell. The table is bit-identical to the
+// full recurrence over every cell.
 func Solve(items []Item, maxCap int64) *Table {
 	if maxCap < 0 {
 		panic(fmt.Sprintf("knapsack: negative capacity %d", maxCap))
@@ -110,25 +119,54 @@ func Solve(items []Item, maxCap int64) *Table {
 	t := &Table{items: items, dp: make([]float64, cap+1), stride: cap/64 + 1}
 	t.keep = make([]uint64, len(items)*t.stride)
 	dp := t.dp
+	// dp[:W] holds the table; every cell from W to cap holds P. W
+	// saturates at cap+1.
+	W, P := 0, 0.0
 	for i, it := range items {
 		if it.Weight < 0 {
 			panic(fmt.Sprintf("knapsack: negative weight %d", it.Weight))
 		}
 		row := t.keep[i*t.stride : (i+1)*t.stride]
+		next := cap + 1
+		if it.Weight < int64(next-W) {
+			next = W + int(it.Weight)
+		}
+		for c := W; c < next; c++ {
+			dp[c] = P
+		}
 		w := int(it.Weight)
-		// One keep word at a time, its bits gathered in a register.
-		for hi := cap; hi >= w; {
+		// Below next the recurrence reads only dp[:W]. One keep word at a
+		// time, its bits gathered in a register; dst[j] is dp[lo+j] and
+		// src[j] is dp[lo+j−w], sliced so the loop carries no bounds checks.
+		for hi := next - 1; hi >= w; {
 			lo := max(w, hi&^63)
 			var bits uint64
-			for c := hi; c >= lo; c-- {
-				if cand := dp[c-w] + it.Profit; cand > dp[c] {
-					dp[c] = cand
-					bits |= 1 << (c & 63)
+			dst := dp[lo : hi+1]
+			src := dp[lo-w : hi-w+1][:len(dst)]
+			for j := len(dst) - 1; j >= 0; j-- {
+				if cand := src[j] + it.Profit; cand > dst[j] {
+					dst[j] = cand
+					bits |= 1 << ((lo + j) & 63)
 				}
 			}
 			row[hi>>6] = bits
 			hi = lo - 1
 		}
+		// At and above next every cell takes the item or none does.
+		if cand := P + it.Profit; cand > P {
+			P = cand
+			if next <= cap {
+				row[next>>6] |= ^uint64(0) << (next & 63)
+				for j := next>>6 + 1; j < len(row); j++ {
+					row[j] = ^uint64(0)
+				}
+				row[len(row)-1] &= ^uint64(0) >> (63 - cap&63)
+			}
+		}
+		W = next
+	}
+	for c := W; c <= cap; c++ {
+		dp[c] = P
 	}
 	return t
 }

@@ -1,6 +1,8 @@
 package knapsack
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -205,4 +207,117 @@ func TestTablePickedConcurrentReaders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// referenceSolve is the full recurrence Solve ran before it skipped the
+// cells at or above the prefix weight: every item updates every cell from
+// its weight up to the capacity. It is the oracle the fast loop must
+// reproduce bit for bit.
+func referenceSolve(items []Item, maxCap int64) (dp []float64, keep []uint64) {
+	cap := int(maxCap)
+	stride := cap/64 + 1
+	dp = make([]float64, cap+1)
+	keep = make([]uint64, len(items)*stride)
+	for i, it := range items {
+		row := keep[i*stride : (i+1)*stride]
+		w := int(it.Weight)
+		for hi := cap; hi >= w; {
+			lo := max(w, hi&^63)
+			var bits uint64
+			for c := hi; c >= lo; c-- {
+				if cand := dp[c-w] + it.Profit; cand > dp[c] {
+					dp[c] = cand
+					bits |= 1 << (c & 63)
+				}
+			}
+			row[hi>>6] = bits
+			hi = lo - 1
+		}
+	}
+	return dp, keep
+}
+
+// checkSolve fails unless Solve's table equals referenceSolve's: dp bit
+// for bit, keep word for word.
+func checkSolve(t *testing.T, items []Item, maxCap int64) {
+	t.Helper()
+	wantDP, wantKeep := referenceSolve(items, maxCap)
+	got := Solve(items, maxCap)
+	for c := range wantDP {
+		if math.Float64bits(got.dp[c]) != math.Float64bits(wantDP[c]) {
+			t.Fatalf("%d items, capacity %d: dp[%d] = %v, reference %v", len(items), maxCap, c, got.dp[c], wantDP[c])
+		}
+	}
+	for k := range wantKeep {
+		if got.keep[k] != wantKeep[k] {
+			t.Fatalf("%d items, capacity %d: keep word %d (item %d) = %#x, reference %#x",
+				len(items), maxCap, k, k/got.stride, got.keep[k], wantKeep[k])
+		}
+	}
+}
+
+// encodeItems and decodeItems map items to 9-byte fuzz records: a weight
+// byte and a little-endian float64 profit.
+func encodeItems(items []Item) []byte {
+	var out []byte
+	for _, it := range items {
+		out = append(out, byte(it.Weight))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(it.Profit))
+	}
+	return out
+}
+
+func decodeItems(data []byte) []Item {
+	const maxItems = 96
+	var items []Item
+	for len(data) >= 9 && len(items) < maxItems {
+		items = append(items, Item{Weight: int64(data[0]), Profit: math.Float64frombits(binary.LittleEndian.Uint64(data[1:9]))})
+		data = data[9:]
+	}
+	return items
+}
+
+// FuzzSolveMatchesReference: for any items and capacity, the prefix-weight
+// Solve builds the table the full recurrence builds. Profits are raw
+// float64 bits, so infinities, NaNs, negatives and absorbed sums are in
+// range.
+func FuzzSolveMatchesReference(f *testing.F) {
+	mixed := []Item{{Weight: 3, Profit: 2}, {Weight: 5, Profit: 4}, {Weight: 7, Profit: 3}}
+	for _, seed := range []struct {
+		items []Item
+		cap   uint16
+	}{
+		{[]Item{{Weight: 0, Profit: 5}, {Weight: 0, Profit: 0}, {Weight: 3, Profit: 2}, {Weight: 0, Profit: 1}}, 5},
+		{[]Item{{Weight: 2, Profit: 0}, {Weight: 3, Profit: 0}, {Weight: 1, Profit: 4}}, 4},
+		{[]Item{{Weight: 1, Profit: 1e9}, {Weight: 1, Profit: 1e-17}, {Weight: 2, Profit: 3}}, 4},
+		{[]Item{{Weight: 9, Profit: 5}, {Weight: 2, Profit: 1}, {Weight: 255, Profit: 7}, {Weight: 1, Profit: 2}}, 4},
+		{mixed, 10},  // below the total weight
+		{mixed, 15},  // at it
+		{mixed, 200}, // above it, across several keep words
+		{nil, 70},
+	} {
+		f.Add(encodeItems(seed.items), seed.cap)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, capacity uint16) {
+		checkSolve(t, decodeItems(data), int64(capacity%4096))
+	})
+}
+
+// TestSolveMatchesReferenceRandom runs the reference comparison on
+// instances larger than the fuzz seeds: hundreds of items whose total
+// weight falls below, near and above the capacity.
+func TestSolveMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 40; trial++ {
+		items := make([]Item, 1+rng.Intn(300))
+		var total int64
+		for i := range items {
+			items[i] = Item{Weight: int64(rng.Intn(40)), Profit: float64(rng.Intn(1000))}
+			if trial%2 == 1 {
+				items[i].Profit = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
+			}
+			total += items[i].Weight
+		}
+		checkSolve(t, items, rng.Int63n(total*5/4+2))
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -52,18 +53,18 @@ var (
 	adaptiveFreqSpace = ParamSpace{decayParam}
 )
 
-// keyStats tallies the per-key access pattern, mirroring what the core
-// pattern engines compute internally. It walks the whole trace and
-// depends on nothing else, so sessions on one artifact cache share one
-// tally (core.SharedAnalysis): the slice is read-only.
+// keyStats is core.KeyStats behind the shared-analysis seam. It walks the
+// whole trace and depends on nothing else, so sessions on one artifact
+// cache share one tally (core.SharedAnalysis): the slice is read-only. A
+// trace that fails to read is an error: no policy advises from a
+// truncated tally.
 func keyStats(ctx context.Context, w *ycsb.Workload) ([]core.KeyStat, error) {
 	return core.SharedAnalysis(ctx, "registry.keystats", func(bool) ([]core.KeyStat, error) {
-		reads, writes := w.AccessCounts()
-		out := make([]core.KeyStat, len(w.Dataset.Records))
-		for i, rec := range w.Dataset.Records {
-			out[i] = core.KeyStat{Index: i, Key: rec.Key, Size: rec.Size, Reads: reads[i], Writes: writes[i]}
+		stats, err := core.KeyStats(w)
+		if err != nil {
+			return nil, fmt.Errorf("registry: reading trace: %w", err)
 		}
-		return out, nil
+		return stats, nil
 	})
 }
 
@@ -202,14 +203,15 @@ func (p *PageSamplePolicy) Samples() int64 {
 }
 
 // Order implements core.TieringPolicy by profiling the replay and
-// translating the resulting key priority into an Ordering.
+// translating the resulting record priority into an Ordering.
 func (p *PageSamplePolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
-	if p.rate <= 0 {
-		return core.Ordering{}, fmt.Errorf("pagesample: sampling rate %d must be positive", p.rate)
+	if p.rate <= 0 || p.rate > math.MaxInt32 {
+		return core.Ordering{}, fmt.Errorf("pagesample: sampling rate %d outside [1, %d]", p.rate, math.MaxInt32)
 	}
-	space := tiering.NewAddressSpace(w.Dataset)
-	prof := tiering.NewProfiler(space, p.rate, p.seed)
-	prof.Observe(w)
+	prof := tiering.NewProfiler(tiering.NewAddressSpace(w.Dataset), p.rate, p.seed)
+	if err := prof.Observe(w); err != nil {
+		return core.Ordering{}, fmt.Errorf("pagesample: reading trace: %w", err)
+	}
 	p.mu.Lock()
 	p.samples = prof.Samples()
 	p.mu.Unlock()
@@ -218,20 +220,7 @@ func (p *PageSamplePolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Or
 	if err != nil {
 		return core.Ordering{}, err
 	}
-	byKey := make(map[string]int, len(stats))
-	for i, k := range stats {
-		byKey[k.Key] = i
-	}
-	keyOrder := prof.KeyOrdering(w.Dataset)
-	order := make([]int, len(keyOrder))
-	for i, key := range keyOrder {
-		idx, ok := byKey[key]
-		if !ok {
-			return core.Ordering{}, fmt.Errorf("pagesample: profiler emitted unknown key %q", key)
-		}
-		order[i] = idx
-	}
-	return orderingOf(p.name, stats, order), nil
+	return orderingOf(p.name, stats, prof.KeyOrdering()), nil
 }
 
 // KnapsackExact orders keys by solving the 0/1 knapsack exactly at a

@@ -2,15 +2,19 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
 	"mnemo/internal/core"
 	"mnemo/internal/knapsack"
 	"mnemo/internal/kvstore"
+	"mnemo/internal/trace"
 	"mnemo/internal/ycsb"
 )
 
@@ -112,6 +116,36 @@ func TestEveryPolicyOrdersCompletely(t *testing.T) {
 	}
 }
 
+// TestPoliciesRejectCorruptTrace: no policy advises from a trace that
+// fails to read. The last frame's stored checksum is flipped, so every
+// frame before it decodes and the error surfaces only at the end.
+func TestPoliciesRejectCorruptTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corrupt.mtrc")
+	if err := trace.WriteWorkload(testWorkload(t, 16), path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Entries() {
+		t.Run(e.Name, func(t *testing.T) {
+			w, err := trace.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ord, err := e.New(16).Order(context.Background(), w)
+			if !errors.Is(err, trace.ErrChecksum) {
+				t.Fatalf("err = %v with %d keys ordered, want trace.ErrChecksum", err, len(ord.Keys))
+			}
+		})
+	}
+}
+
 func TestTahoeOrdersByFrequency(t *testing.T) {
 	w := testWorkload(t, 12)
 	ord, err := Tahoe.Order(context.Background(), w)
@@ -182,6 +216,11 @@ func TestPageSampleStateAndDeterminism(t *testing.T) {
 	}
 	if _, err := PageSample(0, 1).Order(context.Background(), w); err == nil {
 		t.Error("non-positive rate accepted")
+	}
+	// Above MaxInt32 rand.Intn would switch from Int31n to Int63n, a
+	// different draw than the profiler reproduces.
+	if _, err := PageSample(math.MaxInt32+1, 1).Order(context.Background(), w); err == nil {
+		t.Error("rate above MaxInt32 accepted")
 	}
 	// Sparse sampling collects strictly fewer observations.
 	sparse := PageSample(4000, 99)

@@ -457,16 +457,23 @@ func MustGenerate(spec Spec) *Workload {
 // decode mid-iteration yields the counts accumulated so far — replay of
 // the same stream surfaces the error loudly.
 func (w *Workload) AccessCounts() (reads, writes []int) {
+	reads, writes, _ = w.CountAccesses()
+	return reads, writes
+}
+
+// CountAccesses is AccessCounts with the stream's read error, for
+// callers that must not act on a truncated tally.
+func (w *Workload) CountAccesses() (reads, writes []int, err error) {
 	reads = make([]int, len(w.Dataset.Records))
 	writes = make([]int, len(w.Dataset.Records))
-	_ = w.ForEachOp(func(key int, kind kvstore.OpKind) {
+	err = w.ForEachOp(func(key int, kind kvstore.OpKind) {
 		if kind == kvstore.Read {
 			reads[key]++
 		} else {
 			writes[key]++
 		}
 	})
-	return reads, writes
+	return reads, writes, err
 }
 
 // TouchOrder returns key indices in order of first touch by the trace;
