@@ -52,14 +52,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"shards above max", Options{Shards: 257}, "Shards"},
 		{"negative crash prob", Options{Fault: FaultSpec{CrashProb: -0.1}}, "CrashProb"},
 		{"crash prob above 1", Options{Fault: FaultSpec{CrashProb: 1.5}}, "CrashProb"},
-		{"straggler prob above 1", Options{Fault: FaultSpec{StragglerProb: 2}}, "StragglerProb"},
-		{"negative straggler factor", Options{Fault: FaultSpec{StragglerProb: 0.1, StragglerFactor: -4}}, "StragglerFactor"},
-		{"negative shard retries", Options{Shards: 2, ShardRetries: -1}, "ShardRetries"},
-		{"negative shard fault budget", Options{Shards: 2, ShardFaultBudget: -2}, "ShardFaultBudget"},
-		{"fractional hedge factor", Options{Shards: 2, HedgeFactor: 0.5}, "HedgeFactor"},
-		{"shard retries without shards", Options{ShardRetries: 1}, "Shards ≥ 2"},
-		{"fault budget without shards", Options{ShardFaultBudget: 1}, "Shards ≥ 2"},
-		{"hedging on one shard", Options{Shards: 1, HedgeFactor: 2}, "Shards ≥ 2"},
 		{"negative epoch ops", Options{EpochOps: -1}, "EpochOps"},
 		{"negative migration cost", Options{MigrationCostPerByte: -0.5}, "MigrationCostPerByte"},
 		{"negative migration budget", Options{MigrationBudget: -64}, "MigrationBudget"},
@@ -158,22 +150,6 @@ func TestKnobTableThreeEntryPoints(t *testing.T) {
 			func(o *Options) { o.OutlierMAD = 3.5 },
 			nil,
 			func(c *core.Config) { c.Resilience.OutlierMAD = 3.5 }},
-		{"shard retries", "ShardRetries",
-			func(o *Options) { o.Shards, o.ShardRetries = 2, -1 },
-			func(s *experiments.Scale) { s.Shards, s.ShardRetries = 2, -1 },
-			func(c *core.Config) { c.Server.Shards, c.Resilience.ShardRetries = 2, -1 }},
-		{"shard fault budget", "ShardFaultBudget",
-			func(o *Options) { o.Shards, o.ShardFaultBudget = 2, -1 },
-			func(s *experiments.Scale) { s.Shards, s.ShardFaultBudget = 2, -1 },
-			func(c *core.Config) { c.Server.Shards, c.Resilience.ShardFaultBudget = 2, -1 }},
-		{"hedge factor", "HedgeFactor",
-			func(o *Options) { o.Shards, o.HedgeFactor = 2, 0.5 },
-			func(s *experiments.Scale) { s.Shards, s.HedgeFactor = 2, 0.5 },
-			func(c *core.Config) { c.Server.Shards, c.Resilience.HedgeFactor = 2, 0.5 }},
-		{"shard knobs on one shard", "Shards ≥ 2",
-			func(o *Options) { o.Shards, o.HedgeFactor = 1, 2 },
-			func(s *experiments.Scale) { s.Shards, s.HedgeFactor = 1, 2 },
-			func(c *core.Config) { c.Server.Shards, c.Resilience.HedgeFactor = 1, 2 }},
 	}
 	check := func(t *testing.T, entry string, err error, want string) {
 		t.Helper()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"regexp"
 	"runtime"
 	"testing"
 	"time"
@@ -14,55 +13,49 @@ import (
 	"mnemo/internal/pool"
 )
 
-// shardReasonRE is the shape every shard-attributed degraded reason
-// must take: the baseline it came from, the dead shard's index, and the
-// underlying error.
-var shardReasonRE = regexp.MustCompile(`^(FastMem|SlowMem): shard \d+: .+`)
-
 // chaosShardedOptions derives one seeded sharded fault schedule: the
-// cluster size cycles through {2,4,8}, every fault class (legacy and
-// shard-granular) draws a probability, and the remediation knobs —
-// per-shard retries, a fault budget sized to the cluster, hedging — are
-// themselves randomized so the sweep covers their whole cross-product.
+// cluster size cycles through {2,4,8}, every fault class draws a
+// probability, and the repetition layer's remediation knobs — retries,
+// the surviving-run floor, MAD outlier rejection — are themselves
+// randomized so the sweep covers their cross-product, strict mode
+// included.
 func chaosShardedOptions(i int, rng *rand.Rand) Options {
-	shards := []int{2, 4, 8}[i%3]
 	opts := Options{
 		Seed:   int64(i) + 1,
-		Runs:   1 + rng.Intn(2),
-		Shards: shards,
+		Runs:   1 + rng.Intn(4),
+		Shards: []int{2, 4, 8}[i%3],
 		Fault: FaultSpec{
 			Seed:           int64(i)*13 + 5,
 			FailProb:       rng.Float64() * 0.3,
 			StallProb:      rng.Float64() * 0.2,
 			OutlierProb:    rng.Float64() * 0.3,
 			CrashProb:      rng.Float64() * 0.4,
-			StragglerProb:  rng.Float64() * 0.4,
-			StallWindowOps: 50, // inside every shard's slice of the tiny trace
+			StallWindowOps: 50, // inside member 0's slice of the tiny trace
 		},
-		Retries:          rng.Intn(2),
-		ShardRetries:     rng.Intn(3),
-		ShardFaultBudget: rng.Intn(shards),
+		Retries: rng.Intn(3),
 	}
 	if rng.Intn(2) == 0 {
 		opts.RunTimeout = 2 * Second // cuts injected stalls
 	}
-	if rng.Intn(2) == 0 {
-		opts.HedgeFactor = 1 + rng.Float64()*2
-	}
-	if opts.ShardRetries == 0 && opts.ShardFaultBudget == 0 && opts.HedgeFactor == 0 {
-		// Every schedule exercises the fault-domain path; all three knobs
-		// zero would fall back to the legacy all-or-nothing behavior.
-		opts.ShardRetries = 1
+	if rng.Intn(3) > 0 {
+		opts.MinRuns = 1 + rng.Intn(opts.Runs)
+		if rng.Intn(2) == 0 {
+			// The MAD gate only promises to keep half the survivors; a
+			// higher floor could fail a fault-free aggregate outright.
+			opts.OutlierMAD = 3.5
+			opts.MinRuns = min(opts.MinRuns, max(opts.Runs/2, 1))
+		}
 	}
 	return opts
 }
 
 // TestChaosShardedSchedules drives sharded profiles through 200 seeded
-// fault schedules mixing every fault class with randomized remediation
-// knobs. The contract: each schedule ends with a report or a typed
-// error, degraded reports carry correctly-shaped shard-attributed
-// reasons and consistent counts, the whole remediated execution is
-// bit-identical when repeated under the same seed, and no goroutines
+// fault schedules mixing every fault class, remediated by the
+// repetition layer alone. The contract: each schedule ends with a
+// report or a typed error, a degraded report is one whose baselines
+// folded fewer repetitions than requested (never fewer than MinRuns),
+// the whole remediated execution is bit-identical when repeated under
+// the same seed — with one worker as with many — and no goroutines
 // leak. (The TestChaos name prefix keeps it inside the nightly
 // `-run 'TestChaos'` -race sweep.)
 func TestChaosShardedSchedules(t *testing.T) {
@@ -72,6 +65,9 @@ func TestChaosShardedSchedules(t *testing.T) {
 	const schedules = 200
 
 	warmup := runtime.NumGoroutine()
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	parallel := max(procs, 4)
 
 	degraded, failed := 0, 0
 	for i := 0; i < schedules; i++ {
@@ -81,6 +77,7 @@ func TestChaosShardedSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		runtime.GOMAXPROCS(parallel)
 		rep, err := ProfileContext(context.Background(), w, opts)
 		if (rep == nil) == (err == nil) {
 			t.Fatalf("schedule %d: report %v, err %v — want exactly one", i, rep, err)
@@ -95,27 +92,25 @@ func TestChaosShardedSchedules(t *testing.T) {
 				t.Fatalf("schedule %d: untyped error %v", i, err)
 			}
 		} else {
-			if rep.Degraded != (len(rep.DegradedReasons) > 0) {
-				t.Fatalf("schedule %d: Degraded=%t with %d reasons (strict mode: the only "+
-					"degradation source is a partial shard merge)",
-					i, rep.Degraded, len(rep.DegradedReasons))
-			}
-			for _, reason := range rep.DegradedReasons {
-				if !shardReasonRE.MatchString(reason) {
-					t.Fatalf("schedule %d: malformed degraded reason %q", i, reason)
+			for _, b := range []RunStats{rep.Baselines.Fast, rep.Baselines.Slow} {
+				if b.RunsRequested != opts.Runs || b.RunsUsed > b.RunsRequested ||
+					b.RunsUsed < max(opts.MinRuns, 1) || b.Degraded != (b.RunsUsed < b.RunsRequested) {
+					t.Fatalf("schedule %d: inconsistent run counts: used %d of %d (MinRuns %d), degraded %t",
+						i, b.RunsUsed, b.RunsRequested, opts.MinRuns, b.Degraded)
 				}
 			}
-			if fails := rep.Baselines.Fast.ShardsFailed + rep.Baselines.Slow.ShardsFailed; fails != len(rep.DegradedReasons) {
-				t.Fatalf("schedule %d: %d shard failures but %d reasons",
-					i, fails, len(rep.DegradedReasons))
+			if rep.Degraded != (rep.Baselines.Fast.Degraded || rep.Baselines.Slow.Degraded) {
+				t.Fatalf("schedule %d: report Degraded=%t disagrees with its baselines", i, rep.Degraded)
 			}
 			if rep.Degraded {
 				degraded++
 			}
 		}
 
-		// Determinism: the full remediated pipeline — retries, hedges,
-		// partial merges — must reproduce bit-exactly under the same seed.
+		// Determinism: the full remediated pipeline — retries, outlier
+		// rejection, degradation — must reproduce bit-exactly under the
+		// same seed, on a single worker as on many.
+		runtime.GOMAXPROCS(1)
 		rep2, err2 := ProfileContext(context.Background(), w, opts)
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("schedule %d: outcome flipped on rerun: %v vs %v", i, err, err2)
@@ -131,10 +126,10 @@ func TestChaosShardedSchedules(t *testing.T) {
 	// The sweep must actually exercise the degraded and failed paths —
 	// a silent all-healthy run would pin nothing.
 	if degraded == 0 {
-		t.Error("no schedule produced a degraded partial result")
+		t.Error("no schedule produced a degraded report")
 	}
 	if failed == 0 {
-		t.Error("no schedule exhausted its fault budget")
+		t.Error("no schedule exhausted its repetitions")
 	}
 	t.Logf("%d schedules: %d degraded, %d failed", schedules, degraded, failed)
 
@@ -150,10 +145,10 @@ func TestChaosShardedSchedules(t *testing.T) {
 	}
 }
 
-// TestChaosShardedCancellationPrompt cancels a hedged, fault-injected
+// TestChaosShardedCancellationPrompt cancels a retrying, fault-injected
 // sharded profile mid-flight: the call must return the context error
-// quickly and — the hedge-loser leak regression — every per-shard and
-// hedge goroutine must drain, leaving no leaks behind.
+// quickly and every per-shard and per-repetition goroutine must drain,
+// leaving no leaks behind.
 func TestChaosShardedCancellationPrompt(t *testing.T) {
 	warmup := runtime.NumGoroutine()
 	cut := 0
@@ -174,8 +169,8 @@ func TestChaosShardedCancellationPrompt(t *testing.T) {
 		start := time.Now()
 		rep, err := ProfileContext(ctx, w, Options{
 			Seed: int64(i) + 1, Runs: 4, Shards: 4,
-			Fault:        FaultSpec{Seed: int64(i)*7 + 3, StragglerProb: 0.5, CrashProb: 0.2, StallWindowOps: 5000},
-			ShardRetries: 2, ShardFaultBudget: 3, HedgeFactor: 1,
+			Fault:   FaultSpec{Seed: int64(i)*7 + 3, OutlierProb: 0.5, CrashProb: 0.2, StallWindowOps: 5000},
+			Retries: 2, MinRuns: 1, OutlierMAD: 3.5,
 		})
 		elapsed := time.Since(start)
 		cancel()
@@ -197,7 +192,7 @@ func TestChaosShardedCancellationPrompt(t *testing.T) {
 		if n := runtime.NumGoroutine(); n <= warmup+2 {
 			break
 		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak after cancelled hedged profiles: %d before, %d after",
+			t.Fatalf("goroutine leak after cancelled sharded profiles: %d before, %d after",
 				warmup, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -205,5 +200,5 @@ func TestChaosShardedCancellationPrompt(t *testing.T) {
 	if cut == 0 {
 		t.Skip("profiles finished before cancellation; nothing to assert")
 	}
-	t.Logf("cancelled %d of 4 hedged sharded profiles", cut)
+	t.Logf("cancelled %d of 4 sharded profiles", cut)
 }

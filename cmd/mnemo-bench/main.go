@@ -34,14 +34,9 @@
 //	-fault-stall p  class, or reshape the mix -fault applies to all three
 //	-fault-outlier p
 //	-fault-seed n   decorrelates the fault schedule from -seed
-//	-fault-shard p  shard-granular chaos (needs -shards ≥ 2): each shard
-//	                independently crashes mid-run or runs as a persistent
-//	                straggler with probability p per class; shards retry in
-//	                place and runs degrade to partial merges within a
-//	                default fault budget (1 retry, ≥¼ of the cluster)
-//	-hedge f        hedged re-execution (needs -shards ≥ 2): shards slower
-//	                than f× the median shard runtime are speculatively
-//	                re-run and the faster execution wins (0 = off, else ≥ 1)
+//	-fault-crash p  probability p that a run crashes mid-replay (after
+//	                serving a prefix of its trace); composes with -fault,
+//	                and a sharded run rolls one fate like any other run
 //	-epoch-ops n    adaptive-compare: epoch length in requests (0 = the
 //	                experiment default, one 4096-op replay block)
 //	-migration-cost f  adaptive-compare: simulated migration charge in ns
@@ -316,8 +311,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	faultStall := fs.Float64("fault-stall", -1, "stall-fault probability `p` (overrides -fault for this class)")
 	faultOutlier := fs.Float64("fault-outlier", -1, "outlier-fault probability `p` (overrides -fault for this class)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed of the fault schedule")
-	faultShard := fs.Float64("fault-shard", 0, "shard-granular chaos: each shard independently crashes mid-run or runs as a persistent straggler with probability `p` per class (needs -shards ≥ 2)")
-	hedge := fs.Float64("hedge", 0, "hedge shards slower than `factor`× the median shard runtime (0 = off, else ≥ 1; needs -shards ≥ 2)")
+	faultCrash := fs.Float64("fault-crash", 0, "mid-replay crash probability `p` (composes with -fault)")
 	epochOps := fs.Int("epoch-ops", 0, "adaptive-compare: epoch length in `requests` (0 = experiment default)")
 	migCost := fs.Float64("migration-cost", 0, "adaptive-compare: migration charge in `ns` per payload byte (0 = experiment default)")
 	migBudget := fs.Int64("migration-budget", 0, "adaptive-compare: cap on migrated payload `bytes` per epoch (0 = unlimited)")
@@ -367,24 +361,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return class
 	}
 	failP, stallP, outlierP := classProb(*faultFail), classProb(*faultStall), classProb(*faultOutlier)
-	if failP != 0 || stallP != 0 || outlierP != 0 || *faultShard != 0 {
+	if failP != 0 || stallP != 0 || outlierP != 0 || *faultCrash != 0 {
 		scale.Fault = server.FaultSpec{
-			Seed:          *faultSeed,
-			FailProb:      failP,
-			StallProb:     stallP,
-			OutlierProb:   outlierP,
-			CrashProb:     *faultShard,
-			StragglerProb: *faultShard,
+			Seed:        *faultSeed,
+			FailProb:    failP,
+			StallProb:   stallP,
+			OutlierProb: outlierP,
+			CrashProb:   *faultCrash,
 		}
 	}
-	if *faultShard > 0 {
-		// Shard chaos without remediation would just kill every sweep;
-		// default to one in-place retry per shard and a quarter of the
-		// cluster as the fault budget.
-		scale.ShardRetries = 1
-		scale.ShardFaultBudget = max(*shards/4, 1)
-	}
-	scale.HedgeFactor = *hedge
 	scale.EpochOps = *epochOps
 	scale.MigrationCostPerByte = *migCost
 	scale.MigrationBudget = *migBudget

@@ -180,12 +180,8 @@ func TestRunRejectsBadClassFaultFlags(t *testing.T) {
 		{"-fault-fail", "1.5", "table1"},
 		{"-fault-stall", "2", "table1"},
 		{"-fault-outlier", "9", "table1"},
-		{"-fault-shard", "1.5", "cluster-sweep"},
-		{"-fault-shard", "-0.1", "cluster-sweep"},
-		{"-shards", "4", "-hedge", "0.5", "cluster-sweep"},
-		// Shard-granular knobs are meaningless on a single deployment.
-		{"-fault-shard", "0.2", "table1"},
-		{"-hedge", "2", "table1"},
+		{"-fault-crash", "1.5", "cluster-sweep"},
+		{"-fault-crash", "-0.1", "cluster-sweep"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {
@@ -195,17 +191,21 @@ func TestRunRejectsBadClassFaultFlags(t *testing.T) {
 }
 
 func TestRunClusterShardFaultFlags(t *testing.T) {
-	// A sharded chaos schedule with hedging must still complete the
-	// cluster sweep: crashed shards retry or degrade to a partial merge
-	// instead of failing the experiment.
-	var stdout, stderr bytes.Buffer
-	args := []string{"-quick", "-seed", "7", "-shards", "4", "-fault-shard", "0.1",
-		"-fault-seed", "3", "-hedge", "1.5", "cluster-sweep"}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout.String(), "Cluster sweep") {
-		t.Error("cluster sweep output missing under shard chaos")
+	// Sharded chaos schedules must still complete the cluster sweep: a
+	// faulted cluster run is retried, rejected as an outlier or dropped
+	// by the repetition layer, exactly like an unsharded one.
+	for _, chaos := range [][]string{
+		{"-fault-crash", "0.1"},
+		{"-fault", "0.1", "-timeout", "5"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-quick", "-seed", "7", "-shards", "4", "-fault-seed", "3"}, chaos...)
+		if err := run(append(args, "cluster-sweep"), &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v", chaos, err)
+		}
+		if !strings.Contains(stdout.String(), "Cluster sweep") {
+			t.Errorf("%v: cluster sweep output missing under shard chaos", chaos)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"mnemo"
 	"mnemo/internal/report"
@@ -196,33 +195,7 @@ func shardLayoutRows(rep *mnemo.Report, w *mnemo.Workload, shards int) ([]report
 			row.FastBytes += int64(rec.Size)
 		}
 	}
-	annotateShardHealth(rows, rep.DegradedReasons)
 	return rows, nil
-}
-
-// annotateShardHealth marks shard rows named by a degraded report's
-// shard-attributed reasons ("FastMem: shard 3: server: injected crash
-// fault …"). Reports with no reasons leave every row's Health empty, so
-// the shard table renders exactly as before fault domains existed.
-func annotateShardHealth(rows []report.ShardRow, reasons []string) {
-	for _, reason := range reasons {
-		var s int
-		rest := reason
-		// Strip the baseline prefix, if present.
-		if i := strings.Index(rest, ": shard "); i >= 0 {
-			rest = rest[i+2:]
-		}
-		if n, err := fmt.Sscanf(rest, "shard %d:", &s); err != nil || n != 1 || s < 0 || s >= len(rows) {
-			continue
-		}
-		detail := rest
-		if i := strings.Index(rest, ": "); i >= 0 {
-			detail = rest[i+2:]
-		}
-		if rows[s].Health == "" {
-			rows[s].Health = "dead: " + detail
-		}
-	}
 }
 
 // writeHTMLReport renders the document to w.

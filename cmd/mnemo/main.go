@@ -32,13 +32,6 @@
 //	-shards n         replay across a consistent-hash cluster of n
 //	                  deployments (0 = single deployment; -html gains a
 //	                  per-shard layout section when n ≥ 2)
-//	-shard-retries n  with -shards ≥ 2: in-place retries per faulted shard
-//	-shard-budget n   with -shards ≥ 2: dead shards tolerated per run —
-//	                  within budget the run degrades to a partial merge of
-//	                  the surviving shards instead of failing
-//	-hedge f          with -shards ≥ 2: speculatively re-run shards slower
-//	                  than f× the median shard runtime; the faster
-//	                  execution wins (0 = off, else ≥ 1)
 //	-epoch-ops n      with an adaptive -policy (adaptive-freq,
 //	                  adaptive-mnemot): additionally measure the advised
 //	                  placement with epoch-based online migration every n
@@ -86,33 +79,30 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mnemo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workload     = fs.String("workload", "trending", "Table III workload name, or '-' for csv on stdin")
-		store        = fs.String("store", "redislike", "store engine: redislike|memcachedlike|dynamolike")
-		policy       = fs.String("policy", "", "tiering policy (see -list-policies; default touch)")
-		compare      = fs.String("compare", "", "comma-separated extra policies to profile on the same baselines")
-		listPol      = fs.Bool("list-policies", false, "print the tiering-policy catalog and exit")
-		slo          = fs.Float64("slo", 0.10, "permissible slowdown for the advisor (0 disables)")
-		price        = fs.Float64("p", mnemo.DefaultPriceFactor, "SlowMem:FastMem per-byte price ratio")
-		runs         = fs.Int("runs", 1, "repetitions per baseline measurement")
-		seed         = fs.Int64("seed", 42, "deterministic seed")
-		keys         = fs.Int("keys", 0, "key-space size override")
-		requests     = fs.Int("requests", 0, "request-count override")
-		shards       = fs.Int("shards", 0, "replay across a consistent-hash cluster of `n` deployments (0 = single deployment)")
-		shardRetries = fs.Int("shard-retries", 0, "with -shards ≥ 2: in-place retries per faulted shard")
-		shardBudget  = fs.Int("shard-budget", 0, "with -shards ≥ 2: dead shards tolerated before a run fails (partial merge within budget)")
-		hedge        = fs.Float64("hedge", 0, "with -shards ≥ 2: hedge shards slower than `factor`× the median runtime (0 = off, else ≥ 1)")
-		epochOps     = fs.Int("epoch-ops", 0, "with an adaptive -policy: measure advised placement with migration every `n` requests (0 = off)")
-		migCost      = fs.Float64("migration-cost", 0, "simulated migration charge in `ns` per payload byte (with -epoch-ops)")
-		migBudget    = fs.Int64("migration-budget", 0, "cap on migrated payload `bytes` per epoch boundary (0 = unlimited)")
-		outPath      = fs.String("o", "-", "curve csv destination ('-' = stdout, '' = skip)")
-		plot         = fs.Bool("plot", false, "render the curve as an ASCII plot on stderr")
-		jsonOut      = fs.Bool("json", false, "emit a JSON report summary on stdout instead of the csv")
-		htmlOut      = fs.String("html", "", "also write a standalone HTML report to this file")
-		tracePath    = fs.String("trace", "", "profile a binary .mtrc trace file (streamed; overrides -workload)")
-		monitor      = fs.Bool("monitor", false, "with -workload -, parse stdin as a Redis MONITOR capture")
-		defSize      = fs.Int("default-size", 1024, "record size for keys a MONITOR capture never writes")
-		metrics      = fs.String("metrics", "", "dump run metrics (Prometheus text format) to this file ('-' = stderr)")
-		configPath   = fs.String("config", "", "replay a tuned-config spec (cmd/mnemo-tune JSON) and verify it bit-identically")
+		workload   = fs.String("workload", "trending", "Table III workload name, or '-' for csv on stdin")
+		store      = fs.String("store", "redislike", "store engine: redislike|memcachedlike|dynamolike")
+		policy     = fs.String("policy", "", "tiering policy (see -list-policies; default touch)")
+		compare    = fs.String("compare", "", "comma-separated extra policies to profile on the same baselines")
+		listPol    = fs.Bool("list-policies", false, "print the tiering-policy catalog and exit")
+		slo        = fs.Float64("slo", 0.10, "permissible slowdown for the advisor (0 disables)")
+		price      = fs.Float64("p", mnemo.DefaultPriceFactor, "SlowMem:FastMem per-byte price ratio")
+		runs       = fs.Int("runs", 1, "repetitions per baseline measurement")
+		seed       = fs.Int64("seed", 42, "deterministic seed")
+		keys       = fs.Int("keys", 0, "key-space size override")
+		requests   = fs.Int("requests", 0, "request-count override")
+		shards     = fs.Int("shards", 0, "replay across a consistent-hash cluster of `n` deployments (0 = single deployment)")
+		epochOps   = fs.Int("epoch-ops", 0, "with an adaptive -policy: measure advised placement with migration every `n` requests (0 = off)")
+		migCost    = fs.Float64("migration-cost", 0, "simulated migration charge in `ns` per payload byte (with -epoch-ops)")
+		migBudget  = fs.Int64("migration-budget", 0, "cap on migrated payload `bytes` per epoch boundary (0 = unlimited)")
+		outPath    = fs.String("o", "-", "curve csv destination ('-' = stdout, '' = skip)")
+		plot       = fs.Bool("plot", false, "render the curve as an ASCII plot on stderr")
+		jsonOut    = fs.Bool("json", false, "emit a JSON report summary on stdout instead of the csv")
+		htmlOut    = fs.String("html", "", "also write a standalone HTML report to this file")
+		tracePath  = fs.String("trace", "", "profile a binary .mtrc trace file (streamed; overrides -workload)")
+		monitor    = fs.Bool("monitor", false, "with -workload -, parse stdin as a Redis MONITOR capture")
+		defSize    = fs.Int("default-size", 1024, "record size for keys a MONITOR capture never writes")
+		metrics    = fs.String("metrics", "", "dump run metrics (Prometheus text format) to this file ('-' = stderr)")
+		configPath = fs.String("config", "", "replay a tuned-config spec (cmd/mnemo-tune JSON) and verify it bit-identically")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -161,9 +151,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		SLO:                  *slo,
 		Policy:               policyName,
 		Shards:               *shards,
-		ShardRetries:         *shardRetries,
-		ShardFaultBudget:     *shardBudget,
-		HedgeFactor:          *hedge,
 		EpochOps:             *epochOps,
 		MigrationCostPerByte: *migCost,
 		MigrationBudget:      *migBudget,
@@ -199,10 +186,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "cluster: %d consistent-hash shards, stats merged deterministically\n", *shards)
 	}
 	if rep.Degraded {
-		fmt.Fprintf(stderr, "DEGRADED: report aggregated from partial measurements\n")
-		for _, r := range rep.DegradedReasons {
-			fmt.Fprintf(stderr, "  %s\n", r)
-		}
+		fast, slow := rep.Baselines.Fast, rep.Baselines.Slow
+		fmt.Fprintf(stderr, "DEGRADED: report aggregated from partial measurements (FastMem %d/%d runs, SlowMem %d/%d runs)\n",
+			fast.RunsUsed, fast.RunsRequested, slow.RunsUsed, slow.RunsRequested)
 	}
 	fmt.Fprintf(stderr, "baselines: FastMem %.0f ops/s, SlowMem %.0f ops/s (%.2fx slowdown)\n",
 		rep.Baselines.Fast.ThroughputOpsSec, rep.Baselines.Slow.ThroughputOpsSec,

@@ -61,23 +61,9 @@ type RunStats struct {
 	// ExecuteMean* aggregate's resilience: repetitions requested, the
 	// survivors the means were folded from, and retry attempts spent.
 	// Degraded marks an aggregate computed from fewer runs than
-	// requested — or, for a sharded run, from fewer shards than the
-	// cluster holds. Single-run stats leave all four zero.
+	// requested. Single-run stats leave all four zero.
 	RunsRequested, RunsUsed, RunsRetried int
 	Degraded                             bool
-
-	// ShardsFailed, ShardsHedged and ShardsRetried summarize a sharded
-	// run's fault-domain remediation: shards dead after exhausting their
-	// per-shard retries (skipped by the partial merge, within the
-	// policy's shard fault budget), straggler shards speculatively
-	// re-executed, and per-shard retry attempts spent. Aggregates sum
-	// them across surviving repetitions. All zero off the fault-domain
-	// path.
-	ShardsFailed, ShardsHedged, ShardsRetried int
-	// DegradedReasons carries the shard-attributed explanations of a
-	// degraded result ("shard 3: server: injected crash fault …"), in
-	// ascending shard order within each run.
-	DegradedReasons []string
 
 	// Epochs, MovesApplied, MigratedBytes and MigrationNs summarize an
 	// adaptive run's online migration (DESIGN.md §15): epochs served,
@@ -473,7 +459,7 @@ func Execute(cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats,
 // path, per the golden equivalence tests.
 func ExecuteCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
 	if cfg.Shards >= 1 {
-		st, _, err := executeShardedFresh(ctx, cfg, w, p, Policy{})
+		st, _, err := executeShardedFresh(ctx, cfg, w, p)
 		return st, err
 	}
 	st, _, err := executeFresh(ctx, cfg, w, p)

@@ -41,29 +41,6 @@ type Policy struct {
 	// (3.5 is conventional). 0 disables rejection. At least half the
 	// runs always survive the gate, by the definition of the MAD.
 	OutlierMAD float64
-
-	// The shard fault-domain knobs below apply only to sharded configs
-	// (Shards ≥ 2); all three zero keeps the legacy whole-cluster
-	// behavior, where any shard fault fails the scatter-gather.
-
-	// ShardRetries is the extra attempts allowed per shard after a
-	// fail, crash or timeout fault; each attempt rewinds just that
-	// member (ShardedDeployment.ResetShard) under a re-rolled seed.
-	ShardRetries int
-	// ShardFaultBudget is the number of shards allowed to die (after
-	// exhausting their retries) before the run fails: within budget the
-	// merge skips the dead shards and returns a partial, Degraded
-	// result with shard-attributed reasons. At least one shard must
-	// survive regardless of budget.
-	ShardFaultBudget int
-	// HedgeFactor enables hedged re-execution of straggler shards:
-	// after the scatter completes, every surviving shard whose simulated
-	// runtime exceeds HedgeFactor× the median surviving runtime is
-	// speculatively re-run on the shared pool budget under a hedge seed,
-	// and the faster of the two executions wins (ties and hedge failures
-	// keep the primary — hedging never worsens a run). 0 disables;
-	// otherwise must be ≥ 1.
-	HedgeFactor float64
 }
 
 // Validate rejects malformed policies with errors naming the field.
@@ -80,23 +57,7 @@ func (p Policy) Validate() error {
 	if p.OutlierMAD > 0 && p.MinRuns == 0 {
 		return fmt.Errorf("client: OutlierMAD %v requires MinRuns ≥ 1 (strict mode cannot drop runs)", p.OutlierMAD)
 	}
-	if p.ShardRetries < 0 {
-		return fmt.Errorf("client: ShardRetries %d must be non-negative", p.ShardRetries)
-	}
-	if p.ShardFaultBudget < 0 {
-		return fmt.Errorf("client: ShardFaultBudget %d must be non-negative", p.ShardFaultBudget)
-	}
-	if p.HedgeFactor != 0 && p.HedgeFactor < 1 {
-		return fmt.Errorf("client: HedgeFactor %v must be 0 (disabled) or ≥ 1", p.HedgeFactor)
-	}
 	return nil
-}
-
-// ShardFaultDomains reports whether any shard fault-domain remediation
-// is enabled; false keeps the sharded path on its legacy all-or-nothing
-// behavior, bit-identical to the pre-fault-domain client.
-func (p Policy) ShardFaultDomains() bool {
-	return p.ShardRetries > 0 || p.ShardFaultBudget > 0 || p.HedgeFactor > 0
 }
 
 const (
@@ -136,12 +97,12 @@ type meanRunner struct {
 // errors and telemetry; see executeReused. Configs with Shards ≥ 1
 // route through the cluster path (sharded.go) under the same caching
 // discipline.
-func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement, pol Policy) (RunStats, error) {
+func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
 	if cfg.Shards >= 1 {
 		if r != nil && r.sd != nil {
-			return executeShardedReused(ctx, cfg, w, r.sd, pol)
+			return executeShardedReused(ctx, cfg, w, r.sd)
 		}
-		st, sd, err := executeShardedFresh(ctx, cfg, w, p, pol)
+		st, sd, err := executeShardedFresh(ctx, cfg, w, p)
 		if r != nil && sd != nil && sd.Reusable() {
 			r.sd = sd
 		}
@@ -166,7 +127,7 @@ func executeRepetition(ctx context.Context, cfg server.Config, w *ycsb.Workload,
 	for attempt := 0; ; attempt++ {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*runSeedStride + int64(attempt)*attemptSeedStride
-		st, err := r.execute(ctx, c, w, p, pol)
+		st, err := r.execute(ctx, c, w, p)
 		if err == nil {
 			out.stats, out.err = st, nil
 			return out
@@ -308,9 +269,7 @@ func ExecuteMeanCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p 
 	agg.RunsRequested = runs
 	agg.RunsUsed = len(survivors)
 	agg.RunsRetried = retried
-	// A partial sharded repetition (ShardsFailed > 0) keeps the
-	// aggregate flagged Degraded even when every repetition survived.
-	agg.Degraded = agg.Degraded || agg.RunsUsed < runs
+	agg.Degraded = agg.RunsUsed < runs
 	return agg, nil
 }
 
@@ -339,15 +298,8 @@ func foldRuns(out []repOutcome, survivors []int) RunStats {
 		agg.P99Ns += st.P99Ns
 		agg.MaxNs += st.MaxNs
 		agg.LLCHitRate += st.LLCHitRate
-		// Shard fault-domain telemetry sums (it counts remediation
-		// events, not a mean) and reasons accumulate across survivors.
-		agg.ShardsFailed += st.ShardsFailed
-		agg.ShardsHedged += st.ShardsHedged
-		agg.ShardsRetried += st.ShardsRetried
-		agg.DegradedReasons = append(agg.DegradedReasons, st.DegradedReasons...)
-		agg.Degraded = agg.Degraded || st.Degraded
-		// Migration telemetry likewise sums (total traffic across the
-		// aggregate) and the per-epoch rows merge by epoch index.
+		// Migration telemetry sums (total traffic across the aggregate)
+		// and the per-epoch rows merge by epoch index.
 		agg.Epochs += st.Epochs
 		agg.MovesApplied += st.MovesApplied
 		agg.MigratedBytes += st.MigratedBytes

@@ -48,7 +48,7 @@ func BenchmarkReplaySharded(b *testing.B) {
 				if !sd.ResetRun(cfg.Seed) {
 					b.Fatal("reset failed")
 				}
-				if _, err := runSharded(ctx, cfg, sd, Policy{}); err != nil {
+				if _, err := runSharded(ctx, cfg, sd); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -241,8 +241,6 @@ func measurementKey(whash uint64, cfg Config) uint64 {
 	x.u64(uint64(s.Fault.Stall))
 	x.u64(uint64(s.Fault.StallWindowOps))
 	x.f64(s.Fault.CrashProb)
-	x.f64(s.Fault.StragglerProb)
-	x.f64(s.Fault.StragglerFactor)
 
 	x.u64(uint64(s.RunTimeout))
 	x.bool(s.DisableBatchReplay)
@@ -265,9 +263,6 @@ func measurementKey(whash uint64, cfg Config) uint64 {
 	x.u64(uint64(r.Retries))
 	x.u64(uint64(r.MinRuns))
 	x.f64(r.OutlierMAD)
-	x.u64(uint64(r.ShardRetries))
-	x.u64(uint64(r.ShardFaultBudget))
-	x.f64(r.HedgeFactor)
 	return x.h
 }
 

@@ -153,8 +153,8 @@ type Config struct {
 
 // Validate rejects malformed run knobs with errors naming the field. Each
 // knob group is checked by the layer that owns it — server.Config and
-// client.Policy — and Validate adds Runs, PriceFactor and the one rule
-// spanning both groups. Zero values are the defaults and always pass.
+// client.Policy — and Validate adds Runs and PriceFactor. Zero values are
+// the defaults and always pass.
 func (c Config) Validate() error {
 	if c.Runs < 0 {
 		return fmt.Errorf("core: Runs %d must be non-negative (0 means the default of 1)", c.Runs)
@@ -165,13 +165,7 @@ func (c Config) Validate() error {
 	if err := c.Server.Validate(); err != nil {
 		return err
 	}
-	if err := c.Resilience.Validate(); err != nil {
-		return err
-	}
-	if c.Resilience.ShardFaultDomains() && c.Server.Shards < 2 {
-		return fmt.Errorf("core: shard fault-domain knobs (ShardRetries/ShardFaultBudget/HedgeFactor) require Shards ≥ 2, got Shards %d", c.Server.Shards)
-	}
-	return nil
+	return c.Resilience.Validate()
 }
 
 // normalized applies defaults and validates.

@@ -20,15 +20,10 @@ type Report struct {
 	Curve     *Curve
 	Advice    *Advice
 	// Degraded marks a report whose baselines were aggregated from fewer
-	// runs than requested (failed runs dropped per the config's
-	// resilience policy) or, on a sharded cluster, merged from fewer
-	// shards than configured; the per-baseline RunStats carry the exact
-	// RunsUsed/RunsRetried and ShardsFailed/ShardsHedged/ShardsRetried
-	// counts.
+	// runs than requested (failed or outlier runs dropped per the
+	// config's resilience policy); the per-baseline RunStats carry the
+	// exact RunsUsed/RunsRequested/RunsRetried counts.
 	Degraded bool
-	// DegradedReasons explains a degraded report, each reason prefixed
-	// with the baseline it came from ("FastMem: shard 3: …").
-	DegradedReasons []string
 }
 
 // Profile runs the complete Mnemo pipeline for the workload under one

@@ -371,12 +371,6 @@ func (s *Session) Run(ctx context.Context, p TieringPolicy, maxSlowdown float64)
 		Curve:     curve,
 		Degraded:  b.Fast.Degraded || b.Slow.Degraded,
 	}
-	for _, r := range b.Fast.DegradedReasons {
-		rep.DegradedReasons = append(rep.DegradedReasons, "FastMem: "+r)
-	}
-	for _, r := range b.Slow.DegradedReasons {
-		rep.DegradedReasons = append(rep.DegradedReasons, "SlowMem: "+r)
-	}
 	if maxSlowdown > 0 {
 		advice, err := Advise(curve, maxSlowdown)
 		if err != nil {

@@ -164,17 +164,8 @@ func (r *ClusterSweepResult) Render(w io.Writer) error {
 		fmt.Sprintf("%d of %d shards", r.HotShardSpread, r.Shards))
 	t.AddRow("measured slowdown at advice", fmt.Sprintf("%.2f%%", r.MeasuredSlowdown*100))
 	t.AddRow("measured throughput", fmt.Sprintf("%.0f ops/s", r.Measured.ThroughputOpsSec))
-	if m := r.Measured; m.ShardsFailed > 0 || m.ShardsHedged > 0 || m.ShardsRetried > 0 {
-		t.AddRow("shard fault domains", fmt.Sprintf("%d dead / %d hedged / %d retries (degraded: %t)",
-			m.ShardsFailed, m.ShardsHedged, m.ShardsRetried, m.Degraded))
-	}
 	if err := t.Render(w); err != nil {
 		return err
-	}
-	for _, reason := range r.Measured.DegradedReasons {
-		if _, err := fmt.Fprintf(w, "  degraded: %s\n", reason); err != nil {
-			return err
-		}
 	}
 	return report.ShardTable(
 		fmt.Sprintf("Per-shard layout (%d virtual nodes per shard)", shard.DefaultVirtualNodes),

@@ -48,15 +48,6 @@ type Scale struct {
 	// Shards replays every measurement across a consistent-hash cluster
 	// of N deployments (0 = single deployment; DESIGN.md §13).
 	Shards int
-	// ShardRetries, ShardFaultBudget and HedgeFactor are the per-shard
-	// fault-domain remediation knobs (client.Policy), meaningful with
-	// Shards ≥ 2: in-place retries of faulted shards, the number of
-	// dead shards a run tolerates before failing (degrading to a
-	// partial merge within budget), and the straggler hedging threshold
-	// (0 = off, otherwise ≥ 1).
-	ShardRetries     int
-	ShardFaultBudget int
-	HedgeFactor      float64
 	// EpochOps sets the adaptive replay epoch length for experiments
 	// that measure epoch-based migration (AdaptiveCompare); 0 picks the
 	// experiment default. Profiling experiments ignore it: estimate
@@ -123,9 +114,6 @@ func (s Scale) coreConfig(e server.Engine, seed int64) core.Config {
 	if s.Fault.Enabled() {
 		cfg.Resilience = defaultResilience
 	}
-	cfg.Resilience.ShardRetries = s.ShardRetries
-	cfg.Resilience.ShardFaultBudget = s.ShardFaultBudget
-	cfg.Resilience.HedgeFactor = s.HedgeFactor
 	return cfg
 }
 

@@ -24,19 +24,11 @@ const (
 	// EventOutlierRejected records a completed run dropped by the MAD
 	// outlier gate.
 	EventOutlierRejected EventKind = "outlier_rejected"
-	// EventFault records an injected fault firing (fail, stall, outlier).
+	// EventFault records an injected fault firing (fail, stall, outlier,
+	// crash).
 	EventFault EventKind = "fault_fired"
 	// EventTimeout records a run cut off by the simulated-time budget.
 	EventTimeout EventKind = "timeout"
-	// EventDegraded records an aggregate folded from fewer runs than
-	// requested, or a sharded run merged from fewer shards than the
-	// cluster holds.
-	EventDegraded EventKind = "degraded"
-	// EventHedge records a straggler shard being speculatively re-run.
-	EventHedge EventKind = "shard_hedged"
-	// EventShardDropped records a shard dead after exhausting its
-	// retries, skipped by a partial merge.
-	EventShardDropped EventKind = "shard_dropped"
 	// EventSpanStart / EventSpanEnd bracket a pipeline stage span.
 	EventSpanStart EventKind = "span_started"
 	EventSpanEnd   EventKind = "span_finished"

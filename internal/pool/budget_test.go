@@ -75,11 +75,12 @@ func TestNestedFanOutsShareBudget(t *testing.T) {
 	}
 }
 
-// TestBudgetReleasedOnEarlyReturn is the hedge-loser leak regression:
-// every early-return path out of RunObs — cancellation mid-feed, a
-// panicking job — must hand its acquired tokens back, or a sharded
-// client that hedges and cancels repeatedly would bleed the process-wide
-// allowance down to serial execution.
+// TestBudgetReleasedOnEarlyReturn is the early-return leak regression:
+// every path out of RunObs before its jobs finish — cancellation
+// mid-feed, a panicking job — must hand its acquired tokens back, or a
+// client whose nested repetition and shard fan-outs are cancelled
+// repeatedly would bleed the process-wide allowance down to serial
+// execution.
 func TestBudgetReleasedOnEarlyReturn(t *testing.T) {
 	const extra = 4
 	b := NewBudget(extra)

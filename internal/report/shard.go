@@ -19,56 +19,26 @@ type ShardRow struct {
 	FastKeys  int
 	FastBytes int64
 	Requests  int
-	// Health, when non-empty, annotates the shard's fault-domain state
-	// from a degraded run ("dead: injected crash fault", "hedged", …).
-	// When every row leaves it empty the table omits the health column
-	// entirely, so fault-free reports render byte-identically to
-	// pre-fault-domain ones.
-	Health string
 }
 
 // ShardTable renders per-shard cluster layout rows with a per-shard
 // cost-factor column R(p) (the shard's own fast/total byte ratio under
 // the SlowMem price factor p) and a totals row. An empty shard — the
-// ring assigned it no records — shows "-" for its cost factor. A
-// health column appears only when some row carries a health annotation.
+// ring assigned it no records — shows "-" for its cost factor.
 func ShardTable(title string, rows []ShardRow, price float64) *Table {
-	withHealth := false
-	for _, r := range rows {
-		if r.Health != "" {
-			withHealth = true
-			break
-		}
-	}
-	cols := []string{"shard", "keys", "bytes", "fast keys", "fast bytes", "requests", "cost R(p)"}
-	if withHealth {
-		cols = append(cols, "health")
-	}
-	t := NewTable(title, cols...)
+	t := NewTable(title, "shard", "keys", "bytes", "fast keys", "fast bytes", "requests", "cost R(p)")
 	var total ShardRow
 	for _, r := range rows {
-		cells := []any{r.Shard, r.Keys, FormatBytes(r.Bytes), r.FastKeys, FormatBytes(r.FastBytes),
-			r.Requests, shardCost(r, price)}
-		if withHealth {
-			h := r.Health
-			if h == "" {
-				h = "ok"
-			}
-			cells = append(cells, h)
-		}
-		t.AddRow(cells...)
+		t.AddRow(r.Shard, r.Keys, FormatBytes(r.Bytes), r.FastKeys, FormatBytes(r.FastBytes),
+			r.Requests, shardCost(r, price))
 		total.Keys += r.Keys
 		total.Bytes += r.Bytes
 		total.FastKeys += r.FastKeys
 		total.FastBytes += r.FastBytes
 		total.Requests += r.Requests
 	}
-	totalCells := []any{"total", total.Keys, FormatBytes(total.Bytes), total.FastKeys,
-		FormatBytes(total.FastBytes), total.Requests, shardCost(total, price)}
-	if withHealth {
-		totalCells = append(totalCells, "")
-	}
-	t.AddRow(totalCells...)
+	t.AddRow("total", total.Keys, FormatBytes(total.Bytes), total.FastKeys,
+		FormatBytes(total.FastBytes), total.Requests, shardCost(total, price))
 	return t
 }
 
@@ -105,22 +75,9 @@ func ShardHTMLSection(rows []ShardRow, price float64) HTMLSection {
 			"Provisioning each shard with %s of FastMem satisfies the advised sizing on every shard; "+
 			"per-shard request load spans %d–%d requests.",
 		len(rows), FormatBytes(maxFast), minReq, maxReq)
-	paras := []string{para}
-	unhealthy := 0
-	for _, r := range rows {
-		if r.Health != "" {
-			unhealthy++
-		}
-	}
-	if unhealthy > 0 {
-		paras = append(paras, fmt.Sprintf(
-			"Fault domains: %d of %d shards reported degraded health during measurement "+
-				"(see the health column); merged figures reweight by the surviving shards' requests.",
-			unhealthy, len(rows)))
-	}
 	return HTMLSection{
 		Heading:    "Cluster shard layout",
-		Paragraphs: paras,
+		Paragraphs: []string{para},
 		Table:      ShardTable("", rows, price),
 	}
 }

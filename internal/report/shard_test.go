@@ -64,41 +64,6 @@ func TestShardHTMLSection(t *testing.T) {
 	}
 }
 
-// TestShardTableHealthColumn pins the conditional health column: it is
-// absent when every row is healthy (so fault-free reports stay
-// byte-identical to pre-fault-domain ones) and, once any row carries an
-// annotation, renders that annotation with "ok" filled in for the rest.
-func TestShardTableHealthColumn(t *testing.T) {
-	var clean bytes.Buffer
-	if err := ShardTable("layout", shardRowsFixture(), 0.2).Render(&clean); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(clean.String(), "health") {
-		t.Errorf("healthy table grew a health column:\n%s", clean.String())
-	}
-
-	rows := shardRowsFixture()
-	rows[1].Health = "dead: injected crash fault"
-	var buf bytes.Buffer
-	if err := ShardTable("layout", rows, 0.2).Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"health", "dead: injected crash fault", "ok"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("annotated table missing %q:\n%s", want, out)
-		}
-	}
-
-	sec := ShardHTMLSection(rows, 0.2)
-	if len(sec.Paragraphs) != 2 {
-		t.Fatalf("degraded section paragraphs = %d, want 2", len(sec.Paragraphs))
-	}
-	if !strings.Contains(sec.Paragraphs[1], "1 of 3 shards") {
-		t.Errorf("fault-domain summary: %s", sec.Paragraphs[1])
-	}
-}
-
 func TestShardHTMLSectionEmpty(t *testing.T) {
 	sec := ShardHTMLSection(nil, 0.2)
 	if !strings.Contains(sec.Paragraphs[0], "0 shard(s)") {

@@ -417,6 +417,6 @@ func (d *Deployment) resetRunTelemetry() {
 	tl.flushedOps, tl.flushedHits, tl.flMiss = 0, 0, 0
 	tl.sink.Counter(obs.Name("mnemo_server_deployments_total", "engine", d.cfg.Engine.String())).Inc()
 	if d.fault.factor != 1 {
-		tl.faultFired(d, d.factorFaultKind())
+		tl.faultFired(d, FaultOutlier)
 	}
 }

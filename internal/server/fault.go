@@ -9,15 +9,18 @@ import (
 
 // FaultSpec configures deterministic fault injection into measurement
 // runs — the emulated-testbed analogue of a flaky physical machine,
-// where a run can die outright, stall, or return garbage numbers. Each
-// deployment rolls its fate once, from a stream seeded by the spec's
-// Seed mixed with the run's own Config.Seed, so a given (spec, run)
-// pair always fails the same way: fault schedules are replayable, and
-// the zero-valued spec injects nothing and perturbs nothing (the noise
-// RNG stream is untouched, preserving bit-identical results).
+// where a run can die outright, stall, crash partway, or return garbage
+// numbers. Each run rolls its fate once, from a stream seeded by the
+// spec's Seed mixed with the run's own Config.Seed, so a given (spec,
+// run) pair always fails the same way: fault schedules are replayable,
+// and the zero-valued spec injects nothing and perturbs nothing (the
+// noise RNG stream is untouched, preserving bit-identical results).
 //
 // At most one fault fires per run, decided in precedence order
-// fail → stall → outlier.
+// fail → stall → outlier → crash. A sharded run is one run: its fate is
+// rolled once from the cluster seed and lands on member 0 alone (see
+// Config.shardConfig), so the per-run fault rate does not grow with
+// the shard count.
 type FaultSpec struct {
 	// Seed decorrelates the fault schedule from the measurement seeds.
 	Seed int64
@@ -43,25 +46,14 @@ type FaultSpec struct {
 	// CrashProb is the probability a run crashes mid-replay: the server
 	// serves a prefix of the trace and then dies, surfacing a
 	// *FaultError of kind FaultCrash. Unlike FailProb (dead at connect
-	// time), a crash burns simulated work before failing — the shard
-	// fault class a sharded client remediates by resetting and retrying
-	// just that member.
+	// time), a crash burns simulated work before failing; like every
+	// other fault it is remediated by the client's repetition retries.
 	CrashProb float64
-	// StragglerProb is the probability a run is a persistent straggler:
-	// every service time is inflated by StragglerFactor for the whole
-	// run. The run completes and its numbers are internally consistent —
-	// it is just slow, the shard fault class hedged speculative
-	// re-execution remediates.
-	StragglerProb float64
-	// StragglerFactor is the service-time multiplier of a straggler run
-	// (default 4).
-	StragglerFactor float64
 }
 
 // Enabled reports whether the spec can inject any fault at all.
 func (f FaultSpec) Enabled() bool {
-	return f.FailProb > 0 || f.StallProb > 0 || f.OutlierProb > 0 ||
-		f.CrashProb > 0 || f.StragglerProb > 0
+	return f.FailProb > 0 || f.StallProb > 0 || f.OutlierProb > 0 || f.CrashProb > 0
 }
 
 // Validate rejects malformed specs with descriptive errors.
@@ -70,7 +62,7 @@ func (f FaultSpec) Validate() error {
 		name string
 		v    float64
 	}{{"FailProb", f.FailProb}, {"StallProb", f.StallProb}, {"OutlierProb", f.OutlierProb},
-		{"CrashProb", f.CrashProb}, {"StragglerProb", f.StragglerProb}} {
+		{"CrashProb", f.CrashProb}} {
 		if p.v < 0 || p.v > 1 {
 			return fmt.Errorf("server: fault %s %v outside [0,1]", p.name, p.v)
 		}
@@ -84,18 +76,14 @@ func (f FaultSpec) Validate() error {
 	if f.StallWindowOps < 0 {
 		return fmt.Errorf("server: fault StallWindowOps %d must be non-negative", f.StallWindowOps)
 	}
-	if f.StragglerFactor < 0 {
-		return fmt.Errorf("server: fault StragglerFactor %v must be non-negative", f.StragglerFactor)
-	}
 	return nil
 }
 
 // Defaults for the zero-valued tuning knobs.
 const (
-	defaultOutlierFactor   = 8.0
-	defaultStall           = 10 * simclock.Second
-	defaultStallWindowOps  = 4096
-	defaultStragglerFactor = 4.0
+	defaultOutlierFactor  = 8.0
+	defaultStall          = 10 * simclock.Second
+	defaultStallWindowOps = 4096
 )
 
 func (f FaultSpec) outlierFactor() float64 {
@@ -119,13 +107,6 @@ func (f FaultSpec) stallWindow() int {
 	return f.StallWindowOps
 }
 
-func (f FaultSpec) stragglerFactor() float64 {
-	if f.StragglerFactor == 0 {
-		return defaultStragglerFactor
-	}
-	return f.StragglerFactor
-}
-
 // FaultKind classifies an injected fault.
 type FaultKind int
 
@@ -135,7 +116,6 @@ const (
 	FaultStall
 	FaultOutlier
 	FaultCrash
-	FaultStraggler
 )
 
 // String implements fmt.Stringer.
@@ -149,8 +129,6 @@ func (k FaultKind) String() string {
 		return "outlier"
 	case FaultCrash:
 		return "crash"
-	case FaultStraggler:
-		return "straggler"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
@@ -177,10 +155,6 @@ type faultPlan struct {
 	stallAt int // request index of the simulated stall; −1 = none
 	factor  float64
 	crashAt int // request index of a mid-run crash; −1 = none
-	// straggler marks a factor≠1 as a persistent straggler rather than a
-	// measurement outlier — same pricing, different telemetry kind and
-	// different client remediation (hedging vs MAD rejection).
-	straggler bool
 }
 
 // inertPlan injects nothing.
@@ -190,11 +164,11 @@ func inertPlan() faultPlan { return faultPlan{stallAt: -1, crashAt: -1, factor: 
 // seed and the run's measurement seed. A fresh RNG is used so the roll
 // never consumes draws from the run's noise stream.
 //
-// The draw order is load-bearing: the legacy fail → stall → outlier
-// draws come first so specs that only set the legacy probabilities
-// reproduce their pre-shard fault schedules bit-exactly; the shard
-// fault classes (crash, straggler) draw after them and only when no
-// legacy fault fired, preserving the at-most-one-fault invariant.
+// The draw order is load-bearing: the fail → stall → outlier draws come
+// first so specs that only set those probabilities reproduce their
+// schedules from before the crash class existed bit-exactly; crash draws
+// after them and only when none of them fired, preserving the
+// at-most-one-fault invariant.
 func (f FaultSpec) roll(runSeed int64) faultPlan {
 	if !f.Enabled() {
 		return inertPlan()
@@ -210,9 +184,6 @@ func (f FaultSpec) roll(runSeed int64) faultPlan {
 		plan.factor = f.outlierFactor()
 	case rng.Float64() < f.CrashProb:
 		plan.crashAt = rng.Intn(f.stallWindow())
-	case rng.Float64() < f.StragglerProb:
-		plan.factor = f.stragglerFactor()
-		plan.straggler = true
 	}
 	return plan
 }

@@ -41,7 +41,7 @@ func TestFaultSpecValidate(t *testing.T) {
 		{},
 		{FailProb: 1, StallProb: 0.5, OutlierProb: 0.25, Seed: 3},
 		{OutlierFactor: 100, Stall: simclock.Second, StallWindowOps: 10},
-		{CrashProb: 1, StragglerProb: 0.5, StragglerFactor: 16},
+		{CrashProb: 1, StallWindowOps: 16},
 	}
 	for _, f := range good {
 		if err := f.Validate(); err != nil {
@@ -57,9 +57,6 @@ func TestFaultSpecValidate(t *testing.T) {
 		{StallWindowOps: -1},
 		{CrashProb: -0.5},
 		{CrashProb: 1.5},
-		{StragglerProb: -1},
-		{StragglerProb: 2},
-		{StragglerFactor: -4},
 	}
 	for _, f := range bad {
 		if err := f.Validate(); err == nil {
@@ -109,45 +106,37 @@ func TestFaultRollCoversAllKinds(t *testing.T) {
 	}
 }
 
-// TestFaultRollShardClassesCovered extends the mix check to the
-// shard-granular classes: crash and straggler plans both occur, a crash
-// plan carries an in-window op index, and a straggler plan carries the
-// configured factor.
+// TestFaultRollShardClassesCovered extends the mix check to the crash
+// class: crash plans occur, each carries an in-window op index, and
+// they leave the latency factor alone.
 func TestFaultRollShardClassesCovered(t *testing.T) {
-	spec := FaultSpec{Seed: 7, CrashProb: 0.3, StragglerProb: 0.3, StallWindowOps: 128, StragglerFactor: 6}
-	var crashes, stragglers, clean int
+	spec := FaultSpec{Seed: 7, CrashProb: 0.3, StallWindowOps: 128}
+	var crashes, clean int
 	for seed := int64(0); seed < 400; seed++ {
 		plan := spec.roll(seed)
 		switch {
 		case plan.crashAt >= 0:
 			crashes++
-			if plan.crashAt >= 128 {
-				t.Fatalf("seed %d: crashAt %d outside the %d-op window", seed, plan.crashAt, 128)
-			}
-		case plan.straggler:
-			stragglers++
-			if plan.factor != 6 {
-				t.Fatalf("seed %d: straggler factor %v, want 6", seed, plan.factor)
+			if plan.crashAt >= 128 || plan.factor != 1 {
+				t.Fatalf("seed %d: crash plan %+v outside the 128-op window or inflated", seed, plan)
 			}
 		default:
 			clean++
 		}
 	}
-	if crashes == 0 || stragglers == 0 || clean == 0 {
-		t.Fatalf("shard fault mix degenerate: crash=%d straggler=%d clean=%d",
-			crashes, stragglers, clean)
+	if crashes == 0 || clean == 0 {
+		t.Fatalf("crash fault mix degenerate: crash=%d clean=%d", crashes, clean)
 	}
 }
 
 // TestFaultRollLegacySchedulePreserved pins the draw-order invariant:
-// the shard-granular classes draw after the legacy three, so enabling
-// them must not change which runs fail, stall or complete as outliers —
-// existing seeded fault schedules stay bit-identical.
+// the crash class draws after the other three, so enabling it must not
+// change which runs fail, stall or complete as outliers — existing
+// seeded fault schedules stay bit-identical.
 func TestFaultRollLegacySchedulePreserved(t *testing.T) {
 	legacy := FaultSpec{Seed: 11, FailProb: 0.25, StallProb: 0.25, OutlierProb: 0.25}
 	extended := legacy
 	extended.CrashProb = 0.5
-	extended.StragglerProb = 0.5
 	for seed := int64(0); seed < 400; seed++ {
 		a, b := legacy.roll(seed), extended.roll(seed)
 		if a.fail || a.stallAt >= 0 || a.factor != 1 {
@@ -208,7 +197,7 @@ func TestZeroFaultSpecBitIdentical(t *testing.T) {
 }
 
 func TestFaultStringers(t *testing.T) {
-	for _, k := range []FaultKind{FaultFail, FaultStall, FaultOutlier, FaultCrash, FaultStraggler, FaultKind(99)} {
+	for _, k := range []FaultKind{FaultFail, FaultStall, FaultOutlier, FaultCrash, FaultKind(99)} {
 		if k.String() == "" {
 			t.Fatalf("empty String for %d", int(k))
 		}

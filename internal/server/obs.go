@@ -43,17 +43,8 @@ func (d *Deployment) initTelemetry() {
 	}
 	s.Counter(obs.Name("mnemo_server_deployments_total", "engine", engine)).Inc()
 	if d.fault.factor != 1 {
-		d.telem.faultFired(d, d.factorFaultKind())
+		d.telem.faultFired(d, FaultOutlier)
 	}
-}
-
-// factorFaultKind classifies a factor≠1 fate: a persistent straggler or
-// a measurement outlier.
-func (d *Deployment) factorFaultKind() FaultKind {
-	if d.fault.straggler {
-		return FaultStraggler
-	}
-	return FaultOutlier
 }
 
 // faultFired counts and journals one injected fault.

@@ -101,7 +101,8 @@ type Config struct {
 	Seed       int64
 	// Fault injects deterministic measurement faults (zero value: none).
 	// The per-run fate is rolled once per deployment from Fault.Seed
-	// mixed with Seed; see FaultSpec.
+	// mixed with Seed — once per cluster on a sharded config, where it
+	// rides on member 0; see FaultSpec.
 	Fault FaultSpec
 	// RunTimeout bounds one measurement run in simulated time; the
 	// client aborts a replay whose clock exceeds it (cutting off

@@ -15,19 +15,26 @@ import (
 // hash ring: the workload is partitioned once (internal/shard, cached),
 // each shard gets the records the ring assigns to it plus exactly its
 // subsequence of the trace, and every existing single-deployment
-// mechanism — the batched replay kernel, the ResetRun snapshot, fault
-// injection, telemetry flushing — applies per shard unchanged. Shards
-// are fully independent simulations: no shared clock, no shared LLC, no
+// mechanism — the batched replay kernel, the ResetRun snapshot,
+// telemetry flushing — applies per shard unchanged. Shards are fully
+// independent simulations: no shared clock, no shared LLC, no
 // cross-shard requests, which is what lets the client replay them on
 // separate goroutines and still merge deterministically.
+//
+// Fault injection is the one cluster-wide matter: a cluster run is one
+// measurement run, so it rolls one fate from (Fault.Seed, cluster
+// seed), exactly as an unsharded run does, and that fate lands on
+// member 0 alone. A cluster of N therefore fails, stalls, crashes or
+// lies as often as a single deployment — at most one fault per run —
+// and the client's repetition layer remediates it the same way.
 //
 // Clock semantics are max-over-shards: the cluster's runtime is the
 // slowest shard's simulated time, the way a scatter-gather measurement
 // completes when its last shard does. Config.RunTimeout bounds each
 // shard's own clock (a watchdog per server process, not per cluster).
 
-// shardSeedStride decorrelates per-shard noise/fault streams. Shard 0
-// keeps the configured seed (so a 1-shard cluster reproduces the single
+// shardSeedStride decorrelates per-shard noise streams. Shard 0 keeps
+// the configured seed (so a 1-shard cluster reproduces the single
 // deployment bit-for-bit); shard s runs at Seed + s·524287 — a stride
 // coprime to and much larger than the repetition stride (1009), so run
 // r of shard s never collides with run r′ of shard s′ within any
@@ -46,21 +53,27 @@ type ShardedDeployment struct {
 	loaded bool
 }
 
-// shardConfig derives shard s's deployment config: the per-shard seed,
-// with the cluster fields cleared (a member deployment is a plain
-// single deployment).
+// shardConfig derives member s's deployment config from a cluster
+// config: the per-shard seed, with the cluster fields cleared (a member
+// deployment is a plain single deployment). Only member 0 keeps the
+// fault spec; it rolls the cluster run's one fate from the unchanged
+// cluster seed, so a 1-shard cluster faults exactly like the single
+// deployment.
 func (cfg Config) shardConfig(s int) Config {
 	c := cfg
 	c.Seed = cfg.Seed + int64(s)*shardSeedStride
 	c.Shards = 0
+	if s > 0 {
+		c.Fault = FaultSpec{}
+	}
 	return c
 }
 
 // NewShardedDeployment partitions the workload over cfg.Shards shards
 // (shard.DefaultVirtualNodes ring points each) and builds one empty member
 // deployment per shard. Partitioning is cached across clusters of the
-// same workload and shape; per-shard noise and fault fates are rolled
-// from the shard seeds at construction, like NewDeployment.
+// same workload and shape; per-shard noise streams and the cluster's
+// fault fate are rolled at construction, like NewDeployment.
 func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, error) {
 	// Replay reads a sub-trace as frames, whichever path serves them, so
 	// no shard needs Ops materialized. For rejects a shard count outside
@@ -84,13 +97,6 @@ func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, err
 // Shards returns the cluster size.
 func (sd *ShardedDeployment) Shards() int { return len(sd.deps) }
 
-// MemberSeed returns the member seed shard s derives from a cluster
-// seed — the base a client offsets into its retry or hedge stride
-// before calling ResetShard.
-func (sd *ShardedDeployment) MemberSeed(clusterSeed int64, s int) int64 {
-	return clusterSeed + int64(s)*shardSeedStride
-}
-
 // Dep returns shard s's member deployment.
 func (sd *ShardedDeployment) Dep(s int) *Deployment { return sd.deps[s] }
 
@@ -100,19 +106,16 @@ func (sd *ShardedDeployment) Sub(s int) *ycsb.Workload { return sd.part.Subs[s].
 // Partition exposes the cluster's workload partition (for reports).
 func (sd *ShardedDeployment) Partition() *shard.Partition { return sd.part }
 
-// InjectedFailure reports the first fail-fated shard (in shard order)
-// as that shard's *FaultError, or nil when every shard is healthy —
-// one dead server process fails the scatter-gather at connect time.
+// InjectedFailure reports a fail-fated cluster run as member 0's
+// *FaultError (the member carrying the run's fate), or nil when the run
+// is healthy — one dead server process fails the scatter-gather at
+// connect time.
 func (sd *ShardedDeployment) InjectedFailure() error {
-	for s, d := range sd.deps {
-		if err := d.InjectedFailure(); err != nil {
-			if len(sd.deps) == 1 {
-				return err
-			}
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
+	err := sd.deps[0].InjectedFailure()
+	if err != nil && len(sd.deps) > 1 {
+		return fmt.Errorf("shard 0: %w", err)
 	}
-	return nil
+	return err
 }
 
 // Load populates every shard from its partition slice under the global
@@ -145,45 +148,29 @@ func (sd *ShardedDeployment) localPlacement(p Placement, sub *shard.Sub) Placeme
 	return Placement{defaultTier: p.defaultTier, dense: dense}
 }
 
-// ResetRun rewinds every shard to its post-Load state under per-shard
-// derivations of the new seed. A shard whose snapshot reset is
-// unavailable (no batch table) is rebuilt fresh from its kept local
-// placement — same end state, populate cost paid again. Returns false
-// only when the cluster was never loaded.
+// ResetRun rewinds every shard to its post-Load state under the member
+// derivations of the new cluster seed. A member whose snapshot reset is
+// unavailable (no batch table, or per-op frames mutated it) is rebuilt
+// fresh from its kept local placement — same end state, populate cost
+// paid again. Returns false only when the cluster was never loaded or a
+// rebuild fails.
 func (sd *ShardedDeployment) ResetRun(seed int64) bool {
 	if !sd.loaded {
 		return false
 	}
-	for s := range sd.deps {
-		if !sd.ResetShard(s, seed+int64(s)*shardSeedStride) {
+	cluster := sd.cfg
+	cluster.Seed = seed
+	for s, d := range sd.deps {
+		c := cluster.shardConfig(s)
+		if d.ResetRun(c.Seed) {
+			continue
+		}
+		nd := NewDeployment(c)
+		if err := nd.Load(sd.part.Subs[s].W.Dataset, sd.local[s]); err != nil {
 			return false
 		}
+		sd.deps[s] = nd
 	}
-	return true
-}
-
-// ResetShard rewinds one member to its post-Load state under an
-// absolute member seed (the caller chooses the derivation — the regular
-// per-shard stride for a whole-cluster rewind, a retry or hedge stride
-// for a single-shard re-execution after a fault). Falls back to
-// rebuilding the member fresh from its kept local placement when the
-// snapshot reset is unavailable. Safe for concurrent calls on distinct
-// shards: each touches only its own slice slot. Returns false only when
-// the cluster was never loaded or the rebuild fails.
-func (sd *ShardedDeployment) ResetShard(s int, memberSeed int64) bool {
-	if !sd.loaded {
-		return false
-	}
-	if sd.deps[s].ResetRun(memberSeed) {
-		return true
-	}
-	c := sd.cfg.shardConfig(s)
-	c.Seed = memberSeed
-	nd := NewDeployment(c)
-	if err := nd.Load(sd.part.Subs[s].W.Dataset, sd.local[s]); err != nil {
-		return false
-	}
-	sd.deps[s] = nd
 	return true
 }
 

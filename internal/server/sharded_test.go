@@ -96,6 +96,15 @@ func TestShardedSeedsAndClock(t *testing.T) {
 	if got := cfg.shardConfig(1); got.Shards != 0 {
 		t.Fatal("member config kept cluster fields")
 	}
+	// One fate per cluster run: only member 0 carries the fault spec.
+	fcfg := cfg
+	fcfg.Fault = FaultSpec{Seed: 4, FailProb: 0.5}
+	if got := fcfg.shardConfig(0).Fault; got != fcfg.Fault {
+		t.Fatalf("member 0 fault spec %+v, want the cluster's", got)
+	}
+	if got := fcfg.shardConfig(2).Fault; got.Enabled() {
+		t.Fatalf("member 2 carries a fault spec %+v", got)
+	}
 
 	sd, err := NewShardedDeployment(cfg, w)
 	if err != nil {
@@ -148,8 +157,9 @@ func TestShardedAccessorsAndFaults(t *testing.T) {
 		t.Fatalf("healthy cluster reported fault: %v", err)
 	}
 
-	// Certain failure: the first fail-fated shard surfaces with a shard
-	// prefix, still unwrappable to the typed *FaultError.
+	// Certain failure: the cluster's one fate lands on member 0 and
+	// surfaces with a shard prefix, still unwrappable to the typed
+	// *FaultError.
 	fcfg := cfg
 	fcfg.Fault = FaultSpec{Seed: 1, FailProb: 1}
 	fsd, err := NewShardedDeployment(fcfg, w)

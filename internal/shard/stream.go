@@ -18,7 +18,8 @@ import (
 // OS reclaims the space when the partition is collected or the process
 // exits, so no files are left behind. Sub-streams satisfy the
 // TraceStream contract (independent, repeatable iteration), which is
-// what lets shard retries and straggler hedges re-run their slice.
+// what lets every repetition or retry of a cluster run replay its slice
+// again.
 //
 // Resident memory is O(records + frame) regardless of trace length —
 // the same bound as the unsharded streamed replay.

@@ -3,8 +3,8 @@ package shard
 // In-package test of splitStream: partitioning a stream-backed (.mtrc)
 // parent must spool per-shard sub-streams that cover the parent trace
 // exactly, in per-shard order, remapped to shard-local indices, and
-// each sub-stream must be independently re-iterable (the contract shard
-// retries and straggler hedges rely on). End-to-end streamed-sharded
+// each sub-stream must be independently re-iterable (the contract every
+// repetition and retry of a cluster run relies on). End-to-end streamed-sharded
 // replay equivalence lives in internal/client/stream_test.go.
 
 import (

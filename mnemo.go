@@ -123,8 +123,10 @@ const Second = simclock.Second
 
 // FaultSpec configures deterministic fault injection into the emulated
 // testbed: runs can die outright, stall until a timeout cuts them off,
-// or complete with inflated latencies. The zero value injects nothing
-// and leaves results bit-identical. See Options.Fault.
+// crash partway, or complete with inflated latencies. Each measurement
+// run rolls one fate — a sharded run too, whatever its shard count — so
+// at most one fault fires per run. The zero value injects nothing and
+// leaves results bit-identical. See Options.Fault.
 type FaultSpec = server.FaultSpec
 
 // FaultError is the typed error of an injected run failure; detect it
@@ -198,7 +200,8 @@ type Options struct {
 	SizeAwareEstimate bool
 	// Fault injects deterministic faults into the measurement runs
 	// (crashes, stalls, latency outliers); the zero value injects
-	// nothing. Pair it with RunTimeout and the resilience knobs below.
+	// nothing. Pair it with RunTimeout and the resilience knobs below,
+	// which remediate sharded runs the same way as unsharded ones.
 	Fault FaultSpec
 	// RunTimeout bounds each measurement run in simulated time; a run
 	// whose clock exceeds it (e.g. an injected stall) is aborted with
@@ -231,21 +234,6 @@ type Options struct {
 	// DESIGN.md §13). 0 keeps the single deployment; Shards=1 routes
 	// through the cluster machinery and is bit-identical to 0.
 	Shards int
-	// ShardRetries, with Shards ≥ 2, retries a shard that hits an
-	// injected fail, crash or timeout fault in place (rewinding just
-	// that member under a re-rolled seed) up to N extra attempts before
-	// the shard counts as dead.
-	ShardRetries int
-	// ShardFaultBudget, with Shards ≥ 2, is how many shards may die
-	// (after exhausting ShardRetries) before a measurement run fails:
-	// within budget the run degrades to a partial merge of the surviving
-	// shards, flagged via Report.Degraded with shard-attributed reasons.
-	ShardFaultBudget int
-	// HedgeFactor, with Shards ≥ 2, speculatively re-executes straggler
-	// shards: any surviving shard whose simulated runtime exceeds
-	// HedgeFactor× the median is re-run and the faster execution wins.
-	// 0 disables hedging; otherwise must be ≥ 1.
-	HedgeFactor float64
 	// EpochOps enables adaptive (epoch-based online migration) replay on
 	// measured executions: the trace is served in EpochOps-request
 	// epochs and the policy may migrate records between tiers at each
@@ -305,12 +293,9 @@ func (o Options) coreConfig(sink *Sink) (core.Config, core.TieringPolicy, error)
 	cfg.Server.MigrationCostPerByte = o.MigrationCostPerByte
 	cfg.Server.MigrationBudget = o.MigrationBudget
 	cfg.Resilience = client.Policy{
-		Retries:          o.Retries,
-		MinRuns:          o.MinRuns,
-		OutlierMAD:       o.OutlierMAD,
-		ShardRetries:     o.ShardRetries,
-		ShardFaultBudget: o.ShardFaultBudget,
-		HedgeFactor:      o.HedgeFactor,
+		Retries:    o.Retries,
+		MinRuns:    o.MinRuns,
+		OutlierMAD: o.OutlierMAD,
 	}
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, nil, fmt.Errorf("mnemo: %w", err)
