@@ -542,13 +542,27 @@ func runAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload, d *se
 		}
 		return st, err
 	}
+	publishRun(cfg, w.Spec.Name, st)
+	return st, err
+}
+
+// publishRun records a completed run on cfg.Obs: the run, op, read and
+// write counters, the adaptive migration ledger (epochs, records
+// migrated, bytes copied — emitted only by a run that had epochs, so a
+// static run's metrics are unchanged) and the measurement-end event.
+func publishRun(cfg server.Config, workload string, st RunStats) {
+	sink := cfg.Obs
 	sink.Counter("mnemo_client_runs_total").Inc()
 	sink.Counter("mnemo_client_ops_total").Add(int64(st.Requests))
 	sink.Counter("mnemo_client_reads_total").Add(int64(st.Reads))
 	sink.Counter("mnemo_client_writes_total").Add(int64(st.Writes))
+	if st.Epochs > 0 {
+		sink.Counter("mnemo_client_epochs_total").Add(int64(st.Epochs))
+		sink.Counter("mnemo_client_migrations_total").Add(int64(st.MovesApplied))
+		sink.Counter("mnemo_client_migrated_bytes_total").Add(st.MigratedBytes)
+	}
 	sink.Eventf(obs.EventMeasureEnd, "client", st.Runtime, "%s on %s: %d ops, %.0f ops/s",
-		w.Spec.Name, cfg.Engine, st.Requests, st.ThroughputOpsSec)
-	return st, err
+		workload, cfg.Engine, st.Requests, st.ThroughputOpsSec)
 }
 
 // ExecuteMean runs the workload `runs` times with distinct noise seeds

@@ -91,12 +91,7 @@ func runShardedAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload
 		return st, err
 	}
 	st.Workload = w.Spec.Name
-	sink.Counter("mnemo_client_runs_total").Inc()
-	sink.Counter("mnemo_client_ops_total").Add(int64(st.Requests))
-	sink.Counter("mnemo_client_reads_total").Add(int64(st.Reads))
-	sink.Counter("mnemo_client_writes_total").Add(int64(st.Writes))
-	sink.Eventf(obs.EventMeasureEnd, "client", st.Runtime, "%s on %s: %d ops, %.0f ops/s",
-		w.Spec.Name, cfg.Engine, st.Requests, st.ThroughputOpsSec)
+	publishRun(cfg, w.Spec.Name, st)
 	return st, err
 }
 

@@ -2,14 +2,19 @@ package registry
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"mnemo/internal/client"
 	"mnemo/internal/core"
+	"mnemo/internal/kvstore"
 	"mnemo/internal/memsim"
+	"mnemo/internal/obs"
 	"mnemo/internal/server"
 	"mnemo/internal/ycsb"
 )
@@ -116,23 +121,84 @@ func TestAdaptiveWrapperStaticOrderMatchesInner(t *testing.T) {
 // planner's guardrails directly.
 func TestPlanMovesPreservesBudgetAndSkipsDegenerate(t *testing.T) {
 	recs := []ycsb.Record{{Size: 1024}, {Size: 1024}, {Size: 1024}, {Size: 1024}}
+	plan := func(order []int, tiers []memsim.Tier) []server.Move {
+		s := newMoveScratch(recs)
+		return s.planMoves(order, tiers)
+	}
 	allSlow := []memsim.Tier{memsim.Slow, memsim.Slow, memsim.Slow, memsim.Slow}
-	if moves := new(moveScratch).planMoves([]int{0, 1, 2, 3}, recs, allSlow); moves != nil {
+	if moves := plan([]int{0, 1, 2, 3}, allSlow); moves != nil {
 		t.Fatalf("all-slow placement produced moves: %v", moves)
 	}
 	allFast := []memsim.Tier{memsim.Fast, memsim.Fast, memsim.Fast, memsim.Fast}
-	if moves := new(moveScratch).planMoves([]int{3, 2, 1, 0}, recs, allFast); moves != nil {
+	if moves := plan([]int{3, 2, 1, 0}, allFast); moves != nil {
 		t.Fatalf("all-fast placement produced moves: %v", moves)
 	}
 	// One fast slot, priority order wants record 2: swap, nothing more.
 	tiers := []memsim.Tier{memsim.Fast, memsim.Slow, memsim.Slow, memsim.Slow}
-	moves := new(moveScratch).planMoves([]int{2, 0, 1, 3}, recs, tiers)
+	moves := plan([]int{2, 0, 1, 3}, tiers)
 	wantDemote := server.Move{Index: 0, To: memsim.Slow}
 	wantPromote := server.Move{Index: 2, To: memsim.Fast}
 	if len(moves) != 2 || moves[0] != wantDemote && moves[1] != wantDemote ||
 		moves[0] != wantPromote && moves[1] != wantPromote {
 		t.Fatalf("single-slot swap planned %v", moves)
 	}
+}
+
+// newFreqObserver begins an adaptive-freq run over n records of random
+// sizes and seeds its scores, keeping the carried ranking consistent.
+func newFreqObserver(t *testing.T, rng *rand.Rand, n int, decay float64, score func(i int) float64) (*freqObserver, []ycsb.Record) {
+	t.Helper()
+	recs := make([]ycsb.Record, n)
+	for i := range recs {
+		recs[i].Size = 512 << rng.Intn(4)
+	}
+	obsv, err := AdaptiveFreq(decay).Begin(&ycsb.Workload{Dataset: ycsb.Dataset{Records: recs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obsv.(*freqObserver)
+	for i := range o.score {
+		o.score[i] = score(i)
+	}
+	copy(o.order, scoreOrder(o.score))
+	for k, idx := range o.order {
+		o.keys[k] = rankKey(o.score[idx])
+	}
+	return o, recs
+}
+
+// observeChecked runs one epoch and checks the observer against the
+// oracles: the ranking equals a full scoreOrder of the scores, the
+// carried keys are the ranking's, and the moves planned from reused
+// scratch equal the moves planned from fresh scratch. It applies the
+// moves to tiers so the next epoch starts from a new placement.
+func observeChecked(t *testing.T, o *freqObserver, recs []ycsb.Record, tiers []memsim.Tier, reads, writes []int32, what string) {
+	t.Helper()
+	moves := o.Observe(server.EpochStats{Reads: reads, Writes: writes, Tiers: tiers})
+	if want := scoreOrder(o.score); !slices.Equal(o.order, want) {
+		t.Fatalf("%s: incremental ranking diverged from the full sort", what)
+	}
+	for k, idx := range o.order {
+		if o.keys[k] != rankKey(o.score[idx]) {
+			t.Fatalf("%s: rank %d carries key %#x, score %v has %#x", what, k, o.keys[k], o.score[idx], rankKey(o.score[idx]))
+		}
+	}
+	fresh := newMoveScratch(recs)
+	if want := fresh.planMoves(o.order, tiers); !slices.Equal(moves, want) {
+		t.Fatalf("%s: reused scratch planned %v, fresh scratch %v", what, moves, want)
+	}
+	for _, m := range moves {
+		tiers[m.Index] = m.To
+	}
+}
+
+// randomTiers returns a random placement of n records.
+func randomTiers(rng *rand.Rand, n int) []memsim.Tier {
+	tiers := make([]memsim.Tier, n)
+	for i := range tiers {
+		tiers[i] = memsim.Tier(rng.Intn(2))
+	}
+	return tiers
 }
 
 // TestRerankMatchesFullSort is the property behind the O(touched) epoch
@@ -142,32 +208,17 @@ func TestPlanMovesPreservesBudgetAndSkipsDegenerate(t *testing.T) {
 // planned from fresh scratch. The streams cover epochs touching no key,
 // every key and a sparse subset, duplicate scores, and — via decay < 1
 // on scores seeded near the bottom of the float64 range — scores that a
-// decay step collapses into ties the index must break.
+// decay step collapses into ties the index must break. The subtests
+// cover the radix sort's edges.
 func TestRerankMatchesFullSort(t *testing.T) {
 	const n, epochs = 257, 40
 	for _, decay := range []float64{1, 0.9, 0.5} {
 		rng := rand.New(rand.NewSource(int64(decay * 1000)))
-		recs := make([]ycsb.Record, n)
-		for i := range recs {
-			recs[i].Size = 512 << rng.Intn(4)
-		}
-		w := &ycsb.Workload{Dataset: ycsb.Dataset{Records: recs}}
-		obsv, err := AdaptiveFreq(decay).Begin(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := obsv.(*freqObserver)
 		// Distinct denormal scores ascending in index, so the seeded
 		// ranking is the reverse identity: a decay step rounds neighbours
 		// into ties, which the index then orders the other way round.
-		for i := range o.score {
-			o.score[i] = float64(i+1) * 5e-324
-		}
-		copy(o.order, scoreOrder(o.score))
-		tiers := make([]memsim.Tier, n)
-		for i := range tiers {
-			tiers[i] = memsim.Tier(rng.Intn(2))
-		}
+		o, recs := newFreqObserver(t, rng, n, decay, func(i int) float64 { return float64(i+1) * 5e-324 })
+		tiers := randomTiers(rng, n)
 		reads, writes := make([]int32, n), make([]int32, n)
 		for epoch := 0; epoch < epochs; epoch++ {
 			clear(reads)
@@ -187,16 +238,213 @@ func TestRerankMatchesFullSort(t *testing.T) {
 					reads[i], writes[i] = int32(rng.Intn(3)), int32(rng.Intn(2))
 				}
 			}
-			moves := o.Observe(server.EpochStats{Epoch: epoch, Reads: reads, Writes: writes, Tiers: tiers})
-			if want := scoreOrder(o.score); !slices.Equal(o.order, want) {
-				t.Fatalf("decay %v epoch %d: incremental ranking diverged from the full sort", decay, epoch)
+			observeChecked(t, o, recs, tiers, reads, writes, fmt.Sprintf("decay %v epoch %d", decay, epoch))
+		}
+	}
+
+	// Scores 2^40 + i·2^-12 are one ulp apart, and adding an integer
+	// count keeps the low twelve mantissa bits: touched keys agree in
+	// every radix digit but the lowest, so five of the six passes skip.
+	t.Run("low_digit_only", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		o, recs := newFreqObserver(t, rng, n, 1, func(i int) float64 { return 0x1p40 + float64(i)*0x1p-12 })
+		tiers := randomTiers(rng, n)
+		reads, writes := make([]int32, n), make([]int32, n)
+		for epoch := 0; epoch < 6; epoch++ {
+			for i := range reads {
+				reads[i] = 0
+				if epoch%2 == 0 || i%3 == 0 {
+					reads[i] = 1
+				}
 			}
-			if want := new(moveScratch).planMoves(o.order, recs, tiers); !slices.Equal(moves, want) {
-				t.Fatalf("decay %v epoch %d: reused scratch planned %v, fresh scratch %v", decay, epoch, moves, want)
+			observeChecked(t, o, recs, tiers, reads, writes, fmt.Sprintf("epoch %d", epoch))
+		}
+	})
+
+	// +0 scores next to touched records, and the minimum denormal, which
+	// one halving rounds to +0: the odd records rank first and the even
+	// ones, tied with them now, fall out of place behind them — 31
+	// untouched records on the side list next to the one touched.
+	t.Run("zero_ties_and_strays", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		o, recs := newFreqObserver(t, rng, 64, 0.5, func(i int) float64 {
+			if i%2 == 0 {
+				return 0
 			}
-			// Apply the plan so the next epoch starts from a new placement.
-			for _, m := range moves {
-				tiers[m.Index] = m.To
+			return 5e-324
+		})
+		tiers := randomTiers(rng, 64)
+		reads, writes := make([]int32, 64), make([]int32, 64)
+		reads[10] = 1
+		observeChecked(t, o, recs, tiers, reads, writes, "collapse")
+		if len(o.side) != 32 {
+			t.Fatalf("collapse epoch sorted %d records, want 31 strays and 1 touched", len(o.side))
+		}
+		clear(reads)
+		writes[0], writes[63] = 1, 2
+		observeChecked(t, o, recs, tiers, reads, writes, "touch beside +0")
+	})
+
+	t.Run("one_touched", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		o, recs := newFreqObserver(t, rng, n, 0.9, func(i int) float64 { return float64(rng.Intn(5)) })
+		tiers := randomTiers(rng, n)
+		reads, writes := make([]int32, n), make([]int32, n)
+		for epoch := 0; epoch < 8; epoch++ {
+			clear(reads)
+			reads[rng.Intn(n)] = int32(1 + rng.Intn(3))
+			observeChecked(t, o, recs, tiers, reads, writes, fmt.Sprintf("epoch %d", epoch))
+		}
+	})
+
+	t.Run("one_record", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		o, recs := newFreqObserver(t, rng, 1, 0.5, func(int) float64 { return 0 })
+		tiers := []memsim.Tier{memsim.Fast}
+		reads, writes := make([]int32, 1), make([]int32, 1)
+		for epoch := 0; epoch < 4; epoch++ {
+			reads[0] = int32(epoch % 2)
+			observeChecked(t, o, recs, tiers, reads, writes, fmt.Sprintf("epoch %d", epoch))
+		}
+	})
+
+	// Counts near math.MaxInt32 on both kinds: the widest scores an
+	// epoch can add.
+	t.Run("max_counts", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		o, recs := newFreqObserver(t, rng, n, 0.9, func(int) float64 { return 0 })
+		tiers := randomTiers(rng, n)
+		reads, writes := make([]int32, n), make([]int32, n)
+		for epoch := 0; epoch < 6; epoch++ {
+			for i := range reads {
+				reads[i], writes[i] = 0, 0
+				if rng.Intn(4) == 0 {
+					reads[i] = math.MaxInt32 - int32(rng.Intn(3))
+					writes[i] = math.MaxInt32 - int32(rng.Intn(2))
+				}
+			}
+			observeChecked(t, o, recs, tiers, reads, writes, fmt.Sprintf("epoch %d", epoch))
+		}
+	})
+}
+
+// driftEpochs tallies a hot_drift trace of 10 000 records into 4096-op
+// epochs — the adaptive_drift benchmark's shape, ≈2 000 records touched
+// per epoch — and returns the epochs' counts with a 50/50 random
+// placement.
+func driftEpochs(tb testing.TB, epochs int) (*ycsb.Workload, [][2][]int32, []memsim.Tier) {
+	tb.Helper()
+	const n, epochOps = 10000, 4096
+	w, err := ResolveWorkload("hot_drift", 1, n, epochs*epochOps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	counts := make([][2][]int32, epochs)
+	for e := range counts {
+		reads, writes := make([]int32, n), make([]int32, n)
+		for _, op := range w.Ops[e*epochOps : (e+1)*epochOps] {
+			if op.Kind == kvstore.Read {
+				reads[op.Key]++
+			} else {
+				writes[op.Key]++
+			}
+		}
+		counts[e] = [2][]int32{reads, writes}
+	}
+	rng := rand.New(rand.NewSource(1))
+	return w, counts, randomTiers(rng, n)
+}
+
+// TestFreqObserveWarmAllocs pins DESIGN.md §15's claim that a warm epoch
+// boundary allocates nothing: after the first epoch, Observe reuses its
+// ranking, radix and planning buffers.
+func TestFreqObserveWarmAllocs(t *testing.T) {
+	w, counts, tiers := driftEpochs(t, 8)
+	obsv, err := AdaptiveFreq(DefaultDecay).Begin(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe := func(e int) {
+		for _, m := range obsv.Observe(server.EpochStats{Epoch: e, Reads: counts[e][0], Writes: counts[e][1], Tiers: tiers}) {
+			tiers[m.Index] = m.To
+		}
+	}
+	observe(0)
+	e := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		e++
+		observe(e % len(counts))
+	}); allocs != 0 {
+		t.Fatalf("warm Observe allocates %v times per epoch, want 0", allocs)
+	}
+}
+
+// BenchmarkFreqObserve times one adaptive-freq epoch boundary — decay,
+// re-rank and move planning — on hot_drift epochs of 10 000 records,
+// ≈2 000 touched, starting from a 50/50 placement.
+func BenchmarkFreqObserve(b *testing.B) {
+	w, counts, tiers := driftEpochs(b, 16)
+	obsv, err := AdaptiveFreq(DefaultDecay).Begin(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := i % len(counts)
+		for _, m := range obsv.Observe(server.EpochStats{Epoch: i, Reads: counts[e][0], Writes: counts[e][1], Tiers: tiers}) {
+			tiers[m.Index] = m.To
+		}
+	}
+}
+
+// TestAdaptiveLedgerInSink: a run with epochs publishes its migration
+// ledger on the live sink — epochs, records migrated and bytes copied,
+// equal to its RunStats, unsharded and on a cluster — and a static run
+// publishes none of it.
+func TestAdaptiveLedgerInSink(t *testing.T) {
+	w, err := ResolveWorkload("hot_drift", 1, 300, 16384)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(w.Dataset.Records)
+	half := make([]int, n/2)
+	for i := range half {
+		half[i] = i
+	}
+	p := server.FastIndices(half, n)
+	ledger := []string{"mnemo_client_epochs_total", "mnemo_client_migrations_total", "mnemo_client_migrated_bytes_total"}
+	for _, shards := range []int{0, 4} {
+		cfg := server.DefaultConfig(server.RedisLike, 1)
+		cfg.Shards = shards
+		cfg.Obs = obs.NewSink()
+		static, err := client.Execute(cfg, w, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump strings.Builder
+		if err := cfg.Obs.Registry().WritePrometheus(&dump); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range ledger {
+			if strings.Contains(dump.String(), name) {
+				t.Errorf("shards %d: static run (%d epochs) published %s", shards, static.Epochs, name)
+			}
+		}
+
+		cfg.Obs = obs.NewSink()
+		cfg.Adaptive = AdaptiveFreq(DefaultDecay)
+		cfg.EpochOps = 4096
+		st, err := client.Execute(cfg, w, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Epochs == 0 || st.MovesApplied == 0 || st.MigratedBytes == 0 {
+			t.Fatalf("shards %d: adaptive run migrated nothing (%d epochs, %d moves, %d bytes)", shards, st.Epochs, st.MovesApplied, st.MigratedBytes)
+		}
+		for i, want := range []int64{int64(st.Epochs), int64(st.MovesApplied), st.MigratedBytes} {
+			if got := cfg.Obs.Counter(ledger[i]).Value(); got != want {
+				t.Errorf("shards %d: %s = %d, RunStats says %d", shards, ledger[i], got, want)
 			}
 		}
 	}

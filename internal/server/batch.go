@@ -1,8 +1,6 @@
 package server
 
 import (
-	"slices"
-
 	"mnemo/internal/kvstore"
 	"mnemo/internal/memsim"
 	"mnemo/internal/obs"
@@ -151,11 +149,9 @@ func (d *Deployment) reprice() {
 		}
 	}
 	if bounded {
-		// A chain reshaped twice is reported twice: probe each row once,
-		// so the tally counts live rows on both paths (a reported key is
-		// resident, so its row is live).
-		slices.Sort(d.relaid)
-		d.relaid = slices.Compact(d.relaid)
+		// d.relaid holds each reported row once, so the tally counts live
+		// rows on both paths (a reported key is resident, so its row is
+		// live). Rows are priced independently: journal order will do.
 		d.repricedRows[cause] += int64(len(d.relaid))
 		for _, i := range d.relaid {
 			if !d.fillCost(t, int(i), brs) {
@@ -192,18 +188,26 @@ func (d *Deployment) DropBatchTable() {
 }
 
 // drainRelaid drains both engines' relayout journals. With collect set it
-// gathers the dataset rows they report into d.relaid and returns whether
-// both journals were bounded; otherwise it discards them and returns
-// false.
+// gathers the dataset rows they report into d.relaid, each once (a chain
+// reshaped twice is reported twice), and returns whether both journals
+// were bounded; otherwise it discards them and returns false.
 func (d *Deployment) drainRelaid(brs [2]kvstore.BatchReplayer, collect bool) bool {
 	fn := func(string, uint64) {}
 	if collect {
 		if d.noteRelaid == nil {
 			d.noteRelaid = func(key string, id uint64) {
-				if i, ok := d.row(key, id); ok {
+				if i, ok := d.row(key, id); ok && d.relaidGen[i] != d.relaidStamp {
+					d.relaidGen[i] = d.relaidStamp
 					d.relaid = append(d.relaid, int32(i))
 				}
 			}
+		}
+		if len(d.relaidGen) != len(d.records) {
+			d.relaidGen, d.relaidStamp = make([]uint32, len(d.records)), 0
+		}
+		if d.relaidStamp++; d.relaidStamp == 0 { // wrapped: restamp
+			clear(d.relaidGen)
+			d.relaidStamp = 1
 		}
 		fn = d.noteRelaid
 		d.relaid = d.relaid[:0]

@@ -202,3 +202,35 @@ func TestDoForeignKeyRepricesTable(t *testing.T) {
 		t.Fatal("a foreign read left the table stale")
 	}
 }
+
+// TestRelaidStampWraps: the per-row generation stamps that dedup a
+// drain's rows restart cleanly when the drain counter wraps — rows
+// stamped with the generation the counter restarts at must still be
+// collected.
+func TestRelaidStampWraps(t *testing.T) {
+	w := smallWorkload(t, ycsb.SizeFixed1KB, 0.9)
+	n := len(w.Dataset.Records)
+	d := loadHalfFast(t, DefaultConfig(RedisLike, 5), w)
+	if d.BatchTable() == nil {
+		t.Fatal("no table after Load")
+	}
+	migrate := func(first int, to memsim.Tier) {
+		moves := make([]Move, 20)
+		for i := range moves {
+			moves[i] = Move{Index: first + i, To: to}
+		}
+		d.ApplyMoves(moves)
+	}
+	migrate(0, memsim.Slow)
+	if probed := requireRepricedAsFull(t, d); probed <= 0 || probed >= int64(n) {
+		t.Fatalf("warm-up migration probed %d rows, want a bounded refresh", probed)
+	}
+	for i := range d.relaidGen {
+		d.relaidGen[i] = 1
+	}
+	d.relaidStamp = math.MaxUint32
+	migrate(n-20, memsim.Fast)
+	if probed := requireRepricedAsFull(t, d); probed < 20 {
+		t.Fatalf("migration across the stamp wrap probed %d rows, want at least the 20 moved", probed)
+	}
+}

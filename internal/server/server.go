@@ -228,10 +228,13 @@ type Deployment struct {
 	nDead int
 
 	// relaid collects the rows the engines' relayout journals report for
-	// a re-price (batch.go); noteRelaid is the callback that appends to
-	// it, made once so a warm re-price allocates nothing.
-	relaid     []int32
-	noteRelaid func(key string, id uint64)
+	// a re-price (batch.go), each once: relaidGen[i] == relaidStamp marks
+	// row i collected by the current drain. noteRelaid is the callback
+	// that appends to it, made once so a warm re-price allocates nothing.
+	relaid      []int32
+	relaidGen   []uint32
+	relaidStamp uint32
+	noteRelaid  func(key string, id uint64)
 
 	// frames, repriced and repricedRows tally, since the last FlushObs,
 	// the frames FrameTable routed to each path, the table re-prices by
