@@ -2,6 +2,7 @@ package mnemo
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -66,6 +67,9 @@ func TestOptionsValidation(t *testing.T) {
 		{"fractional integer param", Options{Policy: "freqdecay", PolicyParams: map[string]float64{"epochs": 2.5}}, "must be an integer"},
 		{"params on fixed policy", Options{Policy: "mnemot", PolicyParams: map[string]float64{"decay": 0.5}}, "no tunable parameters"},
 		{"params on default policy", Options{PolicyParams: map[string]float64{"decay": 0.5}}, "no tunable parameters"},
+		{"NaN noise sigma", Options{NoiseSigma: math.NaN()}, "NoiseSigma"},
+		{"infinite noise sigma", Options{NoiseSigma: math.Inf(1)}, "NoiseSigma"},
+		{"negative infinite noise sigma", Options{NoiseSigma: math.Inf(-1)}, "NoiseSigma"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,6 +150,10 @@ func TestKnobTableThreeEntryPoints(t *testing.T) {
 			func(o *Options) { o.OutlierMAD = -1 },
 			nil,
 			func(c *core.Config) { c.Resilience.OutlierMAD = -1 }},
+		{"noise sigma", "NoiseSigma",
+			func(o *Options) { o.NoiseSigma = math.NaN() },
+			nil,
+			func(c *core.Config) { c.Server.NoiseSigma = -0.5 }},
 		{"outlier MAD in strict mode", "MinRuns ≥ 1",
 			func(o *Options) { o.OutlierMAD = 3.5 },
 			nil,

@@ -388,7 +388,7 @@ func (d *Deployment) ResetRun(seed int64) bool {
 	d.cfg.Seed = seed
 	d.clock.Reset()
 	d.ops = 0
-	d.noise = NewNoise(d.cfg.NoiseSigma, seed)
+	d.noise.reseed(seed)
 	d.fault = d.cfg.Fault.roll(seed)
 	for i := range t.pause {
 		t.pause[i].accum = t.pause[i].reset

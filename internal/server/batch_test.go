@@ -202,6 +202,29 @@ func TestResetRunMatchesFreshLoad(t *testing.T) {
 	}
 }
 
+// TestResetRunZeroAllocs pins the rewind as allocation-free, on the
+// shared default-σ noise table and on a privately built one: the noise
+// stream is reseeded in place, never rebuilt.
+func TestResetRunZeroAllocs(t *testing.T) {
+	w := smallWorkload(t, ycsb.SizeFixed1KB, 0.9)
+	for _, sigma := range []float64{DefaultNoiseSigma, 0.05} {
+		cfg := DefaultConfig(RedisLike, 23)
+		cfg.NoiseSigma = sigma
+		d := loadHalfFast(t, cfg, w)
+		serveAll(t, d, w.Packed())
+		seed := int64(0)
+		allocs := testing.AllocsPerRun(20, func() {
+			seed++
+			if !d.ResetRun(seed) {
+				t.Fatal("ResetRun failed")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("σ=%v: ResetRun made %v allocations, want 0", sigma, allocs)
+		}
+	}
+}
+
 // TestResetRunTelemetryParity checks a reset counts and journals like a
 // fresh deployment: the deployments counter advances once per reset.
 func TestResetRunTelemetryParity(t *testing.T) {

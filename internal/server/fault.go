@@ -192,7 +192,7 @@ func (f FaultSpec) roll(runSeed int64) faultPlan {
 // finalizer, so neighboring run seeds (i, i+1, …) land on uncorrelated
 // fault rolls.
 func mixSeeds(a, b int64) int64 {
-	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)
+	z := uint64(a)*splitmixGamma + uint64(b)
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27

@@ -151,6 +151,9 @@ func DefaultConfig(e Engine, seed int64) Config {
 // Validate rejects malformed run knobs with errors naming the field. Zero
 // values are the defaults and always pass.
 func (c Config) Validate() error {
+	if err := validateNoiseSigma(c.NoiseSigma); err != nil {
+		return err
+	}
 	if err := c.Fault.Validate(); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"testing"
 
 	"mnemo/internal/kvstore"
@@ -273,17 +274,12 @@ func TestNoiseZeroIsDeterministic(t *testing.T) {
 }
 
 func TestNoiseFactorProperties(t *testing.T) {
+	// The factor's moments and quantiles are TestNoiseTableFidelity's.
 	n := NewNoise(0.05, 1)
-	sum := 0.0
 	for i := 0; i < 20000; i++ {
-		f := n.Factor()
-		if f <= 0 {
-			t.Fatal("non-positive noise factor")
+		if f := n.Factor(); !(f > 0) || math.IsInf(f, 0) {
+			t.Fatalf("draw %d: noise factor %v not finite and positive", i, f)
 		}
-		sum += f
-	}
-	if mean := sum / 20000; mean < 0.99 || mean > 1.01 {
-		t.Fatalf("noise mean %.4f too biased", mean)
 	}
 	if NewNoise(0, 1).Factor() != 1 {
 		t.Fatal("zero-sigma noise not unity")

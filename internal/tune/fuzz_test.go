@@ -22,6 +22,9 @@ func FuzzDecodeTuneSpec(f *testing.F) {
 		`"runtime":{"retries":2,"min_runs":1,"outlier_mad":3.5},"size_aware":true,"expected":{}}`)
 	f.Add(`{"version":1,"workload":{"name":"x"},"workload_hash":"ffffffffffffffff","engine":"memcachedlike",` +
 		`"runs":1,"price_factor":1e-9,"slo":1e308,"policy":"pagesample","params":{},"expected":{"fast_bytes":-1}}`)
+	// A negative σ once decoded cleanly and panicked in the replay.
+	f.Add(`{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,` +
+		`"price_factor":0.2,"noise_sigma":-0.5,"slo":0.1,"policy":"touch","expected":{}}`)
 	f.Add(`{"version":1,"params":{"anchor":1e999}}`)
 	f.Add(`{"version":9}`)
 	f.Add(`[]`)

@@ -135,6 +135,9 @@ func (s *Spec) Validate() error {
 	if s.SLO <= 0 {
 		return fmt.Errorf("tune: spec slo %v must be positive", s.SLO)
 	}
+	if err := (server.Config{NoiseSigma: s.NoiseSigma}).Validate(); err != nil {
+		return fmt.Errorf("tune: spec noise_sigma: %w", err)
+	}
 	e, ok := registry.ByName(s.Policy)
 	if !ok {
 		return fmt.Errorf("tune: spec names unknown policy %q (want one of %v)", s.Policy, registry.Names())

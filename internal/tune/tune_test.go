@@ -3,6 +3,7 @@ package tune
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -233,6 +234,27 @@ func TestSpecRoundTripAndReplay(t *testing.T) {
 	if _, err := New().Replay(context.Background(), &badW); err == nil ||
 		!strings.Contains(err.Error(), "workload hash") {
 		t.Fatalf("drifted recipe replayed cleanly (err %v)", err)
+	}
+}
+
+// A negative, NaN or infinite noise_sigma is a config error caught by
+// DecodeSpec and Spec.Validate, naming the field — not a panic inside a
+// replay's baseline measurement.
+func TestSpecRejectsBadNoiseSigma(t *testing.T) {
+	doc := `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,` +
+		`"price_factor":0.2,"noise_sigma":-0.5,"slo":0.1,"policy":"touch","expected":{}}`
+	if _, err := DecodeSpec(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "NoiseSigma") {
+		t.Fatalf("DecodeSpec error = %v, want one naming NoiseSigma", err)
+	}
+	for _, sigma := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		spec := &Spec{Version: SpecVersion, Workload: WorkloadRecipe{Name: "ycsb_b"}, WorkloadHash: "0",
+			Engine: "redislike", Runs: 1, PriceFactor: 0.2, NoiseSigma: sigma, SLO: 0.1, Policy: "touch"}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "NoiseSigma") {
+			t.Errorf("noise_sigma %v: Validate error = %v, want one naming NoiseSigma", sigma, err)
+		}
+		if _, err := New().Replay(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "NoiseSigma") {
+			t.Errorf("noise_sigma %v: Replay error = %v, want one naming NoiseSigma", sigma, err)
+		}
 	}
 }
 

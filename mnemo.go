@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"mnemo/internal/client"
 	"mnemo/internal/core"
@@ -192,7 +193,7 @@ type Options struct {
 	// policy's space, and Tune to search it automatically.
 	PolicyParams map[string]float64
 	// NoiseSigma overrides the per-request measurement noise; negative
-	// disables noise entirely.
+	// disables noise entirely, and NaN or ±Inf is rejected.
 	NoiseSigma float64
 	// SizeAwareEstimate enables the per-size-class estimate extension —
 	// a reproduction improvement over the paper's global-average model
@@ -278,10 +279,12 @@ func (o Options) coreConfig(sink *Sink) (core.Config, core.TieringPolicy, error)
 	if o.PriceFactor != 0 {
 		cfg.PriceFactor = o.PriceFactor
 	}
-	if o.NoiseSigma > 0 {
-		cfg.Server.NoiseSigma = o.NoiseSigma
-	} else if o.NoiseSigma < 0 {
+	// A finite negative σ means "off"; NaN and ±Inf go through to
+	// core.Config.Validate, which rejects them.
+	if o.NoiseSigma < 0 && !math.IsInf(o.NoiseSigma, -1) {
 		cfg.Server.NoiseSigma = 0
+	} else if o.NoiseSigma != 0 {
+		cfg.Server.NoiseSigma = o.NoiseSigma
 	}
 	cfg.SizeAwareEstimate = o.SizeAwareEstimate
 	cfg.Server.Fault = o.Fault
