@@ -333,7 +333,7 @@ func TestBatchedReplaySteadyStateZeroAllocs(t *testing.T) {
 func requireZeroAllocReplay(t *testing.T, d *server.Deployment, w *ycsb.Workload) {
 	t.Helper()
 	classes := sizeClasses(w.Dataset.Records)
-	a := newReplayAccum()
+	a := newReplayAccum(classes)
 	ctx := context.Background()
 	pass := func() {
 		if _, err := replayFrames(ctx, d, w, classes, a, 0); err != nil {

@@ -60,7 +60,7 @@ func benchReplay(b *testing.B, d *server.Deployment, w *ycsb.Workload) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := replayFrames(ctx, d, w, classes, newReplayAccum(), 0); err != nil {
+		if _, err := replayFrames(ctx, d, w, classes, newReplayAccum(classes), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -412,6 +412,38 @@ func BenchmarkReplayBatched(b *testing.B) {
 		}
 		perOp(b)
 	})
+}
+
+// BenchmarkFoldBlock times the accumulator side of the batched path
+// alone: folding served blocks into the per-(kind, size class) latency
+// histograms. The blocks are a mixed-size read-mostly trace (the
+// trending preview mixture) served once through the kernel up front, so
+// the latencies and their class spread are the replay's own.
+func BenchmarkFoldBlock(b *testing.B) {
+	w := ycsb.MustGenerate(ycsb.Spec{
+		Name: "fold", Keys: 10000, Requests: 16 * replayBlockOps,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Zipfian},
+		ReadRatio: 0.95, Sizes: ycsb.SizeTrendingPreview, Seed: 42,
+	})
+	d := benchDeployment(b, benchConfig(), w, server.AllFast())
+	table := d.BatchTable()
+	pt := w.Packed()
+	lat := make([]simclock.Duration, len(pt.Keys))
+	for blk := 0; blk < len(pt.Keys); blk += replayBlockOps {
+		end := min(blk+replayBlockOps, len(pt.Keys))
+		n := table.Serve(pt.Keys[blk:end], pt.Kinds[blk:end], 0, table.Block())
+		copy(lat[blk:], table.Block()[:n])
+	}
+	classes := sizeClasses(w.Dataset.Records)
+	a := newReplayAccum(classes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for blk := 0; blk < len(pt.Keys); blk += replayBlockOps {
+			end := min(blk+replayBlockOps, len(pt.Keys))
+			a.foldBlock(pt.Keys[blk:end], pt.Kinds[blk:end], classes, lat[blk:end])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pt.Keys)), "ns/req")
 }
 
 // BenchmarkReplayAdaptive measures the adaptive replay against the

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"mnemo/internal/server"
+	"mnemo/internal/stats"
 	"mnemo/internal/ycsb"
 )
 
@@ -42,7 +43,7 @@ func TestBucketRangeRoundTrip(t *testing.T) {
 }
 
 func TestBucketAccum(t *testing.T) {
-	a := &histAccum{}
+	a := &histAccum{hists: make([]*stats.Histogram, SizeBucket(100_000)+1)}
 	a.add(SizeBucket(1000), 10)
 	a.add(SizeBucket(1020), 30)
 	a.add(SizeBucket(100_000), 500)

@@ -114,21 +114,17 @@ const (
 
 // histAccum collects per-bucket latency histograms during a run. It is a
 // slice indexed by size class, so the per-op path does no map hashing;
-// slots materialize lazily on first observation and the slice only grows
-// while a new class is being discovered.
+// slots materialize lazily on first observation. The slice spans every
+// class the run can observe up front (replayAccum's views cover the
+// dataset's classes), so it never grows away from the table it views.
 type histAccum struct {
 	hists []*stats.Histogram // indexed by bucket; nil = unobserved
 }
 
 func (a *histAccum) add(bucket int, ns float64) {
-	if bucket >= len(a.hists) {
-		grown := make([]*stats.Histogram, bucket+1)
-		copy(grown, a.hists)
-		a.hists = grown
-	}
 	h := a.hists[bucket]
 	if h == nil {
-		h = stats.NewHistogram(latencyHistMin, latencyHistGrowth)
+		h = newLatencyHistogram()
 		a.hists[bucket] = h
 	}
 	h.Record(ns)
@@ -201,14 +197,32 @@ func (s RunStats) String() string {
 // replayAccum is the per-run accumulator state of the replay loop, kept
 // separate from RunStats assembly so the steady-state per-op cost — and
 // its allocation count, pinned at zero by the client tests — is exactly
-// the observe path below. One size-class histogram per request kind is
-// the complete state: counts, sums, means and buckets all derive from
-// the class histograms afterwards.
+// the observe and foldBlock paths below. One size-class histogram per
+// request kind is the complete state: counts, sums, means and buckets all
+// derive from the class histograms afterwards.
+//
+// The histograms live in one table, read classes then write classes, and
+// readHists and writeHists are views of its two halves. Both replay paths
+// therefore see the same slots: a class first observed per-op is the one
+// a later kernel block folds into, and vice versa.
 type replayAccum struct {
+	hists                 []*stats.Histogram
 	readHists, writeHists histAccum
+	writeRoute            uint8 // table offset of the write half: the class count
 }
 
-func newReplayAccum() *replayAccum { return &replayAccum{} }
+// newReplayAccum sizes the accumulator for a dataset's size-class table:
+// each half has a slot per class up to the largest one present.
+func newReplayAccum(classes []uint8) *replayAccum {
+	n := 0
+	for _, c := range classes {
+		n = max(n, int(c)+1)
+	}
+	a := &replayAccum{hists: make([]*stats.Histogram, 2*n), writeRoute: uint8(n)}
+	a.readHists.hists = a.hists[:n:n]
+	a.writeHists.hists = a.hists[n:]
+	return a
+}
 
 // observe folds one served request into the accumulators, classified by
 // its record's precomputed size class. Every request lands in exactly one
@@ -226,11 +240,30 @@ func (a *replayAccum) observe(kind kvstore.OpKind, bucket int, ns float64) {
 // foldBlock folds one block served by the batched kernel into the
 // accumulators, in request order: request i addressed record keys[i]
 // with op kind kinds[i] and took lat[i]. The caller cuts keys, kinds
-// and lat to the served prefix.
+// and lat to the served prefix. One pass routes each request to its
+// (kind, size class) histogram, creating a class's histogram the first
+// time it appears; stats.RecordBlock then records the whole block —
+// the same Record sequence observe would make, one call per block.
 func (a *replayAccum) foldBlock(keys []uint32, kinds []uint8, classes []uint8, lat []simclock.Duration) {
-	for i, l := range lat {
-		a.observe(kvstore.OpKind(kinds[i]), int(classes[keys[i]]), float64(l.Nanoseconds()))
+	var buf [replayBlockOps]uint8
+	route := buf[:len(lat)]
+	for i := range route {
+		r := classes[keys[i]]
+		if kinds[i] != uint8(kvstore.Read) {
+			r += a.writeRoute
+		}
+		if a.hists[r] == nil {
+			a.hists[r] = newLatencyHistogram()
+		}
+		route[i] = r
 	}
+	stats.RecordBlock(a.hists, route, lat)
+}
+
+// newLatencyHistogram builds a histogram of the geometry every latency
+// histogram shares.
+func newLatencyHistogram() *stats.Histogram {
+	return stats.NewHistogram(latencyHistMin, latencyHistGrowth)
 }
 
 // sizeClasses computes each record's power-of-two size class once, so the
@@ -361,7 +394,7 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 // exactly one class, the merged counts, extrema and quantiles equal those
 // of a histogram fed directly per request.
 func mergedHistogram(groups ...[]BucketHistogram) *stats.Histogram {
-	h := stats.NewHistogram(latencyHistMin, latencyHistGrowth)
+	h := newLatencyHistogram()
 	for _, g := range groups {
 		for _, bh := range g {
 			h.Merge(bh.Hist)
@@ -391,8 +424,8 @@ func Run(d *server.Deployment, w *ycsb.Workload) RunStats {
 // wins over the scheduled crash, first-to-fire.
 func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget simclock.Duration) (RunStats, error) {
 	start := d.Clock()
-	a := newReplayAccum()
 	classes := sizeClasses(w.Dataset.Records)
+	a := newReplayAccum(classes)
 	tel, err := replayFrames(ctx, d, w, classes, a, budget)
 	if err != nil {
 		return RunStats{}, err

@@ -266,6 +266,41 @@ func TestReplayMatrixShardedPackedSubs(t *testing.T) {
 	}
 }
 
+// TestReplayPerOpFrameThenKernel crosses the hand-over between the two
+// accumulator paths on purpose: the first frame carries a Delete, so it
+// is served per-op and creates the first (kind, size class) histograms
+// through observe; every later frame goes through the kernel and folds
+// into those same histograms with foldBlock, or creates the classes the
+// first frame did not reach. The run must equal the all-per-op reference
+// exactly.
+func TestReplayPerOpFrameThenKernel(t *testing.T) {
+	w := ycsb.MustGenerate(ycsb.Spec{
+		Name: "handover", Keys: 500, Requests: 5 * replayBlockOps,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
+		ReadRatio: 0.9, Sizes: ycsb.SizeTrendingPreview, Seed: 5,
+	})
+	// Delete a record early in frame 0 and re-insert it right after, so
+	// later frames find every record alive and take the kernel.
+	del := &w.Ops[40]
+	del.Kind = kvstore.Delete
+	w.Ops[41] = ycsb.Op{Key: del.Key, Kind: kvstore.Write}
+
+	cfg := server.DefaultConfig(server.RedisLike, 42)
+	got := runCell(t, context.Background(), cfg, w, halfFast(w))
+	want := runCell(t, context.Background(), perOpReference(cfg), w, halfFast(w))
+	if got.perOpFrames != 1 || got.kernelFrames != 4 {
+		t.Fatalf("frames: %d per-op, %d kernel; want the first per-op and the other 4 kernel",
+			got.perOpFrames, got.kernelFrames)
+	}
+	if got.Err != "" || !reflect.DeepEqual(got.comparable(), want.comparable()) {
+		t.Fatalf("per-op-then-kernel run diverged from the per-op reference:\n  got:  %+v\n  want: %+v", got, want)
+	}
+	if len(got.Stats.ReadLatency) < 2 || len(got.Stats.WriteLatency) < 2 {
+		t.Fatalf("trace spans too few size classes to exercise the hand-over: %d read, %d write",
+			len(got.Stats.ReadLatency), len(got.Stats.WriteLatency))
+	}
+}
+
 // TestReplayStreamReuse pins the reuse rule on the backing it newly
 // covers: a streamed read/write trace is served by the kernel alone, so
 // its deployment is kept and rewound across repetitions, bit-identically

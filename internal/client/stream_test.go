@@ -345,7 +345,7 @@ func TestStreamedReplayBoundedMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			classes := sizeClasses(w.Dataset.Records)
-			a := newReplayAccum()
+			a := newReplayAccum(classes)
 
 			runtime.GC()
 			var before, after runtime.MemStats

@@ -280,8 +280,35 @@ func (c *LRUCache) Touch(rec RecordRef) bool {
 	if size > c.capacity {
 		return false // streaming record, uncacheable
 	}
+	// Evict LRU-first until the record fits. The eviction that makes room
+	// relabels the tail's slot to the record and moves it to the front
+	// when both IDs are dense — the steady-state miss of the replay
+	// kernel. That is the remove(tail)-then-insert outcome to the bit:
+	// remove pushes the tail's slot on the free list and insert pops that
+	// same slot, so slot indices, the free list, recency order, bytes
+	// used and length all agree.
 	for c.used+size > c.capacity {
-		c.remove(c.tail)
+		s := c.tail
+		sl := &c.slots[s]
+		if c.used-sl.bytes+size > c.capacity || !c.dense(rec.ID) || !c.dense(sl.id) {
+			c.remove(s)
+			continue
+		}
+		if c.direct[sl.id] != s {
+			panic("memsim: cache recency list out of sync with index")
+		}
+		c.direct[sl.id] = -1
+		c.direct[rec.ID] = s
+		c.used += size - sl.bytes
+		sl.id, sl.bytes = rec.ID, size
+		if p := sl.prev; p >= 0 { // unlink the tail, push it on the front
+			c.slots[p].next = -1
+			c.tail = p
+			sl.prev, sl.next = -1, c.head
+			c.slots[c.head].prev = s
+			c.head = s
+		}
+		return false
 	}
 	c.insert(rec.ID, size)
 	return false

@@ -4,11 +4,13 @@ package memsim
 // container/list (the previous implementation, kept here as the
 // executable specification) is driven through long randomized op
 // sequences in lockstep with the real one, and every observable — hit
-// results, residency, byte usage, counters — must agree at every step.
+// results, residency, byte usage, counters — must agree at every step;
+// the full MRU→LRU order is compared periodically and at the end.
 
 import (
 	"container/list"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +67,34 @@ func (c *refCache) removeElement(el *list.Element) {
 	c.order.Remove(el)
 	delete(c.index, ent.id)
 	c.used -= ent.bytes
+}
+
+// ids lists the resident IDs from most to least recently used.
+func (c *refCache) ids() []uint64 {
+	out := make([]uint64, 0, c.order.Len())
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(refEntry).id)
+	}
+	return out
+}
+
+// recency lists the cache's resident IDs from most to least recently
+// used by walking its intrusive list.
+func (c *LRUCache) recency() []uint64 {
+	out := make([]uint64, 0, c.size)
+	for s := c.head; s >= 0; s = c.slots[s].next {
+		out = append(out, c.slots[s].id)
+	}
+	return out
+}
+
+// requireSameRecency fails unless got holds want's residents in want's
+// MRU→LRU order.
+func requireSameRecency(t *testing.T, step int, got *LRUCache, want *refCache) {
+	t.Helper()
+	if g, w := got.recency(), want.ids(); !slices.Equal(g, w) {
+		t.Fatalf("step %d: recency order %v, reference %v", step, g, w)
+	}
 }
 
 func (c *refCache) flush() {
@@ -148,7 +178,11 @@ func TestLRUCacheMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("step %d: hits/misses %d/%d, reference %d/%d",
 						step, got.Hits(), got.Misses(), want.hits, want.misses)
 				}
+				if step%1000 == 0 {
+					requireSameRecency(t, step, got, want)
+				}
 			}
+			requireSameRecency(t, steps, got, want)
 			if want.hits == 0 || want.misses == 0 {
 				t.Fatalf("vacuous run: %d hits, %d misses", want.hits, want.misses)
 			}
@@ -178,4 +212,93 @@ func TestLRUCacheDenseIDs(t *testing.T) {
 		t.Fatalf("final state diverged: used %d/%d len %d/%d",
 			got.Used(), want.used, got.Len(), want.order.Len())
 	}
+	requireSameRecency(t, 50000, got, want)
+}
+
+// TestLRUCacheEvictInPlace pins Touch's in-place eviction against the
+// sequence it replaces. Record sizes are drawn so that a miss on the full
+// cache needs no eviction, one, or several; before every access a clone
+// of the cache plays the general path — remove the tail until the record
+// fits, then insert — and the two caches must then agree field for field:
+// slots, free list, both ends of the recency list, the handle array,
+// bytes used and length. The reference model checks the recency order
+// alongside, and the run counts the accesses whose last eviction the
+// relabel serves, so it cannot pass vacuously.
+func TestLRUCacheEvictInPlace(t *testing.T) {
+	const (
+		capacity = 16 << 10
+		nIDs     = 256
+		steps    = 20000
+	)
+	got := NewLRUCache(capacity)
+	got.Reserve(nIDs)
+	want := newRefCache(capacity)
+	rng := rand.New(rand.NewSource(11))
+	evictions := map[int]int{} // evictions a miss needed → count
+	inPlace := 0
+	for step := 0; step < steps; step++ {
+		// Mostly ~1 KB records, with a tail of up to ~5 KB ones, so a
+		// miss on the full cache evicts zero, one or several residents.
+		size := 512 + rng.Intn(1024)
+		if rng.Intn(8) == 0 {
+			size = 2048 + rng.Intn(3072)
+		}
+		rec := RecordRef{ID: uint64(rng.Intn(nIDs)), Bytes: size}
+		oracle := got.clone()
+		if s := oracle.lookup(rec.ID); s >= 0 && oracle.slots[s].bytes == int64(size) {
+			oracle.unlink(s)
+			oracle.pushFront(s)
+		} else {
+			if s >= 0 {
+				oracle.remove(s)
+			}
+			n := 0
+			for oracle.used+int64(size) > oracle.capacity {
+				oracle.remove(oracle.tail)
+				n++
+			}
+			oracle.insert(rec.ID, int64(size))
+			evictions[min(n, 2)]++
+			if s < 0 && n > 0 {
+				inPlace++
+			}
+		}
+		if g, w := got.Touch(rec), want.access(rec); g != w {
+			t.Fatalf("step %d: Touch(%+v) = %v, reference says %v", step, rec, g, w)
+		}
+		if !got.sameState(oracle) {
+			t.Fatalf("step %d: Touch(%+v) left a state the remove-then-insert sequence does not", step, rec)
+		}
+		if step%1000 == 0 {
+			requireSameRecency(t, step, got, want)
+		}
+	}
+	requireSameRecency(t, steps, got, want)
+	for n := 0; n <= 2; n++ {
+		if evictions[n] == 0 {
+			t.Fatalf("no miss needed %d eviction(s); sizes do not exercise every case: %v", n, evictions)
+		}
+	}
+	if inPlace < steps/10 {
+		t.Fatalf("only %d of %d accesses took the in-place eviction", inPlace, steps)
+	}
+}
+
+// clone deep-copies the cache.
+func (c *LRUCache) clone() *LRUCache {
+	cp := *c
+	cp.slots = slices.Clone(c.slots)
+	cp.free = slices.Clone(c.free)
+	cp.direct = slices.Clone(c.direct)
+	cp.table = slices.Clone(c.table)
+	return &cp
+}
+
+// sameState reports whether two caches hold identical structures. Only
+// the first len(slots) slots are compared: the arena past it is unused.
+func (c *LRUCache) sameState(o *LRUCache) bool {
+	return c.used == o.used && c.size == o.size && c.head == o.head && c.tail == o.tail &&
+		c.hits == o.hits && c.misses == o.misses &&
+		slices.Equal(c.slots, o.slots) && slices.Equal(c.free, o.free) &&
+		slices.Equal(c.direct, o.direct) && slices.Equal(c.table, o.table)
 }

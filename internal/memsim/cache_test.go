@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -221,5 +222,35 @@ func TestCacheFlushZeroAllocs(t *testing.T) {
 	}
 	if c.Access(RecordRef{ID: 5, Bytes: 64}) || c.Access(RecordRef{ID: 5<<32 | 1<<50, Bytes: 64}) {
 		t.Fatal("post-flush access hit")
+	}
+}
+
+// BenchmarkLRUTouchDense drives Touch the way the batched replay kernel
+// does on a big trace: dense record indices in a reserved range, ≈100 KB
+// records, the default 12 MB cache, and a key set far beyond it, so
+// nearly every access is a miss that evicts the tail.
+func BenchmarkLRUTouchDense(b *testing.B) {
+	const (
+		records = 10000
+		reqs    = 1 << 16
+	)
+	rng := rand.New(rand.NewSource(1))
+	sizes := make([]int, records)
+	for i := range sizes {
+		sizes[i] = 90<<10 + rng.Intn(20<<10)
+	}
+	refs := make([]RecordRef, reqs)
+	for i := range refs {
+		id := rng.Intn(records)
+		refs[i] = RecordRef{ID: uint64(id), Bytes: sizes[id]}
+	}
+	c := NewLRUCache(DefaultConfig().LLCBytes)
+	c.Reserve(records)
+	for _, r := range refs {
+		c.Touch(r)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Touch(refs[i&(reqs-1)])
 	}
 }

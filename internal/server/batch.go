@@ -279,7 +279,9 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 // Serve replays one block of at most ReplayBlockOps requests — keys[i]
 // is a dataset record index, kinds[i] its op kind — through the cost
 // table, advancing the clock and writing each request's latency into
-// lat. It returns the number of requests served: len(keys) normally, or
+// lat, which must hold len(keys) entries (Block does); stage 1 uses it
+// as scratch, so entries past the served prefix hold no latency. It
+// returns the number of requests served: len(keys) normally, or
 // fewer when maxClock (an absolute simulated-time bound, 0 = none) was
 // exceeded — the request that crossed the bound is served and counted,
 // matching the per-op path's post-op budget check.
@@ -287,8 +289,9 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 // The block passes through three stages, each owning one slice of the
 // per-request state:
 //
-//  1. LLC: touch every record in order and select its hit or miss cost
-//     row into the ns scratch, remembering the outcome in hit.
+//  1. LLC: gather every request's miss cost into the ns scratch, then
+//     touch every record in order, swapping in its hit cost on a hit and
+//     remembering the outcome in hit.
 //  2. noise: multiply the block by the noise stream (Noise.Scale).
 //  3. clock: apply the pause mirror, the fault factor and stall, round
 //     to a latency, advance the clock and check maxClock.
@@ -306,17 +309,36 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 	d := t.d
 	ns, hit := t.ns[:len(keys)], t.hit[:len(keys)]
 
-	llc := d.machine.LLC()
+	// Stage 1a, gather: load every request's cost row and take its miss
+	// cost into ns and its LLC footprint into lat, which stage 3 will
+	// overwrite. The loads are independent of each other and of the LLC,
+	// so they overlap instead of each waiting behind the previous Touch.
 	for i, k := range keys {
 		c := &t.costs[k]
-		hitNs, missNs, bytes := c.readHitNs, c.readMissNs, c.readBytes
-		if kinds[i] != uint8(kvstore.Read) {
-			hitNs, missNs, bytes = c.writeHitNs, c.writeMissNs, c.writeBytes
-		}
-		if llc != nil && llc.Touch(memsim.RecordRef{ID: uint64(k), Bytes: int(bytes)}) {
-			ns[i], hit[i] = hitNs, 1
+		if kinds[i] == uint8(kvstore.Read) {
+			ns[i], lat[i] = c.readMissNs, simclock.Duration(c.readBytes)
 		} else {
-			ns[i], hit[i] = missNs, 0
+			ns[i], lat[i] = c.writeMissNs, simclock.Duration(c.writeBytes)
+		}
+	}
+	// Stage 1b, LLC walk: only a hit goes back to its (cache-hot) row,
+	// for the hit cost.
+	llc := d.machine.LLC()
+	hits := 0
+	if llc != nil {
+		for i, k := range keys {
+			if llc.Touch(memsim.RecordRef{ID: uint64(k), Bytes: int(lat[i])}) {
+				c := &t.costs[k]
+				if kinds[i] == uint8(kvstore.Read) {
+					ns[i] = c.readHitNs
+				} else {
+					ns[i] = c.writeHitNs
+				}
+				hit[i] = 1
+				hits++
+			} else {
+				hit[i] = 0
+			}
 		}
 	}
 
@@ -360,9 +382,8 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 	d.ops += served
 
 	if llc != nil {
-		hits := 0
-		for _, h := range hit[:served] {
-			hits += int(h)
+		for _, h := range hit[served:] {
+			hits -= int(h) // credit the served prefix only
 		}
 		llc.Credit(int64(hits), int64(served-hits))
 	}

@@ -56,16 +56,18 @@ func logBucket(v, minVal, logGrowth float64) int {
 	return int(math.Log(v/minVal)/logGrowth) + 1
 }
 
-// bucketFor maps a value to its bucket index (values below minVal share
-// bucket 0).
+// bucketFor maps a value to its bucket index: values at or below minVal
+// share bucket 0, and values past the largest finite float — +Inf — share
+// the top bucket, the one math.MaxFloat64 falls in. NaN has no bucket;
+// callers apply nanToZero first.
 func (h *Histogram) bucketFor(v float64) int {
 	if v <= h.minVal {
 		return 0
 	}
-	if t := h.table; t != nil && v < t.last {
+	if t := h.table; v < t.last {
 		return t.lookup(v)
 	}
-	return logBucket(v, h.minVal, h.logGrowth)
+	return logBucket(min(v, math.MaxFloat64), h.minVal, h.logGrowth)
 }
 
 // bucketTable precomputes the exact bucket boundaries of one (minVal,
@@ -168,16 +170,48 @@ func (h *Histogram) bucketUpper(i int) float64 {
 }
 
 // Record adds one observation. Non-positive values are clamped into the
-// lowest bucket (latencies are always positive in practice).
+// lowest bucket (latencies are always positive in practice) and +Inf
+// into the top one; both still count toward Sum, Min and Max. NaN has no
+// magnitude and is recorded as 0, so it cannot poison Sum or Mean.
 func (h *Histogram) Record(v float64) {
-	idx := 0
-	if v > 0 {
-		idx = h.bucketFor(v)
+	v = nanToZero(v)
+	h.add(h.bucketFor(v), v)
+}
+
+// RecordBlock records float64(vs[i]) into hs[route[i]] for every i, in
+// order — exactly the Record call sequence, so each histogram's counts,
+// Sum, Min and Max come out bit-identical. It exists for callers that
+// fold a block of observations at a time (the replay loop's latencies):
+// one call per block, with the bucket-table lookup inlined, instead of
+// one Record call per value. Every routed histogram must be non-nil.
+func RecordBlock[V ~int64 | ~float64](hs []*Histogram, route []uint8, vs []V) {
+	route = route[:len(vs)]
+	for i, x := range vs {
+		h := hs[route[i]]
+		v := nanToZero(float64(x))
+		var idx int
+		if t := h.table; v > h.minVal && v < t.last {
+			idx = t.lookup(v) // bucketFor's tabulated case, inlined
+		} else {
+			idx = h.bucketFor(v)
+		}
+		h.add(idx, v)
 	}
+}
+
+// nanToZero is the NaN rule of Record and RecordBlock: NaN is recorded
+// as 0.
+func nanToZero(v float64) float64 {
+	if v != v {
+		return 0
+	}
+	return v
+}
+
+// add counts v into bucket idx and into the exact totals and extrema.
+func (h *Histogram) add(idx int, v float64) {
 	if idx >= len(h.counts) {
-		grown := make([]int64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.growCounts(idx)
 	}
 	h.counts[idx]++
 	h.total++
@@ -188,6 +222,13 @@ func (h *Histogram) Record(v float64) {
 	if v < h.minSeen {
 		h.minSeen = v
 	}
+}
+
+// growCounts extends the bucket counts to cover index idx.
+func (h *Histogram) growCounts(idx int) {
+	grown := make([]int64, idx+1)
+	copy(grown, h.counts)
+	h.counts = grown
 }
 
 // N returns the number of recorded observations.
