@@ -151,11 +151,11 @@ func TestMeasureAdaptiveMatchesSerialLegs(t *testing.T) {
 		}
 		staticCfg := cfg.Server
 		staticCfg.Adaptive, staticCfg.EpochOps = nil, 0
-		static, err := client.ExecuteMeanCtx(ctx, staticCfg, w, placement, cfg.Runs, 0, cfg.Resilience)
+		static, err := client.ExecuteMeanCtx(ctx, staticCfg, w, placement, cfg.Runs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptive, err := client.ExecuteMeanCtx(ctx, cfg.Server, w, placement, cfg.Runs, 0, cfg.Resilience)
+		adaptive, err := client.ExecuteMeanCtx(ctx, cfg.Server, w, placement, cfg.Runs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

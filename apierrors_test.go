@@ -40,19 +40,8 @@ func TestOptionsValidation(t *testing.T) {
 		{"price factor above 1", Options{PriceFactor: 1.5}, "PriceFactor"},
 		{"negative price factor", Options{PriceFactor: -0.2}, "PriceFactor"},
 		{"negative SLO", Options{SLO: -0.1}, "SLO"},
-		{"fault prob above 1", Options{Fault: FaultSpec{FailProb: 1.5}}, "FailProb"},
-		{"negative fault prob", Options{Fault: FaultSpec{StallProb: -0.5}}, "StallProb"},
-		{"negative stall", Options{Fault: FaultSpec{StallProb: 0.1, Stall: -Second}}, "Stall"},
-		{"negative outlier factor", Options{Fault: FaultSpec{OutlierProb: 0.1, OutlierFactor: -2}}, "OutlierFactor"},
-		{"negative run timeout", Options{RunTimeout: -Second}, "RunTimeout"},
-		{"negative retries", Options{Retries: -1}, "Retries"},
-		{"negative min runs", Options{MinRuns: -1}, "MinRuns"},
-		{"negative outlier MAD", Options{OutlierMAD: -3.5}, "OutlierMAD"},
-		{"MAD without min runs", Options{OutlierMAD: 3.5}, "MinRuns"},
 		{"negative shards", Options{Shards: -1}, "Shards"},
 		{"shards above max", Options{Shards: 257}, "Shards"},
-		{"negative crash prob", Options{Fault: FaultSpec{CrashProb: -0.1}}, "CrashProb"},
-		{"crash prob above 1", Options{Fault: FaultSpec{CrashProb: 1.5}}, "CrashProb"},
 		{"negative epoch ops", Options{EpochOps: -1}, "EpochOps"},
 		{"negative migration cost", Options{MigrationCostPerByte: -0.5}, "MigrationCostPerByte"},
 		{"negative migration budget", Options{MigrationBudget: -64}, "MigrationBudget"},
@@ -91,8 +80,8 @@ func TestOptionsValidation(t *testing.T) {
 // through the three places a run knob is set: Options (via Profile),
 // experiments.Scale and core.Config. Every entry point that exposes a
 // knob must reject it with an error naming the same exported field —
-// the rule is written once, in core.Config.Validate and the validators
-// it calls.
+// the rule is written once, in core.Config.Validate and the
+// server.Config.Validate it calls.
 func TestKnobTableThreeEntryPoints(t *testing.T) {
 	w := tinyAPIWorkload(t)
 	type (
@@ -114,14 +103,6 @@ func TestKnobTableThreeEntryPoints(t *testing.T) {
 			func(o *Options) { o.PriceFactor = 1.5 },
 			nil,
 			func(c *core.Config) { c.PriceFactor = 1.5 }},
-		{"fault prob", "FailProb",
-			func(o *Options) { o.Fault.FailProb = 2 },
-			func(s *experiments.Scale) { s.Fault.FailProb = 2 },
-			func(c *core.Config) { c.Server.Fault.FailProb = 2 }},
-		{"run timeout", "RunTimeout",
-			func(o *Options) { o.RunTimeout = -1 },
-			func(s *experiments.Scale) { s.RunTimeout = -1 },
-			func(c *core.Config) { c.Server.RunTimeout = -1 }},
 		{"shards", "Shards",
 			func(o *Options) { o.Shards = 257 },
 			func(s *experiments.Scale) { s.Shards = 257 },
@@ -138,26 +119,10 @@ func TestKnobTableThreeEntryPoints(t *testing.T) {
 			func(o *Options) { o.MigrationBudget = -1 },
 			func(s *experiments.Scale) { s.MigrationBudget = -1 },
 			func(c *core.Config) { c.Server.MigrationBudget = -1 }},
-		{"retries", "Retries",
-			func(o *Options) { o.Retries = -1 },
-			nil,
-			func(c *core.Config) { c.Resilience.Retries = -1 }},
-		{"min runs", "MinRuns",
-			func(o *Options) { o.MinRuns = -1 },
-			nil,
-			func(c *core.Config) { c.Resilience.MinRuns = -1 }},
-		{"outlier MAD", "OutlierMAD",
-			func(o *Options) { o.OutlierMAD = -1 },
-			nil,
-			func(c *core.Config) { c.Resilience.OutlierMAD = -1 }},
 		{"noise sigma", "NoiseSigma",
 			func(o *Options) { o.NoiseSigma = math.NaN() },
 			nil,
 			func(c *core.Config) { c.Server.NoiseSigma = -0.5 }},
-		{"outlier MAD in strict mode", "MinRuns ≥ 1",
-			func(o *Options) { o.OutlierMAD = 3.5 },
-			nil,
-			func(c *core.Config) { c.Resilience.OutlierMAD = 3.5 }},
 	}
 	check := func(t *testing.T, entry string, err error, want string) {
 		t.Helper()

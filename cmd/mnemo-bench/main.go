@@ -26,17 +26,6 @@
 //	                default) — -keys 10000000 -requests 100000000 is the
 //	                README's 10M-key cluster recipe
 //	-list-policies  print the tiering-policy catalog and exit
-//	-fault p        chaos mode: each measurement run independently fails,
-//	                stalls, or returns outlier latencies with probability p
-//	                per class (deterministic per -seed/-fault-seed);
-//	                measurements then retry and degrade instead of aborting
-//	-fault-fail p   per-class probability overrides: set just one fault
-//	-fault-stall p  class, or reshape the mix -fault applies to all three
-//	-fault-outlier p
-//	-fault-seed n   decorrelates the fault schedule from -seed
-//	-fault-crash p  probability p that a run crashes mid-replay (after
-//	                serving a prefix of its trace); composes with -fault,
-//	                and a sharded run rolls one fate like any other run
 //	-epoch-ops n    adaptive-compare: epoch length in requests (0 = the
 //	                experiment default, one 4096-op replay block)
 //	-migration-cost f  adaptive-compare: simulated migration charge in ns
@@ -46,17 +35,14 @@
 //	-trace file     replay a binary .mtrc trace (streamed, O(frame)
 //	                memory) against every engine on FastMem-only and
 //	                SlowMem-only placements instead of running the
-//	                experiment suite; honors -shards/-fault/-no-batch
-//	-timeout s      per-run budget in simulated seconds; a run whose
-//	                simulated clock exceeds it (e.g. an injected stall) is
-//	                cut off and retried (0 = unbounded)
+//	                experiment suite; honors -shards/-no-batch
 //	-no-batch       force the per-op replay path instead of the batched
 //	                kernel (bit-identical results; a comparison knob)
 //	-cpuprofile f   write a pprof CPU profile of the run to f
 //	-memprofile f   write a pprof heap profile (taken after the run) to f
 //	-metrics f      dump run metrics (Prometheus text format) to f
 //	                ("-" = stderr) — written even when a sweep fails, so a
-//	                timed-out or fault-killed run stays observable
+//	                failed run stays observable
 package main
 
 import (
@@ -74,7 +60,6 @@ import (
 	"mnemo/internal/registry"
 	"mnemo/internal/report"
 	"mnemo/internal/server"
-	"mnemo/internal/simclock"
 	"mnemo/internal/trace"
 )
 
@@ -255,8 +240,6 @@ func runTrace(path string, scale experiments.Scale, seed int64, stdout, stderr i
 	for _, e := range server.Engines() {
 		for _, pl := range placements {
 			cfg := server.DefaultConfig(e, seed)
-			cfg.Fault = scale.Fault
-			cfg.RunTimeout = scale.RunTimeout
 			cfg.Obs = scale.Obs
 			cfg.DisableBatchReplay = scale.DisableBatchReplay
 			cfg.Shards = scale.Shards
@@ -306,16 +289,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	shards := fs.Int("shards", 0, "replay across a consistent-hash cluster of `n` deployments (0 = single deployment)")
 	keys := fs.Int("keys", 0, "override the per-workload key count (0 = scale default)")
 	requests := fs.Int("requests", 0, "override the per-workload request count (0 = scale default)")
-	fault := fs.Float64("fault", 0, "inject faults with probability `p` per class (fail/stall/outlier)")
-	faultFail := fs.Float64("fault-fail", -1, "fail-fault probability `p` (overrides -fault for this class)")
-	faultStall := fs.Float64("fault-stall", -1, "stall-fault probability `p` (overrides -fault for this class)")
-	faultOutlier := fs.Float64("fault-outlier", -1, "outlier-fault probability `p` (overrides -fault for this class)")
-	faultSeed := fs.Int64("fault-seed", 1, "seed of the fault schedule")
-	faultCrash := fs.Float64("fault-crash", 0, "mid-replay crash probability `p` (composes with -fault)")
 	epochOps := fs.Int("epoch-ops", 0, "adaptive-compare: epoch length in `requests` (0 = experiment default)")
 	migCost := fs.Float64("migration-cost", 0, "adaptive-compare: migration charge in `ns` per payload byte (0 = experiment default)")
 	migBudget := fs.Int64("migration-budget", 0, "adaptive-compare: cap on migrated payload `bytes` per epoch (0 = unlimited)")
-	timeout := fs.Float64("timeout", 0, "per-run budget in simulated `seconds` (0 = unbounded)")
 	tracePath := fs.String("trace", "", "replay a binary .mtrc trace `file` (streamed, FastMem/SlowMem baselines per engine) instead of running experiments")
 	noBatch := fs.Bool("no-batch", false, "force the per-op replay path (disable the batched kernel)")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to `file`")
@@ -352,28 +328,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *requests != 0 {
 		scale.Requests = *requests
 	}
-	// Per-class probabilities: -fault sets all three, -fault-<class>
-	// overrides one (≥ 0 wins over the shared default).
-	classProb := func(class float64) float64 {
-		if class < 0 {
-			return *fault
-		}
-		return class
-	}
-	failP, stallP, outlierP := classProb(*faultFail), classProb(*faultStall), classProb(*faultOutlier)
-	if failP != 0 || stallP != 0 || outlierP != 0 || *faultCrash != 0 {
-		scale.Fault = server.FaultSpec{
-			Seed:        *faultSeed,
-			FailProb:    failP,
-			StallProb:   stallP,
-			OutlierProb: outlierP,
-			CrashProb:   *faultCrash,
-		}
-	}
 	scale.EpochOps = *epochOps
 	scale.MigrationCostPerByte = *migCost
 	scale.MigrationBudget = *migBudget
-	scale.RunTimeout = simclock.Duration(*timeout * float64(simclock.Second))
 	scale.DisableBatchReplay = *noBatch
 	if err := scale.Validate(); err != nil {
 		return err
@@ -382,7 +339,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sink := obs.NewSink()
 		scale.Obs = sink
 		// The dump runs on every exit path: a sweep that dies mid-run
-		// (an injected fault, a timeout) still reports what it observed.
+		// still reports what it observed.
 		defer func() {
 			if err := dumpMetrics(*metrics, sink, stderr); err != nil {
 				fmt.Fprintln(stderr, "mnemo-bench: -metrics:", err)

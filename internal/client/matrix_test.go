@@ -66,12 +66,18 @@ func (o outcome) comparable() outcome {
 
 func runCell(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) outcome {
 	t.Helper()
+	return runCellBudget(t, ctx, cfg, w, p, 0)
+}
+
+// runCellBudget is runCell under a RunCtx simulated-time budget.
+func runCellBudget(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement, budget simclock.Duration) outcome {
+	t.Helper()
 	cfg.Obs = obs.NewSink()
 	d := server.NewDeployment(cfg)
 	if err := d.Load(w.Dataset, p); err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunCtx(ctx, d, w, cfg.RunTimeout)
+	st, err := RunCtx(ctx, d, w, budget)
 	d.FlushObs()
 	out := outcome{Stats: st, Clock: d.Clock(),
 		kernelFrames:       cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", "kernel")).Value(),
@@ -112,47 +118,43 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 				}
 				full := runCell(t, context.Background(), perOpReference(base), w, p)
 				if full.Err != "" {
-					t.Fatalf("%s/%v/%s: unfaulted reference failed: %s", traceName, e, mode, full.Err)
+					t.Fatalf("%s/%v/%s: uncut reference failed: %s", traceName, e, mode, full.Err)
 				}
 
-				faults := map[string]func(*server.Config){
-					"none": func(*server.Config) {},
-					"crash": func(c *server.Config) {
-						c.Fault = server.FaultSpec{CrashProb: 1, StallWindowOps: len(w.Ops)}
-						for ; ; c.Fault.Seed++ {
-							if at := server.NewDeployment(*c).CrashOp(); at > 2*replayBlockOps && at%replayBlockOps > 100 {
-								return
-							}
-						}
-					},
-					"timeout":   func(c *server.Config) { c.RunTimeout = full.Stats.Runtime / 2 },
-					"cancelled": func(*server.Config) {},
+				type cutSpec struct {
+					budget       simclock.Duration
+					costPerByte  float64 // overrides MigrationCostPerByte when > 0
+					ctxCancelled bool
+				}
+				cuts := map[string]cutSpec{
+					"none":      {},
+					"timeout":   {budget: full.Stats.Runtime / 2},
+					"cancelled": {ctxCancelled: true},
 				}
 				if adaptive {
 					// The first boundary's copy traffic alone blows a budget
 					// the requests themselves would have met.
-					faults["migration-timeout"] = func(c *server.Config) {
-						c.RunTimeout = full.Stats.Runtime
-						c.MigrationCostPerByte = 1e6
-					}
+					cuts["migration-timeout"] = cutSpec{budget: full.Stats.Runtime, costPerByte: 1e6}
 				}
 
-				for fault, apply := range faults {
+				for cut, spec := range cuts {
 					cfg := base
-					apply(&cfg)
+					if spec.costPerByte > 0 {
+						cfg.MigrationCostPerByte = spec.costPerByte
+					}
 					ctx := context.Background()
-					if fault == "cancelled" {
+					if spec.ctxCancelled {
 						ctx = cancelled
 					}
-					label := fmt.Sprintf("%s/%v/%s/%s", traceName, e, mode, fault)
-					ref := runCell(t, ctx, perOpReference(cfg), w, p)
-					requireFaultFired(t, label, fault, ref)
+					label := fmt.Sprintf("%s/%v/%s/%s", traceName, e, mode, cut)
+					ref := runCellBudget(t, ctx, perOpReference(cfg), w, p, spec.budget)
+					requireCutFired(t, label, cut, ref)
 
 					for _, b := range backings {
 						for _, perOp := range []bool{false, true} {
 							c := cfg
 							c.DisableBatchReplay = perOp
-							got := runCell(t, ctx, c, b.w, p)
+							got := runCellBudget(t, ctx, c, b.w, p, spec.budget)
 							cell := fmt.Sprintf("%s/%s/perop=%t", label, b.name, perOp)
 							if !reflect.DeepEqual(got.comparable(), ref.comparable()) {
 								t.Fatalf("%s diverged from the in-memory per-op reference:\n  got: %+v\n  ref: %+v", cell, got, ref)
@@ -160,7 +162,7 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 							if perOp && got.kernelFrames != 0 {
 								t.Fatalf("%s: %d frames took the kernel under DisableBatchReplay", cell, got.kernelFrames)
 							}
-							if fault != "none" || perOp {
+							if cut != "none" || perOp {
 								continue
 							}
 							// The kernel column of an uncut run: which frames went where.
@@ -193,19 +195,15 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// requireFaultFired guards the matrix against vacuous cells: the
-// reference of each fault column must have ended the way the column
+// requireCutFired guards the matrix against vacuous cells: the
+// reference of each cut-off column must have ended the way the column
 // says.
-func requireFaultFired(t *testing.T, label, fault string, ref outcome) {
+func requireCutFired(t *testing.T, label, cut string, ref outcome) {
 	t.Helper()
-	switch fault {
+	switch cut {
 	case "none":
 		if ref.Err != "" {
 			t.Fatalf("%s: reference failed: %s", label, ref.Err)
-		}
-	case "crash":
-		if !strings.Contains(ref.Err, "crash") {
-			t.Fatalf("%s: reference did not crash: %q", label, ref.Err)
 		}
 	case "timeout":
 		var served, total int

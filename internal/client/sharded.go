@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"mnemo/internal/obs"
@@ -20,8 +19,7 @@ import (
 // every goroutine schedule and worker count — including workers=1,
 // which is the serial reference execution of the same code path.
 
-// executeShardedFresh is executeFresh over a cluster: build, check the
-// injected fate (a fail-fated run dies at connect time), load every
+// executeShardedFresh is executeFresh over a cluster: build, load every
 // shard under the remapped placement, replay and merge. The event and
 // counter stream matches the single-deployment path one-for-one at
 // Shards=1.
@@ -37,10 +35,6 @@ func executeShardedFresh(ctx context.Context, cfg server.Config, w *ycsb.Workloa
 		w.Spec.Name, cfg.Engine, cfg.Seed)
 	sd, err := server.NewShardedDeployment(cfg, w)
 	if err != nil {
-		sink.Counter("mnemo_client_run_failures_total").Inc()
-		return RunStats{}, nil, err
-	}
-	if err := sd.InjectedFailure(); err != nil {
 		sink.Counter("mnemo_client_run_failures_total").Inc()
 		return RunStats{}, nil, err
 	}
@@ -65,29 +59,18 @@ func executeShardedReused(ctx context.Context, cfg server.Config, w *ycsb.Worklo
 	if !sd.ResetRun(cfg.Seed) {
 		return RunStats{}, fmt.Errorf("client: cached cluster lost its run snapshot")
 	}
-	if err := sd.InjectedFailure(); err != nil {
-		sink.Counter("mnemo_client_run_failures_total").Inc()
-		return RunStats{}, err
-	}
 	return runShardedAndFlush(ctx, cfg, w, sd)
 }
 
 // runShardedAndFlush is runAndFlush over a cluster: the fanned-out
-// replay, the shard-order telemetry flush (complete and cut-off shards
+// replay, the shard-order telemetry flush (complete and failed shards
 // alike), and the run-level counters and journal events under the
 // parent workload's name.
 func runShardedAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload, sd *server.ShardedDeployment) (RunStats, error) {
-	sink := cfg.Obs
 	st, err := runSharded(ctx, cfg, sd)
 	sd.FlushObs()
 	if err != nil {
-		if errors.Is(err, ErrRunTimeout) {
-			sink.Counter("mnemo_client_run_timeouts_total").Inc()
-			sink.Eventf(obs.EventTimeout, "client", sd.Clock(), "%s on %s: %v",
-				w.Spec.Name, cfg.Engine, err)
-		} else {
-			sink.Counter("mnemo_client_run_failures_total").Inc()
-		}
+		cfg.Obs.Counter("mnemo_client_run_failures_total").Inc()
 		return st, err
 	}
 	st.Workload = w.Spec.Name
@@ -104,20 +87,17 @@ func runShardedAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload
 // the machine.
 //
 // A cluster run fails as a whole, like a single deployment: a shard
-// error (the run's injected crash or stall, on member 0, or a
-// timeout) fails the scatter-gather, and remediation — retry, outlier
-// rejection, degradation to the surviving repetitions — is the
-// repetition layer's (ExecuteMeanCtx).
+// error (cancellation, a corrupt trace frame) fails the scatter-gather.
 func runSharded(ctx context.Context, cfg server.Config, sd *server.ShardedDeployment) (RunStats, error) {
 	n := sd.Shards()
 	if n == 1 {
-		return RunCtx(ctx, sd.Dep(0), sd.Sub(0), cfg.RunTimeout)
+		return RunCtx(ctx, sd.Dep(0), sd.Sub(0), 0)
 	}
 	per := make([]RunStats, n)
 	errs := make([]error, n)
 	ctx = pool.EnsureBudget(ctx)
 	if perr := pool.RunObs(ctx, n, n, cfg.Obs, func(s int) {
-		per[s], errs[s] = RunCtx(ctx, sd.Dep(s), sd.Sub(s), cfg.RunTimeout)
+		per[s], errs[s] = RunCtx(ctx, sd.Dep(s), sd.Sub(s), 0)
 	}); perr != nil {
 		return RunStats{}, perr
 	}

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
+	"mnemo/internal/kvstore"
+	"mnemo/internal/obs"
 	"mnemo/internal/server"
 	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
@@ -50,9 +51,6 @@ func TestShardedOneShardGolden(t *testing.T) {
 	}{
 		{"default", func(*server.Config) {}},
 		{"no-batch", func(c *server.Config) { c.DisableBatchReplay = true }},
-		{"outlier-fault", func(c *server.Config) {
-			c.Fault = server.FaultSpec{OutlierProb: 1, Seed: 3}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := server.DefaultConfig(server.RedisLike, 42)
@@ -80,12 +78,12 @@ func TestShardedOneShardMeanGolden(t *testing.T) {
 	w := shardedTestWorkload(t, 1000, 10_000)
 	p := halfFastPlacement(w)
 	cfg := server.DefaultConfig(server.RedisLike, 42)
-	base, err := ExecuteMeanCtx(context.Background(), cfg, w, p, 4, 0, Policy{})
+	base, err := ExecuteMeanCtx(context.Background(), cfg, w, p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Shards = 1
-	sharded, err := ExecuteMeanCtx(context.Background(), cfg, w, p, 4, 0, Policy{})
+	sharded, err := ExecuteMeanCtx(context.Background(), cfg, w, p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,53 +168,6 @@ func TestShardedMergeInvariants(t *testing.T) {
 	}
 }
 
-// TestShardedTimeoutPerShard pins the clock semantics of
-// Config.RunTimeout under sharding: the budget bounds each shard's own
-// simulated clock (a per-process watchdog). A budget at the slowest
-// shard's runtime passes; far below it, the run is cut off and the
-// error names the shard.
-func TestShardedTimeoutPerShard(t *testing.T) {
-	w := shardedTestWorkload(t, 1200, 10_000)
-	p := halfFastPlacement(w)
-	cfg := server.DefaultConfig(server.RedisLike, 42)
-	cfg.Shards = 4
-	full, err := Execute(cfg, w, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.RunTimeout = full.Runtime // max-over-shards: every shard fits
-	if _, err := Execute(cfg, w, p); err != nil {
-		t.Fatalf("budget at the makespan should pass: %v", err)
-	}
-
-	cfg.RunTimeout = full.Runtime / 100
-	_, err = Execute(cfg, w, p)
-	if !errors.Is(err, ErrRunTimeout) {
-		t.Fatalf("tight budget: got %v, want ErrRunTimeout", err)
-	}
-	if !strings.Contains(err.Error(), "shard ") {
-		t.Fatalf("timeout error does not name the shard: %v", err)
-	}
-}
-
-// TestShardedInjectedFailure checks per-shard fault injection surfaces
-// as a connect-time *server.FaultError naming the dead shard.
-func TestShardedInjectedFailure(t *testing.T) {
-	w := shardedTestWorkload(t, 500, 2000)
-	cfg := server.DefaultConfig(server.RedisLike, 42)
-	cfg.Shards = 4
-	cfg.Fault = server.FaultSpec{FailProb: 1, Seed: 9}
-	_, err := Execute(cfg, w, server.AllFast())
-	var fe *server.FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("got %v, want a *server.FaultError", err)
-	}
-	if !strings.Contains(err.Error(), "shard 0") {
-		t.Fatalf("failure does not name the shard: %v", err)
-	}
-}
-
 // TestShardedEveryShardServes guards against a degenerate partition:
 // at the default scale every shard of an 8-way cluster must hold
 // records and serve requests.
@@ -236,5 +187,129 @@ func TestShardedEveryShardServes(t *testing.T) {
 		if sub.RequestCount() == 0 {
 			t.Errorf("shard %d serves no requests", s)
 		}
+	}
+}
+
+// runShardedOnce builds a fresh cluster for cfg, loads it under p and
+// executes one sharded run — the scatter-gather under test.
+func runShardedOnce(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
+	t.Helper()
+	sd, err := server.NewShardedDeployment(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	return runSharded(context.Background(), cfg, sd)
+}
+
+// TestShardedCancellationNotRemediated: a cancelled context surfaces
+// from a cluster aggregate as the context error, and no run is counted.
+func TestShardedCancellationNotRemediated(t *testing.T) {
+	w := shardedTestWorkload(t, 500, 4000)
+	p := halfFastPlacement(w)
+	cfg := server.DefaultConfig(server.RedisLike, 42)
+	cfg.Shards = 4
+	sink := obs.NewSink()
+	cfg.Obs = sink
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := ExecuteMeanCtx(ctx, cfg, w, p, 3, 1)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if n := sink.Counter("mnemo_client_runs_total").Value(); n != 0 {
+		t.Fatalf("cancelled aggregate counted %d runs", n)
+	}
+}
+
+// deleteTraceWorkload generates a read-heavy trace and rewrites a few
+// ops into Deletes: their frames are served per-op, which mutates engine
+// state, so member deployments cannot be rewound by the snapshot reset
+// and ResetRun must rebuild them fresh.
+func deleteTraceWorkload(t *testing.T) *ycsb.Workload {
+	t.Helper()
+	w, err := ycsb.Generate(ycsb.Spec{
+		Name: "sharded-delete", Keys: 400, Requests: 3000,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Zipfian},
+		ReadRatio: 0.95,
+		Sizes:     ycsb.SizeThumbnail,
+		Seed:      13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 50; i < len(w.Ops); i += 97 {
+		w.Ops[i].Kind = kvstore.Delete
+	}
+	if w.Packed().Batchable() {
+		t.Fatal("delete trace still batchable")
+	}
+	return w
+}
+
+// TestShardedResetShardRebuildFresh covers ResetRun's per-member
+// rebuild-fresh fallback: a member that served Delete-bearing frames
+// per-op cannot take the snapshot reset, so ResetRun must replace the
+// consumed member with a freshly populated one — and a rewound-then-rerun
+// cluster must measure byte-identically to a cluster built fresh at the
+// same seed.
+func TestShardedResetShardRebuildFresh(t *testing.T) {
+	w := deleteTraceWorkload(t)
+	p := halfFastPlacement(w)
+	cfg := server.DefaultConfig(server.RedisLike, 42)
+	cfg.Shards = 3
+
+	sd, err := server.NewShardedDeployment(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSharded(context.Background(), cfg, sd); err != nil {
+		t.Fatal(err)
+	}
+	if sd.Reusable() {
+		t.Fatal("a cluster that served Delete frames per-op should not be snapshot-reusable")
+	}
+
+	const seedB = 4242
+	before := make([]*server.Deployment, sd.Shards())
+	for s := range before {
+		before[s] = sd.Dep(s)
+	}
+	if !sd.ResetRun(seedB) {
+		t.Fatal("ResetRun failed")
+	}
+	rebuilt := 0
+	for s := range before {
+		// A sub-trace that got no Deletes is still batchable and may
+		// legitimately rewind in place; a Delete-bearing one must have
+		// been rebuilt.
+		if !sd.Sub(s).Packed().Batchable() {
+			if sd.Dep(s) == before[s] {
+				t.Fatalf("shard %d: expected a rebuilt member, got the snapshot-reset one", s)
+			}
+			rebuilt++
+		}
+	}
+	if rebuilt == 0 {
+		t.Fatal("no shard exercised the rebuild-fresh fallback")
+	}
+	cfgB := cfg
+	cfgB.Seed = seedB
+	reset, err := runSharded(context.Background(), cfgB, sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := runShardedOnce(t, cfgB, w, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reset, fresh) {
+		t.Fatalf("rebuilt-member run diverged from fresh cluster:\nreset: %+v\nfresh: %+v", reset, fresh)
 	}
 }

@@ -232,17 +232,6 @@ func measurementKey(whash uint64, cfg Config) uint64 {
 	x.u64(uint64(s.Machine.LLCBytes))
 	x.f64(s.NoiseSigma)
 	x.u64(uint64(s.Seed))
-
-	x.u64(uint64(s.Fault.Seed))
-	x.f64(s.Fault.FailProb)
-	x.f64(s.Fault.StallProb)
-	x.f64(s.Fault.OutlierProb)
-	x.f64(s.Fault.OutlierFactor)
-	x.u64(uint64(s.Fault.Stall))
-	x.u64(uint64(s.Fault.StallWindowOps))
-	x.f64(s.Fault.CrashProb)
-
-	x.u64(uint64(s.RunTimeout))
 	x.bool(s.DisableBatchReplay)
 	x.u64(uint64(s.Shards))
 	x.u64(uint64(s.EpochOps))
@@ -258,11 +247,6 @@ func measurementKey(whash uint64, cfg Config) uint64 {
 			x.str("adaptive:unnamed")
 		}
 	}
-
-	r := cfg.Resilience
-	x.u64(uint64(r.Retries))
-	x.u64(uint64(r.MinRuns))
-	x.f64(r.OutlierMAD)
 	return x.h
 }
 

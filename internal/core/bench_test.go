@@ -46,7 +46,7 @@ func legacyValidate(ctx context.Context, cfg Config, w *ycsb.Workload, c *Curve,
 		runCfg := ncfg.Server
 		runCfg.DisableBatchReplay = true
 		runCfg.Seed += int64(i) * 104729
-		measured, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, ncfg.Runs, 0, ncfg.Resilience)
+		measured, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, ncfg.Runs, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: validating point %d: %w", k, err)
 		}

@@ -145,16 +145,12 @@ type Config struct {
 	// (see EstimateEngine.SetSizeAware). Off by default: the paper's
 	// model uses a single global average.
 	SizeAwareEstimate bool
-	// Resilience governs how baseline and validation measurements cope
-	// with failing runs (retry, degrade, reject outliers). The zero value
-	// is strict: any failed run aborts the profiling session.
-	Resilience client.Policy
 }
 
-// Validate rejects malformed run knobs with errors naming the field. Each
-// knob group is checked by the layer that owns it — server.Config and
-// client.Policy — and Validate adds Runs and PriceFactor. Zero values are
-// the defaults and always pass.
+// Validate rejects malformed run knobs with errors naming the field. The
+// server knobs are checked by server.Config, which owns them, and
+// Validate adds Runs and PriceFactor. Zero values are the defaults and
+// always pass.
 func (c Config) Validate() error {
 	if c.Runs < 0 {
 		return fmt.Errorf("core: Runs %d must be non-negative (0 means the default of 1)", c.Runs)
@@ -162,10 +158,7 @@ func (c Config) Validate() error {
 	if c.PriceFactor < 0 || c.PriceFactor > 1 {
 		return fmt.Errorf("core: PriceFactor %v outside (0,1] (0 means the paper's %v)", c.PriceFactor, costmodel.DefaultPriceFactor)
 	}
-	if err := c.Server.Validate(); err != nil {
-		return err
-	}
-	return c.Resilience.Validate()
+	return c.Server.Validate()
 }
 
 // normalized applies defaults and validates.

@@ -19,11 +19,6 @@ type Report struct {
 	Ordering  Ordering
 	Curve     *Curve
 	Advice    *Advice
-	// Degraded marks a report whose baselines were aggregated from fewer
-	// runs than requested (failed or outlier runs dropped per the
-	// config's resilience policy); the per-baseline RunStats carry the
-	// exact RunsUsed/RunsRequested/RunsRetried counts.
-	Degraded bool
 }
 
 // Profile runs the complete Mnemo pipeline for the workload under one

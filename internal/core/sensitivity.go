@@ -38,8 +38,8 @@ func NewSensitivityEngine(cfg Config) (*SensitivityEngine, error) {
 // returns the measured baselines. The two executions are independent
 // simulations, so they run concurrently; each owns its deployment and
 // noise stream and keeps its fixed seed, so the result is bit-identical
-// to running them back to back. Cancelling ctx aborts both mid-sweep;
-// failing runs are retried/degraded per the config's resilience policy.
+// to running them back to back. Cancelling ctx aborts both mid-sweep,
+// and a failing run fails its baseline.
 func (s *SensitivityEngine) Baselines(ctx context.Context, w *ycsb.Workload) (Baselines, error) {
 	// Baselines measure the static extremes by definition: an adaptive
 	// policy would find nothing to migrate on an all-fast or all-slow
@@ -66,7 +66,7 @@ func (s *SensitivityEngine) Baselines(ctx context.Context, w *ycsb.Workload) (Ba
 	// one worker budget (see pool.Budget).
 	ctx = pool.EnsureBudget(ctx)
 	if err := pool.RunObs(ctx, len(jobs), len(jobs), s.cfg.Server.Obs, func(i int) {
-		results[i], errs[i] = client.ExecuteMeanCtx(ctx, jobs[i].cfg, w, jobs[i].p, s.cfg.Runs, 0, s.cfg.Resilience)
+		results[i], errs[i] = client.ExecuteMeanCtx(ctx, jobs[i].cfg, w, jobs[i].p, s.cfg.Runs, 0)
 	}); err != nil {
 		return Baselines{}, err
 	}

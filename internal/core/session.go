@@ -369,7 +369,6 @@ func (s *Session) Run(ctx context.Context, p TieringPolicy, maxSlowdown float64)
 		Baselines: b,
 		Ordering:  ord,
 		Curve:     curve,
-		Degraded:  b.Fast.Degraded || b.Slow.Degraded,
 	}
 	if maxSlowdown > 0 {
 		advice, err := Advise(curve, maxSlowdown)

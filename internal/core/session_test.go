@@ -54,7 +54,6 @@ func goldenReport(t *testing.T, cfg Config, pol TieringPolicy, seed int64) (*Rep
 		Baselines: b,
 		Ordering:  ord,
 		Curve:     curve,
-		Degraded:  b.Fast.Degraded || b.Slow.Degraded,
 	}
 	advice, err := Advise(curve, 0.10)
 	if err != nil {

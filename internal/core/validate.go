@@ -104,7 +104,7 @@ func ValidateWorkers(ctx context.Context, cfg Config, w *ycsb.Workload, c *Curve
 		runCfg := ncfg.Server
 		runCfg.Adaptive, runCfg.EpochOps = nil, 0
 		runCfg.Seed += int64(job.i) * 104729
-		measured, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, ncfg.Runs, 0, ncfg.Resilience)
+		measured, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, ncfg.Runs, 0)
 		if err != nil {
 			errs[j] = fmt.Errorf("core: validating point %d: %w", job.k, err)
 			return

@@ -147,7 +147,7 @@ func AdaptiveCompare(scale Scale, seed int64) (*AdaptiveCompareResult, error) {
 		if adaptive {
 			runCfg.Adaptive, runCfg.EpochOps = ep, epochOps
 		}
-		st, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, cfg.Runs, 0, cfg.Resilience)
+		st, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, cfg.Runs, 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: measuring %q: %w", e.Name, err)
 		}

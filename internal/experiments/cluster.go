@@ -137,7 +137,7 @@ func ClusterSweep(scale Scale, seed int64) (*ClusterSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	measured, err := client.ExecuteMeanCtx(ctx, cfg.Server, w, placement, scale.Runs, 0, cfg.Resilience)
+	measured, err := client.ExecuteMeanCtx(ctx, cfg.Server, w, placement, scale.Runs, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cluster sweep measurement: %w", err)
 	}

@@ -12,11 +12,9 @@ package experiments
 import (
 	"fmt"
 
-	"mnemo/internal/client"
 	"mnemo/internal/core"
 	"mnemo/internal/obs"
 	"mnemo/internal/server"
-	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
 )
 
@@ -29,14 +27,6 @@ type Scale struct {
 	Runs int
 	// CurveSamples is how many interior tierings are measured per curve.
 	CurveSamples int
-	// Fault injects deterministic measurement faults into every run of
-	// the experiment (chaos benchmarking); the zero value injects
-	// nothing. When enabled, measurements retry and degrade per
-	// defaultResilience instead of aborting the experiment.
-	Fault server.FaultSpec
-	// RunTimeout bounds each measurement run in simulated time (cuts off
-	// injected stalls); 0 disables the bound.
-	RunTimeout simclock.Duration
 	// Obs, when non-nil, receives every measurement's observability
 	// stream (metrics and the run journal); nil keeps the experiment
 	// uninstrumented.
@@ -70,7 +60,7 @@ var Quick = Scale{Name: "quick", Keys: 1_000, Requests: 10_000, Runs: 1, CurveSa
 
 // Validate checks the scale's own dimensions, then every run knob
 // through the profiling config it builds (core.Config.Validate), so a
-// rejected knob is named exactly as in server.Config and client.Policy.
+// rejected knob is named exactly as in server.Config.
 func (s Scale) Validate() error {
 	for _, d := range []struct {
 		name string
@@ -102,8 +92,6 @@ func (s Scale) coreConfig(e server.Engine, seed int64) core.Config {
 	cfg := core.DefaultConfig(e, seed)
 	cfg.Runs = s.Runs
 	cfg.Server.Machine.LLCBytes = int64(12<<20) * int64(s.Keys) / int64(Full.Keys)
-	cfg.Server.Fault = s.Fault
-	cfg.Server.RunTimeout = s.RunTimeout
 	cfg.Server.Obs = s.Obs
 	cfg.Server.DisableBatchReplay = s.DisableBatchReplay
 	cfg.Server.Shards = s.Shards
@@ -111,16 +99,8 @@ func (s Scale) coreConfig(e server.Engine, seed int64) core.Config {
 	// policy and EpochOps ≥ 1 (only AdaptiveCompare sets those).
 	cfg.Server.MigrationCostPerByte = s.MigrationCostPerByte
 	cfg.Server.MigrationBudget = s.MigrationBudget
-	if s.Fault.Enabled() {
-		cfg.Resilience = defaultResilience
-	}
 	return cfg
 }
-
-// defaultResilience is the degradation policy a chaos-benchmarked
-// experiment runs under: a couple of retries, a report as long as one
-// repetition survives, and MAD rejection of outlier runtimes.
-var defaultResilience = client.Policy{Retries: 2, MinRuns: 1, OutlierMAD: 3.5}
 
 // SLO is the permissible application slowdown used by Fig 9 (10%, the
 // value "commonly used in other research on optimizing performance and

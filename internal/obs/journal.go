@@ -19,16 +19,6 @@ const (
 	// (a full trace replay against one deployment).
 	EventMeasureStart EventKind = "measurement_started"
 	EventMeasureEnd   EventKind = "measurement_finished"
-	// EventRetry records a failed measurement attempt being retried.
-	EventRetry EventKind = "retry"
-	// EventOutlierRejected records a completed run dropped by the MAD
-	// outlier gate.
-	EventOutlierRejected EventKind = "outlier_rejected"
-	// EventFault records an injected fault firing (fail, stall, outlier,
-	// crash).
-	EventFault EventKind = "fault_fired"
-	// EventTimeout records a run cut off by the simulated-time budget.
-	EventTimeout EventKind = "timeout"
 	// EventSpanStart / EventSpanEnd bracket a pipeline stage span.
 	EventSpanStart EventKind = "span_started"
 	EventSpanEnd   EventKind = "span_finished"

@@ -29,8 +29,8 @@ func TestNilSafety(t *testing.T) {
 	if snap := s.Histogram("h", []float64{1}).Snapshot(); snap.Count != 0 {
 		t.Fatalf("nil histogram count = %d", snap.Count)
 	}
-	s.Event(EventRetry, "client", "x", 0)
-	s.Eventf(EventRetry, "client", 0, "attempt %d", 1)
+	s.Event(EventMeasureStart, "client", "x", 0)
+	s.Eventf(EventMeasureStart, "client", 0, "run %d", 1)
 	s.StartSpan("measure").End(simclock.Second)
 	if s.Journal().Len() != 0 || s.Journal().Dropped() != 0 || s.Journal().Events() != nil {
 		t.Fatal("nil journal retained something")
@@ -152,7 +152,7 @@ func TestExponentialBoundaries(t *testing.T) {
 func TestJournalOrderAndCap(t *testing.T) {
 	j := &Journal{cap: 3}
 	for i := 0; i < 5; i++ {
-		j.Append(EventRetry, "client", "x", 0)
+		j.Append(EventMeasureStart, "client", "x", 0)
 	}
 	evs := j.Events()
 	if len(evs) != 3 {

@@ -204,28 +204,3 @@ func NewParamsObs(name string, seed int64, params map[string]float64, sink *obs.
 	}
 	return p, nil
 }
-
-// RuntimeParams is the typed catalog of measurement-runtime knobs a
-// tuned spec may carry alongside the policy vector: the adaptive-replay
-// epoch and migration knobs and the client resilience thresholds. They
-// parameterize how a config is measured, not how keys are ordered — in
-// the artifact cache they are part of the measurement key, so changing
-// one invalidates baselines rather than reusing them, and the static
-// estimate objective the tuner searches is independent of them (see
-// DESIGN.md §17).
-func RuntimeParams() ParamSpace {
-	return ParamSpace{
-		{Name: "epoch_ops", Min: 0, Max: 1e9, Default: 0, Integer: true,
-			Description: "adaptive-replay epoch length in requests (0 = static replay)"},
-		{Name: "migration_cost_per_byte", Min: 0, Max: 1e6, Default: 0,
-			Description: "simulated ns charged per migrated payload byte"},
-		{Name: "migration_budget", Min: 0, Max: 1e15, Default: 0, Integer: true,
-			Description: "payload-byte cap per epoch migration (0 = unlimited)"},
-		{Name: "retries", Min: 0, Max: 64, Default: 0, Integer: true,
-			Description: "extra attempts per failed measurement run"},
-		{Name: "min_runs", Min: 0, Max: 1024, Default: 0, Integer: true,
-			Description: "surviving repetitions required before degrading (0 = strict)"},
-		{Name: "outlier_mad", Min: 0, Max: 100, Default: 0,
-			Description: "MAD multiple beyond which surviving runs are rejected (0 = off)"},
-	}
-}

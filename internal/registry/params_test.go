@@ -184,22 +184,6 @@ func TestAdaptiveFreqParamsKeepsEpochPolicy(t *testing.T) {
 	}
 }
 
-func TestRuntimeParamsCatalog(t *testing.T) {
-	rp := RuntimeParams()
-	if len(rp) == 0 {
-		t.Fatal("empty runtime param catalog")
-	}
-	if err := rp.Validate(map[string]float64{"epoch_ops": 4096, "retries": 2}); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if err := rp.Validate(map[string]float64{"epoch_ops": -1}); err == nil {
-		t.Fatal("negative epoch_ops accepted")
-	}
-	if err := rp.Validate(map[string]float64{"nope": 1}); err == nil {
-		t.Fatal("unknown runtime param accepted")
-	}
-}
-
 func TestFormatParamsCanonical(t *testing.T) {
 	v := map[string]float64{"b": 2, "a": 0.5, "c": 10}
 	if got, want := FormatParams(v), "a=0.5,b=2,c=10"; got != want {

@@ -15,7 +15,7 @@ func populatedSink() *obs.Sink {
 	sink.Histogram("mnemo_stage_wall_seconds", []float64{0.01, 0.1, 1}).Observe(0.05)
 	span := sink.StartSpan("measure")
 	span.End(0)
-	sink.Event(obs.EventTimeout, "client", "run cut off", 0)
+	sink.Event(obs.EventCacheHit, "measure", "baselines", 0)
 	return sink
 }
 
@@ -29,7 +29,7 @@ func TestWriteObsSection(t *testing.T) {
 		"== run timeline ==",
 		"span_started",
 		"span_finished",
-		"timeout",
+		"cache_hit",
 		"== metrics ==",
 		"mnemo_client_runs_total",
 		"mnemo_stage_wall_seconds",
@@ -53,7 +53,7 @@ func TestWriteObsSectionNilSink(t *testing.T) {
 func TestObsTimelineElision(t *testing.T) {
 	sink := obs.NewSink()
 	for i := 0; i < maxTimelineEvents+10; i++ {
-		sink.Event(obs.EventRetry, "client", "again", 0)
+		sink.Event(obs.EventMeasureStart, "client", "again", 0)
 	}
 	var buf bytes.Buffer
 	if err := ObsTimeline(&buf, sink); err != nil {

@@ -16,13 +16,13 @@ import (
 // (kind, LLC hit/miss) combination — and Serve replays whole blocks of
 // requests against the flat table. The only state touched per request is
 // the state that genuinely varies per request: the LLC model, the noise
-// RNG stream, the GC-pause accumulator, the fault plan and the simulated
-// clock. No kvstore.Store interface call remains on the path.
+// RNG stream, the GC-pause accumulator and the simulated clock. No
+// kvstore.Store interface call remains on the path.
 //
 // Bit-identity with the per-operation path is by construction: the table
 // builder executes the exact float-operation sequence of price() on each
 // record's static trace, and Serve consumes the same noise draws, the
-// same fault plan and the same LLC decisions in the same order.
+// same LLC decisions in the same order.
 
 // ReplayBlockOps is the number of requests a client serves per kernel
 // call. It matches the per-op path's historical cancellation-poll stride
@@ -57,13 +57,12 @@ type pauseState struct {
 // Serve's stages communicate through. It is bound to the deployment
 // that built it and shares its single-threaded discipline.
 type ReplayTable struct {
-	d       *Deployment
-	costs   []opCost
-	pause   [2]pauseState // indexed by memsim.Tier
-	stallNs float64       // precomputed stall jump of the fault plan
-	lat     [ReplayBlockOps]simclock.Duration
-	ns      [ReplayBlockOps]float64 // service time: pre-noise after stage 1, noised after stage 2
-	hit     [ReplayBlockOps]uint8   // stage 1's LLC outcome, 1 = hit
+	d     *Deployment
+	costs []opCost
+	pause [2]pauseState // indexed by memsim.Tier
+	lat   [ReplayBlockOps]simclock.Duration
+	ns    [ReplayBlockOps]float64 // service time: pre-noise after stage 1, noised after stage 2
+	hit   [ReplayBlockOps]uint8   // stage 1's LLC outcome, 1 = hit
 }
 
 // Block returns the table's block-sized latency scratch buffer for Serve
@@ -160,7 +159,7 @@ func (d *Deployment) reprice() {
 		}
 	} else {
 		if t == nil {
-			t = &ReplayTable{d: d, costs: make([]opCost, len(d.records)), stallNs: float64(d.cfg.Fault.stall())}
+			t = &ReplayTable{d: d, costs: make([]opCost, len(d.records))}
 		}
 		d.repricedRows[cause] += int64(len(d.records) - d.nDead)
 		for i := range d.records {
@@ -180,7 +179,7 @@ func (d *Deployment) reprice() {
 // DropBatchTable latches the batched kernel off for the rest of the
 // deployment's life, as DisableBatchReplay would have from the start:
 // the engines take the pause accounting over and every later frame goes
-// per-op. It exists for chaos and regression tests that need to force
+// per-op. It exists for regression tests that need to force
 // the mid-run per-op fallback deterministically.
 func (d *Deployment) DropBatchTable() {
 	d.enginesTakePauses()
@@ -293,8 +292,8 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 //     touch every record in order, swapping in its hit cost on a hit and
 //     remembering the outcome in hit.
 //  2. noise: multiply the block by the noise stream (Noise.Scale).
-//  3. clock: apply the pause mirror, the fault factor and stall, round
-//     to a latency, advance the clock and check maxClock.
+//  3. clock: apply the pause mirror, round to a latency, advance the
+//     clock and check maxClock.
 //
 // Stages 1 and 2 run over the whole block before stage 3 can discover
 // a cut, so a Serve that returns short has advanced the LLC contents
@@ -347,8 +346,6 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 	start := d.clock.Now()
 	now := start
 	pausing := t.pause[memsim.Fast].budget > 0 || t.pause[memsim.Slow].budget > 0
-	factor := d.fault.factor
-	stallAt := d.fault.stallAt - d.ops // block-relative; negative when unscheduled or past
 	served := len(ns)
 	for i, serviceNs := range ns {
 		if pausing {
@@ -362,13 +359,6 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 					serviceNs += ps.pauseNs
 				}
 			}
-		}
-		if factor != 1 {
-			serviceNs *= factor
-		}
-		if i == stallAt {
-			serviceNs += t.stallNs
-			d.telem.faultFired(d, FaultStall)
 		}
 		l := simclock.FromNanos(serviceNs)
 		now += l
@@ -394,10 +384,10 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 // under a new measurement seed — the snapshot/reset that lets repeated
 // runs (ExecuteMean, Session.Compare) load the populated store once
 // instead of re-populating per run. It resets the clock, op counter,
-// LLC contents and statistics, re-rolls the noise stream and fault plan
-// from the seed, and restores the kernel's pause accumulators to their
-// post-load snapshot; telemetry parity with a fresh deployment is kept
-// by re-counting the deployment and re-journaling an outlier fate.
+// LLC contents and statistics, re-seeds the noise stream, and restores
+// the kernel's pause accumulators to their post-load snapshot;
+// telemetry parity with a fresh deployment is kept by re-counting the
+// deployment.
 //
 // It returns false — leaving the deployment untouched — when the
 // deployment is not Rewindable.
@@ -410,7 +400,6 @@ func (d *Deployment) ResetRun(seed int64) bool {
 	d.clock.Reset()
 	d.ops = 0
 	d.noise.reseed(seed)
-	d.fault = d.cfg.Fault.roll(seed)
 	for i := range t.pause {
 		t.pause[i].accum = t.pause[i].reset
 	}
@@ -431,9 +420,9 @@ func (d *Deployment) ResetRun(seed int64) bool {
 func (d *Deployment) Rewindable() bool { return !d.mutated && d.BatchTable() != nil }
 
 // resetRunTelemetry re-establishes the observability state a fresh
-// deployment would have: zeroed flush cursors, the deployments counter
-// bumped, and an outlier fate journaled — so a reused deployment's
-// metric stream is indistinguishable from the fresh-populate path's.
+// deployment would have: zeroed flush cursors and the deployments
+// counter bumped — so a reused deployment's metric stream is
+// indistinguishable from the fresh-populate path's.
 func (d *Deployment) resetRunTelemetry() {
 	tl := &d.telem
 	if tl.sink == nil {
@@ -441,7 +430,4 @@ func (d *Deployment) resetRunTelemetry() {
 	}
 	tl.flushedOps, tl.flushedHits, tl.flMiss = 0, 0, 0
 	tl.sink.Counter(obs.Name("mnemo_server_deployments_total", "engine", d.cfg.Engine.String())).Inc()
-	if d.fault.factor != 1 {
-		tl.faultFired(d, FaultOutlier)
-	}
 }

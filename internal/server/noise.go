@@ -38,9 +38,8 @@ const (
 	noiseLaneMask  = noiseTableSize - 1
 	noiseLanes     = 64 / noiseLaneBits // lanes per splitmix64 step
 
-	// noiseDomain separates the noise stream's seed from every other
-	// mixSeeds user: a fault roll under FaultSpec.Seed = 0 mixes
-	// (0, runSeed), the noise stream (noiseDomain, runSeed).
+	// noiseDomain is the noise stream's first mixSeeds operand: the
+	// stream of run seed s starts from mixSeeds(noiseDomain, s).
 	noiseDomain = 0x6E6F697365 // "noise"
 	// splitmixGamma is splitmix64's state increment, 2⁶⁴/φ.
 	splitmixGamma = 0x9E3779B97F4A7C15
@@ -119,6 +118,18 @@ func NewNoise(sigma float64, seed int64) *Noise {
 func (n *Noise) reseed(seed int64) {
 	n.state = uint64(mixSeeds(noiseDomain, seed))
 	n.lanes = 0
+}
+
+// mixSeeds combines two seeds via a splitmix64-style finalizer, so
+// neighboring run seeds (i, i+1, …) land on uncorrelated streams.
+func mixSeeds(a, b int64) int64 {
+	z := uint64(a)*splitmixGamma + uint64(b)
+	z ^= z >> 30
+	z *= 0xBF58476D1CE4E5B9
+	z ^= z >> 27
+	z *= 0x94D049BB133111EB
+	z ^= z >> 31
+	return int64(z)
 }
 
 // step advances the splitmix64 state and returns the next five lanes:

@@ -2,7 +2,6 @@ package server
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 )
@@ -143,8 +142,8 @@ func correlation(xs, ys []float64) float64 {
 }
 
 // TestNoiseStreamsDecorrelated checks that nearby seeds — the next
-// repetition, the repetition and shard strides — and the fault roll's
-// stream under FaultSpec.Seed = 0 draw unrelated sequences.
+// repetition, the repetition and shard strides — draw unrelated
+// sequences.
 func TestNoiseStreamsDecorrelated(t *testing.T) {
 	const draws = 100_000
 	stream := func(seed int64) []float64 {
@@ -161,14 +160,6 @@ func TestNoiseStreamsDecorrelated(t *testing.T) {
 			if rho := correlation(base, stream(s+d)); math.Abs(rho) >= 0.01 {
 				t.Errorf("seeds %d and %d: correlation %.4f", s, s+d, rho)
 			}
-		}
-		fault := rand.New(rand.NewSource(mixSeeds(0, s)))
-		roll := make([]float64, draws)
-		for i := range roll {
-			roll[i] = fault.Float64()
-		}
-		if rho := correlation(base, roll); math.Abs(rho) >= 0.01 {
-			t.Errorf("seed %d: noise and fault-roll streams correlate at %.4f", s, rho)
 		}
 	}
 }

@@ -12,8 +12,7 @@ import (
 //
 // Op and LLC counts are flushed at run granularity (FlushObs) rather
 // than per request, so a live sink adds no atomics to the replay loop
-// either — the only mid-run emissions are fault events, which fire at
-// most once per deployment.
+// either.
 type deployTelemetry struct {
 	sink *obs.Sink
 	ops  *obs.Counter // mnemo_server_ops_total{engine=…}
@@ -27,8 +26,7 @@ type deployTelemetry struct {
 }
 
 // initTelemetry resolves the deployment's metric handles once, at
-// construction; an outlier fate (which inflates the whole run rather
-// than firing at one request) is journaled here.
+// construction.
 func (d *Deployment) initTelemetry() {
 	s := d.cfg.Obs
 	if s == nil {
@@ -42,19 +40,6 @@ func (d *Deployment) initTelemetry() {
 		miss: s.Counter("mnemo_server_llc_misses_total"),
 	}
 	s.Counter(obs.Name("mnemo_server_deployments_total", "engine", engine)).Inc()
-	if d.fault.factor != 1 {
-		d.telem.faultFired(d, FaultOutlier)
-	}
-}
-
-// faultFired counts and journals one injected fault.
-func (t *deployTelemetry) faultFired(d *Deployment, kind FaultKind) {
-	if t.sink == nil {
-		return
-	}
-	t.sink.Counter(obs.Name("mnemo_server_faults_total", "kind", kind.String())).Inc()
-	t.sink.Eventf(obs.EventFault, "server", 0, "%s fault on %s (run seed %d)",
-		kind, d.cfg.Engine, d.cfg.Seed)
 }
 
 // framePathLabels and repriceCauseLabels are the label values of the

@@ -99,19 +99,10 @@ type Config struct {
 	Machine    memsim.Config
 	NoiseSigma float64
 	Seed       int64
-	// Fault injects deterministic measurement faults (zero value: none).
-	// The per-run fate is rolled once per deployment from Fault.Seed
-	// mixed with Seed — once per cluster on a sharded config, where it
-	// rides on member 0; see FaultSpec.
-	Fault FaultSpec
-	// RunTimeout bounds one measurement run in simulated time; the
-	// client aborts a replay whose clock exceeds it (cutting off
-	// injected stalls). 0 disables the bound.
-	RunTimeout simclock.Duration
 	// Obs receives the deployment's telemetry (per-engine op counters,
-	// fault events, LLC hit/miss). nil — the zero value — records
-	// nothing and adds no per-request work beyond an inert branch, so
-	// the replay fast path stays allocation-free.
+	// LLC hit/miss). nil — the zero value — records nothing and adds no
+	// per-request work beyond an inert branch, so the replay fast path
+	// stays allocation-free.
 	Obs *obs.Sink
 	// DisableBatchReplay makes the replay loop serve every frame request
 	// by request (BatchTable and FrameTable return nil) even when the
@@ -154,12 +145,6 @@ func (c Config) Validate() error {
 	if err := validateNoiseSigma(c.NoiseSigma); err != nil {
 		return err
 	}
-	if err := c.Fault.Validate(); err != nil {
-		return err
-	}
-	if c.RunTimeout < 0 {
-		return fmt.Errorf("server: RunTimeout %v must be non-negative (0 disables it)", c.RunTimeout)
-	}
 	if c.Shards < 0 || c.Shards > shard.MaxShards {
 		return fmt.Errorf("server: Shards %d outside [0,%d] (0 means a single deployment)", c.Shards, shard.MaxShards)
 	}
@@ -198,11 +183,8 @@ type Deployment struct {
 	// the KeyID. Built on first use, dropped by Load.
 	rows []int32
 
-	// fault is this run's rolled fate and ops the served-request count
-	// that triggers a scheduled stall. The inert plan costs two
-	// predictable branches per request.
-	fault faultPlan
-	ops   int
+	// ops is the served-request count, flushed to the sink by FlushObs.
+	ops int
 
 	// telem carries the deployment's pre-resolved observability handles
 	// (all nil without a configured sink; see obs.go).
@@ -255,7 +237,6 @@ func NewDeployment(cfg Config) *Deployment {
 		placement: AllFast(),
 		noise:     NewNoise(cfg.NoiseSigma, cfg.Seed),
 		profile:   cfg.Engine.Profile(),
-		fault:     cfg.Fault.roll(cfg.Seed),
 	}
 	d.instances[memsim.Fast] = cfg.Engine.newStore()
 	d.instances[memsim.Slow] = cfg.Engine.newStore()
@@ -278,31 +259,6 @@ func (d *Deployment) Placement() Placement { return d.placement }
 
 // Instance returns the store bound to a tier.
 func (d *Deployment) Instance(t memsim.Tier) kvstore.Store { return d.instances[t] }
-
-// InjectedFailure reports the scheduled fail-fault of this deployment as
-// a typed *FaultError, or nil when the run is healthy. Clients check it
-// before replaying, the way a dead server process is noticed at connect
-// time.
-func (d *Deployment) InjectedFailure() error {
-	if d.fault.fail {
-		d.telem.faultFired(d, FaultFail)
-		return &FaultError{Kind: FaultFail, Seed: d.cfg.Seed}
-	}
-	return nil
-}
-
-// CrashOp returns the request index at which this run is fated to crash
-// mid-replay, or −1 for a run that will not crash. The client replays
-// the prefix before the crash point (the work a dying server performed)
-// and then reports CrashError.
-func (d *Deployment) CrashOp() int { return d.fault.crashAt }
-
-// CrashError journals and returns the scheduled mid-run crash as a
-// typed *FaultError of kind FaultCrash.
-func (d *Deployment) CrashError() error {
-	d.telem.faultFired(d, FaultCrash)
-	return &FaultError{Kind: FaultCrash, Seed: d.cfg.Seed}
-}
 
 // Load populates the deployment from a dataset under the given placement.
 // Loading is the untimed setup phase (the paper's YCSB load stage): it
@@ -507,17 +463,6 @@ func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKi
 	// platform that fuses multiply-add cannot round this path differently
 	// from the batched kernel, which applies the two in separate stages.
 	serviceNs := float64((cpuNs+memNs)*d.noise.Factor()) + st.TakePauseNs()
-
-	// Scheduled faults: an outlier run inflates every service time; a
-	// stalled run jumps the clock once, at its rolled request index.
-	// The inert plan (factor 1, stallAt −1) leaves serviceNs bit-exact.
-	if d.fault.factor != 1 {
-		serviceNs *= d.fault.factor
-	}
-	if d.fault.stallAt >= 0 && d.ops == d.fault.stallAt {
-		serviceNs += float64(d.cfg.Fault.stall())
-		d.telem.faultFired(d, FaultStall) // fires once per run; off the steady-state path
-	}
 	d.ops++
 
 	lat := simclock.FromNanos(serviceNs)

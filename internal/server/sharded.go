@@ -5,7 +5,6 @@ import (
 
 	"mnemo/internal/memsim"
 	"mnemo/internal/shard"
-	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
 )
 
@@ -21,17 +20,9 @@ import (
 // cross-shard requests, which is what lets the client replay them on
 // separate goroutines and still merge deterministically.
 //
-// Fault injection is the one cluster-wide matter: a cluster run is one
-// measurement run, so it rolls one fate from (Fault.Seed, cluster
-// seed), exactly as an unsharded run does, and that fate lands on
-// member 0 alone. A cluster of N therefore fails, stalls, crashes or
-// lies as often as a single deployment — at most one fault per run —
-// and the client's repetition layer remediates it the same way.
-//
 // Clock semantics are max-over-shards: the cluster's runtime is the
 // slowest shard's simulated time, the way a scatter-gather measurement
-// completes when its last shard does. Config.RunTimeout bounds each
-// shard's own clock (a watchdog per server process, not per cluster).
+// completes when its last shard does.
 
 // shardSeedStride decorrelates per-shard noise streams. Shard 0 keeps
 // the configured seed (so a 1-shard cluster reproduces the single
@@ -55,25 +46,19 @@ type ShardedDeployment struct {
 
 // shardConfig derives member s's deployment config from a cluster
 // config: the per-shard seed, with the cluster fields cleared (a member
-// deployment is a plain single deployment). Only member 0 keeps the
-// fault spec; it rolls the cluster run's one fate from the unchanged
-// cluster seed, so a 1-shard cluster faults exactly like the single
-// deployment.
+// deployment is a plain single deployment).
 func (cfg Config) shardConfig(s int) Config {
 	c := cfg
 	c.Seed = cfg.Seed + int64(s)*shardSeedStride
 	c.Shards = 0
-	if s > 0 {
-		c.Fault = FaultSpec{}
-	}
 	return c
 }
 
 // NewShardedDeployment partitions the workload over cfg.Shards shards
 // (shard.DefaultVirtualNodes ring points each) and builds one empty member
 // deployment per shard. Partitioning is cached across clusters of the
-// same workload and shape; per-shard noise streams and the cluster's
-// fault fate are rolled at construction, like NewDeployment.
+// same workload and shape; per-shard noise streams are seeded at
+// construction, like NewDeployment.
 func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, error) {
 	// Replay reads a sub-trace as frames, whichever path serves them, so
 	// no shard needs Ops materialized. For rejects a shard count outside
@@ -105,18 +90,6 @@ func (sd *ShardedDeployment) Sub(s int) *ycsb.Workload { return sd.part.Subs[s].
 
 // Partition exposes the cluster's workload partition (for reports).
 func (sd *ShardedDeployment) Partition() *shard.Partition { return sd.part }
-
-// InjectedFailure reports a fail-fated cluster run as member 0's
-// *FaultError (the member carrying the run's fate), or nil when the run
-// is healthy — one dead server process fails the scatter-gather at
-// connect time.
-func (sd *ShardedDeployment) InjectedFailure() error {
-	err := sd.deps[0].InjectedFailure()
-	if err != nil && len(sd.deps) > 1 {
-		return fmt.Errorf("shard 0: %w", err)
-	}
-	return err
-}
 
 // Load populates every shard from its partition slice under the global
 // placement, remapped to shard-local record indices: local record i of
@@ -172,18 +145,6 @@ func (sd *ShardedDeployment) ResetRun(seed int64) bool {
 		sd.deps[s] = nd
 	}
 	return true
-}
-
-// Clock returns the cluster's simulated time: the max over shards — a
-// scatter-gather run completes when its slowest shard does.
-func (sd *ShardedDeployment) Clock() simclock.Duration {
-	var max simclock.Duration
-	for _, d := range sd.deps {
-		if c := d.Clock(); c > max {
-			max = c
-		}
-	}
-	return max
 }
 
 // Engine reports the deployed engine (uniform across shards).

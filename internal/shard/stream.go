@@ -18,7 +18,7 @@ import (
 // OS reclaims the space when the partition is collected or the process
 // exits, so no files are left behind. Sub-streams satisfy the
 // TraceStream contract (independent, repeatable iteration), which is
-// what lets every repetition or retry of a cluster run replay its slice
+// what lets every repetition of a cluster run replay its slice
 // again.
 //
 // Resident memory is O(records + frame) regardless of trace length —

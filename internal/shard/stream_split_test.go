@@ -4,7 +4,7 @@ package shard
 // parent must spool per-shard sub-streams that cover the parent trace
 // exactly, in per-shard order, remapped to shard-local indices, and
 // each sub-stream must be independently re-iterable (the contract every
-// repetition and retry of a cluster run relies on). End-to-end streamed-sharded
+// repetition of a cluster run relies on). End-to-end streamed-sharded
 // replay equivalence lives in internal/client/stream_test.go.
 
 import (

@@ -19,7 +19,7 @@ func FuzzDecodeTuneSpec(f *testing.F) {
 		`"slowdown":0.06994455035317726,"fast_bytes":37719033,"keys_in_fast":428}}`)
 	f.Add(`{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"dynamolike","runs":3,` +
 		`"price_factor":1,"slo":0.1,"policy":"knapsack","params":{"anchor":0.25,"rungs":5},` +
-		`"runtime":{"retries":2,"min_runs":1,"outlier_mad":3.5},"size_aware":true,"expected":{}}`)
+		`"size_aware":true,"expected":{}}`)
 	f.Add(`{"version":1,"workload":{"name":"x"},"workload_hash":"ffffffffffffffff","engine":"memcachedlike",` +
 		`"runs":1,"price_factor":1e-9,"slo":1e308,"policy":"pagesample","params":{},"expected":{"fast_bytes":-1}}`)
 	// A negative σ once decoded cleanly and panicked in the replay.
@@ -51,9 +51,6 @@ func FuzzDecodeTuneSpec(f *testing.F) {
 		// omitempty drops an empty map the input spelled out.
 		if len(spec.Params) == 0 {
 			spec.Params = nil
-		}
-		if len(spec.Runtime) == 0 {
-			spec.Runtime = nil
 		}
 		if !reflect.DeepEqual(again, spec) {
 			t.Fatalf("spec changed across encode/decode:\n%+v\nvs\n%+v", again, spec)

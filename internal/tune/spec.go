@@ -56,10 +56,7 @@ type Spec struct {
 	SLO          float64            `json:"slo"`
 	Policy       string             `json:"policy"`
 	Params       map[string]float64 `json:"params,omitempty"`
-	// Runtime carries the resilience knobs the measurement ran under
-	// (keys from registry.RuntimeParams: retries, min_runs, outlier_mad).
-	Runtime  map[string]float64 `json:"runtime,omitempty"`
-	Expected Expected           `json:"expected"`
+	Expected     Expected           `json:"expected"`
 }
 
 // NewSpec captures a tuning run's winner as a replayable spec. The
@@ -98,15 +95,6 @@ func (t *Tuner) NewSpec(res *Result, cfg Config, w *ycsb.Workload, recipe Worklo
 			FastBytes:  res.Winner.FastBytes,
 			KeysInFast: res.Winner.KeysInFast,
 		},
-	}
-	runtime := map[string]float64{}
-	if r := cc.Resilience; r.Retries != 0 || r.MinRuns != 0 || r.OutlierMAD != 0 {
-		runtime["retries"] = float64(r.Retries)
-		runtime["min_runs"] = float64(r.MinRuns)
-		runtime["outlier_mad"] = r.OutlierMAD
-	}
-	if len(runtime) > 0 {
-		s.Runtime = runtime
 	}
 	return s, s.Validate()
 }
@@ -147,11 +135,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("tune: spec params: %w", err)
 		}
 	}
-	if len(s.Runtime) > 0 {
-		if err := registry.RuntimeParams().Validate(s.Runtime); err != nil {
-			return fmt.Errorf("tune: spec runtime: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -187,9 +170,6 @@ func (s *Spec) Config() (Config, error) {
 	cc.PriceFactor = s.PriceFactor
 	cc.Server.NoiseSigma = s.NoiseSigma
 	cc.SizeAwareEstimate = s.SizeAware
-	cc.Resilience.Retries = int(s.Runtime["retries"])
-	cc.Resilience.MinRuns = int(s.Runtime["min_runs"])
-	cc.Resilience.OutlierMAD = s.Runtime["outlier_mad"]
 	return Config{Core: cc, SLO: s.SLO, Policies: []string{s.Policy}}, nil
 }
 

@@ -98,7 +98,7 @@ func (e Eval) better(o Eval) bool {
 // Config parameterizes one tuning run.
 type Config struct {
 	// Core is the measurement configuration every candidate is
-	// evaluated under (engine, machine, runs, seed, resilience). It is
+	// evaluated under (engine, machine, runs, seed). It is
 	// part of the artifact cache key: candidates within one run always
 	// share its single baseline measurement.
 	Core core.Config

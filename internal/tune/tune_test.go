@@ -272,7 +272,10 @@ func TestDecodeSpecRejections(t *testing.T) {
 		{"bad engine", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"oracle","runs":1,"price_factor":0.2,"slo":0.1,"policy":"touch","expected":{}}`, `unknown engine "oracle"`},
 		{"bad policy", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"slo":0.1,"policy":"nope","expected":{}}`, `unknown policy "nope"`},
 		{"bad param", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"slo":0.1,"policy":"knapsack","params":{"anchor":7},"expected":{}}`, "outside [0,1]"},
-		{"bad runtime", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"slo":0.1,"policy":"touch","runtime":{"nope":1},"expected":{}}`, `unknown param "nope"`},
+		{"bad runtime", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"slo":0.1,"policy":"touch","runtime":{"nope":1},"expected":{}}`, `unknown field "runtime"`},
+		// A runtime block once validated and was then ignored, so an
+		// epoch_ops spec replayed as a static run; it is rejected now.
+		{"runtime epoch_ops", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"slo":0.1,"policy":"adaptive-freq","runtime":{"epoch_ops":4096},"expected":{}}`, `unknown field "runtime"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -250,7 +250,7 @@ type FrameIter interface {
 // TraceStream is a re-iterable source of trace frames — the contract an
 // on-disk trace (internal/trace) satisfies. Frames must return a fresh,
 // independent iterator positioned at the first frame on every call:
-// repetitions, retried shards and trace-wide statistics each stream the
+// repetitions, shards and trace-wide statistics each stream the
 // trace again from the start.
 type TraceStream interface {
 	// Requests is the total op count across all frames.

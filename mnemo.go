@@ -115,28 +115,12 @@ type Ordering = core.Ordering
 // DefaultPriceFactor is the paper's SlowMem:FastMem price ratio p = 0.2.
 const DefaultPriceFactor = costmodel.DefaultPriceFactor
 
-// Duration is simulated time — the unit of Options.RunTimeout and of
-// every runtime a Report carries.
+// Duration is simulated time — the unit of every runtime a Report
+// carries.
 type Duration = simclock.Duration
 
 // Second is one second of simulated time.
 const Second = simclock.Second
-
-// FaultSpec configures deterministic fault injection into the emulated
-// testbed: runs can die outright, stall until a timeout cuts them off,
-// crash partway, or complete with inflated latencies. Each measurement
-// run rolls one fate — a sharded run too, whatever its shard count — so
-// at most one fault fires per run. The zero value injects nothing and
-// leaves results bit-identical. See Options.Fault.
-type FaultSpec = server.FaultSpec
-
-// FaultError is the typed error of an injected run failure; detect it
-// with errors.As to distinguish scheduled chaos from real bugs.
-type FaultError = server.FaultError
-
-// ErrRunTimeout marks a run cut off by Options.RunTimeout; detect with
-// errors.Is.
-var ErrRunTimeout = client.ErrRunTimeout
 
 // RunStats is one measured execution's statistics, including the
 // epoch-migration telemetry of adaptive runs (Epochs, MovesApplied,
@@ -148,8 +132,8 @@ type EpochTraffic = client.EpochTraffic
 
 // Sink collects a profiling session's observability stream: counters,
 // gauges and stage-latency histograms in a metrics registry, plus an
-// ordered run journal of lifecycle events (measurements, retries,
-// faults, timeouts, cache hits, placements). A nil *Sink — the zero
+// ordered run journal of lifecycle events (measurements, stage spans,
+// cache hits, placements). A nil *Sink — the zero
 // state of Options.Obs — records nothing and adds no measurable cost;
 // simulation results are bit-identical with and without one attached.
 //
@@ -199,28 +183,6 @@ type Options struct {
 	// a reproduction improvement over the paper's global-average model
 	// that matters for MnemoT orderings on mixed record sizes.
 	SizeAwareEstimate bool
-	// Fault injects deterministic faults into the measurement runs
-	// (crashes, stalls, latency outliers); the zero value injects
-	// nothing. Pair it with RunTimeout and the resilience knobs below,
-	// which remediate sharded runs the same way as unsharded ones.
-	Fault FaultSpec
-	// RunTimeout bounds each measurement run in simulated time; a run
-	// whose clock exceeds it (e.g. an injected stall) is aborted with
-	// ErrRunTimeout. 0 disables the bound.
-	RunTimeout Duration
-	// Retries is how many times a failed measurement run is re-attempted
-	// (immediately, with a re-rolled seed) before the repetition counts
-	// as lost.
-	Retries int
-	// MinRuns, when ≥ 1, lets baselines degrade gracefully: an aggregate
-	// is reported from the surviving repetitions (flagged via
-	// Report.Degraded) as long as at least MinRuns survive. 0 keeps the
-	// strict default — any lost repetition fails the profile.
-	MinRuns int
-	// OutlierMAD, when > 0, rejects surviving runs whose runtime strays
-	// from the median by more than OutlierMAD× the median absolute
-	// deviation (3.5 is conventional). Requires MinRuns ≥ 1.
-	OutlierMAD float64
 	// Obs, when non-nil, receives the session's observability stream —
 	// metrics, stage spans and the run journal (see NewSink). nil keeps
 	// profiling completely uninstrumented.
@@ -287,19 +249,12 @@ func (o Options) coreConfig(sink *Sink) (core.Config, core.TieringPolicy, error)
 		cfg.Server.NoiseSigma = o.NoiseSigma
 	}
 	cfg.SizeAwareEstimate = o.SizeAwareEstimate
-	cfg.Server.Fault = o.Fault
-	cfg.Server.RunTimeout = o.RunTimeout
 	cfg.Server.Obs = o.Obs
 	cfg.Server.DisableBatchReplay = o.DisableBatchReplay
 	cfg.Server.Shards = o.Shards
 	cfg.Server.EpochOps = o.EpochOps
 	cfg.Server.MigrationCostPerByte = o.MigrationCostPerByte
 	cfg.Server.MigrationBudget = o.MigrationBudget
-	cfg.Resilience = client.Policy{
-		Retries:    o.Retries,
-		MinRuns:    o.MinRuns,
-		OutlierMAD: o.OutlierMAD,
-	}
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, nil, fmt.Errorf("mnemo: %w", err)
 	}
@@ -432,7 +387,7 @@ func MeasureAdaptive(ctx context.Context, w *Workload, rep *Report, opts Options
 	// worker budget with their nested repetition fan-outs.
 	ctx = pool.EnsureBudget(ctx)
 	if err := pool.RunObs(ctx, len(legs), len(legs), cfg.Server.Obs, func(i int) {
-		runs[i], errs[i] = client.ExecuteMeanCtx(ctx, legs[i].cfg, w, placement, cfg.Runs, 0, cfg.Resilience)
+		runs[i], errs[i] = client.ExecuteMeanCtx(ctx, legs[i].cfg, w, placement, cfg.Runs, 0)
 	}); err != nil {
 		return nil, fmt.Errorf("mnemo: measured runs: %w", err)
 	}

@@ -1,6 +1,7 @@
 package mnemo
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -90,17 +91,20 @@ func TestProfileMatrixRejectsBadOptionsUpFront(t *testing.T) {
 }
 
 func TestProfileMatrixCellErrorsDoNotAbort(t *testing.T) {
-	// A fault that kills every measurement run fails each cell
-	// individually but the sweep itself returns.
+	// A cell whose engine does not exist fails alone: its error is the
+	// cell's, and the healthy cell still carries its report.
 	cells, err := ProfileMatrix(MatrixRequest{
 		Workloads: []string{"ycsb_c"},
-		Engines:   []Engine{RedisLike},
-		Options:   Options{Seed: 203, Fault: FaultSpec{Seed: 1, FailProb: 1}},
+		Engines:   []Engine{Engine(99), RedisLike},
+		Options:   Options{Seed: 203},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 1 || cells[0].Err == nil {
-		t.Fatal("cell error not surfaced")
+	if len(cells) != 2 || cells[0].Err == nil || !strings.Contains(cells[0].Err.Error(), "unknown store engine") {
+		t.Fatalf("cell error not surfaced: %+v", cells)
+	}
+	if cells[1].Err != nil || cells[1].Report == nil {
+		t.Fatalf("healthy cell lost its report: %+v", cells[1])
 	}
 }
