@@ -1,10 +1,10 @@
 // Command benchgate is the CI perf-regression gate: it reads raw
-// `go test -bench` output and fails when the replay fast path has lost
-// its measured speedup over the frozen legacy replica.
+// `go test -bench` output and fails when a tracked fast path has lost
+// its measured speedup over the reference path it is paired with.
 //
 // Absolute ns/op are meaningless across CI hosts, so the gate never
 // compares against recorded timings. Instead it recomputes the
-// within-invocation speedup ratio — the legacy benchmark and the
+// within-invocation speedup ratio — the reference benchmark and the
 // current benchmark run back to back in the same process, so their
 // ratio is stable even on noisy shared runners (see BENCH_baseline.json:
 // "ratios within one invocation are stable") — and compares that
@@ -13,7 +13,7 @@
 // Usage:
 //
 //	go test ./internal/client -run '^$' -bench BenchmarkReplay -count 5 > bench.txt
-//	go test ./internal/server -run '^$' -bench BenchmarkDeploymentDo -count 5 >> bench.txt
+//	go test ./internal/core -run '^$' -bench BenchmarkValidateParallel -count 5 >> bench.txt
 //	benchgate -baseline BENCH_baseline.json bench.txt
 //
 // Flags:
@@ -46,8 +46,8 @@ import (
 // recorded speedup comes from the baseline file's entry for Bench
 // (speedup_median or speedup).
 type gate struct {
-	Bench   string // benchmark family, e.g. "BenchmarkReplay"
-	Legacy  string // sub-benchmark of the frozen pre-optimization path
+	Bench   string // benchmark family, e.g. "BenchmarkReplayBatched"
+	Legacy  string // sub-benchmark of the reference path
 	Current string // sub-benchmark of the shipped path
 	Metric  string // which column to read: "ns/op" or "ns/req"
 
@@ -58,14 +58,9 @@ type gate struct {
 	Tolerance float64
 }
 
-// gates lists the tracked legacy/current pairs. Note the chain:
-// BenchmarkReplay's current path (Indexed) is BenchmarkReplayBatched's
-// legacy side — each optimization generation is gated against the one it
-// superseded.
+// gates lists the tracked legacy/current pairs.
 var gates = []gate{
-	{Bench: "BenchmarkReplay", Legacy: "StringKeyed", Current: "Indexed", Metric: "ns/req"},
 	{Bench: "BenchmarkReplayBatched", Legacy: "Indexed", Current: "Batched", Metric: "ns/req"},
-	{Bench: "BenchmarkDeploymentDo", Legacy: "String", Current: "Index", Metric: "ns/op"},
 	{Bench: "BenchmarkValidateParallel", Legacy: "Sequential", Current: "Parallel", Metric: "ns/op"},
 	{Bench: "BenchmarkReplaySharded", Legacy: "Shards1", Current: "Shards4", Metric: "ns/req"},
 	// Overhead gate, not a speedup gate: Static is the batched kernel and
@@ -162,7 +157,7 @@ func run(args []string, stdout io.Writer) error {
 
 // benchLine matches one `go test -bench` result line, e.g.
 //
-//	BenchmarkReplay/StringKeyed-8  	  10000	  410.9 ns/op	  395.2 ns/req
+//	BenchmarkReplayBatched/Indexed-8  	  10000	  410.9 ns/op	  395.2 ns/req
 //
 // capturing the name and the metric columns that follow the iteration
 // count as (value, unit) pairs.

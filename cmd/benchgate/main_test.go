@@ -16,7 +16,7 @@ func TestGatePassesOnCurrentTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gate failed on current-tree fixture: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"BenchmarkReplay", "BenchmarkReplayBatched", "BenchmarkDeploymentDo", "BenchmarkValidateParallel", "BenchmarkReplaySharded", "BenchmarkReplayAdaptive", "BenchmarkReplayStreamed", "BenchmarkTuneSweep", "ok"} {
+	for _, want := range []string{"BenchmarkReplayBatched", "BenchmarkValidateParallel", "BenchmarkReplaySharded", "BenchmarkReplayAdaptive", "BenchmarkReplayStreamed", "BenchmarkTuneSweep", "ok"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, out.String())
 		}
@@ -28,18 +28,18 @@ func TestGatePassesOnCurrentTree(t *testing.T) {
 
 func TestGateFailsOnSyntheticSlowdown(t *testing.T) {
 	// testdata/slowdown.txt is current.txt with the shipped-path timings
-	// (Indexed/Batched/Shards4/Adaptive/Streamed ns/req, Index/Parallel/
-	// Memoized ns/op) doubled: a 2x regression must trip every gate.
+	// (Batched/Shards4/Adaptive/Streamed ns/req, Parallel/Memoized ns/op)
+	// doubled: a 2x regression must trip every gate.
 	var out bytes.Buffer
 	err := run([]string{"-baseline", "../../BENCH_baseline.json", "testdata/slowdown.txt"}, &out)
 	if err == nil {
 		t.Fatalf("gate accepted a 2x slowdown:\n%s", out.String())
 	}
-	if !strings.Contains(err.Error(), "8 of 8 speedup gates failed") {
+	if !strings.Contains(err.Error(), "6 of 6 speedup gates failed") {
 		t.Errorf("error = %v, want all gates failing", err)
 	}
-	if got := strings.Count(out.String(), "FAIL"); got != 8 {
-		t.Errorf("report shows %d FAIL verdicts, want 8:\n%s", got, out.String())
+	if got := strings.Count(out.String(), "FAIL"); got != 6 {
+		t.Errorf("report shows %d FAIL verdicts, want 6:\n%s", got, out.String())
 	}
 }
 
@@ -70,7 +70,7 @@ func TestGateFamilyToleranceCap(t *testing.T) {
 	}
 	var out bytes.Buffer
 	err = run([]string{"-baseline", "../../BENCH_baseline.json", path}, &out)
-	if err == nil || !strings.Contains(err.Error(), "1 of 8") {
+	if err == nil || !strings.Contains(err.Error(), "1 of 6") {
 		t.Fatalf("family cap did not trip exactly once: err %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "BenchmarkReplayStreamed") || strings.Count(out.String(), "FAIL") != 1 {
@@ -120,8 +120,8 @@ func TestGateRejectsMissingSamples(t *testing.T) {
 
 func TestParseBench(t *testing.T) {
 	input := `goos: linux
-BenchmarkReplay/StringKeyed-8   	     500	   3717369 ns/op	       371.7 ns/req
-BenchmarkReplay/StringKeyed     	     600	   3500000 ns/op	       350.0 ns/req
+BenchmarkReplayBatched/Indexed-8   	     500	   3717369 ns/op	       371.7 ns/req
+BenchmarkReplayBatched/Indexed     	     600	   3500000 ns/op	       350.0 ns/req
 some unrelated line
 PASS
 `
@@ -130,11 +130,11 @@ PASS
 		t.Fatal(err)
 	}
 	// The -8 CPU suffix is stripped, so both lines pool under one key.
-	got := samples["BenchmarkReplay/StringKeyed ns/req"]
+	got := samples["BenchmarkReplayBatched/Indexed ns/req"]
 	if len(got) != 2 || got[0] != 371.7 || got[1] != 350.0 {
 		t.Errorf("ns/req samples = %v", got)
 	}
-	if ops := samples["BenchmarkReplay/StringKeyed ns/op"]; len(ops) != 2 {
+	if ops := samples["BenchmarkReplayBatched/Indexed ns/op"]; len(ops) != 2 {
 		t.Errorf("ns/op samples = %v", ops)
 	}
 }

@@ -1,27 +1,16 @@
 package client
 
-// Before/after microbenchmarks of the replay fast path. The baseline
-// sub-benchmark reproduces the pre-optimization per-op stack verbatim —
-// string-keyed routing through a placement map, a key re-hash inside the
-// engine, the container/list+map LLC model, the double valueBytes
-// computation, log-formula histogram bucketing, Welford summaries, and
-// map-based accumulators — so the speedup of the shipped path is measured
-// against the real predecessor, not a strawman. The replicas are frozen
-// copies of the superseded implementations; they live only here.
+// Microbenchmarks of the replay loop. The paired ones compare two shipped
+// paths of one process under a configuration flip (DisableBatchReplay,
+// EpochOps, worker count).
 
 import (
-	"container/list"
 	"context"
-	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
-	"mnemo/internal/kvstore"
-	"mnemo/internal/memsim"
 	"mnemo/internal/server"
 	"mnemo/internal/simclock"
-	"mnemo/internal/stats"
 	"mnemo/internal/ycsb"
 )
 
@@ -64,321 +53,6 @@ func benchReplay(b *testing.B, d *server.Deployment, w *ycsb.Workload) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// legacyLLC is the pre-optimization memsim.LRUCache: container/list
-// entries indexed by a map, exactly the structure the flat-slice cache
-// replaced.
-type legacyLLC struct {
-	capacity     int64
-	used         int64
-	order        *list.List
-	index        map[uint64]*list.Element
-	hits, misses int64
-}
-
-type legacyLLCEntry struct {
-	id    uint64
-	bytes int64
-}
-
-func newLegacyLLC(capacity int64) *legacyLLC {
-	return &legacyLLC{capacity: capacity, order: list.New(), index: make(map[uint64]*list.Element)}
-}
-
-func (c *legacyLLC) access(rec memsim.RecordRef) bool {
-	size := int64(rec.Bytes)
-	if el, ok := c.index[rec.ID]; ok {
-		if el.Value.(legacyLLCEntry).bytes == size {
-			c.order.MoveToFront(el)
-			c.hits++
-			return true
-		}
-		c.removeElement(el)
-	}
-	c.misses++
-	if size > c.capacity {
-		return false
-	}
-	for c.used+size > c.capacity {
-		if back := c.order.Back(); back != nil {
-			c.removeElement(back)
-		}
-	}
-	c.index[rec.ID] = c.order.PushFront(legacyLLCEntry{id: rec.ID, bytes: size})
-	c.used += size
-	return false
-}
-
-func (c *legacyLLC) remove(id uint64) {
-	if el, ok := c.index[id]; ok {
-		c.removeElement(el)
-	}
-}
-
-func (c *legacyLLC) removeElement(el *list.Element) {
-	ent := el.Value.(legacyLLCEntry)
-	c.order.Remove(el)
-	delete(c.index, ent.id)
-	c.used -= ent.bytes
-}
-
-// legacyMachine is the pre-optimization memsim.Machine access path: Touch
-// builds a full Traffic breakdown per access (the shipped pricing path
-// asks the narrow TouchHit instead) and the LLC is the container/list
-// model above.
-type legacyMachine struct {
-	fast, slow *memsim.Node
-	llc        *legacyLLC
-}
-
-func (m *legacyMachine) node(t memsim.Tier) *memsim.Node {
-	if t == memsim.Fast {
-		return m.fast
-	}
-	return m.slow
-}
-
-func (m *legacyMachine) touch(t memsim.Tier, rec memsim.RecordRef, chases int) memsim.Traffic {
-	tr := memsim.Traffic{Tier: t, Chases: chases}
-	if m.llc != nil && m.llc.access(rec) {
-		tr.CacheHit = true
-		tr.HitBytes = rec.Bytes
-		return tr
-	}
-	tr.MissBytes = rec.Bytes
-	return tr
-}
-
-func (m *legacyMachine) invalidate(rec memsim.RecordRef) {
-	if m.llc != nil {
-		m.llc.remove(rec.ID)
-	}
-}
-
-// legacyDeployment reproduces the pre-optimization server.Deployment
-// request path: string-keyed placement lookup, engine access through the
-// string API (which re-hashes the key), the legacy machine and LLC model,
-// and the service-time computation that derived valueBytes twice per
-// request.
-type legacyDeployment struct {
-	machine   *legacyMachine
-	clock     simclock.Clock
-	instances [2]kvstore.Store
-	placement server.Placement
-	noise     *server.Noise
-	profile   kvstore.EngineProfile
-}
-
-func newLegacyDeployment(cfg server.Config) *legacyDeployment {
-	m := &legacyMachine{
-		fast: memsim.NewNode(cfg.Machine.FastParams, cfg.Machine.FastCapacity),
-		slow: memsim.NewNode(cfg.Machine.SlowParams, cfg.Machine.SlowCapacity),
-	}
-	if cfg.Machine.LLCBytes > 0 {
-		m.llc = newLegacyLLC(cfg.Machine.LLCBytes)
-	}
-	d := &legacyDeployment{
-		machine:   m,
-		placement: server.AllFast(),
-		noise:     server.NewNoise(cfg.NoiseSigma, cfg.Seed),
-		profile:   cfg.Engine.Profile(),
-	}
-	d.instances[memsim.Fast] = newBenchStore(cfg.Engine)
-	d.instances[memsim.Slow] = newBenchStore(cfg.Engine)
-	return d
-}
-
-func newBenchStore(e server.Engine) kvstore.Store {
-	// Instantiate through a throwaway deployment so the replica does not
-	// need the unexported engine constructor table.
-	return server.NewDeployment(server.Config{Engine: e}).Instance(memsim.Fast)
-}
-
-func (d *legacyDeployment) load(ds ycsb.Dataset, p server.Placement) {
-	d.placement = p
-	for _, rec := range ds.Records {
-		tier := p.TierOf(rec.Key)
-		d.instances[tier].Put(rec.Key, kvstore.Sized(rec.Size))
-		d.instances[tier].TakePauseNs() // setup-phase stalls are not timed
-	}
-	if d.machine.llc != nil {
-		d.machine.llc = newLegacyLLC(d.machine.llc.capacity)
-	}
-}
-
-func (d *legacyDeployment) do(key string, kind kvstore.OpKind, size int) server.Result {
-	tier := d.placement.TierOf(key)
-	st := d.instances[tier]
-	var tr kvstore.OpTrace
-	switch kind {
-	case kvstore.Read:
-		_, tr = st.Get(key)
-	case kvstore.Write:
-		tr = st.Put(key, kvstore.Sized(size))
-	case kvstore.Delete:
-		tr = st.Del(key)
-	default:
-		panic(fmt.Sprintf("bench: unknown op kind %v", kind))
-	}
-
-	ref := memsim.RecordRef{ID: tr.RecordID, Bytes: d.valueBytes(tr, size)}
-	traffic := d.machine.touch(tier, ref, tr.Chases)
-	if kind == kvstore.Delete {
-		d.machine.invalidate(ref)
-	}
-
-	var medium memsim.NodeParams
-	if traffic.CacheHit {
-		medium = memsim.LLCParams
-	} else {
-		medium = d.machine.node(tier).Params
-	}
-	transferNs := medium.TransferNs(tr.Touched)
-	if kind == kvstore.Write {
-		transferNs *= d.profile.WritePenalty
-	}
-	memNs := (medium.ChaseNs(tr.Chases) + transferNs) / d.profile.MLP
-
-	// The predecessor recomputed valueBytes here instead of reusing ref.
-	cpuNs := d.profile.CPUBaseNs + d.profile.CPUPerByteNs*float64(d.valueBytes(tr, size))
-	serviceNs := (cpuNs+memNs)*d.noise.Factor() + st.TakePauseNs()
-
-	lat := simclock.FromNanos(serviceNs)
-	d.clock.Advance(lat)
-	return server.Result{Tier: tier, Kind: kind, Latency: lat, Found: tr.Found, Hit: traffic.CacheHit}
-}
-
-func (d *legacyDeployment) valueBytes(tr kvstore.OpTrace, writeSize int) int {
-	if tr.Kind == kvstore.Write {
-		return writeSize
-	}
-	if !tr.Found {
-		return 0
-	}
-	amp := d.profile.ReadAmplification
-	if amp < 1 {
-		amp = 1
-	}
-	return int(float64(tr.Touched) / amp)
-}
-
-// legacyHistogram reproduces the pre-optimization stats.Histogram Record
-// path: the bucket index came straight from the defining formula with no
-// cached log(growth) and no boundary table — two math.Log calls per
-// recording.
-type legacyHistogram struct {
-	minVal, growth float64
-	counts         []int64
-	total          int64
-	sum            float64
-	maxSeen        float64
-	minSeen        float64
-}
-
-func newLegacyHistogram(minVal, growth float64) *legacyHistogram {
-	return &legacyHistogram{minVal: minVal, growth: growth, minSeen: math.Inf(1)}
-}
-
-func (h *legacyHistogram) Record(v float64) {
-	idx := 0
-	if v > h.minVal {
-		idx = int(math.Log(v/h.minVal)/math.Log(h.growth)) + 1
-	}
-	if idx >= len(h.counts) {
-		grown := make([]int64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	h.counts[idx]++
-	h.total++
-	h.sum += v
-	if v > h.maxSeen {
-		h.maxSeen = v
-	}
-	if v < h.minSeen {
-		h.minSeen = v
-	}
-}
-
-// legacyReplay is the replay loop as it stood before the integer-keyed
-// fast path: per-op string routing, map-keyed accumulators, Welford
-// summaries, and a second run-level histogram recording per op.
-func legacyReplay(d *legacyDeployment, w *ycsb.Workload) {
-	var readSum, writeSum stats.Summary
-	readBuckets := map[int]*stats.Summary{}
-	writeBuckets := map[int]*stats.Summary{}
-	readHists := map[int]*legacyHistogram{}
-	writeHists := map[int]*legacyHistogram{}
-	hist := newLegacyHistogram(latencyHistMin, latencyHistGrowth)
-	for _, op := range w.Ops {
-		rec := w.Dataset.Records[op.Key]
-		res := d.do(rec.Key, op.Kind, rec.Size)
-		ns := float64(res.Latency.Nanoseconds())
-		hist.Record(ns)
-		bkt := SizeBucket(rec.Size)
-		if op.Kind == kvstore.Read {
-			readSum.Add(ns)
-			s, ok := readBuckets[bkt]
-			if !ok {
-				s = &stats.Summary{}
-				readBuckets[bkt] = s
-			}
-			s.Add(ns)
-			h, ok := readHists[bkt]
-			if !ok {
-				h = newLegacyHistogram(latencyHistMin, latencyHistGrowth)
-				readHists[bkt] = h
-			}
-			h.Record(ns)
-		} else {
-			writeSum.Add(ns)
-			s, ok := writeBuckets[bkt]
-			if !ok {
-				s = &stats.Summary{}
-				writeBuckets[bkt] = s
-			}
-			s.Add(ns)
-			h, ok := writeHists[bkt]
-			if !ok {
-				h = newLegacyHistogram(latencyHistMin, latencyHistGrowth)
-				writeHists[bkt] = h
-			}
-			h.Record(ns)
-		}
-	}
-}
-
-// BenchmarkReplay measures one full Quick-scale trace replay per
-// iteration: the pre-optimization string-keyed stack vs the shipped
-// integer-keyed path (client.Run without the RunStats assembly).
-func BenchmarkReplay(b *testing.B) {
-	w := benchWorkload(b)
-	recs := w.Dataset.Records
-	half := len(recs) / 2
-	fastKeys := make([]string, half)
-	fastIdx := make([]int, half)
-	for i := 0; i < half; i++ {
-		fastKeys[i] = recs[i].Key
-		fastIdx[i] = i
-	}
-	perOp := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(w.Ops)), "ns/req")
-	}
-
-	b.Run("StringKeyed", func(b *testing.B) {
-		d := newLegacyDeployment(server.DefaultConfig(server.RedisLike, 42))
-		d.load(w.Dataset, server.FastSet(fastKeys))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			legacyReplay(d, w)
-		}
-		perOp(b)
-	})
-	b.Run("Indexed", func(b *testing.B) {
-		benchReplay(b, benchDeployment(b, perOpReference(benchConfig()), w, server.FastIndices(fastIdx, len(recs))), w)
-		perOp(b)
-	})
 }
 
 // BenchmarkReplayBatched measures the batched replay kernel against the

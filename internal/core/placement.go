@@ -14,11 +14,11 @@ import (
 // allocations only; there is no dynamic migration.
 type PlacementEngine struct{}
 
-// PlacementFor builds the placement that pins the first point.KeysInFast
-// keys of the ordering to FastMem and leaves the rest on SlowMem. An
-// ordering over a full dataset (every KeyStat.Index in range) yields an
-// index-keyed placement — the replay fast path; partial or synthetic
-// orderings fall back to the string-keyed form.
+// PlacementFor builds the index-keyed placement that pins the first
+// point.KeysInFast keys of the ordering to FastMem and leaves the rest
+// on SlowMem. The ordering must cover the dataset (Session.Analyze
+// checks every ordering a policy returns); an Index outside the
+// ordering's range is an error.
 func (PlacementEngine) PlacementFor(ord Ordering, point CurvePoint) (server.Placement, error) {
 	if point.KeysInFast < 0 || point.KeysInFast > len(ord.Keys) {
 		return server.Placement{}, fmt.Errorf("core: point places %d keys, ordering has %d",
@@ -31,23 +31,15 @@ func (PlacementEngine) PlacementFor(ord Ordering, point CurvePoint) (server.Plac
 		return server.AllSlow(), nil
 	}
 	fastIdx := make([]int, point.KeysInFast)
-	indexed := true
-	for i := 0; i < point.KeysInFast; i++ {
+	for i := range fastIdx {
 		idx := ord.Keys[i].Index
 		if idx < 0 || idx >= len(ord.Keys) {
-			indexed = false
-			break
+			return server.Placement{}, fmt.Errorf("core: ordering entry %d (key %q) has index %d outside [0,%d)",
+				i, ord.Keys[i].Key, idx, len(ord.Keys))
 		}
 		fastIdx[i] = idx
 	}
-	if indexed {
-		return server.FastIndices(fastIdx, len(ord.Keys)), nil
-	}
-	fast := make([]string, point.KeysInFast)
-	for i := 0; i < point.KeysInFast; i++ {
-		fast[i] = ord.Keys[i].Key
-	}
-	return server.FastSet(fast), nil
+	return server.FastIndices(fastIdx, len(ord.Keys)), nil
 }
 
 // Populate loads the dataset into a fresh deployment under the placement

@@ -15,9 +15,10 @@ import (
 // frequency heuristics) registered in internal/registry.
 //
 // Contract: Order must return an Ordering that covers every dataset key
-// exactly once, must be deterministic for a given workload (any
-// randomness seeded from the workload descriptor), and must not mutate
-// the workload. Name identifies the policy in reports, caches and the
+// exactly once — entry Index names a dataset record and Key equals that
+// record's key; Session.Analyze rejects any other ordering — must be
+// deterministic for a given workload (any randomness seeded from the
+// workload descriptor), and must not mutate the workload. Name identifies the policy in reports, caches and the
 // registry, so registered policies need unique names.
 type TieringPolicy interface {
 	// Name is the policy's registry identifier (e.g. "touch", "mnemot").
@@ -82,10 +83,4 @@ type fixedPolicy struct{ ord Ordering }
 
 func (p fixedPolicy) Name() string { return p.ord.Name }
 
-func (p fixedPolicy) Order(_ context.Context, w *ycsb.Workload) (Ordering, error) {
-	if len(p.ord.Keys) != len(w.Dataset.Records) {
-		return Ordering{}, fmt.Errorf("core: ordering covers %d keys, dataset has %d",
-			len(p.ord.Keys), len(w.Dataset.Records))
-	}
-	return p.ord, nil
-}
+func (p fixedPolicy) Order(context.Context, *ycsb.Workload) (Ordering, error) { return p.ord, nil }

@@ -222,11 +222,12 @@ func (s *Session) analyzeLocked(ctx context.Context, p TieringPolicy) (Ordering,
 	return ord, nil
 }
 
-// runAnalyze executes the policy's Pattern Engine and validates the
-// resulting ordering covers the dataset. Under a shared cache the policy
-// gets a context through which SharedAnalysis reaches that cache (the
-// shared branch of analyzeLocked has resolved whash by now); a plain
-// session has nothing to share with and passes ctx on as it came.
+// runAnalyze executes the policy's Pattern Engine and validates that the
+// resulting ordering covers the dataset (checkCovers). Under a shared
+// cache the policy gets a context through which SharedAnalysis reaches
+// that cache (the shared branch of analyzeLocked has resolved whash by
+// now); a plain session has nothing to share with and passes ctx on as
+// it came.
 func (s *Session) runAnalyze(ctx context.Context, p TieringPolicy) (Ordering, error) {
 	span := s.sink().StartSpan("analyze")
 	if s.shared != nil {
@@ -236,12 +237,33 @@ func (s *Session) runAnalyze(ctx context.Context, p TieringPolicy) (Ordering, er
 	if err != nil {
 		return Ordering{}, fmt.Errorf("core: policy %q: %w", p.Name(), err)
 	}
-	if len(ord.Keys) != len(s.w.Dataset.Records) {
-		return Ordering{}, fmt.Errorf("core: policy %q ordered %d of %d keys",
-			p.Name(), len(ord.Keys), len(s.w.Dataset.Records))
+	if err := checkCovers(ord, s.w.Dataset.Records); err != nil {
+		return Ordering{}, fmt.Errorf("core: policy %q: %w", p.Name(), err)
 	}
 	span.End(0)
 	return ord, nil
+}
+
+// checkCovers enforces the TieringPolicy contract on an ordering: one
+// entry per dataset record, each naming an in-range record by Index with
+// that record's Key, no record twice.
+func checkCovers(ord Ordering, recs []ycsb.Record) error {
+	if len(ord.Keys) != len(recs) {
+		return fmt.Errorf("ordered %d of %d keys", len(ord.Keys), len(recs))
+	}
+	seen := make([]bool, len(recs))
+	for i, k := range ord.Keys {
+		switch {
+		case k.Index < 0 || k.Index >= len(recs):
+			return fmt.Errorf("entry %d (key %q) has index %d outside [0,%d)", i, k.Key, k.Index, len(recs))
+		case k.Key != recs[k.Index].Key:
+			return fmt.Errorf("entry %d has key %q, dataset record %d is %q", i, k.Key, k.Index, recs[k.Index].Key)
+		case seen[k.Index]:
+			return fmt.Errorf("entry %d repeats dataset record %d (key %q)", i, k.Index, k.Key)
+		}
+		seen[k.Index] = true
+	}
+	return nil
 }
 
 // Estimate is stage 3 (Estimate Engine): combine the cached baselines

@@ -30,11 +30,10 @@ var Profile = kvstore.EngineProfile{
 }
 
 type entry struct {
-	key      string
-	id       uint64
-	val      kvstore.Value
-	expireAt int64 // logical op count at which the key lapses; 0 = never
-	next     *entry
+	key  string
+	id   uint64
+	val  kvstore.Value
+	next *entry
 }
 
 type table struct {
@@ -48,13 +47,10 @@ func (t *table) mask() uint64 { return uint64(len(t.buckets) - 1) }
 
 // Store is the Redis-like engine. Not safe for concurrent use.
 type Store struct {
-	ht           [2]*table
-	rehashIdx    int // -1 when not rehashing; else next bucket of ht[0] to migrate
-	dataBytes    int64
-	pauseNs      float64
-	ops          int64 // logical operation clock for TTLs
-	expirations  int64
-	volatileKeys map[string]struct{} // keys carrying a TTL (Redis "expires" dict)
+	ht        [2]*table
+	rehashIdx int // -1 when not rehashing; else next bucket of ht[0] to migrate
+	dataBytes int64
+	pauseNs   float64
 
 	// relaid journals the ht[0] buckets whose chains an insert or a
 	// remove reshaped since the last Relaid; relaidAll latches that the
@@ -67,18 +63,8 @@ const initialTableSize = 16
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{
-		ht:           [2]*table{newTable(initialTableSize), nil},
-		rehashIdx:    -1,
-		volatileKeys: make(map[string]struct{}),
-	}
+	return &Store{ht: [2]*table{newTable(initialTableSize), nil}, rehashIdx: -1}
 }
-
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return Profile.Name }
-
-// Profile implements kvstore.Store.
-func (s *Store) Profile() kvstore.EngineProfile { return Profile }
 
 // Len implements kvstore.Store.
 func (s *Store) Len() int {
@@ -191,20 +177,11 @@ func (s *Store) find(key string, id uint64) (*entry, int) {
 	return nil, chases
 }
 
-// Get implements kvstore.Store.
-func (s *Store) Get(key string) (kvstore.Value, kvstore.OpTrace) {
-	return s.GetID(key, kvstore.KeyID(key))
-}
-
-// GetID implements kvstore.Store: Get with a precomputed KeyID.
+// GetID implements kvstore.Store.
 func (s *Store) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
-	s.opTick()
 	s.rehashStep()
 	e, chases := s.find(key, id)
 	tr := kvstore.OpTrace{Kind: kvstore.Read, RecordID: id, Chases: chases}
-	if s.reapIfLapsed(e) {
-		e = nil
-	}
 	if e == nil {
 		return kvstore.Value{}, tr
 	}
@@ -214,33 +191,16 @@ func (s *Store) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
 	return e.val, tr
 }
 
-// Put implements kvstore.Store.
-func (s *Store) Put(key string, v kvstore.Value) kvstore.OpTrace {
-	return s.PutID(key, kvstore.KeyID(key), v)
-}
-
-// PutID implements kvstore.Store: Put with a precomputed KeyID.
+// PutID implements kvstore.Store.
 func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
-	if err := v.Validate(); err != nil {
-		panic(err)
-	}
-	s.opTick()
 	s.rehashStep()
 	s.maybeExpand()
 	e, chases := s.find(key, id)
 	tr := kvstore.OpTrace{Kind: kvstore.Write, RecordID: id, Chases: chases + 1,
 		Touched: kvstore.Amplify(v.Size, Profile.WriteAmplification)}
-	if s.reapIfLapsed(e) {
-		e = nil
-	}
 	if e != nil {
 		s.dataBytes += int64(v.Size) - int64(e.val.Size)
 		e.val = v
-		if e.expireAt != 0 {
-			// A plain SET clears any TTL, as Redis does.
-			e.expireAt = 0
-			delete(s.volatileKeys, e.key)
-		}
 		tr.Found = true
 		return tr
 	}
@@ -257,27 +217,48 @@ func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
 	return tr
 }
 
-// Del implements kvstore.Store.
-func (s *Store) Del(key string) kvstore.OpTrace {
-	return s.DelID(key, kvstore.KeyID(key))
-}
-
-// DelID implements kvstore.Store: Del with a precomputed KeyID.
+// DelID implements kvstore.Store.
 func (s *Store) DelID(key string, id uint64) kvstore.OpTrace {
-	s.opTick()
 	s.rehashStep()
 	e, chases := s.find(key, id)
 	tr := kvstore.OpTrace{Kind: kvstore.Delete, RecordID: id, Chases: chases}
 	if e == nil {
 		return tr
 	}
-	if s.reapIfLapsed(e) {
-		return tr // lapsed before the delete: DEL reports 0, as Redis does
-	}
 	s.removeEntry(key, id)
-	delete(s.volatileKeys, key)
 	tr.Found = true
 	return tr
+}
+
+// removeEntry unlinks a key from whichever table holds it, updating the
+// byte accounting.
+func (s *Store) removeEntry(key string, id uint64) bool {
+	for ti := 0; ti < 2; ti++ {
+		t := s.ht[ti]
+		if t == nil {
+			break
+		}
+		idx := id & t.mask()
+		var prev *entry
+		for e := t.buckets[idx]; e != nil; e = e.next {
+			if e.id == id && e.key == key {
+				if prev == nil {
+					t.buckets[idx] = e.next
+				} else {
+					prev.next = e.next
+				}
+				t.used--
+				s.dataBytes -= int64(e.val.Size)
+				s.journalChain(idx)
+				return true
+			}
+			prev = e
+		}
+		if !s.rehashing() {
+			break
+		}
+	}
+	return false
 }
 
 var _ kvstore.Store = (*Store)(nil)

@@ -11,12 +11,12 @@ import (
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := New()
-	tr := s.Put("k1", kvstore.Bytes([]byte("hello")))
+	tr := s.PutID("k1", kvstore.KeyID("k1"), kvstore.Sized(5))
 	if tr.Found {
 		t.Error("fresh insert reported Found")
 	}
-	v, tr := s.Get("k1")
-	if !tr.Found || string(v.Data) != "hello" {
+	v, tr := s.GetID("k1", kvstore.KeyID("k1"))
+	if !tr.Found || v.Size != 5 {
 		t.Fatalf("Get = %+v / %+v", v, tr)
 	}
 	if tr.Kind != kvstore.Read {
@@ -32,7 +32,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	s := New()
-	v, tr := s.Get("nope")
+	v, tr := s.GetID("nope", kvstore.KeyID("nope"))
 	if tr.Found || v.Size != 0 {
 		t.Fatal("missing key reported found")
 	}
@@ -43,11 +43,11 @@ func TestGetMissing(t *testing.T) {
 
 func TestPutReplaceAccounting(t *testing.T) {
 	s := New()
-	s.Put("k", kvstore.Sized(100))
+	s.PutID("k", kvstore.KeyID("k"), kvstore.Sized(100))
 	if s.DataBytes() != 100 {
 		t.Fatalf("DataBytes = %d", s.DataBytes())
 	}
-	tr := s.Put("k", kvstore.Sized(250))
+	tr := s.PutID("k", kvstore.KeyID("k"), kvstore.Sized(250))
 	if !tr.Found {
 		t.Error("replace not reported")
 	}
@@ -61,19 +61,19 @@ func TestPutReplaceAccounting(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	s := New()
-	s.Put("a", kvstore.Sized(10))
-	s.Put("b", kvstore.Sized(20))
-	tr := s.Del("a")
+	s.PutID("a", kvstore.KeyID("a"), kvstore.Sized(10))
+	s.PutID("b", kvstore.KeyID("b"), kvstore.Sized(20))
+	tr := s.DelID("a", kvstore.KeyID("a"))
 	if !tr.Found {
 		t.Fatal("delete existing not found")
 	}
 	if s.Len() != 1 || s.DataBytes() != 20 {
 		t.Fatalf("after delete: len=%d bytes=%d", s.Len(), s.DataBytes())
 	}
-	if _, tr := s.Get("a"); tr.Found {
+	if _, tr := s.GetID("a", kvstore.KeyID("a")); tr.Found {
 		t.Fatal("deleted key still found")
 	}
-	if tr := s.Del("a"); tr.Found {
+	if tr := s.DelID("a", kvstore.KeyID("a")); tr.Found {
 		t.Fatal("double delete reported found")
 	}
 }
@@ -82,7 +82,8 @@ func TestGrowthTriggersRehashAndPause(t *testing.T) {
 	s := New()
 	var sawPause bool
 	for i := 0; i < 1000; i++ {
-		s.Put(fmt.Sprintf("key%06d", i), kvstore.Sized(8))
+		key := fmt.Sprintf("key%06d", i)
+		s.PutID(key, kvstore.KeyID(key), kvstore.Sized(8))
 		if s.TakePauseNs() > 0 {
 			sawPause = true
 		}
@@ -95,7 +96,8 @@ func TestGrowthTriggersRehashAndPause(t *testing.T) {
 	}
 	// All keys still reachable mid/post rehash.
 	for i := 0; i < 1000; i++ {
-		if _, tr := s.Get(fmt.Sprintf("key%06d", i)); !tr.Found {
+		key := fmt.Sprintf("key%06d", i)
+		if _, tr := s.GetID(key, kvstore.KeyID(key)); !tr.Found {
 			t.Fatalf("key%06d lost during rehash", i)
 		}
 	}
@@ -104,7 +106,8 @@ func TestGrowthTriggersRehashAndPause(t *testing.T) {
 func TestTakePauseDrains(t *testing.T) {
 	s := New()
 	for i := 0; i < 100; i++ {
-		s.Put(fmt.Sprintf("k%d", i), kvstore.Sized(1))
+		key := fmt.Sprintf("k%d", i)
+		s.PutID(key, kvstore.KeyID(key), kvstore.Sized(1))
 	}
 	s.TakePauseNs()
 	if p := s.TakePauseNs(); p != 0 {
@@ -114,12 +117,12 @@ func TestTakePauseDrains(t *testing.T) {
 
 func TestChasesGrowWithChainWalk(t *testing.T) {
 	s := New()
-	_, missTr := s.Get("absent")
+	_, missTr := s.GetID("absent", kvstore.KeyID("absent"))
 	if missTr.Chases < 1 {
 		t.Error("miss should still chase the bucket head")
 	}
-	s.Put("x", kvstore.Sized(10))
-	_, hitTr := s.Get("x")
+	s.PutID("x", kvstore.KeyID("x"), kvstore.Sized(10))
+	_, hitTr := s.GetID("x", kvstore.KeyID("x"))
 	if hitTr.Chases <= missTr.Chases {
 		t.Errorf("hit chases %d should exceed empty-bucket miss %d (value deref)",
 			hitTr.Chases, missTr.Chases)
@@ -127,26 +130,16 @@ func TestChasesGrowWithChainWalk(t *testing.T) {
 }
 
 func TestProfileAndName(t *testing.T) {
-	s := New()
-	if s.Name() != "redislike" {
+	p := Profile
+	if p.Name != "redislike" {
 		t.Error("name wrong")
 	}
-	p := s.Profile()
 	if p.MLP != 1 {
 		t.Error("redis-like engine must be single-lane")
 	}
 	if p.WritePenalty >= 1 || p.WritePenalty <= 0 {
 		t.Error("write penalty out of range")
 	}
-}
-
-func TestPutInvalidValuePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New().Put("k", kvstore.Value{Size: 2, Data: []byte("abc")})
 }
 
 // Property: the store agrees with a reference map under random ops.
@@ -163,10 +156,10 @@ func TestMatchesReferenceMapProperty(t *testing.T) {
 			key := fmt.Sprintf("k%d", o.Key)
 			switch o.Kind % 3 {
 			case 0:
-				s.Put(key, kvstore.Sized(int(o.Size)))
+				s.PutID(key, kvstore.KeyID(key), kvstore.Sized(int(o.Size)))
 				ref[key] = int(o.Size)
 			case 1:
-				v, tr := s.Get(key)
+				v, tr := s.GetID(key, kvstore.KeyID(key))
 				want, ok := ref[key]
 				if tr.Found != ok {
 					return false
@@ -175,7 +168,7 @@ func TestMatchesReferenceMapProperty(t *testing.T) {
 					return false
 				}
 			case 2:
-				tr := s.Del(key)
+				tr := s.DelID(key, kvstore.KeyID(key))
 				_, ok := ref[key]
 				if tr.Found != ok {
 					return false
@@ -205,11 +198,11 @@ func TestLargeRandomChurn(t *testing.T) {
 		key := fmt.Sprintf("key%d", rng.Intn(3000))
 		switch rng.Intn(10) {
 		case 0:
-			s.Del(key)
+			s.DelID(key, kvstore.KeyID(key))
 			delete(live, key)
 		default:
 			sz := rng.Intn(4096)
-			s.Put(key, kvstore.Sized(sz))
+			s.PutID(key, kvstore.KeyID(key), kvstore.Sized(sz))
 			live[key] = sz
 		}
 	}
@@ -217,7 +210,7 @@ func TestLargeRandomChurn(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(live))
 	}
 	for k, sz := range live {
-		v, tr := s.Get(k)
+		v, tr := s.GetID(k, kvstore.KeyID(k))
 		if !tr.Found || v.Size != sz {
 			t.Fatalf("key %s: found=%v size=%d want %d", k, tr.Found, v.Size, sz)
 		}

@@ -28,13 +28,9 @@ func (s *Store) Quiesce() {
 	}
 }
 
-// ReplayReady implements kvstore.BatchReplayer. Volatile (TTL-bearing)
-// keys disqualify the store: lazy and active expiration mutate the
-// table mid-replay.
+// ReplayReady implements kvstore.BatchReplayer.
 func (s *Store) ReplayReady() bool {
-	return !s.rehashing() &&
-		len(s.volatileKeys) == 0 &&
-		s.ht[0].used < len(s.ht[0].buckets)
+	return !s.rehashing() && s.ht[0].used < len(s.ht[0].buckets)
 }
 
 // StaticTrace implements kvstore.BatchReplayer. For a resident key both
@@ -42,7 +38,7 @@ func (s *Store) ReplayReady() bool {
 // object for reads, the stored entry for writes).
 func (s *Store) StaticTrace(key string, id uint64) (getChases, putChases int, ok bool) {
 	e, chases := s.find(key, id)
-	if e == nil || s.lapsed(e) {
+	if e == nil {
 		return 0, 0, false
 	}
 	return chases + 1, chases + 1, true

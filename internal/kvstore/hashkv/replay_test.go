@@ -12,7 +12,7 @@ func populate(s *Store, n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%04d", i)
-		s.Put(keys[i], kvstore.Sized(64))
+		s.PutID(keys[i], kvstore.KeyID(keys[i]), kvstore.Sized(64))
 	}
 	return keys
 }
@@ -33,7 +33,7 @@ func TestQuiesceDrainsRehash(t *testing.T) {
 		t.Fatalf("load factor ≥ 1 after Quiesce: %d/%d", s.ht[0].used, len(s.ht[0].buckets))
 	}
 	for _, k := range keys {
-		if _, tr := s.Get(k); !tr.Found {
+		if _, tr := s.GetID(k, kvstore.KeyID(k)); !tr.Found {
 			t.Fatalf("key %q lost across Quiesce", k)
 		}
 	}
@@ -67,26 +67,13 @@ func TestStaticTraceMatchesLiveOps(t *testing.T) {
 
 func TestStaticTraceRejectsMissingAndMismatched(t *testing.T) {
 	s := New()
-	s.Put("here", kvstore.Sized(10))
+	s.PutID("here", kvstore.KeyID("here"), kvstore.Sized(10))
 	s.Quiesce()
 	if _, _, ok := s.StaticTrace("gone", kvstore.KeyID("gone")); ok {
 		t.Error("StaticTrace ok on missing key")
 	}
 	if _, _, ok := s.StaticTrace("here", 12345); ok {
 		t.Error("StaticTrace ok on mismatched record ID")
-	}
-}
-
-func TestReplayReadyRejectsVolatileKeys(t *testing.T) {
-	s := New()
-	s.Put("k", kvstore.Sized(10))
-	s.Quiesce()
-	if !s.ReplayReady() {
-		t.Fatal("plain store not ReplayReady")
-	}
-	s.Expire("k", 100)
-	if s.ReplayReady() {
-		t.Error("store with TTL-bearing key reported ReplayReady")
 	}
 }
 
@@ -148,23 +135,23 @@ func TestRelaidReportsReshapedChains(t *testing.T) {
 			}
 		}
 	}
-	s.Put(x, kvstore.Sized(64))
+	s.PutID(x, kvstore.KeyID(x), kvstore.Sized(64))
 	if got, ok := drain(); !ok || !same(got, append([]string{x}, mates...)...) {
 		t.Fatalf("insert of %q reported %v, %v; want it and its bucket mates %v", x, got, ok, mates)
 	}
-	s.Put(x, kvstore.Sized(64))
-	s.Get(mates[0])
+	s.PutID(x, kvstore.KeyID(x), kvstore.Sized(64))
+	s.GetID(mates[0], kvstore.KeyID(mates[0]))
 	if got, ok := drain(); !ok || len(got) != 0 {
 		t.Fatalf("overwrite and read reported %v, %v; want nothing", got, ok)
 	}
-	s.Del(x)
+	s.DelID(x, kvstore.KeyID(x))
 	if got, ok := drain(); !ok || !same(got, mates...) {
 		t.Fatalf("remove of %q reported %v, %v; want the rest of its chain %v", x, got, ok, mates)
 	}
 
 	// Back-to-back changes to one chain journal it once.
-	s.Put(x, kvstore.Sized(64))
-	s.Del(x)
+	s.PutID(x, kvstore.KeyID(x), kvstore.Sized(64))
+	s.DelID(x, kvstore.KeyID(x))
 	if len(s.relaid) != 1 {
 		t.Fatalf("insert and remove of %q journaled %d chains, want 1", x, len(s.relaid))
 	}
@@ -177,7 +164,7 @@ func TestRelaidReportsReshapedChains(t *testing.T) {
 	for _, k := range keys {
 		if b := kvstore.KeyID(k) & mask; !chains[b] && len(chains) <= len(s.ht[0].buckets)/4 {
 			chains[b] = true
-			s.Del(k)
+			s.DelID(k, kvstore.KeyID(k))
 		}
 	}
 	if len(chains) <= len(s.ht[0].buckets)/4 {
@@ -189,7 +176,8 @@ func TestRelaidReportsReshapedChains(t *testing.T) {
 
 	// Grow into a rehash and drain mid-flight: unbounded until settled.
 	for i := 0; !s.rehashing(); i++ {
-		s.Put(fmt.Sprintf("grow%d", i), kvstore.Sized(64))
+		key := fmt.Sprintf("grow%d", i)
+		s.PutID(key, kvstore.KeyID(key), kvstore.Sized(64))
 	}
 	for i := 0; i < 2; i++ {
 		if _, ok := drain(); ok || !s.rehashing() {

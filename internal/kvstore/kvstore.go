@@ -8,10 +8,9 @@
 // with genuinely different data structures and request paths; every
 // operation returns an OpTrace describing the pointer chases and byte
 // traffic it generated, which internal/server prices against the emulated
-// hybrid memory machine. Value payloads may be carried in full (unit
-// tests) or by size only (capacity-scale experiments, where 10 000 × 100 KB
-// payloads would dominate host memory without changing any simulated
-// quantity).
+// hybrid memory machine. A stored value is its size alone: no simulated
+// quantity depends on payload bytes, and 10 000 × 100 KB payloads would
+// dominate host memory.
 package kvstore
 
 import (
@@ -19,34 +18,17 @@ import (
 	"hash/fnv"
 )
 
-// Value is a stored payload. When Data is non-nil, Size must equal
-// len(Data); size-only values (Data == nil) represent payloads of the
-// given size without materializing the bytes.
+// Value is a stored payload, represented by its size in bytes.
 type Value struct {
 	Size int
-	Data []byte
 }
 
-// Bytes returns a Value carrying real data.
-func Bytes(data []byte) Value { return Value{Size: len(data), Data: data} }
-
-// Sized returns a size-only Value.
+// Sized returns a Value of n bytes.
 func Sized(n int) Value {
 	if n < 0 {
 		panic(fmt.Sprintf("kvstore: negative value size %d", n))
 	}
 	return Value{Size: n}
-}
-
-// Validate checks the Size/Data consistency invariant.
-func (v Value) Validate() error {
-	if v.Data != nil && v.Size != len(v.Data) {
-		return fmt.Errorf("kvstore: value size %d != len(data) %d", v.Size, len(v.Data))
-	}
-	if v.Size < 0 {
-		return fmt.Errorf("kvstore: negative value size %d", v.Size)
-	}
-	return nil
 }
 
 // OpKind classifies an operation for profile accounting.
@@ -88,33 +70,17 @@ type OpTrace struct {
 // Engines are deterministic and not safe for concurrent use (the paper's
 // client issues requests sequentially; concurrency effects such as
 // Memcached's worker threads are modeled as memory-level parallelism in
-// the engine's Profile, not with goroutines).
+// the engine's profile, not with goroutines).
 //
-// Every operation exists in two forms: a string-keyed form that derives
-// the record identity itself, and an ID-addressed form (GetID/PutID/
-// DelID) taking a precomputed KeyID(key). The ID forms are the replay
-// fast path — a workload trace resolves each key's ID once at generation
-// time, so per-request re-hashing would be pure overhead; the string
-// forms remain for callers without a cached identity (tests, ad-hoc
-// use). Both forms are behaviourally identical: GetID(k, KeyID(k))
-// ≡ Get(k), and likewise for Put/Del.
+// Every operation takes the key together with its precomputed record
+// identity, id = KeyID(key): a workload trace resolves each key's ID once
+// at generation time, so no request re-hashes its key.
 type Store interface {
-	// Name identifies the engine ("redislike", "memcachedlike",
-	// "dynamolike").
-	Name() string
-	// Put inserts or replaces a value and reports the memory traffic.
-	Put(key string, v Value) OpTrace
-	// Get looks a key up. The returned Value is size-only if the store
-	// holds a size-only payload.
-	Get(key string) (Value, OpTrace)
-	// Del removes a key if present.
-	Del(key string) OpTrace
-	// PutID is Put with the caller-supplied record identity; id must
-	// equal KeyID(key).
+	// PutID inserts or replaces a value and reports the memory traffic.
 	PutID(key string, id uint64, v Value) OpTrace
-	// GetID is Get with the caller-supplied record identity.
+	// GetID looks a key up.
 	GetID(key string, id uint64) (Value, OpTrace)
-	// DelID is Del with the caller-supplied record identity.
+	// DelID removes a key if present.
 	DelID(key string, id uint64) OpTrace
 	// Len reports the number of resident keys.
 	Len() int
@@ -124,8 +90,6 @@ type Store interface {
 	// TakePauseNs drains any accumulated background stall (rehash, GC,
 	// eviction) that the next request must absorb, in nanoseconds.
 	TakePauseNs() float64
-	// Profile exposes the engine's performance characteristics.
-	Profile() EngineProfile
 }
 
 // PauseModel describes an engine's deterministic steady-state stall
@@ -152,11 +116,11 @@ type PauseModel struct {
 // BatchReplayer is the optional capability behind the server's batched
 // replay kernel (DESIGN.md §12). An engine that implements it can promise
 // that, once quiesced, its per-operation traces for resident keys are
-// static: no rehash in flight, no TTL reaping, no structural mutation on
-// overwrite — so Get/Put traces can be precomputed once into a flat cost
-// table and replayed without touching the store at all — and say which
-// of those traces an insert or remove has since moved (Relaid), so the
-// table is refreshed row by row rather than rebuilt.
+// static: no rehash in flight, no structural mutation on overwrite — so
+// Get/Put traces can be precomputed once into a flat cost table and
+// replayed without touching the store at all — and say which of those
+// traces an insert or remove has since moved (Relaid), so the table is
+// refreshed row by row rather than rebuilt.
 type BatchReplayer interface {
 	// Quiesce drives deferred background work (incremental rehash,
 	// pending node splits) to completion so subsequent operations on
@@ -165,9 +129,8 @@ type BatchReplayer interface {
 	// untimed. Quiesce is idempotent.
 	Quiesce()
 	// ReplayReady reports whether every resident key's Get/Put traces
-	// are static — typically true only after Quiesce on a store with no
-	// volatile (TTL-bearing) keys. A false return forces the caller back
-	// onto the per-operation path.
+	// are static — typically true only after Quiesce. A false return
+	// forces the caller back onto the per-operation path.
 	ReplayReady() bool
 	// StaticTrace returns the constant Get and Put pointer-chase counts
 	// of a resident key, without mutating the store. ok is false when the
@@ -234,8 +197,8 @@ func Amplify(size int, factor float64) int {
 	return int(float64(size) * factor)
 }
 
-// KeyID derives the stable 64-bit record identity used by the LLC model
-// and the placement engines. It must be a pure function of the key.
+// KeyID derives the stable 64-bit record identity the engines take with
+// every key (GetID/PutID/DelID). It must be a pure function of the key.
 func KeyID(key string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key)) // fnv never errors

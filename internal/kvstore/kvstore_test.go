@@ -6,12 +6,7 @@ import (
 )
 
 func TestValueConstructors(t *testing.T) {
-	b := Bytes([]byte("hello"))
-	if b.Size != 5 || string(b.Data) != "hello" {
-		t.Fatalf("Bytes = %+v", b)
-	}
-	s := Sized(100)
-	if s.Size != 100 || s.Data != nil {
+	if s := Sized(100); s.Size != 100 {
 		t.Fatalf("Sized = %+v", s)
 	}
 }
@@ -23,23 +18,6 @@ func TestSizedPanicsOnNegative(t *testing.T) {
 		}
 	}()
 	Sized(-1)
-}
-
-func TestValueValidate(t *testing.T) {
-	if err := Bytes([]byte("ab")).Validate(); err != nil {
-		t.Errorf("valid data value rejected: %v", err)
-	}
-	if err := Sized(10).Validate(); err != nil {
-		t.Errorf("valid sized value rejected: %v", err)
-	}
-	bad := Value{Size: 3, Data: []byte("ab")}
-	if err := bad.Validate(); err == nil {
-		t.Error("inconsistent value accepted")
-	}
-	neg := Value{Size: -1}
-	if err := neg.Validate(); err == nil {
-		t.Error("negative size accepted")
-	}
 }
 
 func TestOpKindString(t *testing.T) {

@@ -15,22 +15,14 @@ import "mnemo/internal/kvstore"
 // background work.
 func (s *Store) Quiesce() {}
 
-// ReplayReady implements kvstore.BatchReplayer. TTL-bearing items
-// disqualify the store: their lazy reaping depends on the store's
-// logical op clock, which a batched replay does not advance.
-func (s *Store) ReplayReady() bool {
-	for _, it := range s.index {
-		if it.expireAt != 0 {
-			return false
-		}
-	}
-	return true
-}
+// ReplayReady implements kvstore.BatchReplayer: the slab store's traces
+// never depend on dynamic state.
+func (s *Store) ReplayReady() bool { return true }
 
 // StaticTrace implements kvstore.BatchReplayer.
 func (s *Store) StaticTrace(key string, id uint64) (getChases, putChases int, ok bool) {
 	it, found := s.index[key]
-	if !found || s.expired(it) || it.id != id {
+	if !found || it.id != id {
 		return 0, 0, false
 	}
 	return 2, 3, true
@@ -47,9 +39,8 @@ func (s *Store) SyncReplayAccum(int64) {}
 
 // Relaid implements kvstore.BatchReplayer and always reports the change
 // unbounded, so callers re-probe every key. With constant traces a
-// journal of inserted keys would do, but ReplayReady walks the whole
-// index on every re-price anyway, and no measured workload re-prices a
-// slab store's table often enough for the journal to pay for itself.
+// journal of inserted keys would do, but no measured workload re-prices
+// a slab store's table often enough for the journal to pay for itself.
 func (s *Store) Relaid(func(key string, id uint64)) bool { return false }
 
 var _ kvstore.BatchReplayer = (*Store)(nil)

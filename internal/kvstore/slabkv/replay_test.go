@@ -10,7 +10,8 @@ import (
 func TestReplayReadyAndQuiesce(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("key%02d", i), kvstore.Sized(100))
+		key := fmt.Sprintf("key%02d", i)
+		s.PutID(key, kvstore.KeyID(key), kvstore.Sized(100))
 	}
 	s.Quiesce() // no deferred work; must be a no-op
 	if !s.ReplayReady() {
@@ -18,10 +19,6 @@ func TestReplayReadyAndQuiesce(t *testing.T) {
 	}
 	if s.Len() != 50 {
 		t.Fatalf("Quiesce changed residency: len=%d", s.Len())
-	}
-	s.PutTTL("volatile", kvstore.Sized(10), 100)
-	if s.ReplayReady() {
-		t.Error("store with TTL-bearing item reported ReplayReady")
 	}
 }
 
@@ -32,7 +29,7 @@ func TestStaticTraceMatchesLiveOps(t *testing.T) {
 	keys := make([]string, 20)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%02d", i)
-		s.Put(keys[i], kvstore.Sized(100))
+		s.PutID(keys[i], kvstore.KeyID(keys[i]), kvstore.Sized(100))
 	}
 	for _, k := range keys {
 		id := kvstore.KeyID(k)
@@ -49,25 +46,20 @@ func TestStaticTraceMatchesLiveOps(t *testing.T) {
 	}
 }
 
-func TestStaticTraceRejectsMissingMismatchedExpired(t *testing.T) {
+func TestStaticTraceRejectsMissingAndMismatched(t *testing.T) {
 	s := New(0)
-	s.Put("here", kvstore.Sized(10))
+	s.PutID("here", kvstore.KeyID("here"), kvstore.Sized(10))
 	if _, _, ok := s.StaticTrace("gone", kvstore.KeyID("gone")); ok {
 		t.Error("StaticTrace ok on missing key")
 	}
 	if _, _, ok := s.StaticTrace("here", 12345); ok {
 		t.Error("StaticTrace ok on mismatched record ID")
 	}
-	s.PutTTL("brief", kvstore.Sized(10), 1)
-	s.Get("other") // burn the TTL
-	if _, _, ok := s.StaticTrace("brief", kvstore.KeyID("brief")); ok {
-		t.Error("StaticTrace ok on expired key")
-	}
 }
 
 func TestReplayPausesIsZero(t *testing.T) {
 	s := New(0)
-	s.Put("k", kvstore.Sized(10))
+	s.PutID("k", kvstore.KeyID("k"), kvstore.Sized(10))
 	if pm := s.ReplayPauses(); pm != (kvstore.PauseModel{}) {
 		t.Errorf("slabkv PauseModel = %+v, want zero", pm)
 	}

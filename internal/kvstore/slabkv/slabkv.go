@@ -41,7 +41,6 @@ type item struct {
 	id         uint64
 	val        kvstore.Value
 	class      int
-	expireAt   int64 // logical op count at which the item lapses; 0 = never
 	prev, next *item // LRU list links within the class
 }
 
@@ -90,15 +89,13 @@ func (c *slabClass) bump(it *item) {
 
 // Store is the Memcached-like engine. Not safe for concurrent use.
 type Store struct {
-	classes     []slabClass
-	index       map[string]*item
-	memLimit    int64 // total chunk bytes allowed; 0 = unlimited
-	chunkUsed   int64
-	dataBytes   int64
-	pauseNs     float64
-	evictions   int64
-	ops         int64 // logical operation clock for TTLs
-	expirations int64
+	classes   []slabClass
+	index     map[string]*item
+	memLimit  int64 // total chunk bytes allowed; 0 = unlimited
+	chunkUsed int64
+	dataBytes int64
+	pauseNs   float64
+	evictions int64
 }
 
 // New creates a store with the given memory limit in bytes (0 =
@@ -131,12 +128,6 @@ func (s *Store) classFor(need int) (int, error) {
 	return 0, fmt.Errorf("slabkv: item of %d bytes exceeds max chunk %d", need, MaxChunk)
 }
 
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return Profile.Name }
-
-// Profile implements kvstore.Store.
-func (s *Store) Profile() kvstore.EngineProfile { return Profile }
-
 // Len implements kvstore.Store.
 func (s *Store) Len() int { return len(s.index) }
 
@@ -156,23 +147,13 @@ func (s *Store) TakePauseNs() float64 {
 	return p
 }
 
-// Get implements kvstore.Store.
-func (s *Store) Get(key string) (kvstore.Value, kvstore.OpTrace) {
-	return s.GetID(key, kvstore.KeyID(key))
-}
-
-// GetID implements kvstore.Store: Get with a precomputed KeyID.
+// GetID implements kvstore.Store.
 func (s *Store) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
-	s.opTick()
 	// Index probe + item header: memcached's hash walk is O(1) with its
 	// power-of-two table; two dependent loads model it.
 	tr := kvstore.OpTrace{Kind: kvstore.Read, RecordID: id, Chases: 2}
 	it, ok := s.index[key]
 	if !ok {
-		return kvstore.Value{}, tr
-	}
-	if s.expired(it) {
-		s.reap(it)
 		return kvstore.Value{}, tr
 	}
 	s.classes[it.class].bump(it)
@@ -181,17 +162,8 @@ func (s *Store) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
 	return it.val, tr
 }
 
-// Put implements kvstore.Store.
-func (s *Store) Put(key string, v kvstore.Value) kvstore.OpTrace {
-	return s.PutID(key, kvstore.KeyID(key), v)
-}
-
-// PutID implements kvstore.Store: Put with a precomputed KeyID.
+// PutID implements kvstore.Store.
 func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
-	if err := v.Validate(); err != nil {
-		panic(err)
-	}
-	s.opTick()
 	tr := kvstore.OpTrace{Kind: kvstore.Write, RecordID: id, Chases: 3,
 		Touched: kvstore.Amplify(v.Size, Profile.WriteAmplification)}
 	need := len(key) + v.Size + itemOverheadB
@@ -208,7 +180,6 @@ func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
 		if it.class == cls {
 			s.dataBytes += int64(v.Size) - int64(it.val.Size)
 			it.val = v
-			it.expireAt = 0 // a plain set resets any TTL, as memcached does
 			s.classes[cls].bump(it)
 			return tr
 		}
@@ -248,21 +219,11 @@ func (s *Store) evictFrom(cls int) bool {
 	return true
 }
 
-// Del implements kvstore.Store.
-func (s *Store) Del(key string) kvstore.OpTrace {
-	return s.DelID(key, kvstore.KeyID(key))
-}
-
-// DelID implements kvstore.Store: Del with a precomputed KeyID.
+// DelID implements kvstore.Store.
 func (s *Store) DelID(key string, id uint64) kvstore.OpTrace {
-	s.opTick()
 	tr := kvstore.OpTrace{Kind: kvstore.Delete, RecordID: id, Chases: 2}
 	it, ok := s.index[key]
 	if !ok {
-		return tr
-	}
-	if s.expired(it) {
-		s.reap(it)
 		return tr
 	}
 	s.classes[it.class].remove(it)

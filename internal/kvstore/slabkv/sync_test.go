@@ -13,7 +13,8 @@ import (
 func TestSyncReplayAccumNoop(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("key%02d", i), kvstore.Sized(100))
+		key := fmt.Sprintf("key%02d", i)
+		s.PutID(key, kvstore.KeyID(key), kvstore.Sized(100))
 	}
 	if pm := s.ReplayPauses(); pm != (kvstore.PauseModel{}) {
 		t.Fatalf("pauseless store reports pause model %+v", pm)

@@ -11,7 +11,7 @@ func populateTree(s *Store, n int) []string {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%04d", i)
-		s.Put(keys[i], kvstore.Sized(64))
+		s.PutID(keys[i], kvstore.KeyID(keys[i]), kvstore.Sized(64))
 	}
 	return keys
 }
@@ -31,7 +31,7 @@ func TestQuiesceReachesFixpoint(t *testing.T) {
 		t.Fatalf("tree invariants broken after Quiesce: %s", msg)
 	}
 	for _, k := range keys {
-		if _, tr := s.Get(k); !tr.Found {
+		if _, tr := s.GetID(k, kvstore.KeyID(k)); !tr.Found {
 			t.Fatalf("key %q lost across Quiesce", k)
 		}
 	}
@@ -102,12 +102,12 @@ func TestReplayPausesExportsGCModel(t *testing.T) {
 	}
 	s.TakePauseNs()
 	for i := 0; i < opsToPause-1; i++ {
-		s.Get("key0000")
+		s.GetID("key0000", kvstore.KeyID("key0000"))
 		if p := s.TakePauseNs(); p != 0 {
 			t.Fatalf("pause fired %d ops early", opsToPause-1-i)
 		}
 	}
-	s.Get("key0000")
+	s.GetID("key0000", kvstore.KeyID("key0000"))
 	if p := s.TakePauseNs(); p != gcPauseNs {
 		t.Fatalf("pause at predicted op = %v, want %v", p, float64(gcPauseNs))
 	}

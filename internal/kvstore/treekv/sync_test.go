@@ -30,7 +30,7 @@ func TestSyncReplayAccum(t *testing.T) {
 	// emitted — the behaviour the kernel relies on when handing per-op
 	// frames back to the live store.
 	s.SyncReplayAccum(gcAllocBudget - 1)
-	s.Put("key0000", kvstore.Sized(64))
+	s.PutID("key0000", kvstore.KeyID("key0000"), kvstore.Sized(64))
 	if got := s.ReplayPauses().Accum; got >= gcAllocBudget-1 {
 		t.Fatalf("accum did not reset across the budget: %d", got)
 	}

@@ -85,12 +85,6 @@ type Store struct {
 // New creates an empty store.
 func New() *Store { return &Store{root: &node{}} }
 
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return Profile.Name }
-
-// Profile implements kvstore.Store.
-func (s *Store) Profile() kvstore.EngineProfile { return Profile }
-
 // Len implements kvstore.Store.
 func (s *Store) Len() int { return s.count }
 
@@ -132,12 +126,7 @@ func (s *Store) Height() int {
 	return h
 }
 
-// Get implements kvstore.Store.
-func (s *Store) Get(key string) (kvstore.Value, kvstore.OpTrace) {
-	return s.GetID(key, kvstore.KeyID(key))
-}
-
-// GetID implements kvstore.Store: Get with a precomputed KeyID.
+// GetID implements kvstore.Store.
 func (s *Store) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
 	tr := kvstore.OpTrace{Kind: kvstore.Read, RecordID: id}
 	n := s.root
@@ -161,16 +150,8 @@ func (s *Store) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
 	}
 }
 
-// Put implements kvstore.Store.
-func (s *Store) Put(key string, v kvstore.Value) kvstore.OpTrace {
-	return s.PutID(key, kvstore.KeyID(key), v)
-}
-
-// PutID implements kvstore.Store: Put with a precomputed KeyID.
+// PutID implements kvstore.Store.
 func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
-	if err := v.Validate(); err != nil {
-		panic(err)
-	}
 	tr := kvstore.OpTrace{Kind: kvstore.Write, RecordID: id,
 		Touched: kvstore.Amplify(v.Size, Profile.WriteAmplification)}
 	if len(s.root.items) == 2*degree-1 {
@@ -243,13 +224,8 @@ func (s *Store) insertNonFull(n *node, it treeItem) (replacedSize int, replaced 
 	}
 }
 
-// Del implements kvstore.Store. Deletion uses the standard B-tree
+// DelID implements kvstore.Store. Deletion uses the standard B-tree
 // rebalancing algorithm (borrow or merge on the way down).
-func (s *Store) Del(key string) kvstore.OpTrace {
-	return s.DelID(key, kvstore.KeyID(key))
-}
-
-// DelID implements kvstore.Store: Del with a precomputed KeyID.
 func (s *Store) DelID(key string, id uint64) kvstore.OpTrace {
 	tr := kvstore.OpTrace{Kind: kvstore.Delete, RecordID: id}
 	removedSize, removed, chases := s.delete(s.root, key)

@@ -12,9 +12,9 @@ import (
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := New()
-	s.Put("k", kvstore.Bytes([]byte("abc")))
-	v, tr := s.Get("k")
-	if !tr.Found || string(v.Data) != "abc" {
+	s.PutID("k", kvstore.KeyID("k"), kvstore.Sized(3))
+	v, tr := s.GetID("k", kvstore.KeyID("k"))
+	if !tr.Found || v.Size != 3 {
 		t.Fatalf("Get = %+v / %+v", v, tr)
 	}
 	if tr.Touched != int(3*Profile.ReadAmplification) {
@@ -24,19 +24,19 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	s := New()
-	if _, tr := s.Get("nope"); tr.Found {
+	if _, tr := s.GetID("nope", kvstore.KeyID("nope")); tr.Found {
 		t.Fatal("missing found")
 	}
-	s.Put("a", kvstore.Sized(1))
-	if _, tr := s.Get("b"); tr.Found {
+	s.PutID("a", kvstore.KeyID("a"), kvstore.Sized(1))
+	if _, tr := s.GetID("b", kvstore.KeyID("b")); tr.Found {
 		t.Fatal("sibling key found")
 	}
 }
 
 func TestReplaceKeepsCount(t *testing.T) {
 	s := New()
-	s.Put("k", kvstore.Sized(10))
-	tr := s.Put("k", kvstore.Sized(30))
+	s.PutID("k", kvstore.KeyID("k"), kvstore.Sized(10))
+	tr := s.PutID("k", kvstore.KeyID("k"), kvstore.Sized(30))
 	if !tr.Found {
 		t.Error("replace not flagged")
 	}
@@ -51,7 +51,7 @@ func TestSortedIterationAfterManyInserts(t *testing.T) {
 	want := map[string]bool{}
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("key%08d", rng.Intn(100000))
-		s.Put(k, kvstore.Sized(8))
+		s.PutID(k, kvstore.KeyID(k), kvstore.Sized(8))
 		want[k] = true
 	}
 	keys := s.Keys()
@@ -73,13 +73,14 @@ func TestDeleteRebalances(t *testing.T) {
 	s := New()
 	const n = 3000
 	for i := 0; i < n; i++ {
-		s.Put(fmt.Sprintf("key%06d", i), kvstore.Sized(4))
+		key := fmt.Sprintf("key%06d", i)
+		s.PutID(key, kvstore.KeyID(key), kvstore.Sized(4))
 	}
 	rng := rand.New(rand.NewSource(2))
 	perm := rng.Perm(n)
 	for step, idx := range perm {
 		key := fmt.Sprintf("key%06d", idx)
-		tr := s.Del(key)
+		tr := s.DelID(key, kvstore.KeyID(key))
 		if !tr.Found {
 			t.Fatalf("delete %s missed", key)
 		}
@@ -92,17 +93,17 @@ func TestDeleteRebalances(t *testing.T) {
 	if s.Len() != 0 || s.DataBytes() != 0 {
 		t.Fatalf("residue: len=%d bytes=%d", s.Len(), s.DataBytes())
 	}
-	if tr := s.Del("key000000"); tr.Found {
+	if tr := s.DelID("key000000", kvstore.KeyID("key000000")); tr.Found {
 		t.Fatal("delete from empty tree found")
 	}
 }
 
 func TestGCPausesAccrue(t *testing.T) {
 	s := New()
-	s.Put("big", kvstore.Sized(1<<20))
+	s.PutID("big", kvstore.KeyID("big"), kvstore.Sized(1<<20))
 	var paused bool
 	for i := 0; i < 100 && !paused; i++ {
-		s.Get("big") // 1 MB per read: GC budget exhausted quickly
+		s.GetID("big", kvstore.KeyID("big")) // 1 MB per read: GC budget exhausted quickly
 		if s.TakePauseNs() > 0 {
 			paused = true
 		}
@@ -119,7 +120,8 @@ func TestRootSplitPause(t *testing.T) {
 	s := New()
 	var sawPause bool
 	for i := 0; i < 2000; i++ {
-		s.Put(fmt.Sprintf("k%06d", i), kvstore.Sized(1))
+		key := fmt.Sprintf("k%06d", i)
+		s.PutID(key, kvstore.KeyID(key), kvstore.Sized(1))
 		if s.TakePauseNs() > 0 {
 			sawPause = true
 		}
@@ -136,18 +138,9 @@ func TestProfileSensitivityOrdering(t *testing.T) {
 	if Profile.MLP != 1 {
 		t.Error("dynamo-like engine should not overlap stalls")
 	}
-	if New().Name() != "dynamolike" {
+	if Profile.Name != "dynamolike" {
 		t.Error("name wrong")
 	}
-}
-
-func TestPutInvalidValuePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New().Put("k", kvstore.Value{Size: 9, Data: []byte("x")})
 }
 
 // Property: the tree agrees with a reference map and keeps its invariants
@@ -165,16 +158,16 @@ func TestMatchesReferenceMapProperty(t *testing.T) {
 			key := fmt.Sprintf("k%03d", o.Key)
 			switch o.Kind % 3 {
 			case 0:
-				s.Put(key, kvstore.Sized(int(o.Size)))
+				s.PutID(key, kvstore.KeyID(key), kvstore.Sized(int(o.Size)))
 				ref[key] = int(o.Size)
 			case 1:
-				v, tr := s.Get(key)
+				v, tr := s.GetID(key, kvstore.KeyID(key))
 				want, ok := ref[key]
 				if tr.Found != ok || (ok && v.Size != want) {
 					return false
 				}
 			case 2:
-				tr := s.Del(key)
+				tr := s.DelID(key, kvstore.KeyID(key))
 				if _, ok := ref[key]; tr.Found != ok {
 					return false
 				}
@@ -194,7 +187,8 @@ func TestMatchesReferenceMapProperty(t *testing.T) {
 func TestHeightGrowsLogarithmically(t *testing.T) {
 	s := New()
 	for i := 0; i < 100000; i++ {
-		s.Put(fmt.Sprintf("key%08d", i), kvstore.Sized(1))
+		key := fmt.Sprintf("key%08d", i)
+		s.PutID(key, kvstore.KeyID(key), kvstore.Sized(1))
 	}
 	if h := s.Height(); h > 6 {
 		t.Errorf("height %d too tall for 100k keys at degree %d", h, degree)

@@ -20,8 +20,6 @@ package memsim
 import (
 	"errors"
 	"fmt"
-
-	"mnemo/internal/simclock"
 )
 
 // Tier identifies one of the two memory components.
@@ -178,15 +176,6 @@ type RecordRef struct {
 	Bytes int
 }
 
-// Traffic describes how one logical access was served.
-type Traffic struct {
-	Tier      Tier
-	HitBytes  int  // bytes served from the LLC
-	MissBytes int  // bytes served from the memory node
-	Chases    int  // dependent pointer chases issued
-	CacheHit  bool // true when the record was fully LLC-resident
-}
-
 // Machine is the emulated dual-node platform.
 type Machine struct {
 	fast, slow *Node
@@ -236,25 +225,9 @@ func (m *Machine) Node(t Tier) *Node {
 // LLC returns the cache model, or nil when disabled.
 func (m *Machine) LLC() *LRUCache { return m.llc }
 
-// Touch performs one logical access of the record on the given tier with
-// the given number of pointer chases, updating the LLC model, and returns
-// how the access was served.
-func (m *Machine) Touch(t Tier, rec RecordRef, chases int) Traffic {
-	tr := Traffic{Tier: t, Chases: chases}
-	if m.llc != nil && m.llc.Access(rec) {
-		tr.CacheHit = true
-		tr.HitBytes = rec.Bytes
-		return tr
-	}
-	tr.MissBytes = rec.Bytes
-	return tr
-}
-
 // TouchHit performs one logical access of the record, updating the LLC
-// model exactly as Touch does, and reports only whether the record was
-// LLC-resident. This is the narrow form used by the server's pricing hot
-// path, which selects the serving medium from the hit bit alone and has
-// no use for a Traffic breakdown.
+// model, and reports whether the record was LLC-resident. The server's
+// pricing path selects the serving medium from this hit bit.
 func (m *Machine) TouchHit(rec RecordRef) bool {
 	return m.llc != nil && m.llc.Access(rec)
 }
@@ -264,23 +237,6 @@ func (m *Machine) Invalidate(rec RecordRef) {
 	if m.llc != nil {
 		m.llc.Remove(rec.ID)
 	}
-}
-
-// CostNs prices a Traffic result: chases and miss bytes at the node's
-// parameters, hit bytes at LLC parameters. The caller (internal/server)
-// layers engine-specific memory-level parallelism and write buffering on
-// top of this raw cost.
-func (m *Machine) CostNs(tr Traffic) float64 {
-	if tr.CacheHit {
-		return LLCParams.ChaseNs(tr.Chases) + LLCParams.TransferNs(tr.HitBytes)
-	}
-	p := m.Node(tr.Tier).Params
-	return p.ChaseNs(tr.Chases) + p.TransferNs(tr.MissBytes)
-}
-
-// Cost is CostNs expressed as a simulated duration.
-func (m *Machine) Cost(tr Traffic) simclock.Duration {
-	return simclock.FromNanos(m.CostNs(tr))
 }
 
 // Calibration holds the latency and bandwidth measured through the access

@@ -103,28 +103,23 @@ func TestNodePanics(t *testing.T) {
 func TestMachineTouchMissThenHit(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	rec := RecordRef{ID: 1, Bytes: 4096}
-	tr := m.Touch(Slow, rec, 2)
-	if tr.CacheHit || tr.MissBytes != 4096 || tr.HitBytes != 0 {
-		t.Fatalf("first touch should miss: %+v", tr)
+	if m.TouchHit(rec) {
+		t.Fatal("first touch should miss")
 	}
-	tr = m.Touch(Slow, rec, 2)
-	if !tr.CacheHit || tr.HitBytes != 4096 || tr.MissBytes != 0 {
-		t.Fatalf("second touch should hit: %+v", tr)
+	if !m.TouchHit(rec) {
+		t.Fatal("second touch should hit")
 	}
 }
 
 func TestMachineCostTiers(t *testing.T) {
 	m := NewMachine(DefaultConfig())
-	recA := RecordRef{ID: 1, Bytes: 100 << 10}
-	recB := RecordRef{ID: 2, Bytes: 100 << 10}
-	fast := m.CostNs(m.Touch(Fast, recA, 1))
-	slow := m.CostNs(m.Touch(Slow, recB, 1))
+	fast := m.Node(Fast).Params.AccessNs(1, 100<<10)
+	slow := m.Node(Slow).Params.AccessNs(1, 100<<10)
 	if slow <= fast {
 		t.Fatalf("slow access (%.0f ns) should cost more than fast (%.0f ns)", slow, fast)
 	}
-	// 100 KiB at 1.81 GB/s ≈ 52.7 µs dominates; check within 10%.
-	wantSlow := SlowMemParams.AccessNs(1, 100<<10)
-	if math.Abs(slow-wantSlow) > 1 {
+	// One 238.1 ns chase plus 100 KiB at 1.81 GB/s (≈52.7 µs).
+	if wantSlow := 238.1 + 102400/(1.81*1.073741824); math.Abs(slow-wantSlow) > 1 {
 		t.Errorf("slow cost %.0f, want %.0f", slow, wantSlow)
 	}
 }
@@ -132,28 +127,22 @@ func TestMachineCostTiers(t *testing.T) {
 func TestMachineCostCacheHitCheap(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	rec := RecordRef{ID: 7, Bytes: 64 << 10}
-	miss := m.CostNs(m.Touch(Slow, rec, 1))
-	hit := m.CostNs(m.Touch(Slow, rec, 1))
+	if m.TouchHit(rec) || !m.TouchHit(rec) {
+		t.Fatal("want a miss, then a hit")
+	}
+	miss := m.Node(Slow).Params.AccessNs(1, rec.Bytes)
+	hit := LLCParams.AccessNs(1, rec.Bytes)
 	if hit >= miss/10 {
 		t.Fatalf("cache hit %.0f ns not ≪ miss %.0f ns", hit, miss)
-	}
-}
-
-func TestMachineCostDuration(t *testing.T) {
-	m := NewMachine(DefaultConfig())
-	tr := m.Touch(Fast, RecordRef{ID: 3, Bytes: 1024}, 1)
-	if m.Cost(tr).Nanoseconds() <= 0 {
-		t.Fatal("cost duration should be positive")
 	}
 }
 
 func TestMachineInvalidate(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	rec := RecordRef{ID: 5, Bytes: 1024}
-	m.Touch(Fast, rec, 1)
+	m.TouchHit(rec)
 	m.Invalidate(rec)
-	tr := m.Touch(Fast, rec, 1)
-	if tr.CacheHit {
+	if m.TouchHit(rec) {
 		t.Fatal("invalidated record still hit")
 	}
 }
@@ -166,9 +155,8 @@ func TestMachineNoLLC(t *testing.T) {
 		t.Fatal("LLC should be disabled")
 	}
 	rec := RecordRef{ID: 1, Bytes: 1024}
-	m.Touch(Fast, rec, 1)
-	tr := m.Touch(Fast, rec, 1)
-	if tr.CacheHit {
+	m.TouchHit(rec)
+	if m.TouchHit(rec) {
 		t.Fatal("hit without a cache model")
 	}
 	m.Invalidate(rec) // must not panic

@@ -153,6 +153,3 @@ func (d *Deployment) RecordTiers() []memsim.Tier { return d.tiers }
 // Adaptive replay is active only when both are set: a nil source or
 // EpochOps ≤ 0 keeps the legacy static path bit-exactly.
 func (d *Deployment) AdaptiveSpec() (EpochSource, int) { return d.cfg.Adaptive, d.cfg.EpochOps }
-
-// MigrationCostPerByte reports the configured per-byte migration charge.
-func (d *Deployment) MigrationCostPerByte() float64 { return d.cfg.MigrationCostPerByte }

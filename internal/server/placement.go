@@ -4,26 +4,20 @@ import (
 	"mnemo/internal/memsim"
 )
 
-// Placement maps keys to memory tiers. The paper's deployment runs two
-// server instances of the same key-value store, one bound to each memory
-// node; a placement decides which instance serves each key. Placements
-// are static — Mnemo produces "a static key allocation, with no support
-// for dynamic data migration".
+// Placement maps dataset records to memory tiers. The paper's deployment
+// runs two server instances of the same key-value store, one bound to
+// each memory node; a placement decides which instance serves each
+// record. Placements are static — Mnemo produces "a static key
+// allocation, with no support for dynamic data migration".
 //
-// A placement carries one of two representations. String-keyed
-// placements (AllFast/AllSlow/FastSet) resolve tiers by key through a
-// map. Index-keyed placements (FastIndices) carry a dense []memsim.Tier
-// addressed by dataset record index — the replay fast path, since a
-// workload trace already refers to records by index. Deployment.Load
-// materializes either form into its per-record tier table, so both are
-// equally usable; only the lookup cost differs.
+// A placement addresses records by dataset index, since a workload trace
+// already refers to records that way: AllFast and AllSlow put every
+// record on one tier, FastIndices carries a dense []memsim.Tier.
+// Deployment.Load materializes it into its per-record tier table.
 type Placement struct {
 	defaultTier memsim.Tier
-	overrides   map[string]memsim.Tier
-	// dense is the index-keyed representation: dense[i] is the tier of
-	// dataset record i. When non-nil it is authoritative and overrides
-	// is nil; string lookups on a dense placement fall back to the
-	// default tier.
+	// dense[i] is the tier of dataset record i; nil places every record
+	// on defaultTier.
 	dense []memsim.Tier
 }
 
@@ -33,20 +27,10 @@ func AllFast() Placement { return Placement{defaultTier: memsim.Fast} }
 // AllSlow places every key on SlowMem — the worst-case baseline.
 func AllSlow() Placement { return Placement{defaultTier: memsim.Slow} }
 
-// FastSet places the listed keys on FastMem and everything else on
-// SlowMem — the incremental tierings of the estimate curve.
-func FastSet(fastKeys []string) Placement {
-	p := Placement{defaultTier: memsim.Slow, overrides: make(map[string]memsim.Tier, len(fastKeys))}
-	for _, k := range fastKeys {
-		p.overrides[k] = memsim.Fast
-	}
-	return p
-}
-
 // FastIndices places the records with the listed dataset indices on
-// FastMem and the rest of the `total`-record dataset on SlowMem. This is
-// the index-keyed equivalent of FastSet: no key strings are stored and
-// tier resolution is a slice load. Indices outside [0, total) panic.
+// FastMem and the rest of the `total`-record dataset on SlowMem — the
+// incremental tierings of the estimate curve. Indices outside
+// [0, total) panic.
 func FastIndices(fastIdx []int, total int) Placement {
 	if total < 0 {
 		panic("server: negative dataset size")
@@ -61,44 +45,21 @@ func FastIndices(fastIdx []int, total int) Placement {
 	return Placement{defaultTier: memsim.Slow, dense: dense}
 }
 
-// TierOf returns the tier serving the key. For index-keyed placements
-// the key string carries no routing information, so the default tier is
-// returned; resolve by index instead (TierOfIndex).
-func (p Placement) TierOf(key string) memsim.Tier {
-	if t, ok := p.overrides[key]; ok {
-		return t
-	}
-	return p.defaultTier
-}
-
 // TierOfIndex returns the tier serving the record with the given dataset
-// index. For string-keyed placements every record follows the map-free
-// default, so callers holding keys should use TierOf; Deployment.Load
-// resolves each record once through tierForRecord and caches the result.
+// index; an index the placement does not cover gets the default tier.
 func (p Placement) TierOfIndex(idx int) memsim.Tier {
-	if p.dense != nil && idx >= 0 && idx < len(p.dense) {
+	if idx >= 0 && idx < len(p.dense) {
 		return p.dense[idx]
 	}
 	return p.defaultTier
 }
 
-// tierForRecord resolves one dataset record through whichever
-// representation the placement carries.
-func (p Placement) tierForRecord(idx int, key string) memsim.Tier {
-	if p.dense != nil {
-		if idx >= 0 && idx < len(p.dense) {
-			return p.dense[idx]
-		}
-		return p.defaultTier
-	}
-	return p.TierOf(key)
-}
-
-// Dense reports whether the placement is index-keyed.
+// Dense reports whether the placement lists a tier per record (false for
+// AllFast and AllSlow).
 func (p Placement) Dense() bool { return p.dense != nil }
 
-// FastKeyCount reports how many keys are explicitly pinned to FastMem
-// (0 for AllFast/AllSlow placements, which pin via the default).
+// FastKeyCount reports how many records are explicitly pinned to
+// FastMem (0 for AllFast/AllSlow placements, which pin via the default).
 func (p Placement) FastKeyCount() int {
 	n := 0
 	for _, t := range p.dense {
@@ -106,13 +67,8 @@ func (p Placement) FastKeyCount() int {
 			n++
 		}
 	}
-	for _, t := range p.overrides {
-		if t == memsim.Fast {
-			n++
-		}
-	}
 	return n
 }
 
-// Default reports the tier used for keys without an explicit override.
+// Default reports the tier used for records without an explicit tier.
 func (p Placement) Default() memsim.Tier { return p.defaultTier }

@@ -174,35 +174,6 @@ func TestBoundedRepriceAllocs(t *testing.T) {
 	}
 }
 
-// TestDoForeignKeyRepricesTable: writing a key outside the dataset
-// reshapes an engine like a structural request does, so the table must
-// go stale — and refresh to what a full re-price gives — and a write
-// wave that leaves a rehash in flight must withhold the kernel.
-func TestDoForeignKeyRepricesTable(t *testing.T) {
-	w := smallWorkload(t, ycsb.SizeFixed1KB, 0.9)
-	d := loadHalfFast(t, DefaultConfig(RedisLike, 5), w)
-	if d.BatchTable() == nil {
-		t.Fatal("no table after Load")
-	}
-	for i := 0; i < 3; i++ {
-		d.Do(fmt.Sprintf("foreign-%d", i), kvstore.Write, 1024)
-	}
-	if d.stale != causeStructural || !d.mutated {
-		t.Fatalf("foreign writes left stale=%d mutated=%v, want structural and mutated", d.stale, d.mutated)
-	}
-	requireRepricedAsFull(t, d)
-	for i := 3; i < 50; i++ {
-		d.Do(fmt.Sprintf("foreign-%d", i), kvstore.Write, 1024)
-	}
-	if d.BatchTable() != nil {
-		t.Fatal("kernel offered while the SlowMem table is mid-rehash")
-	}
-	d.Do("foreign-0", kvstore.Read, 0)
-	if d.stale != priced {
-		t.Fatal("a foreign read left the table stale")
-	}
-}
-
 // TestRelaidStampWraps: the per-row generation stamps that dedup a
 // drain's rows restart cleanly when the drain counter wraps — rows
 // stamped with the generation the counter restarts at must still be

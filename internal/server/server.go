@@ -178,7 +178,7 @@ type Deployment struct {
 	records []ycsb.Record
 	tiers   []memsim.Tier
 	// rows resolves a (key, KeyID) pair to its record index for the
-	// string-keyed Do and the journal-driven re-price: an open-addressed
+	// journal-driven re-price (batch.go): an open-addressed
 	// table of record index + 1 (0 = empty slot), probed linearly from
 	// the KeyID. Built on first use, dropped by Load.
 	rows []int32
@@ -268,16 +268,16 @@ func (d *Deployment) Instance(t memsim.Tier) kvstore.Store { return d.instances[
 //
 // Load also fixes how the deployment addresses its LLC: the cache
 // reserves one directly indexed handle per dataset record, and from
-// here on every path — Serve, DoIndex, Do, streamed per-op frames,
-// delete invalidation — identifies a record to the cache by its dataset
-// index, never by its key hash.
+// here on every path — Serve, DoIndex, streamed per-op frames, delete
+// invalidation — identifies a record to the cache by its dataset index,
+// never by its key hash.
 func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	d.placement = p
 	d.records = ds.Records
 	d.rows = nil
 	d.tiers = make([]memsim.Tier, len(ds.Records))
 	for i, rec := range ds.Records {
-		tier := p.tierForRecord(i, rec.Key)
+		tier := p.TierOfIndex(i)
 		d.tiers[i] = tier
 		if err := d.machine.Node(tier).Alloc(int64(rec.Size)); err != nil {
 			return fmt.Errorf("server: loading %q: %w", rec.Key, err)
@@ -313,35 +313,6 @@ type Result struct {
 	Latency simclock.Duration
 	Found   bool
 	Hit     bool // LLC hit
-}
-
-// foreignLLCBit is forced on in the LLC identity of a key outside the
-// loaded dataset. Such a key is known to the cache by its 64-bit hash;
-// with the top bit set no hash can fall inside the range of record
-// indices Load reserved, so dense and hashed identities never alias.
-const foreignLLCBit = 1 << 63
-
-// Do executes one request addressed by key string, advancing the clock
-// by its service time. It resolves the key to its dataset record index
-// and shares DoIndex's body, so the two forms address the same LLC
-// entry and may be mixed on one deployment; replay loops holding
-// indices should call DoIndex and skip the lookup. size is the value
-// size a write stores. A key outside the loaded dataset is routed by the
-// placement and served under its hashed identity; writing or deleting
-// one reshapes the engine as a structural request does, so it too
-// leaves the cost table stale and the deployment mutated.
-func (d *Deployment) Do(key string, kind kvstore.OpKind, size int) Result {
-	id := kvstore.KeyID(key)
-	if idx, ok := d.row(key, id); ok {
-		if kind != kvstore.Read {
-			d.noteStructural(idx, kind)
-		}
-		return d.do(d.tiers[idx], key, id, uint64(idx), kind, size)
-	}
-	if kind != kvstore.Read && d.tiers != nil { // unloaded: no table to price
-		d.mutated, d.stale = true, causeStructural
-	}
-	return d.do(d.placement.TierOf(key), key, id, id|foreignLLCBit, kind, size)
 }
 
 // row resolves a key and its KeyID to the dataset record index, building
@@ -382,7 +353,20 @@ func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
 	if kind != kvstore.Read {
 		d.noteStructural(idx, kind)
 	}
-	return d.do(d.tiers[idx], rec.Key, rec.ID, uint64(idx), kind, rec.Size)
+	tier := d.tiers[idx]
+	st := d.instances[tier]
+	var tr kvstore.OpTrace
+	switch kind {
+	case kvstore.Read:
+		_, tr = st.GetID(rec.Key, rec.ID)
+	case kvstore.Write:
+		tr = st.PutID(rec.Key, rec.ID, kvstore.Value{Size: rec.Size})
+	case kvstore.Delete:
+		tr = st.DelID(rec.Key, rec.ID)
+	default:
+		panic(fmt.Sprintf("server: unknown op kind %v", kind))
+	}
+	return d.price(tier, st, kind, tr, rec.Size, uint64(idx))
 }
 
 // noteStructural tracks the deleted-record set for a non-read request
@@ -410,25 +394,6 @@ func (d *Deployment) noteStructural(idx int, kind kvstore.OpKind) {
 	}
 	d.mutated = true
 	d.stale = causeStructural
-}
-
-// do is the shared body of Do and DoIndex: one engine operation on the
-// given tier's instance, priced. id is the record's engine identity
-// (KeyID), llcID its identity in the LLC model.
-func (d *Deployment) do(tier memsim.Tier, key string, id, llcID uint64, kind kvstore.OpKind, size int) Result {
-	st := d.instances[tier]
-	var tr kvstore.OpTrace
-	switch kind {
-	case kvstore.Read:
-		_, tr = st.GetID(key, id)
-	case kvstore.Write:
-		tr = st.PutID(key, id, kvstore.Value{Size: size})
-	case kvstore.Delete:
-		tr = st.DelID(key, id)
-	default:
-		panic(fmt.Sprintf("server: unknown op kind %v", kind))
-	}
-	return d.price(tier, st, kind, tr, size, llcID)
 }
 
 // price turns an operation trace into simulated service time and

@@ -46,14 +46,14 @@ func TestEngineProfilesDiffer(t *testing.T) {
 }
 
 func TestPlacementRouting(t *testing.T) {
-	p := FastSet([]string{"a", "b"})
-	if p.TierOf("a") != memsim.Fast || p.TierOf("z") != memsim.Slow {
-		t.Fatal("FastSet routing wrong")
+	p := FastIndices([]int{0, 1}, 3)
+	if p.TierOfIndex(1) != memsim.Fast || p.TierOfIndex(2) != memsim.Slow {
+		t.Fatal("FastIndices routing wrong")
 	}
 	if p.FastKeyCount() != 2 {
 		t.Fatalf("FastKeyCount = %d", p.FastKeyCount())
 	}
-	if AllFast().TierOf("x") != memsim.Fast || AllSlow().TierOf("x") != memsim.Slow {
+	if AllFast().TierOfIndex(7) != memsim.Fast || AllSlow().TierOfIndex(7) != memsim.Slow {
 		t.Fatal("baseline placements wrong")
 	}
 	if AllFast().Default() != memsim.Fast {
@@ -67,8 +67,7 @@ func TestPlacementRouting(t *testing.T) {
 func TestLoadRoutesDataToTiers(t *testing.T) {
 	w := smallWorkload(t, ycsb.SizeFixed1KB, 1)
 	d := NewDeployment(DefaultConfig(RedisLike, 1))
-	fastKeys := []string{w.Dataset.Records[0].Key, w.Dataset.Records[1].Key}
-	if err := d.Load(w.Dataset, FastSet(fastKeys)); err != nil {
+	if err := d.Load(w.Dataset, FastIndices([]int{0, 1}, len(w.Dataset.Records))); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Instance(memsim.Fast).Len(); got != 2 {
@@ -99,7 +98,7 @@ func TestDoAdvancesClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := d.Clock()
-	res := d.Do(w.Dataset.Records[0].Key, kvstore.Read, 0)
+	res := d.DoIndex(0, kvstore.Read)
 	if !res.Found {
 		t.Fatal("loaded key not found")
 	}
@@ -112,13 +111,17 @@ func TestDoAdvancesClock(t *testing.T) {
 }
 
 func TestDoUnknownKindPanics(t *testing.T) {
+	w := smallWorkload(t, ycsb.SizeFixed1KB, 1)
 	d := NewDeployment(DefaultConfig(RedisLike, 1))
+	if err := d.Load(w.Dataset, AllFast()); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.Do("k", kvstore.OpKind(9), 0)
+	d.DoIndex(0, kvstore.OpKind(9))
 }
 
 func TestSlowTierSlowerForLargeRecords(t *testing.T) {
@@ -132,8 +135,7 @@ func TestSlowTierSlowerForLargeRecords(t *testing.T) {
 		}
 		var total float64
 		for _, op := range w.Ops {
-			rec := w.Dataset.Records[op.Key]
-			total += float64(d.Do(rec.Key, op.Kind, rec.Size).Latency)
+			total += float64(d.DoIndex(op.Key, op.Kind).Latency)
 		}
 		return total
 	}
@@ -157,8 +159,7 @@ func TestSensitivityOrderingAcrossEngines(t *testing.T) {
 			}
 			var total float64
 			for _, op := range w.Ops {
-				rec := w.Dataset.Records[op.Key]
-				total += float64(d.Do(rec.Key, op.Kind, rec.Size).Latency)
+				total += float64(d.DoIndex(op.Key, op.Kind).Latency)
 			}
 			return total
 		}
@@ -190,8 +191,7 @@ func TestWritesLessAffectedThanReads(t *testing.T) {
 			}
 			var total float64
 			for _, op := range w.Ops {
-				rec := w.Dataset.Records[op.Key]
-				total += float64(d.Do(rec.Key, op.Kind, rec.Size).Latency)
+				total += float64(d.DoIndex(op.Key, op.Kind).Latency)
 			}
 			return total
 		}
@@ -217,8 +217,7 @@ func TestSmallRecordsLessAffected(t *testing.T) {
 			}
 			var total float64
 			for _, op := range w.Ops {
-				rec := w.Dataset.Records[op.Key]
-				total += float64(d.Do(rec.Key, op.Kind, rec.Size).Latency)
+				total += float64(d.DoIndex(op.Key, op.Kind).Latency)
 			}
 			return total
 		}
@@ -239,9 +238,8 @@ func TestLLCAbsorbsHotKeys(t *testing.T) {
 	if err := d.Load(w.Dataset, AllSlow()); err != nil {
 		t.Fatal(err)
 	}
-	key := w.Dataset.Records[0].Key
-	first := d.Do(key, kvstore.Read, 0)
-	second := d.Do(key, kvstore.Read, 0)
+	first := d.DoIndex(0, kvstore.Read)
+	second := d.DoIndex(0, kvstore.Read)
 	if first.Hit {
 		t.Fatal("cold access hit the LLC")
 	}
@@ -263,8 +261,7 @@ func TestNoiseZeroIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, op := range w.Ops {
-			rec := w.Dataset.Records[op.Key]
-			d.Do(rec.Key, op.Kind, rec.Size)
+			d.DoIndex(op.Key, op.Kind)
 		}
 		return d.Clock().Nanoseconds()
 	}

@@ -111,12 +111,11 @@ func (sd *ShardedDeployment) Load(p Placement) error {
 }
 
 // localPlacement remaps the global placement onto one shard's local
-// record indices, resolving each record once through the same
-// tierForRecord path Deployment.Load uses.
+// record indices.
 func (sd *ShardedDeployment) localPlacement(p Placement, sub *shard.Sub) Placement {
 	dense := make([]memsim.Tier, len(sub.GlobalIndex))
 	for local, g := range sub.GlobalIndex {
-		dense[local] = p.tierForRecord(int(g), sub.W.Dataset.Records[local].Key)
+		dense[local] = p.TierOfIndex(int(g))
 	}
 	return Placement{defaultTier: p.defaultTier, dense: dense}
 }
