@@ -297,6 +297,11 @@ const replayBlockOps = server.ReplayBlockOps
 // error names the same run-global request index whichever path served
 // the request that crossed it.
 //
+// Under a context from ShareLLC the run is priced from the share's LLC
+// hit stream of w for as long as the stream can serve it; AwaitFrame
+// waits for the stream's producer and hands the run over to the live
+// cache when a frame needs it.
+//
 // With an adaptive source configured (DESIGN.md §15) an epoch is a frame
 // boundary: see epochs.
 func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum, budget simclock.Duration) (epochTelemetry, error) {
@@ -311,6 +316,9 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		if ep, err = beginEpochs(src, epochOps, w); err != nil {
 			return tel, err
 		}
+	}
+	if sh := llcShareFrom(ctx); sh != nil {
+		d.AttachLLCStream(sh, w)
 	}
 	start := d.Clock()
 	var maxClock simclock.Duration
@@ -329,6 +337,9 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		}
 		if err != nil {
 			return tel, fmt.Errorf("client: decoding trace frame at request %d: %w", done, err)
+		}
+		if err := d.AwaitFrame(ctx, keys, rw); err != nil {
+			return tel, err
 		}
 		served := len(keys)
 		if t := d.FrameTable(keys, rw); t != nil {

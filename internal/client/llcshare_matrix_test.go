@@ -1,0 +1,95 @@
+package client_test
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"mnemo/internal/client"
+	"mnemo/internal/obs"
+	"mnemo/internal/registry"
+	"mnemo/internal/server"
+	"mnemo/internal/trace"
+	"mnemo/internal/ycsb"
+)
+
+// TestReplayEquivalenceMatrixShared is the equivalence matrix's shared
+// LLC stream axis at the shape the measuring calls use it: Runs: 3
+// repetitions through ExecuteMeanCtx, over {in-memory, .mtrc} ×
+// {unsharded, 4 shards} × {static, adaptive-freq} × the three engines.
+// Every cell's aggregate under a share must equal the unshared one bit
+// for bit, and must actually have been priced from a stream.
+func TestReplayEquivalenceMatrixShared(t *testing.T) {
+	w := ycsb.MustGenerate(ycsb.Spec{
+		Name: "sharedaxis", Keys: 600, Requests: 6*server.ReplayBlockOps + 321,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
+		ReadRatio: 0.9, Sizes: ycsb.SizeTrendingPreview, Seed: 23,
+	})
+	var dataset int64
+	for _, r := range w.Dataset.Records {
+		dataset += int64(r.Size)
+	}
+	path := filepath.Join(t.TempDir(), "shared.mtrc")
+	if err := trace.WriteWorkload(w, path); err != nil {
+		t.Fatal(err)
+	}
+	tw, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.Spec = w.Spec
+	pol, err := registry.New("adaptive-freq", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, ok := pol.(server.EpochSource)
+	if !ok {
+		t.Fatal("adaptive-freq is not an epoch source")
+	}
+	fast := make([]int, 0, len(w.Dataset.Records)/3)
+	for i := 0; i < len(w.Dataset.Records); i += 3 {
+		fast = append(fast, i)
+	}
+	p := server.FastIndices(fast, len(w.Dataset.Records))
+
+	for _, b := range []struct {
+		name string
+		w    *ycsb.Workload
+	}{{"inmem", w}, {"mtrc", tw}} {
+		for _, shards := range []int{0, 4} {
+			for _, adaptive := range []bool{false, true} {
+				for _, e := range server.Engines() {
+					cfg := server.DefaultConfig(e, 17)
+					// A tenth of the (shard's) dataset, half its hot set:
+					// hits and misses mix in every block.
+					cfg.Machine.LLCBytes = dataset / 10 / int64(max(1, shards))
+					cfg.Shards = shards
+					if adaptive {
+						cfg.Adaptive, cfg.EpochOps, cfg.MigrationCostPerByte = src, server.ReplayBlockOps, 0.5
+					}
+					cell := fmt.Sprintf("%s/shards=%d/adaptive=%t/%v", b.name, shards, adaptive, e)
+					want, errW := client.ExecuteMeanCtx(context.Background(), cfg, b.w, p, 3, 0)
+					sink := obs.NewSink()
+					cfg.Obs = sink
+					ctx, release := client.ShareLLC(context.Background())
+					got, errG := client.ExecuteMeanCtx(ctx, cfg, b.w, p, 3, 0)
+					release()
+					if errW != nil || errG != nil {
+						t.Fatalf("%s: unshared err %v, shared err %v", cell, errW, errG)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: shared aggregate diverged:\n  shared:   %+v\n  unshared: %+v", cell, got, want)
+					}
+					if got.LLCHitRate < 0.1 || got.LLCHitRate > 0.9 {
+						t.Fatalf("%s: LLC hit rate %v: the cell does not mix hits with misses", cell, got.LLCHitRate)
+					}
+					if n := sink.Counter("mnemo_server_llc_stream_requests_total").Value(); n == 0 {
+						t.Fatalf("%s: no request was priced from a stream", cell)
+					}
+				}
+			}
+		}
+	}
+}

@@ -18,11 +18,17 @@ import (
 
 // The replay equivalence matrix. There is one replay loop
 // (replayFrames), so every way of feeding it — trace backing, static or
-// adaptive, kernel or per-op — and every way of cutting it off must
-// produce the outcome of one reference: the in-memory trace replayed
-// with DisableBatchReplay. "Outcome" is RunStats (EpochTraffic
-// included) under reflect.DeepEqual, the error text, and the
-// deployment's clock when the run ended.
+// adaptive, kernel or per-op, live LLC or a shared LLC stream — and
+// every way of cutting it off must produce the outcome of one
+// reference: the in-memory trace replayed with DisableBatchReplay.
+// "Outcome" is RunStats (EpochTraffic included) under
+// reflect.DeepEqual, the error text, and the deployment's clock when
+// the run ended.
+
+// matrixLLCBytes is the matrix's LLC: about half the 500 × 1 KB
+// dataset, so the hot set stays resident while the cold tail churns and
+// every block mixes hits with misses.
+const matrixLLCBytes = 256 << 10
 
 // matrixTraces are the two trace shapes: read/write-only, and the same
 // length with Deletes confined to two of its five frames. Frame 1
@@ -57,10 +63,12 @@ type outcome struct {
 
 	kernelFrames, perOpFrames int64
 	structuralReprices        int64
+	streamRequests, handovers int64
 }
 
 func (o outcome) comparable() outcome {
 	o.kernelFrames, o.perOpFrames, o.structuralReprices = 0, 0, 0
+	o.streamRequests, o.handovers = 0, 0
 	return o
 }
 
@@ -83,6 +91,8 @@ func runCellBudget(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb
 		kernelFrames:       cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", "kernel")).Value(),
 		perOpFrames:        cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", "perop")).Value(),
 		structuralReprices: cfg.Obs.Counter(obs.Name("mnemo_server_reprice_total", "cause", "structural")).Value(),
+		streamRequests:     cfg.Obs.Counter("mnemo_server_llc_stream_requests_total").Value(),
+		handovers:          cfg.Obs.Counter("mnemo_server_llc_handovers_total").Value(),
 	}
 	if err != nil {
 		out.Err = err.Error()
@@ -109,6 +119,7 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 		for _, e := range goldenEngines {
 			for _, adaptive := range []bool{false, true} {
 				base := server.DefaultConfig(e, 7)
+				base.Machine.LLCBytes = matrixLLCBytes
 				mode := "static"
 				if adaptive {
 					mode = "adaptive"
@@ -151,19 +162,31 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 					requireCutFired(t, label, cut, ref)
 
 					for _, b := range backings {
-						for _, perOp := range []bool{false, true} {
+						for _, cellMode := range []struct{ perOp, shared bool }{{false, false}, {true, false}, {false, true}} {
+							perOp := cellMode.perOp
 							c := cfg
 							c.DisableBatchReplay = perOp
-							got := runCellBudget(t, ctx, c, b.w, p, spec.budget)
-							cell := fmt.Sprintf("%s/%s/perop=%t", label, b.name, perOp)
+							cellCtx, release := ctx, func() {}
+							if cellMode.shared {
+								cellCtx, release = ShareLLC(ctx)
+							}
+							got := runCellBudget(t, cellCtx, c, b.w, p, spec.budget)
+							release()
+							cell := fmt.Sprintf("%s/%s/perop=%t/shared=%t", label, b.name, perOp, cellMode.shared)
 							if !reflect.DeepEqual(got.comparable(), ref.comparable()) {
 								t.Fatalf("%s diverged from the in-memory per-op reference:\n  got: %+v\n  ref: %+v", cell, got, ref)
 							}
 							if perOp && got.kernelFrames != 0 {
 								t.Fatalf("%s: %d frames took the kernel under DisableBatchReplay", cell, got.kernelFrames)
 							}
+							if !cellMode.shared && got.streamRequests+got.handovers != 0 {
+								t.Fatalf("%s: LLC stream in use without a share: %d requests, %d hand-overs", cell, got.streamRequests, got.handovers)
+							}
 							if cut != "none" || perOp {
 								continue
+							}
+							if cellMode.shared {
+								requireStreamUse(t, cell, traceName, got)
 							}
 							// The kernel column of an uncut run: which frames went where.
 							if got.kernelFrames+got.perOpFrames != nFrames {
@@ -192,6 +215,26 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// requireStreamUse pins how far an uncut shared cell rode the stream:
+// a read/write trace is priced from it throughout unless the kernel
+// falls back (a migration can cost treekv its static traces); the
+// deletes trace is priced from it for frame 0 alone and hands over at
+// frame 1, its first Delete.
+func requireStreamUse(t *testing.T, cell, traceName string, got outcome) {
+	t.Helper()
+	total := int64(got.Stats.Requests)
+	switch {
+	case traceName == "deletes":
+		if got.streamRequests != replayBlockOps || got.handovers != 1 {
+			t.Fatalf("%s: %d stream requests, %d hand-overs; want frame 0 from the stream and one hand-over", cell, got.streamRequests, got.handovers)
+		}
+	case got.handovers == 0 && got.streamRequests != total:
+		t.Fatalf("%s: %d of %d requests from the stream without a hand-over", cell, got.streamRequests, total)
+	case got.handovers > 1 || got.streamRequests == 0:
+		t.Fatalf("%s: %d stream requests, %d hand-overs", cell, got.streamRequests, got.handovers)
 	}
 }
 

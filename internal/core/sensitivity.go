@@ -63,8 +63,11 @@ func (s *SensitivityEngine) Baselines(ctx context.Context, w *ycsb.Workload) (Ba
 	var results [2]client.RunStats
 	var errs [2]error
 	// Both baselines and their nested repetition/shard fan-outs share
-	// one worker budget (see pool.Budget).
+	// one worker budget (see pool.Budget) and one LLC walk per trace
+	// (client.ShareLLC).
 	ctx = pool.EnsureBudget(ctx)
+	ctx, release := client.ShareLLC(ctx)
+	defer release()
 	if err := pool.RunObs(ctx, len(jobs), len(jobs), s.cfg.Server.Obs, func(i int) {
 		results[i], errs[i] = client.ExecuteMeanCtx(ctx, jobs[i].cfg, w, jobs[i].p, s.cfg.Runs, 0)
 	}); err != nil {

@@ -86,8 +86,11 @@ func ValidateWorkers(ctx context.Context, cfg Config, w *ycsb.Workload, c *Curve
 	errs := make([]error, len(jobs))
 	// One worker budget for the whole sweep: the nested repetition and
 	// per-shard fan-outs below share it instead of multiplying into
-	// points × runs × shards goroutines.
+	// points × runs × shards goroutines. Every point × run also shares
+	// one LLC walk per trace (client.ShareLLC).
 	ctx = pool.EnsureBudget(ctx)
+	ctx, release := client.ShareLLC(ctx)
+	defer release()
 	if perr := pool.RunObs(ctx, len(jobs), workers, ncfg.Server.Obs, func(j int) {
 		job := jobs[j]
 		point := c.Points[job.k]

@@ -35,11 +35,32 @@ const ReplayBlockOps = 4096
 // applied) for each op kind and LLC outcome, plus the constants the
 // kernel needs per access.
 type opCost struct {
-	readHitNs, readMissNs   float64
-	writeHitNs, writeMissNs float64
-	readBytes, writeBytes   int32 // LLC footprint (valueBytes) per kind
-	size                    int32 // payload bytes charged to the GC model
-	tier                    uint8 // serving instance, for pause routing
+	ns    [4]float64 // pre-noise service time, indexed by costSlot(kind, hit)
+	bytes [2]int32   // LLC footprint per kind (llcFootprint)
+	size  int32      // payload bytes charged to the GC model
+	tier  uint8      // serving instance, for pause routing
+}
+
+// costSlot indexes opCost.ns by a kernel request's kind (Read or Write)
+// and its LLC outcome (1 = hit): read miss, read hit, write miss, write
+// hit. The masks keep the index in range without a bounds check.
+func costSlot(kind, hit uint8) uint8 { return (kind&1)<<1 | hit&1 }
+
+// llcFootprint is the number of bytes a request of the given kind on a
+// record of the given payload size occupies in the LLC: the valueBytes
+// the per-op path touches the cache with, int/float round trips
+// included. A read recovers the payload from the engine's amplified
+// trace; a write uses the stored size directly. The cost table and the
+// shared hit stream (llcstream.go) both take it from here.
+func llcFootprint(kind uint8, size int, readAmp float64) int {
+	if kvstore.OpKind(kind) != kvstore.Read {
+		return size
+	}
+	touched := kvstore.Amplify(size, readAmp)
+	if readAmp > 1 {
+		return int(float64(touched) / readAmp)
+	}
+	return touched
 }
 
 // pauseState is the kernel-side mirror of one instance's
@@ -237,23 +258,17 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 	c.size = int32(rec.Size)
 	c.tier = uint8(tier)
 
-	// Replicate valueBytes exactly, including its int/float round
-	// trips: reads recover the payload from the amplified trace,
-	// writes use the stored size directly.
 	readTouched := kvstore.Amplify(rec.Size, d.profile.ReadAmplification)
-	readVB := readTouched
-	if amp := d.profile.ReadAmplification; amp > 1 {
-		readVB = int(float64(readTouched) / amp)
-	}
+	readVB := llcFootprint(uint8(kvstore.Read), rec.Size, d.profile.ReadAmplification)
 	writeTouched := kvstore.Amplify(rec.Size, d.profile.WriteAmplification)
-	c.readBytes = int32(readVB)
-	c.writeBytes = int32(rec.Size)
+	c.bytes = [2]int32{int32(readVB), int32(rec.Size)}
 
+	r, w := uint8(kvstore.Read), uint8(kvstore.Write)
 	node := &d.machine.Node(tier).Params
-	c.readHitNs = d.staticCost(kvstore.Read, getChases, readTouched, readVB, &memsim.LLCParams)
-	c.readMissNs = d.staticCost(kvstore.Read, getChases, readTouched, readVB, node)
-	c.writeHitNs = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, &memsim.LLCParams)
-	c.writeMissNs = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, node)
+	c.ns[costSlot(r, 1)] = d.staticCost(kvstore.Read, getChases, readTouched, readVB, &memsim.LLCParams)
+	c.ns[costSlot(r, 0)] = d.staticCost(kvstore.Read, getChases, readTouched, readVB, node)
+	c.ns[costSlot(w, 1)] = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, &memsim.LLCParams)
+	c.ns[costSlot(w, 0)] = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, node)
 	return true
 }
 
@@ -288,9 +303,11 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 // The block passes through three stages, each owning one slice of the
 // per-request state:
 //
-//  1. LLC: gather every request's miss cost into the ns scratch, then
-//     touch every record in order, swapping in its hit cost on a hit and
-//     remembering the outcome in hit.
+//  1. LLC: with a shared hit stream attached (llcstream.go), one pass
+//     reads each request's hit bit and takes the matching cost. Without
+//     one, gather every request's miss cost into the ns scratch, then
+//     touch every record in order, swapping in its hit cost on a hit.
+//     Either way the outcome is remembered in hit.
 //  2. noise: multiply the block by the noise stream (Noise.Scale).
 //  3. clock: apply the pause mirror, round to a latency, advance the
 //     clock and check maxClock.
@@ -304,39 +321,49 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 // after a short Serve the only legal next steps are ResetRun or
 // discarding the deployment. (Every client treats a short Serve as the
 // run's timeout and returns at once.)
+//
+// With a stream attached the block must lie within what the stream has
+// published: the client's AwaitFrame ensures it, and Serve panics
+// otherwise.
 func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Duration, lat []simclock.Duration) int {
 	d := t.d
 	ns, hit := t.ns[:len(keys)], t.hit[:len(keys)]
-
-	// Stage 1a, gather: load every request's cost row and take its miss
-	// cost into ns and its LLC footprint into lat, which stage 3 will
-	// overwrite. The loads are independent of each other and of the LLC,
-	// so they overlap instead of each waiting behind the previous Touch.
-	for i, k := range keys {
-		c := &t.costs[k]
-		if kinds[i] == uint8(kvstore.Read) {
-			ns[i], lat[i] = c.readMissNs, simclock.Duration(c.readBytes)
-		} else {
-			ns[i], lat[i] = c.writeMissNs, simclock.Duration(c.writeBytes)
-		}
-	}
-	// Stage 1b, LLC walk: only a hit goes back to its (cache-hot) row,
-	// for the hit cost.
 	llc := d.machine.LLC()
 	hits := 0
-	if llc != nil {
+	if s := d.llcs; s != nil {
+		// Stage 1 from the stream: read bit, select cost.
+		off := d.llcsOff
+		if !s.covers(off + len(keys)) {
+			panic("server: Serve past the attached LLC stream's published prefix")
+		}
 		for i, k := range keys {
-			if llc.Touch(memsim.RecordRef{ID: uint64(k), Bytes: int(lat[i])}) {
-				c := &t.costs[k]
-				if kinds[i] == uint8(kvstore.Read) {
-					ns[i] = c.readHitNs
+			j := off + i
+			h := uint8(s.words[j>>6].Load()>>(j&63)) & 1
+			ns[i] = t.costs[k].ns[costSlot(kinds[i], h)]
+			hit[i] = h
+			hits += int(h)
+		}
+	} else {
+		// Stage 1a, gather: load every request's cost row and take its
+		// miss cost into ns and its LLC footprint into lat, which stage 3
+		// will overwrite. The loads are independent of each other and of
+		// the LLC, so they overlap instead of each waiting behind the
+		// previous Touch.
+		for i, k := range keys {
+			c := &t.costs[k]
+			ns[i], lat[i] = c.ns[costSlot(kinds[i], 0)], simclock.Duration(c.bytes[kinds[i]&1])
+		}
+		// Stage 1b, LLC walk: only a hit goes back to its (cache-hot)
+		// row, for the hit cost.
+		if llc != nil {
+			for i, k := range keys {
+				if llc.Touch(memsim.RecordRef{ID: uint64(k), Bytes: int(lat[i])}) {
+					ns[i] = t.costs[k].ns[costSlot(kinds[i], 1)]
+					hit[i] = 1
+					hits++
 				} else {
-					ns[i] = c.writeHitNs
+					hit[i] = 0
 				}
-				hit[i] = 1
-				hits++
-			} else {
-				hit[i] = 0
 			}
 		}
 	}
@@ -377,6 +404,10 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 		}
 		llc.Credit(int64(hits), int64(served-hits))
 	}
+	if d.llcs != nil {
+		d.llcsOff += served
+		d.streamReqs += int64(served)
+	}
 	return served
 }
 
@@ -384,7 +415,7 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 // under a new measurement seed — the snapshot/reset that lets repeated
 // runs (ExecuteMean, Session.Compare) load the populated store once
 // instead of re-populating per run. It resets the clock, op counter,
-// LLC contents and statistics, re-seeds the noise stream, and restores
+// LLC contents and statistics, detaches any LLC stream, re-seeds the noise stream, and restores
 // the kernel's pause accumulators to their post-load snapshot;
 // telemetry parity with a fresh deployment is kept by re-counting the
 // deployment.
@@ -407,6 +438,7 @@ func (d *Deployment) ResetRun(seed int64) bool {
 		llc.Flush()
 		llc.ResetStats()
 	}
+	d.llcs = nil
 	d.resetRunTelemetry()
 	return true
 }

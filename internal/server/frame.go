@@ -36,21 +36,30 @@ const (
 // records is currently deleted (a deleted record has no cost row, and a
 // write to one is a structural re-insert). Otherwise it returns nil,
 // with the engines ready for the frame's requests through DoIndex.
+//
+// A run priced from an LLC stream calls AwaitFrame first (llcstream.go).
 func (d *Deployment) FrameTable(keys []uint32, rw bool) *ReplayTable {
-	if rw && !d.touchesDead(keys) {
-		if t := d.BatchTable(); t != nil {
-			if d.perOp {
-				t.resyncKernelPauses()
-				d.perOp = false
-			}
-			d.frames[pathKernel]++
-			return t
+	if t := d.kernelTable(keys, rw); t != nil {
+		if d.perOp {
+			t.resyncKernelPauses()
+			d.perOp = false
 		}
+		d.frames[pathKernel]++
+		return t
 	}
 	d.enginesTakePauses()
 	d.mutated = true
 	d.frames[pathPerOp]++
 	return nil
+}
+
+// kernelTable is FrameTable's decision without its side effects: the
+// cost table when the kernel can serve the frame, else nil.
+func (d *Deployment) kernelTable(keys []uint32, rw bool) *ReplayTable {
+	if !rw || d.touchesDead(keys) {
+		return nil
+	}
+	return d.BatchTable()
 }
 
 // touchesDead reports whether any of the keys is a deleted record.

@@ -61,8 +61,18 @@ func (t *deployTelemetry) flushTallies(name, label string, values []string, tall
 	}
 }
 
+// flushCount adds a non-zero tally to the named counter and zeroes it.
+func (t *deployTelemetry) flushCount(name string, tally *int64) {
+	if *tally > 0 {
+		t.sink.Counter(name).Add(*tally)
+		*tally = 0
+	}
+}
+
 // FlushObs publishes the deployment's accumulated op and LLC hit/miss
-// counts, and the frame-path, re-price and re-priced-row tallies, to
+// counts, the LLC stream tallies (requests priced from a shared stream,
+// hand-overs to the live cache), and the frame-path, re-price and
+// re-priced-row tallies, to
 // the configured sink — the run-granularity flush the client calls after
 // a replay (including a replay cut off mid-run, so partial runs stay
 // observable).
@@ -76,6 +86,8 @@ func (d *Deployment) FlushObs() {
 	t.flushTallies("mnemo_client_frames_total", "path", framePathLabels[:], d.frames[:])
 	t.flushTallies("mnemo_server_reprice_total", "cause", repriceCauseLabels[:], d.repriced[:])
 	t.flushTallies("mnemo_server_reprice_rows_total", "cause", repriceCauseLabels[:], d.repricedRows[:])
+	t.flushCount("mnemo_server_llc_stream_requests_total", &d.streamReqs)
+	t.flushCount("mnemo_server_llc_handovers_total", &d.handovers)
 	t.ops.Add(int64(d.ops - t.flushedOps))
 	t.flushedOps = d.ops
 	if llc := d.machine.LLC(); llc != nil {

@@ -17,12 +17,12 @@ import (
 
 // sameCost compares two cost rows bit for bit.
 func sameCost(a, b opCost) bool {
-	bits := func(c opCost) [4]uint64 {
-		return [4]uint64{math.Float64bits(c.readHitNs), math.Float64bits(c.readMissNs),
-			math.Float64bits(c.writeHitNs), math.Float64bits(c.writeMissNs)}
+	for i := range a.ns {
+		if math.Float64bits(a.ns[i]) != math.Float64bits(b.ns[i]) {
+			return false
+		}
 	}
-	return bits(a) == bits(b) && a.readBytes == b.readBytes && a.writeBytes == b.writeBytes &&
-		a.size == b.size && a.tier == b.tier
+	return a.bytes == b.bytes && a.size == b.size && a.tier == b.tier
 }
 
 // requireRepricedAsFull hands the table to the kernel as the next frame

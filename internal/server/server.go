@@ -221,12 +221,22 @@ type Deployment struct {
 	relaidStamp uint32
 	noteRelaid  func(key string, id uint64)
 
+	// llcs is the shared LLC hit stream the current run is priced from
+	// (llcstream.go), nil while the live cache model serves it; llcsOff
+	// is the run's next request index, everything before it having been
+	// served through Serve from the stream.
+	llcs    *llcStream
+	llcsOff int
+
 	// frames, repriced and repricedRows tally, since the last FlushObs,
 	// the frames FrameTable routed to each path, the table re-prices by
-	// cause and the rows those re-prices probed.
-	frames       [2]int64
-	repriced     [numRepriceCauses]int64
-	repricedRows [numRepriceCauses]int64
+	// cause and the rows those re-prices probed; streamReqs and handovers
+	// the requests Serve priced from an LLC stream and the stream
+	// hand-overs to the live cache.
+	frames                [2]int64
+	repriced              [numRepriceCauses]int64
+	repricedRows          [numRepriceCauses]int64
+	streamReqs, handovers int64
 }
 
 // NewDeployment builds an empty deployment with an AllFast placement.
@@ -297,6 +307,7 @@ func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 		}
 	}
 	d.table, d.stale = nil, causeLoad
+	d.llcs = nil
 	d.mutated = false
 	d.dead, d.nDead = nil, 0
 	if llc := d.machine.LLC(); llc != nil {
@@ -349,6 +360,9 @@ func (d *Deployment) row(key string, id uint64) (int, bool) {
 // trace's record sizes are fixed for the workload's lifetime). DoIndex
 // panics if the deployment has not been loaded or idx is out of range.
 func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
+	if d.llcs != nil {
+		panic("server: DoIndex with an LLC stream attached")
+	}
 	rec := &d.records[idx]
 	if kind != kvstore.Read {
 		d.noteStructural(idx, kind)

@@ -384,8 +384,11 @@ func MeasureAdaptive(ctx context.Context, w *Workload, rep *Report, opts Options
 	var errs [2]error
 	// The two legs are independent simulations with fixed seeds, so they
 	// run concurrently and bit-identically to back to back, sharing one
-	// worker budget with their nested repetition fan-outs.
+	// worker budget with their nested repetition fan-outs and one LLC
+	// walk per trace: migration leaves LLC residency alone.
 	ctx = pool.EnsureBudget(ctx)
+	ctx, release := client.ShareLLC(ctx)
+	defer release()
 	if err := pool.RunObs(ctx, len(legs), len(legs), cfg.Server.Obs, func(i int) {
 		runs[i], errs[i] = client.ExecuteMeanCtx(ctx, legs[i].cfg, w, placement, cfg.Runs, 0)
 	}); err != nil {
