@@ -287,7 +287,7 @@ const replayBlockOps = server.ReplayBlockOps
 // cost table, or request by request through DoIndex when there is no
 // table (DisableBatchReplay, an engine without static traces) or the
 // frame carries a Delete or touches a deleted record. The two are
-// bit-identical — same pricing constants, same noise draws, same LLC —
+// bit-identical — same pricing constants, noise draws and LLC hit bits —
 // so a run that mixes them equals the all-per-op run of the same trace.
 //
 // The cut-offs live here and nowhere else. Cancellation is polled once
@@ -297,10 +297,9 @@ const replayBlockOps = server.ReplayBlockOps
 // error names the same run-global request index whichever path served
 // the request that crossed it.
 //
-// Under a context from ShareLLC the run is priced from the share's LLC
-// hit stream of w for as long as the stream can serve it; AwaitFrame
-// waits for the stream's producer and hands the run over to the live
-// cache when a frame needs it.
+// Under a context from ShareLLC every request of the run, on either
+// path, is priced from the share's LLC hit stream of w; AwaitFrame waits
+// for the stream's producer to publish each frame.
 //
 // With an adaptive source configured (DESIGN.md §15) an epoch is a frame
 // boundary: see epochs.
@@ -338,7 +337,7 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		if err != nil {
 			return tel, fmt.Errorf("client: decoding trace frame at request %d: %w", done, err)
 		}
-		if err := d.AwaitFrame(ctx, keys, rw); err != nil {
+		if err := d.AwaitFrame(ctx, len(keys)); err != nil {
 			return tel, err
 		}
 		served := len(keys)
@@ -439,9 +438,7 @@ func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget 
 	out.P95Ns = hist.Quantile(0.95)
 	out.P99Ns = hist.Quantile(0.99)
 	out.MaxNs = hist.Max()
-	if llc := d.Machine().LLC(); llc != nil {
-		out.LLCHitRate = llc.HitRate()
-	}
+	out.LLCHitRate = d.LLCHitRate()
 	out.Epochs = tel.epochs
 	out.MovesApplied = tel.moves
 	out.MigratedBytes = tel.bytes

@@ -5,14 +5,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mnemo/internal/kvstore"
-	"mnemo/internal/obs"
 	"mnemo/internal/server"
 	"mnemo/internal/trace"
 	"mnemo/internal/ycsb"
@@ -25,70 +22,6 @@ func sharedCell(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Plac
 	ctx, release := ShareLLC(context.Background())
 	defer release()
 	return runCell(t, ctx, cfg, w, p)
-}
-
-// TestSharedLLCHandOverCells covers the hand-over points the matrix's
-// traces do not: a Delete in frame 0 ends the stream before it serves
-// anything, and a batch table dropped at the first epoch boundary sends
-// frame 1 per-op after frame 0 came from the stream. Each shared run
-// must equal its unshared twin and the per-op reference.
-func TestSharedLLCHandOverCells(t *testing.T) {
-	frame0 := ycsb.MustGenerate(ycsb.Spec{
-		Name: "handover", Keys: 500, Requests: 5 * replayBlockOps,
-		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
-		ReadRatio: 0.9, Sizes: ycsb.SizeTrendingPreview, Seed: 5,
-	})
-	del := &frame0.Ops[40]
-	del.Kind = kvstore.Delete
-	frame0.Ops[41] = ycsb.Op{Key: del.Key, Kind: kvstore.Write}
-
-	for _, e := range goldenEngines {
-		cfg := server.DefaultConfig(e, 42)
-		cfg.Machine.LLCBytes = matrixLLCBytes
-		got := sharedCell(t, cfg, frame0, halfFast(frame0))
-		plain := runCell(t, context.Background(), cfg, frame0, halfFast(frame0))
-		ref := runCell(t, context.Background(), perOpReference(cfg), frame0, halfFast(frame0))
-		if got.streamRequests != 0 || got.handovers != 1 {
-			t.Fatalf("%v delete in frame 0: %d stream requests, %d hand-overs; want none and one", e, got.streamRequests, got.handovers)
-		}
-		if !reflect.DeepEqual(got.comparable(), plain.comparable()) || !reflect.DeepEqual(got.comparable(), ref.comparable()) {
-			t.Fatalf("%v delete in frame 0 diverged:\n  shared: %+v\n  plain:  %+v\n  per-op: %+v", e, got, plain, ref)
-		}
-	}
-
-	w := adaptiveTestWorkload(0.9)
-	p := halfFast(w)
-	cfg := server.DefaultConfig(server.RedisLike, 7)
-	cfg.Machine.LLCBytes = matrixLLCBytes
-	cfg.EpochOps = replayBlockOps
-	cfg.MigrationCostPerByte = 0.5
-	src := &dropTableObserver{}
-	cfg.Adaptive = src
-	cfg.Obs = obs.NewSink()
-	d := server.NewDeployment(cfg)
-	if err := d.Load(w.Dataset, p); err != nil {
-		t.Fatal(err)
-	}
-	src.d = d
-	ctx, release := ShareLLC(context.Background())
-	got, err := RunCtx(ctx, d, w, 0)
-	release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.FlushObs()
-	if n, h := cfg.Obs.Counter("mnemo_server_llc_stream_requests_total").Value(), cfg.Obs.Counter("mnemo_server_llc_handovers_total").Value(); n != replayBlockOps || h != 1 {
-		t.Fatalf("table dropped after frame 0: %d stream requests, %d hand-overs; want frame 0 and one", n, h)
-	}
-	refCfg := perOpReference(cfg)
-	refCfg.Adaptive, refCfg.Obs = greedySource{}, nil
-	ref, err := Execute(refCfg, w, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("table dropped mid-run diverged from the per-op reference:\n  shared: %+v\n  per-op: %+v", got, ref)
-	}
 }
 
 // gatedStream serves w's frames. The first iterator opened — the run's
@@ -255,14 +188,10 @@ func TestSharedLLCServeZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
 		t.Fatalf("steady-state shared replay allocates %.1f times per pass, want 0", allocs)
 	}
-	// A run priced from the stream never touches the live cache.
-	if n := d.Machine().LLC().Len(); n != 0 {
-		t.Fatalf("live LLC holds %d records: the passes walked it instead of the stream", n)
-	}
 }
 
 // reopenFailStream serves w's frames but fails every open after the
-// first two: the run's own iterator and the producer's.
+// first: the run's own iterator opens, the producer's does not.
 type reopenFailStream struct {
 	w      *ycsb.Workload
 	opened *atomic.Int32
@@ -271,24 +200,23 @@ type reopenFailStream struct {
 func (s reopenFailStream) Requests() int { return len(s.w.Ops) }
 
 func (s reopenFailStream) Frames() (ycsb.FrameIter, error) {
-	if s.opened.Add(1) > 2 {
+	if s.opened.Add(1) > 1 {
 		return nil, errors.New("trace file vanished")
 	}
 	frames, err := s.w.Frames()
 	return &frames, err
 }
 
-// TestSharedLLCHandOverReadError: a hand-over re-reads the served
-// prefix from the trace, and a trace that can no longer be read fails
-// the run with that error rather than serving on a wrong cache.
-func TestSharedLLCHandOverReadError(t *testing.T) {
+// TestSharedLLCProducerOpenError: a producer that cannot read the trace
+// publishes nothing, and the run waiting on it fails with the
+// producer's error rather than serving unpriced requests.
+func TestSharedLLCProducerOpenError(t *testing.T) {
 	w := adaptiveTestWorkload(0.9)
-	w.Ops[replayBlockOps+7].Kind = kvstore.Delete // frame 1 hands over
 	sw := &ycsb.Workload{Spec: w.Spec, Dataset: w.Dataset, Stream: reopenFailStream{w: w, opened: new(atomic.Int32)}}
 	cfg := server.DefaultConfig(server.RedisLike, 7)
 	cfg.Machine.LLCBytes = matrixLLCBytes
 	got := sharedCell(t, cfg, sw, halfFast(w))
-	if want := "server: LLC hand-over: re-reading the trace: trace file vanished"; got.Err != want {
-		t.Fatalf("run error %q, want %q", got.Err, want)
+	if want := "server: LLC stream stopped after 0 requests: trace file vanished"; got.Err != want || got.Clock != 0 {
+		t.Fatalf("run error %q at clock %v, want %q before any request", got.Err, got.Clock, want)
 	}
 }

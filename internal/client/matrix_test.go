@@ -18,7 +18,7 @@ import (
 
 // The replay equivalence matrix. There is one replay loop
 // (replayFrames), so every way of feeding it — trace backing, static or
-// adaptive, kernel or per-op, live LLC or a shared LLC stream — and
+// adaptive, kernel or per-op, private LLC walker or a shared LLC stream — and
 // every way of cutting it off must produce the outcome of one
 // reference: the in-memory trace replayed with DisableBatchReplay.
 // "Outcome" is RunStats (EpochTraffic included) under
@@ -63,12 +63,12 @@ type outcome struct {
 
 	kernelFrames, perOpFrames int64
 	structuralReprices        int64
-	streamRequests, handovers int64
+	streamRequests            int64
 }
 
 func (o outcome) comparable() outcome {
 	o.kernelFrames, o.perOpFrames, o.structuralReprices = 0, 0, 0
-	o.streamRequests, o.handovers = 0, 0
+	o.streamRequests = 0
 	return o
 }
 
@@ -92,7 +92,6 @@ func runCellBudget(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb
 		perOpFrames:        cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", "perop")).Value(),
 		structuralReprices: cfg.Obs.Counter(obs.Name("mnemo_server_reprice_total", "cause", "structural")).Value(),
 		streamRequests:     cfg.Obs.Counter("mnemo_server_llc_stream_requests_total").Value(),
-		handovers:          cfg.Obs.Counter("mnemo_server_llc_handovers_total").Value(),
 	}
 	if err != nil {
 		out.Err = err.Error()
@@ -162,7 +161,7 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 					requireCutFired(t, label, cut, ref)
 
 					for _, b := range backings {
-						for _, cellMode := range []struct{ perOp, shared bool }{{false, false}, {true, false}, {false, true}} {
+						for _, cellMode := range []struct{ perOp, shared bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 							perOp := cellMode.perOp
 							c := cfg
 							c.DisableBatchReplay = perOp
@@ -179,14 +178,17 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 							if perOp && got.kernelFrames != 0 {
 								t.Fatalf("%s: %d frames took the kernel under DisableBatchReplay", cell, got.kernelFrames)
 							}
-							if !cellMode.shared && got.streamRequests+got.handovers != 0 {
-								t.Fatalf("%s: LLC stream in use without a share: %d requests, %d hand-overs", cell, got.streamRequests, got.handovers)
+							if !cellMode.shared && got.streamRequests != 0 {
+								t.Fatalf("%s: %d requests priced from an LLC stream without a share", cell, got.streamRequests)
 							}
-							if cut != "none" || perOp {
+							if cut != "none" {
 								continue
 							}
 							if cellMode.shared {
-								requireStreamUse(t, cell, traceName, got)
+								requireStreamUse(t, cell, got)
+							}
+							if perOp {
+								continue
 							}
 							// The kernel column of an uncut run: which frames went where.
 							if got.kernelFrames+got.perOpFrames != nFrames {
@@ -216,25 +218,123 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	}
+	sharedStructuralCells(t)
 }
 
-// requireStreamUse pins how far an uncut shared cell rode the stream:
-// a read/write trace is priced from it throughout unless the kernel
-// falls back (a migration can cost treekv its static traces); the
-// deletes trace is priced from it for frame 0 alone and hands over at
-// frame 1, its first Delete.
-func requireStreamUse(t *testing.T, cell, traceName string, got outcome) {
-	t.Helper()
-	total := int64(got.Stats.Requests)
-	switch {
-	case traceName == "deletes":
-		if got.streamRequests != replayBlockOps || got.handovers != 1 {
-			t.Fatalf("%s: %d stream requests, %d hand-overs; want frame 0 from the stream and one hand-over", cell, got.streamRequests, got.handovers)
+// structuralTrace is a five-frame trace of the structural requests the
+// shared stream must walk like any other: frame 0 deletes a record,
+// reads it twice while it is dead — the second read hits the 0-byte
+// entry the first left — and re-inserts it; frame 2 deletes another
+// record for good, which frame 3 reads twice.
+func structuralTrace() *ycsb.Workload {
+	w := ycsb.MustGenerate(ycsb.Spec{
+		Name: "structural", Keys: 500, Requests: 5 * replayBlockOps,
+		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
+		ReadRatio: 0.9, Sizes: ycsb.SizeTrendingPreview, Seed: 5,
+	})
+	kill := func(at int, reinsert bool) {
+		k := w.Ops[at].Key
+		w.Ops[at].Kind = kvstore.Delete
+		w.Ops[at+1] = ycsb.Op{Key: k, Kind: kvstore.Read}
+		w.Ops[at+2] = ycsb.Op{Key: k, Kind: kvstore.Read}
+		if reinsert {
+			w.Ops[at+3] = ycsb.Op{Key: k, Kind: kvstore.Write}
 		}
-	case got.handovers == 0 && got.streamRequests != total:
-		t.Fatalf("%s: %d of %d requests from the stream without a hand-over", cell, got.streamRequests, total)
-	case got.handovers > 1 || got.streamRequests == 0:
-		t.Fatalf("%s: %d stream requests, %d hand-overs", cell, got.streamRequests, got.handovers)
+	}
+	kill(40, true)
+	kill(2*replayBlockOps+100, false)
+	k := w.Ops[2*replayBlockOps+100].Key
+	w.Ops[3*replayBlockOps+7] = ycsb.Op{Key: k, Kind: kvstore.Read}
+	w.Ops[3*replayBlockOps+9] = ycsb.Op{Key: k, Kind: kvstore.Read}
+	return w
+}
+
+// sharedStructuralCells are the shared-stream column's cells the two
+// matrix traces do not reach: a Delete in frame 0, a Delete mid-trace,
+// a re-insert and a dead record read twice (structuralTrace) on every
+// engine; MemcachedLike with records over 1 MB, which slabkv refuses;
+// and a batch table dropped at the first epoch boundary. Each shared
+// run, kernel-first or per-op by config, must equal the per-op
+// reference and price every request from the stream.
+func sharedStructuralCells(t *testing.T) {
+	w := structuralTrace()
+	big := structuralTrace()
+	big.Dataset.Records = append([]ycsb.Record(nil), big.Dataset.Records...)
+	for _, i := range []int{w.Ops[0].Key, w.Ops[1].Key} {
+		big.Dataset.Records[i].Size = 3 << 19
+	}
+	type cell struct {
+		name string
+		e    server.Engine
+		w    *ycsb.Workload
+	}
+	cells := []cell{{"memcachedlike/over-1MB", server.MemcachedLike, big}}
+	for _, e := range goldenEngines {
+		cells = append(cells, cell{fmt.Sprintf("%v/structural", e), e, w})
+	}
+	for _, c := range cells {
+		cfg := server.DefaultConfig(c.e, 42)
+		cfg.Machine.LLCBytes = matrixLLCBytes
+		ref := runCell(t, context.Background(), perOpReference(cfg), c.w, halfFast(c.w))
+		if ref.Err != "" {
+			t.Fatalf("%s: reference failed: %s", c.name, ref.Err)
+		}
+		for _, perOp := range []bool{false, true} {
+			cfg.DisableBatchReplay = perOp
+			got := sharedCell(t, cfg, c.w, halfFast(c.w))
+			label := fmt.Sprintf("%s/perop=%t/shared=true", c.name, perOp)
+			if !reflect.DeepEqual(got.comparable(), ref.comparable()) {
+				t.Fatalf("%s diverged from the per-op reference:\n  got: %+v\n  ref: %+v", label, got, ref)
+			}
+			requireStreamUse(t, label, got)
+		}
+	}
+
+	aw := adaptiveTestWorkload(0.9)
+	p := halfFast(aw)
+	cfg := server.DefaultConfig(server.RedisLike, 7)
+	cfg.Machine.LLCBytes = matrixLLCBytes
+	cfg.EpochOps = replayBlockOps
+	cfg.MigrationCostPerByte = 0.5
+	src := &dropTableObserver{}
+	cfg.Adaptive = src
+	cfg.Obs = obs.NewSink()
+	d := server.NewDeployment(cfg)
+	if err := d.Load(aw.Dataset, p); err != nil {
+		t.Fatal(err)
+	}
+	src.d = d
+	ctx, release := ShareLLC(context.Background())
+	got, err := RunCtx(ctx, d, aw, 0)
+	release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.FlushObs()
+	frames := func(path string) int64 {
+		return cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", path)).Value()
+	}
+	if n := cfg.Obs.Counter("mnemo_server_llc_stream_requests_total").Value(); n != int64(len(aw.Ops)) || frames("kernel") != 1 || frames("perop") == 0 {
+		t.Fatalf("table dropped after frame 0: %d stream requests, %d kernel and %d per-op frames; want all %d requests from the stream, frame 0 alone on the kernel",
+			n, frames("kernel"), frames("perop"), len(aw.Ops))
+	}
+	refCfg := perOpReference(cfg)
+	refCfg.Adaptive, refCfg.Obs = greedySource{}, nil
+	ref, err := Execute(refCfg, aw, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("table dropped mid-run diverged from the per-op reference:\n  shared: %+v\n  per-op: %+v", got, ref)
+	}
+}
+
+// requireStreamUse pins that an uncut shared cell priced every request
+// from the stream, whichever path served it.
+func requireStreamUse(t *testing.T, cell string, got outcome) {
+	t.Helper()
+	if total := int64(got.Stats.Requests); total == 0 || got.streamRequests != total {
+		t.Fatalf("%s: %d of %d requests priced from the stream, want all", cell, got.streamRequests, total)
 	}
 }
 

@@ -118,14 +118,20 @@ func New(memLimit int64) *Store {
 	return s
 }
 
-// classFor returns the smallest class whose chunk fits need bytes.
-func (s *Store) classFor(need int) (int, error) {
+// Fits reports whether an item with the given key and value size fits
+// the largest chunk. PutID refuses exactly the items that do not, so a
+// record that does not fit is never stored.
+func Fits(key string, size int) bool { return len(key)+size+itemOverheadB <= MaxChunk }
+
+// classFor returns the smallest class whose chunk fits need bytes, which
+// must not exceed MaxChunk (the last class).
+func (s *Store) classFor(need int) int {
 	for i := range s.classes {
 		if s.classes[i].chunkSize >= need {
-			return i, nil
+			return i
 		}
 	}
-	return 0, fmt.Errorf("slabkv: item of %d bytes exceeds max chunk %d", need, MaxChunk)
+	panic(fmt.Sprintf("slabkv: item of %d bytes exceeds max chunk %d", need, MaxChunk))
 }
 
 // Len implements kvstore.Store.
@@ -166,14 +172,12 @@ func (s *Store) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
 func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
 	tr := kvstore.OpTrace{Kind: kvstore.Write, RecordID: id, Chases: 3,
 		Touched: kvstore.Amplify(v.Size, Profile.WriteAmplification)}
-	need := len(key) + v.Size + itemOverheadB
-	cls, err := s.classFor(need)
-	if err != nil {
+	if !Fits(key, v.Size) {
 		// Oversized item: memcached rejects it (SERVER_ERROR object too
 		// large); we mirror that by reporting not-stored.
-		tr.Found = false
 		return tr
 	}
+	cls := s.classFor(len(key) + v.Size + itemOverheadB)
 	if it, ok := s.index[key]; ok {
 		tr.Found = true
 		oldChunk := int64(s.classes[it.class].chunkSize)

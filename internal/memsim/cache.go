@@ -15,8 +15,8 @@ package memsim
 //
 //   - IDs below the size declared by Reserve are dense record indices
 //     and address a handle array directly — a lookup is one load, an
-//     eviction clears one handle. This is how a server.Deployment
-//     addresses its LLC (by dataset record index, on every path).
+//     eviction clears one handle. This is how the server's LLC walker
+//     addresses records (by dataset record index).
 //   - every other ID goes through an open-addressed table with linear
 //     probing and backward-shift deletion. Such IDs are expected to be
 //     FNV-64a hashes already (kvstore.KeyID), so the table indexes them
@@ -260,9 +260,9 @@ func (c *LRUCache) Access(rec RecordRef) bool {
 
 // Touch is Access without the hit/miss statistics: residency and
 // recency change exactly as they would under Access, the counters do
-// not. It serves callers that look ahead of what they will end up
-// reporting — the batched replay kernel touches a whole block and then
-// credits only the requests it served (Credit).
+// not. It serves callers that keep their own tallies — the server's LLC
+// walker, whose bits are counted where a run is served — or credit them
+// later (Credit).
 func (c *LRUCache) Touch(rec RecordRef) bool {
 	size := int64(rec.Bytes)
 	if s := c.lookup(rec.ID); s >= 0 {

@@ -176,10 +176,10 @@ type RecordRef struct {
 	Bytes int
 }
 
-// Machine is the emulated dual-node platform.
+// Machine is the emulated dual-node platform. Its shared LLC is an
+// LRUCache of Config.LLCBytes that the server walks over the trace.
 type Machine struct {
 	fast, slow *Node
-	llc        *LRUCache
 }
 
 // Config parameterizes a Machine.
@@ -204,14 +204,10 @@ func DefaultConfig() Config {
 
 // NewMachine builds a machine from the config.
 func NewMachine(cfg Config) *Machine {
-	m := &Machine{
+	return &Machine{
 		fast: NewNode(cfg.FastParams, cfg.FastCapacity),
 		slow: NewNode(cfg.SlowParams, cfg.SlowCapacity),
 	}
-	if cfg.LLCBytes > 0 {
-		m.llc = NewLRUCache(cfg.LLCBytes)
-	}
-	return m
 }
 
 // Node returns the node backing the given tier.
@@ -220,23 +216,6 @@ func (m *Machine) Node(t Tier) *Node {
 		return m.fast
 	}
 	return m.slow
-}
-
-// LLC returns the cache model, or nil when disabled.
-func (m *Machine) LLC() *LRUCache { return m.llc }
-
-// TouchHit performs one logical access of the record, updating the LLC
-// model, and reports whether the record was LLC-resident. The server's
-// pricing path selects the serving medium from this hit bit.
-func (m *Machine) TouchHit(rec RecordRef) bool {
-	return m.llc != nil && m.llc.Access(rec)
-}
-
-// Invalidate drops a record from the LLC model (e.g. after deletion).
-func (m *Machine) Invalidate(rec RecordRef) {
-	if m.llc != nil {
-		m.llc.Remove(rec.ID)
-	}
 }
 
 // Calibration holds the latency and bandwidth measured through the access

@@ -100,17 +100,6 @@ func TestNodePanics(t *testing.T) {
 	}
 }
 
-func TestMachineTouchMissThenHit(t *testing.T) {
-	m := NewMachine(DefaultConfig())
-	rec := RecordRef{ID: 1, Bytes: 4096}
-	if m.TouchHit(rec) {
-		t.Fatal("first touch should miss")
-	}
-	if !m.TouchHit(rec) {
-		t.Fatal("second touch should hit")
-	}
-}
-
 func TestMachineCostTiers(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	fast := m.Node(Fast).Params.AccessNs(1, 100<<10)
@@ -127,39 +116,11 @@ func TestMachineCostTiers(t *testing.T) {
 func TestMachineCostCacheHitCheap(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	rec := RecordRef{ID: 7, Bytes: 64 << 10}
-	if m.TouchHit(rec) || !m.TouchHit(rec) {
-		t.Fatal("want a miss, then a hit")
-	}
 	miss := m.Node(Slow).Params.AccessNs(1, rec.Bytes)
 	hit := LLCParams.AccessNs(1, rec.Bytes)
 	if hit >= miss/10 {
 		t.Fatalf("cache hit %.0f ns not ≪ miss %.0f ns", hit, miss)
 	}
-}
-
-func TestMachineInvalidate(t *testing.T) {
-	m := NewMachine(DefaultConfig())
-	rec := RecordRef{ID: 5, Bytes: 1024}
-	m.TouchHit(rec)
-	m.Invalidate(rec)
-	if m.TouchHit(rec) {
-		t.Fatal("invalidated record still hit")
-	}
-}
-
-func TestMachineNoLLC(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LLCBytes = 0
-	m := NewMachine(cfg)
-	if m.LLC() != nil {
-		t.Fatal("LLC should be disabled")
-	}
-	rec := RecordRef{ID: 1, Bytes: 1024}
-	m.TouchHit(rec)
-	if m.TouchHit(rec) {
-		t.Fatal("hit without a cache model")
-	}
-	m.Invalidate(rec) // must not panic
 }
 
 func TestMachineNodeAccessor(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 // formula once per record — one precomputed pre-noise service time per
 // (kind, LLC hit/miss) combination — and Serve replays whole blocks of
 // requests against the flat table. The only state touched per request is
-// the state that genuinely varies per request: the LLC model, the noise
-// RNG stream, the GC-pause accumulator and the simulated clock. No
+// the state that genuinely varies per request: the LLC hit bit, the
+// noise RNG stream, the GC-pause accumulator and the simulated clock. No
 // kvstore.Store interface call remains on the path.
 //
 // Bit-identity with the per-operation path is by construction: the table
@@ -35,10 +35,9 @@ const ReplayBlockOps = 4096
 // applied) for each op kind and LLC outcome, plus the constants the
 // kernel needs per access.
 type opCost struct {
-	ns    [4]float64 // pre-noise service time, indexed by costSlot(kind, hit)
-	bytes [2]int32   // LLC footprint per kind (llcFootprint)
-	size  int32      // payload bytes charged to the GC model
-	tier  uint8      // serving instance, for pause routing
+	ns   [4]float64 // pre-noise service time, indexed by costSlot(kind, hit)
+	size int32      // payload bytes charged to the GC model
+	tier uint8      // serving instance, for pause routing
 }
 
 // costSlot indexes opCost.ns by a kernel request's kind (Read or Write)
@@ -51,7 +50,7 @@ func costSlot(kind, hit uint8) uint8 { return (kind&1)<<1 | hit&1 }
 // the per-op path touches the cache with, int/float round trips
 // included. A read recovers the payload from the engine's amplified
 // trace; a write uses the stored size directly. The cost table and the
-// shared hit stream (llcstream.go) both take it from here.
+// LLC walker (llcstream.go) both take it from here.
 func llcFootprint(kind uint8, size int, readAmp float64) int {
 	if kvstore.OpKind(kind) != kvstore.Read {
 		return size
@@ -261,7 +260,6 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 	readTouched := kvstore.Amplify(rec.Size, d.profile.ReadAmplification)
 	readVB := llcFootprint(uint8(kvstore.Read), rec.Size, d.profile.ReadAmplification)
 	writeTouched := kvstore.Amplify(rec.Size, d.profile.WriteAmplification)
-	c.bytes = [2]int32{int32(readVB), int32(rec.Size)}
 
 	r, w := uint8(kvstore.Read), uint8(kvstore.Write)
 	node := &d.machine.Node(tier).Params
@@ -293,34 +291,31 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 // Serve replays one block of at most ReplayBlockOps requests — keys[i]
 // is a dataset record index, kinds[i] its op kind — through the cost
 // table, advancing the clock and writing each request's latency into
-// lat, which must hold len(keys) entries (Block does); stage 1 uses it
-// as scratch, so entries past the served prefix hold no latency. It
-// returns the number of requests served: len(keys) normally, or
-// fewer when maxClock (an absolute simulated-time bound, 0 = none) was
-// exceeded — the request that crossed the bound is served and counted,
-// matching the per-op path's post-op budget check.
+// lat, which must hold len(keys) entries (Block does). It returns the
+// number of requests served: len(keys) normally, or fewer when maxClock
+// (an absolute simulated-time bound, 0 = none) was exceeded — the
+// request that crossed the bound is served and counted, matching the
+// per-op path's post-op budget check.
 //
 // The block passes through three stages, each owning one slice of the
 // per-request state:
 //
-//  1. LLC: with a shared hit stream attached (llcstream.go), one pass
-//     reads each request's hit bit and takes the matching cost. Without
-//     one, gather every request's miss cost into the ns scratch, then
-//     touch every record in order, swapping in its hit cost on a hit.
-//     Either way the outcome is remembered in hit.
+//  1. LLC: take every request's hit bit — from the attached stream
+//     (llcstream.go), else from the private walker — into hit, and the
+//     cost it selects into ns.
 //  2. noise: multiply the block by the noise stream (Noise.Scale).
 //  3. clock: apply the pause mirror, round to a latency, advance the
-//     clock and check maxClock.
+//     clock, count the hits and check maxClock.
 //
 // Stages 1 and 2 run over the whole block before stage 3 can discover
-// a cut, so a Serve that returns short has advanced the LLC contents
+// a cut, so a Serve that returns short has advanced the private walker
 // and the noise stream past the requests it served. Everything that is
 // reported — clock, op count, latencies, pause accumulators, and the
-// LLC hit/miss counters, which are credited for the served prefix only —
-// is exact for the served requests, but the deployment cannot resume:
-// after a short Serve the only legal next steps are ResetRun or
-// discarding the deployment. (Every client treats a short Serve as the
-// run's timeout and returns at once.)
+// LLC hit/miss tallies, which count the served prefix only — is exact
+// for the served requests, but the deployment cannot resume: after a
+// short Serve the only legal next steps are ResetRun or discarding the
+// deployment. (Every client treats a short Serve as the run's timeout
+// and returns at once.)
 //
 // With a stream attached the block must lie within what the stream has
 // published: the client's AwaitFrame ensures it, and Serve panics
@@ -328,43 +323,26 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Duration, lat []simclock.Duration) int {
 	d := t.d
 	ns, hit := t.ns[:len(keys)], t.hit[:len(keys)]
-	llc := d.machine.LLC()
-	hits := 0
-	if s := d.llcs; s != nil {
-		// Stage 1 from the stream: read bit, select cost.
-		off := d.llcsOff
+	s, w := d.llcs, (*llcWalker)(nil)
+	if s != nil {
+		off := d.llcOff
 		if !s.covers(off + len(keys)) {
 			panic("server: Serve past the attached LLC stream's published prefix")
 		}
 		for i, k := range keys {
-			j := off + i
-			h := uint8(s.words[j>>6].Load()>>(j&63)) & 1
+			h := s.bit(off + i)
 			ns[i] = t.costs[k].ns[costSlot(kinds[i], h)]
 			hit[i] = h
-			hits += int(h)
 		}
 	} else {
-		// Stage 1a, gather: load every request's cost row and take its
-		// miss cost into ns and its LLC footprint into lat, which stage 3
-		// will overwrite. The loads are independent of each other and of
-		// the LLC, so they overlap instead of each waiting behind the
-		// previous Touch.
+		w = d.privateLLC() // nil without an LLC model: every request misses
 		for i, k := range keys {
-			c := &t.costs[k]
-			ns[i], lat[i] = c.ns[costSlot(kinds[i], 0)], simclock.Duration(c.bytes[kinds[i]&1])
-		}
-		// Stage 1b, LLC walk: only a hit goes back to its (cache-hot)
-		// row, for the hit cost.
-		if llc != nil {
-			for i, k := range keys {
-				if llc.Touch(memsim.RecordRef{ID: uint64(k), Bytes: int(lat[i])}) {
-					ns[i] = t.costs[k].ns[costSlot(kinds[i], 1)]
-					hit[i] = 1
-					hits++
-				} else {
-					hit[i] = 0
-				}
+			var h uint8
+			if w != nil && w.step(k, kinds[i]) {
+				h = 1
 			}
+			ns[i] = t.costs[k].ns[costSlot(kinds[i], h)]
+			hit[i] = h
 		}
 	}
 
@@ -373,7 +351,7 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 	start := d.clock.Now()
 	now := start
 	pausing := t.pause[memsim.Fast].budget > 0 || t.pause[memsim.Slow].budget > 0
-	served := len(ns)
+	served, hits := len(ns), 0
 	for i, serviceNs := range ns {
 		if pausing {
 			// Mirror of TakePauseNs: the engine's own GC accounting would
@@ -390,6 +368,7 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 		l := simclock.FromNanos(serviceNs)
 		now += l
 		lat[i] = l
+		hits += int(hit[i])
 		if maxClock > 0 && now > maxClock {
 			served = i + 1
 			break
@@ -398,15 +377,8 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 	d.clock.Advance(now - start)
 	d.ops += served
 
-	if llc != nil {
-		for _, h := range hit[served:] {
-			hits -= int(h) // credit the served prefix only
-		}
-		llc.Credit(int64(hits), int64(served-hits))
-	}
-	if d.llcs != nil {
-		d.llcsOff += served
-		d.streamReqs += int64(served)
+	if s != nil || w != nil {
+		d.tallyLLC(hits, served)
 	}
 	return served
 }
@@ -415,10 +387,10 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 // under a new measurement seed — the snapshot/reset that lets repeated
 // runs (ExecuteMean, Session.Compare) load the populated store once
 // instead of re-populating per run. It resets the clock, op counter,
-// LLC contents and statistics, detaches any LLC stream, re-seeds the noise stream, and restores
-// the kernel's pause accumulators to their post-load snapshot;
-// telemetry parity with a fresh deployment is kept by re-counting the
-// deployment.
+// private LLC walker and LLC tallies, detaches any LLC stream, re-seeds
+// the noise stream, and restores the kernel's pause accumulators to
+// their post-load snapshot; telemetry parity with a fresh deployment is
+// kept by re-counting the deployment.
 //
 // It returns false — leaving the deployment untouched — when the
 // deployment is not Rewindable.
@@ -434,11 +406,10 @@ func (d *Deployment) ResetRun(seed int64) bool {
 	for i := range t.pause {
 		t.pause[i].accum = t.pause[i].reset
 	}
-	if llc := d.machine.LLC(); llc != nil {
-		llc.Flush()
-		llc.ResetStats()
+	if d.llc != nil {
+		d.llc.reset()
 	}
-	d.llcs = nil
+	d.llcs, d.llcOff, d.llcHits, d.llcMisses = nil, 0, 0, 0
 	d.resetRunTelemetry()
 	return true
 }

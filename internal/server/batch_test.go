@@ -193,10 +193,9 @@ func TestResetRunMatchesFreshLoad(t *testing.T) {
 			if reused.Clock() != fresh.Clock() {
 				t.Fatalf("clocks diverged: reset %v, fresh %v", reused.Clock(), fresh.Clock())
 			}
-			rl, fl := reused.machine.LLC(), fresh.machine.LLC()
-			if rl.Hits() != fl.Hits() || rl.Misses() != fl.Misses() {
-				t.Fatalf("LLC stats diverged: reset %d/%d, fresh %d/%d",
-					rl.Hits(), rl.Misses(), fl.Hits(), fl.Misses())
+			if reused.llcHits != fresh.llcHits || reused.llcMisses != fresh.llcMisses {
+				t.Fatalf("LLC tallies diverged: reset %d/%d, fresh %d/%d",
+					reused.llcHits, reused.llcMisses, fresh.llcHits, fresh.llcMisses)
 			}
 		})
 	}

@@ -75,7 +75,7 @@ func TestDoIndexLLCEntryPerRecord(t *testing.T) {
 	if res := d.DoIndex(1, kvstore.Read); !res.Hit || !res.Found {
 		t.Fatalf("read after delete + re-insert: %+v, want a hit on the rewritten record", res)
 	}
-	if llc := d.machine.LLC(); llc.Len() != 2 {
+	if llc := d.llc.cache; llc.Len() != 2 {
 		t.Fatalf("LLC holds %d entries for 2 touched records", llc.Len())
 	}
 }
@@ -94,5 +94,29 @@ func TestLoadResolvesDensePlacement(t *testing.T) {
 	}
 	if got := d.Instance(memsim.Slow).Len(); got != n-2 {
 		t.Fatalf("slow instance holds %d records, want %d", got, n-2)
+	}
+}
+
+// TestDeploymentWithoutLLC: with LLCBytes = 0 there is no LLC model —
+// no request hits on either path, nothing is tallied, and no stream
+// attaches.
+func TestDeploymentWithoutLLC(t *testing.T) {
+	w := smallWorkload(t, ycsb.SizeFixed1KB, 0.9)
+	cfg := DefaultConfig(RedisLike, 3)
+	cfg.Machine.LLCBytes = 0
+	d := loadHalfFast(t, cfg, w)
+	for i := 0; i < 2; i++ {
+		if d.DoIndex(0, kvstore.Read).Hit {
+			t.Fatal("DoIndex hit without an LLC model")
+		}
+	}
+	d.DoIndex(0, kvstore.Delete) // must not panic
+	pt := w.Packed()
+	d = loadHalfFast(t, cfg, w)
+	tab := d.BatchTable()
+	tab.Serve(pt.Keys[:ReplayBlockOps], pt.Kinds[:ReplayBlockOps], 0, tab.Block())
+	tab.Serve(pt.Keys[:ReplayBlockOps], pt.Kinds[:ReplayBlockOps], 0, tab.Block())
+	if d.llc != nil || d.llcHits+d.llcMisses != 0 || d.LLCHitRate() != 0 {
+		t.Fatalf("LLC state without an LLC model: walker %v, %d hits, %d misses", d.llc != nil, d.llcHits, d.llcMisses)
 	}
 }

@@ -2,42 +2,103 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"mnemo/internal/kvstore"
 	"mnemo/internal/memsim"
 	"mnemo/internal/ycsb"
 )
 
-// Shared LLC hit stream (DESIGN.md §12, stage 1).
+// The LLC model (DESIGN.md §12, stage 1).
 //
-// Whether a request hits the record-level LLC depends on the key
-// stream, the records' LLC footprints and the cache size alone. The
-// tier does not enter it, nor the noise seed, nor migration, which
-// leaves residency alone (migrate.go). One measurement replays the same
-// trace many times over — a Fast and a Slow leg, Runs repetitions each,
-// one run per validation point — so the LLC is walked once, by a
-// producer goroutine, and published as one bit per request, frame by
-// frame. Every run of the measurement reads bits instead of touching
-// its own cache: Serve's stage 1 becomes "read bit, select cost".
-//
-// The stream covers the trace's longest prefix of read/write-only
-// frames: the producer stops at the first frame carrying another kind
-// (a Delete invalidates, and may re-insert, records the stream cannot
-// foresee), at a decode error and on cancellation. A run that needs
-// its live cache — its next frame goes per-op, or lies past the
-// stream's end — first hands over: it touches the prefix it served
-// into its cold cache, in order, which reproduces exactly the state a
-// live walk would have reached, and detaches.
+// Whether a request hits the record-level LLC depends on the trace, the
+// records' LLC footprints, the records the engine refuses at Load and
+// the cache size alone — not on the tier, the noise seed or migration,
+// which leaves residency alone. Which records are live is the trace's
+// Deletes and Writes, also for a record a migration re-creates. So one
+// walker, llcWalker, prices every request kind from the trace, and
+// Serve and DoIndex alike read its hit bit: a run under an LLCShare
+// reads the bits a producer goroutine walks once for the whole
+// measurement call (llcStream); any other run walks a private walker.
 
-// llcStream is one workload's shared LLC hit stream, walked by its own
-// producer goroutine. It is safe for concurrent readers.
-type llcStream struct {
-	w        *ycsb.Workload
-	capacity int64
-	// foot[2k+kind] is record k's LLC footprint under a Read or a Write.
+// llcWalker walks the LLC over a trace, one request at a time, touching
+// the cache with what the per-op path's valueBytes gives: a Read its
+// record's read footprint, or 0 bytes ("not found") while the record is
+// not live; a Write the record's size, making it live again; a Delete 0
+// bytes, then it drops the record and marks it not live. A record the
+// engine refused at Load is never live: its read footprint is 0.
+type llcWalker struct {
+	cache *memsim.LRUCache
+	// foot[2k+kind] is record k's footprint under a Read (0) or a Write (1).
 	foot []int32
+	// dead marks the records a Delete removed and no Write has
+	// re-inserted since, nDead of them.
+	dead  []bool
+	nDead int
+}
+
+// newLLCWalker returns a cold walker over the records of one dataset,
+// served by engine e, with a cache of the given capacity.
+func newLLCWalker(recs []ycsb.Record, e Engine, capacity int64) *llcWalker {
+	w := &llcWalker{
+		cache: memsim.NewLRUCache(capacity),
+		foot:  make([]int32, 2*len(recs)),
+		dead:  make([]bool, len(recs)),
+	}
+	w.cache.Reserve(len(recs))
+	readAmp := e.Profile().ReadAmplification
+	for k := range recs {
+		if e.stores(&recs[k]) {
+			w.foot[2*k] = int32(llcFootprint(uint8(kvstore.Read), recs[k].Size, readAmp))
+		}
+		w.foot[2*k+1] = int32(recs[k].Size)
+	}
+	return w
+}
+
+// step walks request k of the given kind and reports whether it hit.
+func (w *llcWalker) step(k uint32, kind uint8) bool {
+	if kind > uint8(kvstore.Write) || w.nDead > 0 && w.dead[k] {
+		return w.structural(k, kvstore.OpKind(kind))
+	}
+	return w.cache.Touch(memsim.RecordRef{ID: uint64(k), Bytes: int(w.foot[2*int(k)+int(kind)])})
+}
+
+// structural walks a Delete, or a Read or Write of a dead record.
+func (w *llcWalker) structural(k uint32, kind kvstore.OpKind) bool {
+	ref := memsim.RecordRef{ID: uint64(k)}
+	switch kind {
+	case kvstore.Read: // not found: 0 bytes
+	case kvstore.Write:
+		ref.Bytes = int(w.foot[2*int(k)+1])
+		w.dead[k] = false
+		w.nDead--
+	default:
+		hit := w.cache.Touch(ref)
+		w.cache.Remove(ref.ID)
+		if !w.dead[k] {
+			w.dead[k] = true
+			w.nDead++
+		}
+		return hit
+	}
+	return w.cache.Touch(ref)
+}
+
+// reset makes the walker cold again, every record live but the refused.
+func (w *llcWalker) reset() {
+	w.cache.Flush()
+	clear(w.dead)
+	w.nDead = 0
+}
+
+// llcStream is one trace's shared LLC hit stream, walked by its own
+// producer goroutine over the whole trace. It is safe for concurrent
+// readers.
+type llcStream struct {
 	// words holds the outcomes: bit j%64 of words[j/64] is set when
 	// request j hits. The producer stores each word whole, so a word a
 	// frame ends inside is stored again as the next frame fills it.
@@ -45,57 +106,49 @@ type llcStream struct {
 	// published is the number of requests whose bits are final.
 	published atomic.Int64
 
-	mu    sync.Mutex
-	ended bool          // the producer will publish no more
-	wake  chan struct{} // closed at the next publish or end; nil while nobody waits
-	done  chan struct{} // closed when the producer has returned
+	mu   sync.Mutex
+	end  error         // why the producer stopped (wrapping io.EOF at the trace's end); nil until then
+	wake chan struct{} // closed at the next publish; nil while nobody waits
+	done chan struct{} // closed when the producer has returned
 }
 
-// startLLCStream walks the LLC outcomes of key.w at key's cache
-// capacity and read amplification on a new producer goroutine, which
-// returns when the stream ends or ctx is cancelled.
+// startLLCStream walks key's trace on a new producer goroutine, which
+// returns at the trace's end, at a decode error or when ctx is
+// cancelled.
 func startLLCStream(ctx context.Context, key llcShareKey) *llcStream {
-	recs := key.w.Dataset.Records
 	s := &llcStream{
-		w: key.w, capacity: key.capacity,
-		foot:  make([]int32, 2*len(recs)),
 		words: make([]atomic.Uint64, (key.w.RequestCount()+63)/64),
 		done:  make(chan struct{}),
 	}
-	for k := range recs {
-		for kind := uint8(0); kind < 2; kind++ {
-			s.foot[2*k+int(kind)] = int32(llcFootprint(kind, recs[k].Size, key.readAmp))
-		}
-	}
-	go s.produce(ctx)
+	go func() {
+		defer close(s.done)
+		n, err := s.produce(ctx, key)
+		s.publish(n, fmt.Errorf("server: LLC stream stopped after %d requests: %w", n, err))
+	}()
 	return s
 }
 
-// ref is the cache reference of a request of the given kind on record k.
-func (s *llcStream) ref(k uint32, kind uint8) memsim.RecordRef {
-	return memsim.RecordRef{ID: uint64(k), Bytes: int(s.foot[2*int(k)+int(kind&1)])}
-}
-
-// produce is the producer goroutine: it walks a private cache over the
-// trace's read/write-only prefix, publishing each frame's outcomes.
-func (s *llcStream) produce(ctx context.Context) {
-	defer close(s.done)
-	defer s.end()
-	frames, err := s.w.Frames()
+// produce walks a private walker over the trace, publishing each
+// frame's outcomes, and returns how many it published and why it
+// stopped.
+func (s *llcStream) produce(ctx context.Context, key llcShareKey) (int, error) {
+	frames, err := key.w.Frames()
 	if err != nil {
-		return
+		return 0, err
 	}
-	cache := memsim.NewLRUCache(s.capacity)
-	cache.Reserve(len(s.w.Dataset.Records))
+	w := newLLCWalker(key.w.Dataset.Records, key.engine, key.capacity)
 	n := 0
 	var word uint64
 	for ctx.Err() == nil {
-		keys, kinds, rw, err := frames.Next()
-		if err != nil || !rw || n+len(keys) > 64*len(s.words) {
-			return
+		keys, kinds, _, err := frames.Next()
+		if err != nil {
+			return n, err
+		}
+		if n+len(keys) > 64*len(s.words) {
+			return n, errors.New("the trace holds more requests than it declares")
 		}
 		for i, k := range keys {
-			if cache.Touch(s.ref(k, kinds[i])) {
+			if w.step(k, kinds[i]) {
 				word |= 1 << (n & 63)
 			}
 			if n++; n&63 == 0 {
@@ -106,25 +159,17 @@ func (s *llcStream) produce(ctx context.Context) {
 		if n&63 != 0 {
 			s.words[n/64].Store(word)
 		}
-		s.publish(n)
+		s.publish(n, nil)
 	}
+	return n, ctx.Err()
 }
 
-// publish makes the first n requests' bits visible and wakes waiters.
-func (s *llcStream) publish(n int) {
+// publish makes the first n requests' bits visible and wakes waiters;
+// a non-nil end ends the stream.
+func (s *llcStream) publish(n int, end error) {
 	s.published.Store(int64(n))
 	s.mu.Lock()
-	if s.wake != nil {
-		close(s.wake)
-		s.wake = nil
-	}
-	s.mu.Unlock()
-}
-
-// end marks the stream complete and wakes waiters.
-func (s *llcStream) end() {
-	s.mu.Lock()
-	s.ended = true
+	s.end = end
 	if s.wake != nil {
 		close(s.wake)
 		s.wake = nil
@@ -135,20 +180,25 @@ func (s *llcStream) end() {
 // covers reports whether the first n requests' bits are published.
 func (s *llcStream) covers(n int) bool { return s.published.Load() >= int64(n) }
 
-// await blocks until the stream covers the first n requests (true) or
-// has ended short of them (false), or ctx is cancelled. A stream that
-// ended because ctx was cancelled reports the cancellation, so the run
-// returns instead of handing over.
-func (s *llcStream) await(ctx context.Context, n int) (bool, error) {
+// bit returns request j's published outcome, 1 for a hit.
+func (s *llcStream) bit(j int) uint8 { return uint8(s.words[j>>6].Load()>>(j&63)) & 1 }
+
+// await blocks until the stream covers the first n requests, returning
+// nil. It returns ctx's error if ctx is cancelled first, and otherwise
+// why the producer stopped when the stream ended short of n.
+func (s *llcStream) await(ctx context.Context, n int) error {
 	for !s.covers(n) {
 		s.mu.Lock()
 		if s.covers(n) {
 			s.mu.Unlock()
 			break
 		}
-		if s.ended {
+		if end := s.end; end != nil {
 			s.mu.Unlock()
-			return false, ctx.Err()
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return end
 		}
 		if s.wake == nil {
 			s.wake = make(chan struct{})
@@ -158,18 +208,18 @@ func (s *llcStream) await(ctx context.Context, n int) (bool, error) {
 		select {
 		case <-wake:
 		case <-ctx.Done():
-			return false, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // LLCShare is the set of LLC streams one measurement call shares among
-// its runs: one per (workload, cache size, read amplification), so each
-// shard sub-trace of a cluster gets its own. A stream starts when the
-// first run asks for it. Close stops every producer and waits for it;
-// the share must not outlive the call that made it, since a stream
-// holds a bit per request of its trace.
+// its runs: one per (trace, engine, cache size), so each shard
+// sub-trace of a cluster gets its own. A stream starts when the first
+// run asks for it. Close stops every producer and waits for it; the
+// share must not outlive the call that made it, since a stream holds a
+// bit per request of its trace.
 type LLCShare struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -178,11 +228,12 @@ type LLCShare struct {
 	streams map[llcShareKey]*llcStream
 }
 
-// llcShareKey is everything a stream's bits depend on.
+// llcShareKey is everything a stream's bits depend on. The engine
+// enters through the records it refuses and its read amplification.
 type llcShareKey struct {
 	w        *ycsb.Workload
+	engine   Engine
 	capacity int64
-	readAmp  float64
 }
 
 // NewLLCShare opens a share whose producers stop when ctx is cancelled
@@ -193,8 +244,7 @@ func NewLLCShare(ctx context.Context) *LLCShare {
 }
 
 // Close stops the share's producers and returns once all have exited.
-// Runs still attached keep reading what was published and hand over
-// past it.
+// A run still attached reads what was published and fails past it.
 func (sh *LLCShare) Close() {
 	sh.mu.Lock()
 	sh.closed = true
@@ -222,69 +272,77 @@ func (sh *LLCShare) stream(key llcShareKey) *llcStream {
 }
 
 // AttachLLCStream prices the run about to replay w from sh's stream of
-// w instead of walking the live LLC, and reports whether it did. It
-// must be called before the run's first request. It attaches nothing
-// when the deployment has no LLC model or replays per-op by config, or
-// when its cache is not cold (a stream starts from an empty cache).
-// Load and ResetRun detach the stream.
+// w instead of the private walker, and reports whether it did. The
+// stream's bits start at the trace's first request, from a cold cache
+// with every record loaded, so it attaches nothing once the deployment
+// has priced a request since Load or ResetRun, nor without an LLC
+// model, nor to a trace of another dataset. Load and ResetRun detach
+// the stream.
 func (d *Deployment) AttachLLCStream(sh *LLCShare, w *ycsb.Workload) bool {
-	llc := d.machine.LLC()
-	if sh == nil || llc == nil || llc.Len() != 0 || d.cfg.DisableBatchReplay || len(w.Dataset.Records) != len(d.records) {
+	if sh == nil || d.cfg.Machine.LLCBytes <= 0 || d.llcOff != 0 || len(w.Dataset.Records) != len(d.records) {
 		return false
 	}
-	s := sh.stream(llcShareKey{w: w, capacity: llc.Capacity(), readAmp: d.profile.ReadAmplification})
-	d.llcs, d.llcsOff = s, 0
-	return s != nil
+	d.llcs = sh.stream(llcShareKey{w: w, engine: d.cfg.Engine, capacity: d.cfg.Machine.LLCBytes})
+	return d.llcs != nil
 }
 
-// AwaitFrame readies the LLC model for the next frame of the run — keys
-// and rw as FrameTable takes them — and is called before FrameTable.
-// Without an attached stream it returns at once. With one, a frame the
-// kernel will serve waits for the producer to publish it, returning
-// ctx's error if cancelled meanwhile; a frame that will go per-op, or
-// that the stream ended short of, hands the run over to the live cache
-// first. The only other error is a trace that fails to re-read during
-// the hand-over.
-func (d *Deployment) AwaitFrame(ctx context.Context, keys []uint32, rw bool) error {
-	s := d.llcs
-	if s == nil {
+// AwaitFrame waits until the attached stream has published the run's
+// next n requests, and is called before each frame is served. Without
+// a stream it returns at once. It returns ctx's error if ctx is
+// cancelled meanwhile, and the producer's reason if its stream ended
+// short of the frame.
+func (d *Deployment) AwaitFrame(ctx context.Context, n int) error {
+	if d.llcs == nil {
 		return nil
 	}
-	if d.kernelTable(keys, rw) != nil {
-		ok, err := s.await(ctx, d.llcsOff+len(keys))
-		if err != nil || ok {
-			return err
-		}
-	}
-	return d.handOver()
+	return d.llcs.await(ctx, d.llcOff+n)
 }
 
-// handOver detaches the run's stream and rebuilds the live cache it
-// replaced: the cache is cold (attachment requires it, and nothing has
-// touched it since), so touching the served prefix [0, llcsOff) into
-// it in order yields exactly the state a live walk would have reached.
-// The hit/miss counters were credited as the prefix was served.
-func (d *Deployment) handOver() error {
-	s, n := d.llcs, d.llcsOff
-	d.llcs, d.llcsOff = nil, 0
-	d.handovers++
-	if n == 0 {
-		return nil
+// privateLLC returns the private LLC walker, building it on first use;
+// nil without an LLC model.
+func (d *Deployment) privateLLC() *llcWalker {
+	if d.llc == nil && d.cfg.Machine.LLCBytes > 0 {
+		d.llc = newLLCWalker(d.records, d.cfg.Engine, d.cfg.Machine.LLCBytes)
 	}
-	llc := d.machine.LLC()
-	frames, err := s.w.Frames()
-	for err == nil && n > 0 {
-		keys, kinds, _, nextErr := frames.Next()
-		if err = nextErr; err == nil {
-			keys = keys[:min(n, len(keys))]
-			for i, k := range keys {
-				llc.Touch(s.ref(k, kinds[i]))
-			}
-			n -= len(keys)
+	return d.llc
+}
+
+// llcHit returns the LLC outcome of the run's next request, record k of
+// the given kind, from the attached stream or the private walker, and
+// tallies it.
+func (d *Deployment) llcHit(k uint32, kind kvstore.OpKind) bool {
+	var hit uint8
+	if s := d.llcs; s != nil {
+		if !s.covers(d.llcOff + 1) {
+			panic("server: DoIndex past the attached LLC stream's published prefix")
 		}
+		hit = s.bit(d.llcOff)
+	} else if w := d.privateLLC(); w == nil {
+		return false
+	} else if w.step(k, uint8(kind)) {
+		hit = 1
 	}
-	if err != nil {
-		return fmt.Errorf("server: LLC hand-over: re-reading the trace: %w", err)
+	d.tallyLLC(int(hit), 1)
+	return hit == 1
+}
+
+// tallyLLC counts n requests priced from the LLC model, hits of them
+// hits.
+func (d *Deployment) tallyLLC(hits, n int) {
+	d.llcHits += int64(hits)
+	d.llcMisses += int64(n - hits)
+	d.llcOff += n
+	if d.llcs != nil {
+		d.streamReqs += int64(n)
 	}
-	return nil
+}
+
+// LLCHitRate reports the share of the requests priced since Load or
+// ResetRun that hit the LLC, or 0 when none was priced.
+func (d *Deployment) LLCHitRate() float64 {
+	total := d.llcHits + d.llcMisses
+	if total == 0 {
+		return 0
+	}
+	return float64(d.llcHits) / float64(total)
 }

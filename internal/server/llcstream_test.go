@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"mnemo/internal/kvstore"
+	"mnemo/internal/memsim"
 	"mnemo/internal/obs"
 	"mnemo/internal/ycsb"
 )
 
 // replayByHand drives every frame of w through d the way the client's
-// replay loop does and returns the kernel-served requests split by
-// whether an LLC stream or the live cache priced them.
-func replayByHand(t *testing.T, d *Deployment, w *ycsb.Workload) (stream, live, perOp int) {
+// replay loop does and returns the requests it served, split by whether
+// an LLC stream or the private walker priced them.
+func replayByHand(t *testing.T, d *Deployment, w *ycsb.Workload) (stream, private int) {
 	t.Helper()
 	frames, err := w.Frames()
 	if err != nil {
@@ -27,42 +28,53 @@ func replayByHand(t *testing.T, d *Deployment, w *ycsb.Workload) (stream, live, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.AwaitFrame(context.Background(), keys, rw); err != nil {
+		if err := d.AwaitFrame(context.Background(), len(keys)); err != nil {
 			t.Fatal(err)
 		}
-		tab := d.FrameTable(keys, rw)
-		switch {
-		case tab == nil:
+		served := len(keys)
+		if tab := d.FrameTable(keys, rw); tab != nil {
+			served = tab.Serve(keys, kinds, 0, tab.Block())
+		} else {
 			for i, k := range keys {
 				d.DoIndex(int(k), kvstore.OpKind(kinds[i]))
 			}
-			perOp += len(keys)
-		case d.llcs != nil:
-			stream += tab.Serve(keys, kinds, 0, tab.Block())
-		default:
-			live += tab.Serve(keys, kinds, 0, tab.Block())
+		}
+		if d.llcs != nil {
+			stream += served
+		} else {
+			private += served
 		}
 	}
 }
 
-// TestLLCStreamCountersAccount: the stream-requests counter counts
-// exactly the kernel requests a stream priced, so it and the kernel
-// requests the live cache priced add up to every kernel request. The
-// trace's frame 2 carries a Delete (re-inserted at once): frames 0–1
-// come from the stream, frame 2 hands over and goes per-op, frames 3–5
-// take the kernel on the rebuilt live cache. The LLC hit/miss totals
-// equal those of the same replay without a stream.
-func TestLLCStreamCountersAccount(t *testing.T) {
+// deleteTrace is a 6-frame trace whose frame 2 deletes a record, reads
+// it twice while it is dead and then re-inserts it.
+func deleteTrace() *ycsb.Workload {
 	w := ycsb.MustGenerate(ycsb.Spec{
 		Name: "counters", Keys: 2000, Requests: 6 * ReplayBlockOps,
 		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
 		ReadRatio: 0.9, Sizes: ycsb.SizeThumbnail, Seed: 3,
 	})
-	del := &w.Ops[2*ReplayBlockOps+10]
-	del.Kind = kvstore.Delete
-	w.Ops[2*ReplayBlockOps+11] = ycsb.Op{Key: del.Key, Kind: kvstore.Write}
+	at := 2*ReplayBlockOps + 10
+	k := w.Ops[at].Key
+	w.Ops[at].Kind = kvstore.Delete
+	w.Ops[at+1] = ycsb.Op{Key: k, Kind: kvstore.Read}
+	w.Ops[at+2] = ycsb.Op{Key: k, Kind: kvstore.Read}
+	w.Ops[at+3] = ycsb.Op{Key: k, Kind: kvstore.Write}
+	return w
+}
 
-	load := func(sink *obs.Sink) *Deployment {
+// TestLLCStreamCountersAccount: every request of a run under a share is
+// priced from its stream, on the kernel and the per-op path alike, and
+// every request of a run without one by the private walker, so the
+// stream-requests counter plus the privately walked requests add up to
+// the ops counter. The trace's frame 2 goes per-op (a Delete, two reads
+// of the dead record and its re-insert); frames 0–1 and 3–5 take the
+// kernel. Both runs reach the same clock and LLC tallies.
+func TestLLCStreamCountersAccount(t *testing.T) {
+	w := deleteTrace()
+	sink := obs.NewSink()
+	load := func() *Deployment {
 		cfg := DefaultConfig(RedisLike, 5)
 		cfg.Machine.LLCBytes = 4 << 20
 		cfg.Obs = sink
@@ -72,50 +84,54 @@ func TestLLCStreamCountersAccount(t *testing.T) {
 		}
 		return d
 	}
-	ref := load(nil)
-	_, refKernel, _ := replayByHand(t, ref, w)
-
-	sink := obs.NewSink()
-	d := load(sink)
+	shared, plain := load(), load()
 	sh := NewLLCShare(context.Background())
 	defer sh.Close()
-	if !d.AttachLLCStream(sh, w) {
-		t.Fatal("stream not attached to a cold, batch-capable deployment")
+	if !shared.AttachLLCStream(sh, w) {
+		t.Fatal("stream not attached to a freshly loaded deployment")
 	}
-	stream, live, perOp := replayByHand(t, d, w)
-	d.FlushObs()
-	if stream != 2*ReplayBlockOps || live != 3*ReplayBlockOps || perOp != ReplayBlockOps {
-		t.Fatalf("requests: %d from the stream, %d kernel on the live cache, %d per-op; want 2, 3 and 1 frames", stream, live, perOp)
+	stream, private := replayByHand(t, shared, w)
+	if stream != len(w.Ops) || private != 0 {
+		t.Fatalf("shared run: %d requests from the stream, %d privately walked; want all %d from the stream", stream, private, len(w.Ops))
 	}
-	if n := sink.Counter("mnemo_server_llc_stream_requests_total").Value(); n != int64(stream) || n+int64(live) != int64(refKernel) {
-		t.Fatalf("stream-requests counter %d + %d live-cache kernel requests, want %d kernel requests in all", n, live, refKernel)
+	if n := shared.frames[pathPerOp]; n != 1 {
+		t.Fatalf("%d frames went per-op, want frame 2 alone", n)
 	}
-	if n := sink.Counter("mnemo_server_llc_handovers_total").Value(); n != 1 {
-		t.Fatalf("hand-overs counter %d, want 1", n)
+	s2, p2 := replayByHand(t, plain, w)
+	stream, private = stream+s2, private+p2
+	shared.FlushObs()
+	plain.FlushObs()
+
+	streamed := sink.Counter("mnemo_server_llc_stream_requests_total").Value()
+	ops := sink.Counter(obs.Name("mnemo_server_ops_total", "engine", "redislike")).Value()
+	if streamed != int64(stream) || streamed+int64(private) != ops || ops != int64(2*len(w.Ops)) {
+		t.Fatalf("stream-requests counter %d + %d privately walked, ops counter %d; want %d stream-priced and %d in all", streamed, private, ops, stream, 2*len(w.Ops))
 	}
-	got, want := d.Machine().LLC(), ref.Machine().LLC()
-	if got.Hits() != want.Hits() || got.Misses() != want.Misses() || got.Hits() == 0 || got.Misses() == 0 {
-		t.Fatalf("LLC %d hits / %d misses with the stream, %d / %d without", got.Hits(), got.Misses(), want.Hits(), want.Misses())
+	if shared.llcHits != plain.llcHits || shared.llcMisses != plain.llcMisses || shared.llcHits == 0 || shared.llcMisses == 0 {
+		t.Fatalf("LLC %d hits / %d misses from the stream, %d / %d from the private walker", shared.llcHits, shared.llcMisses, plain.llcHits, plain.llcMisses)
 	}
-	if d.Clock() != ref.Clock() {
-		t.Fatalf("clock %v with the stream, %v without", d.Clock(), ref.Clock())
+	if shared.Clock() != plain.Clock() {
+		t.Fatalf("clock %v from the stream, %v from the private walker", shared.Clock(), plain.Clock())
 	}
 }
 
-// TestLLCStreamAttachRules: a stream is attached only where it can
-// stand in for the live cache from request 0.
+// TestLLCStreamAttachRules: a stream is attached only where its bits
+// stand for the run from request 0 — to a deployment with an LLC model
+// that has priced nothing since Load or ResetRun, per-op config or not.
 func TestLLCStreamAttachRules(t *testing.T) {
 	w := smallWorkload(t, ycsb.SizeThumbnail, 0.9)
 	sh := NewLLCShare(context.Background())
 	defer sh.Close()
 	for name, tc := range map[string]struct {
-		mut  func(*Config)
-		warm bool
-		want bool
+		mut    func(*Config)
+		priced bool
+		rewind bool
+		want   bool
 	}{
-		"cold":          {want: true},
-		"warm cache":    {warm: true},
-		"per-op config": {mut: func(c *Config) { c.DisableBatchReplay = true }},
+		"fresh":         {want: true},
+		"priced":        {priced: true},
+		"rewound":       {priced: true, rewind: true, want: true},
+		"per-op config": {mut: func(c *Config) { c.DisableBatchReplay = true }, want: true},
 		"no LLC model":  {mut: func(c *Config) { c.Machine.LLCBytes = 0 }},
 	} {
 		cfg := DefaultConfig(RedisLike, 1)
@@ -126,8 +142,11 @@ func TestLLCStreamAttachRules(t *testing.T) {
 		if err := d.Load(w.Dataset, AllFast()); err != nil {
 			t.Fatal(err)
 		}
-		if tc.warm {
+		if tc.priced {
 			d.DoIndex(0, kvstore.Read)
+		}
+		if tc.rewind && !d.ResetRun(2) {
+			t.Fatalf("%s: deployment not rewindable", name)
 		}
 		if got := d.AttachLLCStream(sh, w); got != tc.want {
 			t.Errorf("%s: attached %t, want %t", name, got, tc.want)
@@ -142,5 +161,105 @@ func TestLLCStreamAttachRules(t *testing.T) {
 	}
 	if d.AttachLLCStream(closed, w) {
 		t.Error("a closed share attached a stream")
+	}
+}
+
+// traceRecorder passes every request to its engine and keeps the
+// OpTrace of the last one.
+type traceRecorder struct {
+	kvstore.Store
+	last *kvstore.OpTrace
+}
+
+func (r traceRecorder) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
+	v, tr := r.Store.GetID(key, id)
+	*r.last = tr
+	return v, tr
+}
+
+func (r traceRecorder) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
+	tr := r.Store.PutID(key, id, v)
+	*r.last = tr
+	return tr
+}
+
+func (r traceRecorder) DelID(key string, id uint64) kvstore.OpTrace {
+	tr := r.Store.DelID(key, id)
+	*r.last = tr
+	return tr
+}
+
+// TestLLCWalkerMatchesReference checks the walker's rules against an
+// independent reference: the engines' real operation traces. A per-op
+// deployment serves the trace through DoIndex; a separate LRUCache is
+// walked with Access at the bytes valueBytes gives for each request's
+// OpTrace, and with Remove after each Delete. The private walker's hit
+// (Result.Hit) and the shared stream's bit must equal the reference's,
+// request by request, on every engine. The trace deletes 4% of its
+// requests and reads records while they are dead; its second variant
+// holds records over 1 MB, which slabkv refuses at Load and at every
+// Write, so MemcachedLike's refused records read as "not found".
+func TestLLCWalkerMatchesReference(t *testing.T) {
+	for _, big := range []bool{false, true} {
+		w := ycsb.MustGenerate(ycsb.Spec{
+			Name: "reference", Keys: 500, Requests: 20_000,
+			Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
+			ReadRatio: 0.85, Sizes: ycsb.SizeThumbnail, Seed: 29,
+		})
+		for i := 7; i < len(w.Ops); i += 25 {
+			w.Ops[i].Kind = kvstore.Delete
+		}
+		if big {
+			for i := 0; i < len(w.Dataset.Records); i += 25 {
+				w.Dataset.Records[i].Size = 3 << 19
+			}
+		}
+		sh := NewLLCShare(context.Background())
+		for _, e := range Engines() {
+			cfg := DefaultConfig(e, 1)
+			cfg.DisableBatchReplay = true
+			cfg.Machine.LLCBytes = 4 << 20
+			d := loadHalfFast(t, cfg, w)
+			var tr kvstore.OpTrace
+			for i, inst := range d.instances {
+				d.instances[i] = traceRecorder{Store: inst, last: &tr}
+			}
+			s := sh.stream(llcShareKey{w: w, engine: e, capacity: cfg.Machine.LLCBytes})
+			if err := s.await(context.Background(), len(w.Ops)); err != nil {
+				t.Fatal(err)
+			}
+			ref := memsim.NewLRUCache(cfg.Machine.LLCBytes)
+			var deadReads, refusedHits, hits int
+			for j, op := range w.Ops {
+				res := d.DoIndex(op.Key, op.Kind)
+				rec := ref.Access(memsim.RecordRef{ID: uint64(op.Key), Bytes: d.valueBytes(tr, w.Dataset.Records[op.Key].Size)})
+				if op.Kind == kvstore.Delete {
+					ref.Remove(uint64(op.Key))
+				}
+				if res.Hit != rec || (s.bit(j) == 1) != rec {
+					t.Fatalf("big=%t %v request %d (%v of record %d): walker %t, stream %d, reference %t",
+						big, e, j, op.Kind, op.Key, res.Hit, s.bit(j), rec)
+				}
+				switch {
+				case op.Kind != kvstore.Read || tr.Found:
+				case !e.stores(&w.Dataset.Records[op.Key]):
+					if rec {
+						refusedHits++
+					}
+				default:
+					deadReads++
+				}
+				if rec {
+					hits++
+				}
+			}
+			if deadReads == 0 || hits == 0 || hits == len(w.Ops) {
+				t.Fatalf("big=%t %v: %d reads of deleted records, %d hits of %d: the trace does not exercise the rules", big, e, deadReads, hits, len(w.Ops))
+			}
+			if big && e == MemcachedLike && refusedHits == 0 {
+				t.Fatalf("big=%t %v: no read of a refused record hit: the refused-record rule is not exercised", big, e)
+			}
+		}
+		sh.Close()
 	}
 }

@@ -78,7 +78,9 @@ type MigrationResult struct {
 // nodes, not out of the cache.
 //
 // Migrating a record writes it to the destination tier whether or not
-// the trace has since deleted it: a deleted record comes back live.
+// the trace has since deleted it: a deleted record comes back live in
+// the store. Not to the LLC, whose liveness is the trace's (llcstream.go):
+// its reads stay "not found" there until the trace writes it again.
 //
 // A deployment that has migrated is permanently dirty for snapshot
 // reuse: its store contents no longer match the post-Load snapshot, so

@@ -61,19 +61,9 @@ func (t *deployTelemetry) flushTallies(name, label string, values []string, tall
 	}
 }
 
-// flushCount adds a non-zero tally to the named counter and zeroes it.
-func (t *deployTelemetry) flushCount(name string, tally *int64) {
-	if *tally > 0 {
-		t.sink.Counter(name).Add(*tally)
-		*tally = 0
-	}
-}
-
 // FlushObs publishes the deployment's accumulated op and LLC hit/miss
-// counts, the LLC stream tallies (requests priced from a shared stream,
-// hand-overs to the live cache), and the frame-path, re-price and
-// re-priced-row tallies, to
-// the configured sink — the run-granularity flush the client calls after
+// counts, the requests priced from a shared LLC stream, and the
+// frame-path, re-price and re-priced-row tallies, to the configured sink — the run-granularity flush the client calls after
 // a replay (including a replay cut off mid-run, so partial runs stay
 // observable).
 // It is a no-op without a sink and idempotent per served request:
@@ -86,19 +76,19 @@ func (d *Deployment) FlushObs() {
 	t.flushTallies("mnemo_client_frames_total", "path", framePathLabels[:], d.frames[:])
 	t.flushTallies("mnemo_server_reprice_total", "cause", repriceCauseLabels[:], d.repriced[:])
 	t.flushTallies("mnemo_server_reprice_rows_total", "cause", repriceCauseLabels[:], d.repricedRows[:])
-	t.flushCount("mnemo_server_llc_stream_requests_total", &d.streamReqs)
-	t.flushCount("mnemo_server_llc_handovers_total", &d.handovers)
+	if d.streamReqs > 0 {
+		t.sink.Counter("mnemo_server_llc_stream_requests_total").Add(d.streamReqs)
+		d.streamReqs = 0
+	}
 	t.ops.Add(int64(d.ops - t.flushedOps))
 	t.flushedOps = d.ops
-	if llc := d.machine.LLC(); llc != nil {
-		h, m := llc.Hits(), llc.Misses()
-		if h < t.flushedHits || m < t.flMiss {
-			// The LLC stats were reset (a reload between runs); restart
-			// the cursors rather than publish a negative delta.
-			t.flushedHits, t.flMiss = 0, 0
-		}
-		t.hits.Add(h - t.flushedHits)
-		t.miss.Add(m - t.flMiss)
-		t.flushedHits, t.flMiss = h, m
+	h, m := d.llcHits, d.llcMisses
+	if h < t.flushedHits || m < t.flMiss {
+		// The LLC tallies were reset (a reload between runs); restart the
+		// cursors rather than publish a negative delta.
+		t.flushedHits, t.flMiss = 0, 0
 	}
+	t.hits.Add(h - t.flushedHits)
+	t.miss.Add(m - t.flMiss)
+	t.flushedHits, t.flMiss = h, m
 }

@@ -22,7 +22,7 @@ func sameCost(a, b opCost) bool {
 			return false
 		}
 	}
-	return a.bytes == b.bytes && a.size == b.size && a.tier == b.tier
+	return a.size == b.size && a.tier == b.tier
 }
 
 // requireRepricedAsFull hands the table to the kernel as the next frame

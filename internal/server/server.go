@@ -79,6 +79,13 @@ func (e Engine) newStore() kvstore.Store {
 	}
 }
 
+// stores reports whether the engine stores the record at all: slabkv
+// refuses an item too large for its largest chunk, at Load and at every
+// later Write, so such a record is never live.
+func (e Engine) stores(rec *ycsb.Record) bool {
+	return e != MemcachedLike || slabkv.Fits(rec.Key, rec.Size)
+}
+
 // Profile returns the engine's performance profile.
 func (e Engine) Profile() kvstore.EngineProfile {
 	switch e {
@@ -107,9 +114,10 @@ type Config struct {
 	// DisableBatchReplay makes the replay loop serve every frame request
 	// by request (BatchTable and FrameTable return nil) even when the
 	// engine supports the batched kernel — the loop's only fork selector.
-	// It exists as the reference knob for the golden equivalence tests
-	// and benchmarks; the two paths are bit-identical, so there is no
-	// reason to set it in production.
+	// Both paths read the same LLC hit bits, so it selects a pricing path
+	// only. It exists as the reference knob for the golden equivalence
+	// tests and benchmarks; the two paths are bit-identical, so there is
+	// no reason to set it in production.
 	DisableBatchReplay bool
 	// Shards splits the deployment into a consistent-hash cluster of N
 	// independent fast+slow pairs (DESIGN.md §13). 0 keeps the legacy
@@ -221,22 +229,25 @@ type Deployment struct {
 	relaidStamp uint32
 	noteRelaid  func(key string, id uint64)
 
-	// llcs is the shared LLC hit stream the current run is priced from
-	// (llcstream.go), nil while the live cache model serves it; llcsOff
-	// is the run's next request index, everything before it having been
-	// served through Serve from the stream.
-	llcs    *llcStream
-	llcsOff int
+	// llc is the private LLC walker, which prices every request of a run
+	// with no stream attached, built on first use (privateLLC); llcs is
+	// the shared LLC hit stream the current run is priced from instead
+	// (llcstream.go). llcOff counts the requests priced since Load or
+	// ResetRun — the stream's read offset — and llcHits and llcMisses
+	// split them by outcome.
+	llc                *llcWalker
+	llcs               *llcStream
+	llcOff             int
+	llcHits, llcMisses int64
 
 	// frames, repriced and repricedRows tally, since the last FlushObs,
 	// the frames FrameTable routed to each path, the table re-prices by
-	// cause and the rows those re-prices probed; streamReqs and handovers
-	// the requests Serve priced from an LLC stream and the stream
-	// hand-overs to the live cache.
-	frames                [2]int64
-	repriced              [numRepriceCauses]int64
-	repricedRows          [numRepriceCauses]int64
-	streamReqs, handovers int64
+	// cause and the rows those re-prices probed; streamReqs the requests
+	// priced from an LLC stream.
+	frames       [2]int64
+	repriced     [numRepriceCauses]int64
+	repricedRows [numRepriceCauses]int64
+	streamReqs   int64
 }
 
 // NewDeployment builds an empty deployment with an AllFast placement.
@@ -272,15 +283,11 @@ func (d *Deployment) Instance(t memsim.Tier) kvstore.Store { return d.instances[
 
 // Load populates the deployment from a dataset under the given placement.
 // Loading is the untimed setup phase (the paper's YCSB load stage): it
-// neither advances the clock nor perturbs the LLC model. Node capacity is
-// accounted; an error is returned if a tier overflows a configured
-// capacity.
+// neither advances the clock nor touches the LLC model, which starts
+// cold. Node capacity is accounted; an error is returned if a tier
+// overflows a configured capacity.
 //
-// Load also fixes how the deployment addresses its LLC: the cache
-// reserves one directly indexed handle per dataset record, and from
-// here on every path — Serve, DoIndex, streamed per-op frames, delete
-// invalidation — identifies a record to the cache by its dataset index,
-// never by its key hash.
+// Every path identifies a record to the LLC walker by its dataset index.
 func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	d.placement = p
 	d.records = ds.Records
@@ -307,13 +314,9 @@ func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 		}
 	}
 	d.table, d.stale = nil, causeLoad
-	d.llcs = nil
 	d.mutated = false
 	d.dead, d.nDead = nil, 0
-	if llc := d.machine.LLC(); llc != nil {
-		llc.Reserve(len(ds.Records))
-		llc.ResetStats()
-	}
+	d.llc, d.llcs, d.llcOff, d.llcHits, d.llcMisses = nil, nil, 0, 0, 0
 	return nil
 }
 
@@ -360,9 +363,6 @@ func (d *Deployment) row(key string, id uint64) (int, bool) {
 // trace's record sizes are fixed for the workload's lifetime). DoIndex
 // panics if the deployment has not been loaded or idx is out of range.
 func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
-	if d.llcs != nil {
-		panic("server: DoIndex with an LLC stream attached")
-	}
 	rec := &d.records[idx]
 	if kind != kvstore.Read {
 		d.noteStructural(idx, kind)
@@ -380,7 +380,7 @@ func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
 	default:
 		panic(fmt.Sprintf("server: unknown op kind %v", kind))
 	}
-	return d.price(tier, st, kind, tr, rec.Size, uint64(idx))
+	return d.price(tier, st, kind, tr, rec.Size, d.llcHit(uint32(idx), kind))
 }
 
 // noteStructural tracks the deleted-record set for a non-read request
@@ -411,17 +411,8 @@ func (d *Deployment) noteStructural(idx int, kind kvstore.OpKind) {
 }
 
 // price turns an operation trace into simulated service time and
-// advances the clock. llcID identifies the record to the LLC model.
-func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKind, tr kvstore.OpTrace, size int, llcID uint64) Result {
-	// Cache residency is tracked at the record's value size; pricing uses
-	// the engine's (possibly amplified) touched bytes.
-	vb := d.valueBytes(tr, size)
-	ref := memsim.RecordRef{ID: llcID, Bytes: vb}
-	hit := d.machine.TouchHit(ref)
-	if kind == kvstore.Delete {
-		d.machine.Invalidate(ref)
-	}
-
+// advances the clock. hit is the request's LLC outcome (llcHit).
+func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKind, tr kvstore.OpTrace, size int, hit bool) Result {
 	var medium *memsim.NodeParams
 	if hit {
 		medium = &memsim.LLCParams
@@ -437,7 +428,7 @@ func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKi
 		memNs /= mlp
 	}
 
-	cpuNs := d.profile.CPUBaseNs + d.profile.CPUPerByteNs*float64(vb)
+	cpuNs := d.profile.CPUBaseNs + d.profile.CPUPerByteNs*float64(d.valueBytes(tr, size))
 	// The conversion rounds the product before the pause is added, so a
 	// platform that fuses multiply-add cannot round this path differently
 	// from the batched kernel, which applies the two in separate stages.
@@ -450,8 +441,8 @@ func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKi
 }
 
 // valueBytes recovers the record's actual payload size from an operation
-// trace: the size the CPU handles once (serialization and copy) and the
-// footprint the record occupies in the LLC. Engine traces report Touched
+// trace: the size the CPU handles once (serialization and copy), and the
+// footprint the LLC walker gives the request. Engine traces report Touched
 // = payload × amplification, so the engine's amplification factor is
 // divided back out.
 func (d *Deployment) valueBytes(tr kvstore.OpTrace, writeSize int) int {

@@ -120,6 +120,12 @@ var (
 	ErrSchema     = errors.New("schema violation")
 )
 
+// errTotalBeyondFile is the sentinel of a header whose declared request
+// total the file's frame bytes cannot hold. The header lies or the file
+// was cut short, and the two look alike until the frames are read, so
+// it matches both ErrSchema and ErrTruncated.
+var errTotalBeyondFile = fmt.Errorf("%w or %w", ErrSchema, ErrTruncated)
+
 // formatErr builds a *FormatError in one line.
 func formatErr(off int64, sentinel error, format string, args ...any) error {
 	return &FormatError{Offset: off, Err: sentinel, Detail: fmt.Sprintf(format, args...)}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"testing"
 )
 
@@ -50,6 +51,11 @@ func FuzzTraceDecode(f *testing.F) {
 	}
 	f.Add([]byte("MTRC"))
 	f.Add([]byte{})
+	if raw, err := os.ReadFile(oversizedTotalPath); err == nil {
+		f.Add(raw)
+	} else {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		rFrames, rOps, rErr := fuzzRead(raw)

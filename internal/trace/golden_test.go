@@ -2,14 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "regenerate testdata/golden_v1.* (only valid alongside a format version bump)")
+var update = flag.Bool("update", false, "regenerate the testdata fixtures (golden_v1.* only alongside a format version bump)")
 
 // goldenExpansion is the committed human-readable twin of the binary
 // fixture: the decode any v1 reader must produce from golden_v1.mtrc.
@@ -151,4 +154,53 @@ func expand(t *testing.T, raw []byte) *goldenExpansion {
 		off += n
 	}
 	return exp
+}
+
+// oversizedTotalPath is the crafted-header fixture: a valid 200-key ×
+// 5 000-request trace whose header declares 2^40 requests, with the
+// header checksum recomputed so the total is the only lie.
+var oversizedTotalPath = filepath.Join("testdata", "oversized_total.mtrc")
+
+// oversizedTotal builds the crafted-header fixture's bytes.
+func oversizedTotal(t *testing.T) []byte {
+	t.Helper()
+	const nk = 200
+	sizes := make([]int32, nk)
+	for i := range sizes {
+		sizes[i] = int32(100 + 7*i)
+	}
+	keys, kinds := genOps(0x686f7374, nk, 5_000) // "host"
+	raw := encode(t, "oversized_total", sizes, nil, keys, kinds)
+	hdrLen := int(binary.LittleEndian.Uint32(raw[6:preludeLen]))
+	binary.LittleEndian.PutUint64(raw[preludeLen+8:], 1<<40)
+	binary.LittleEndian.PutUint32(raw[preludeLen+hdrLen:], crc32.ChecksumIEEE(raw[preludeLen:preludeLen+hdrLen]))
+	return raw
+}
+
+// TestGoldenOversizedTotal: a header declaring more requests than the
+// file's frame bytes can hold is refused with ErrSchema when the header
+// is decoded — before a consumer sizes anything from the total — and by
+// the independent validator.
+func TestGoldenOversizedTotal(t *testing.T) {
+	if *update {
+		if err := os.WriteFile(oversizedTotalPath, oversizedTotal(t), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(oversizedTotalPath)
+	if err != nil {
+		t.Fatalf("reading crafted fixture (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(raw, oversizedTotal(t)) {
+		t.Fatal("committed crafted fixture differs from its construction")
+	}
+	if _, err := New(bytes.NewReader(raw), int64(len(raw))); !errors.Is(err, ErrSchema) {
+		t.Fatalf("New: %v, want ErrSchema", err)
+	}
+	if _, err := Open(oversizedTotalPath); !errors.Is(err, ErrSchema) {
+		t.Fatalf("Open: %v, want ErrSchema", err)
+	}
+	if _, err := Validate(bytes.NewReader(raw), int64(len(raw))); !errors.Is(err, ErrSchema) {
+		t.Fatalf("Validate: %v, want ErrSchema", err)
+	}
 }

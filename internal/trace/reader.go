@@ -154,11 +154,9 @@ func (f *File) decodeHeader() error {
 		return formatErr(c.at()-4, ErrSchema, "key-space size %d outside [1, %d]", keys, MaxKeys)
 	}
 	h.Keys = int(keys)
+	reqOff := c.at()
 	if h.Requests, err = c.u64(); err != nil {
 		return err
-	}
-	if h.Requests > math.MaxInt64 {
-		return formatErr(c.at()-8, ErrSchema, "request total %d overflows", h.Requests)
 	}
 	nameLen, err := c.u16()
 	if err != nil {
@@ -205,6 +203,11 @@ func (f *File) decodeHeader() error {
 		return formatErr(c.at(), ErrSchema, "%d trailing header bytes", len(raw)-c.pos)
 	}
 	f.frameOff = preludeLen + hdrLen + 4
+	// A request costs at least its 5 frame bytes (key and kind), so the
+	// bytes after the header bound the total a consumer may size from.
+	if h.Requests > uint64(f.size-f.frameOff)/5 {
+		return formatErr(reqOff, errTotalBeyondFile, "request total %d exceeds what %d frame bytes can hold", h.Requests, f.size-f.frameOff)
+	}
 	return nil
 }
 

@@ -205,6 +205,9 @@ func checkHeader(v *walker, s *Summary) error {
 	if want := binary.LittleEndian.Uint32(crcb); crcRaw != want {
 		return formatErr(v.off-4, ErrChecksum, "header crc %08x, stored %08x", crcRaw, want)
 	}
+	if h.Requests > uint64(v.size-v.off)/5 {
+		return formatErr(start+8, errTotalBeyondFile, "request total %d exceeds what %d frame bytes can hold", h.Requests, v.size-v.off)
+	}
 	return nil
 }
 

@@ -1,8 +1,11 @@
 package mnemo
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
+
+	"mnemo/internal/trace"
 )
 
 // TestTraceAPIRoundTrip pins the facade's .mtrc surface: WriteTrace
@@ -65,5 +68,16 @@ func TestTraceAPIErrors(t *testing.T) {
 	}
 	if err := WriteTrace(smallWorkload(t), filepath.Join(t.TempDir(), "no", "dir", "x.mtrc")); err == nil {
 		t.Error("WriteTrace succeeded under a nonexistent directory")
+	}
+}
+
+// TestOpenTraceRefusesOversizedTotal: a header declaring 2^40 requests
+// over 26 KB of frames is refused at OpenTrace with a schema error, so
+// nothing downstream — the LLC share's hit bitmap included — is ever
+// sized from the declared total.
+func TestOpenTraceRefusesOversizedTotal(t *testing.T) {
+	tw, err := OpenTrace(filepath.Join("internal", "trace", "testdata", "oversized_total.mtrc"))
+	if !errors.Is(err, trace.ErrSchema) || tw != nil {
+		t.Fatalf("OpenTrace: %v, %v; want a nil workload and trace.ErrSchema", tw, err)
 	}
 }
