@@ -257,11 +257,9 @@ func structuralTrace() *ycsb.Workload {
 // run, kernel-first or per-op by config, must equal the per-op
 // reference and price every request from the stream.
 func sharedStructuralCells(t *testing.T) {
-	w := structuralTrace()
-	big := structuralTrace()
-	big.Dataset.Records = append([]ycsb.Record(nil), big.Dataset.Records...)
-	for _, i := range []int{w.Ops[0].Key, w.Ops[1].Key} {
-		big.Dataset.Records[i].Size = 3 << 19
+	w, big := structuralTrace(), structuralTrace()
+	for _, op := range big.Ops[:2] {
+		big.Dataset.Records[op.Key].Size = 3 << 19
 	}
 	type cell struct {
 		name string
