@@ -263,3 +263,32 @@ func TestLLCWalkerMatchesReference(t *testing.T) {
 		sh.Close()
 	}
 }
+
+// TestLLCLivenessIsTheTrace pins the LLC's view of a deleted record that
+// a migration re-creates in the store: to the walker it stays deleted
+// until the trace writes it. With a 512-byte cache and 1 KB records, a
+// live read never fits and never hits, while a "not found" read touches
+// 0 bytes and hits on repeat.
+func TestLLCLivenessIsTheTrace(t *testing.T) {
+	w := smallWorkload(t, ycsb.SizeFixed1KB, 0.9)
+	cfg := DefaultConfig(RedisLike, 5)
+	cfg.Machine.LLCBytes = 512
+	d := loadHalfFast(t, cfg, w)
+	d.DoIndex(3, kvstore.Delete)
+	to := memsim.Slow
+	if d.RecordTiers()[3] == memsim.Slow {
+		to = memsim.Fast
+	}
+	if res := d.ApplyMoves([]Move{{Index: 3, To: to}}); res.Moves != 1 {
+		t.Fatalf("migration of the deleted record dropped: %+v", res)
+	}
+	for i, want := range []bool{false, true} {
+		if res := d.DoIndex(3, kvstore.Read); !res.Found || res.Hit != want {
+			t.Fatalf("read %d of the re-created record: %+v, want found with hit %t", i, res, want)
+		}
+	}
+	d.DoIndex(3, kvstore.Write)
+	if res := d.DoIndex(3, kvstore.Read); !res.Found || res.Hit {
+		t.Fatalf("read after the trace's re-insert: %+v, want a found 1 KB miss", res)
+	}
+}
