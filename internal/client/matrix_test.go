@@ -218,7 +218,6 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	}
-	sharedStructuralCells(t)
 }
 
 // structuralTrace is a five-frame trace of the structural requests the
@@ -249,14 +248,16 @@ func structuralTrace() *ycsb.Workload {
 	return w
 }
 
-// sharedStructuralCells are the shared-stream column's cells the two
-// matrix traces do not reach: a Delete in frame 0, a Delete mid-trace,
-// a re-insert and a dead record read twice (structuralTrace) on every
-// engine; MemcachedLike with records over 1 MB, which slabkv refuses;
-// and a batch table dropped at the first epoch boundary. Each shared
-// run, kernel-first or per-op by config, must equal the per-op
-// reference and price every request from the stream.
-func sharedStructuralCells(t *testing.T) {
+// TestSharedLLCHandOverCells runs the shared-stream cells the two matrix
+// traces do not reach — the points where a shared run once handed the
+// LLC over to a live cache, and now walks on: a Delete in frame 0, a
+// Delete mid-trace, a re-insert and a dead record read twice
+// (structuralTrace) on every engine; MemcachedLike with records over
+// 1 MB, which slabkv refuses; and a batch table dropped at the first
+// epoch boundary. Each shared run, kernel-first or per-op by config,
+// must equal the per-op reference and price every request from the
+// stream.
+func TestSharedLLCHandOverCells(t *testing.T) {
 	w, big := structuralTrace(), structuralTrace()
 	for _, op := range big.Ops[:2] {
 		big.Dataset.Records[op.Key].Size = 3 << 19

@@ -100,6 +100,19 @@ func TestNodePanics(t *testing.T) {
 	}
 }
 
+// TestMachineTouchMissThenHit: the machine's LLC, an LRUCache of
+// Config.LLCBytes, misses a record's first touch and hits its second.
+func TestMachineTouchMissThenHit(t *testing.T) {
+	llc := NewLRUCache(DefaultConfig().LLCBytes)
+	rec := RecordRef{ID: 1, Bytes: 4096}
+	if llc.Touch(rec) {
+		t.Fatal("first touch should miss")
+	}
+	if !llc.Touch(rec) {
+		t.Fatal("second touch should hit")
+	}
+}
+
 func TestMachineCostTiers(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	fast := m.Node(Fast).Params.AccessNs(1, 100<<10)
