@@ -40,6 +40,8 @@ func TestOptionsValidation(t *testing.T) {
 		{"price factor above 1", Options{PriceFactor: 1.5}, "PriceFactor"},
 		{"negative price factor", Options{PriceFactor: -0.2}, "PriceFactor"},
 		{"negative SLO", Options{SLO: -0.1}, "SLO"},
+		{"NaN SLO", Options{SLO: math.NaN()}, "SLO"},
+		{"NaN price factor", Options{PriceFactor: math.NaN(), SLO: 0.1}, "PriceFactor"},
 		{"negative shards", Options{Shards: -1}, "Shards"},
 		{"shards above max", Options{Shards: 257}, "Shards"},
 		{"negative epoch ops", Options{EpochOps: -1}, "EpochOps"},
@@ -103,6 +105,10 @@ func TestKnobTableThreeEntryPoints(t *testing.T) {
 			func(o *Options) { o.PriceFactor = 1.5 },
 			nil,
 			func(c *core.Config) { c.PriceFactor = 1.5 }},
+		{"NaN price factor", "PriceFactor",
+			func(o *Options) { o.PriceFactor = math.NaN() },
+			nil,
+			func(c *core.Config) { c.PriceFactor = math.NaN() }},
 		{"shards", "Shards",
 			func(o *Options) { o.Shards = 257 },
 			func(s *experiments.Scale) { s.Shards = 257 },
@@ -223,6 +229,12 @@ func TestAdvisorErrors(t *testing.T) {
 	if _, err := AdviseLatency(rep.Curve, 0); err == nil {
 		t.Error("non-positive latency budget accepted")
 	}
+	if _, err := Advise(rep.Curve, math.NaN()); err == nil {
+		t.Error("NaN slowdown accepted")
+	}
+	if _, err := AdviseLatency(rep.Curve, math.NaN()); err == nil {
+		t.Error("NaN latency budget accepted")
+	}
 	if _, err := EstimateTails(rep, []int{-1}); err == nil {
 		t.Error("negative sizing accepted by EstimateTails")
 	}
@@ -258,6 +270,15 @@ func TestCostModelErrors(t *testing.T) {
 	}
 	if _, err := PriceFactorFromHardware(7, 5); err == nil {
 		t.Error("slow dearer than fast accepted")
+	}
+	if _, err := PriceFactorFromHardware(math.NaN(), 1); err == nil {
+		t.Error("NaN slow price accepted")
+	}
+	if _, err := PriceFactorFromHardware(1, math.NaN()); err == nil {
+		t.Error("NaN fast price accepted")
+	}
+	if _, err := core.NewEstimateEngine(math.NaN()); err == nil {
+		t.Error("NaN price factor accepted by the estimate engine")
 	}
 }
 

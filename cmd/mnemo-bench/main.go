@@ -286,7 +286,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run at 10x-reduced scale")
 	seed := fs.Int64("seed", 42, "deterministic seed")
-	shards := fs.Int("shards", 0, "replay across a consistent-hash cluster of `n` deployments (0 = single deployment)")
+	shards := fs.Int("shards", 0, "replay across a consistent-hash cluster of `n` deployments (0 and 1 = a single deployment)")
 	keys := fs.Int("keys", 0, "override the per-workload key count (0 = scale default)")
 	requests := fs.Int("requests", 0, "override the per-workload request count (0 = scale default)")
 	epochOps := fs.Int("epoch-ops", 0, "adaptive-compare: epoch length in `requests` (0 = experiment default)")

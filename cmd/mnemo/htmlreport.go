@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"mnemo"
+	"mnemo/internal/experiments"
 	"mnemo/internal/report"
 	"mnemo/internal/shard"
 )
@@ -175,27 +176,11 @@ func shardLayoutRows(rep *mnemo.Report, w *mnemo.Workload, shards int) ([]report
 	if err != nil {
 		return nil, err
 	}
-	fast := make([]bool, len(w.Dataset.Records))
+	fast := rep.Ordering.Keys[:0]
 	if rep.Advice != nil {
-		for _, k := range rep.Ordering.Keys[:rep.Advice.Point.KeysInFast] {
-			fast[k.Index] = true
-		}
+		fast = rep.Ordering.Keys[:rep.Advice.Point.KeysInFast]
 	}
-	rows := make([]report.ShardRow, shards)
-	for s := range rows {
-		rows[s].Shard = s
-		rows[s].Requests = part.Subs[s].Requests
-	}
-	for g, rec := range w.Dataset.Records {
-		row := &rows[part.Assign[g]]
-		row.Keys++
-		row.Bytes += int64(rec.Size)
-		if fast[g] {
-			row.FastKeys++
-			row.FastBytes += int64(rec.Size)
-		}
-	}
-	return rows, nil
+	return experiments.ShardLayout(part, w, fast), nil
 }
 
 // writeHTMLReport renders the document to w.

@@ -90,7 +90,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		seed       = fs.Int64("seed", 42, "deterministic seed")
 		keys       = fs.Int("keys", 0, "key-space size override")
 		requests   = fs.Int("requests", 0, "request-count override")
-		shards     = fs.Int("shards", 0, "replay across a consistent-hash cluster of `n` deployments (0 = single deployment)")
+		shards     = fs.Int("shards", 0, "replay across a consistent-hash cluster of `n` deployments (0 and 1 = a single deployment)")
 		epochOps   = fs.Int("epoch-ops", 0, "with an adaptive -policy: measure advised placement with migration every `n` requests (0 = off)")
 		migCost    = fs.Float64("migration-cost", 0, "simulated migration charge in `ns` per payload byte (with -epoch-ops)")
 		migBudget  = fs.Int64("migration-budget", 0, "cap on migrated payload `bytes` per epoch boundary (0 = unlimited)")

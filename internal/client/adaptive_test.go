@@ -292,7 +292,7 @@ func TestAdaptiveDeploymentNotReused(t *testing.T) {
 	cfg := server.DefaultConfig(server.RedisLike, 7)
 	cfg.Adaptive = greedySource{}
 	cfg.EpochOps = 4096
-	st, d, err := executeFresh(context.Background(), cfg, w, halfFast(w))
+	st, sd, err := executeFresh(context.Background(), cfg, w, halfFast(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,12 +301,12 @@ func TestAdaptiveDeploymentNotReused(t *testing.T) {
 	}
 	// A migrated deployment's placement no longer matches the requested
 	// one; the execute-reuse fast path must rebuild, not replay on it.
-	if canReuse(d) {
+	if sd.Reusable() || sd.ResetRun(cfg.Seed+1) {
 		t.Fatal("migrated deployment offered for snapshot reuse")
 	}
 	// Repetition sweeps therefore fold independent migrated runs; the
 	// telemetry counters sum across them.
-	mean, err := ExecuteMean(cfg, w, halfFast(w), 2)
+	mean, err := ExecuteMeanWorkers(cfg, w, halfFast(w), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -453,85 +453,16 @@ func Execute(cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats,
 	return ExecuteCtx(context.Background(), cfg, w, p)
 }
 
-// ExecuteCtx is Execute with cancellation.
+// ExecuteCtx is Execute with cancellation. Every execution runs on a
+// server.ShardedDeployment of max(cfg.Shards, 1) members (sharded.go);
+// a one-member cluster is the single deployment itself.
 //
 // When cfg.Obs is set, each execution journals measurement start/finish
 // events and publishes run/op counters; the deployment's own counters
 // are flushed even when the replay fails mid-run, so partial runs stay
 // observable.
-// With cfg.Shards ≥ 1 execution routes through the consistent-hash
-// cluster (sharded.go); Shards=1 is bit-identical to the unsharded
-// path, per the golden equivalence tests.
 func ExecuteCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
-	if cfg.Shards >= 1 {
-		st, _, err := executeShardedFresh(ctx, cfg, w, p)
-		return st, err
-	}
 	st, _, err := executeFresh(ctx, cfg, w, p)
-	return st, err
-}
-
-// executeFresh is ExecuteCtx returning the deployment it built, so
-// callers that run the workload repeatedly (ExecuteMean's repetitions)
-// can keep a batch-capable deployment and rewind it with executeReused
-// instead of re-populating the store per run. The deployment is non-nil
-// exactly when Load succeeded.
-func executeFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, *server.Deployment, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, nil, err
-	}
-	sink := cfg.Obs
-	sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
-		w.Spec.Name, cfg.Engine, cfg.Seed)
-	d := server.NewDeployment(cfg)
-	if err := d.Load(w.Dataset, p); err != nil {
-		sink.Counter("mnemo_client_run_failures_total").Inc()
-		return RunStats{}, nil, err
-	}
-	st, err := runAndFlush(ctx, cfg, w, d)
-	return st, d, err
-}
-
-// executeReused is executeFresh against a deployment kept from an
-// earlier repetition: the populated store is rewound to its post-Load
-// snapshot under the new seed (server.Deployment.ResetRun) instead of
-// being rebuilt. The event and counter sequence — measurement start,
-// deployment counted, run counters — is emitted
-// in the fresh path's order, so an observer cannot tell the two paths
-// apart. Valid only for deployments cached via canReuse.
-func executeReused(ctx context.Context, cfg server.Config, w *ycsb.Workload, d *server.Deployment) (RunStats, error) {
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
-	}
-	sink := cfg.Obs
-	sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
-		w.Spec.Name, cfg.Engine, cfg.Seed)
-	if !d.ResetRun(cfg.Seed) {
-		return RunStats{}, fmt.Errorf("client: cached deployment lost its batch table")
-	}
-	return runAndFlush(ctx, cfg, w, d)
-}
-
-// canReuse reports whether a deployment that just executed a workload
-// can serve further repetitions via ResetRun: it holds a cost table, it
-// has not migrated, and the run served every frame through the kernel
-// (server.Deployment.Rewindable).
-func canReuse(d *server.Deployment) bool { return d != nil && d.Rewindable() }
-
-// runAndFlush is the shared back half of the execute paths: the replay,
-// the post-run telemetry flush (covering complete and failed replays
-// alike) and the run-level counters and journal events.
-func runAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload, d *server.Deployment) (RunStats, error) {
-	st, err := RunCtx(ctx, d, w, 0)
-	d.FlushObs() // publish op/LLC counts of complete AND failed replays
-	if err != nil {
-		cfg.Obs.Counter("mnemo_client_run_failures_total").Inc()
-		return st, err
-	}
-	publishRun(cfg, w.Spec.Name, st)
 	return st, err
 }
 
@@ -554,19 +485,13 @@ func publishRun(cfg server.Config, workload string, st RunStats) {
 		workload, cfg.Engine, st.Requests, st.ThroughputOpsSec)
 }
 
-// ExecuteMean runs the workload `runs` times with distinct noise seeds
-// and returns the per-field means — the paper reports "the mean of
-// multiple experiment runs". Percentiles are averaged across runs.
-// Repetitions execute in parallel across a bounded worker pool; see
-// ExecuteMeanWorkers for the determinism contract.
-func ExecuteMean(cfg server.Config, w *ycsb.Workload, p server.Placement, runs int) (RunStats, error) {
-	return ExecuteMeanWorkers(cfg, w, p, runs, 0)
-}
-
-// ExecuteMeanWorkers is ExecuteMean with an explicit worker bound
-// (≤ 0 = GOMAXPROCS). Each repetition is an independent simulation —
-// its own deployment, noise stream seeded from the run index, and
-// accumulators — and results are folded in run-index order, so the
+// ExecuteMeanWorkers runs the workload `runs` times with distinct
+// noise seeds and returns the per-field means — the paper reports "the
+// mean of multiple experiment runs"; percentiles are averaged across
+// runs. Repetitions execute in parallel across at most `workers`
+// goroutines (≤ 0 = GOMAXPROCS). Each repetition is an independent
+// simulation — its own noise stream seeded from the run index, and its
+// own accumulators — and results are folded in run-index order, so the
 // returned RunStats are bit-identical for every worker count: workers=1
 // is the serial reference execution of the same code path.
 func ExecuteMeanWorkers(cfg server.Config, w *ycsb.Workload, p server.Placement, runs, workers int) (RunStats, error) {

@@ -106,7 +106,7 @@ func TestExecuteMeanAveragesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, err := ExecuteMean(cfg, w, server.AllFast(), 3)
+	mean, err := ExecuteMeanWorkers(cfg, w, server.AllFast(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExecuteMeanAveragesRuns(t *testing.T) {
 
 func TestExecuteMeanRejectsBadRuns(t *testing.T) {
 	w := testWorkload(1.0)
-	if _, err := ExecuteMean(server.DefaultConfig(server.RedisLike, 1), w, server.AllFast(), 0); err == nil {
+	if _, err := ExecuteMeanWorkers(server.DefaultConfig(server.RedisLike, 1), w, server.AllFast(), 0, 0); err == nil {
 		t.Fatal("runs=0 accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestExecuteMeanPropagatesErrors(t *testing.T) {
 	w := testWorkload(1.0)
 	cfg := server.DefaultConfig(server.RedisLike, 1)
 	cfg.Machine.SlowCapacity = 1
-	if _, err := ExecuteMean(cfg, w, server.AllSlow(), 2); err == nil {
+	if _, err := ExecuteMeanWorkers(cfg, w, server.AllSlow(), 2, 0); err == nil {
 		t.Fatal("load error swallowed")
 	}
 }

@@ -449,11 +449,11 @@ func TestReplayStreamReuse(t *testing.T) {
 	w := adaptiveTestWorkload(0.9)
 	tw := streamedTwin(t, w)
 	cfg := server.DefaultConfig(server.MemcachedLike, 31)
-	_, d, err := executeFresh(context.Background(), cfg, tw, server.AllFast())
+	_, sd, err := executeFresh(context.Background(), cfg, tw, server.AllFast())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !canReuse(d) {
+	if !sd.Reusable() {
 		t.Fatal("kernel-only streamed run not offered for snapshot reuse")
 	}
 	got, err := ExecuteMeanWorkers(cfg, tw, server.AllFast(), 3, 1)

@@ -16,43 +16,28 @@ import (
 const runSeedStride = 1009
 
 // meanRunner is one worker's reusable execution state across
-// repetitions: the first successfully loaded batch-capable deployment is
-// kept and rewound (ResetRun) for every later repetition the worker
-// picks up, so an N-run aggregate pays the populate-and-quiesce cost
-// once per worker instead of once per run. Deployments that cannot be
-// rewound (per-op replay path) are never cached, and each repetition
-// then builds a fresh one exactly as before.
+// repetitions: the first successfully loaded Reusable cluster is kept
+// and rewound (ResetRun) for every later repetition the worker picks
+// up, so an N-run aggregate pays the populate-and-quiesce cost once per
+// worker instead of once per run. A cluster that cannot be rewound
+// (per-op frames, migrations) is never cached, and each repetition then
+// builds a fresh one. Frame routing and migrations depend on the trace,
+// not on the noise seed, so a cached cluster stays Reusable.
 type meanRunner struct {
-	d *server.Deployment
-	// sd is the sharded analogue: the first successfully loaded
-	// all-batch-capable cluster, rewound shard-by-shard for later
-	// repetitions.
 	sd *server.ShardedDeployment
 }
 
-// execute runs one measurement through the cached deployment when one
-// is available, falling back to — and possibly caching — a fresh
-// deployment otherwise. Both paths produce bit-identical stats, errors
-// and telemetry; see executeReused. Configs with Shards ≥ 1 route
-// through the cluster path (sharded.go) under the same caching
-// discipline.
+// execute runs one measurement through the cached cluster when one is
+// available, falling back to — and possibly caching — a fresh cluster
+// otherwise. Both paths produce bit-identical stats, errors and
+// telemetry; see executeReused.
 func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
-	if cfg.Shards >= 1 {
-		if r.sd != nil {
-			return executeShardedReused(ctx, cfg, w, r.sd)
-		}
-		st, sd, err := executeShardedFresh(ctx, cfg, w, p)
-		if sd != nil && sd.Reusable() {
-			r.sd = sd
-		}
-		return st, err
+	if r.sd != nil {
+		return executeReused(ctx, cfg, w, r.sd)
 	}
-	if r.d != nil {
-		return executeReused(ctx, cfg, w, r.d)
-	}
-	st, d, err := executeFresh(ctx, cfg, w, p)
-	if canReuse(d) {
-		r.d = d
+	st, sd, err := executeFresh(ctx, cfg, w, p)
+	if sd != nil && sd.Reusable() {
+		r.sd = sd
 	}
 	return st, err
 }

@@ -1,7 +1,7 @@
 package client
 
 // Determinism and allocation guarantees of the replay fast path: parallel
-// ExecuteMean must be bit-identical to serial on every engine, and the
+// ExecuteMeanWorkers must be bit-identical to serial on every engine, and the
 // steady-state replay loop must not allocate.
 
 import (
@@ -35,12 +35,12 @@ func TestExecuteMeanWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("parallel result diverged from serial:\nserial:   %+v\nparallel: %+v",
 					serial, parallel)
 			}
-			deflt, err := ExecuteMean(cfg, w, server.AllFast(), 4)
+			deflt, err := ExecuteMeanWorkers(cfg, w, server.AllFast(), 4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(serial, deflt) {
-				t.Fatal("ExecuteMean diverged from the serial reference")
+				t.Fatal("the default worker count diverged from the serial reference")
 			}
 		})
 	}

@@ -10,20 +10,24 @@ import (
 	"mnemo/internal/ycsb"
 )
 
-// Sharded execution (DESIGN.md §13): the scatter-gather client over a
-// server.ShardedDeployment. Each shard replays its trace slice on its
-// own worker (independent simulation state throughout), and the
-// per-shard RunStats are merged with a deterministic, order-independent
-// reduction: results land in a shard-indexed slice and are folded in
-// ascending shard order, so the merged stats are bit-identical for
-// every goroutine schedule and worker count — including workers=1,
-// which is the serial reference execution of the same code path.
+// Execution (DESIGN.md §13): the scatter-gather client over a
+// server.ShardedDeployment, which every measurement runs on — a
+// one-member cluster when cfg.Shards ≤ 1. Each shard replays its trace
+// slice on its own worker (independent simulation state throughout),
+// and the per-shard RunStats are merged with a deterministic,
+// order-independent reduction: results land in a shard-indexed slice and
+// are folded in ascending shard order, so the merged stats are
+// bit-identical for every goroutine schedule and worker count —
+// including workers=1, which is the serial reference execution of the
+// same code path.
 
-// executeShardedFresh is executeFresh over a cluster: build, load every
-// shard under the remapped placement, replay and merge. The event and
-// counter stream matches the single-deployment path one-for-one at
-// Shards=1.
-func executeShardedFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, *server.ShardedDeployment, error) {
+// executeFresh builds a cluster of max(cfg.Shards, 1) members, loads
+// every shard under the (remapped) placement, replays and merges. It
+// returns the cluster it built, so a repeated measurement (meanRunner)
+// can keep a Reusable one and rewind it with executeReused instead of
+// re-populating the store per run. The cluster is non-nil exactly when
+// Load succeeded.
+func executeFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, *server.ShardedDeployment, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -42,14 +46,17 @@ func executeShardedFresh(ctx context.Context, cfg server.Config, w *ycsb.Workloa
 		sink.Counter("mnemo_client_run_failures_total").Inc()
 		return RunStats{}, nil, err
 	}
-	st, err := runShardedAndFlush(ctx, cfg, w, sd)
+	st, err := runAndFlush(ctx, cfg, w, sd)
 	return st, sd, err
 }
 
-// executeShardedReused is executeReused over a cluster: every shard is
-// rewound to its post-Load snapshot under the new seed's per-shard
-// derivations.
-func executeShardedReused(ctx context.Context, cfg server.Config, w *ycsb.Workload, sd *server.ShardedDeployment) (RunStats, error) {
+// executeReused is executeFresh against a cluster kept from an earlier
+// repetition: every shard is rewound to its post-Load snapshot under the
+// new seed's per-shard derivations (server.ShardedDeployment.ResetRun)
+// instead of being rebuilt. The event and counter sequence — measurement
+// start, deployments counted, run counters — is emitted in the fresh
+// path's order, so an observer cannot tell the two paths apart.
+func executeReused(ctx context.Context, cfg server.Config, w *ycsb.Workload, sd *server.ShardedDeployment) (RunStats, error) {
 	if err := ctx.Err(); err != nil {
 		return RunStats{}, err
 	}
@@ -59,14 +66,14 @@ func executeShardedReused(ctx context.Context, cfg server.Config, w *ycsb.Worklo
 	if !sd.ResetRun(cfg.Seed) {
 		return RunStats{}, fmt.Errorf("client: cached cluster lost its run snapshot")
 	}
-	return runShardedAndFlush(ctx, cfg, w, sd)
+	return runAndFlush(ctx, cfg, w, sd)
 }
 
-// runShardedAndFlush is runAndFlush over a cluster: the fanned-out
-// replay, the shard-order telemetry flush (complete and failed shards
-// alike), and the run-level counters and journal events under the
-// parent workload's name.
-func runShardedAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload, sd *server.ShardedDeployment) (RunStats, error) {
+// runAndFlush is the shared back half of the execute paths: the
+// fanned-out replay, the shard-order telemetry flush (covering complete
+// and failed replays alike) and the run-level counters and journal
+// events under the parent workload's name.
+func runAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload, sd *server.ShardedDeployment) (RunStats, error) {
 	st, err := runSharded(ctx, cfg, sd)
 	sd.FlushObs()
 	if err != nil {
@@ -78,13 +85,13 @@ func runShardedAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload
 	return st, err
 }
 
-// runSharded replays every shard and merges. A one-shard cluster runs
-// inline on the calling goroutine — no pool, so its telemetry stream
-// (and everything else) is indistinguishable from the single-deployment
-// path. Larger clusters fan out across the shared worker budget
-// (pool.Budget): each worker drives whole shards, and composition with
-// outer fan-outs (validation points × repetitions) cannot oversubscribe
-// the machine.
+// runSharded replays every shard and merges. A one-member cluster runs
+// inline on the calling goroutine and is not merged: no pool telemetry,
+// and its LLC hit rate is not re-derived as rate·n/n, so it measures
+// exactly what its single deployment does. Larger clusters fan out
+// across the shared worker budget (pool.Budget): each worker drives
+// whole shards, and composition with outer fan-outs (validation points
+// × repetitions) cannot oversubscribe the machine.
 //
 // A cluster run fails as a whole, like a single deployment: a shard
 // error (cancellation, a corrupt trace frame) fails the scatter-gather.

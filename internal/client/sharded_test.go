@@ -72,8 +72,8 @@ func TestShardedOneShardGolden(t *testing.T) {
 }
 
 // TestShardedOneShardMeanGolden extends the anchor through the
-// repeated-measurement driver, covering the cluster snapshot/reset
-// (executeShardedReused) against the single deployment's.
+// repeated-measurement driver, covering the snapshot/reset
+// (executeReused) at both spellings of one deployment.
 func TestShardedOneShardMeanGolden(t *testing.T) {
 	w := shardedTestWorkload(t, 1000, 10_000)
 	p := halfFastPlacement(w)
@@ -190,20 +190,6 @@ func TestShardedEveryShardServes(t *testing.T) {
 	}
 }
 
-// runShardedOnce builds a fresh cluster for cfg, loads it under p and
-// executes one sharded run — the scatter-gather under test.
-func runShardedOnce(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
-	t.Helper()
-	sd, err := server.NewShardedDeployment(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sd.Load(p); err != nil {
-		t.Fatal(err)
-	}
-	return runSharded(context.Background(), cfg, sd)
-}
-
 // TestShardedCancellationNotRemediated: a cancelled context surfaces
 // from a cluster aggregate as the context error, and no run is counted.
 func TestShardedCancellationNotRemediated(t *testing.T) {
@@ -226,8 +212,7 @@ func TestShardedCancellationNotRemediated(t *testing.T) {
 
 // deleteTraceWorkload generates a read-heavy trace and rewrites a few
 // ops into Deletes: their frames are served per-op, which mutates engine
-// state, so member deployments cannot be rewound by the snapshot reset
-// and ResetRun must rebuild them fresh.
+// state, so member deployments cannot be rewound by the snapshot reset.
 func deleteTraceWorkload(t *testing.T) *ycsb.Workload {
 	t.Helper()
 	w, err := ycsb.Generate(ycsb.Spec{
@@ -249,67 +234,42 @@ func deleteTraceWorkload(t *testing.T) *ycsb.Workload {
 	return w
 }
 
-// TestShardedResetShardRebuildFresh covers ResetRun's per-member
-// rebuild-fresh fallback: a member that served Delete-bearing frames
-// per-op cannot take the snapshot reset, so ResetRun must replace the
-// consumed member with a freshly populated one — and a rewound-then-rerun
-// cluster must measure byte-identically to a cluster built fresh at the
-// same seed.
-func TestShardedResetShardRebuildFresh(t *testing.T) {
+// TestShardedResetRefusesMutatedCluster pins the cluster's one reuse
+// rule, the single deployment's: a cluster whose members served Delete
+// frames per-op is not Reusable, so ResetRun refuses it and leaves it
+// untouched — every member the same deployment, every clock where the
+// run left it.
+func TestShardedResetRefusesMutatedCluster(t *testing.T) {
 	w := deleteTraceWorkload(t)
 	p := halfFastPlacement(w)
-	cfg := server.DefaultConfig(server.RedisLike, 42)
-	cfg.Shards = 3
-
-	sd, err := server.NewShardedDeployment(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sd.Load(p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runSharded(context.Background(), cfg, sd); err != nil {
-		t.Fatal(err)
-	}
-	if sd.Reusable() {
-		t.Fatal("a cluster that served Delete frames per-op should not be snapshot-reusable")
-	}
-
-	const seedB = 4242
-	before := make([]*server.Deployment, sd.Shards())
-	for s := range before {
-		before[s] = sd.Dep(s)
-	}
-	if !sd.ResetRun(seedB) {
-		t.Fatal("ResetRun failed")
-	}
-	rebuilt := 0
-	for s := range before {
-		// A sub-trace that got no Deletes is still batchable and may
-		// legitimately rewind in place; a Delete-bearing one must have
-		// been rebuilt.
-		if !sd.Sub(s).Packed().Batchable() {
-			if sd.Dep(s) == before[s] {
-				t.Fatalf("shard %d: expected a rebuilt member, got the snapshot-reset one", s)
-			}
-			rebuilt++
+	for _, shards := range []int{1, 3} {
+		cfg := server.DefaultConfig(server.RedisLike, 42)
+		cfg.Shards = shards
+		sd, err := server.NewShardedDeployment(cfg, w)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rebuilt == 0 {
-		t.Fatal("no shard exercised the rebuild-fresh fallback")
-	}
-	cfgB := cfg
-	cfgB.Seed = seedB
-	reset, err := runSharded(context.Background(), cfgB, sd)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := runShardedOnce(t, cfgB, w, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reset, fresh) {
-		t.Fatalf("rebuilt-member run diverged from fresh cluster:\nreset: %+v\nfresh: %+v", reset, fresh)
+		if err := sd.Load(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runSharded(context.Background(), cfg, sd); err != nil {
+			t.Fatal(err)
+		}
+		if sd.Reusable() {
+			t.Fatalf("Shards=%d: a cluster that served Delete frames per-op claims snapshot reuse", shards)
+		}
+		deps := make([]*server.Deployment, sd.Shards())
+		clocks := make([]simclock.Duration, sd.Shards())
+		for s := range deps {
+			deps[s], clocks[s] = sd.Dep(s), sd.Dep(s).Clock()
+		}
+		if sd.ResetRun(4242) {
+			t.Fatalf("Shards=%d: ResetRun accepted a mutated cluster", shards)
+		}
+		for s := range deps {
+			if sd.Dep(s) != deps[s] || sd.Dep(s).Clock() != clocks[s] {
+				t.Fatalf("Shards=%d: refused ResetRun touched shard %d", shards, s)
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ type Advice struct {
 // paper's Fig 9 uses maxSlowdown = 0.10. Curve points are cost-monotone
 // in KeysInFast, so the scan returns the first satisfying point.
 func Advise(c *Curve, maxSlowdown float64) (Advice, error) {
-	if maxSlowdown < 0 {
+	if !(maxSlowdown >= 0) { // NaN fails too
 		return Advice{}, fmt.Errorf("core: max slowdown %v must be non-negative", maxSlowdown)
 	}
 	if c == nil {
@@ -67,7 +67,7 @@ func Advise(c *Curve, maxSlowdown float64) (Advice, error) {
 // unsatisfiable when even the all-FastMem configuration misses the
 // budget.
 func AdviseLatency(c *Curve, maxAvgLatencyNs float64) (Advice, error) {
-	if maxAvgLatencyNs <= 0 {
+	if !(maxAvgLatencyNs > 0) { // NaN fails too
 		return Advice{}, fmt.Errorf("core: latency budget %v must be positive", maxAvgLatencyNs)
 	}
 	if c == nil {

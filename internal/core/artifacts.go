@@ -233,7 +233,8 @@ func measurementKey(whash uint64, cfg Config) uint64 {
 	x.f64(s.NoiseSigma)
 	x.u64(uint64(s.Seed))
 	x.bool(s.DisableBatchReplay)
-	x.u64(uint64(s.Shards))
+	// 0 and 1 both mean one deployment: one measurement.
+	x.u64(uint64(max(s.Shards, 1)))
 	x.u64(uint64(s.EpochOps))
 	x.f64(s.MigrationCostPerByte)
 	x.u64(uint64(s.MigrationBudget))

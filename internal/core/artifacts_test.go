@@ -148,6 +148,34 @@ func TestArtifactCacheKeying(t *testing.T) {
 	}
 }
 
+// Shards 0 and 1 both mean one deployment, so sessions at either share
+// one measurement through the cache.
+func TestArtifactCacheOneDeploymentAtShardsZeroAndOne(t *testing.T) {
+	w := artifactsWorkload(t)
+	cache := NewArtifactCache()
+	ctx := context.Background()
+	var reps []*Report
+	for _, shards := range []int{0, 1} {
+		cfg := DefaultConfig(server.RedisLike, 42)
+		cfg.Server.Shards = shards
+		s, err := NewSharedSession(cfg, w, cache)
+		if err != nil {
+			t.Fatalf("NewSharedSession: %v", err)
+		}
+		rep, err := s.Run(ctx, Touch, 0.10)
+		if err != nil {
+			t.Fatalf("Run at Shards=%d: %v", shards, err)
+		}
+		reps = append(reps, rep)
+	}
+	if got := cache.Stats().Measurements; got != 1 {
+		t.Fatalf("Shards 0 and 1 executed %d measurements, want 1", got)
+	}
+	if !reflect.DeepEqual(reps[0].Baselines, reps[1].Baselines) {
+		t.Fatal("Shards 0 and 1 reported different baselines")
+	}
+}
+
 // Two different workloads never collide in the cache.
 func TestArtifactCacheDistinguishesWorkloads(t *testing.T) {
 	cfg := DefaultConfig(server.RedisLike, 42)

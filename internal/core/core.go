@@ -155,7 +155,7 @@ func (c Config) Validate() error {
 	if c.Runs < 0 {
 		return fmt.Errorf("core: Runs %d must be non-negative (0 means the default of 1)", c.Runs)
 	}
-	if c.PriceFactor < 0 || c.PriceFactor > 1 {
+	if !(c.PriceFactor >= 0 && c.PriceFactor <= 1) { // NaN fails too
 		return fmt.Errorf("core: PriceFactor %v outside (0,1] (0 means the paper's %v)", c.PriceFactor, costmodel.DefaultPriceFactor)
 	}
 	return c.Server.Validate()

@@ -51,7 +51,7 @@ func NewEstimateEngine(priceFactor float64) (*EstimateEngine, error) {
 	if priceFactor == 0 {
 		priceFactor = costmodel.DefaultPriceFactor
 	}
-	if priceFactor < 0 || priceFactor > 1 {
+	if !(priceFactor > 0 && priceFactor <= 1) { // NaN fails too
 		return nil, fmt.Errorf("core: price factor %v outside (0,1]", priceFactor)
 	}
 	return &EstimateEngine{priceFactor: priceFactor}, nil

@@ -34,7 +34,7 @@ func CostReduction(fastBytes, totalBytes int64, p float64) float64 {
 	if fastBytes < 0 || fastBytes > totalBytes {
 		panic(fmt.Sprintf("costmodel: fast bytes %d outside [0,%d]", fastBytes, totalBytes))
 	}
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) { // NaN fails too
 		panic(fmt.Sprintf("costmodel: price factor %v outside (0,1]", p))
 	}
 	f := float64(fastBytes)
@@ -163,11 +163,11 @@ func Fig1() ([]ShareRow, error) {
 // PriceFactorFromHardware derives p from actual per-GB hardware or VM
 // prices, the way a Mnemo user would in a "real usage scenario" (§II).
 func PriceFactorFromHardware(slowPerGB, fastPerGB float64) (float64, error) {
-	if slowPerGB <= 0 || fastPerGB <= 0 {
+	if !(slowPerGB > 0 && fastPerGB > 0) { // NaN fails too
 		return 0, fmt.Errorf("costmodel: prices must be positive (slow %v, fast %v)", slowPerGB, fastPerGB)
 	}
 	p := slowPerGB / fastPerGB
-	if p >= 1 {
+	if !(p < 1) {
 		return 0, fmt.Errorf("costmodel: slow memory (%v $/GB) is not cheaper than fast (%v $/GB)", slowPerGB, fastPerGB)
 	}
 	return p, nil

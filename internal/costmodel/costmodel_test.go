@@ -36,6 +36,7 @@ func TestCostReductionPanics(t *testing.T) {
 		func() { CostReduction(101, 100, 0.2) },
 		func() { CostReduction(50, 100, 0) },
 		func() { CostReduction(50, 100, 1.5) },
+		func() { CostReduction(50, 100, math.NaN()) },
 	} {
 		func() {
 			defer func() {

@@ -91,38 +91,21 @@ func ClusterSweep(scale Scale, seed int64) (*ClusterSweepResult, error) {
 		TotalBytes: rep.Ordering.TotalBytes(),
 	}
 
-	// Lay the advised placement out over the ring. The partition is the
-	// cached one the sharded replay built, so this costs one map lookup.
+	// Lay the advised placement out over the ring. On a cluster of two
+	// or more shards the partition is the cached one the sharded replay
+	// built, so this costs one map lookup.
 	part, err := shard.For(w, scale.Shards, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	nrec := len(w.Dataset.Records)
-	fast := make([]bool, nrec)
-	for _, k := range rep.Ordering.Keys[:rep.Advice.Point.KeysInFast] {
-		fast[k.Index] = true
-	}
-	res.PerShard = make([]report.ShardRow, scale.Shards)
-	for s := range res.PerShard {
-		res.PerShard[s].Shard = s
-		res.PerShard[s].Requests = part.Subs[s].Requests
-	}
-	for g, rec := range w.Dataset.Records {
-		row := &res.PerShard[part.Assign[g]]
-		row.Keys++
-		row.Bytes += int64(rec.Size)
-		if fast[g] {
-			row.FastKeys++
-			row.FastBytes += int64(rec.Size)
-		}
-	}
+	res.PerShard = ShardLayout(part, w, rep.Ordering.Keys[:rep.Advice.Point.KeysInFast])
 	for _, row := range res.PerShard {
 		if row.FastBytes > res.FastBytesPerShard {
 			res.FastBytesPerShard = row.FastBytes
 		}
 	}
-	reads := make([]int, nrec)
-	writes := make([]int, nrec)
+	reads := make([]int, len(w.Dataset.Records))
+	writes := make([]int, len(w.Dataset.Records))
 	for _, k := range rep.Ordering.Keys {
 		reads[k.Index] = k.Reads
 		writes[k.Index] = k.Writes
@@ -146,6 +129,31 @@ func ClusterSweep(scale Scale, seed int64) (*ClusterSweepResult, error) {
 		res.MeasuredSlowdown = float64(measured.Runtime)/float64(fastRt) - 1
 	}
 	return res, nil
+}
+
+// ShardLayout lays a workload out over its consistent-hash partition:
+// each shard's records, bytes and request load, and its slice of the
+// fast keys (an ordering prefix such as the advised FastMem set).
+func ShardLayout(part *shard.Partition, w *ycsb.Workload, fast []core.KeyStat) []report.ShardRow {
+	inFast := make([]bool, len(w.Dataset.Records))
+	for _, k := range fast {
+		inFast[k.Index] = true
+	}
+	rows := make([]report.ShardRow, part.Shards)
+	for s := range rows {
+		rows[s].Shard = s
+		rows[s].Requests = part.Subs[s].Requests
+	}
+	for g, rec := range w.Dataset.Records {
+		row := &rows[part.Assign[g]]
+		row.Keys++
+		row.Bytes += int64(rec.Size)
+		if inFast[g] {
+			row.FastKeys++
+			row.FastBytes += int64(rec.Size)
+		}
+	}
+	return rows
 }
 
 // Render implements the experiment output: a summary table answering

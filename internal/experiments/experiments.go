@@ -36,7 +36,7 @@ type Scale struct {
 	// bit-identical; this is a debugging/comparison knob.
 	DisableBatchReplay bool
 	// Shards replays every measurement across a consistent-hash cluster
-	// of N deployments (0 = single deployment; DESIGN.md §13).
+	// of N deployments (0 and 1 = a single deployment; DESIGN.md §13).
 	Shards int
 	// EpochOps sets the adaptive replay epoch length for experiments
 	// that measure epoch-based migration (AdaptiveCompare); 0 picks the

@@ -1,6 +1,6 @@
 // Package pool provides the bounded worker pool shared by the
 // reproduction's embarrassingly parallel sweeps: repeated measurement
-// runs (internal/client.ExecuteMean), the two baseline executions
+// runs (internal/client.ExecuteMeanCtx), the two baseline executions
 // (internal/core.SensitivityEngine) and the workload×engine profiling
 // matrix (mnemo.ProfileMatrix). Each job owns its state (deployment,
 // noise stream, accumulators), so parallel execution changes wall-clock

@@ -385,7 +385,7 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 
 // ResetRun rewinds a batch-capable deployment to its post-Load state
 // under a new measurement seed — the snapshot/reset that lets repeated
-// runs (ExecuteMean, Session.Compare) load the populated store once
+// runs (ExecuteMeanCtx, Session.Compare) load the populated store once
 // instead of re-populating per run. It resets the clock, op counter,
 // private LLC walker and LLC tallies, detaches any LLC stream, re-seeds
 // the noise stream, and restores the kernel's pause accumulators to

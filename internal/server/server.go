@@ -120,10 +120,9 @@ type Config struct {
 	// no reason to set it in production.
 	DisableBatchReplay bool
 	// Shards splits the deployment into a consistent-hash cluster of N
-	// independent fast+slow pairs (DESIGN.md §13). 0 keeps the legacy
-	// single deployment; ≥ 1 routes execution through
-	// ShardedDeployment (Shards=1 is a one-shard cluster, bit-identical
-	// to the single deployment — the golden equivalence anchor).
+	// independent fast+slow pairs (DESIGN.md §13). Every measurement
+	// runs on a ShardedDeployment of max(Shards, 1) members, so 0 and 1
+	// both mean one single deployment.
 	Shards int
 	// EpochOps is the adaptive-replay epoch length in requests; the
 	// client re-consults Adaptive after every EpochOps served requests.
@@ -154,7 +153,7 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Shards < 0 || c.Shards > shard.MaxShards {
-		return fmt.Errorf("server: Shards %d outside [0,%d] (0 means a single deployment)", c.Shards, shard.MaxShards)
+		return fmt.Errorf("server: Shards %d outside [0,%d] (0 and 1 mean a single deployment)", c.Shards, shard.MaxShards)
 	}
 	if c.EpochOps < 0 {
 		return fmt.Errorf("server: EpochOps %d must be non-negative (0 disables adaptive replay)", c.EpochOps)

@@ -25,53 +25,56 @@ import (
 // completes when its last shard does.
 
 // shardSeedStride decorrelates per-shard noise streams. Shard 0 keeps
-// the configured seed (so a 1-shard cluster reproduces the single
-// deployment bit-for-bit); shard s runs at Seed + s·524287 — a stride
+// the configured seed (so a one-member cluster measures under exactly
+// the configured seed); shard s runs at Seed + s·524287 — a stride
 // coprime to and much larger than the repetition stride (1009), so run
 // r of shard s never collides with run r′ of shard s′ within any
 // realistic runs×shards grid.
 const shardSeedStride = 524287
 
 // ShardedDeployment is a consistent-hash cluster of Deployments
-// replaying one partitioned workload.
+// replaying one partitioned workload. Every measurement runs on one: a
+// config with Shards ≤ 1 gets a one-member cluster, which neither
+// partitions nor copies anything — its member loads the parent dataset
+// under the caller's placement and replays the parent workload.
 type ShardedDeployment struct {
-	cfg  Config
-	part *shard.Partition
-	deps []*Deployment
-	// local[s] is shard s's remapped placement, kept for rebuilding a
-	// shard whose snapshot reset is unavailable.
-	local  []Placement
+	w *ycsb.Workload
+	// part is the workload's partition; nil for a one-member cluster.
+	part   *shard.Partition
+	deps   []*Deployment
 	loaded bool
 }
+
+// shardSeed is member s's noise seed in a cluster seeded with seed.
+func shardSeed(seed int64, s int) int64 { return seed + int64(s)*shardSeedStride }
 
 // shardConfig derives member s's deployment config from a cluster
 // config: the per-shard seed, with the cluster fields cleared (a member
 // deployment is a plain single deployment).
 func (cfg Config) shardConfig(s int) Config {
 	c := cfg
-	c.Seed = cfg.Seed + int64(s)*shardSeedStride
+	c.Seed = shardSeed(cfg.Seed, s)
 	c.Shards = 0
 	return c
 }
 
-// NewShardedDeployment partitions the workload over cfg.Shards shards
-// (shard.DefaultVirtualNodes ring points each) and builds one empty member
-// deployment per shard. Partitioning is cached across clusters of the
-// same workload and shape; per-shard noise streams are seeded at
-// construction, like NewDeployment.
+// NewShardedDeployment builds one empty member deployment per shard of
+// a max(cfg.Shards, 1)-member cluster. A larger cluster partitions the
+// workload over its shards (shard.DefaultVirtualNodes ring points each),
+// cached across clusters of the same workload and shape. Per-shard
+// noise streams are seeded at construction, like NewDeployment.
 func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, error) {
-	// Replay reads a sub-trace as frames, whichever path serves them, so
-	// no shard needs Ops materialized. For rejects a shard count outside
-	// [1, shard.MaxShards].
-	part, err := shard.For(w, cfg.Shards, shard.DefaultVirtualNodes, false)
-	if err != nil {
-		return nil, err
-	}
-	sd := &ShardedDeployment{
-		cfg:   cfg,
-		part:  part,
-		deps:  make([]*Deployment, cfg.Shards),
-		local: make([]Placement, cfg.Shards),
+	n := max(cfg.Shards, 1)
+	sd := &ShardedDeployment{w: w, deps: make([]*Deployment, n)}
+	if n > 1 {
+		// Replay reads a sub-trace as frames, whichever path serves
+		// them, so no shard needs Ops materialized. For rejects a shard
+		// count above shard.MaxShards.
+		part, err := shard.For(w, n, shard.DefaultVirtualNodes, false)
+		if err != nil {
+			return nil, err
+		}
+		sd.part = part
 	}
 	for s := range sd.deps {
 		sd.deps[s] = NewDeployment(cfg.shardConfig(s))
@@ -85,26 +88,35 @@ func (sd *ShardedDeployment) Shards() int { return len(sd.deps) }
 // Dep returns shard s's member deployment.
 func (sd *ShardedDeployment) Dep(s int) *Deployment { return sd.deps[s] }
 
-// Sub returns shard s's sub-workload.
-func (sd *ShardedDeployment) Sub(s int) *ycsb.Workload { return sd.part.Subs[s].W }
-
-// Partition exposes the cluster's workload partition (for reports).
-func (sd *ShardedDeployment) Partition() *shard.Partition { return sd.part }
+// Sub returns shard s's sub-workload: the parent workload itself in a
+// one-member cluster.
+func (sd *ShardedDeployment) Sub(s int) *ycsb.Workload {
+	if sd.part == nil {
+		return sd.w
+	}
+	return sd.part.Subs[s].W
+}
 
 // Load populates every shard from its partition slice under the global
 // placement, remapped to shard-local record indices: local record i of
 // shard s gets the tier the global placement assigns to its global
 // index. Placement semantics are therefore identical to the single
 // deployment's — the same record lands on the same tier regardless of
-// shard count.
+// shard count. A one-member cluster loads the parent dataset under p
+// as it is, and its errors carry no shard prefix.
 func (sd *ShardedDeployment) Load(p Placement) error {
+	if sd.part == nil {
+		if err := sd.deps[0].Load(sd.w.Dataset, p); err != nil {
+			return err
+		}
+		sd.loaded = true
+		return nil
+	}
 	for s, d := range sd.deps {
 		sub := &sd.part.Subs[s]
-		lp := sd.localPlacement(p, sub)
-		if err := d.Load(sub.W.Dataset, lp); err != nil {
+		if err := d.Load(sub.W.Dataset, sd.localPlacement(p, sub)); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		sd.local[s] = lp
 	}
 	sd.loaded = true
 	return nil
@@ -121,33 +133,21 @@ func (sd *ShardedDeployment) localPlacement(p Placement, sub *shard.Sub) Placeme
 }
 
 // ResetRun rewinds every shard to its post-Load state under the member
-// derivations of the new cluster seed. A member whose snapshot reset is
-// unavailable (no batch table, or per-op frames mutated it) is rebuilt
-// fresh from its kept local placement — same end state, populate cost
-// paid again. Returns false only when the cluster was never loaded or a
-// rebuild fails.
+// derivations of the new cluster seed — the single deployment's reuse
+// rule, applied member-wise. It returns false, leaving the cluster
+// untouched, unless the cluster is Reusable.
 func (sd *ShardedDeployment) ResetRun(seed int64) bool {
-	if !sd.loaded {
+	if !sd.Reusable() {
 		return false
 	}
-	cluster := sd.cfg
-	cluster.Seed = seed
 	for s, d := range sd.deps {
-		c := cluster.shardConfig(s)
-		if d.ResetRun(c.Seed) {
-			continue
-		}
-		nd := NewDeployment(c)
-		if err := nd.Load(sd.part.Subs[s].W.Dataset, sd.local[s]); err != nil {
-			return false
-		}
-		sd.deps[s] = nd
+		d.ResetRun(shardSeed(seed, s))
 	}
 	return true
 }
 
 // Engine reports the deployed engine (uniform across shards).
-func (sd *ShardedDeployment) Engine() Engine { return sd.cfg.Engine }
+func (sd *ShardedDeployment) Engine() Engine { return sd.deps[0].Engine() }
 
 // FlushObs publishes every shard's accumulated op and LLC counters, in
 // shard order so the metric stream is deterministic.

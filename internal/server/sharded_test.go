@@ -25,8 +25,12 @@ func shardedWorkload(t *testing.T) *ycsb.Workload {
 func TestNewShardedDeploymentValidates(t *testing.T) {
 	w := shardedWorkload(t)
 	cfg := DefaultConfig(RedisLike, 1)
-	if _, err := NewShardedDeployment(cfg, w); err == nil {
-		t.Fatal("Shards=0 accepted")
+	sd, err := NewShardedDeployment(cfg, w)
+	if err != nil {
+		t.Fatalf("Shards=0 rejected: %v", err)
+	}
+	if sd.Shards() != 1 || sd.Sub(0) != w || sd.part != nil {
+		t.Fatalf("Shards=0 is not a one-member cluster over the parent workload: %d members", sd.Shards())
 	}
 	cfg.Shards = 300
 	if err := mustShardedErr(t, cfg, w); !strings.Contains(err, "outside [1,256]") {
@@ -66,8 +70,7 @@ func TestShardedLoadRemapsPlacement(t *testing.T) {
 	fastSeen := 0
 	for s := 0; s < sd.Shards(); s++ {
 		d := sd.Dep(s)
-		part := sd.Partition()
-		for local, g := range part.Subs[s].GlobalIndex {
+		for local, g := range sd.part.Subs[s].GlobalIndex {
 			want := p.TierOfIndex(int(g))
 			if got := d.Placement().TierOfIndex(local); got != want {
 				t.Fatalf("shard %d record %d (global %d): tier %v, want %v", s, local, g, got, want)
@@ -151,39 +154,4 @@ func TestShardedAccessors(t *testing.T) {
 		t.Fatalf("subs cover %d records / %d requests, want %d / %d",
 			recs, reqs, len(w.Dataset.Records), w.RequestCount())
 	}
-}
-
-// TestShardedResetRebuildsWhenSnapshotUnavailable pins ResetRun's
-// fallback: with the batched kernel disabled no shard has a snapshot,
-// so every member is rebuilt fresh from its kept local placement.
-func TestShardedResetRebuildsWhenSnapshotUnavailable(t *testing.T) {
-	w := shardedWorkload(t)
-	cfg := DefaultConfig(RedisLike, 3)
-	cfg.Shards = 2
-	cfg.DisableBatchReplay = true
-	sd, err := NewShardedDeployment(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sd.Load(AllFast()); err != nil {
-		t.Fatal(err)
-	}
-	if sd.Reusable() {
-		t.Fatal("per-op cluster claims snapshot reuse")
-	}
-	before := []*Deployment{sd.Dep(0), sd.Dep(1)}
-	sd.Dep(0).DoIndex(0, kvstore.Read)
-	if !sd.ResetRun(5) {
-		t.Fatal("rebuild reset failed")
-	}
-	requireClocksZero(t, sd)
-	for s := range before {
-		if sd.Dep(s) == before[s] {
-			t.Fatalf("shard %d deployment not rebuilt", s)
-		}
-		if got := sd.Dep(s).Placement().TierOfIndex(0); got != memsim.Fast {
-			t.Fatalf("shard %d rebuilt placement tier %v", s, got)
-		}
-	}
-	sd.FlushObs() // sink-less flush must be a safe no-op, in shard order
 }

@@ -183,7 +183,7 @@ func (p *Partition) HotShardSpread(reads, writes []int, hot int) int {
 
 // partitionCache memoizes partitions à la the workload's sync.Once
 // packing: repeated executions of one workload at one cluster shape
-// (every repetition of ExecuteMean, every validation point) split the
+// (every repetition of ExecuteMeanCtx, every validation point) split the
 // trace once, and concurrent callers share one build. The cache is
 // keyed by workload identity plus cluster shape; a small FIFO bound
 // keeps dead workloads from pinning multi-GB partitions.

@@ -194,8 +194,7 @@ type Options struct {
 	DisableBatchReplay bool
 	// Shards replays every measurement across a consistent-hash cluster
 	// of N deployments (multi-core replay with a deterministic merge;
-	// DESIGN.md §13). 0 keeps the single deployment; Shards=1 routes
-	// through the cluster machinery and is bit-identical to 0.
+	// DESIGN.md §13). 0 and 1 both mean one single deployment.
 	Shards int
 	// EpochOps enables adaptive (epoch-based online migration) replay on
 	// measured executions: the trace is served in EpochOps-request
@@ -226,7 +225,7 @@ func (o Options) coreConfig(sink *Sink) (core.Config, core.TieringPolicy, error)
 	if _, ok := EngineByName(o.Store.String()); !ok {
 		return core.Config{}, nil, fmt.Errorf("mnemo: unknown store engine %v", o.Store)
 	}
-	if o.SLO < 0 {
+	if !(o.SLO >= 0) { // NaN fails too
 		return core.Config{}, nil, fmt.Errorf("mnemo: SLO %v must be non-negative (0 disables the advisor)", o.SLO)
 	}
 	// core lets migration knobs sit inert without epochs; a caller of the
