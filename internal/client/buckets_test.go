@@ -47,7 +47,10 @@ func TestBucketAccum(t *testing.T) {
 	a.add(SizeBucket(1000), 10)
 	a.add(SizeBucket(1020), 30)
 	a.add(SizeBucket(100_000), 500)
-	bs := a.bucketStats()
+	bs, n, sum := classTotals(a.histograms())
+	if n != 3 || sum != 540 {
+		t.Fatalf("totals = %d requests, %v ns; want 3, 540", n, sum)
+	}
 	if len(bs) != 2 {
 		t.Fatalf("buckets = %d, want 2", len(bs))
 	}

@@ -132,30 +132,51 @@ func (a *histAccum) histograms() []BucketHistogram {
 	return out
 }
 
-// bucketStats derives the per-class count/mean breakdown from the class
-// histograms, which track exact counts and sums as they record — so the
-// replay loop maintains one accumulator per class instead of two.
-func (a *histAccum) bucketStats() []BucketStat {
-	var out []BucketStat
-	for b, h := range a.hists {
-		if h != nil && h.N() > 0 {
-			out = append(out, BucketStat{Bucket: b, Count: int(h.N()), MeanNs: h.Mean()})
+// classTotals derives one request kind's per-class count/mean table,
+// request count and exact latency sum from its class histograms, which
+// track exact counts and sums as they record — so the replay loop keeps
+// one accumulator per class instead of two. Classes are visited in
+// ascending bucket order, so the sum is reproducible bit for bit.
+func classTotals(bhs []BucketHistogram) (buckets []BucketStat, n int, sum float64) {
+	for _, bh := range bhs {
+		if c := int(bh.Hist.N()); c > 0 {
+			buckets = append(buckets, BucketStat{Bucket: bh.Bucket, Count: c, MeanNs: bh.Hist.Mean()})
+			n += c
+			sum += bh.Hist.Sum()
 		}
 	}
-	return out
+	return buckets, n, sum
 }
 
-// countAndSum folds the class histograms' exact totals into one request
-// count and latency sum.
-func (a *histAccum) countAndSum() (int, float64) {
-	n, sum := 0, 0.0
-	for _, h := range a.hists {
-		if h != nil {
-			n += int(h.N())
-			sum += h.Sum()
+// deriveLatency fills every figure of st that its read and write class
+// histograms determine: Reads and Writes, the per-class buckets, the
+// per-kind averages and the run-level mean, percentiles and maximum.
+// RunCtx derives a run's figures with it and mergeShardRuns a cluster's
+// from the merged class histograms, so both are one derivation.
+func (st *RunStats) deriveLatency() {
+	var readSum, writeSum float64
+	st.ReadBuckets, st.Reads, readSum = classTotals(st.ReadLatency)
+	st.WriteBuckets, st.Writes, writeSum = classTotals(st.WriteLatency)
+	if st.Reads > 0 {
+		st.AvgReadNs = readSum / float64(st.Reads)
+	}
+	if st.Writes > 0 {
+		st.AvgWriteNs = writeSum / float64(st.Writes)
+	}
+	// Each request was recorded in exactly one class, so the merged
+	// counts, extrema and quantiles equal those of a histogram fed
+	// directly per request.
+	hist := newLatencyHistogram()
+	for _, g := range [][]BucketHistogram{st.ReadLatency, st.WriteLatency} {
+		for _, bh := range g {
+			hist.Merge(bh.Hist)
 		}
 	}
-	return n, sum
+	st.AvgNs = hist.Mean()
+	st.P50Ns = hist.Quantile(0.50)
+	st.P95Ns = hist.Quantile(0.95)
+	st.P99Ns = hist.Quantile(0.99)
+	st.MaxNs = hist.Max()
 }
 
 // mergeHistograms folds run B's per-class histograms into run A's.
@@ -377,20 +398,6 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 	return tel, nil
 }
 
-// mergedHistogram folds the per-size-class histograms of both request
-// kinds into one run-level histogram. Since each request was recorded in
-// exactly one class, the merged counts, extrema and quantiles equal those
-// of a histogram fed directly per request.
-func mergedHistogram(groups ...[]BucketHistogram) *stats.Histogram {
-	h := newLatencyHistogram()
-	for _, g := range groups {
-		for _, bh := range g {
-			h.Merge(bh.Hist)
-		}
-	}
-	return h
-}
-
 // ErrRunTimeout marks a run whose simulated clock exceeded RunCtx's
 // budget. Detect with errors.Is.
 var ErrRunTimeout = errors.New("client: run exceeded simulated time budget")
@@ -409,35 +416,18 @@ func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget 
 	}
 	requests := w.RequestCount()
 	runtime := d.Clock() - start
-	reads, readSum := a.readHists.countAndSum()
-	writes, writeSum := a.writeHists.countAndSum()
 	out := RunStats{
-		Workload: w.Spec.Name,
-		Engine:   d.Engine().String(),
-		Requests: requests,
-		Reads:    reads,
-		Writes:   writes,
-		Runtime:  runtime,
+		Workload:     w.Spec.Name,
+		Engine:       d.Engine().String(),
+		Requests:     requests,
+		Runtime:      runtime,
+		ReadLatency:  a.readHists.histograms(),
+		WriteLatency: a.writeHists.histograms(),
 	}
 	if runtime > 0 {
 		out.ThroughputOpsSec = float64(requests) / runtime.Seconds()
 	}
-	out.ReadBuckets = a.readHists.bucketStats()
-	out.WriteBuckets = a.writeHists.bucketStats()
-	out.ReadLatency = a.readHists.histograms()
-	out.WriteLatency = a.writeHists.histograms()
-	hist := mergedHistogram(out.ReadLatency, out.WriteLatency)
-	if reads > 0 {
-		out.AvgReadNs = readSum / float64(reads)
-	}
-	if writes > 0 {
-		out.AvgWriteNs = writeSum / float64(writes)
-	}
-	out.AvgNs = hist.Mean()
-	out.P50Ns = hist.Quantile(0.50)
-	out.P95Ns = hist.Quantile(0.95)
-	out.P99Ns = hist.Quantile(0.99)
-	out.MaxNs = hist.Max()
+	out.deriveLatency()
 	out.LLCHitRate = d.LLCHitRate()
 	out.Epochs = tel.epochs
 	out.MovesApplied = tel.moves

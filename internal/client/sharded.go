@@ -138,8 +138,6 @@ func mergeShardRuns(per []RunStats) RunStats {
 	for s := range per {
 		st := &per[s]
 		agg.Requests += st.Requests
-		agg.Reads += st.Reads
-		agg.Writes += st.Writes
 		if st.Runtime > agg.Runtime {
 			agg.Runtime = st.Runtime
 		}
@@ -155,45 +153,9 @@ func mergeShardRuns(per []RunStats) RunStats {
 	if agg.Runtime > 0 {
 		agg.ThroughputOpsSec = float64(agg.Requests) / agg.Runtime.Seconds()
 	}
-	agg.ReadBuckets = bucketsFromHistograms(agg.ReadLatency)
-	agg.WriteBuckets = bucketsFromHistograms(agg.WriteLatency)
-	readSum, writeSum := histogramSum(agg.ReadLatency), histogramSum(agg.WriteLatency)
-	if agg.Reads > 0 {
-		agg.AvgReadNs = readSum / float64(agg.Reads)
-	}
-	if agg.Writes > 0 {
-		agg.AvgWriteNs = writeSum / float64(agg.Writes)
-	}
-	hist := mergedHistogram(agg.ReadLatency, agg.WriteLatency)
-	agg.AvgNs = hist.Mean()
-	agg.P50Ns = hist.Quantile(0.50)
-	agg.P95Ns = hist.Quantile(0.95)
-	agg.P99Ns = hist.Quantile(0.99)
-	agg.MaxNs = hist.Max()
+	agg.deriveLatency()
 	if agg.Requests > 0 {
 		agg.LLCHitRate = hitWeighted / float64(agg.Requests)
 	}
 	return agg
-}
-
-// bucketsFromHistograms derives the per-size-class count/mean table
-// from merged class histograms — the same derivation histAccum
-// .bucketStats performs on a single run's.
-func bucketsFromHistograms(bhs []BucketHistogram) []BucketStat {
-	var out []BucketStat
-	for _, bh := range bhs {
-		if bh.Hist.N() > 0 {
-			out = append(out, BucketStat{Bucket: bh.Bucket, Count: int(bh.Hist.N()), MeanNs: bh.Hist.Mean()})
-		}
-	}
-	return out
-}
-
-// histogramSum totals the exact latency sums of a class-histogram set.
-func histogramSum(bhs []BucketHistogram) float64 {
-	sum := 0.0
-	for _, bh := range bhs {
-		sum += bh.Hist.Sum()
-	}
-	return sum
 }

@@ -11,12 +11,12 @@ import (
 	"mnemo/internal/ycsb"
 )
 
-// ArtifactCache is the content-addressed, cross-session artifact store
-// (DESIGN.md §17): Session artifacts keyed by what they depend on
-// instead of by the Session that produced them. Baselines are keyed by
-// (workload hash, measurement config), orderings by (workload hash,
-// policy name, seed), curves by (ordering key, measurement key, price
-// factor, size-awareness) — so N sessions that differ only in their
+// ArtifactCache is the content-addressed artifact store every Session
+// keeps its stages in (DESIGN.md §17): artifacts keyed by what they
+// depend on instead of by the Session that produced them. Baselines are
+// keyed by (workload hash, measurement config), orderings by (workload
+// hash, policy name, seed), curves by (ordering key, measurement key,
+// price factor, size-awareness) — so N sessions that differ only in their
 // tiering policy's parameter vector share exactly one Fast+Slow
 // measurement, and sessions that differ in nothing but the placement cut
 // (the SLO) re-read one cached curve.
@@ -26,7 +26,8 @@ import (
 // block on the same entry; a failed computation is evicted so a later
 // call can retry rather than caching the error forever. Construct with
 // NewArtifactCache and hand the same cache to each session via
-// NewSharedSession. Cached artifacts are shared structures — treat them
+// NewSharedSession; a session given none gets a private cache of its own
+// (newSessionCache). Cached artifacts are shared structures — treat them
 // as immutable: an artifact is published only after its computation has
 // returned, is read concurrently by every session on the cache, and is
 // never written again. Nothing is evicted on success; artifacts live and
@@ -34,6 +35,9 @@ import (
 type ArtifactCache struct {
 	mu      sync.Mutex
 	whashes map[*ycsb.Workload]uint64
+	// private marks a session's own cache (newSessionCache): it holds one
+	// workload under hash 0 and keeps no analysis artifacts.
+	private bool
 
 	baselines map[uint64]*flight[Baselines]
 	orderings map[uint64]*flight[Ordering]
@@ -58,6 +62,18 @@ func NewArtifactCache() *ArtifactCache {
 		curves:    map[uint64]*flight[*Curve]{},
 		analyses:  map[uint64]*flight[any]{},
 	}
+}
+
+// newSessionCache is the cache of a session that was given none. It
+// serves one workload, so the workload needs no fingerprint: it is
+// keyed 0 up front and never walked (a 2M-request trace would be read
+// end to end just to name it). Nothing else can reach the cache, so it
+// keeps no analysis artifacts either (see SharedAnalysis).
+func newSessionCache(w *ycsb.Workload) *ArtifactCache {
+	c := NewArtifactCache()
+	c.whashes[w] = 0
+	c.private = true
+	return c
 }
 
 // CacheStats is an ArtifactCache usage snapshot.
@@ -176,7 +192,7 @@ func (c *ArtifactCache) WorkloadHash(w *ycsb.Workload) (uint64, error) {
 	c.mu.Unlock()
 	h, err := workloadHash(w)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: hashing workload: %w", err)
 	}
 	c.mu.Lock()
 	c.whashes[w] = h
@@ -221,7 +237,6 @@ func measurementKey(whash uint64, cfg Config) uint64 {
 	}{
 		{s.Machine.FastParams.Name, s.Machine.FastParams.LatencyNs, s.Machine.FastParams.BandwidthGBps},
 		{s.Machine.SlowParams.Name, s.Machine.SlowParams.LatencyNs, s.Machine.SlowParams.BandwidthGBps},
-		{s.Machine.LLCParams.Name, s.Machine.LLCParams.LatencyNs, s.Machine.LLCParams.BandwidthGBps},
 	} {
 		x.str(np.name)
 		x.f64(np.lat)
@@ -310,19 +325,20 @@ func (c *ArtifactCache) sharedCurve(whash uint64, cfg Config, policyName string,
 	return flightDo(&c.mu, c.curves, &c.curveHits, key, compute)
 }
 
-// analysisSessionKey is the context key under which a shared session's
-// analyze stage hands itself to TieringPolicy.Order: its cache and
-// workload hash are where SharedAnalysis keeps artifacts.
+// analysisSessionKey is the context key under which a session's analyze
+// stage hands itself to TieringPolicy.Order: its cache and workload hash
+// are where SharedAnalysis keeps artifacts.
 type analysisSessionKey struct{}
 
 // SharedAnalysis is how a policy's Order shares work between candidates:
 // it returns the analysis artifact stored under key, running compute to
-// produce it if it is the first to ask. Under a session that has an
-// ArtifactCache, the artifact is held under (workload hash, key) for the
-// cache's lifetime and every later Order over the same workload content
-// — another parameter vector of the same policy, say — gets the same
-// value back. Anywhere else (a plain Session, a direct Order call) there
-// is nothing to share with, and SharedAnalysis just runs compute.
+// produce it if it is the first to ask. Under a session on a shared
+// ArtifactCache (NewSharedSession with a non-nil cache), the artifact is
+// held under (workload hash, key) for the cache's lifetime and every
+// later Order over the same workload content — another parameter vector
+// of the same policy, say — gets the same value back. Anywhere else (a
+// session on its private cache, a direct Order call) there is nothing to
+// share with: SharedAnalysis just runs compute and stores nothing.
 //
 // What may be stored: a value that is a function of the workload content
 // and the key alone — never of the policy's parameters, unless they are
@@ -332,21 +348,28 @@ type analysisSessionKey struct{}
 //
 // compute is told whether its result will be shared, so it can produce
 // the form that serves every caller (a DP table solved at the largest
-// capacity anyone can ask for) instead of the one this caller needs.
+// capacity anyone can ask for) instead of the one this caller needs. An
+// unshared result may fit only its own caller, which is why a private
+// cache must not keep it: two policies compared in one plain session
+// would otherwise read each other's.
 func SharedAnalysis[T any](ctx context.Context, key string, compute func(shared bool) (T, error)) (T, error) {
+	var zero T
 	s, _ := ctx.Value(analysisSessionKey{}).(*Session)
-	if s == nil {
+	if s == nil || s.cache.private {
 		return compute(false)
 	}
-	c := s.shared
-	v, computed, err := flightDo(&c.mu, c.analyses, &c.analysisHits, analysisKey(s.whash, key), func() (any, error) {
+	c := s.cache
+	whash, err := c.WorkloadHash(s.w)
+	if err != nil {
+		return zero, err
+	}
+	v, computed, err := flightDo(&c.mu, c.analyses, &c.analysisHits, analysisKey(whash, key), func() (any, error) {
 		v, err := compute(true)
 		if err == nil {
 			c.analysisComputes.Add(1)
 		}
 		return v, err
 	})
-	var zero T
 	if err != nil {
 		return zero, err
 	}

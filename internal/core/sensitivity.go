@@ -3,18 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"mnemo/internal/client"
 	"mnemo/internal/pool"
 	"mnemo/internal/server"
 	"mnemo/internal/ycsb"
 )
-
-// baselineMeasurements counts completed Fast+Slow baseline executions
-// across the package — the observable the Session artifact-reuse tests
-// assert on ("N policies, exactly one measurement").
-var baselineMeasurements atomic.Int64
 
 // SensitivityEngine obtains the real performance baselines by executing
 // the workload "as-is" in the two extreme configurations (paper §IV,
@@ -78,6 +72,5 @@ func (s *SensitivityEngine) Baselines(ctx context.Context, w *ycsb.Workload) (Ba
 			return Baselines{}, fmt.Errorf("core: %s baseline: %w", jobs[i].name, err)
 		}
 	}
-	baselineMeasurements.Add(1)
 	return Baselines{Fast: results[0], Slow: results[1]}, nil
 }

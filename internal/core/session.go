@@ -12,54 +12,32 @@ import (
 
 // Session is the staged profiling pipeline: Measure → Analyze →
 // Estimate → Place. Each stage's artifact (the measured Baselines, a
-// policy's Ordering, its Curve) is cached inside the session, so later
-// stages — and later policies — reuse earlier work instead of re-running
-// it. In particular Compare profiles any number of tiering policies
-// against a single Fast+Slow baseline measurement, and Advise re-reads a
-// cached curve without touching the testbed at all.
+// policy's Ordering, its Curve) is computed once and kept in the
+// session's ArtifactCache, so later stages — and later policies — reuse
+// earlier work instead of re-running it. In particular Compare profiles
+// any number of tiering policies against a single Fast+Slow baseline
+// measurement, and Advise re-reads a cached curve without touching the
+// testbed at all.
 //
 // A session is bound to one workload and one engine configuration; the
-// zero value is not usable, construct with NewSession. Methods are safe
-// for concurrent use.
+// zero value is not usable, construct with NewSession or
+// NewSharedSession. Methods are safe for concurrent use.
 type Session struct {
 	cfg Config // normalized
 	w   *ycsb.Workload
+	// cache holds every artifact the session computes or reads: the
+	// cache handed to NewSharedSession, or one private to the session.
+	cache *ArtifactCache
 
-	// shared, when non-nil, is the cross-session content-addressed
-	// artifact store (NewSharedSession): artifacts missing from this
-	// session's own cache are served from — and computed into — the
-	// shared cache under (workload hash, config)-derived keys, so
-	// sessions differing only in policy parameters share one baseline
-	// measurement. whash memoizes the workload fingerprint (guarded by
-	// mu; valid when whashed).
-	shared  *ArtifactCache
-	whash   uint64
-	whashed bool
-
-	mu        sync.Mutex
-	baselines *Baselines
-	measures  int // completed Measure executions (see MeasureCount)
-	orderings map[string]Ordering
-	curves    map[string]*Curve
+	mu       sync.Mutex // serializes the stages
+	measures int        // completed Measure executions (see MeasureCount)
 }
 
 // NewSession validates the config and binds the staged pipeline to the
-// workload. No measurement happens until Measure (or a stage that needs
-// it) is called.
+// workload, with a cache private to the session. No measurement happens
+// until Measure (or a stage that needs it) is called.
 func NewSession(cfg Config, w *ycsb.Workload) (*Session, error) {
-	ncfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if w == nil {
-		return nil, fmt.Errorf("core: nil workload")
-	}
-	return &Session{
-		cfg:       ncfg,
-		w:         w,
-		orderings: map[string]Ordering{},
-		curves:    map[string]*Curve{},
-	}, nil
+	return NewSharedSession(cfg, w, nil)
 }
 
 // NewSharedSession is NewSession backed by a cross-session artifact
@@ -67,36 +45,29 @@ func NewSession(cfg Config, w *ycsb.Workload) (*Session, error) {
 // content (workload hash, measurement config, policy name) in the cache,
 // so any number of sessions over the same workload — one per candidate
 // config, say — execute exactly one Fast+Slow baseline measurement
-// between them. A nil cache degrades to a plain session.
+// between them. A nil cache gives the session a private one
+// (newSessionCache), which never hashes the workload and keeps no
+// analysis artifacts (see SharedAnalysis).
 func NewSharedSession(cfg Config, w *ycsb.Workload, cache *ArtifactCache) (*Session, error) {
-	s, err := NewSession(cfg, w)
+	ncfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
-	s.shared = cache
-	return s, nil
-}
-
-// workloadHashLocked resolves the session's workload fingerprint through
-// the shared cache (which memoizes it per workload pointer).
-func (s *Session) workloadHashLocked() (uint64, error) {
-	if s.whashed {
-		return s.whash, nil
+	if w == nil {
+		return nil, fmt.Errorf("core: nil workload")
 	}
-	h, err := s.shared.WorkloadHash(s.w)
-	if err != nil {
-		return 0, fmt.Errorf("core: hashing workload: %w", err)
+	if cache == nil {
+		cache = newSessionCache(w)
 	}
-	s.whash, s.whashed = h, true
-	return h, nil
+	return &Session{cfg: ncfg, w: w, cache: cache}, nil
 }
 
 // sink returns the session's observability sink (nil when the config
 // carries none; every use below is nil-safe).
 func (s *Session) sink() *obs.Sink { return s.cfg.Server.Obs }
 
-// cacheHit records an artifact served from the session cache instead of
-// re-running its stage.
+// cacheHit records an artifact served from the session's cache instead
+// of re-running its stage.
 func (s *Session) cacheHit(artifact, detail string) {
 	sink := s.sink()
 	if !sink.Enabled() {
@@ -123,35 +94,21 @@ func (s *Session) Measure(ctx context.Context) (Baselines, error) {
 }
 
 func (s *Session) measureLocked(ctx context.Context) (Baselines, error) {
-	if s.baselines != nil {
-		s.cacheHit("baselines", "Fast+Slow baselines")
-		return *s.baselines, nil
-	}
-	if s.shared != nil {
-		whash, err := s.workloadHashLocked()
-		if err != nil {
-			return Baselines{}, err
-		}
-		b, computed, err := s.shared.sharedBaselines(whash, s.cfg, func() (Baselines, error) {
-			return s.runMeasurement(ctx)
-		})
-		if err != nil {
-			return Baselines{}, err
-		}
-		if !computed {
-			s.cacheHit("baselines", "shared artifact cache")
-		} else {
-			s.measures++
-		}
-		s.baselines = &b
-		return b, nil
-	}
-	b, err := s.runMeasurement(ctx)
+	whash, err := s.cache.WorkloadHash(s.w)
 	if err != nil {
 		return Baselines{}, err
 	}
-	s.baselines = &b
-	s.measures++
+	b, computed, err := s.cache.sharedBaselines(whash, s.cfg, func() (Baselines, error) {
+		return s.runMeasurement(ctx)
+	})
+	if err != nil {
+		return Baselines{}, err
+	}
+	if computed {
+		s.measures++
+	} else {
+		s.cacheHit("baselines", "Fast+Slow baselines")
+	}
 	return b, nil
 }
 
@@ -193,47 +150,28 @@ func (s *Session) Analyze(ctx context.Context, p TieringPolicy) (Ordering, error
 }
 
 func (s *Session) analyzeLocked(ctx context.Context, p TieringPolicy) (Ordering, error) {
-	if ord, ok := s.orderings[p.Name()]; ok {
-		s.cacheHit("ordering", "policy "+p.Name())
-		return ord, nil
-	}
-	if s.shared != nil {
-		whash, err := s.workloadHashLocked()
-		if err != nil {
-			return Ordering{}, err
-		}
-		ord, computed, err := s.shared.sharedOrdering(whash, p.Name(), s.cfg.Server.Seed, func() (Ordering, error) {
-			return s.runAnalyze(ctx, p)
-		})
-		if err != nil {
-			return Ordering{}, err
-		}
-		if !computed {
-			s.cacheHit("ordering", "shared artifact cache, policy "+p.Name())
-		}
-		s.orderings[p.Name()] = ord
-		return ord, nil
-	}
-	ord, err := s.runAnalyze(ctx, p)
+	whash, err := s.cache.WorkloadHash(s.w)
 	if err != nil {
 		return Ordering{}, err
 	}
-	s.orderings[p.Name()] = ord
+	ord, computed, err := s.cache.sharedOrdering(whash, p.Name(), s.cfg.Server.Seed, func() (Ordering, error) {
+		return s.runAnalyze(ctx, p)
+	})
+	if err != nil {
+		return Ordering{}, err
+	}
+	if !computed {
+		s.cacheHit("ordering", "policy "+p.Name())
+	}
 	return ord, nil
 }
 
 // runAnalyze executes the policy's Pattern Engine and validates that the
-// resulting ordering covers the dataset (checkCovers). Under a shared
-// cache the policy gets a context through which SharedAnalysis reaches
-// that cache (the shared branch of analyzeLocked has resolved whash by
-// now); a plain session has nothing to share with and passes ctx on as
-// it came.
+// resulting ordering covers the dataset (checkCovers). The policy gets a
+// context through which SharedAnalysis reaches the session's cache.
 func (s *Session) runAnalyze(ctx context.Context, p TieringPolicy) (Ordering, error) {
 	span := s.sink().StartSpan("analyze")
-	if s.shared != nil {
-		ctx = context.WithValue(ctx, analysisSessionKey{}, s)
-	}
-	ord, err := p.Order(ctx, s.w)
+	ord, err := p.Order(context.WithValue(ctx, analysisSessionKey{}, s), s.w)
 	if err != nil {
 		return Ordering{}, fmt.Errorf("core: policy %q: %w", p.Name(), err)
 	}
@@ -276,30 +214,28 @@ func (s *Session) Estimate(ctx context.Context, p TieringPolicy) (*Curve, error)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.estimateLocked(ctx, p)
+	c, _, _, err := s.estimateLocked(ctx, p)
+	return c, err
 }
 
-func (s *Session) estimateLocked(ctx context.Context, p TieringPolicy) (*Curve, error) {
-	if c, ok := s.curves[p.Name()]; ok {
-		s.cacheHit("curve", "policy "+p.Name())
-		return c, nil
-	}
-	// Run (and Report assembly generally) reads the baselines and
-	// ordering artifacts directly, so resolve them even when the curve
-	// itself will be a shared-cache hit — through the shared cache these
-	// are hits too, never new measurements.
+// estimateLocked returns the policy's curve together with the baselines
+// and ordering it was built from, which Run reports alongside it.
+func (s *Session) estimateLocked(ctx context.Context, p TieringPolicy) (*Curve, Baselines, Ordering, error) {
 	b, err := s.measureLocked(ctx)
 	if err != nil {
-		return nil, err
+		return nil, Baselines{}, Ordering{}, err
 	}
 	ord, err := s.analyzeLocked(ctx, p)
 	if err != nil {
-		return nil, err
+		return nil, Baselines{}, Ordering{}, err
 	}
-	build := func() (*Curve, error) {
+	whash, err := s.cache.WorkloadHash(s.w)
+	if err != nil {
+		return nil, Baselines{}, Ordering{}, err
+	}
+	c, computed, err := s.cache.sharedCurve(whash, s.cfg, p.Name(), func() (*Curve, error) {
 		// The estimate span covers only the curve construction itself;
-		// the measure and analyze stages it may trigger record their own
-		// spans.
+		// the measure and analyze stages record their own spans.
 		span := s.sink().StartSpan("estimate")
 		ee, err := NewEstimateEngine(s.cfg.PriceFactor)
 		if err != nil {
@@ -313,26 +249,14 @@ func (s *Session) estimateLocked(ctx context.Context, p TieringPolicy) (*Curve, 
 		span.End(0)
 		s.sink().Eventf(obs.EventCurveBuilt, "estimate", 0, "policy %s: %d curve points", p.Name(), len(c.Points))
 		return c, nil
-	}
-	var c *Curve
-	if s.shared != nil {
-		whash, herr := s.workloadHashLocked()
-		if herr != nil {
-			return nil, herr
-		}
-		var computed bool
-		c, computed, err = s.shared.sharedCurve(whash, s.cfg, p.Name(), build)
-		if err == nil && !computed {
-			s.cacheHit("curve", "shared artifact cache, policy "+p.Name())
-		}
-	} else {
-		c, err = build()
-	}
+	})
 	if err != nil {
-		return nil, err
+		return nil, Baselines{}, Ordering{}, err
 	}
-	s.curves[p.Name()] = c
-	return c, nil
+	if !computed {
+		s.cacheHit("curve", "policy "+p.Name())
+	}
+	return c, b, ord, nil
 }
 
 // Advise is stage 4 (Placement Engine, advisory half): pick the cheapest
@@ -376,14 +300,12 @@ func (s *Session) Run(ctx context.Context, p TieringPolicy, maxSlowdown float64)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Estimate drives the earlier stages as needed; read their cached
-	// artifacts directly afterwards so the intra-call reuse does not
-	// count as a session cache hit.
-	curve, err := s.estimateLocked(ctx, p)
+	// Estimate drives the earlier stages once each and hands their
+	// artifacts back, so the report reads no stage twice.
+	curve, b, ord, err := s.estimateLocked(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	b, ord := *s.baselines, s.orderings[p.Name()]
 	rep := &Report{
 		Workload:  s.w.Spec.Name,
 		Engine:    s.cfg.Server.Engine.String(),
@@ -404,8 +326,8 @@ func (s *Session) Run(ctx context.Context, p TieringPolicy, maxSlowdown float64)
 
 // Compare profiles every policy against the session's single baseline
 // measurement and returns one report per policy, input order preserved.
-// Policies must have distinct names — the caches are name-keyed, and a
-// silent collision would hand one policy another's curve.
+// Policies must have distinct names — artifacts are keyed by policy
+// name, and a silent collision would hand one policy another's curve.
 func (s *Session) Compare(ctx context.Context, maxSlowdown float64, policies ...TieringPolicy) ([]*Report, error) {
 	if len(policies) == 0 {
 		return nil, fmt.Errorf("core: Compare needs at least one policy")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mnemo/internal/server"
+	"mnemo/internal/ycsb"
 )
 
 // goldenReport replays the pre-refactor monolithic Profile pipeline by
@@ -100,25 +101,21 @@ func TestSessionGoldenEquivalence(t *testing.T) {
 
 // TestCompareMeasuresOnce is the artifact-reuse contract: profiling N
 // policies through one session performs exactly one Fast+Slow baseline
-// measurement, counted at the Sensitivity Engine.
+// measurement, counted by the session.
 func TestCompareMeasuresOnce(t *testing.T) {
 	w := testWorkload(34)
 	s, err := NewSession(DefaultConfig(server.RedisLike, 34), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := baselineMeasurements.Load()
 	policies := []TieringPolicy{Touch, MnemoT, External([]string{w.Dataset.Records[3].Key})}
 	reps, err := s.Compare(context.Background(), 0.10, policies...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := baselineMeasurements.Load() - before; got != 1 {
+	if got := s.MeasureCount(); got != 1 {
 		t.Fatalf("Compare over %d policies ran %d baseline measurements, want exactly 1",
 			len(policies), got)
-	}
-	if s.MeasureCount() != 1 {
-		t.Fatalf("MeasureCount = %d, want 1", s.MeasureCount())
 	}
 	if len(reps) != len(policies) {
 		t.Fatalf("got %d reports for %d policies", len(reps), len(policies))
@@ -142,6 +139,22 @@ func TestCompareMeasuresOnce(t *testing.T) {
 	}
 	if !reflect.DeepEqual(solo.Curve, reps[1].Curve) {
 		t.Error("session-profiled MnemoT curve differs from one-shot Profile")
+	}
+}
+
+// A plain session's cache serves one workload under hash 0: running the
+// whole pipeline never walks the trace to fingerprint it.
+func TestPlainSessionSkipsWorkloadHash(t *testing.T) {
+	w := testWorkload(38)
+	s, err := NewSession(DefaultConfig(server.RedisLike, 38), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background(), MnemoT, 0.10); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[*ycsb.Workload]uint64{w: 0}; !reflect.DeepEqual(s.cache.whashes, want) {
+		t.Fatalf("plain session cache hashes = %v, want %v", s.cache.whashes, want)
 	}
 }
 

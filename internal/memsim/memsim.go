@@ -56,7 +56,8 @@ var (
 	FastMemParams = NodeParams{Name: "FastMem", LatencyNs: 65.7, BandwidthGBps: 14.9}
 	// SlowMemParams is the throttled node emulating NVM (B:0.12 L:3.62).
 	SlowMemParams = NodeParams{Name: "SlowMem", LatencyNs: 238.1, BandwidthGBps: 1.81}
-	// LLCParams models the shared 12 MB last-level cache of the testbed.
+	// LLCParams models the shared 12 MB last-level cache of the testbed;
+	// the server prices every LLC hit with it.
 	LLCParams = NodeParams{Name: "LLC", LatencyNs: 12.0, BandwidthGBps: 60}
 )
 
@@ -188,7 +189,6 @@ type Config struct {
 	FastCapacity           int64 // bytes; 0 = unlimited
 	SlowCapacity           int64 // bytes; 0 = unlimited
 	LLCBytes               int64 // shared cache size; 0 disables the cache model
-	LLCParams              NodeParams
 }
 
 // DefaultConfig returns the Table I testbed: unlimited node capacities
@@ -198,7 +198,6 @@ func DefaultConfig() Config {
 		FastParams: FastMemParams,
 		SlowParams: SlowMemParams,
 		LLCBytes:   12 << 20,
-		LLCParams:  LLCParams,
 	}
 }
 

@@ -131,3 +131,43 @@ func TestSharedAnalysisKeyedByWorkloadContent(t *testing.T) {
 		}
 	}
 }
+
+// A plain session keeps its artifacts in a cache of its own, and that
+// cache must not hold the knapsack tables: an unshared table is solved
+// only up to the asking policy's own ladder. Two knapsack anchors
+// compared in one plain session order the keys exactly as they do in
+// two sessions of their own.
+func TestKnapsackCompareInPlainSession(t *testing.T) {
+	ctx := context.Background()
+	w := testWorkload(t, 5)
+	cfg := core.DefaultConfig(server.RedisLike, 1)
+	var pols []core.TieringPolicy
+	for _, anchor := range []float64{0.05, 0.9} {
+		p, err := NewParams("knapsack", 1, map[string]float64{"anchor": anchor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols = append(pols, p)
+	}
+	s, err := core.NewSession(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := s.Compare(ctx, 0.10, pols...)
+	if err != nil {
+		t.Fatalf("Compare: %v", err)
+	}
+	for i, p := range pols {
+		solo, err := core.NewSession(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solo.Analyze(ctx, p)
+		if err != nil {
+			t.Fatalf("Analyze(%s): %v", p.Name(), err)
+		}
+		if !reflect.DeepEqual(reps[i].Ordering, want) {
+			t.Fatalf("%s: the ordering compared in one session differs from its own session's", p.Name())
+		}
+	}
+}

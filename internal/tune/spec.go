@@ -117,10 +117,10 @@ func (s *Spec) Validate() error {
 	if s.Runs < 1 {
 		return fmt.Errorf("tune: spec runs %d must be ≥ 1", s.Runs)
 	}
-	if s.PriceFactor <= 0 || s.PriceFactor > 1 {
+	if !(0 < s.PriceFactor && s.PriceFactor <= 1) { // NaN fails too
 		return fmt.Errorf("tune: spec price_factor %v outside (0,1]", s.PriceFactor)
 	}
-	if s.SLO <= 0 {
+	if !(s.SLO > 0) {
 		return fmt.Errorf("tune: spec slo %v must be positive", s.SLO)
 	}
 	if err := (server.Config{NoiseSigma: s.NoiseSigma}).Validate(); err != nil {

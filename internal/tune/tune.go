@@ -120,10 +120,10 @@ type Config struct {
 
 // normalized validates and applies defaults.
 func (c Config) normalized() (Config, error) {
-	if c.SLO <= 0 {
+	if !(c.SLO > 0) { // NaN fails too
 		return c, fmt.Errorf("tune: SLO %v must be positive (the permissible slowdown, e.g. 0.10)", c.SLO)
 	}
-	if c.SLO > 10 {
+	if !(c.SLO <= 10) {
 		return c, fmt.Errorf("tune: SLO %v outside (0,10] (a 1000%% slowdown bound is not a constraint)", c.SLO)
 	}
 	if c.Budget < 0 {

@@ -163,6 +163,8 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero SLO", func(c *Config) { c.SLO = 0 }, "SLO 0 must be positive"},
 		{"huge SLO", func(c *Config) { c.SLO = 11 }, "outside (0,10]"},
+		{"NaN SLO", func(c *Config) { c.SLO = math.NaN() }, "SLO NaN must be positive"},
+		{"infinite SLO", func(c *Config) { c.SLO = math.Inf(1) }, "outside (0,10]"},
 		{"negative budget", func(c *Config) { c.Budget = -1 }, "must be non-negative"},
 		{"excess budget", func(c *Config) { c.Budget = MaxBudget + 1 }, "above the cap"},
 		{"negative workers", func(c *Config) { c.Workers = -2 }, "Workers -2 must be non-negative"},
@@ -255,6 +257,33 @@ func TestSpecRejectsBadNoiseSigma(t *testing.T) {
 		if _, err := New().Replay(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "NoiseSigma") {
 			t.Errorf("noise_sigma %v: Replay error = %v, want one naming NoiseSigma", sigma, err)
 		}
+	}
+}
+
+// Spec.Validate range-checks price_factor and slo; NaN fails both
+// (JSON cannot carry a NaN, but a Spec built in Go can).
+func TestSpecValidateRanges(t *testing.T) {
+	cases := []struct {
+		name        string
+		priceFactor float64
+		slo         float64
+		want        string
+	}{
+		{"zero price_factor", 0, 0.1, "price_factor 0 outside (0,1]"},
+		{"price_factor above 1", 1.5, 0.1, "price_factor 1.5 outside (0,1]"},
+		{"NaN price_factor", math.NaN(), 0.1, "price_factor NaN outside (0,1]"},
+		{"zero slo", 0.2, 0, "slo 0 must be positive"},
+		{"negative slo", 0.2, -0.1, "slo -0.1 must be positive"},
+		{"NaN slo", 0.2, math.NaN(), "slo NaN must be positive"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := &Spec{Version: SpecVersion, Workload: WorkloadRecipe{Name: "ycsb_b"}, WorkloadHash: "0",
+				Engine: "redislike", Runs: 1, PriceFactor: tc.priceFactor, SLO: tc.slo, Policy: "touch"}
+			if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate error = %v, want substring %q", err, tc.want)
+			}
+		})
 	}
 }
 
