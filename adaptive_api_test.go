@@ -144,14 +144,11 @@ func TestMeasureAdaptiveMatchesSerialLegs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var pe core.PlacementEngine
-		placement, err := pe.PlacementFor(rep.Ordering, rep.Advice.Point)
+		placement, err := core.PlacementFor(rep.Ordering, rep.Advice.Point)
 		if err != nil {
 			t.Fatal(err)
 		}
-		staticCfg := cfg.Server
-		staticCfg.Adaptive, staticCfg.EpochOps = nil, 0
-		static, err := client.ExecuteMeanCtx(ctx, staticCfg, w, placement, cfg.Runs, 0)
+		static, err := client.ExecuteMeanCtx(ctx, cfg.Server.Static(), w, placement, cfg.Runs, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,6 @@ import (
 	"mnemo/internal/client"
 	"mnemo/internal/experiments"
 	"mnemo/internal/obs"
-	"mnemo/internal/registry"
 	"mnemo/internal/report"
 	"mnemo/internal/server"
 	"mnemo/internal/trace"
@@ -302,18 +301,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *listPolicies {
-		var entries []report.CatalogEntry
-		for _, e := range registry.Entries() {
-			ce := report.CatalogEntry{Name: e.Name, Description: e.Description}
-			for _, p := range e.Params {
-				ce.Params = append(ce.Params, report.CatalogParam{
-					Name: p.Name, Min: p.Min, Max: p.Max, Default: p.Default,
-					Integer: p.Integer, Log: p.Log, Description: p.Description,
-				})
-			}
-			entries = append(entries, ce)
-		}
-		return report.PolicyCatalog(stdout, entries)
+		return report.PolicyCatalog(stdout)
 	}
 	scale := experiments.Full
 	if *quick {

@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *listPol {
-		return report.PolicyCatalog(stdout, policyCatalog())
+		return report.PolicyCatalog(stdout)
 	}
 	engine, ok := mnemo.EngineByName(*store)
 	if !ok {
@@ -194,20 +194,4 @@ func tuneRows(evals []mnemo.TuneEval) []report.TuneRow {
 		}
 	}
 	return rows
-}
-
-// policyCatalog adapts the public policy listing for catalog rendering.
-func policyCatalog() []report.CatalogEntry {
-	var out []report.CatalogEntry
-	for _, p := range mnemo.Policies() {
-		e := report.CatalogEntry{Name: p.Name, Description: p.Description}
-		for _, pr := range p.Params {
-			e.Params = append(e.Params, report.CatalogParam{
-				Name: pr.Name, Min: pr.Min, Max: pr.Max, Default: pr.Default,
-				Integer: pr.Integer, Log: pr.Log, Description: pr.Description,
-			})
-		}
-		out = append(out, e)
-	}
-	return out
 }

@@ -108,7 +108,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *listPol {
-		return report.PolicyCatalog(stdout, policyCatalog())
+		return report.PolicyCatalog(stdout)
 	}
 	if *configPath != "" {
 		return replayTunedConfig(*configPath, *outPath, stdout, stderr)
@@ -321,23 +321,6 @@ func replayTunedConfig(path, outPath string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "curve written to %s\n", outPath)
 		return nil
 	}
-}
-
-// policyCatalog adapts the public policy listing (descriptions plus
-// tunable parameter spaces) for -list-policies rendering.
-func policyCatalog() []report.CatalogEntry {
-	var out []report.CatalogEntry
-	for _, p := range mnemo.Policies() {
-		e := report.CatalogEntry{Name: p.Name, Description: p.Description}
-		for _, pr := range p.Params {
-			e.Params = append(e.Params, report.CatalogParam{
-				Name: pr.Name, Min: pr.Min, Max: pr.Max, Default: pr.Default,
-				Integer: pr.Integer, Log: pr.Log, Description: pr.Description,
-			})
-		}
-		out = append(out, e)
-	}
-	return out
 }
 
 // resolvePolicyName applies the -policy default.

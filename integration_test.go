@@ -49,8 +49,7 @@ func TestAdvisedPlacementMeetsSLOWhenDeployed(t *testing.T) {
 	}
 
 	// Materialize the placement and actually serve the workload on it.
-	var pe core.PlacementEngine
-	placement, err := pe.PlacementFor(rep.Ordering, a.Point)
+	placement, err := core.PlacementFor(rep.Ordering, a.Point)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +84,12 @@ func TestPlacementEngineRoutesBytesAsAdvised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pe core.PlacementEngine
-	d, err := pe.Populate(cfg.Server, w, rep.Ordering, rep.Advice.Point)
+	placement, err := core.PlacementFor(rep.Ordering, rep.Advice.Point)
 	if err != nil {
+		t.Fatal(err)
+	}
+	d := server.NewDeployment(cfg.Server)
+	if err := d.Load(w.Dataset, placement); err != nil {
 		t.Fatal(err)
 	}
 	fastUsed := d.Machine().Node(memsim.Fast).Used()

@@ -71,11 +71,7 @@ const instrumentedServerWiring = 30 * simclock.Second
 // and returns the overhead report together with the products (baselines
 // and tiering ordering).
 func MnemoTOverhead(cfg core.Config, w *ycsb.Workload) (OverheadReport, core.Baselines, core.Ordering, error) {
-	se, err := core.NewSensitivityEngine(cfg)
-	if err != nil {
-		return OverheadReport{}, core.Baselines{}, core.Ordering{}, err
-	}
-	b, err := se.Baselines(context.Background(), w)
+	b, err := core.MeasureBaselines(context.Background(), cfg, w)
 	if err != nil {
 		return OverheadReport{}, core.Baselines{}, core.Ordering{}, err
 	}

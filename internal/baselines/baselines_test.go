@@ -123,11 +123,7 @@ func TestTahoeInferenceNonNegative(t *testing.T) {
 	m := &TahoeModel{beta: []float64{-1e12, 0, 0, 0, 0}}
 	w := smallTrending(6)
 	cfg := core.DefaultConfig(server.RedisLike, 6)
-	se, err := core.NewSensitivityEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := se.Baselines(context.Background(), w)
+	b, err := core.MeasureBaselines(context.Background(), cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -292,7 +292,8 @@ func TestAdaptiveDeploymentNotReused(t *testing.T) {
 	cfg := server.DefaultConfig(server.RedisLike, 7)
 	cfg.Adaptive = greedySource{}
 	cfg.EpochOps = 4096
-	st, sd, err := executeFresh(context.Background(), cfg, w, halfFast(w))
+	var r meanRunner
+	st, err := r.execute(context.Background(), cfg, w, halfFast(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +302,8 @@ func TestAdaptiveDeploymentNotReused(t *testing.T) {
 	}
 	// A migrated deployment's placement no longer matches the requested
 	// one; the execute-reuse fast path must rebuild, not replay on it.
-	if sd.Reusable() || sd.ResetRun(cfg.Seed+1) {
-		t.Fatal("migrated deployment offered for snapshot reuse")
+	if r.sd != nil {
+		t.Fatal("migrated deployment kept for snapshot reuse")
 	}
 	// Repetition sweeps therefore fold independent migrated runs; the
 	// telemetry counters sum across them.

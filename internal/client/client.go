@@ -452,8 +452,7 @@ func Execute(cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats,
 // are flushed even when the replay fails mid-run, so partial runs stay
 // observable.
 func ExecuteCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
-	st, _, err := executeFresh(ctx, cfg, w, p)
-	return st, err
+	return new(meanRunner).execute(ctx, cfg, w, p)
 }
 
 // publishRun records a completed run on cfg.Obs: the run, op, read and

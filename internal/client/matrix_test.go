@@ -449,12 +449,12 @@ func TestReplayStreamReuse(t *testing.T) {
 	w := adaptiveTestWorkload(0.9)
 	tw := streamedTwin(t, w)
 	cfg := server.DefaultConfig(server.MemcachedLike, 31)
-	_, sd, err := executeFresh(context.Background(), cfg, tw, server.AllFast())
-	if err != nil {
+	var r meanRunner
+	if _, err := r.execute(context.Background(), cfg, tw, server.AllFast()); err != nil {
 		t.Fatal(err)
 	}
-	if !sd.Reusable() {
-		t.Fatal("kernel-only streamed run not offered for snapshot reuse")
+	if r.sd == nil {
+		t.Fatal("kernel-only streamed run not kept for snapshot reuse")
 	}
 	got, err := ExecuteMeanWorkers(cfg, tw, server.AllFast(), 3, 1)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mnemo/internal/obs"
 	"mnemo/internal/pool"
 	"mnemo/internal/server"
 	"mnemo/internal/simclock"
@@ -27,19 +28,54 @@ type meanRunner struct {
 	sd *server.ShardedDeployment
 }
 
-// execute runs one measurement through the cached cluster when one is
-// available, falling back to — and possibly caching — a fresh cluster
-// otherwise. Both paths produce bit-identical stats, errors and
-// telemetry; see executeReused.
+// execute runs one measurement. A runner holding a cluster rewinds it
+// to its post-Load snapshot under the new seed's per-shard derivations
+// (server.ShardedDeployment.ResetRun); otherwise it builds a cluster of
+// max(cfg.Shards, 1) members and loads every shard under the (remapped)
+// placement. Either way it then replays, merges, flushes the shard
+// telemetry (complete and failed replays alike) and publishes the
+// run-level counters and journal events under the parent workload's
+// name. Both paths emit the same event and counter sequence and measure
+// bit-identically, so an observer cannot tell them apart.
+//
+// A fresh cluster is cached after its run, never before: the run itself
+// decides Reusable (it prices the cost table, and a per-op frame or a
+// migration latches the cluster as mutated).
 func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
-	if r.sd != nil {
-		return executeReused(ctx, cfg, w, r.sd)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	st, sd, err := executeFresh(ctx, cfg, w, p)
-	if sd != nil && sd.Reusable() {
+	if err := ctx.Err(); err != nil {
+		return RunStats{}, err
+	}
+	sink := cfg.Obs
+	sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
+		w.Spec.Name, cfg.Engine, cfg.Seed)
+	sd := r.sd
+	if sd == nil {
+		var err error
+		if sd, err = server.NewShardedDeployment(cfg, w); err == nil {
+			err = sd.Load(p)
+		}
+		if err != nil {
+			sink.Counter("mnemo_client_run_failures_total").Inc()
+			return RunStats{}, err
+		}
+	} else if !sd.ResetRun(cfg.Seed) {
+		return RunStats{}, fmt.Errorf("client: cached cluster lost its run snapshot")
+	}
+	st, err := runSharded(ctx, cfg, sd)
+	sd.FlushObs()
+	if r.sd == nil && sd.Reusable() {
 		r.sd = sd
 	}
-	return st, err
+	if err != nil {
+		sink.Counter("mnemo_client_run_failures_total").Inc()
+		return st, err
+	}
+	st.Workload = w.Spec.Name
+	publishRun(cfg, w.Spec.Name, st)
+	return st, nil
 }
 
 // ExecuteMeanCtx is ExecuteMeanWorkers with cancellation: it runs the
@@ -53,40 +89,32 @@ func ExecuteMeanCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p 
 	if runs <= 0 {
 		return RunStats{}, fmt.Errorf("client: runs %d must be positive", runs)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Share one worker budget with any nested per-shard fan-out (and any
-	// outer validation sweep): composed layers cannot oversubscribe.
-	ctx = pool.EnsureBudget(ctx)
-	out := make([]RunStats, runs)
-	errs := make([]error, runs)
 	// One reusable runner per pool worker, handed out through a free
 	// list: a worker grabs any idle runner, so a batch-capable deployment
 	// is populated once per worker and rewound for each further
 	// repetition that worker executes. Which runner serves which
 	// repetition is scheduling-dependent — and irrelevant, since fresh
-	// and rewound deployments measure bit-identically.
+	// and rewound deployments measure bit-identically. pool.Map shares
+	// one worker budget with any nested per-shard fan-out (and any outer
+	// measuring call), so composed layers cannot oversubscribe.
 	nrunners := pool.Workers(workers, runs)
 	runners := make(chan *meanRunner, nrunners)
 	for k := 0; k < nrunners; k++ {
 		runners <- new(meanRunner)
 	}
-	if err := pool.RunObs(ctx, runs, workers, cfg.Obs, func(i int) {
+	out, err := pool.Map(ctx, runs, workers, cfg.Obs, func(ctx context.Context, i int) (RunStats, error) {
 		r := <-runners
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*runSeedStride
-		if out[i], errs[i] = r.execute(ctx, c, w, p); errs[i] != nil {
-			errs[i] = fmt.Errorf("client: repetition %d (seed %d): %w", i, c.Seed, errs[i])
-		}
+		st, err := r.execute(ctx, c, w, p)
 		runners <- r
-	}); err != nil {
-		return RunStats{}, err
-	}
-	for _, err := range errs {
 		if err != nil {
-			return RunStats{}, err
+			return st, fmt.Errorf("client: repetition %d (seed %d): %w", i, c.Seed, err)
 		}
+		return st, nil
+	})
+	if err != nil {
+		return RunStats{}, err
 	}
 	return foldRuns(out), nil
 }

@@ -1,0 +1,52 @@
+package client
+
+import (
+	"context"
+	"reflect"
+	"strings"
+	"testing"
+
+	"mnemo/internal/server"
+)
+
+// A measuring call over three legs — one of them adaptive — returns
+// exactly what three separate ExecuteMeanCtx calls return, field for
+// field; when two legs fail, the lower leg's error wins under its name.
+func TestMeasureMatchesSeparateLegs(t *testing.T) {
+	w := adaptiveTestWorkload(0.9)
+	static := server.DefaultConfig(server.RedisLike, 7)
+	adaptive := static
+	adaptive.Adaptive, adaptive.EpochOps = greedySource{}, 4096
+	slow := static
+	slow.Seed += 7919
+	legs := []Leg{
+		{Name: "fast", Cfg: static, Placement: server.AllFast()},
+		{Name: "adaptive", Cfg: adaptive, Placement: halfFast(w)},
+		{Name: "slow", Cfg: slow, Placement: server.AllSlow()},
+	}
+	ctx := context.Background()
+	got, err := Measure(ctx, w, 2, 0, nil, legs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[1].MovesApplied == 0 {
+		t.Fatalf("adaptive leg never migrated: %+v", got[1])
+	}
+	for i, leg := range legs {
+		want, err := ExecuteMeanCtx(ctx, leg.Cfg, w, leg.Placement, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("leg %q diverged from its separate measurement:\n got:  %+v\n want: %+v", leg.Name, got[i], want)
+		}
+	}
+
+	overflow := static
+	overflow.Machine.FastCapacity = 1024
+	legs[1] = Leg{Name: "overflow 1", Cfg: overflow, Placement: server.AllFast()}
+	legs[2] = Leg{Name: "overflow 2", Cfg: overflow, Placement: server.AllFast()}
+	if _, err := Measure(ctx, w, 2, 3, nil, legs); err == nil || !strings.HasPrefix(err.Error(), "overflow 1: ") {
+		t.Fatalf("err = %v, want the lower failing leg's, prefixed with its name", err)
+	}
+}

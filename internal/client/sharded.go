@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"mnemo/internal/obs"
 	"mnemo/internal/pool"
 	"mnemo/internal/server"
-	"mnemo/internal/ycsb"
 )
 
 // Execution (DESIGN.md §13): the scatter-gather client over a
@@ -20,70 +18,6 @@ import (
 // bit-identical for every goroutine schedule and worker count —
 // including workers=1, which is the serial reference execution of the
 // same code path.
-
-// executeFresh builds a cluster of max(cfg.Shards, 1) members, loads
-// every shard under the (remapped) placement, replays and merges. It
-// returns the cluster it built, so a repeated measurement (meanRunner)
-// can keep a Reusable one and rewind it with executeReused instead of
-// re-populating the store per run. The cluster is non-nil exactly when
-// Load succeeded.
-func executeFresh(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, *server.ShardedDeployment, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, nil, err
-	}
-	sink := cfg.Obs
-	sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
-		w.Spec.Name, cfg.Engine, cfg.Seed)
-	sd, err := server.NewShardedDeployment(cfg, w)
-	if err != nil {
-		sink.Counter("mnemo_client_run_failures_total").Inc()
-		return RunStats{}, nil, err
-	}
-	if err := sd.Load(p); err != nil {
-		sink.Counter("mnemo_client_run_failures_total").Inc()
-		return RunStats{}, nil, err
-	}
-	st, err := runAndFlush(ctx, cfg, w, sd)
-	return st, sd, err
-}
-
-// executeReused is executeFresh against a cluster kept from an earlier
-// repetition: every shard is rewound to its post-Load snapshot under the
-// new seed's per-shard derivations (server.ShardedDeployment.ResetRun)
-// instead of being rebuilt. The event and counter sequence — measurement
-// start, deployments counted, run counters — is emitted in the fresh
-// path's order, so an observer cannot tell the two paths apart.
-func executeReused(ctx context.Context, cfg server.Config, w *ycsb.Workload, sd *server.ShardedDeployment) (RunStats, error) {
-	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
-	}
-	sink := cfg.Obs
-	sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
-		w.Spec.Name, cfg.Engine, cfg.Seed)
-	if !sd.ResetRun(cfg.Seed) {
-		return RunStats{}, fmt.Errorf("client: cached cluster lost its run snapshot")
-	}
-	return runAndFlush(ctx, cfg, w, sd)
-}
-
-// runAndFlush is the shared back half of the execute paths: the
-// fanned-out replay, the shard-order telemetry flush (covering complete
-// and failed replays alike) and the run-level counters and journal
-// events under the parent workload's name.
-func runAndFlush(ctx context.Context, cfg server.Config, w *ycsb.Workload, sd *server.ShardedDeployment) (RunStats, error) {
-	st, err := runSharded(ctx, cfg, sd)
-	sd.FlushObs()
-	if err != nil {
-		cfg.Obs.Counter("mnemo_client_run_failures_total").Inc()
-		return st, err
-	}
-	st.Workload = w.Spec.Name
-	publishRun(cfg, w.Spec.Name, st)
-	return st, err
-}
 
 // runSharded replays every shard and merges. A one-member cluster runs
 // inline on the calling goroutine and is not merged: no pool telemetry,
@@ -100,18 +34,15 @@ func runSharded(ctx context.Context, cfg server.Config, sd *server.ShardedDeploy
 	if n == 1 {
 		return RunCtx(ctx, sd.Dep(0), sd.Sub(0), 0)
 	}
-	per := make([]RunStats, n)
-	errs := make([]error, n)
-	ctx = pool.EnsureBudget(ctx)
-	if perr := pool.RunObs(ctx, n, n, cfg.Obs, func(s int) {
-		per[s], errs[s] = RunCtx(ctx, sd.Dep(s), sd.Sub(s), 0)
-	}); perr != nil {
-		return RunStats{}, perr
-	}
-	for s, err := range errs {
+	per, err := pool.Map(ctx, n, n, cfg.Obs, func(ctx context.Context, s int) (RunStats, error) {
+		st, err := RunCtx(ctx, sd.Dep(s), sd.Sub(s), 0)
 		if err != nil {
-			return RunStats{}, fmt.Errorf("client: shard %d: %w", s, err)
+			return st, fmt.Errorf("client: shard %d: %w", s, err)
 		}
+		return st, nil
+	})
+	if err != nil {
+		return RunStats{}, err
 	}
 	return mergeShardRuns(per), nil
 }

@@ -32,14 +32,13 @@ func legacyValidate(ctx context.Context, cfg Config, w *ycsb.Workload, c *Curve,
 	}
 	keys := len(ord.Keys)
 	var out []ValidationPoint
-	var pe PlacementEngine
 	for i := 1; i <= samples; i++ {
 		k := i * keys / (samples + 1)
 		if k <= 0 || k >= keys {
 			continue
 		}
 		point := c.Points[k]
-		placement, err := pe.PlacementFor(ord, point)
+		placement, err := PlacementFor(ord, point)
 		if err != nil {
 			return nil, err
 		}

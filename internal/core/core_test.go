@@ -31,11 +31,7 @@ func mixedWorkload(seed int64) *ycsb.Workload {
 
 func TestSensitivityBaselines(t *testing.T) {
 	w := testWorkload(1)
-	se, err := NewSensitivityEngine(DefaultConfig(server.RedisLike, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := se.Baselines(context.Background(), w)
+	b, err := MeasureBaselines(context.Background(), DefaultConfig(server.RedisLike, 1), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,30 +251,29 @@ func TestAdviseErrors(t *testing.T) {
 func TestPlacementEngine(t *testing.T) {
 	w := testWorkload(10)
 	ord := TouchOrdering(w)
-	var pe PlacementEngine
-	p, err := pe.PlacementFor(ord, CurvePoint{KeysInFast: 10})
+	p, err := PlacementFor(ord, CurvePoint{KeysInFast: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.FastKeyCount() != 10 {
 		t.Fatalf("fast keys = %d", p.FastKeyCount())
 	}
-	if _, err := pe.PlacementFor(ord, CurvePoint{KeysInFast: -1}); err == nil {
+	if _, err := PlacementFor(ord, CurvePoint{KeysInFast: -1}); err == nil {
 		t.Error("negative point accepted")
 	}
-	if _, err := pe.PlacementFor(ord, CurvePoint{KeysInFast: 9999}); err == nil {
+	if _, err := PlacementFor(ord, CurvePoint{KeysInFast: 9999}); err == nil {
 		t.Error("oversized point accepted")
 	}
-	allFast, err := pe.PlacementFor(ord, CurvePoint{KeysInFast: len(ord.Keys)})
+	allFast, err := PlacementFor(ord, CurvePoint{KeysInFast: len(ord.Keys)})
 	if err != nil || allFast.Default().String() != "FastMem" {
 		t.Error("full prefix should be AllFast")
 	}
-	allSlow, err := pe.PlacementFor(ord, CurvePoint{KeysInFast: 0})
+	allSlow, err := PlacementFor(ord, CurvePoint{KeysInFast: 0})
 	if err != nil || allSlow.Default().String() != "SlowMem" {
 		t.Error("empty prefix should be AllSlow")
 	}
-	d, err := pe.Populate(server.DefaultConfig(server.RedisLike, 1), w, ord, CurvePoint{KeysInFast: 10})
-	if err != nil {
+	d := server.NewDeployment(server.DefaultConfig(server.RedisLike, 1))
+	if err := d.Load(w.Dataset, p); err != nil {
 		t.Fatal(err)
 	}
 	if d.Instance(0).Len() != 10 {
@@ -393,8 +388,7 @@ func TestEstimateEngineValidation(t *testing.T) {
 	}
 	// Ordering/dataset mismatch rejected.
 	short := Ordering{Name: "touch", Keys: ord.Keys[:5]}
-	se, _ := NewSensitivityEngine(DefaultConfig(server.RedisLike, 14))
-	b, err := se.Baselines(context.Background(), w)
+	b, err := MeasureBaselines(context.Background(), DefaultConfig(server.RedisLike, 14), w)
 	if err != nil {
 		t.Fatal(err)
 	}

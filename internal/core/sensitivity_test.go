@@ -22,11 +22,7 @@ func TestBaselinesConcurrentMatchesSerial(t *testing.T) {
 	})
 	cfg := DefaultConfig(server.RedisLike, 31)
 	cfg.Runs = 2
-	eng, err := NewSensitivityEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Baselines(context.Background(), w)
+	got, err := MeasureBaselines(context.Background(), cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,14 +113,10 @@ func (s *Session) measureLocked(ctx context.Context) (Baselines, error) {
 }
 
 // runMeasurement executes the Sensitivity Engine's Fast+Slow baseline
-// sweep — the expensive stage everything above caches.
+// sweep (MeasureBaselines) — the expensive stage everything above caches.
 func (s *Session) runMeasurement(ctx context.Context) (Baselines, error) {
 	span := s.sink().StartSpan("measure")
-	se, err := NewSensitivityEngine(s.cfg)
-	if err != nil {
-		return Baselines{}, err
-	}
-	b, err := se.Baselines(ctx, s.w)
+	b, err := MeasureBaselines(ctx, s.cfg, s.w)
 	if err != nil {
 		return Baselines{}, err
 	}
@@ -279,8 +275,7 @@ func (s *Session) Place(ctx context.Context, p TieringPolicy, point CurvePoint) 
 		return server.Placement{}, err
 	}
 	span := s.sink().StartSpan("place")
-	var pe PlacementEngine
-	pl, err := pe.PlacementFor(ord, point)
+	pl, err := PlacementFor(ord, point)
 	if err != nil {
 		return server.Placement{}, err
 	}

@@ -22,11 +22,7 @@ func goldenReport(t *testing.T, cfg Config, pol TieringPolicy, seed int64) (*Rep
 		t.Fatal(err)
 	}
 	// Legacy composition (the pre-Session profileWith sequence).
-	se, err := NewSensitivityEngine(ncfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := se.Baselines(context.Background(), w)
+	b, err := MeasureBaselines(context.Background(), ncfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

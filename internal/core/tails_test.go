@@ -86,11 +86,7 @@ func TestTailEstimatorErrors(t *testing.T) {
 		t.Error("histogram-free baselines accepted")
 	}
 	cfg := DefaultConfig(server.RedisLike, 33)
-	se, err := NewSensitivityEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := se.Baselines(context.Background(), w)
+	b, err := MeasureBaselines(context.Background(), cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"mnemo/internal/client"
-	"mnemo/internal/pool"
 	"mnemo/internal/ycsb"
 )
 
@@ -64,10 +63,11 @@ func validateJobs(samples, keys int) []validateJob {
 // ValidateWorkers is Validate with an explicit worker bound (≤ 0 =
 // GOMAXPROCS). Every sample point is an independent measurement — its
 // own placement, deployments and noise streams, seeded only by the
-// point's sample index — so points fan out over a bounded pool and fold
-// in sample order, keeping the output bit-identical for every worker
-// count; workers=1 is the serial reference execution of the same code
-// path.
+// point's sample index — so the points are the legs of one measuring
+// call (client.Measure): they fan out over a bounded pool and fold in
+// sample order, keeping the output bit-identical for every worker count;
+// workers=1 is the serial reference execution of the same code path.
+// Every point's placement is built before any point is measured.
 func ValidateWorkers(ctx context.Context, cfg Config, w *ycsb.Workload, c *Curve, ord Ordering, samples, workers int) ([]ValidationPoint, error) {
 	ncfg, err := cfg.normalized()
 	if err != nil {
@@ -80,57 +80,38 @@ func ValidateWorkers(ctx context.Context, cfg Config, w *ycsb.Workload, c *Curve
 	if keys+1 != len(c.Points) {
 		return nil, fmt.Errorf("core: curve/ordering mismatch (%d points, %d keys)", len(c.Points), keys)
 	}
+	// Each validation run is an independent execution with its own
+	// noise stream, like a fresh run on the testbed. The sweep validates
+	// the *static* estimate curve, so adaptive knobs are stripped:
+	// measuring a migrated placement against a static estimate would
+	// conflate model error with policy effect.
 	jobs := validateJobs(samples, keys)
-	var pe PlacementEngine
-	out := make([]ValidationPoint, len(jobs))
-	errs := make([]error, len(jobs))
-	// One worker budget for the whole sweep: the nested repetition and
-	// per-shard fan-outs below share it instead of multiplying into
-	// points × runs × shards goroutines. Every point × run also shares
-	// one LLC walk per trace (client.ShareLLC).
-	ctx = pool.EnsureBudget(ctx)
-	ctx, release := client.ShareLLC(ctx)
-	defer release()
-	if perr := pool.RunObs(ctx, len(jobs), workers, ncfg.Server.Obs, func(j int) {
-		job := jobs[j]
-		point := c.Points[job.k]
-		placement, err := pe.PlacementFor(ord, point)
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		// Each validation run is an independent execution with its own
-		// noise stream, like a fresh run on the testbed. The sweep
-		// validates the *static* estimate curve, so adaptive knobs are
-		// stripped: measuring a migrated placement against a static
-		// estimate would conflate model error with policy effect.
-		runCfg := ncfg.Server
-		runCfg.Adaptive, runCfg.EpochOps = nil, 0
-		runCfg.Seed += int64(job.i) * 104729
-		measured, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, ncfg.Runs, 0)
-		if err != nil {
-			errs[j] = fmt.Errorf("core: validating point %d: %w", job.k, err)
-			return
-		}
-		vp := ValidationPoint{Point: point, Measured: measured}
-		if measured.ThroughputOpsSec > 0 {
-			vp.ThroughputErrPct = (measured.ThroughputOpsSec - point.EstThroughputOps) /
-				measured.ThroughputOpsSec * 100
-		}
-		if measured.AvgNs > 0 {
-			vp.AvgLatencyErrPct = (measured.AvgNs - point.EstAvgLatencyNs) /
-				measured.AvgNs * 100
-		}
-		out[j] = vp
-	}); perr != nil {
-		return nil, perr
-	}
-	// First error in sample order wins, matching the sequential sweep's
-	// abort-at-first-failure behavior.
-	for _, err := range errs {
+	legs := make([]client.Leg, len(jobs))
+	for j, job := range jobs {
+		placement, err := PlacementFor(ord, c.Points[job.k])
 		if err != nil {
 			return nil, err
 		}
+		legs[j] = client.Leg{Name: fmt.Sprintf("core: validating point %d", job.k), Cfg: ncfg.Server.Static(), Placement: placement}
+		legs[j].Cfg.Seed += int64(job.i) * 104729
+	}
+	measured, err := client.Measure(ctx, w, ncfg.Runs, workers, ncfg.Server.Obs, legs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ValidationPoint, len(jobs))
+	for j, job := range jobs {
+		point, m := c.Points[job.k], measured[j]
+		vp := ValidationPoint{Point: point, Measured: m}
+		if m.ThroughputOpsSec > 0 {
+			vp.ThroughputErrPct = (m.ThroughputOpsSec - point.EstThroughputOps) /
+				m.ThroughputOpsSec * 100
+		}
+		if m.AvgNs > 0 {
+			vp.AvgLatencyErrPct = (m.AvgNs - point.EstAvgLatencyNs) /
+				m.AvgNs * 100
+		}
+		out[j] = vp
 	}
 	return out, nil
 }

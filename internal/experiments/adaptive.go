@@ -128,32 +128,37 @@ func AdaptiveCompare(scale Scale, seed int64) (*AdaptiveCompareResult, error) {
 		CostPerByte:  costPB,
 		FastFraction: adaptiveFastFraction,
 	}
+	// Every policy's leg is built first, then all are measured in one
+	// call: concurrently, on one LLC walk of the shared trace.
 	ctx := context.Background()
-	var pe core.PlacementEngine
 	budget := int64(math.Floor(adaptiveFastFraction * float64(totalBytes(w))))
-	for _, e := range registry.Entries() {
+	entries := registry.Entries()
+	legs := make([]client.Leg, len(entries))
+	adaptive := make([]bool, len(entries))
+	for i, e := range entries {
 		pol := e.New(seed)
 		ord, err := pol.Order(ctx, w)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ordering under %q: %w", e.Name, err)
 		}
-		placement, err := pe.PlacementFor(ord, core.CurvePoint{KeysInFast: prefixForBudget(ord, budget)})
+		placement, err := core.PlacementFor(ord, core.CurvePoint{KeysInFast: prefixForBudget(ord, budget)})
 		if err != nil {
 			return nil, err
 		}
-		runCfg := cfg.Server
-		runCfg.Adaptive, runCfg.EpochOps = nil, 0
-		ep, adaptive := core.AsEpochPolicy(pol)
-		if adaptive {
-			runCfg.Adaptive, runCfg.EpochOps = ep, epochOps
+		legs[i] = client.Leg{Name: fmt.Sprintf("experiments: measuring %q", e.Name), Cfg: cfg.Server.Static(), Placement: placement}
+		var ep core.EpochPolicy
+		if ep, adaptive[i] = core.AsEpochPolicy(pol); adaptive[i] {
+			legs[i].Cfg.Adaptive, legs[i].Cfg.EpochOps = ep, epochOps
 		}
-		st, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, cfg.Runs, 0)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: measuring %q: %w", e.Name, err)
-		}
+	}
+	measured, err := client.Measure(ctx, w, cfg.Runs, 0, cfg.Server.Obs, legs)
+	if err != nil {
+		return nil, err
+	}
+	for i, st := range measured {
 		res.Rows = append(res.Rows, AdaptiveCompareRow{
-			Policy:        e.Name,
-			Adaptive:      adaptive,
+			Policy:        entries[i].Name,
+			Adaptive:      adaptive[i],
 			Runtime:       st.Runtime,
 			ThroughputOps: st.ThroughputOpsSec,
 			Epochs:        st.Epochs,

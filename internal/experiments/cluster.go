@@ -115,8 +115,7 @@ func ClusterSweep(scale Scale, seed int64) (*ClusterSweepResult, error) {
 	// Verify the advice: one measured sharded execution at the advised
 	// sizing, merged across shards, compared against the FastMem
 	// baseline the profile already measured.
-	var pe core.PlacementEngine
-	placement, err := pe.PlacementFor(rep.Ordering, rep.Advice.Point)
+	placement, err := core.PlacementFor(rep.Ordering, rep.Advice.Point)
 	if err != nil {
 		return nil, err
 	}

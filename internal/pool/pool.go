@@ -1,15 +1,19 @@
 // Package pool provides the bounded worker pool shared by the
-// reproduction's embarrassingly parallel sweeps: repeated measurement
-// runs (internal/client.ExecuteMeanCtx), the two baseline executions
-// (internal/core.SensitivityEngine) and the workload×engine profiling
-// matrix (mnemo.ProfileMatrix). Each job owns its state (deployment,
-// noise stream, accumulators), so parallel execution changes wall-clock
-// time only — results are folded by the caller in job-index order,
-// keeping parallel output bit-identical to serial.
+// reproduction's embarrassingly parallel sweeps: the legs of a
+// measuring call (internal/client.Measure — the two baselines, the
+// validation points, the adaptive comparisons), each leg's repeated
+// runs (internal/client.ExecuteMeanCtx) and shards, and the
+// workload×engine profiling matrix (mnemo.ProfileMatrix). Each job owns
+// its state (deployment, noise stream, accumulators), so parallel
+// execution changes wall-clock time only — results are folded by the
+// caller in job-index order, keeping parallel output bit-identical to
+// serial.
 //
 // RunCtx is the hardened entry point: it honors context cancellation
 // between jobs and converts a panicking job into a typed *PanicError
-// instead of crashing the process or wedging the feeder goroutine.
+// instead of crashing the process or wedging the feeder goroutine. Map
+// is the fan-out with results: RunObs under a shared worker budget,
+// returning each job's value in index order.
 package pool
 
 import (
@@ -185,6 +189,29 @@ feed:
 		return perr
 	}
 	return ctx.Err()
+}
+
+// Map runs fn(ctx, 0) … fn(ctx, n-1) through RunObs under the context's
+// worker budget (installing a fresh one when ctx carries none, see
+// EnsureBudget), hands every job that budgeted context, and returns the
+// results in job-index order. A pool error — cancellation, a contained
+// panic — is returned as is; otherwise the error of the lowest failing
+// job wins, as in a serial loop that stops at its first failure.
+func Map[T any](ctx context.Context, n, workers int, sink *obs.Sink, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+	ctx = EnsureBudget(ctx)
+	out := make([]T, n)
+	errs := make([]error, n)
+	if err := RunObs(ctx, n, workers, sink, func(i int) {
+		out[i], errs[i] = fn(ctx, i)
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // poolTelemetry pre-resolves the pool's metric handles once per Run so

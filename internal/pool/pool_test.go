@@ -181,3 +181,57 @@ func TestGuard(t *testing.T) {
 		t.Fatalf("Guard = %+v", perr)
 	}
 }
+
+// Map returns results in job-index order for every worker count, hands
+// each job a budgeted context, and reports the lowest failing job's
+// error whichever job fails first on the clock; a pool error (a
+// contained panic) comes back as is.
+func TestMap(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		got, err := Map(context.Background(), 20, workers, nil, func(ctx context.Context, i int) (int, error) {
+			if BudgetFrom(ctx) == nil {
+				return 0, errors.New("job ran without a worker budget")
+			}
+			return i * i, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, v, i*i)
+			}
+		}
+
+		// An explicit budget grants every requested worker, so job 3
+		// really waits for job 6 whatever GOMAXPROCS is.
+		ctx := WithBudget(context.Background(), NewBudget(workers-1))
+		release := make(chan struct{})
+		_, err = Map(ctx, 8, workers, nil, func(_ context.Context, i int) (int, error) {
+			switch i {
+			case 6:
+				close(release) // job 6 fails first when jobs overlap
+				return 0, errors.New("job 6")
+			case 3:
+				if workers > 1 {
+					<-release
+				}
+				return 0, errors.New("job 3")
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "job 3" {
+			t.Fatalf("workers=%d: err = %v, want the lowest failing job's", workers, err)
+		}
+	}
+	_, err := Map(context.Background(), 4, 2, nil, func(_ context.Context, i int) (int, error) {
+		if i == 2 {
+			panic("boom")
+		}
+		return i, nil
+	})
+	var perr *PanicError
+	if !errors.As(err, &perr) || perr.Job != 2 {
+		t.Fatalf("err = %v, want job 2's *PanicError", err)
+	}
+}

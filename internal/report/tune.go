@@ -3,33 +3,16 @@ package report
 import (
 	"fmt"
 	"io"
-	"strconv"
+
+	"mnemo/internal/registry"
 )
 
-// CatalogParam is one tunable parameter of a policy, prepared by the
-// caller for catalog rendering (-list-policies).
-type CatalogParam struct {
-	Name         string
-	Min, Max     float64
-	Default      float64
-	Integer, Log bool
-	Description  string
-}
-
-// CatalogEntry is one policy of the catalog: its description plus its
-// tunable parameter space (empty for fixed policies).
-type CatalogEntry struct {
-	Name        string
-	Description string
-	Params      []CatalogParam
-}
-
 // PolicyCatalog renders the tiering-policy catalog the CLIs print for
-// -list-policies: one line per policy, then one indented line per
-// tunable parameter showing bounds, scale and default — the search
+// -list-policies: one line per registered policy, then one indented line
+// per tunable parameter showing bounds, scale and default — the search
 // space cmd/mnemo-tune explores and Options.PolicyParams accepts.
-func PolicyCatalog(w io.Writer, entries []CatalogEntry) error {
-	for _, e := range entries {
+func PolicyCatalog(w io.Writer) error {
+	for _, e := range registry.Entries() {
 		if _, err := fmt.Fprintf(w, "%-14s %s\n", e.Name, e.Description); err != nil {
 			return err
 		}
@@ -41,20 +24,14 @@ func PolicyCatalog(w io.Writer, entries []CatalogEntry) error {
 			if p.Log {
 				scale += " log"
 			}
-			bounds := fmt.Sprintf("[%s, %s]%s", formatParamValue(p.Min), formatParamValue(p.Max), scale)
+			bounds := fmt.Sprintf("[%s, %s]%s", registry.FormatParam(p.Min), registry.FormatParam(p.Max), scale)
 			if _, err := fmt.Fprintf(w, "  %-12s %-16s default %-8s %s\n",
-				p.Name, bounds, formatParamValue(p.Default), p.Description); err != nil {
+				p.Name, bounds, registry.FormatParam(p.Default), p.Description); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// formatParamValue prints a bound or default compactly (no trailing
-// zeros, integers without a decimal point).
-func formatParamValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // TuneRow is one evaluated candidate prepared for tuning-report

@@ -270,9 +270,9 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 	return true
 }
 
-// staticCost folds a static trace through the pricing formula, in the
-// exact operation order of price() so the precomputed sum is bit-equal
-// to what the live path would have produced: transfer cost (with the
+// staticCost is the pricing formula, shared by the live path (price)
+// and the batched kernel's cost table, so the precomputed sum is
+// bit-equal to what the live path produces: transfer cost (with the
 // write penalty applied to the transfer term only), plus chase cost,
 // divided by MLP, plus the per-byte CPU cost.
 func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, medium *memsim.NodeParams) float64 {

@@ -146,6 +146,14 @@ func DefaultConfig(e Engine, seed int64) Config {
 	return Config{Engine: e, Machine: memsim.DefaultConfig(), NoiseSigma: DefaultNoiseSigma, Seed: seed}
 }
 
+// Static returns the configuration with the adaptive knobs (Adaptive,
+// EpochOps) stripped: the run keeps its initial placement for the whole
+// trace, on the static replay path.
+func (c Config) Static() Config {
+	c.Adaptive, c.EpochOps = nil, 0
+	return c
+}
+
 // Validate rejects malformed run knobs with errors naming the field. Zero
 // values are the defaults and always pass.
 func (c Config) Validate() error {
@@ -412,26 +420,16 @@ func (d *Deployment) noteStructural(idx int, kind kvstore.OpKind) {
 // price turns an operation trace into simulated service time and
 // advances the clock. hit is the request's LLC outcome (llcHit).
 func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKind, tr kvstore.OpTrace, size int, hit bool) Result {
-	var medium *memsim.NodeParams
+	medium := &d.machine.Node(tier).Params
 	if hit {
 		medium = &memsim.LLCParams
-	} else {
-		medium = &d.machine.Node(tier).Params
 	}
-	transferNs := medium.TransferNs(tr.Touched)
-	if kind == kvstore.Write {
-		transferNs *= d.profile.WritePenalty
-	}
-	memNs := medium.ChaseNs(tr.Chases) + transferNs
-	if mlp := d.profile.MLP; mlp != 1 {
-		memNs /= mlp
-	}
-
-	cpuNs := d.profile.CPUBaseNs + d.profile.CPUPerByteNs*float64(d.valueBytes(tr, size))
-	// The conversion rounds the product before the pause is added, so a
-	// platform that fuses multiply-add cannot round this path differently
-	// from the batched kernel, which applies the two in separate stages.
-	serviceNs := float64((cpuNs+memNs)*d.noise.Factor()) + st.TakePauseNs()
+	// One pricing formula (staticCost), shared with the batched kernel's
+	// cost table. The conversion rounds the product before the pause is
+	// added, so a platform that fuses multiply-add cannot round this path
+	// differently from the kernel, which applies the two in separate
+	// stages.
+	serviceNs := float64(d.staticCost(kind, tr.Chases, tr.Touched, d.valueBytes(tr, size), medium)*d.noise.Factor()) + st.TakePauseNs()
 	d.ops++
 
 	lat := simclock.FromNanos(serviceNs)

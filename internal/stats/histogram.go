@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -284,16 +283,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.maxSeen
 }
 
-// Percentiles is a convenience wrapper returning estimates for several
-// percentile points at once (expressed 0–100).
-func (h *Histogram) Percentiles(ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = h.Quantile(p / 100)
-	}
-	return out
-}
-
 // String renders a short textual summary.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("hist n=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g",
@@ -397,48 +386,3 @@ func MixtureQuantile(hs []*Histogram, weights []float64, q float64) float64 {
 	}
 	return out
 }
-
-// Reservoir keeps a bounded uniform random sample of a stream using
-// Vitter's Algorithm R with a caller-supplied random source, so exact
-// percentiles can be computed over streams too large to retain.
-type Reservoir struct {
-	cap     int
-	seen    int64
-	samples []float64
-	randInt func(n int64) int64
-}
-
-// NewReservoir creates a reservoir holding at most capacity samples.
-// randInt must return a uniform integer in [0, n); pass the Int63n method
-// of a seeded *rand.Rand for determinism.
-func NewReservoir(capacity int, randInt func(n int64) int64) *Reservoir {
-	if capacity <= 0 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	if randInt == nil {
-		panic("stats: reservoir needs a random source")
-	}
-	return &Reservoir{cap: capacity, randInt: randInt}
-}
-
-// Add offers one observation to the reservoir.
-func (r *Reservoir) Add(x float64) {
-	r.seen++
-	if len(r.samples) < r.cap {
-		r.samples = append(r.samples, x)
-		return
-	}
-	if j := r.randInt(r.seen); j < int64(r.cap) {
-		r.samples[j] = x
-	}
-}
-
-// Samples returns the current sample set (sorted copy).
-func (r *Reservoir) Samples() []float64 {
-	out := append([]float64(nil), r.samples...)
-	sort.Float64s(out)
-	return out
-}
-
-// Seen reports how many observations were offered in total.
-func (r *Reservoir) Seen() int64 { return r.seen }

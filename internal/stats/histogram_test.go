@@ -69,20 +69,6 @@ func TestHistogramNonPositiveClamped(t *testing.T) {
 	_ = h.Quantile(0.5)
 }
 
-func TestHistogramPercentilesHelper(t *testing.T) {
-	h := NewHistogram(1, 1.01)
-	for i := 1; i <= 100; i++ {
-		h.Record(float64(i))
-	}
-	ps := h.Percentiles(50, 95, 99)
-	if len(ps) != 3 {
-		t.Fatalf("len = %d", len(ps))
-	}
-	if ps[0] > ps[1] || ps[1] > ps[2] {
-		t.Errorf("percentiles not monotone: %v", ps)
-	}
-}
-
 func TestHistogramConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewHistogram(0, 1.1) },
@@ -105,58 +91,5 @@ func TestHistogramStringNonEmpty(t *testing.T) {
 	h.Record(2)
 	if h.String() == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestReservoirExactBelowCapacity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	r := NewReservoir(100, rng.Int63n)
-	for i := 0; i < 50; i++ {
-		r.Add(float64(i))
-	}
-	s := r.Samples()
-	if len(s) != 50 {
-		t.Fatalf("len = %d, want 50", len(s))
-	}
-	for i, v := range s {
-		if v != float64(i) {
-			t.Fatalf("sample[%d] = %v", i, v)
-		}
-	}
-	if r.Seen() != 50 {
-		t.Errorf("Seen = %d", r.Seen())
-	}
-}
-
-func TestReservoirBoundedAndUniformish(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	r := NewReservoir(1000, rng.Int63n)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		r.Add(float64(i))
-	}
-	s := r.Samples()
-	if len(s) != 1000 {
-		t.Fatalf("len = %d, want 1000", len(s))
-	}
-	// Mean of a uniform sample over [0,n) should be near n/2.
-	if m := Mean(s); math.Abs(m-n/2) > n/20 {
-		t.Errorf("sample mean %v too far from %v", m, n/2)
-	}
-}
-
-func TestReservoirPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewReservoir(0, func(int64) int64 { return 0 }) },
-		func() { NewReservoir(10, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }

@@ -1,12 +1,10 @@
 // Package stats provides the statistical machinery used throughout the
-// Mnemo reproduction: streaming moments, exact and histogram-based
-// percentiles, five-number (boxplot) summaries, empirical CDFs and simple
-// linear regression.
+// Mnemo reproduction: means, exact and histogram-based percentiles and
+// five-number (boxplot) summaries.
 //
 // The paper reports throughput means over repeated runs (Fig 5), boxplots
-// of estimate error per key-value store (Fig 8a), average and tail request
-// latencies (Fig 8c–8e) and an empirical CDF of the key space and record
-// sizes (Fig 3, Fig 4); every one of those reductions is implemented here
+// of estimate error per key-value store (Fig 8a) and average and tail
+// request latencies (Fig 8c–8e); those reductions are implemented here
 // against stdlib only.
 package stats
 
@@ -15,80 +13,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary captures streaming first and second moments plus extrema.
-// The zero value is an empty summary ready for use.
-type Summary struct {
-	n          int
-	mean, m2   float64
-	min, max   float64
-	hasSamples bool
-}
-
-// Add folds one observation into the summary (Welford's algorithm).
-func (s *Summary) Add(x float64) {
-	s.n++
-	if !s.hasSamples {
-		s.min, s.max = x, x
-		s.hasSamples = true
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
-}
-
-// N returns the number of observations added.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation, or 0 for an empty summary.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 for an empty summary.
-func (s *Summary) Max() float64 { return s.max }
-
-// Variance returns the unbiased sample variance.
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Merge folds another summary into s (parallel Welford merge), so summaries
-// computed over shards can be combined.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}
 
 // Percentile returns the q-th percentile (0 ≤ q ≤ 100) of xs using linear
 // interpolation between closest ranks (the same convention as numpy's
@@ -185,94 +109,3 @@ func (b Boxplot) String() string {
 	return fmt.Sprintf("n=%d min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g (%d outliers)",
 		b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max, len(b.Outliers))
 }
-
-// CDF is an empirical cumulative distribution function over float64 samples.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from xs. xs is copied, not modified.
-func NewCDF(xs []float64) *CDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &CDF{sorted: sorted}
-}
-
-// P returns the fraction of samples ≤ x.
-func (c *CDF) P(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
-// Quantile returns the smallest sample x such that P(x) ≥ q, for q in (0,1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx]
-}
-
-// N returns the number of samples underlying the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// LinearFit holds the result of an ordinary-least-squares line fit y = a + b·x.
-type LinearFit struct {
-	Intercept, Slope float64
-	R2               float64
-}
-
-// FitLine computes the OLS line through (xs, ys). It panics if the slices
-// differ in length or have fewer than two points.
-func FitLine(xs, ys []float64) LinearFit {
-	if len(xs) != len(ys) {
-		panic("stats: FitLine length mismatch")
-	}
-	if len(xs) < 2 {
-		panic("stats: FitLine needs at least two points")
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		panic("stats: FitLine with constant x")
-	}
-	b := sxy / sxx
-	a := my - b*mx
-	r2 := 1.0
-	if syy > 0 {
-		ssRes := 0.0
-		for i := range xs {
-			r := ys[i] - (a + b*xs[i])
-			ssRes += r * r
-		}
-		r2 = 1 - ssRes/syy
-	}
-	return LinearFit{Intercept: a, Slope: b, R2: r2}
-}
-
-// At evaluates the fitted line at x.
-func (f LinearFit) At(x float64) float64 { return f.Intercept + f.Slope*x }

@@ -2,97 +2,12 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
-}
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N = %d, want 8", s.N())
-	}
-	if !almostEqual(s.Mean(), 5, 1e-12) {
-		t.Errorf("Mean = %v, want 5", s.Mean())
-	}
-	// Population variance of this classic set is 4; sample variance 32/7.
-	if !almostEqual(s.Variance(), 32.0/7.0, 1e-12) {
-		t.Errorf("Variance = %v, want %v", s.Variance(), 32.0/7.0)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.N() != 0 {
-		t.Fatal("empty summary should be all zeros")
-	}
-}
-
-func TestSummarySingle(t *testing.T) {
-	var s Summary
-	s.Add(42)
-	if s.Mean() != 42 || s.Min() != 42 || s.Max() != 42 {
-		t.Fatal("single-sample summary wrong")
-	}
-	if s.Variance() != 0 {
-		t.Fatalf("single-sample variance = %v, want 0", s.Variance())
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-	}
-	var whole, a, b Summary
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 400 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if !almostEqual(a.Mean(), whole.Mean(), 1e-9) {
-		t.Errorf("merged mean %v vs %v", a.Mean(), whole.Mean())
-	}
-	if !almostEqual(a.Variance(), whole.Variance(), 1e-9) {
-		t.Errorf("merged variance %v vs %v", a.Variance(), whole.Variance())
-	}
-	if a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("merged extrema mismatch")
-	}
-}
-
-func TestSummaryMergeEmptySides(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(&b) // empty other: no-op
-	if a != before {
-		t.Error("merge with empty changed summary")
-	}
-	var c Summary
-	c.Merge(&a) // empty receiver adopts other
-	if c.N() != 2 || c.Mean() != 2 {
-		t.Error("empty receiver merge failed")
-	}
 }
 
 func TestPercentileKnownValues(t *testing.T) {
@@ -171,95 +86,6 @@ func TestBoxplotStringNonEmpty(t *testing.T) {
 	b := NewBoxplot([]float64{1, 2, 3})
 	if b.String() == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3, 10})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.2}, {2, 0.6}, {2.5, 0.6}, {3, 0.8}, {10, 1}, {99, 1},
-	}
-	for _, cse := range cases {
-		if got := c.P(cse.x); !almostEqual(got, cse.want, 1e-12) {
-			t.Errorf("P(%v) = %v, want %v", cse.x, got, cse.want)
-		}
-	}
-	if got := c.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) = %v, want 2", got)
-	}
-	if got := c.Quantile(1.0); got != 10 {
-		t.Errorf("Quantile(1.0) = %v, want 10", got)
-	}
-	if c.N() != 5 {
-		t.Errorf("N = %d", c.N())
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	c := NewCDF(xs)
-	f := func(a, b float64) bool {
-		lo, hi := math.Abs(a), math.Abs(b)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return c.P(lo) <= c.P(hi)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFitLineExact(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{3, 5, 7, 9} // y = 1 + 2x
-	fit := FitLine(xs, ys)
-	if !almostEqual(fit.Intercept, 1, 1e-12) || !almostEqual(fit.Slope, 2, 1e-12) {
-		t.Fatalf("fit = %+v, want 1 + 2x", fit)
-	}
-	if !almostEqual(fit.R2, 1, 1e-12) {
-		t.Errorf("R2 = %v, want 1", fit.R2)
-	}
-	if got := fit.At(10); !almostEqual(got, 21, 1e-12) {
-		t.Errorf("At(10) = %v, want 21", got)
-	}
-}
-
-func TestFitLineNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var xs, ys []float64
-	for i := 0; i < 500; i++ {
-		x := float64(i)
-		xs = append(xs, x)
-		ys = append(ys, 4+0.5*x+rng.NormFloat64())
-	}
-	fit := FitLine(xs, ys)
-	if !almostEqual(fit.Slope, 0.5, 0.01) {
-		t.Errorf("slope = %v, want ≈0.5", fit.Slope)
-	}
-	if fit.R2 < 0.99 {
-		t.Errorf("R2 = %v, want >0.99", fit.R2)
-	}
-}
-
-func TestFitLinePanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { FitLine([]float64{1}, []float64{1, 2}) },
-		func() { FitLine([]float64{1}, []float64{1}) },
-		func() { FitLine([]float64{2, 2}, []float64{1, 5}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }
 

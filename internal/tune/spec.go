@@ -100,7 +100,9 @@ func (t *Tuner) NewSpec(res *Result, cfg Config, w *ycsb.Workload, recipe Worklo
 }
 
 // Validate checks a spec's internal consistency without running
-// anything.
+// anything: its own fields, then the rebuilt Config under the tuner's
+// rules (Config.normalized — the SLO range among them), so a spec a
+// Replay would reject never gets as far as a baseline measurement.
 func (s *Spec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("tune: spec version %d, this build reads version %d", s.Version, SpecVersion)
@@ -135,7 +137,8 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("tune: spec params: %w", err)
 		}
 	}
-	return nil
+	_, err := s.config().normalized()
+	return err
 }
 
 // Encode writes the spec as indented JSON.
@@ -164,13 +167,18 @@ func (s *Spec) Config() (Config, error) {
 	if err := s.Validate(); err != nil {
 		return Config{}, err
 	}
+	return s.config(), nil
+}
+
+// config rebuilds the Config from a spec's fields, unchecked.
+func (s *Spec) config() Config {
 	engine, _ := server.EngineByName(s.Engine)
 	cc := core.DefaultConfig(engine, s.Seed)
 	cc.Runs = s.Runs
 	cc.PriceFactor = s.PriceFactor
 	cc.Server.NoiseSigma = s.NoiseSigma
 	cc.SizeAwareEstimate = s.SizeAware
-	return Config{Core: cc, SLO: s.SLO, Policies: []string{s.Policy}}, nil
+	return Config{Core: cc, SLO: s.SLO, Policies: []string{s.Policy}}
 }
 
 // Check compares an evaluation against the spec's expected block,

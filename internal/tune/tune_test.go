@@ -3,6 +3,7 @@ package tune
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -284,6 +285,38 @@ func TestSpecValidateRanges(t *testing.T) {
 				t.Fatalf("Validate error = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// A spec's SLO range is the tuner's own rule (Config.normalized): a
+// spec with slo 50 is rejected when decoded, and a Replay of it fails
+// before it measures any baseline rather than after.
+func TestSpecSLORangeIsTheTunersRule(t *testing.T) {
+	tuner := New()
+	recipe := WorkloadRecipe{Name: "ycsb_b", Seed: 1, Keys: 200, Requests: 2000}
+	w, err := resolveRecipe(recipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whash, err := tuner.Cache().WorkloadHash(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{Version: SpecVersion, Workload: recipe, WorkloadHash: fmt.Sprintf("%016x", whash),
+		Engine: "redislike", Runs: 1, PriceFactor: 0.2, SLO: 50, Policy: "touch"}
+	var doc bytes.Buffer
+	if err := spec.Encode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	const want = "SLO 50 outside (0,10]"
+	if _, err := DecodeSpec(&doc); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeSpec error = %v, want substring %q", err, want)
+	}
+	if _, err := tuner.Replay(context.Background(), spec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Replay error = %v, want substring %q", err, want)
+	}
+	if n := tuner.Cache().Stats().Measurements; n != 0 {
+		t.Fatalf("a rejected spec ran %d baseline measurement(s)", n)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"mnemo/internal/core"
 	"mnemo/internal/costmodel"
 	"mnemo/internal/obs"
-	"mnemo/internal/pool"
 	"mnemo/internal/registry"
 	"mnemo/internal/server"
 	"mnemo/internal/simclock"
@@ -368,35 +367,18 @@ func MeasureAdaptive(ctx context.Context, w *Workload, rep *Report, opts Options
 	if rep.Advice == nil {
 		return nil, fmt.Errorf("mnemo: MeasureAdaptive requires a report with advice (set Options.SLO)")
 	}
-	var pe core.PlacementEngine
-	placement, err := pe.PlacementFor(rep.Ordering, rep.Advice.Point)
+	placement, err := core.PlacementFor(rep.Ordering, rep.Advice.Point)
 	if err != nil {
 		return nil, err
 	}
-	staticCfg := cfg.Server
-	staticCfg.Adaptive, staticCfg.EpochOps = nil, 0
-	legs := []struct {
-		name string
-		cfg  server.Config
-	}{{"static", staticCfg}, {"adaptive", cfg.Server}}
-	var runs [2]RunStats
-	var errs [2]error
-	// The two legs are independent simulations with fixed seeds, so they
-	// run concurrently and bit-identically to back to back, sharing one
-	// worker budget with their nested repetition fan-outs and one LLC
-	// walk per trace: migration leaves LLC residency alone.
-	ctx = pool.EnsureBudget(ctx)
-	ctx, release := client.ShareLLC(ctx)
-	defer release()
-	if err := pool.RunObs(ctx, len(legs), len(legs), cfg.Server.Obs, func(i int) {
-		runs[i], errs[i] = client.ExecuteMeanCtx(ctx, legs[i].cfg, w, placement, cfg.Runs, 0)
-	}); err != nil {
-		return nil, fmt.Errorf("mnemo: measured runs: %w", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mnemo: %s measured run: %w", legs[i].name, err)
-		}
+	// The two legs share one LLC walk per trace: migration leaves LLC
+	// residency alone.
+	runs, err := client.Measure(ctx, w, cfg.Runs, 2, cfg.Server.Obs, []client.Leg{
+		{Name: "mnemo: static measured run", Cfg: cfg.Server.Static(), Placement: placement},
+		{Name: "mnemo: adaptive measured run", Cfg: cfg.Server, Placement: placement},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &AdaptiveComparison{Static: runs[0], Adaptive: runs[1]}, nil
 }
