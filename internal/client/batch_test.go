@@ -167,12 +167,13 @@ func TestBatchedCutOffTelemetryParity(t *testing.T) {
 		if werr := cfg.Obs.Registry().WritePrometheus(&dump); werr != nil {
 			t.Fatal(werr)
 		}
-		// The frame-path and re-price counters (re-prices and their rows)
-		// record which path served the run — the one thing the two sides
-		// differ in by design.
+		// The frame-path, request-path and re-price counters (re-prices
+		// and their rows) record which path served the run — the one
+		// thing the two sides differ in by design.
 		var same []string
 		for _, line := range strings.SplitAfter(dump.String(), "\n") {
-			if !strings.Contains(line, "mnemo_client_frames_total") && !strings.Contains(line, "mnemo_server_reprice_") {
+			if !strings.Contains(line, "mnemo_client_frames_total") && !strings.Contains(line, "mnemo_client_requests_total") &&
+				!strings.Contains(line, "mnemo_server_reprice_") {
 				same = append(same, line)
 			}
 		}

@@ -222,6 +222,9 @@ type replayAccum struct {
 	hists                 []*stats.Histogram
 	readHists, writeHists histAccum
 	writeRoute            uint8 // table offset of the write half: the class count
+	// route is foldBlock's scratch, kept here so a fold of a short run
+	// does not zero a block-sized buffer.
+	route [replayBlockOps]uint8
 }
 
 // newReplayAccum sizes the accumulator for a dataset's size-class table:
@@ -258,8 +261,7 @@ func (a *replayAccum) observe(kind kvstore.OpKind, bucket int, ns float64) {
 // time it appears; stats.RecordBlock then records the whole block —
 // the same Record sequence observe would make, one call per block.
 func (a *replayAccum) foldBlock(keys []uint32, kinds []uint8, classes []uint8, lat []simclock.Duration) {
-	var buf [replayBlockOps]uint8
-	route := buf[:len(lat)]
+	route := a.route[:len(lat)]
 	for i := range route {
 		r := classes[keys[i]]
 		if kinds[i] != uint8(kvstore.Read) {
@@ -303,13 +305,15 @@ const replayBlockOps = server.ReplayBlockOps
 // index, size classes come from the precomputed table, and the
 // accumulators are slice-indexed; a steady-state pass allocates nothing.
 //
-// Each frame is served whole by one of two paths, chosen by the
-// deployment (server.Deployment.FrameTable): through the batched kernel's
-// cost table, or request by request through DoIndex when there is no
-// table (DisableBatchReplay, an engine without static traces) or the
-// frame carries a Delete or touches a deleted record. The two are
-// bit-identical — same pricing constants, noise draws and LLC hit bits —
-// so a run that mixes them equals the all-per-op run of the same trace.
+// Each frame is served run by run (serveFrame), each run down one of two
+// paths chosen by the deployment (server.Deployment.FrameTable): through
+// the batched kernel's cost table, or request by request through DoIndex
+// — a Delete, a re-insert, a read with no cost row, or every request
+// when there is no table (DisableBatchReplay, an engine without static
+// traces). A read/write frame on live records is one kernel run. The
+// two paths are bit-identical — same pricing constants, noise draws and
+// LLC hit bits — so a run that mixes them equals the all-per-op run of
+// the same trace.
 //
 // The cut-offs live here and nowhere else. Cancellation is polled once
 // per frame, which bounds its wall-clock latency to microseconds (replay
@@ -361,23 +365,7 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		if err := d.AwaitFrame(ctx, len(keys)); err != nil {
 			return tel, err
 		}
-		served := len(keys)
-		if t := d.FrameTable(keys, rw); t != nil {
-			lat := t.Block()
-			served = t.Serve(keys, kinds, maxClock, lat)
-			a.foldBlock(keys[:served], kinds[:served], classes, lat[:served])
-		} else {
-			for i, k := range keys {
-				kind := kvstore.OpKind(kinds[i])
-				res := d.DoIndex(int(k), kind)
-				a.observe(kind, int(classes[k]), float64(res.Latency.Nanoseconds()))
-				if overBudget() {
-					served = i + 1
-					break
-				}
-			}
-		}
-		done += served
+		done += serveFrame(d, keys, kinds, rw, classes, a, maxClock)
 		// The run's last epoch is not observed: no requests remain to
 		// recoup a migration, so consulting the policy there could only
 		// burn simulated time.
@@ -396,6 +384,38 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		tel.epochs++ // the unobserved last epoch
 	}
 	return tel, nil
+}
+
+// serveFrame serves one frame run by run, each down the path the
+// deployment names (server.Deployment.FrameTable), and folds every
+// response into the accumulators. It returns how many requests it
+// served: all of them, unless the clock crossed maxClock (0 = none),
+// checked after every request on both paths.
+func serveFrame(d *server.Deployment, keys []uint32, kinds []uint8, rw bool, classes []uint8, a *replayAccum, maxClock simclock.Duration) int {
+	overBudget := func() bool { return maxClock > 0 && d.Clock() > maxClock }
+	served := 0
+	for served < len(keys) {
+		t, end := d.FrameTable(keys, kinds, rw, served)
+		if t != nil {
+			lat := t.Block()
+			n := t.Serve(keys[served:end], kinds[served:end], maxClock, lat)
+			a.foldBlock(keys[served:served+n], kinds[served:served+n], classes, lat[:n])
+			served += n
+			if overBudget() {
+				return served
+			}
+			continue
+		}
+		for _, k := range keys[served:end] {
+			kind := kvstore.OpKind(kinds[served])
+			res := d.DoIndex(int(k), kind)
+			a.observe(kind, int(classes[k]), float64(res.Latency.Nanoseconds()))
+			if served++; overBudget() {
+				return served
+			}
+		}
+	}
+	return served
 }
 
 // ErrRunTimeout marks a run whose simulated clock exceeded RunCtx's

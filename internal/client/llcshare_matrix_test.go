@@ -17,29 +17,38 @@ import (
 
 // TestReplayEquivalenceMatrixShared is the equivalence matrix's shared
 // LLC stream axis at the shape the measuring calls use it: Runs: 3
-// repetitions through ExecuteMeanCtx, over {in-memory, .mtrc} ×
-// {unsharded, 4 shards} × {static, adaptive-freq} × the three engines.
-// Every cell's aggregate under a share must equal the unshared one bit
-// for bit, and must actually have been priced from a stream.
+// repetitions through ExecuteMeanCtx, over {read/write, capture-shaped
+// Delete-dense} × {in-memory, .mtrc} × {unsharded, 4 shards} × {static,
+// adaptive-freq} × the three engines. Every cell's aggregate under a
+// share must equal the unshared one bit for bit, and must actually have
+// been priced from a stream; a Delete-dense cell must also equal its
+// DisableBatchReplay run, after serving requests both ways.
 func TestReplayEquivalenceMatrixShared(t *testing.T) {
-	w := ycsb.MustGenerate(ycsb.Spec{
-		Name: "sharedaxis", Keys: 600, Requests: 6*server.ReplayBlockOps + 321,
-		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
-		ReadRatio: 0.9, Sizes: ycsb.SizeTrendingPreview, Seed: 23,
-	})
+	gen := func() *ycsb.Workload {
+		return ycsb.MustGenerate(ycsb.Spec{
+			Name: "sharedaxis", Keys: 600, Requests: 6*server.ReplayBlockOps + 321,
+			Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
+			ReadRatio: 0.9, Sizes: ycsb.SizeTrendingPreview, Seed: 23,
+		})
+	}
+	w := gen()
 	var dataset int64
 	for _, r := range w.Dataset.Records {
 		dataset += int64(r.Size)
 	}
-	path := filepath.Join(t.TempDir(), "shared.mtrc")
-	if err := trace.WriteWorkload(w, path); err != nil {
-		t.Fatal(err)
+	backing := func(name string, w *ycsb.Workload) *ycsb.Workload {
+		path := filepath.Join(t.TempDir(), name+".mtrc")
+		if err := trace.WriteWorkload(w, path); err != nil {
+			t.Fatal(err)
+		}
+		tw, err := trace.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw.Spec = w.Spec
+		return tw
 	}
-	tw, err := trace.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw.Spec = w.Spec
+	dw := client.DeleteDense(gen())
 	pol, err := registry.New("adaptive-freq", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +64,10 @@ func TestReplayEquivalenceMatrixShared(t *testing.T) {
 	p := server.FastIndices(fast, len(w.Dataset.Records))
 
 	for _, b := range []struct {
-		name string
-		w    *ycsb.Workload
-	}{{"inmem", w}, {"mtrc", tw}} {
+		name  string
+		w     *ycsb.Workload
+		dense bool
+	}{{"inmem", w, false}, {"mtrc", backing("shared", w), false}, {"dense/inmem", dw, true}, {"dense/mtrc", backing("dense", dw), true}} {
 		for _, shards := range []int{0, 4} {
 			for _, adaptive := range []bool{false, true} {
 				for _, e := range server.Engines() {
@@ -87,6 +97,20 @@ func TestReplayEquivalenceMatrixShared(t *testing.T) {
 					}
 					if n := sink.Counter("mnemo_server_llc_stream_requests_total").Value(); n == 0 {
 						t.Fatalf("%s: no request was priced from a stream", cell)
+					}
+					if !b.dense {
+						continue
+					}
+					perOp := cfg
+					perOp.DisableBatchReplay, perOp.Obs = true, nil
+					ref, err := client.ExecuteMeanCtx(context.Background(), perOp, b.w, p, 3, 0)
+					if err != nil || !reflect.DeepEqual(got, ref) {
+						t.Fatalf("%s: diverged from DisableBatchReplay (%v):\n  kernel: %+v\n  per-op: %+v", cell, err, got, ref)
+					}
+					kernel := sink.Counter(obs.Name("mnemo_client_requests_total", "path", "kernel")).Value()
+					perOpReqs := sink.Counter(obs.Name("mnemo_client_requests_total", "path", "perop")).Value()
+					if kernel+perOpReqs != 3*int64(b.w.RequestCount()) || perOpReqs == 0 || (kernel == 0) != (e == server.DynamoLike) {
+						t.Fatalf("%s: %d kernel + %d per-op requests over 3 runs of %d", cell, kernel, perOpReqs, b.w.RequestCount())
 					}
 				}
 			}

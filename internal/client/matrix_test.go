@@ -30,11 +30,11 @@ import (
 // every block mixes hits with misses.
 const matrixLLCBytes = 256 << 10
 
-// matrixTraces are the two trace shapes: read/write-only, and the same
-// length with Deletes confined to two of its five frames. Frame 1
-// re-inserts every record it deletes, so frames 0 and 2 can take the
-// kernel around it; frame 3 leaves its records dead for frame 4 to run
-// into.
+// matrixTraces are the three trace shapes: read/write-only; the same
+// length with Deletes confined to two of its five frames; and a
+// capture-shaped Delete-dense one. In the second, frame 1 re-inserts
+// every record it deletes, so frames 0 and 2 can take the kernel around
+// it; frame 3 leaves its records dead for frame 4 to run into.
 func matrixTraces() map[string]*ycsb.Workload {
 	dels := adaptiveTestWorkload(0.9)
 	for i := 40; i < replayBlockOps; i += 611 {
@@ -43,7 +43,47 @@ func matrixTraces() map[string]*ycsb.Workload {
 		dels.Ops[replayBlockOps+i+1] = ycsb.Op{Key: del.Key, Kind: kvstore.Write}
 		dels.Ops[3*replayBlockOps+i].Kind = kvstore.Delete
 	}
-	return map[string]*ycsb.Workload{"readwrite": adaptiveTestWorkload(0.9), "deletes": dels}
+	return map[string]*ycsb.Workload{"readwrite": adaptiveTestWorkload(0.9), "deletes": dels, "dense": deleteDense(adaptiveTestWorkload(0.9))}
+}
+
+// deleteDense turns 3% of w's requests into Deletes of their keys, as a
+// Redis MONITOR capture's DELs fall: every frame then carries Deletes,
+// reads of deleted records until a Write re-inserts them, and Deletes
+// of records already deleted.
+func deleteDense(w *ycsb.Workload) *ycsb.Workload {
+	x := uint64(42)
+	for i := range w.Ops {
+		x = x*6364136223846793005 + 1442695040888963407
+		if x>>33%100 < 3 {
+			w.Ops[i].Kind = kvstore.Delete
+		}
+	}
+	return w
+}
+
+// denseShape counts what makes a trace Delete-dense: the frames that
+// carry a Delete, and the reads of deleted records, re-inserts and
+// Deletes of deleted records.
+func denseShape(w *ycsb.Workload) (delFrames, deadReads, reinserts, deadDeletes int) {
+	dead := make([]bool, len(w.Dataset.Records))
+	lastFrame := -1
+	for i, op := range w.Ops {
+		switch {
+		case op.Kind == kvstore.Delete && dead[op.Key]:
+			deadDeletes++
+		case op.Kind == kvstore.Delete:
+			dead[op.Key] = true
+			if f := i / replayBlockOps; f != lastFrame {
+				delFrames, lastFrame = delFrames+1, f
+			}
+		case op.Kind == kvstore.Read && dead[op.Key]:
+			deadReads++
+		case op.Kind == kvstore.Write && dead[op.Key]:
+			dead[op.Key] = false
+			reinserts++
+		}
+	}
+	return
 }
 
 // packedTwin rebuilds the workload with its trace in packed form only
@@ -61,13 +101,15 @@ type outcome struct {
 	Err   string
 	Clock simclock.Duration
 
-	kernelFrames, perOpFrames int64
-	structuralReprices        int64
-	streamRequests            int64
+	kernelFrames, perOpFrames, mixedFrames int64
+	kernelRequests, perOpRequests          int64
+	structuralReprices                     int64
+	streamRequests                         int64
 }
 
 func (o outcome) comparable() outcome {
-	o.kernelFrames, o.perOpFrames, o.structuralReprices = 0, 0, 0
+	o.kernelFrames, o.perOpFrames, o.mixedFrames, o.structuralReprices = 0, 0, 0, 0
+	o.kernelRequests, o.perOpRequests = 0, 0
 	o.streamRequests = 0
 	return o
 }
@@ -90,6 +132,9 @@ func runCellBudget(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb
 	out := outcome{Stats: st, Clock: d.Clock(),
 		kernelFrames:       cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", "kernel")).Value(),
 		perOpFrames:        cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", "perop")).Value(),
+		mixedFrames:        cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", "mixed")).Value(),
+		kernelRequests:     cfg.Obs.Counter(obs.Name("mnemo_client_requests_total", "path", "kernel")).Value(),
+		perOpRequests:      cfg.Obs.Counter(obs.Name("mnemo_client_requests_total", "path", "perop")).Value(),
 		structuralReprices: cfg.Obs.Counter(obs.Name("mnemo_server_reprice_total", "cause", "structural")).Value(),
 		streamRequests:     cfg.Obs.Counter("mnemo_server_llc_stream_requests_total").Value(),
 	}
@@ -114,6 +159,13 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 		}
 		p := halfFast(w)
 		nFrames := int64((len(w.Ops) + replayBlockOps - 1) / replayBlockOps)
+		if traceName == "dense" {
+			delFrames, deadReads, reinserts, deadDeletes := denseShape(w)
+			if delFrames != int(nFrames) || deadReads == 0 || reinserts == 0 || deadDeletes == 0 {
+				t.Fatalf("dense trace: %d of %d frames carry a Delete, %d dead reads, %d re-inserts, %d dead Deletes",
+					delFrames, nFrames, deadReads, reinserts, deadDeletes)
+			}
+		}
 
 		for _, e := range goldenEngines {
 			for _, adaptive := range []bool{false, true} {
@@ -190,21 +242,33 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 							if perOp {
 								continue
 							}
-							// The kernel column of an uncut run: which frames went where.
-							if got.kernelFrames+got.perOpFrames != nFrames {
-								t.Fatalf("%s: %d kernel + %d per-op frames, want %d in all", cell, got.kernelFrames, got.perOpFrames, nFrames)
+							// The kernel column of an uncut run: which frames and
+							// requests went where.
+							if got.kernelFrames+got.perOpFrames+got.mixedFrames != nFrames {
+								t.Fatalf("%s: %d kernel + %d per-op + %d mixed frames, want %d in all", cell, got.kernelFrames, got.perOpFrames, got.mixedFrames, nFrames)
+							}
+							if got.kernelRequests+got.perOpRequests != int64(len(w.Ops)) {
+								t.Fatalf("%s: %d kernel + %d per-op requests, want %d in all", cell, got.kernelRequests, got.perOpRequests, len(w.Ops))
 							}
 							switch {
 							case traceName == "readwrite":
-								if got.perOpFrames != 0 {
-									t.Fatalf("%s: %d read/write frames went per-op", cell, got.perOpFrames)
+								if got.kernelFrames != nFrames {
+									t.Fatalf("%s: %d of %d read/write frames took the kernel", cell, got.kernelFrames, nFrames)
 								}
-							case got.perOpFrames < 2:
-								t.Fatalf("%s: %d frames went per-op, want the two Delete-bearing ones at least", cell, got.perOpFrames)
+							case got.perOpFrames+got.mixedFrames < 2:
+								t.Fatalf("%s: %d frames went per-op and %d mixed, want the Delete-bearing ones", cell, got.perOpFrames, got.mixedFrames)
 							case e == server.DynamoLike:
-								// treekv stops promising static traces once a
-								// delete leaves a full node behind; its later
-								// frames may all go per-op.
+								// treekv's journal is unbounded, so a frame with a
+								// Delete goes per-op from there on; and it stops
+								// promising static traces once a delete leaves a
+								// full node behind, so its later frames may all
+								// go per-op.
+							case traceName == "dense":
+								// Every frame carries Deletes; the runs between
+								// them take the kernel.
+								if got.mixedFrames != nFrames || got.kernelRequests < int64(len(w.Ops))/2 {
+									t.Fatalf("%s: %d of %d frames mixed, %d of %d requests on the kernel", cell, got.mixedFrames, nFrames, got.kernelRequests, len(w.Ops))
+								}
 							case got.kernelFrames < 2:
 								t.Fatalf("%s: %d frames took the kernel, want frames 0 and 2 at least", cell, got.kernelFrames)
 							case !adaptive && got.structuralReprices == 0:
@@ -408,10 +472,11 @@ func TestReplayMatrixShardedPackedSubs(t *testing.T) {
 
 // TestReplayPerOpFrameThenKernel crosses the hand-over between the two
 // accumulator paths on purpose: the first frame carries a Delete, so it
-// is served per-op and creates the first (kind, size class) histograms
-// through observe; every later frame goes through the kernel and folds
-// into those same histograms with foldBlock, or creates the classes the
-// first frame did not reach. The run must equal the all-per-op reference
+// is mixed — its runs fold through foldBlock and its Delete and
+// re-insert through observe, creating the first (kind, size class)
+// histograms either way; every later frame goes through the kernel and
+// folds into those same histograms, or creates the classes the first
+// frame did not reach. The run must equal the all-per-op reference
 // exactly.
 func TestReplayPerOpFrameThenKernel(t *testing.T) {
 	w := ycsb.MustGenerate(ycsb.Spec{
@@ -428,9 +493,9 @@ func TestReplayPerOpFrameThenKernel(t *testing.T) {
 	cfg := server.DefaultConfig(server.RedisLike, 42)
 	got := runCell(t, context.Background(), cfg, w, halfFast(w))
 	want := runCell(t, context.Background(), perOpReference(cfg), w, halfFast(w))
-	if got.perOpFrames != 1 || got.kernelFrames != 4 {
-		t.Fatalf("frames: %d per-op, %d kernel; want the first per-op and the other 4 kernel",
-			got.perOpFrames, got.kernelFrames)
+	if got.mixedFrames != 1 || got.kernelFrames != 4 {
+		t.Fatalf("frames: %d mixed, %d kernel; want the first mixed and the other 4 kernel",
+			got.mixedFrames, got.kernelFrames)
 	}
 	if got.Err != "" || !reflect.DeepEqual(got.comparable(), want.comparable()) {
 		t.Fatalf("per-op-then-kernel run diverged from the per-op reference:\n  got:  %+v\n  want: %+v", got, want)

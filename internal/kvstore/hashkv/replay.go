@@ -44,6 +44,10 @@ func (s *Store) StaticTrace(key string, id uint64) (getChases, putChases int, ok
 	return chases + 1, chases + 1, true
 }
 
+// MissTrace implements kvstore.BatchReplayer: a miss walks the key's
+// whole bucket chain, whose length the resident keys decide.
+func (s *Store) MissTrace() (int, bool) { return 0, false }
+
 // ReplayPauses implements kvstore.BatchReplayer: the quiesced dict has
 // no steady-state stall source (rehash hiccups only fire on growth).
 func (s *Store) ReplayPauses() kvstore.PauseModel { return kvstore.PauseModel{} }
@@ -92,5 +96,8 @@ func (s *Store) Relaid(fn func(key string, id uint64)) bool {
 	s.relaid, s.relaidAll = s.relaid[:0], s.rehashing()
 	return bounded
 }
+
+// RelaidBounded implements kvstore.BatchReplayer.
+func (s *Store) RelaidBounded() bool { return !s.relaidAll }
 
 var _ kvstore.BatchReplayer = (*Store)(nil)

@@ -136,6 +136,12 @@ type BatchReplayer interface {
 	// of a resident key, without mutating the store. ok is false when the
 	// key is absent (its traces would then depend on dynamic state).
 	StaticTrace(key string, id uint64) (getChases, putChases int, ok bool)
+	// MissTrace returns the constant Get pointer-chase count of an
+	// absent key, when the engine can promise one: a miss that touches
+	// no record bytes and leaves the engine's state and pause accounting
+	// alone. ok is false when a miss's trace depends on dynamic state (a
+	// hash chain, a tree descent).
+	MissTrace() (getChases int, ok bool)
 	// ReplayPauses exposes the engine's steady-state stall source so the
 	// batched kernel can reproduce TakePauseNs without calling it.
 	ReplayPauses() PauseModel
@@ -158,6 +164,9 @@ type BatchReplayer interface {
 	// changed. fn may be called more than once per key and must not
 	// mutate the store.
 	Relaid(fn func(key string, id uint64)) bool
+	// RelaidBounded reports, without draining, whether Relaid called now
+	// would return true.
+	RelaidBounded() bool
 }
 
 // EngineProfile captures how an engine converts memory traffic into

@@ -37,10 +37,47 @@ func (s *Store) ReplayPauses() kvstore.PauseModel { return kvstore.PauseModel{} 
 // no steady-state pause accumulator to restore.
 func (s *Store) SyncReplayAccum(int64) {}
 
-// Relaid implements kvstore.BatchReplayer and always reports the change
-// unbounded, so callers re-probe every key. With constant traces a
-// journal of inserted keys would do, but no measured workload re-prices
-// a slab store's table often enough for the journal to pay for itself.
-func (s *Store) Relaid(func(key string, id uint64)) bool { return false }
+// MissTrace implements kvstore.BatchReplayer: a miss is the same two
+// dependent loads as a hit (index probe, item header), touches no item
+// and bumps no LRU.
+func (s *Store) MissTrace() (int, bool) { return 2, true }
+
+// With constant traces, an insert or remove moves no other key's trace:
+// the journal only has to name the inserted items, whose rows were
+// absent. An eviction removes keys the caller never asked to remove, so
+// it latches the change unbounded; so does a journal past a quarter of
+// the items (the whole load phase, for one), where re-probing every key
+// costs about as much as the journal.
+
+// journal records that item it was inserted.
+func (s *Store) journal(it *item) {
+	if s.relaidAll {
+		return
+	}
+	if len(s.relaid) >= len(s.index)/4 {
+		s.relaidAll, s.relaid = true, s.relaid[:0]
+		return
+	}
+	s.relaid = append(s.relaid, it)
+}
+
+// Relaid implements kvstore.BatchReplayer: it reports every journaled
+// item that is still resident.
+func (s *Store) Relaid(fn func(key string, id uint64)) bool {
+	bounded := !s.relaidAll
+	if bounded {
+		for _, it := range s.relaid {
+			if s.index[it.key] == it {
+				fn(it.key, it.id)
+			}
+		}
+	}
+	clear(s.relaid)
+	s.relaid, s.relaidAll = s.relaid[:0], false
+	return bounded
+}
+
+// RelaidBounded implements kvstore.BatchReplayer.
+func (s *Store) RelaidBounded() bool { return !s.relaidAll }
 
 var _ kvstore.BatchReplayer = (*Store)(nil)

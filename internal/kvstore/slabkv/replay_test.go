@@ -64,3 +64,69 @@ func TestReplayPausesIsZero(t *testing.T) {
 		t.Errorf("slabkv PauseModel = %+v, want zero", pm)
 	}
 }
+
+// TestRelaidJournalsInserts pins the slab journal: after a drain it
+// names exactly the items inserted since, that are still resident; an
+// overwrite, a remove or a miss journals nothing; an eviction, or a
+// journal past a quarter of the items, latches the change unbounded
+// until the next drain. MissTrace matches a live Get that misses.
+func TestRelaidJournalsInserts(t *testing.T) {
+	put := func(s *Store, key string) { s.PutID(key, kvstore.KeyID(key), kvstore.Sized(100)) }
+	drain := func(s *Store) (keys []string, bounded bool) {
+		bounded = s.RelaidBounded()
+		if got := s.Relaid(func(key string, id uint64) {
+			if id != kvstore.KeyID(key) {
+				t.Fatalf("journal reported %q with ID %d", key, id)
+			}
+			keys = append(keys, key)
+		}); got != bounded {
+			t.Fatalf("Relaid returned %t, RelaidBounded said %t", got, bounded)
+		}
+		return keys, bounded
+	}
+	s := New(0)
+	for i := 0; i < 40; i++ {
+		put(s, fmt.Sprintf("key%02d", i))
+	}
+	if _, bounded := drain(s); bounded {
+		t.Fatal("the load phase's 40 inserts left the journal bounded")
+	}
+	put(s, "key03") // overwrite
+	s.DelID("key04", kvstore.KeyID("key04"))
+	s.GetID("nope", kvstore.KeyID("nope"))
+	put(s, "key04") // re-insert
+	put(s, "new")
+	s.DelID("new", kvstore.KeyID("new"))
+	if keys, bounded := drain(s); !bounded || fmt.Sprint(keys) != "[key04]" {
+		t.Fatalf("journal after one re-insert: %v bounded=%t, want [key04]", keys, bounded)
+	}
+	if keys, bounded := drain(s); !bounded || len(keys) != 0 {
+		t.Fatalf("second drain: %v bounded=%t, want nothing", keys, bounded)
+	}
+	for i := 0; i <= s.Len()/4; i++ {
+		put(s, fmt.Sprintf("more%02d", i))
+	}
+	if _, bounded := drain(s); bounded {
+		t.Fatal("a journal past a quarter of the items stayed bounded")
+	}
+
+	chases, ok := s.MissTrace()
+	if _, tr := s.GetID("nope", kvstore.KeyID("nope")); !ok || tr.Found || tr.Chases != chases || tr.Touched != 0 {
+		t.Fatalf("MissTrace (%d, %t), live miss %+v", chases, ok, tr)
+	}
+
+	// A store full at 40 items: the 41st insert evicts one.
+	chunk := int64(s.classes[s.classFor(len("key00")+100+itemOverheadB)].chunkSize)
+	lim := New(40 * chunk)
+	for i := 0; i < 40; i++ {
+		put(lim, fmt.Sprintf("key%02d", i))
+	}
+	drain(lim)
+	put(lim, "key40")
+	if lim.Evictions() != 1 {
+		t.Fatalf("%d evictions, want the 41st insert's one", lim.Evictions())
+	}
+	if _, bounded := drain(lim); bounded {
+		t.Fatal("an eviction left the journal bounded")
+	}
+}

@@ -96,6 +96,10 @@ type Store struct {
 	dataBytes int64
 	pauseNs   float64
 	evictions int64
+	// relaid journals the items inserted since the last Relaid;
+	// relaidAll latches that the change is unbounded (replay.go).
+	relaid    []*item
+	relaidAll bool
 }
 
 // New creates a store with the given memory limit in bytes (0 =
@@ -204,6 +208,7 @@ func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
 	s.index[key] = it
 	s.chunkUsed += chunk
 	s.dataBytes += int64(v.Size)
+	s.journal(it)
 	return tr
 }
 
@@ -219,6 +224,7 @@ func (s *Store) evictFrom(cls int) bool {
 	s.chunkUsed -= int64(s.classes[cls].chunkSize)
 	s.dataBytes -= int64(victim.val.Size)
 	s.evictions++
+	s.relaidAll, s.relaid = true, s.relaid[:0]
 	s.pauseNs += 2_000 // lock hold while unlinking + freeing
 	return true
 }

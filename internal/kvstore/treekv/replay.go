@@ -83,10 +83,11 @@ func (s *Store) ReplayReady() bool {
 // dereferences on the found record.
 func (s *Store) StaticTrace(key string, id uint64) (getChases, putChases int, ok bool) {
 	chases := 0
+	ab := abbreviate(key)
 	n := s.root
 	for {
 		chases++ // node fetch
-		idx, found, cmps := n.findKey(key)
+		idx, found, cmps := n.findKey(ab, key)
 		chases += cmps / 2
 		if found {
 			if n.items[idx].id != id {
@@ -100,6 +101,10 @@ func (s *Store) StaticTrace(key string, id uint64) (getChases, putChases int, ok
 		n = n.children[idx]
 	}
 }
+
+// MissTrace implements kvstore.BatchReplayer: a miss descends to the
+// leaf the key would sit in, a path the resident keys decide.
+func (s *Store) MissTrace() (int, bool) { return 0, false }
 
 // ReplayPauses implements kvstore.BatchReplayer, exporting the charge()
 // dynamics: every op accrues its record bytes plus the request framing
@@ -128,5 +133,8 @@ func (s *Store) SyncReplayAccum(accum int64) { s.allocBytes = accum }
 // whole subtree — and a split or merge reshapes descents outright:
 // there is no cheap bound on whose trace moved.
 func (s *Store) Relaid(func(key string, id uint64)) bool { return false }
+
+// RelaidBounded implements kvstore.BatchReplayer: never.
+func (s *Store) RelaidBounded() bool { return false }
 
 var _ kvstore.BatchReplayer = (*Store)(nil)

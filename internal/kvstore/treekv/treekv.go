@@ -9,6 +9,8 @@
 package treekv
 
 import (
+	"encoding/binary"
+
 	"mnemo/internal/kvstore"
 )
 
@@ -41,9 +43,36 @@ const (
 )
 
 type treeItem struct {
+	ab  abbrev
 	key string
 	id  uint64
 	val kvstore.Value
+}
+
+// abbrev is an order-preserving abbreviation of a key: its first 16
+// bytes as two big-endian words, zero-padded. Keys that compare less
+// never abbreviate greater, so comparing the words first and the
+// strings only on a tie orders keys exactly as the strings do. Distinct
+// keys tie only when they agree on 16 bytes or differ by trailing NULs;
+// the workloads' 12-byte keys never do.
+type abbrev struct{ hi, lo uint64 }
+
+func abbreviate(key string) abbrev {
+	var b [16]byte
+	copy(b[:], key)
+	return abbrev{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+// less reports whether the item's key orders before key, whose
+// abbreviation is ab.
+func (it *treeItem) less(ab abbrev, key string) bool {
+	if it.ab.hi != ab.hi {
+		return it.ab.hi < ab.hi
+	}
+	if it.ab.lo != ab.lo {
+		return it.ab.lo < ab.lo
+	}
+	return it.key < key
 }
 
 type node struct {
@@ -53,22 +82,24 @@ type node struct {
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
 
-// findKey locates key within the node, reporting the comparisons made.
-// The loop is sort.Search unrolled (same probe sequence, hence the same
-// comparison count) — the inline form avoids allocating a closure on the
-// replay hot path.
-func (n *node) findKey(key string) (idx int, found bool, cmps int) {
+// findKey locates key, abbreviated ab, within the node, reporting the
+// comparisons made. The loop is sort.Search unrolled (same probe
+// sequence, hence the same comparison count) — the inline form avoids
+// allocating a closure on the replay hot path — and compares the
+// abbreviations first (abbrev), which decides every probe the key
+// strings would.
+func (n *node) findKey(ab abbrev, key string) (idx int, found bool, cmps int) {
 	i, j := 0, len(n.items)
 	for i < j {
 		h := int(uint(i+j) >> 1)
 		cmps++
-		if n.items[h].key < key {
+		if n.items[h].less(ab, key) {
 			i = h + 1
 		} else {
 			j = h
 		}
 	}
-	found = i < len(n.items) && n.items[i].key == key
+	found = i < len(n.items) && n.items[i].ab == ab && n.items[i].key == key
 	return i, found, cmps
 }
 
@@ -129,10 +160,11 @@ func (s *Store) Height() int {
 // GetID implements kvstore.Store.
 func (s *Store) GetID(key string, id uint64) (kvstore.Value, kvstore.OpTrace) {
 	tr := kvstore.OpTrace{Kind: kvstore.Read, RecordID: id}
+	ab := abbreviate(key)
 	n := s.root
 	for {
 		tr.Chases++ // node fetch
-		idx, found, cmps := n.findKey(key)
+		idx, found, cmps := n.findKey(ab, key)
 		tr.Chases += cmps / 2 // binary-search probes that leave the node header
 		if found {
 			it := n.items[idx]
@@ -160,7 +192,7 @@ func (s *Store) PutID(key string, id uint64, v kvstore.Value) kvstore.OpTrace {
 		s.splitChild(s.root, 0)
 		s.pauseNs += 20_000 // root split: tree-wide latch
 	}
-	replacedSize, replaced, chases := s.insertNonFull(s.root, treeItem{key: key, id: id, val: v})
+	replacedSize, replaced, chases := s.insertNonFull(s.root, treeItem{ab: abbreviate(key), key: key, id: id, val: v})
 	tr.Chases = chases + 6
 	tr.Found = replaced
 	if replaced {
@@ -197,7 +229,7 @@ func (s *Store) splitChild(parent *node, i int) {
 func (s *Store) insertNonFull(n *node, it treeItem) (replacedSize int, replaced bool, chases int) {
 	for {
 		chases++
-		idx, found, cmps := n.findKey(it.key)
+		idx, found, cmps := n.findKey(it.ab, it.key)
 		chases += cmps / 2
 		if found {
 			old := n.items[idx].val.Size
@@ -228,7 +260,7 @@ func (s *Store) insertNonFull(n *node, it treeItem) (replacedSize int, replaced 
 // rebalancing algorithm (borrow or merge on the way down).
 func (s *Store) DelID(key string, id uint64) kvstore.OpTrace {
 	tr := kvstore.OpTrace{Kind: kvstore.Delete, RecordID: id}
-	removedSize, removed, chases := s.delete(s.root, key)
+	removedSize, removed, chases := s.delete(s.root, abbreviate(key), key)
 	tr.Chases = chases + 4
 	if len(s.root.items) == 0 && !s.root.leaf() {
 		s.root = s.root.children[0]
@@ -244,9 +276,9 @@ func (s *Store) DelID(key string, id uint64) kvstore.OpTrace {
 	return tr
 }
 
-func (s *Store) delete(n *node, key string) (removedSize int, removed bool, chases int) {
+func (s *Store) delete(n *node, ab abbrev, key string) (removedSize int, removed bool, chases int) {
 	chases++
-	idx, found, cmps := n.findKey(key)
+	idx, found, cmps := n.findKey(ab, key)
 	chases += cmps / 2
 	if found {
 		if n.leaf() {
@@ -259,7 +291,7 @@ func (s *Store) delete(n *node, key string) (removedSize int, removed bool, chas
 		pred, c := s.maxItem(n.children[idx])
 		chases += c
 		n.items[idx] = pred
-		_, _, c2 := s.delete(s.ensureChild(n, idx, &chases), pred.key)
+		_, _, c2 := s.delete(s.ensureChild(n, idx, &chases), pred.ab, pred.key)
 		chases += c2
 		return size, true, chases
 	}
@@ -267,7 +299,7 @@ func (s *Store) delete(n *node, key string) (removedSize int, removed bool, chas
 		return 0, false, chases
 	}
 	child := s.ensureChild(n, idx, &chases)
-	size, ok, c := s.delete(child, key)
+	size, ok, c := s.delete(child, ab, key)
 	return size, ok, chases + c
 }
 

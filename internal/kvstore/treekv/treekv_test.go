@@ -197,3 +197,42 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestAbbrevSearchMatchesStrings: the abbreviated-key search orders keys
+// exactly as the strings do — keys that tie on their first 16 bytes,
+// prefixes of one another, NUL and 0xff bytes included — so findKey
+// makes the probe sequence, hence the comparison count, of a plain
+// string binary search.
+func TestAbbrevSearchMatchesStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	alphabet := []byte{0, 1, 'a', 'b', 0xff}
+	key := func() string {
+		b := []byte("user:0000000")[:rng.Intn(13)]
+		for n := rng.Intn(12); n > 0; n-- {
+			b = append(b, alphabet[rng.Intn(len(alphabet))])
+		}
+		return string(b)
+	}
+	set := map[string]bool{}
+	for len(set) < 300 {
+		set[key()] = true
+	}
+	var sorted []string
+	for k := range set {
+		sorted = append(sorted, k)
+	}
+	sort.Strings(sorted)
+	n := &node{}
+	for _, k := range sorted {
+		n.items = append(n.items, treeItem{ab: abbreviate(k), key: k})
+	}
+	for i := 0; i < 2000; i++ {
+		k := key()
+		cmps := 0
+		want := sort.Search(len(sorted), func(i int) bool { cmps++; return sorted[i] >= k })
+		idx, found, got := n.findKey(abbreviate(k), k)
+		if idx != want || got != cmps || found != (want < len(sorted) && sorted[want] == k) {
+			t.Fatalf("findKey(%q) = (%d, %t, %d cmps), strings give (%d, %d cmps)", k, idx, found, got, want, cmps)
+		}
+	}
+}

@@ -85,6 +85,11 @@ type ReplayTable struct {
 	hit   [ReplayBlockOps]uint8   // stage 1's LLC outcome, 1 = hit
 }
 
+// pausing reports whether either instance has a pause model to mirror.
+func (t *ReplayTable) pausing() bool {
+	return t.pause[memsim.Fast].budget > 0 || t.pause[memsim.Slow].budget > 0
+}
+
 // Block returns the table's block-sized latency scratch buffer for Serve
 // calls. The buffer is reused across blocks and runs; its contents are
 // valid only until the next Serve.
@@ -109,7 +114,7 @@ const (
 // (kvstore.BatchReplayer absent or not ReplayReady); that answer is
 // latched until the table next goes stale.
 //
-// Replay loops ask FrameTable, per frame, instead: per-op requests may
+// Replay loops ask FrameTable, per run, instead: per-op requests may
 // interleave with Serve only under its pause handshake.
 func (d *Deployment) BatchTable() *ReplayTable {
 	if d.cfg.DisableBatchReplay {
@@ -131,14 +136,16 @@ func (d *Deployment) BatchTable() *ReplayTable {
 // (kvstore.BatchReplayer.Relaid) — the moved and re-inserted records and
 // their chain mates — and every live row when there is no table to
 // refresh (Load drops it) or an engine reports its change unbounded (a
-// hash table resize, any slabkv or treekv insert or remove). Both journals are
-// drained on every call, so each covers exactly the changes since the
-// table was last priced. The pause mirrors are snapshotted from the
-// engines, which hold the current accumulators at every event that
-// leaves the table stale. The table's identity and its latency scratch
-// survive a refresh. Rows of deleted records are skipped: the engines
-// hold no trace for them, and FrameTable never hands out the table for a
-// frame touching one.
+// hash table resize, a slabkv eviction, any treekv insert or remove).
+// Both journals are drained on every call, so each covers exactly the
+// changes since the table was last priced. The pause mirrors are
+// snapshotted from the engines, which hold the current accumulators at
+// every event that leaves the table stale. The table's identity and its
+// latency scratch survive a refresh. A deleted record's row is its
+// not-found row where the engines promise one (noteStructural writes it
+// at the Delete), and is skipped otherwise: the engines hold no trace
+// for it, and FrameTable never hands out the table for a request that
+// would read it.
 //
 // Nothing is quiesced here: Load and ApplyMoves settle deferred
 // structural work themselves, and after a structural frame the per-op
@@ -153,13 +160,9 @@ func (d *Deployment) reprice() {
 	d.stale = priced
 	t := d.table
 	d.table = nil
-	var brs [2]kvstore.BatchReplayer
-	for i, inst := range d.instances {
-		br, ok := inst.(kvstore.BatchReplayer)
-		if !ok {
-			return
-		}
-		brs[i] = br
+	brs := d.replayers
+	if brs[0] == nil || brs[1] == nil {
+		return
 	}
 	bounded := d.drainRelaid(brs, t != nil)
 	for _, br := range brs {
@@ -181,7 +184,11 @@ func (d *Deployment) reprice() {
 		if t == nil {
 			t = &ReplayTable{d: d, costs: make([]opCost, len(d.records))}
 		}
-		d.repricedRows[cause] += int64(len(d.records) - d.nDead)
+		rows := len(d.records)
+		if !d.missRows {
+			rows -= d.nDead
+		}
+		d.repricedRows[cause] += int64(rows)
 		for i := range d.records {
 			if !d.fillCost(t, i, brs) {
 				return
@@ -241,10 +248,14 @@ func (d *Deployment) drainRelaid(brs [2]kvstore.BatchReplayer, collect bool) boo
 }
 
 // fillCost prices one record into the table from its current tier's
-// static trace — the per-record half of reprice. A deleted record is
-// skipped. It returns false when the record's trace is not static.
+// static trace — the per-record half of reprice. A deleted record gets
+// its not-found row, or is skipped. It returns false when the record's
+// trace is not static.
 func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplayer) bool {
 	if d.nDead > 0 && d.dead[i] {
+		if d.missRows {
+			d.fillMiss(t, i)
+		}
 		return true
 	}
 	rec := &d.records[i]
@@ -268,6 +279,21 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 	c.ns[costSlot(w, 1)] = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, &memsim.LLCParams)
 	c.ns[costSlot(w, 0)] = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, node)
 	return true
+}
+
+// fillMiss prices deleted record i's not-found row: its read slots hold
+// what the per-op path charges a Get that misses on the record's tier —
+// the engine's miss chases, no bytes touched, a 0-byte value, as
+// valueBytes gives a trace that was not Found. Its write slots are
+// never read: a Write to a deleted record is a structural re-insert.
+func (d *Deployment) fillMiss(t *ReplayTable, i int) {
+	tier := d.tiers[i]
+	chases := d.missChases[tier]
+	r := uint8(kvstore.Read)
+	c := &t.costs[i]
+	*c = opCost{tier: uint8(tier)}
+	c.ns[costSlot(r, 1)] = d.staticCost(kvstore.Read, chases, 0, 0, &memsim.LLCParams)
+	c.ns[costSlot(r, 0)] = d.staticCost(kvstore.Read, chases, 0, 0, &d.machine.Node(tier).Params)
 }
 
 // staticCost is the pricing formula, shared by the live path (price)
@@ -350,7 +376,7 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 
 	start := d.clock.Now()
 	now := start
-	pausing := t.pause[memsim.Fast].budget > 0 || t.pause[memsim.Slow].budget > 0
+	pausing := t.pausing()
 	served, hits := len(ns), 0
 	for i, serviceNs := range ns {
 		if pausing {
@@ -376,6 +402,7 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 	}
 	d.clock.Advance(now - start)
 	d.ops += served
+	d.reqs[pathKernel] += int64(served)
 
 	if s != nil || w != nil {
 		d.tallyLLC(hits, served)

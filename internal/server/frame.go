@@ -2,71 +2,143 @@ package server
 
 import "mnemo/internal/kvstore"
 
-// The per-frame replay decision (DESIGN.md §8). The client's one replay
-// loop hands every trace frame to FrameTable and serves it through the
-// returned table's Serve, or — on nil — request by request through
-// DoIndex. Interleaving the two is sound because FrameTable keeps three
-// things straight on the way:
+// The per-run replay decision (DESIGN.md §8). The client's one replay
+// loop hands every trace frame to FrameTable, run by run: FrameTable
+// names the next run of requests and whether the returned table's Serve
+// or — on nil — DoIndex serves it. Interleaving the two is sound because
+// FrameTable keeps three things straight on the way:
 //
 //   - who holds the pause accumulators. The kernel mirrors the engines'
 //     GC accounting instead of advancing it, so before the engines are
-//     driven directly (a per-op frame, a migration) the mirror is
-//     written into them, and before the kernel serves again it is read
-//     back — or re-snapshotted by a re-price;
+//     driven directly (a per-op run, a migration) the mirror is written
+//     into them, and before the kernel serves again it is read back — or
+//     re-snapshotted by a re-price;
 //   - whether the cost rows are current. A structural request (a Delete,
 //     a Write re-inserting a deleted record) or a migration only marks
-//     the table stale; the re-price — O(rows the hash engine relaid),
-//     or O(records) after a table resize or on the slab and tree
-//     engines — runs when a frame the kernel
-//     could serve actually arrives, so a trace whose every frame carries
-//     a Delete never pays it and one Delete frame in 100M requests pays
-//     it once;
-//   - whether the deployment can still be rewound: a frame served per-op
+//     the table stale; the re-price — O(rows the engines relaid), or
+//     O(records) after a hash-table resize or on the tree engine — runs
+//     when a run the kernel could serve actually arrives. Mid-frame, the
+//     kernel is offered only where that re-price is bounded, so a trace
+//     whose frames all carry a Delete never pays an unbounded one;
+//   - whether the deployment can still be rewound: a run served per-op
 //     latches it mutated.
 
+// The paths a frame can take, as frames_total labels them. A run is
+// served by the kernel or per-op; a frame whose runs took both is mixed.
 const (
 	pathKernel = iota
 	pathPerOp
+	pathMixed
+	numFramePaths
 )
 
-// FrameTable decides how the next frame — keys are dataset record
-// indices, rw reports a frame of only Read and Write ops — is served. It
-// returns the cost table, ready for one Serve call over the frame, when
-// batching is available, the frame is read/write-only and none of its
-// records is currently deleted (a deleted record has no cost row, and a
-// write to one is a structural re-insert). Otherwise it returns nil,
-// with the engines ready for the frame's requests through DoIndex.
+// FrameTable decides how the run of the frame that starts at request
+// from is served, and returns where it ends. keys are dataset record
+// indices, kinds their op kinds and rw reports a frame of only Read and
+// Write ops. The replay loop calls it with from 0 at each frame, and
+// again at the end of each run until the frame is served.
+//
+// The kernel serves a Read of a live record, a Read of a deleted record
+// when the engine has a not-found row for it (MissTrace), and a Write to
+// a live record. When the table is returned, requests [from, end) are all
+// of that kind and the table is priced for them: one Serve call serves
+// the run. On nil, the engines are ready for requests [from, end)
+// through DoIndex: a Delete, a re-insert, a Read without a not-found
+// row — or the whole rest of the frame when the kernel may not serve its
+// remainder: batching is off, or the frame carries a structural request
+// and an engine's relayout journal is unbounded (treekv, a hash table
+// mid-resize), so re-pricing after it would probe every row.
+//
+// A read/write frame that touches no deleted record is one run, found
+// without a per-request scan.
 //
 // Both paths read the same LLC hit bits (llcstream.go); a run priced
-// from a shared stream calls AwaitFrame first.
-func (d *Deployment) FrameTable(keys []uint32, rw bool) *ReplayTable {
-	if rw && !d.touchesDead(keys) {
-		if t := d.BatchTable(); t != nil {
-			if d.perOp {
-				t.resyncKernelPauses()
-				d.perOp = false
-			}
-			d.frames[pathKernel]++
-			return t
+// from a shared stream calls AwaitFrame for the frame first.
+func (d *Deployment) FrameTable(keys []uint32, kinds []uint8, rw bool, from int) (*ReplayTable, int) {
+	end := len(keys)
+	var t *ReplayTable
+	switch n := d.kernelRun(keys, kinds, rw, from); {
+	case from == 0 && n == end:
+		// The whole frame: the table is priced however the engines say,
+		// once per frame at most.
+		t = d.BatchTable()
+	case n > 0:
+		if d.stale == priced || d.relaidBounded() {
+			t = d.BatchTable()
+		}
+		if t != nil {
+			end = from + n
+		}
+	case d.relaidBounded():
+		end = from + 1
+		for end < len(keys) && !d.kernelServes(keys[end], kinds[end]) {
+			end++
 		}
 	}
-	d.enginesTakePauses()
-	d.mutated = true
-	d.frames[pathPerOp]++
-	return nil
+	path := pathKernel
+	if t != nil {
+		if d.perOp {
+			t.resyncKernelPauses()
+			d.perOp = false
+		}
+	} else {
+		d.enginesTakePauses()
+		d.mutated = true
+		path = pathPerOp
+	}
+	if d.frameMix |= 1 << path; end == len(keys) {
+		d.closeFrame()
+	}
+	return t, end
 }
 
-// touchesDead reports whether any of the keys is a deleted record.
-func (d *Deployment) touchesDead(keys []uint32) bool {
-	if d.nDead == 0 {
-		return false
+// kernelRun returns how many requests of the frame, from request from
+// on, the kernel may serve in a row.
+func (d *Deployment) kernelRun(keys []uint32, kinds []uint8, rw bool, from int) int {
+	if rw && d.nDead == 0 {
+		return len(keys) - from
 	}
-	for _, k := range keys {
-		if d.dead[k] {
-			return true
+	for i := from; i < len(keys); i++ {
+		if !d.kernelServes(keys[i], kinds[i]) {
+			return i - from
 		}
 	}
+	return len(keys) - from
+}
+
+// kernelServes reports whether a request of the given kind on record k
+// has a cost row: a Read of a live record or of a deleted one with a
+// not-found row, or a Write to a live record.
+func (d *Deployment) kernelServes(k uint32, kind uint8) bool {
+	switch kvstore.OpKind(kind) {
+	case kvstore.Read:
+		return d.nDead == 0 || !d.dead[k] || d.missRows
+	case kvstore.Write:
+		return d.nDead == 0 || !d.dead[k]
+	}
 	return false
+}
+
+// relaidBounded reports whether re-pricing the table now would probe
+// only the rows the engines' journals name. It drains nothing.
+func (d *Deployment) relaidBounded() bool {
+	if d.cfg.DisableBatchReplay {
+		return false
+	}
+	for _, br := range d.replayers {
+		if br == nil || !br.RelaidBounded() {
+			return false
+		}
+	}
+	return true
+}
+
+// closeFrame tallies the frame whose runs frameMix records, if any.
+func (d *Deployment) closeFrame() {
+	if d.frameMix != 0 {
+		d.frames[d.frameMix-1]++
+		d.frameMix = 0
+	}
 }
 
 // enginesTakePauses hands the pause accounting to the engines before
@@ -81,23 +153,25 @@ func (d *Deployment) enginesTakePauses() {
 }
 
 // syncEnginePauses writes the kernel's mirrored pause accumulators into
-// the engines.
+// the engines; without a pause model there is nothing to hand over.
 func (t *ReplayTable) syncEnginePauses() {
-	for i, inst := range t.d.instances {
-		if br, ok := inst.(kvstore.BatchReplayer); ok {
-			br.SyncReplayAccum(t.pause[i].accum)
-		}
+	if !t.pausing() {
+		return
+	}
+	for i, br := range t.d.replayers {
+		br.SyncReplayAccum(t.pause[i].accum)
 	}
 }
 
 // resyncKernelPauses reads the engines' pause accumulators back into
 // the kernel's mirror. The ResetRun snapshot (pauseState.reset) is left
-// alone; a deployment that served a per-op frame is mutated and not
+// alone; a deployment that served a per-op run is mutated and not
 // rewindable anyway.
 func (t *ReplayTable) resyncKernelPauses() {
-	for i, inst := range t.d.instances {
-		if br, ok := inst.(kvstore.BatchReplayer); ok {
-			t.pause[i].accum = br.ReplayPauses().Accum
-		}
+	if !t.pausing() {
+		return
+	}
+	for i, br := range t.d.replayers {
+		t.pause[i].accum = br.ReplayPauses().Accum
 	}
 }

@@ -31,18 +31,21 @@ func replayByHand(t *testing.T, d *Deployment, w *ycsb.Workload) (stream, privat
 		if err := d.AwaitFrame(context.Background(), len(keys)); err != nil {
 			t.Fatal(err)
 		}
-		served := len(keys)
-		if tab := d.FrameTable(keys, rw); tab != nil {
-			served = tab.Serve(keys, kinds, 0, tab.Block())
-		} else {
-			for i, k := range keys {
-				d.DoIndex(int(k), kvstore.OpKind(kinds[i]))
+		for from := 0; from < len(keys); {
+			tab, end := d.FrameTable(keys, kinds, rw, from)
+			if tab != nil {
+				tab.Serve(keys[from:end], kinds[from:end], 0, tab.Block())
+			} else {
+				for i := from; i < end; i++ {
+					d.DoIndex(int(keys[i]), kvstore.OpKind(kinds[i]))
+				}
 			}
-		}
-		if d.llcs != nil {
-			stream += served
-		} else {
-			private += served
+			if d.llcs != nil {
+				stream += end - from
+			} else {
+				private += end - from
+			}
+			from = end
 		}
 	}
 }
@@ -68,9 +71,10 @@ func deleteTrace() *ycsb.Workload {
 // priced from its stream, on the kernel and the per-op path alike, and
 // every request of a run without one by the private walker, so the
 // stream-requests counter plus the privately walked requests add up to
-// the ops counter. The trace's frame 2 goes per-op (a Delete, two reads
-// of the dead record and its re-insert); frames 0–1 and 3–5 take the
-// kernel. Both runs reach the same clock and LLC tallies.
+// the ops counter. The trace's frame 2 is mixed (its Delete, two reads
+// of the dead record and its re-insert go per-op, the runs around them
+// take the kernel); frames 0–1 and 3–5 take the kernel. Both runs reach
+// the same clock and LLC tallies.
 func TestLLCStreamCountersAccount(t *testing.T) {
 	w := deleteTrace()
 	sink := obs.NewSink()
@@ -94,8 +98,8 @@ func TestLLCStreamCountersAccount(t *testing.T) {
 	if stream != len(w.Ops) || private != 0 {
 		t.Fatalf("shared run: %d requests from the stream, %d privately walked; want all %d from the stream", stream, private, len(w.Ops))
 	}
-	if n := shared.frames[pathPerOp]; n != 1 {
-		t.Fatalf("%d frames went per-op, want frame 2 alone", n)
+	if f := shared.frames; f != [numFramePaths]int64{pathKernel: 5, pathMixed: 1} {
+		t.Fatalf("frames by path %v, want frame 2 mixed and the other five on the kernel", f)
 	}
 	s2, p2 := replayByHand(t, plain, w)
 	stream, private = stream+s2, private+p2

@@ -132,10 +132,10 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 		// Settle deferred structural work (rehash steps, node splits) the
 		// migration writes queued, so post-migration traces are static
 		// again — the same discipline Load applies.
-		for _, inst := range d.instances {
-			if br, ok := inst.(kvstore.BatchReplayer); ok {
+		for i, br := range d.replayers {
+			if br != nil {
 				br.Quiesce()
-				inst.TakePauseNs()
+				d.instances[i].TakePauseNs()
 			}
 		}
 	}

@@ -44,9 +44,9 @@ func (d *Deployment) initTelemetry() {
 
 // framePathLabels and repriceCauseLabels are the label values of the
 // replay loop's traffic record: which path FrameTable sent each frame
-// down, and why the cost table was re-priced.
+// and each request down, and why the cost table was re-priced.
 var (
-	framePathLabels    = [...]string{pathKernel: "kernel", pathPerOp: "perop"}
+	framePathLabels    = [...]string{pathKernel: "kernel", pathPerOp: "perop", pathMixed: "mixed"}
 	repriceCauseLabels = [...]string{causeLoad: "load", causeMigrate: "migrate", causeStructural: "structural"}
 )
 
@@ -63,9 +63,10 @@ func (t *deployTelemetry) flushTallies(name, label string, values []string, tall
 
 // FlushObs publishes the deployment's accumulated op and LLC hit/miss
 // counts, the requests priced from a shared LLC stream, and the
-// frame-path, re-price and re-priced-row tallies, to the configured sink — the run-granularity flush the client calls after
-// a replay (including a replay cut off mid-run, so partial runs stay
-// observable).
+// frame-path, request-path, re-price and re-priced-row tallies, to the
+// configured sink — the run-granularity flush the client calls after a
+// replay (including a replay cut off mid-run, so partial runs stay
+// observable; a frame cut off counts by the runs it served).
 // It is a no-op without a sink and idempotent per served request:
 // repeated flushes publish only new deltas.
 func (d *Deployment) FlushObs() {
@@ -73,7 +74,9 @@ func (d *Deployment) FlushObs() {
 	if t.sink == nil {
 		return
 	}
+	d.closeFrame() // a run cut off mid-frame
 	t.flushTallies("mnemo_client_frames_total", "path", framePathLabels[:], d.frames[:])
+	t.flushTallies("mnemo_client_requests_total", "path", framePathLabels[:], d.reqs[:])
 	t.flushTallies("mnemo_server_reprice_total", "cause", repriceCauseLabels[:], d.repriced[:])
 	t.flushTallies("mnemo_server_reprice_rows_total", "cause", repriceCauseLabels[:], d.repricedRows[:])
 	if d.streamReqs > 0 {

@@ -182,6 +182,9 @@ type Deployment struct {
 	machine   *memsim.Machine
 	clock     simclock.Clock
 	instances [2]kvstore.Store // indexed by memsim.Tier
+	// replayers holds each instance's batched-replay capability, nil
+	// where the engine has none.
+	replayers [2]kvstore.BatchReplayer
 	placement Placement
 	noise     *Noise
 	profile   kvstore.EngineProfile
@@ -222,10 +225,18 @@ type Deployment struct {
 	// ResetRun refuses to rewind. Load clears it.
 	mutated bool
 	// dead marks the dataset records a Delete removed and no Write has
-	// re-inserted since (nDead of them); nil until the first Delete. Their
-	// cost rows are not priced and frames touching them go per-op.
-	dead  []bool
-	nDead int
+	// re-inserted since (nDead of them); nil until the first Delete. A
+	// Write to one is a structural re-insert, served per-op. A Read of
+	// one is served by the kernel when missRows is set — both engine
+	// instances promise a constant miss trace (kvstore.BatchReplayer.
+	// MissTrace), missChases chases on each tier, and keep no pause
+	// model for the kernel to mirror — and priced from the record's
+	// not-found row; otherwise its row is not priced and the Read goes
+	// per-op.
+	dead       []bool
+	nDead      int
+	missRows   bool
+	missChases [2]int
 
 	// relaid collects the rows the engines' relayout journals report for
 	// a re-price (batch.go), each once: relaidGen[i] == relaidStamp marks
@@ -247,11 +258,15 @@ type Deployment struct {
 	llcOff             int
 	llcHits, llcMisses int64
 
-	// frames, repriced and repricedRows tally, since the last FlushObs,
-	// the frames FrameTable routed to each path, the table re-prices by
-	// cause and the rows those re-prices probed; streamReqs the requests
-	// priced from an LLC stream.
-	frames       [2]int64
+	// frames, reqs, repriced and repricedRows tally, since the last
+	// FlushObs, the frames FrameTable routed to each path, the requests
+	// each path served, the table re-prices by cause and the rows those
+	// re-prices probed; streamReqs the requests priced from an LLC
+	// stream. frameMix collects the paths the current frame's runs took
+	// (bit 1<<path), until FrameTable decides its last run.
+	frames       [numFramePaths]int64
+	reqs         [2]int64 // indexed by pathKernel and pathPerOp
+	frameMix     uint8
 	repriced     [numRepriceCauses]int64
 	repricedRows [numRepriceCauses]int64
 	streamReqs   int64
@@ -268,6 +283,18 @@ func NewDeployment(cfg Config) *Deployment {
 	}
 	d.instances[memsim.Fast] = cfg.Engine.newStore()
 	d.instances[memsim.Slow] = cfg.Engine.newStore()
+	for i, inst := range d.instances {
+		d.replayers[i], _ = inst.(kvstore.BatchReplayer)
+	}
+	d.missRows = d.replayers[0] != nil && d.replayers[1] != nil
+	for i, br := range d.replayers {
+		if !d.missRows {
+			break
+		}
+		var ok bool
+		d.missChases[i], ok = br.MissTrace()
+		d.missRows = ok && br.ReplayPauses().BudgetBytes == 0
+	}
 	d.initTelemetry()
 	return d
 }
@@ -314,15 +341,20 @@ func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	// request path starts structurally settled — the property the batched
 	// replay kernel's static cost table relies on, applied to every
 	// deployment so the per-op and batched paths price the same store.
-	for _, inst := range d.instances {
-		if br, ok := inst.(kvstore.BatchReplayer); ok {
+	// The first table is priced whole, so the relayout journals start
+	// empty: a frame can ask whether re-pricing after its structural
+	// requests would be bounded (FrameTable) before any table exists.
+	for i, br := range d.replayers {
+		if br != nil {
 			br.Quiesce()
-			inst.TakePauseNs()
+			d.instances[i].TakePauseNs()
+			br.Relaid(func(string, uint64) {})
 		}
 	}
 	d.table, d.stale = nil, causeLoad
 	d.mutated = false
 	d.dead, d.nDead = nil, 0
+	d.frameMix = 0
 	d.llc, d.llcs, d.llcOff, d.llcHits, d.llcMisses = nil, nil, 0, 0, 0
 	return nil
 }
@@ -395,7 +427,10 @@ func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
 // re-inserts a deleted one change store structure (hash chains, tree
 // nodes), which can change the static trace of records the request never
 // named: the cost table goes stale and the store no longer matches its
-// post-Load snapshot. An overwrite of a live record changes neither.
+// post-Load snapshot. An overwrite of a live record changes neither. A
+// record's not-found row depends on no store state, so a Delete writes
+// it into the table at once; the re-price that re-inserts the record
+// finds it in the engine's journal.
 func (d *Deployment) noteStructural(idx int, kind kvstore.OpKind) {
 	if kind == kvstore.Delete {
 		if d.dead == nil {
@@ -406,6 +441,10 @@ func (d *Deployment) noteStructural(idx int, kind kvstore.OpKind) {
 		}
 		d.dead[idx] = true
 		d.nDead++
+		if d.missRows && d.table != nil {
+			d.fillMiss(d.table, idx)
+			d.repricedRows[causeStructural]++
+		}
 	} else {
 		if d.nDead == 0 || !d.dead[idx] {
 			return
@@ -431,6 +470,7 @@ func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKi
 	// stages.
 	serviceNs := float64(d.staticCost(kind, tr.Chases, tr.Touched, d.valueBytes(tr, size), medium)*d.noise.Factor()) + st.TakePauseNs()
 	d.ops++
+	d.reqs[pathPerOp]++
 
 	lat := simclock.FromNanos(serviceNs)
 	d.clock.Advance(lat)

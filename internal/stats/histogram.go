@@ -79,11 +79,14 @@ func (h *Histogram) bucketFor(v float64) int {
 // (cellShift: sign, exponent and 8 mantissa bits, 256 cells per octave):
 // cells[k] counts the boundaries at or below the lowest value of cell
 // k+cellBase, which is where a lookup in that cell starts walking.
+// single records that no cell holds more than one boundary, so the walk
+// is at most one step.
 type bucketTable struct {
 	bounds   []float64
 	last     float64 // bounds[len-1]; values at or above fall back to the formula
 	cells    []int32
 	cellBase uint64 // cell number of minVal
+	single   bool
 }
 
 // Boundaries are tabulated up to 1e15 (for latency histograms: ~11 days
@@ -124,16 +127,34 @@ func buildBucketTable(minVal, growth float64) *bucketTable {
 		}
 		t.cells[k] = int32(c)
 	}
+	t.single = true
+	for k, c := range t.cells {
+		next := int32(len(bounds))
+		if k+1 < len(t.cells) {
+			next = t.cells[k+1]
+		}
+		if next-c > 1 {
+			t.single = false
+		}
+	}
 	return t
 }
 
 // lookup returns the bucket of v; the caller guarantees
 // minVal < v < t.last. The bucket is 1 + (number of boundaries ≤ v):
 // the count for v's cell, then a forward walk over the boundaries inside
-// the cell that v has passed — at most one step when a bucket is wider
-// than a cell (growth above 1.004), a few for finer geometries.
+// the cell that v has passed — a few steps for fine geometries, and at
+// most one when a bucket is wider than a cell (growth above 1.004),
+// which single turns into one compare and add. v < t.last keeps
+// bounds[c] in range there. Both are positive, and positive floats order
+// as their bit patterns, below 2⁶³: the sign of their difference is the
+// step, with no branch to mispredict.
 func (t *bucketTable) lookup(v float64) int {
-	c := int(t.cells[math.Float64bits(v)>>cellShift-t.cellBase])
+	bits := int64(math.Float64bits(v))
+	c := int(t.cells[uint64(bits)>>cellShift-t.cellBase])
+	if t.single {
+		return c + 2 + int((bits-int64(math.Float64bits(t.bounds[c])))>>63)
+	}
 	for c < len(t.bounds) && t.bounds[c] <= v {
 		c++
 	}

@@ -47,6 +47,11 @@ func TestBucketTableMatchesLogFormula(t *testing.T) {
 			check(edge)
 			check(math.Nextafter(edge, math.Inf(1)))
 		}
+		// Buckets wider than a cell take the one-step lookup; the 1.001
+		// geometry keeps the walk.
+		if want := geom.growth > 1.004; tab.single != want {
+			t.Fatalf("geometry (%v, %v): single-step lookup %t, want %t", geom.min, geom.growth, tab.single, want)
+		}
 		if top := math.Float64bits(tab.last)>>cellShift - tab.cellBase; int(top) != len(tab.cells)-1 {
 			t.Fatalf("geometry (%v, %v): %d cells do not end at the last boundary's cell %d",
 				geom.min, geom.growth, len(tab.cells), top)

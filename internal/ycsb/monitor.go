@@ -2,6 +2,7 @@ package ycsb
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -40,33 +41,41 @@ func ParseRedisMonitor(r io.Reader, defaultSize int) (*Workload, error) {
 	}
 	var pending []pendingOp
 
-	intern := func(key string) int {
-		if idx, ok := index[key]; ok {
+	// intern returns the record of an unescaped key; a key already seen
+	// costs a map probe and no allocation.
+	intern := func(key []byte) int {
+		if idx, ok := index[string(key)]; ok {
 			return idx
 		}
+		k := string(key)
 		idx := len(w.Dataset.Records)
-		index[key] = idx
-		w.Dataset.Records = append(w.Dataset.Records, Record{Key: key, ID: kvstore.KeyID(key)})
+		index[k] = idx
+		w.Dataset.Records = append(w.Dataset.Records, Record{Key: k, ID: kvstore.KeyID(k)})
 		return idx
 	}
+	var fields [][]byte
+	var buf []byte
 
+	// The scanner's line buffer is scanned in place: only commands and
+	// keys are materialized, and a payload is only measured.
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text == "OK" { // MONITOR's opening "OK"
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || string(text) == "OK" { // MONITOR's opening "OK"
 			continue
 		}
-		fields, err := splitMonitorLine(text)
-		if err != nil {
+		var err error
+		if fields, err = splitMonitorLine(text, fields[:0]); err != nil {
 			return nil, fmt.Errorf("ycsb: monitor line %d: %w", line, err)
 		}
 		if len(fields) == 0 {
 			continue
 		}
-		cmd := strings.ToUpper(fields[0])
+		buf = unescape(buf[:0], fields[0])
+		cmd := strings.ToUpper(string(buf))
 		kind, argKeys, payloadIdx := classifyRedisCommand(cmd, len(fields))
 		if kind < 0 {
 			continue // uninteresting command
@@ -74,14 +83,18 @@ func ParseRedisMonitor(r io.Reader, defaultSize int) (*Workload, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("ycsb: monitor line %d: %s without a key", line, cmd)
 		}
+		first := 0 // the record of the first key, which a payload sizes
 		for k := 1; k <= argKeys && k < len(fields); k++ {
-			idx := intern(fields[k])
+			buf = unescape(buf[:0], fields[k])
+			idx := intern(buf)
+			if k == 1 {
+				first = idx
+			}
 			pending = append(pending, pendingOp{key: idx, kind: kvstore.OpKind(kind)})
 		}
 		if payloadIdx > 0 && payloadIdx < len(fields) {
-			idx := index[fields[1]]
-			if n := len(fields[payloadIdx]); n > sizes[idx] {
-				sizes[idx] = n
+			if n := unescapedLen(fields[payloadIdx]); n > sizes[first] {
+				sizes[first] = n
 			}
 		}
 	}
@@ -134,12 +147,12 @@ func classifyRedisCommand(cmd string, nfields int) (kind int, argKeys int, paylo
 	}
 }
 
-// splitMonitorLine extracts the quoted fields of a MONITOR line,
-// unescaping Redis's \xNN, \n, \r, \t, \\ and \" sequences. The
-// timestamp/client prefix (everything before the first quote) is
-// discarded; a prefix-only line yields no fields.
-func splitMonitorLine(line string) ([]string, error) {
-	var fields []string
+// splitMonitorLine appends the quoted fields of a MONITOR line to
+// fields, each as the raw bytes between its quotes (escapes still in
+// place: unescape undoes them). The timestamp/client prefix (everything
+// before the first quote) is discarded; a prefix-only line yields no
+// fields. A backslash escapes the byte after it, a quote included.
+func splitMonitorLine(line []byte, fields [][]byte) ([][]byte, error) {
 	i := 0
 	for i < len(line) {
 		if line[i] != '"' {
@@ -147,54 +160,75 @@ func splitMonitorLine(line string) ([]string, error) {
 			continue
 		}
 		i++ // consume opening quote
-		var b strings.Builder
-		closed := false
-		for i < len(line) {
-			c := line[i]
-			if c == '"' {
+		start := i
+		for i < len(line) && line[i] != '"' {
+			if line[i] == '\\' && i+1 < len(line) {
 				i++
-				closed = true
-				break
 			}
-			if c == '\\' && i+1 < len(line) {
-				i++
-				switch line[i] {
-				case 'n':
-					b.WriteByte('\n')
-				case 'r':
-					b.WriteByte('\r')
-				case 't':
-					b.WriteByte('\t')
-				case '\\', '"':
-					b.WriteByte(line[i])
-				case 'x':
-					if i+2 < len(line) {
-						hi, ok1 := hexVal(line[i+1])
-						lo, ok2 := hexVal(line[i+2])
-						if ok1 && ok2 {
-							b.WriteByte(hi<<4 | lo)
-							i += 2
-						} else {
-							b.WriteByte('x')
-						}
-					} else {
-						b.WriteByte('x')
-					}
-				default:
-					b.WriteByte(line[i])
-				}
-				i++
-				continue
-			}
-			b.WriteByte(c)
 			i++
 		}
-		if !closed {
+		if i == len(line) {
 			return nil, fmt.Errorf("unterminated quote")
 		}
-		fields = append(fields, b.String())
+		fields = append(fields, line[start:i])
+		i++ // consume closing quote
 	}
 	return fields, nil
+}
+
+// unescapeAt decodes the byte of a raw field that starts at field[i],
+// undoing Redis's \xNN, \n, \r, \t, \\ and \" sequences, and returns
+// it with the index of the next one. A \x without two hex digits after
+// it stands for x, and any other escaped byte for itself.
+func unescapeAt(field []byte, i int) (byte, int) {
+	c := field[i]
+	if c != '\\' || i+1 == len(field) {
+		return c, i + 1
+	}
+	switch e := field[i+1]; e {
+	case 'n':
+		return '\n', i + 2
+	case 'r':
+		return '\r', i + 2
+	case 't':
+		return '\t', i + 2
+	case 'x':
+		if i+3 < len(field) {
+			hi, ok1 := hexVal(field[i+2])
+			lo, ok2 := hexVal(field[i+3])
+			if ok1 && ok2 {
+				return hi<<4 | lo, i + 4
+			}
+		}
+		return 'x', i + 2
+	default:
+		return e, i + 2
+	}
+}
+
+// unescape appends a raw field's unescaped bytes to dst.
+func unescape(dst, field []byte) []byte {
+	if bytes.IndexByte(field, '\\') < 0 {
+		return append(dst, field...)
+	}
+	for i := 0; i < len(field); {
+		var c byte
+		c, i = unescapeAt(field, i)
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// unescapedLen is len(unescape(nil, field)), without building it.
+func unescapedLen(field []byte) int {
+	if bytes.IndexByte(field, '\\') < 0 {
+		return len(field)
+	}
+	n := 0
+	for i := 0; i < len(field); n++ {
+		_, i = unescapeAt(field, i)
+	}
+	return n
 }
 
 func hexVal(c byte) (byte, bool) {

@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -121,5 +122,56 @@ func TestParseRedisMonitorProfilesEndToEnd(t *testing.T) {
 		if reads[i] != 5 || writes[i] != 5 {
 			t.Fatalf("key %d counts %d/%d, want 5/5", i, reads[i], writes[i])
 		}
+	}
+}
+
+// TestMonitorFieldEscapes pins the field rules of the in-place MONITOR
+// scanner: how each escape unescapes, that a payload's measured length
+// is its unescaped length, and which lines leave a quote unterminated.
+func TestMonitorFieldEscapes(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want []string // unescaped fields; nil with err set
+		err  bool
+	}{
+		{line: `1.0 [0 x] "GET" "user:1"`, want: []string{"GET", "user:1"}},
+		{line: `"\x41\x62c"`, want: []string{"Abc"}},
+		{line: `"\xZZ"`, want: []string{"xZZ"}}, // bad \x: an x
+		{line: `"\x4"`, want: []string{"x4"}},   // one hex digit: an x
+		{line: `"\x4g"`, want: []string{"x4g"}}, // second digit not hex
+		{line: `"a\\b"`, want: []string{`a\b`}}, // \\
+		{line: `"say \"hi\""`, want: []string{`say "hi"`}},
+		{line: `"\n\r\t"`, want: []string{"\n\r\t"}},
+		{line: `"\q"`, want: []string{"q"}}, // any other escaped byte
+		{line: `prefix only`, want: nil},
+		{line: `"" "x"`, want: []string{"", "x"}},
+		{line: `"GET" "user`, err: true},
+		{line: `"GET" "user\"`, err: true}, // the escaped quote does not close
+		{line: `"GET" "user\`, err: true},
+	} {
+		fields, err := splitMonitorLine([]byte(tc.line), nil)
+		if tc.err {
+			if err == nil || err.Error() != "unterminated quote" {
+				t.Errorf("%s: error %v, want unterminated quote", tc.line, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.line, err)
+		}
+		var got []string
+		for _, f := range fields {
+			u := unescape(nil, f)
+			if n := unescapedLen(f); n != len(u) {
+				t.Errorf("%s: field %q measures %d bytes, unescapes to %d", tc.line, f, n, len(u))
+			}
+			got = append(got, string(u))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: fields %q, want %q", tc.line, got, tc.want)
+		}
+	}
+	if _, err := ParseRedisMonitor(strings.NewReader("\"GET\" \"a\"\n\"SET\" \"a\" \"x\n"), 8); err == nil || err.Error() != "ycsb: monitor line 2: unterminated quote" {
+		t.Errorf("unterminated payload: %v", err)
 	}
 }

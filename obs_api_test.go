@@ -85,18 +85,25 @@ func TestObsSinkExposition(t *testing.T) {
 // TestObsFrameTrafficRecord pins what the replay loop's traffic record
 // says about the two extreme traces, through the whole Profile pipeline:
 // a read/write trace is served by the kernel alone, one table price per
-// loaded deployment; a capture with a Delete in every frame never takes
-// the kernel and — the table being priced only when a frame it could
-// serve arrives — never prices or re-prices it either.
+// loaded deployment; in a capture with a Delete in every frame, every
+// frame is mixed where re-pricing after a Delete is bounded — the hash
+// engine re-prices the relaid chain, the slab engine's Delete writes one
+// not-found row and its reads of the deleted record stay on the kernel —
+// while the tree engine, whose journal is unbounded, serves every frame
+// per-op and — the table being priced only when a frame it could serve
+// arrives — never prices it. The request counters cover the trace.
 func TestObsFrameTrafficRecord(t *testing.T) {
 	frames := func(sink *Sink, path string) int64 {
 		return sink.Counter(obs.Name("mnemo_client_frames_total", "path", path)).Value()
 	}
-	reprices := func(sink *Sink) (n int64) {
-		for _, cause := range []string{"load", "migrate", "structural"} {
-			n += sink.Counter(obs.Name("mnemo_server_reprice_total", "cause", cause)).Value()
-		}
-		return n
+	requests := func(sink *Sink, path string) int64 {
+		return sink.Counter(obs.Name("mnemo_client_requests_total", "path", path)).Value()
+	}
+	reprices := func(sink *Sink, cause string) int64 {
+		return sink.Counter(obs.Name("mnemo_server_reprice_total", "cause", cause)).Value()
+	}
+	rows := func(sink *Sink, cause string) int64 {
+		return sink.Counter(obs.Name("mnemo_server_reprice_rows_total", "cause", cause)).Value()
 	}
 
 	w := smallWorkload(t)
@@ -104,25 +111,48 @@ func TestObsFrameTrafficRecord(t *testing.T) {
 	if _, err := Profile(w, Options{Store: RedisLike, Seed: 3, Obs: sink}); err != nil {
 		t.Fatal(err)
 	}
-	if k, p := frames(sink, "kernel"), frames(sink, "perop"); k != 2*2 || p != 0 {
-		t.Errorf("read/write trace: %d kernel + %d per-op frames, want 2 baselines × 2 frames through the kernel", k, p)
+	if k, p, m := frames(sink, "kernel"), frames(sink, "perop"), frames(sink, "mixed"); k != 2*2 || p != 0 || m != 0 {
+		t.Errorf("read/write trace: %d kernel + %d per-op + %d mixed frames, want 2 baselines × 2 frames through the kernel", k, p, m)
 	}
-	if n := sink.Counter(obs.Name("mnemo_server_reprice_total", "cause", "load")).Value(); n != 2 || reprices(sink) != 2 {
-		t.Errorf("read/write trace: %d load re-prices of %d, want one per baseline deployment and no other", n, reprices(sink))
+	if k, p := requests(sink, "kernel"), requests(sink, "perop"); k != 2*int64(len(w.Ops)) || p != 0 {
+		t.Errorf("read/write trace: %d kernel + %d per-op requests, want all %d on the kernel", k, p, 2*len(w.Ops))
+	}
+	if n := reprices(sink, "load"); n != 2 || reprices(sink, "structural")+reprices(sink, "migrate") != 0 {
+		t.Errorf("read/write trace: %d load re-prices, want one per baseline deployment and no other", n)
 	}
 
+	deletes := 0
 	for i := 17; i < len(w.Ops); i += 1000 {
 		w.Ops[i].Kind = kvstore.Delete
+		deletes++
 	}
 	capture := &Workload{Spec: w.Spec, Dataset: w.Dataset, Ops: w.Ops}
-	sink = NewSink()
-	if _, err := Profile(capture, Options{Store: RedisLike, Seed: 3, Obs: sink}); err != nil {
-		t.Fatal(err)
-	}
-	if k, p := frames(sink, "kernel"), frames(sink, "perop"); k != 0 || p != 2*2 {
-		t.Errorf("Delete in every frame: %d kernel + %d per-op frames, want all 4 per-op", k, p)
-	}
-	if n := reprices(sink); n != 0 {
-		t.Errorf("Delete in every frame: table priced %d times, want never", n)
+	for _, store := range []Engine{RedisLike, MemcachedLike, DynamoLike} {
+		sink = NewSink()
+		if _, err := Profile(capture, Options{Store: store, Seed: 3, Obs: sink}); err != nil {
+			t.Fatal(err)
+		}
+		k, p := requests(sink, "kernel"), requests(sink, "perop")
+		if k+p != 2*int64(len(w.Ops)) {
+			t.Errorf("%v: %d kernel + %d per-op requests, want %d in all", store, k, p, 2*len(w.Ops))
+		}
+		if store == DynamoLike {
+			if f := frames(sink, "perop"); f != 2*2 || k != 0 {
+				t.Errorf("%v, Delete in every frame: %d per-op frames and %d kernel requests, want all 4 frames per-op", store, f, k)
+			}
+			if n := reprices(sink, "load") + reprices(sink, "structural"); n != 0 {
+				t.Errorf("%v, Delete in every frame: table priced %d times, want never", store, n)
+			}
+			continue
+		}
+		if m := frames(sink, "mixed"); m != 2*2 {
+			t.Errorf("%v, Delete in every frame: %d mixed frames, want all 4", store, m)
+		}
+		if n := rows(sink, "structural"); n >= int64(2*deletes*16) {
+			t.Errorf("%v: %d rows re-priced for %d Deletes, want O(journal) per Delete", store, n, 2*deletes)
+		}
+		if store == MemcachedLike && p != 2*int64(deletes) {
+			t.Errorf("%v: %d per-op requests, want the %d Deletes alone", store, p, 2*deletes)
+		}
 	}
 }
