@@ -1,11 +1,13 @@
 package mnemo
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"mnemo/internal/core"
 	"mnemo/internal/obs"
 )
 
@@ -37,10 +39,10 @@ func monitorCapture(lines, keys int) string {
 
 // TestCaptureKernelMatchesPerOp profiles a MONITOR capture with DELs on
 // every engine, with the batched kernel serving the runs between its
-// structural requests and with DisableBatchReplay: the two reports must
-// be equal. Every frame of the capture carries a DEL, so the kernel side
-// mixes the two paths in each frame (on the hash and slab engines;
-// the tree engine serves such frames per-op).
+// structural requests and with server.Config.DisableBatchReplay: the two
+// reports must be equal. Every frame of the capture carries a DEL, so
+// the kernel side mixes the two paths in each frame (on the hash and slab
+// engines; the tree engine serves such frames per-op).
 func TestCaptureKernelMatchesPerOp(t *testing.T) {
 	w, err := LoadRedisMonitor(strings.NewReader(monitorCapture(12000, 1500)), 16384)
 	if err != nil {
@@ -48,9 +50,12 @@ func TestCaptureKernelMatchesPerOp(t *testing.T) {
 	}
 	for _, e := range []Engine{RedisLike, MemcachedLike, DynamoLike} {
 		opts := Options{Store: e, Seed: 7, Runs: 3, SLO: 0.10}
-		perOp := opts
-		perOp.DisableBatchReplay = true
-		want, err := Profile(w, perOp)
+		cfg, pol, err := opts.coreConfig(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Server.DisableBatchReplay = true
+		want, err := core.Profile(context.Background(), cfg, w, pol, opts.SLO)
 		if err != nil {
 			t.Fatal(err)
 		}

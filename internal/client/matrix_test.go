@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mnemo/internal/kvstore"
+	"mnemo/internal/memsim"
 	"mnemo/internal/obs"
 	"mnemo/internal/server"
 	"mnemo/internal/shard"
@@ -505,6 +506,53 @@ func TestReplayPerOpFrameThenKernel(t *testing.T) {
 			len(got.Stats.ReadLatency), len(got.Stats.WriteLatency))
 	}
 }
+
+// TestOversizedRecordKeepsKernel: slabkv refuses a record over its
+// largest chunk at Load and at every Write, so the record is never live,
+// even after a migration copies it. Its Reads take the not-found row and
+// its Writes go per-op, while the rest of the cost table stands: the
+// kernel serves most requests, and the run equals the per-op reference,
+// statically and when epoch migration moves the record.
+func TestOversizedRecordKeepsKernel(t *testing.T) {
+	w := adaptiveTestWorkload(0.9)
+	hot := w.Ops[0].Key
+	big := &w.Dataset.Records[hot]
+	w.Dataset.TotalBytes += 1536<<10 - int64(big.Size)
+	big.Size = 1536 << 10 // 1.5 MB, over slabkv.MaxChunk
+	p := halfFast(w)
+	for _, adaptive := range []bool{false, true} {
+		cfg := server.DefaultConfig(server.MemcachedLike, 7)
+		if adaptive {
+			to := memsim.Fast
+			if p.TierOfIndex(hot) == memsim.Fast {
+				to = memsim.Slow
+			}
+			cfg.Adaptive = moveSource{server.Move{Index: hot, To: to}}
+			cfg.EpochOps = replayBlockOps
+		}
+		got := runCell(t, context.Background(), cfg, w, p)
+		want := runCell(t, context.Background(), perOpReference(cfg), w, p)
+		t.Logf("adaptive=%t: %d moves; frames %d kernel, %d mixed, %d per-op; requests %d kernel, %d per-op", adaptive,
+			got.Stats.MovesApplied, got.kernelFrames, got.mixedFrames, got.perOpFrames, got.kernelRequests, got.perOpRequests)
+		if adaptive && got.Stats.MovesApplied != 1 {
+			t.Fatalf("%d moves applied, want the oversized record's one", got.Stats.MovesApplied)
+		}
+		if got.kernelRequests <= got.perOpRequests {
+			t.Fatalf("adaptive=%t: %d kernel and %d per-op requests, want the kernel to serve most", adaptive, got.kernelRequests, got.perOpRequests)
+		}
+		if got.Err != "" || !reflect.DeepEqual(got.comparable(), want.comparable()) {
+			t.Fatalf("adaptive=%t: run diverged from the per-op reference:\n  got:  %+v\n  want: %+v", adaptive, got, want)
+		}
+	}
+}
+
+// moveSource is an adaptive policy that asks for the same move at every
+// epoch boundary; once applied, the move is a no-op.
+type moveSource struct{ m server.Move }
+
+func (s moveSource) Begin(*ycsb.Workload) (server.EpochObserver, error) { return s, nil }
+
+func (s moveSource) Observe(server.EpochStats) []server.Move { return []server.Move{s.m} }
 
 // TestReplayStreamReuse pins the reuse rule on the backing it newly
 // covers: a streamed read/write trace is served by the kernel alone, so

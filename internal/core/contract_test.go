@@ -20,8 +20,7 @@ func (p orderingPolicy) Order(context.Context, *ycsb.Workload) (Ordering, error)
 // TestOrderingContractEnforced: an ordering that breaks the
 // TieringPolicy contract — a record listed twice, an Index outside the
 // dataset, a Key that is not its record's — is rejected when it enters
-// the pipeline, whether a policy returns it or a caller hands it to
-// ProfileWithOrdering, with an error naming the policy. Each corruption
+// the pipeline, with an error naming the policy. Each corruption
 // keeps the entry count, so a length check alone passes all of them.
 func TestOrderingContractEnforced(t *testing.T) {
 	w := ycsb.MustGenerate(ycsb.Spec{
@@ -60,13 +59,9 @@ func TestOrderingContractEnforced(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), `policy "user-policy"`) || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("Profile with a user policy: err = %v, want one naming the policy and %q", err, tc.want)
 			}
-			_, err = ProfileWithOrdering(ctx, cfg, w, tc.ord, 0.1)
-			if err == nil || !strings.Contains(err.Error(), `policy "touch"`) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("ProfileWithOrdering: err = %v, want one naming the policy and %q", err, tc.want)
-			}
 		})
 	}
-	if _, err := ProfileWithOrdering(ctx, cfg, w, good, 0.1); err != nil {
+	if _, err := Profile(ctx, cfg, w, orderingPolicy{ord: good}, 0.1); err != nil {
 		t.Fatalf("well-formed ordering rejected: %v", err)
 	}
 }

@@ -346,11 +346,7 @@ func TestProfileArgErrors(t *testing.T) {
 
 func TestProfileWithExternalOrdering(t *testing.T) {
 	w := testWorkload(13)
-	ord, err := ExternalOrdering(w, []string{w.Dataset.Records[0].Key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ProfileWithOrdering(context.Background(), DefaultConfig(server.RedisLike, 13), w, ord, 0.1)
+	rep, err := Profile(context.Background(), DefaultConfig(server.RedisLike, 13), w, External([]string{w.Dataset.Records[0].Key}), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

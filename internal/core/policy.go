@@ -75,12 +75,3 @@ func (externalPolicy) Name() string { return "external" }
 func (p externalPolicy) Order(_ context.Context, w *ycsb.Workload) (Ordering, error) {
 	return ExternalOrdering(w, p.keys)
 }
-
-// fixedPolicy injects a pre-computed ordering into the pipeline — the
-// seam ProfileWithOrdering uses so callers holding a raw Ordering don't
-// have to reconstruct the key list.
-type fixedPolicy struct{ ord Ordering }
-
-func (p fixedPolicy) Name() string { return p.ord.Name }
-
-func (p fixedPolicy) Order(context.Context, *ycsb.Workload) (Ordering, error) { return p.ord, nil }

@@ -35,10 +35,3 @@ func Profile(ctx context.Context, cfg Config, w *ycsb.Workload, p TieringPolicy,
 	}
 	return s.Run(ctx, p, maxSlowdown)
 }
-
-// ProfileWithOrdering runs the pipeline with a caller-supplied ordering
-// (deployment mode 2b: an existing tiering solution's DRAM key
-// allocations, already resolved to an Ordering).
-func ProfileWithOrdering(ctx context.Context, cfg Config, w *ycsb.Workload, ord Ordering, maxSlowdown float64) (*Report, error) {
-	return Profile(ctx, cfg, w, fixedPolicy{ord: ord}, maxSlowdown)
-}

@@ -203,6 +203,53 @@ func TestDeleteDenseRunsMatchPerOp(t *testing.T) {
 	}
 }
 
+// TestLeadingDeleteTalliesLoad: when a trace's first request is a
+// Delete, the Delete is served before any table exists, and the
+// whole-table build that follows is the load's re-price, not a
+// structural one. Structural re-prices stay bounded by the structural
+// requests that caused them.
+func TestLeadingDeleteTalliesLoad(t *testing.T) {
+	w := smallWorkload(t, ycsb.SizeFixed1KB, 0.8)
+	pt := w.Packed()
+	keys := append([]uint32(nil), pt.Keys...)
+	kinds := append([]uint8(nil), pt.Kinds...)
+	kinds[0] = uint8(kvstore.Delete)
+	const structural = 1 // the trace only reads the deleted record again
+	for _, e := range Engines() {
+		t.Run(e.String(), func(t *testing.T) {
+			cfg := DefaultConfig(e, 31)
+			cfg.Obs = obs.NewSink()
+			d := loadHalfFast(t, cfg, w)
+			for blk := 0; blk < len(keys); blk += ReplayBlockOps {
+				end := min(blk+ReplayBlockOps, len(keys))
+				serveRuns(t, d, keys[blk:end], kinds[blk:end], false)
+			}
+			d.FlushObs()
+			value := func(name, cause string) int64 { return cfg.Obs.Counter(obs.Name(name, "cause", cause)).Value() }
+			load, loadRows := value("mnemo_server_reprice_total", "load"), value("mnemo_server_reprice_rows_total", "load")
+			st, stRows := value("mnemo_server_reprice_total", "structural"), value("mnemo_server_reprice_rows_total", "structural")
+			if e == DynamoLike {
+				// Every frame here touches the deleted record, which has
+				// no not-found row on treekv, and treekv's journal is
+				// unbounded: no table is ever built.
+				if load != 0 || st != 0 {
+					t.Fatalf("treekv: %d load and %d structural re-prices, want none", load, st)
+				}
+				return
+			}
+			if load != 1 || loadRows < int64(len(w.Dataset.Records)-1) {
+				t.Fatalf("load re-prices %d of %d rows, want one of the whole table (%d records)", load, loadRows, len(w.Dataset.Records))
+			}
+			if st > int64(structural) {
+				t.Fatalf("%d structural re-prices for %d structural requests", st, structural)
+			}
+			if e == MemcachedLike && stRows > int64(structural) {
+				t.Fatalf("slabkv: %d structural rows re-priced for %d structural requests", stRows, structural)
+			}
+		})
+	}
+}
+
 // TestSyncPausesBothDirections pins the accumulator hand-over on the
 // engine with real pause dynamics (DynamoLike / treekv): after batched
 // frames the kernel's mirror leads the engines; a per-op frame's

@@ -79,8 +79,9 @@ type MigrationResult struct {
 //
 // Migrating a record writes it to the destination tier whether or not
 // the trace has since deleted it: a deleted record comes back live in
-// the store. Not to the LLC, whose liveness is the trace's (llcstream.go):
-// its reads stay "not found" there until the trace writes it again.
+// the store, unless the engine refuses it. Not to the LLC, whose
+// liveness is the trace's (llcstream.go): its reads stay "not found"
+// there until the trace writes it again.
 //
 // A deployment that has migrated is permanently dirty for snapshot
 // reuse: its store contents no longer match the post-Load snapshot, so
@@ -120,8 +121,15 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 			d.instances[m.To].TakePauseNs()
 			d.tiers[m.Index] = m.To
 			if d.nDead > 0 && d.dead[m.Index] {
-				d.dead[m.Index] = false
-				d.nDead--
+				if d.cfg.Engine.stores(rec) {
+					d.dead[m.Index] = false
+					d.nDead--
+				} else if d.missRows && d.table != nil {
+					// Refused again: no journal names the record, so its
+					// not-found row moves to the new tier here.
+					d.fillMiss(d.table, m.Index)
+					d.repricedRows[causeMigrate]++
+				}
 			}
 			res.Moves++
 			res.Bytes += size

@@ -224,9 +224,11 @@ type Deployment struct {
 	// snapshot — a migration, or any frame served per-op — after which
 	// ResetRun refuses to rewind. Load clears it.
 	mutated bool
-	// dead marks the dataset records a Delete removed and no Write has
-	// re-inserted since (nDead of them); nil until the first Delete. A
-	// Write to one is a structural re-insert, served per-op. A Read of
+	// dead marks the dataset records the store does not hold (nDead of
+	// them): those the engine refused at Load (Engine.stores), which
+	// stay dead, and those a Delete removed and no Write has re-inserted
+	// since; nil until the first. A Write to one is served per-op: a
+	// structural re-insert, or a Write the engine refuses again. A Read of
 	// one is served by the kernel when missRows is set — both engine
 	// instances promise a constant miss trace (kvstore.BatchReplayer.
 	// MissTrace), missChases chases on each tier, and keep no pause
@@ -354,6 +356,11 @@ func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	d.table, d.stale = nil, causeLoad
 	d.mutated = false
 	d.dead, d.nDead = nil, 0
+	for i := range ds.Records {
+		if !d.cfg.Engine.stores(&ds.Records[i]) {
+			d.markDead(i)
+		}
+	}
 	d.frameMix = 0
 	d.llc, d.llcs, d.llcOff, d.llcHits, d.llcMisses = nil, nil, 0, 0, 0
 	return nil
@@ -427,33 +434,46 @@ func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
 // re-inserts a deleted one change store structure (hash chains, tree
 // nodes), which can change the static trace of records the request never
 // named: the cost table goes stale and the store no longer matches its
-// post-Load snapshot. An overwrite of a live record changes neither. A
-// record's not-found row depends on no store state, so a Delete writes
-// it into the table at once; the re-price that re-inserts the record
-// finds it in the engine's journal.
+// post-Load snapshot. An overwrite of a live record changes neither, nor
+// does a Write the engine refuses. A record's not-found row depends on no
+// store state, so a Delete writes it into the table at once; the
+// re-price that re-inserts the record finds it in the engine's journal.
+// A table already stale keeps its cause: a Delete before the first
+// re-price leaves the whole-table build tallied as the load's.
 func (d *Deployment) noteStructural(idx int, kind kvstore.OpKind) {
 	if kind == kvstore.Delete {
-		if d.dead == nil {
-			d.dead = make([]bool, len(d.records))
-		}
-		if d.dead[idx] {
+		if !d.markDead(idx) {
 			return
 		}
-		d.dead[idx] = true
-		d.nDead++
 		if d.missRows && d.table != nil {
 			d.fillMiss(d.table, idx)
 			d.repricedRows[causeStructural]++
 		}
 	} else {
-		if d.nDead == 0 || !d.dead[idx] {
+		if d.nDead == 0 || !d.dead[idx] || !d.cfg.Engine.stores(&d.records[idx]) {
 			return
 		}
 		d.dead[idx] = false
 		d.nDead--
 	}
 	d.mutated = true
-	d.stale = causeStructural
+	if d.stale == priced {
+		d.stale = causeStructural
+	}
+}
+
+// markDead adds record idx to the deleted-record set and reports whether
+// it was live.
+func (d *Deployment) markDead(idx int) bool {
+	if d.dead == nil {
+		d.dead = make([]bool, len(d.records))
+	}
+	if d.dead[idx] {
+		return false
+	}
+	d.dead[idx] = true
+	d.nDead++
+	return true
 }
 
 // price turns an operation trace into simulated service time and

@@ -186,11 +186,6 @@ type Options struct {
 	// metrics, stage spans and the run journal (see NewSink). nil keeps
 	// profiling completely uninstrumented.
 	Obs *Sink
-	// DisableBatchReplay forces every measurement run through the per-op
-	// replay path instead of the batched table-driven kernel. The two
-	// paths are bit-identical, so this is a debugging/benchmarking knob,
-	// not a correctness one.
-	DisableBatchReplay bool
 	// Shards replays every measurement across a consistent-hash cluster
 	// of N deployments (multi-core replay with a deterministic merge;
 	// DESIGN.md §13). 0 and 1 both mean one single deployment.
@@ -248,7 +243,6 @@ func (o Options) coreConfig(sink *Sink) (core.Config, core.TieringPolicy, error)
 	}
 	cfg.SizeAwareEstimate = o.SizeAwareEstimate
 	cfg.Server.Obs = o.Obs
-	cfg.Server.DisableBatchReplay = o.DisableBatchReplay
 	cfg.Server.Shards = o.Shards
 	cfg.Server.EpochOps = o.EpochOps
 	cfg.Server.MigrationCostPerByte = o.MigrationCostPerByte
@@ -321,16 +315,17 @@ func ProfileWithTiering(w *Workload, tieredKeys []string, opts Options) (*Report
 }
 
 // ProfileWithTieringContext is ProfileWithTiering with cancellation.
+// The key list is checked against the workload before anything is
+// measured, so an unknown or repeated key fails at once.
 func ProfileWithTieringContext(ctx context.Context, w *Workload, tieredKeys []string, opts Options) (*Report, error) {
 	cfg, _, err := opts.coreConfig(nil)
 	if err != nil {
 		return nil, err
 	}
-	ord, err := core.ExternalOrdering(w, tieredKeys)
-	if err != nil {
+	if _, err := core.ExternalOrdering(w, tieredKeys); err != nil {
 		return nil, err
 	}
-	return core.ProfileWithOrdering(ctx, cfg, w, ord, opts.SLO)
+	return core.Profile(ctx, cfg, w, core.External(tieredKeys), opts.SLO)
 }
 
 // AdaptiveComparison pairs a static and an adaptive measured execution
@@ -407,42 +402,18 @@ func NewSession(w *Workload, opts Options) (*Session, error) {
 	return core.NewSession(cfg, w)
 }
 
-// PolicyInfo describes one registered tiering policy, including its
-// tunable parameter space (empty for fixed policies).
-type PolicyInfo struct {
-	Name        string
-	Description string
-	Params      []ParamInfo
-}
+// PolicyInfo describes one registered tiering policy: its name and
+// description, its constructors, and its tunable parameter space
+// (Params, empty for fixed policies).
+type PolicyInfo = registry.Entry
 
 // ParamInfo describes one tunable parameter of a policy: inclusive
 // bounds, the default the plain policy uses, and the scale a search
 // should explore it on.
-type ParamInfo struct {
-	Name        string
-	Min, Max    float64
-	Default     float64
-	Integer     bool
-	Log         bool
-	Description string
-}
+type ParamInfo = registry.Param
 
 // Policies lists the registered tiering policies, sorted by name.
-func Policies() []PolicyInfo {
-	entries := registry.Entries()
-	out := make([]PolicyInfo, len(entries))
-	for i, e := range entries {
-		info := PolicyInfo{Name: e.Name, Description: e.Description}
-		for _, p := range e.Params {
-			info.Params = append(info.Params, ParamInfo{
-				Name: p.Name, Min: p.Min, Max: p.Max, Default: p.Default,
-				Integer: p.Integer, Log: p.Log, Description: p.Description,
-			})
-		}
-		out[i] = info
-	}
-	return out
-}
+func Policies() []PolicyInfo { return registry.Entries() }
 
 // PolicyByName constructs a registered tiering policy ("standalone" is
 // accepted as an alias for "touch"). The seed feeds policies with
@@ -512,8 +483,9 @@ func PriceFactorFromHardware(slowPerGB, fastPerGB float64) (float64, error) {
 
 // WorkloadByName generates a built-in workload: one of the paper's
 // Table III traces ("trending", "news_feed", "timeline",
-// "edit_thumbnail", "trending_preview") or a stock YCSB core workload
-// ("ycsb_a", "ycsb_b", "ycsb_c", "ycsb_d", "ycsb_f").
+// "edit_thumbnail", "trending_preview"), a stock YCSB core workload
+// ("ycsb_a", "ycsb_b", "ycsb_c", "ycsb_d", "ycsb_f") or a drift workload
+// ("hot_drift", "phase_shift"); AllWorkloadNames lists them.
 func WorkloadByName(name string, seed int64) (*Workload, error) {
 	w, err := registry.ResolveWorkload(name, seed, 0, 0)
 	if err != nil {
@@ -542,8 +514,8 @@ func WorkloadNames() []string {
 	return names
 }
 
-// AllWorkloadNames lists every built-in workload, Table III presets
-// first, then the YCSB core workloads.
+// AllWorkloadNames lists every built-in workload: the Table III
+// presets, the YCSB core workloads, then the drift workloads.
 func AllWorkloadNames() []string { return ycsb.AllWorkloadNames() }
 
 // GenerateWorkload builds a workload from a custom spec.
