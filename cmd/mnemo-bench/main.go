@@ -35,9 +35,7 @@
 //	-trace file     replay a binary .mtrc trace (streamed, O(frame)
 //	                memory) against every engine on FastMem-only and
 //	                SlowMem-only placements instead of running the
-//	                experiment suite; honors -shards/-no-batch
-//	-no-batch       force the per-op replay path instead of the batched
-//	                kernel (bit-identical results; a comparison knob)
+//	                experiment suite; honors -shards
 //	-cpuprofile f   write a pprof CPU profile of the run to f
 //	-memprofile f   write a pprof heap profile (taken after the run) to f
 //	-metrics f      dump run metrics (Prometheus text format) to f
@@ -240,7 +238,6 @@ func runTrace(path string, scale experiments.Scale, seed int64, stdout, stderr i
 		for _, pl := range placements {
 			cfg := server.DefaultConfig(e, seed)
 			cfg.Obs = scale.Obs
-			cfg.DisableBatchReplay = scale.DisableBatchReplay
 			cfg.Shards = scale.Shards
 			wall := time.Now()
 			st, err := client.Execute(cfg, w, pl.p)
@@ -292,7 +289,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	migCost := fs.Float64("migration-cost", 0, "adaptive-compare: migration charge in `ns` per payload byte (0 = experiment default)")
 	migBudget := fs.Int64("migration-budget", 0, "adaptive-compare: cap on migrated payload `bytes` per epoch (0 = unlimited)")
 	tracePath := fs.String("trace", "", "replay a binary .mtrc trace `file` (streamed, FastMem/SlowMem baselines per engine) instead of running experiments")
-	noBatch := fs.Bool("no-batch", false, "force the per-op replay path (disable the batched kernel)")
 	cpuprofile := fs.String("cpuprofile", "", "write CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write heap profile to `file`")
 	metrics := fs.String("metrics", "", "dump run metrics (Prometheus text format) to `file` ('-' = stderr), even on failure")
@@ -319,7 +315,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale.EpochOps = *epochOps
 	scale.MigrationCostPerByte = *migCost
 	scale.MigrationBudget = *migBudget
-	scale.DisableBatchReplay = *noBatch
 	if err := scale.Validate(); err != nil {
 		return err
 	}

@@ -48,22 +48,6 @@ func TestRunMeasuredExperimentQuick(t *testing.T) {
 	}
 }
 
-func TestRunNoBatchBitIdentical(t *testing.T) {
-	// -no-batch swaps the batched kernel for the per-op replay path; the
-	// rendered experiment output must not change by a single byte.
-	var batched, perOp bytes.Buffer
-	var stderr bytes.Buffer
-	if err := run([]string{"-quick", "-seed", "7", "fig9"}, &batched, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-quick", "-seed", "7", "-no-batch", "fig9"}, &perOp, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	if batched.String() != perOp.String() {
-		t.Errorf("-no-batch changed fig9 output:\nbatched:\n%s\nper-op:\n%s", batched.String(), perOp.String())
-	}
-}
-
 func TestRunUnknownExperiment(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"bogus"}, &stdout, &stderr); err == nil {
@@ -171,26 +155,31 @@ func TestRunMetricsSurviveFailure(t *testing.T) {
 	}
 }
 
-// TestRunClusterSweepDeterministic is CI's "Sharded determinism" step:
-// the sharded cluster sweep prints the same stdout whatever the
-// scheduler parallelism.
+// TestRunClusterSweepDeterministic: the sharded cluster sweep prints the
+// same stdout whatever the scheduler parallelism, and -shards 1 means
+// the one deployment a flagless run uses, so fig8a prints the same
+// stdout with and without it.
 func TestRunClusterSweepDeterministic(t *testing.T) {
-	var outs [2]string
-	for i, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	stdout := func(procs int, args ...string) string {
+		runtime.GOMAXPROCS(procs)
 		var stdout, stderr bytes.Buffer
-		err := run([]string{"-quick", "-seed", "7", "-shards", "4", "cluster-sweep"}, &stdout, &stderr)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("GOMAXPROCS=%d %v: %v", procs, args, err)
 		}
-		outs[i] = stdout.String()
+		return stdout.String()
 	}
-	if !strings.Contains(outs[0], "Cluster sweep") {
+	sweep := []string{"-quick", "-seed", "7", "-shards", "4", "cluster-sweep"}
+	p1, p2 := stdout(1, sweep...), stdout(2, sweep...)
+	if !strings.Contains(p1, "Cluster sweep") {
 		t.Error("cluster sweep output missing")
 	}
-	if outs[0] != outs[1] {
-		t.Fatalf("stdout differs between GOMAXPROCS 1 and 2:\n%s\nvs\n%s", outs[0], outs[1])
+	if p1 != p2 {
+		t.Fatalf("stdout differs between GOMAXPROCS 1 and 2:\n%s\nvs\n%s", p1, p2)
+	}
+	one, flagless := stdout(1, "-quick", "-shards", "1", "fig8a"), stdout(1, "-quick", "fig8a")
+	if one != flagless {
+		t.Fatalf("-shards 1 fig8a stdout differs from the flagless run:\n%s\nvs\n%s", one, flagless)
 	}
 }
 

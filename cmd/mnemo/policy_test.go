@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -118,6 +119,31 @@ func TestRunCompare(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "Policy comparison") {
 		t.Error("html report missing comparison section")
+	}
+
+	// Policies compared in one session share its artifact cache, and
+	// sharing must not change any policy's result: knapsack compared
+	// beside three others prints exactly the curve it prints alone,
+	// whatever the thread count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	curve := func(procs int, extra ...string) string {
+		runtime.GOMAXPROCS(procs)
+		args := append([]string{"-workload", "trending_preview", "-keys", "2000", "-requests", "100000",
+			"-policy", "knapsack", "-o", "-"}, extra...)
+		var stdout, stderr bytes.Buffer
+		if err := run(args, strings.NewReader(""), &stdout, &stderr); err != nil {
+			t.Fatalf("GOMAXPROCS=%d %v: %v", procs, extra, err)
+		}
+		return stdout.String()
+	}
+	want := curve(1)
+	for _, procs := range []int{1, 2} {
+		if got := curve(procs, "-compare", "tahoe,freqdecay,mnemot"); got != want {
+			t.Errorf("GOMAXPROCS=%d: knapsack's curve beside tahoe,freqdecay,mnemot differs from its solo run at GOMAXPROCS=1", procs)
+		}
+	}
+	if got := curve(2); got != want {
+		t.Error("knapsack's solo curve differs between GOMAXPROCS 1 and 2")
 	}
 }
 

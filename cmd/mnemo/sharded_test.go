@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -41,11 +42,17 @@ func TestRunShardsOneGolden(t *testing.T) {
 	}
 }
 
+// TestRunShardsHTMLLayout: a 4-shard adaptive run adds the shard layout
+// to the HTML report and a cluster note on stderr, and the cluster merge
+// carries each shard's migration ledger (moves and bytes summed over
+// shards, epochs of the longest shard), so its static-vs-adaptive line
+// must not report zero epochs or moves.
 func TestRunShardsHTMLLayout(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.html")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
-		"-workload", "trending", "-keys", "200", "-requests", "2000",
+		"-workload", "hot_drift", "-keys", "300", "-requests", "40960", "-seed", "42", "-slo", "0.01",
+		"-policy", "adaptive-freq", "-epoch-ops", "4096", "-migration-cost", "0.5",
 		"-shards", "4", "-html", out, "-o", "",
 	}, strings.NewReader(""), &stdout, &stderr)
 	if err != nil {
@@ -63,5 +70,12 @@ func TestRunShardsHTMLLayout(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "cluster: 4 consistent-hash shards") {
 		t.Errorf("stderr missing cluster note: %s", stderr.String())
+	}
+	m := regexp.MustCompile(`(?m)^adaptive \(adaptive-freq, epoch 4096 ops\): .*; (\d+) epochs, (\d+) moves`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("stderr missing the adaptive line:\n%s", stderr.String())
+	}
+	if m[1] == "0" || m[2] == "0" {
+		t.Errorf("cluster merge dropped the migration ledger: %s epochs, %s moves", m[1], m[2])
 	}
 }

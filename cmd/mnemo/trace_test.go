@@ -6,6 +6,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -60,10 +61,14 @@ func TestRunTraceFlagErrors(t *testing.T) {
 	}
 }
 
-// TestRunTraceAdaptiveMatchesInMemory: adaptive replay of a .mtrc trace
-// goes through the same frame loop as the in-memory workload it was
-// written from, so the curve and the static-vs-adaptive line must match
-// byte for byte.
+// TestRunTraceAdaptiveMatchesInMemory: a .mtrc trace goes through the
+// same frame loop as the in-memory workload it was written from, so an
+// adaptive run (an epoch is a frame boundary) and a 4-shard run (the
+// partitioner reads the file twice and re-streams each per-shard spool)
+// must print the same -json summary (or curve csv) on stdout and the
+// same stderr (baselines, advice, the static-vs-adaptive line) byte for
+// byte. Every spool is unlinked once open, so none may be left in
+// TMPDIR.
 func TestRunTraceAdaptiveMatchesInMemory(t *testing.T) {
 	w, err := loadWorkload("hot_drift", 42, 300, 3*4096, strings.NewReader(""))
 	if err != nil {
@@ -73,30 +78,40 @@ func TestRunTraceAdaptiveMatchesInMemory(t *testing.T) {
 	if err := trace.WriteWorkload(w, path); err != nil {
 		t.Fatal(err)
 	}
-	adaptive := []string{"-store", "dynamolike", "-seed", "42", "-slo", "0.01",
-		"-policy", "adaptive-freq", "-epoch-ops", "4096", "-migration-cost", "0.5", "-o", "-"}
-	outcome := func(source ...string) (string, string) {
-		var stdout, stderr bytes.Buffer
-		if err := run(append(source, adaptive...), strings.NewReader(""), &stdout, &stderr); err != nil {
-			t.Fatalf("%v: %v", source, err)
-		}
-		for _, line := range strings.Split(stderr.String(), "\n") {
-			if strings.HasPrefix(line, "adaptive (") {
-				return stdout.String(), line
+	spool := t.TempDir()
+	t.Setenv("TMPDIR", spool)
+	adaptive := []string{"-store", "dynamolike", "-seed", "42", "-slo", "0.01", "-policy", "adaptive-freq",
+		"-epoch-ops", "4096", "-migration-cost", "0.5"}
+	adapted := regexp.MustCompile(`(?m)^adaptive \(adaptive-freq, epoch 4096 ops\): .*; 3 epochs, [1-9][0-9]* moves`)
+	for _, row := range []struct {
+		flags  []string
+		stderr *regexp.Regexp
+	}{
+		{append(adaptive, "-json"), adapted},
+		{append(adaptive, "-o", "-"), adapted}, // the whole curve csv
+		{[]string{"-store", "redislike", "-seed", "42", "-slo", "0.05", "-shards", "4", "-json"},
+			regexp.MustCompile(`(?m)^cluster: 4 consistent-hash shards`)},
+	} {
+		outcome := func(source ...string) (string, string) {
+			var stdout, stderr bytes.Buffer
+			if err := run(append(source, row.flags...), strings.NewReader(""), &stdout, &stderr); err != nil {
+				t.Fatalf("%v %v: %v", source, row.flags, err)
 			}
+			return stdout.String(), stderr.String()
 		}
-		t.Fatalf("%v: no adaptive line on stderr:\n%s", source, stderr.String())
-		return "", ""
-	}
-	wantCSV, wantLine := outcome("-workload", "hot_drift", "-keys", "300", "-requests", "12288")
-	gotCSV, gotLine := outcome("-trace", path)
-	if gotCSV != wantCSV {
-		t.Error("curve csv of the streamed trace differs from the in-memory workload's")
-	}
-	if gotLine != wantLine {
-		t.Errorf("adaptive outcome differs:\n  streamed:  %s\n  in-memory: %s", gotLine, wantLine)
-	}
-	if !strings.Contains(gotLine, "3 epochs") || strings.Contains(gotLine, " 0 moves") {
-		t.Errorf("adaptive run did not adapt: %s", gotLine)
+		memOut, memErr := outcome("-workload", "hot_drift", "-keys", "300", "-requests", "12288")
+		fileOut, fileErr := outcome("-trace", path)
+		if !row.stderr.MatchString(fileErr) {
+			t.Fatalf("%v: stderr lacks %v:\n%s", row.flags, row.stderr, fileErr)
+		}
+		if fileOut != memOut {
+			t.Errorf("%v: stdout of the streamed trace differs from the in-memory workload's:\n%s\nvs\n%s", row.flags, fileOut, memOut)
+		}
+		if fileErr != memErr {
+			t.Errorf("%v: stderr of the streamed trace differs from the in-memory workload's:\n%s\nvs\n%s", row.flags, fileErr, memErr)
+		}
+		if left, _ := filepath.Glob(filepath.Join(spool, "mnemo-shard-*.mtrc")); len(left) > 0 {
+			t.Errorf("%v: spool files left behind: %v", row.flags, left)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -38,28 +39,30 @@ func TestAdaptiveCompareWinsOnDrift(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCompareDeterministic: same scale and seed, same result.
+// TestAdaptiveCompareDeterministic: same scale and seed, same result,
+// at GOMAXPROCS 1 and 2. The experiment's legs (every policy, static
+// and adaptive) are one measuring call that runs them concurrently on
+// one LLC walk of the drift trace, so the thread count must not show.
 func TestAdaptiveCompareDeterministic(t *testing.T) {
-	a, err := AdaptiveCompare(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var renders [2]string
+	for i, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		r, err := AdaptiveCompare(Quick, 1)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		var buf bytes.Buffer
+		if err := r.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		renders[i] = buf.String()
 	}
-	b, err := AdaptiveCompare(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
+	if renders[0] != renders[1] {
+		t.Fatalf("AdaptiveCompare diverged between GOMAXPROCS 1 and 2:\n%s\nvs\n%s", renders[0], renders[1])
 	}
-	var ra, rb bytes.Buffer
-	if err := a.Render(&ra); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Render(&rb); err != nil {
-		t.Fatal(err)
-	}
-	if ra.String() != rb.String() {
-		t.Fatalf("repeated AdaptiveCompare diverged:\n%s\nvs\n%s", ra.String(), rb.String())
-	}
-	if !strings.Contains(ra.String(), "runtime gain") {
-		t.Fatalf("render lacks the gain line:\n%s", ra.String())
+	if !strings.Contains(renders[0], "runtime gain") {
+		t.Fatalf("render lacks the gain line:\n%s", renders[0])
 	}
 }
 

@@ -31,10 +31,6 @@ type Scale struct {
 	// stream (metrics and the run journal); nil keeps the experiment
 	// uninstrumented.
 	Obs *obs.Sink
-	// DisableBatchReplay forces every measurement run onto the per-op
-	// replay path instead of the batched kernel. The two paths are
-	// bit-identical; this is a debugging/comparison knob.
-	DisableBatchReplay bool
 	// Shards replays every measurement across a consistent-hash cluster
 	// of N deployments (0 and 1 = a single deployment; DESIGN.md §13).
 	Shards int
@@ -93,7 +89,6 @@ func (s Scale) coreConfig(e server.Engine, seed int64) core.Config {
 	cfg.Runs = s.Runs
 	cfg.Server.Machine.LLCBytes = int64(12<<20) * int64(s.Keys) / int64(Full.Keys)
 	cfg.Server.Obs = s.Obs
-	cfg.Server.DisableBatchReplay = s.DisableBatchReplay
 	cfg.Server.Shards = s.Shards
 	// Migration knobs are inert until a run also carries an Adaptive
 	// policy and EpochOps ≥ 1 (only AdaptiveCompare sets those).

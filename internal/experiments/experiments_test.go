@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"mnemo/internal/core"
 	"mnemo/internal/server"
+	"mnemo/internal/ycsb"
 )
 
 func TestScaleValidate(t *testing.T) {
@@ -208,6 +213,53 @@ func TestFig8aAccuracy(t *testing.T) {
 	var buf bytes.Buffer
 	if err := r.Render(&buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFig8aKernelMatchesPerOp: Fig 8a's grid (every Table III workload
+// on every engine, profiled and validated at sampled tierings) gives the
+// same reports and validation points with the batched kernel as with
+// server.Config.DisableBatchReplay, at GOMAXPROCS 1 and 2. Validate
+// prices every leg, repetition and point from one LLC walk on a producer
+// goroutine, which must make progress with a single P as well.
+func TestFig8aKernelMatchesPerOp(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const seed = 42
+	type outcome struct {
+		rep    *core.Report
+		points []core.ValidationPoint
+	}
+	measure := func(procs int, perOp bool, e server.Engine, w *ycsb.Workload) outcome {
+		runtime.GOMAXPROCS(procs)
+		cfg := Quick.coreConfig(e, seed)
+		cfg.Server.DisableBatchReplay = perOp
+		rep, err := core.Profile(context.Background(), cfg, w, core.Touch, 0)
+		if err != nil {
+			t.Fatalf("%v/%s: %v", e, w.Spec.Name, err)
+		}
+		points, err := core.Validate(context.Background(), cfg, w, rep.Curve, rep.Ordering, Quick.CurveSamples)
+		if err != nil {
+			t.Fatalf("%v/%s: %v", e, w.Spec.Name, err)
+		}
+		return outcome{rep, points}
+	}
+	for _, e := range server.Engines() {
+		for _, spec := range ycsb.TableIII(seed) {
+			w, err := Quick.workload(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := measure(1, true, e, w)
+			for _, c := range []struct {
+				procs int
+				perOp bool
+			}{{1, false}, {2, false}, {2, true}} {
+				if got := measure(c.procs, c.perOp, e, w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v/%s at GOMAXPROCS=%d, per-op %v: diverged from the per-op run at GOMAXPROCS=1:\n  got:  %+v\n  want: %+v",
+						e, spec.Name, c.procs, c.perOp, got.points, want.points)
+				}
+			}
+		}
 	}
 }
 

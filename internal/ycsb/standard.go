@@ -108,7 +108,8 @@ func StandardByName(name string, seed int64) (Spec, bool) {
 // logical operations are drawn like any other workload, but each "write"
 // becomes a read of the key immediately followed by a write of the same
 // key. The trace therefore holds up to 1.5× Spec.Requests physical
-// operations, as the real benchmark's RMW accounting does.
+// operations, as the real benchmark's RMW accounting does. Generate
+// refuses the stored Spec, which cannot regenerate the pairs.
 func GenerateF(seed int64, keys, requests int) (*Workload, error) {
 	spec := WorkloadF(seed)
 	spec.Keys = keys

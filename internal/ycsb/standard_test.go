@@ -2,6 +2,7 @@ package ycsb
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mnemo/internal/kvstore"
@@ -11,16 +12,42 @@ func TestStandardWorkloadsGenerate(t *testing.T) {
 	for _, spec := range StandardWorkloads(5) {
 		spec.Keys = 500
 		spec.Requests = 5000
-		w, err := Generate(spec)
+		generate, wantReads := Generate, spec.ReadRatio
+		if spec.Name == "ycsb_f" {
+			// Every logical op reads once and each RMW also writes, so
+			// reads are 1 / (1 + write share) of the physical trace.
+			generate = func(s Spec) (*Workload, error) { return GenerateF(s.Seed, s.Keys, s.Requests) }
+			wantReads = 1 / (2 - spec.ReadRatio)
+		}
+		w, err := generate(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if rf := w.ReadFraction(); math.Abs(rf-spec.ReadRatio) > 0.02 {
-			t.Errorf("%s: read fraction %.3f, want %.2f", spec.Name, rf, spec.ReadRatio)
+		if rf := w.ReadFraction(); math.Abs(rf-wantReads) > 0.02 {
+			t.Errorf("%s: read fraction %.3f, want %.2f", spec.Name, rf, wantReads)
 		}
 		// Stock YCSB records are 1 KB.
 		if w.Dataset.Records[0].Size != 1024 {
 			t.Errorf("%s: record size %d, want 1024", spec.Name, w.Dataset.Records[0].Size)
+		}
+	}
+}
+
+// TestGenerateRefusesF: no spec regenerates YCSB-F's read-modify-write
+// pairs, neither WorkloadF nor the one a GenerateF trace carries, so
+// Generate and GenerateStream refuse them and name the way that does.
+func TestGenerateRefusesF(t *testing.T) {
+	f, err := GenerateF(5, 500, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{WorkloadF(5), f.Spec} {
+		if _, err := Generate(spec); err == nil || !strings.Contains(err.Error(), "WorkloadByNameSized") {
+			t.Errorf("Generate(%+v) = %v, want an error naming WorkloadByNameSized", spec, err)
+		}
+		emit := func([]uint32, []uint8) error { return nil }
+		if _, err := GenerateStream(spec, nil, emit); err == nil {
+			t.Errorf("GenerateStream(%+v) accepted", spec)
 		}
 	}
 }

@@ -561,7 +561,12 @@ const StreamFrameOps = 4096
 // bit-identical to Generate's for the same spec — the RNG draw order is
 // the same — so a trace written through emit replays exactly like the
 // in-memory workload.
+// A spec named "ycsb_f" is refused: no Spec expresses YCSB-F's
+// read-modify-write pairs, so only GenerateF builds that trace.
 func GenerateStream(spec Spec, begin func(ds *Dataset) error, emit func(keys []uint32, kinds []uint8) error) (Dataset, error) {
+	if spec.Name == "ycsb_f" {
+		return Dataset{}, fmt.Errorf("ycsb: spec %q cannot regenerate its read-modify-write pairs; build it with WorkloadByNameSized(%[1]q, seed, keys, requests) (ycsb.GenerateF)", spec.Name)
+	}
 	if err := spec.Validate(); err != nil {
 		return Dataset{}, err
 	}

@@ -470,8 +470,9 @@ type CloudShare = costmodel.ShareRow
 
 // CloudMemoryShares fits the embedded 2018-era VM catalogs of AWS, GCP
 // and Azure by least squares and reports the memory cost share of every
-// memory-optimized instance — the analysis motivating the paper: memory
-// is 60–85% of the cost of Memory Optimized VMs.
+// memory-optimized instance — the analysis motivating the paper (memory
+// is 60–85% of VM cost there; 54–90% on these catalogs: AWS cache.r5
+// ≈55%, Azure M128ms ≈90%).
 func CloudMemoryShares() ([]CloudShare, error) { return costmodel.Fig1() }
 
 // PriceFactorFromHardware derives the price factor p from actual per-GB
