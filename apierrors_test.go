@@ -37,6 +37,9 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"unknown engine", Options{Store: Engine(99)}, "unknown store engine"},
 		{"negative runs", Options{Runs: -1}, "Runs"},
+		// Rejected before a repetition is allocated: the cap is checked
+		// at validation, not discovered by the measurement.
+		{"runs far above cap", Options{Runs: 1 << 40, SLO: 0.1}, "Runs 1099511627776 above the cap of 1000"},
 		{"price factor above 1", Options{PriceFactor: 1.5}, "PriceFactor"},
 		{"negative price factor", Options{PriceFactor: -0.2}, "PriceFactor"},
 		{"negative SLO", Options{SLO: -0.1}, "SLO"},
@@ -101,6 +104,10 @@ func TestKnobTableThreeEntryPoints(t *testing.T) {
 			func(o *Options) { o.Runs = -1 },
 			func(s *experiments.Scale) { s.Runs = -1 },
 			func(c *core.Config) { c.Runs = -1 }},
+		{"runs above cap", "Runs",
+			func(o *Options) { o.Runs = core.MaxRuns + 1 },
+			func(s *experiments.Scale) { s.Runs = core.MaxRuns + 1 },
+			func(c *core.Config) { c.Runs = core.MaxRuns + 1 }},
 		{"price factor", "PriceFactor",
 			func(o *Options) { o.PriceFactor = 1.5 },
 			nil,

@@ -110,11 +110,13 @@ func BenchmarkFoldBlock(b *testing.B) {
 	}
 	classes := sizeClasses(w.Dataset.Records)
 	a := newReplayAccum(classes)
+	route := a.route[0][:]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for blk := 0; blk < len(pt.Keys); blk += replayBlockOps {
 			end := min(blk+replayBlockOps, len(pt.Keys))
-			a.foldBlock(pt.Keys[blk:end], pt.Kinds[blk:end], classes, lat[blk:end])
+			a.setRoute(route, pt.Keys[blk:end], pt.Kinds[blk:end], classes)
+			a.lanes[0].fold(route[:end-blk], lat[blk:end])
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pt.Keys)), "ns/req")

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"mnemo/internal/server"
+	"mnemo/internal/simclock"
 	"mnemo/internal/stats"
 	"mnemo/internal/ycsb"
 )
@@ -43,11 +44,10 @@ func TestBucketRangeRoundTrip(t *testing.T) {
 }
 
 func TestBucketAccum(t *testing.T) {
-	a := &histAccum{hists: make([]*stats.Histogram, SizeBucket(100_000)+1)}
-	a.add(SizeBucket(1000), 10)
-	a.add(SizeBucket(1020), 30)
-	a.add(SizeBucket(100_000), 500)
-	bs, n, sum := classTotals(a.histograms())
+	a := &laneAccum{hists: make([]*stats.Histogram, SizeBucket(100_000)+1)}
+	route := []uint8{uint8(SizeBucket(1000)), uint8(SizeBucket(1020)), uint8(SizeBucket(100_000))}
+	a.fold(route, []simclock.Duration{10, 30, 500})
+	bs, n, sum := classTotals(histograms(a.hists))
 	if n != 3 || sum != 540 {
 		t.Fatalf("totals = %d requests, %v ns; want 3, 540", n, sum)
 	}

@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"mnemo/internal/kvstore"
 	"mnemo/internal/obs"
+	"mnemo/internal/pool"
 	"mnemo/internal/server"
 	"mnemo/internal/simclock"
 	"mnemo/internal/stats"
@@ -104,27 +106,11 @@ const (
 	latencyHistGrowth = 1.02 // ≤2% quantile error
 )
 
-// histAccum collects per-bucket latency histograms during a run. It is a
-// slice indexed by size class, so the per-op path does no map hashing;
-// slots materialize lazily on first observation. The slice spans every
-// class the run can observe up front (replayAccum's views cover the
-// dataset's classes), so it never grows away from the table it views.
-type histAccum struct {
-	hists []*stats.Histogram // indexed by bucket; nil = unobserved
-}
-
-func (a *histAccum) add(bucket int, ns float64) {
-	h := a.hists[bucket]
-	if h == nil {
-		h = newLatencyHistogram()
-		a.hists[bucket] = h
-	}
-	h.Record(ns)
-}
-
-func (a *histAccum) histograms() []BucketHistogram {
+// histograms lists a run's observed classes of one request kind:
+// hists is indexed by size class, nil where unobserved.
+func histograms(hists []*stats.Histogram) []BucketHistogram {
 	var out []BucketHistogram
-	for b, h := range a.hists {
+	for b, h := range hists {
 		if h != nil {
 			out = append(out, BucketHistogram{Bucket: b, Hist: h})
 		}
@@ -208,71 +194,78 @@ func (s RunStats) String() string {
 }
 
 // replayAccum is the per-run accumulator state of the replay loop, kept
-// separate from RunStats assembly so the steady-state per-op cost — and
-// its allocation count, pinned at zero by the client tests — is exactly
-// the observe and foldBlock paths below. One size-class histogram per
-// request kind is the complete state: counts, sums, means and buckets all
-// derive from the class histograms afterwards.
-//
-// The histograms live in one table, read classes then write classes, and
-// readHists and writeHists are views of its two halves. Both replay paths
-// therefore see the same slots: a class first observed per-op is the one
-// a later kernel block folds into, and vice versa.
+// separate from RunStats assembly so the steady-state per-request cost —
+// and its allocation count, pinned at zero by the client tests — is
+// exactly the fold below. It holds one laneAccum per lane of the
+// deployment (server lanes.go), and the route of each of the two frame
+// buffers: request i of a frame lands in histogram route[i] of every
+// lane, its (kind, size class).
 type replayAccum struct {
-	hists                 []*stats.Histogram
-	readHists, writeHists histAccum
-	writeRoute            uint8 // table offset of the write half: the class count
-	// route is foldBlock's scratch, kept here so a fold of a short run
-	// does not zero a block-sized buffer.
-	route [replayBlockOps]uint8
+	lanes []*laneAccum
+	// classes is the size-class count: the histogram table of a lane
+	// holds the read classes, then the write classes from index classes
+	// on.
+	classes int
+	route   [server.FrameBuffers][replayBlockOps]uint8
+}
+
+// laneAccum is one lane's accumulators: one size-class histogram per
+// request kind is the complete state — counts, sums, means and buckets
+// all derive from the class histograms afterwards.
+type laneAccum struct {
+	hists []*stats.Histogram // read classes, then write classes
 }
 
 // newReplayAccum sizes the accumulator for a dataset's size-class table:
-// each half has a slot per class up to the largest one present.
+// each half of a lane's table has a slot per class up to the largest one
+// present. It starts with one lane; the replay loop adds the others.
 func newReplayAccum(classes []uint8) *replayAccum {
 	n := 0
 	for _, c := range classes {
 		n = max(n, int(c)+1)
 	}
-	a := &replayAccum{hists: make([]*stats.Histogram, 2*n), writeRoute: uint8(n)}
-	a.readHists.hists = a.hists[:n:n]
-	a.writeHists.hists = a.hists[n:]
+	a := &replayAccum{classes: n}
+	a.ensureLanes(1)
 	return a
 }
 
-// observe folds one served request into the accumulators, classified by
-// its record's precomputed size class. Every request lands in exactly one
-// size-class histogram; the run-level histogram is recovered afterwards by
-// merging the classes, so the per-op path records each latency once
-// instead of twice.
-func (a *replayAccum) observe(kind kvstore.OpKind, bucket int, ns float64) {
-	if kind == kvstore.Read {
-		a.readHists.add(bucket, ns)
-	} else {
-		a.writeHists.add(bucket, ns)
+// ensureLanes grows the accumulator to n lanes.
+func (a *replayAccum) ensureLanes(n int) {
+	for len(a.lanes) < n {
+		a.lanes = append(a.lanes, &laneAccum{hists: make([]*stats.Histogram, 2*a.classes)})
 	}
 }
 
-// foldBlock folds one block served by the batched kernel into the
-// accumulators, in request order: request i addressed record keys[i]
-// with op kind kinds[i] and took lat[i]. The caller cuts keys, kinds
-// and lat to the served prefix. One pass routes each request to its
-// (kind, size class) histogram, creating a class's histogram the first
-// time it appears; stats.RecordBlock then records the whole block —
-// the same Record sequence observe would make, one call per block.
-func (a *replayAccum) foldBlock(keys []uint32, kinds []uint8, classes []uint8, lat []simclock.Duration) {
-	route := a.route[:len(lat)]
-	for i := range route {
-		r := classes[keys[i]]
+// setRoute writes the route of a frame's requests into route: the size
+// class of record keys[i], offset into the write half for a write.
+func (a *replayAccum) setRoute(route []uint8, keys []uint32, kinds []uint8, classes []uint8) {
+	w := uint8(a.classes)
+	for i, k := range keys {
+		r := classes[k]
 		if kinds[i] != uint8(kvstore.Read) {
-			r += a.writeRoute
-		}
-		if a.hists[r] == nil {
-			a.hists[r] = newLatencyHistogram()
+			r += w
 		}
 		route[i] = r
 	}
-	stats.RecordBlock(a.hists, route, lat)
+}
+
+// fold folds a block of the lane's latencies, routed by route, into its
+// histograms in request order, creating a class's histogram the first
+// time it appears; stats.RecordBlock then records the whole block with
+// one call.
+func (l *laneAccum) fold(route []uint8, lat []simclock.Duration) {
+	route = route[:len(lat)]
+	for _, r := range route {
+		if l.hists[r] == nil {
+			l.hists[r] = newLatencyHistogram()
+		}
+	}
+	stats.RecordBlock(l.hists, route, lat)
+}
+
+// readWrite returns the lane's read and write class histograms.
+func (l *laneAccum) readWrite(classes int) (read, write []BucketHistogram) {
+	return histograms(l.hists[:classes]), histograms(l.hists[classes:])
 }
 
 // newLatencyHistogram builds a histogram of the geometry every latency
@@ -307,20 +300,26 @@ const replayBlockOps = server.ReplayBlockOps
 //
 // Each frame is served run by run (serveFrame), each run down one of two
 // paths chosen by the deployment (server.Deployment.FrameTable): through
-// the batched kernel's cost table, or request by request through DoIndex
-// — a Delete, a re-insert, a read with no cost row, or every request
-// when there is no table (DisableBatchReplay, an engine without static
-// traces). A read/write frame on live records is one kernel run. The
-// two paths are bit-identical — same pricing constants, noise draws and
-// LLC hit bits — so a run that mixes them equals the all-per-op run of
-// the same trace.
+// the batched kernel's cost table, or request by request through the
+// engines — a Delete, a re-insert, a read with no cost row, or every
+// request when there is no table (DisableBatchReplay, an engine without
+// static traces). A read/write frame on live records is one kernel run.
+// Either path is stage 1 of server.Deployment.ServeRun, and lane 0's
+// stage prices both the same way — same pricing constants, noise draws
+// and LLC hit bits — so a run that mixes them equals the all-per-op run
+// of the same trace.
+//
+// A deployment of more than one lane (the two baselines of a measuring
+// call) has its further lanes priced and folded on a helper goroutine
+// (laneHelper), frames behind: stage 1 and lane 0 fill one of the
+// deployment's frame buffers while the helper prices the ones before.
 //
 // The cut-offs live here and nowhere else. Cancellation is polled once
 // per frame, which bounds its wall-clock latency to microseconds (replay
 // advances only simulated time). The budget (0 = unbounded) is an
-// absolute clock bound checked after every request on both paths, so the
-// error names the same run-global request index whichever path served
-// the request that crossed it.
+// absolute bound on lane 0's clock checked after every request on both
+// paths, so the error names the same run-global request index whichever
+// path served the request that crossed it.
 //
 // Under a context from ShareLLC every request of the run, on either
 // path, is priced from the share's LLC hit stream of w; AwaitFrame waits
@@ -344,6 +343,12 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 	if sh := llcShareFrom(ctx); sh != nil {
 		d.AttachLLCStream(sh, w)
 	}
+	a.ensureLanes(d.Lanes())
+	var h *laneHelper
+	if d.Lanes() > 1 {
+		h = startLaneHelper(d, a)
+		defer h.finish() // a run that fails returns after its helper exits
+	}
 	start := d.Clock()
 	var maxClock simclock.Duration
 	if budget > 0 {
@@ -351,6 +356,7 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 	}
 	overBudget := func() bool { return maxClock > 0 && d.Clock() > maxClock }
 	done := 0
+	buf := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return tel, err
@@ -365,7 +371,16 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		if err := d.AwaitFrame(ctx, len(keys)); err != nil {
 			return tel, err
 		}
-		done += serveFrame(d, keys, kinds, rw, classes, a, maxClock)
+		if h != nil {
+			buf = <-h.free
+		}
+		route := a.route[buf][:len(keys)]
+		a.setRoute(route, keys, kinds, classes)
+		n := serveFrame(d, d.Frame(buf), keys, kinds, rw, route, a.lanes[0], maxClock)
+		done += n
+		if h != nil {
+			h.work <- laneWork{buf: buf, n: n}
+		}
 		// The run's last epoch is not observed: no requests remain to
 		// recoup a migration, so consulting the policy there could only
 		// burn simulated time.
@@ -380,42 +395,97 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 	if done != total {
 		return tel, fmt.Errorf("client: trace stream ended after %d of %d requests", done, total)
 	}
+	if h != nil {
+		if err := h.finish(); err != nil {
+			return tel, err
+		}
+	}
 	if ep != nil && total > 0 {
 		tel.epochs++ // the unobserved last epoch
 	}
 	return tel, nil
 }
 
-// serveFrame serves one frame run by run, each down the path the
-// deployment names (server.Deployment.FrameTable), and folds every
-// response into the accumulators. It returns how many requests it
-// served: all of them, unless the clock crossed maxClock (0 = none),
-// checked after every request on both paths.
-func serveFrame(d *server.Deployment, keys []uint32, kinds []uint8, rw bool, classes []uint8, a *replayAccum, maxClock simclock.Duration) int {
-	overBudget := func() bool { return maxClock > 0 && d.Clock() > maxClock }
+// serveFrame serves one frame run by run into frame buffer f, each run
+// down the path the deployment names (server.Deployment.FrameTable), and
+// folds lane 0's latencies into la. It returns how many requests it
+// served: all of them, unless lane 0's clock crossed maxClock (0 =
+// none), checked after every request on both paths.
+func serveFrame(d *server.Deployment, f *server.Frame, keys []uint32, kinds []uint8, rw bool, route []uint8, la *laneAccum, maxClock simclock.Duration) int {
+	lat := f.Lat(0)
 	served := 0
 	for served < len(keys) {
 		t, end := d.FrameTable(keys, kinds, rw, served)
-		if t != nil {
-			lat := t.Block()
-			n := t.Serve(keys[served:end], kinds[served:end], maxClock, lat)
-			a.foldBlock(keys[served:served+n], kinds[served:served+n], classes, lat[:n])
-			served += n
-			if overBudget() {
-				return served
-			}
-			continue
-		}
-		for _, k := range keys[served:end] {
-			kind := kvstore.OpKind(kinds[served])
-			res := d.DoIndex(int(k), kind)
-			a.observe(kind, int(classes[k]), float64(res.Latency.Nanoseconds()))
-			if served++; overBudget() {
-				return served
-			}
+		n := d.ServeRun(f, t, keys, kinds, served, end, maxClock, lat[served:end])
+		served += n
+		if served < end || maxClock > 0 && d.Clock() > maxClock {
+			break
 		}
 	}
+	la.fold(route[:served], lat[:served])
 	return served
+}
+
+// laneWork is one served frame handed to the lane helper: the frame
+// buffer and how many of its requests were served.
+type laneWork struct{ buf, n int }
+
+// laneHelper prices and folds lanes 1.. of a run on its own goroutine,
+// behind stage 1. The deployment's frame buffers circulate between the
+// replay loop, which takes a free one from free, fills it and sends it
+// on work, and the helper, which hands it back on free once every lane
+// has priced it — so neither side ever touches a buffer the other
+// holds, and nothing is allocated per frame. The helper runs outside the
+// worker budget, like the LLC stream's producer: it only prices, and
+// the run's own worker waits on it when it falls behind.
+type laneHelper struct {
+	work   chan laneWork
+	free   chan int
+	done   chan struct{}
+	closed bool  // work is closed
+	err    error // a contained panic, read after done
+}
+
+// startLaneHelper starts the helper of a run of d's lanes into a.
+func startLaneHelper(d *server.Deployment, a *replayAccum) *laneHelper {
+	h := &laneHelper{work: make(chan laneWork, server.FrameBuffers), free: make(chan int, server.FrameBuffers), done: make(chan struct{})}
+	for b := range server.FrameBuffers {
+		h.free <- b
+	}
+	work := h.work
+	go func() {
+		defer close(h.done)
+		for wk := range work {
+			if h.err == nil {
+				if perr := pool.Guard(0, func() { priceLanes(d, a, wk) }); perr != nil {
+					h.err = fmt.Errorf("client: lane helper: %w", perr)
+				}
+			}
+			h.free <- wk.buf
+		}
+	}()
+	return h
+}
+
+// priceLanes runs every lane after the first over one served frame.
+func priceLanes(d *server.Deployment, a *replayAccum, wk laneWork) {
+	f, route := d.Frame(wk.buf), a.route[wk.buf][:wk.n]
+	for k := 1; k < len(a.lanes); k++ {
+		lat := f.Lat(k)[:wk.n]
+		d.PriceLane(f, k, wk.n, lat)
+		a.lanes[k].fold(route, lat)
+	}
+}
+
+// finish waits for the helper to price every frame sent and returns
+// its error. Calls after the first only wait.
+func (h *laneHelper) finish() error {
+	if !h.closed {
+		close(h.work)
+		h.closed = true
+	}
+	<-h.done
+	return h.err
 }
 
 // ErrRunTimeout marks a run whose simulated clock exceeded RunCtx's
@@ -424,36 +494,58 @@ var ErrRunTimeout = errors.New("client: run exceeded simulated time budget")
 
 // RunCtx replays the workload trace against an already-loaded
 // deployment, with cancellation and a simulated-time budget (0 =
-// unbounded). A run cut off by either returns the error and no stats:
-// partial measurements are discarded, never folded into means.
+// unbounded), and returns lane 0's stats. A run cut off by either
+// returns the error and no stats: partial measurements are discarded,
+// never folded into means.
 func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget simclock.Duration) (RunStats, error) {
-	start := d.Clock()
+	sts, err := runLanes(ctx, d, w, budget)
+	if err != nil {
+		return RunStats{}, err
+	}
+	return sts[0], nil
+}
+
+// walks counts the trace replays every deployment has served: one per
+// run of a member deployment, whatever its lane count.
+var walks atomic.Int64
+
+// runLanes is RunCtx for every lane of the deployment: one replay, one
+// RunStats per lane, in lane order.
+func runLanes(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget simclock.Duration) ([]RunStats, error) {
+	walks.Add(1)
+	starts := make([]simclock.Duration, d.Lanes())
+	for k := range starts {
+		starts[k] = d.LaneClock(k)
+	}
 	classes := sizeClasses(w.Dataset.Records)
 	a := newReplayAccum(classes)
 	tel, err := replayFrames(ctx, d, w, classes, a, budget)
 	if err != nil {
-		return RunStats{}, err
+		return nil, err
 	}
 	requests := w.RequestCount()
-	runtime := d.Clock() - start
-	out := RunStats{
-		Workload:     w.Spec.Name,
-		Engine:       d.Engine().String(),
-		Requests:     requests,
-		Runtime:      runtime,
-		ReadLatency:  a.readHists.histograms(),
-		WriteLatency: a.writeHists.histograms(),
+	out := make([]RunStats, len(starts))
+	for k := range out {
+		runtime := d.LaneClock(k) - starts[k]
+		st := &out[k]
+		*st = RunStats{
+			Workload: w.Spec.Name,
+			Engine:   d.Engine().String(),
+			Requests: requests,
+			Runtime:  runtime,
+		}
+		st.ReadLatency, st.WriteLatency = a.lanes[k].readWrite(a.classes)
+		if runtime > 0 {
+			st.ThroughputOpsSec = float64(requests) / runtime.Seconds()
+		}
+		st.deriveLatency()
+		st.LLCHitRate = d.LLCHitRate()
+		st.Epochs = tel.epochs
+		st.MovesApplied = tel.moves
+		st.MigratedBytes = tel.bytes
+		st.MigrationNs = tel.costNs
+		st.EpochTraffic = tel.traffic
 	}
-	if runtime > 0 {
-		out.ThroughputOpsSec = float64(requests) / runtime.Seconds()
-	}
-	out.deriveLatency()
-	out.LLCHitRate = d.LLCHitRate()
-	out.Epochs = tel.epochs
-	out.MovesApplied = tel.moves
-	out.MigratedBytes = tel.bytes
-	out.MigrationNs = tel.costNs
-	out.EpochTraffic = tel.traffic
 	return out, nil
 }
 

@@ -473,9 +473,9 @@ func TestReplayMatrixShardedPackedSubs(t *testing.T) {
 
 // TestReplayPerOpFrameThenKernel crosses the hand-over between the two
 // accumulator paths on purpose: the first frame carries a Delete, so it
-// is mixed — its runs fold through foldBlock and its Delete and
-// re-insert through observe, creating the first (kind, size class)
-// histograms either way; every later frame goes through the kernel and
+// is mixed — its kernel runs and its per-op Delete and re-insert fold
+// into one table, creating the first (kind, size class) histograms
+// either way; every later frame goes through the kernel and
 // folds into those same histograms, or creates the classes the first
 // frame did not reach. The run must equal the all-per-op reference
 // exactly.

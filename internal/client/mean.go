@@ -2,7 +2,9 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"mnemo/internal/obs"
 	"mnemo/internal/pool"
@@ -28,54 +30,87 @@ type meanRunner struct {
 	sd *server.ShardedDeployment
 }
 
-// execute runs one measurement. A runner holding a cluster rewinds it
-// to its post-Load snapshot under the new seed's per-shard derivations
+// loads counts the member deployments the runners have loaded.
+var loads atomic.Int64
+
+// execute runs one measurement of one leg: executeLanes of a group of
+// one.
+func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
+	sts, _, err := r.executeLanes(ctx, []Leg{{Cfg: cfg, Placement: p}}, w)
+	if err != nil {
+		return RunStats{}, err
+	}
+	return sts[0], nil
+}
+
+// executeLanes runs one repetition of a lane group — legs whose runs differ
+// only in seed and uniform placement (laneGroups), leg k with seed
+// legs[k].Cfg.Seed — on one cluster whose lane k is leg k, and returns
+// each leg's stats. A runner holding a cluster rewinds it to its
+// post-Load snapshot under the new seeds' per-shard derivations
 // (server.ShardedDeployment.ResetRun); otherwise it builds a cluster of
-// max(cfg.Shards, 1) members and loads every shard under the (remapped)
-// placement. Either way it then replays, merges, flushes the shard
-// telemetry (complete and failed replays alike) and publishes the
-// run-level counters and journal events under the parent workload's
-// name. Both paths emit the same event and counter sequence and measure
-// bit-identically, so an observer cannot tell them apart.
+// max(Shards, 1) members, adds a lane per further leg, and loads every
+// shard under the (remapped) placement. Either way it then replays,
+// merges, flushes the shard telemetry (complete and failed replays
+// alike) and publishes each leg's run-level counters and journal events
+// under the parent workload's name. Both paths emit the same event and
+// counter sequence and measure bit-identically, so an observer cannot
+// tell them apart; nor, lane for lane, from a cluster of one lane per
+// leg. A failure is reported with the leg it belongs to: a lane whose
+// tier cannot hold the dataset, or lane 0 for a failed replay.
 //
 // A fresh cluster is cached after its run, never before: the run itself
 // decides Reusable (it prices the cost table, and a per-op frame or a
 // migration latches the cluster as mutated).
-func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
+func (r *meanRunner) executeLanes(ctx context.Context, legs []Leg, w *ycsb.Workload) ([]RunStats, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return RunStats{}, err
+		return nil, 0, err
 	}
+	cfg := legs[0].Cfg
 	sink := cfg.Obs
-	sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
-		w.Spec.Name, cfg.Engine, cfg.Seed)
+	for _, leg := range legs {
+		sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
+			w.Spec.Name, leg.Cfg.Engine, leg.Cfg.Seed)
+	}
 	sd := r.sd
 	if sd == nil {
 		var err error
 		if sd, err = server.NewShardedDeployment(cfg, w); err == nil {
-			err = sd.Load(p)
+			for _, leg := range legs[1:] {
+				sd.AddLane(leg.Placement.Default(), leg.Cfg.Seed-cfg.Seed)
+			}
+			err = sd.Load(legs[0].Placement)
+			loads.Add(int64(sd.Shards()))
 		}
 		if err != nil {
 			sink.Counter("mnemo_client_run_failures_total").Inc()
-			return RunStats{}, err
+			lane := 0
+			var le *server.LaneError
+			if errors.As(err, &le) {
+				lane = le.Lane
+			}
+			return nil, lane, err
 		}
 	} else if !sd.ResetRun(cfg.Seed) {
-		return RunStats{}, fmt.Errorf("client: cached cluster lost its run snapshot")
+		return nil, 0, fmt.Errorf("client: cached cluster lost its run snapshot")
 	}
-	st, err := runSharded(ctx, cfg, sd)
+	sts, err := runSharded(ctx, cfg, sd)
 	sd.FlushObs()
 	if r.sd == nil && sd.Reusable() {
 		r.sd = sd
 	}
 	if err != nil {
-		sink.Counter("mnemo_client_run_failures_total").Inc()
-		return st, err
+		sink.Counter("mnemo_client_run_failures_total").Add(int64(len(legs)))
+		return nil, 0, err
 	}
-	st.Workload = w.Spec.Name
-	publishRun(cfg, w.Spec.Name, st)
-	return st, nil
+	for k, leg := range legs {
+		sts[k].Workload = w.Spec.Name
+		publishRun(leg.Cfg, w.Spec.Name, sts[k])
+	}
+	return sts, 0, nil
 }
 
 // ExecuteMeanCtx is ExecuteMeanWorkers with cancellation: it runs the
@@ -86,8 +121,31 @@ func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Wor
 // deterministic, so a repetition that fails fails the aggregate: the
 // error of the lowest failing repetition is returned.
 func ExecuteMeanCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement, runs, workers int) (RunStats, error) {
+	sts, _, err := executeMean(ctx, []Leg{{Cfg: cfg, Placement: p}}, w, runs, workers)
+	if err != nil {
+		return RunStats{}, err
+	}
+	return sts[0], nil
+}
+
+// repetition is one repetition's outcome in executeMean: the stats of
+// every leg, or the error and the leg it belongs to.
+type repetition struct {
+	sts []RunStats
+	leg int
+	err error
+}
+
+// executeMean is ExecuteMeanCtx for a lane group: every repetition
+// measures all the legs on one cluster (meanRunner.executeLanes), leg k of
+// repetition i under seed legs[k].Cfg.Seed + i·1009, and each leg's
+// repetitions fold as ExecuteMeanCtx folds them. On failure it returns
+// the error of the lowest failing leg — of its lowest failing
+// repetition — and the leg's index; a pool error (cancellation, a
+// contained panic) is returned as is, as leg 0's.
+func executeMean(ctx context.Context, legs []Leg, w *ycsb.Workload, runs, workers int) ([]RunStats, int, error) {
 	if runs <= 0 {
-		return RunStats{}, fmt.Errorf("client: runs %d must be positive", runs)
+		return nil, 0, fmt.Errorf("client: runs %d must be positive", runs)
 	}
 	// One reusable runner per pool worker, handed out through a free
 	// list: a worker grabs any idle runner, so a batch-capable deployment
@@ -102,21 +160,41 @@ func ExecuteMeanCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p 
 	for k := 0; k < nrunners; k++ {
 		runners <- new(meanRunner)
 	}
-	out, err := pool.Map(ctx, runs, workers, cfg.Obs, func(ctx context.Context, i int) (RunStats, error) {
+	out, err := pool.Map(ctx, runs, workers, legs[0].Cfg.Obs, func(ctx context.Context, i int) (repetition, error) {
+		rep := make([]Leg, len(legs))
+		for k, leg := range legs {
+			rep[k] = leg
+			rep[k].Cfg.Seed += int64(i) * runSeedStride
+		}
 		r := <-runners
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*runSeedStride
-		st, err := r.execute(ctx, c, w, p)
+		sts, k, err := r.executeLanes(ctx, rep, w)
 		runners <- r
 		if err != nil {
-			return st, fmt.Errorf("client: repetition %d (seed %d): %w", i, c.Seed, err)
+			err = fmt.Errorf("client: repetition %d (seed %d): %w", i, rep[k].Cfg.Seed, err)
 		}
-		return st, nil
+		return repetition{sts: sts, leg: k, err: err}, nil
 	})
 	if err != nil {
-		return RunStats{}, err
+		return nil, 0, err
 	}
-	return foldRuns(out), nil
+	var failed *repetition
+	for i := range out {
+		if rep := &out[i]; rep.err != nil && (failed == nil || rep.leg < failed.leg) {
+			failed = rep
+		}
+	}
+	if failed != nil {
+		return nil, failed.leg, failed.err
+	}
+	agg := make([]RunStats, len(legs))
+	col := make([]RunStats, runs)
+	for k := range agg {
+		for i := range out {
+			col[i] = out[i].sts[k]
+		}
+		agg[k] = foldRuns(col)
+	}
+	return agg, 0, nil
 }
 
 // foldRuns averages the repetitions in ascending run-index order — the

@@ -19,7 +19,8 @@ import (
 // including workers=1, which is the serial reference execution of the
 // same code path.
 
-// runSharded replays every shard and merges. A one-member cluster runs
+// runSharded replays every shard and merges, lane by lane: it returns
+// one RunStats per lane of the cluster. A one-member cluster runs
 // inline on the calling goroutine and is not merged: no pool telemetry,
 // and its LLC hit rate is not re-derived as rate·n/n, so it measures
 // exactly what its single deployment does. Larger clusters fan out
@@ -29,22 +30,30 @@ import (
 //
 // A cluster run fails as a whole, like a single deployment: a shard
 // error (cancellation, a corrupt trace frame) fails the scatter-gather.
-func runSharded(ctx context.Context, cfg server.Config, sd *server.ShardedDeployment) (RunStats, error) {
+func runSharded(ctx context.Context, cfg server.Config, sd *server.ShardedDeployment) ([]RunStats, error) {
 	n := sd.Shards()
 	if n == 1 {
-		return RunCtx(ctx, sd.Dep(0), sd.Sub(0), 0)
+		return runLanes(ctx, sd.Dep(0), sd.Sub(0), 0)
 	}
-	per, err := pool.Map(ctx, n, n, cfg.Obs, func(ctx context.Context, s int) (RunStats, error) {
-		st, err := RunCtx(ctx, sd.Dep(s), sd.Sub(s), 0)
+	per, err := pool.Map(ctx, n, n, cfg.Obs, func(ctx context.Context, s int) ([]RunStats, error) {
+		sts, err := runLanes(ctx, sd.Dep(s), sd.Sub(s), 0)
 		if err != nil {
-			return st, fmt.Errorf("client: shard %d: %w", s, err)
+			return sts, fmt.Errorf("client: shard %d: %w", s, err)
 		}
-		return st, nil
+		return sts, nil
 	})
 	if err != nil {
-		return RunStats{}, err
+		return nil, err
 	}
-	return mergeShardRuns(per), nil
+	out := make([]RunStats, len(per[0]))
+	col := make([]RunStats, n)
+	for k := range out {
+		for s := range per {
+			col[s] = per[s][k]
+		}
+		out[k] = mergeShardRuns(col)
+	}
+	return out, nil
 }
 
 // mergeShardRuns folds per-shard run stats into cluster stats, in

@@ -147,6 +147,11 @@ type Config struct {
 	SizeAwareEstimate bool
 }
 
+// MaxRuns caps Config.Runs. Every repetition holds its stats until
+// the fold, so the repetition count sizes an allocation; a thousand
+// repetitions is far past where the mean stops moving.
+const MaxRuns = 1000
+
 // Validate rejects malformed run knobs with errors naming the field. The
 // server knobs are checked by server.Config, which owns them, and
 // Validate adds Runs and PriceFactor. Zero values are the defaults and
@@ -154,6 +159,9 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Runs < 0 {
 		return fmt.Errorf("core: Runs %d must be non-negative (0 means the default of 1)", c.Runs)
+	}
+	if c.Runs > MaxRuns {
+		return fmt.Errorf("core: Runs %d above the cap of %d", c.Runs, MaxRuns)
 	}
 	if !(c.PriceFactor >= 0 && c.PriceFactor <= 1) { // NaN fails too
 		return fmt.Errorf("core: PriceFactor %v outside (0,1] (0 means the paper's %v)", c.PriceFactor, costmodel.DefaultPriceFactor)

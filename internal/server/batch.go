@@ -3,7 +3,6 @@ package server
 import (
 	"mnemo/internal/kvstore"
 	"mnemo/internal/memsim"
-	"mnemo/internal/obs"
 	"mnemo/internal/simclock"
 )
 
@@ -13,15 +12,16 @@ import (
 // a static trace: fixed pointer chases, fixed touched bytes, fixed
 // payload size. BatchTable folds those constants through the pricing
 // formula once per record — one precomputed pre-noise service time per
-// (kind, LLC hit/miss) combination — and Serve replays whole blocks of
-// requests against the flat table. The only state touched per request is
-// the state that genuinely varies per request: the LLC hit bit, the
-// noise RNG stream, the GC-pause accumulator and the simulated clock. No
-// kvstore.Store interface call remains on the path.
+// (kind, LLC hit/miss) combination, per lane — and ServeRun replays whole
+// runs of requests against the flat table. The only state touched per
+// request is the state that genuinely varies per request: the LLC hit
+// bit, the noise RNG stream, the GC-pause accumulator and the simulated
+// clock. No kvstore.Store interface call remains on the path.
 //
 // Bit-identity with the per-operation path is by construction: the table
-// builder executes the exact float-operation sequence of price() on each
-// record's static trace, and Serve consumes the same noise draws, the
+// builder prices each record's static trace with the formula the per-op
+// stage 1 prices a live trace with (staticCost), and both paths share the
+// lane stage (lanes.go), so they consume the same noise draws and the
 // same LLC decisions in the same order.
 
 // ReplayBlockOps is the number of requests a client serves per kernel
@@ -30,17 +30,18 @@ import (
 // granularity preserves the cancellation latency bound documented there.
 const ReplayBlockOps = 4096
 
-// opCost is one record's precomputed static service-time components:
-// the full pre-noise service time (CPU + memory, MLP and write penalty
-// applied) for each op kind and LLC outcome, plus the constants the
-// kernel needs per access.
-type opCost struct {
-	ns   [4]float64 // pre-noise service time, indexed by costSlot(kind, hit)
-	size int32      // payload bytes charged to the GC model
-	tier uint8      // serving instance, for pause routing
+// costRow is one record's precomputed pre-noise service time on one
+// lane (CPU + memory, MLP and write penalty applied), indexed by
+// costSlot(kind, hit).
+type costRow [4]float64
+
+// costMeta is what the pause mirror needs of a record.
+type costMeta struct {
+	size int32 // payload bytes charged to the GC model
+	tier uint8 // serving instance, for pause routing
 }
 
-// costSlot indexes opCost.ns by a kernel request's kind (Read or Write)
+// costSlot indexes a costRow by a kernel request's kind (Read or Write)
 // and its LLC outcome (1 = hit): read miss, read hit, write miss, write
 // hit. The masks keep the index in range without a bounds check.
 func costSlot(kind, hit uint8) uint8 { return (kind&1)<<1 | hit&1 }
@@ -71,18 +72,17 @@ type pauseState struct {
 	accum, reset  int64
 }
 
-// ReplayTable is a deployment's batched-replay state: the per-record
-// cost table, the per-tier pause models, and the block-sized scratch
-// buffers — the latency buffer handed to callers and the two arrays
-// Serve's stages communicate through. It is bound to the deployment
+// ReplayTable is a deployment's batched-replay state: the per-lane cost
+// table and the per-tier pause models. It is bound to the deployment
 // that built it and shares its single-threaded discipline.
 type ReplayTable struct {
-	d     *Deployment
-	costs []opCost
+	d *Deployment
+	// cost holds record i's row on lane k at i·lanes + k: a record's
+	// rows on the two lanes of a baseline pair share one cache line.
+	cost  []costRow
+	lanes int
+	meta  []costMeta
 	pause [2]pauseState // indexed by memsim.Tier
-	lat   [ReplayBlockOps]simclock.Duration
-	ns    [ReplayBlockOps]float64 // service time: pre-noise after stage 1, noised after stage 2
-	hit   [ReplayBlockOps]uint8   // stage 1's LLC outcome, 1 = hit
 }
 
 // pausing reports whether either instance has a pause model to mirror.
@@ -90,10 +90,11 @@ func (t *ReplayTable) pausing() bool {
 	return t.pause[memsim.Fast].budget > 0 || t.pause[memsim.Slow].budget > 0
 }
 
-// Block returns the table's block-sized latency scratch buffer for Serve
-// calls. The buffer is reused across blocks and runs; its contents are
-// valid only until the next Serve.
-func (t *ReplayTable) Block() []simclock.Duration { return t.lat[:] }
+// Block returns a block-sized latency scratch buffer for Serve calls:
+// lane 0's buffer of the deployment's first frame. The buffer is reused
+// across blocks and runs; its contents are valid only until the next
+// Serve.
+func (t *ReplayTable) Block() []simclock.Duration { return t.d.Frame(0).Lat(0) }
 
 // repriceCause says why the cost table is stale; priced means it is not.
 type repriceCause uint8
@@ -182,7 +183,8 @@ func (d *Deployment) reprice() {
 		}
 	} else {
 		if t == nil {
-			t = &ReplayTable{d: d, costs: make([]opCost, len(d.records))}
+			t = &ReplayTable{d: d, cost: make([]costRow, len(d.lanes)*len(d.records)),
+				lanes: len(d.lanes), meta: make([]costMeta, len(d.records))}
 		}
 		rows := len(d.records)
 		if !d.missRows {
@@ -248,9 +250,10 @@ func (d *Deployment) drainRelaid(brs [2]kvstore.BatchReplayer, collect bool) boo
 }
 
 // fillCost prices one record into the table from its current tier's
-// static trace — the per-record half of reprice. A deleted record gets
-// its not-found row, or is skipped. It returns false when the record's
-// trace is not static.
+// static trace — the per-record half of reprice — on every lane: the
+// LLC-hit slots are the same on each, the miss slots priced on the
+// lane's tier. A deleted record gets its not-found row, or is skipped.
+// It returns false when the record's trace is not static.
 func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplayer) bool {
 	if d.nDead > 0 && d.dead[i] {
 		if d.missRows {
@@ -264,36 +267,41 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 	if !ok {
 		return false
 	}
-	c := &t.costs[i]
-	c.size = int32(rec.Size)
-	c.tier = uint8(tier)
+	t.meta[i] = costMeta{size: int32(rec.Size), tier: uint8(tier)}
 
 	readTouched := kvstore.Amplify(rec.Size, d.profile.ReadAmplification)
 	readVB := llcFootprint(uint8(kvstore.Read), rec.Size, d.profile.ReadAmplification)
 	writeTouched := kvstore.Amplify(rec.Size, d.profile.WriteAmplification)
 
 	r, w := uint8(kvstore.Read), uint8(kvstore.Write)
-	node := &d.machine.Node(tier).Params
-	c.ns[costSlot(r, 1)] = d.staticCost(kvstore.Read, getChases, readTouched, readVB, &memsim.LLCParams)
-	c.ns[costSlot(r, 0)] = d.staticCost(kvstore.Read, getChases, readTouched, readVB, node)
-	c.ns[costSlot(w, 1)] = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, &memsim.LLCParams)
-	c.ns[costSlot(w, 0)] = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, node)
+	var c costRow
+	c[costSlot(r, 1)] = d.staticCost(kvstore.Read, getChases, readTouched, readVB, &memsim.LLCParams)
+	c[costSlot(w, 1)] = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, &memsim.LLCParams)
+	for k := range t.lanes {
+		node := &d.machine.Node(d.laneTier(k, i)).Params
+		c[costSlot(r, 0)] = d.staticCost(kvstore.Read, getChases, readTouched, readVB, node)
+		c[costSlot(w, 0)] = d.staticCost(kvstore.Write, putChases, writeTouched, rec.Size, node)
+		t.cost[i*t.lanes+k] = c
+	}
 	return true
 }
 
-// fillMiss prices deleted record i's not-found row: its read slots hold
-// what the per-op path charges a Get that misses on the record's tier —
-// the engine's miss chases, no bytes touched, a 0-byte value, as
-// valueBytes gives a trace that was not Found. Its write slots are
-// never read: a Write to a deleted record is a structural re-insert.
+// fillMiss prices deleted record i's not-found row on every lane: its
+// read slots hold what the per-op path charges a Get that misses on the
+// lane's tier — the engine's miss chases, no bytes touched, a 0-byte
+// value, as valueBytes gives a trace that was not Found. Its write slots
+// are never read: a Write to a deleted record is a structural re-insert.
 func (d *Deployment) fillMiss(t *ReplayTable, i int) {
 	tier := d.tiers[i]
 	chases := d.missChases[tier]
 	r := uint8(kvstore.Read)
-	c := &t.costs[i]
-	*c = opCost{tier: uint8(tier)}
-	c.ns[costSlot(r, 1)] = d.staticCost(kvstore.Read, chases, 0, 0, &memsim.LLCParams)
-	c.ns[costSlot(r, 0)] = d.staticCost(kvstore.Read, chases, 0, 0, &d.machine.Node(tier).Params)
+	t.meta[i] = costMeta{tier: uint8(tier)}
+	var c costRow
+	c[costSlot(r, 1)] = d.staticCost(kvstore.Read, chases, 0, 0, &memsim.LLCParams)
+	for k := range t.lanes {
+		c[costSlot(r, 0)] = d.staticCost(kvstore.Read, chases, 0, 0, &d.machine.Node(d.laneTier(k, i)).Params)
+		t.cost[i*t.lanes+k] = c
+	}
 }
 
 // staticCost is the pricing formula, shared by the live path (price)
@@ -321,101 +329,64 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 // number of requests served: len(keys) normally, or fewer when maxClock
 // (an absolute simulated-time bound, 0 = none) was exceeded — the
 // request that crossed the bound is served and counted, matching the
-// per-op path's post-op budget check.
-//
-// The block passes through three stages, each owning one slice of the
-// per-request state:
-//
-//  1. LLC: take every request's hit bit — from the attached stream
-//     (llcstream.go), else from the private walker — into hit, and the
-//     cost it selects into ns.
-//  2. noise: multiply the block by the noise stream (Noise.Scale).
-//  3. clock: apply the pause mirror, round to a latency, advance the
-//     clock, count the hits and check maxClock.
-//
-// Stages 1 and 2 run over the whole block before stage 3 can discover
-// a cut, so a Serve that returns short has advanced the private walker
-// and the noise stream past the requests it served. Everything that is
-// reported — clock, op count, latencies, pause accumulators, and the
-// LLC hit/miss tallies, which count the served prefix only — is exact
-// for the served requests, but the deployment cannot resume: after a
-// short Serve the only legal next steps are ResetRun or discarding the
-// deployment. (Every client treats a short Serve as the run's timeout
-// and returns at once.)
+// per-op path's post-op budget check. Serve is ServeRun over one
+// kernel run that is its own frame; further lanes are priced inline and
+// the latencies are lane 0's.
 //
 // With a stream attached the block must lie within what the stream has
 // published: the client's AwaitFrame ensures it, and Serve panics
 // otherwise.
 func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Duration, lat []simclock.Duration) int {
 	d := t.d
-	ns, hit := t.ns[:len(keys)], t.hit[:len(keys)]
-	s, w := d.llcs, (*llcWalker)(nil)
-	if s != nil {
-		off := d.llcOff
-		if !s.covers(off + len(keys)) {
-			panic("server: Serve past the attached LLC stream's published prefix")
-		}
-		for i, k := range keys {
-			h := s.bit(off + i)
-			ns[i] = t.costs[k].ns[costSlot(kinds[i], h)]
-			hit[i] = h
+	f := d.Frame(0)
+	n := d.ServeRun(f, t, keys, kinds, 0, len(keys), maxClock, lat)
+	d.priceOtherLanes(f, 0, n)
+	return n
+}
+
+// stage1 is stage 1 of a kernel run, requests [from, end) of a frame:
+// every request's LLC hit bit, the cost it selects on each lane, and —
+// mirroring TakePauseNs — the GC pauses, whose accumulators the
+// engine's own accounting would charge with each request's bytes.
+func (t *ReplayTable) stage1(f *Frame, keys []uint32, kinds []uint8, from, end int) {
+	keys, kinds = keys[from:end], kinds[from:end]
+	hit := f.hit[from:end]
+	t.d.takeHits(keys, kinds, hit)
+	if t.lanes == 1 {
+		ns := f.ns[0][from:end]
+		for i, key := range keys {
+			ns[i] = t.cost[key][costSlot(kinds[i], hit[i])]
 		}
 	} else {
-		w = d.privateLLC() // nil without an LLC model: every request misses
-		for i, k := range keys {
-			var h uint8
-			if w != nil && w.step(k, kinds[i]) {
-				h = 1
-			}
-			ns[i] = t.costs[k].ns[costSlot(kinds[i], h)]
-			hit[i] = h
-		}
-	}
-
-	d.noise.Scale(ns)
-
-	start := d.clock.Now()
-	now := start
-	pausing := t.pausing()
-	served, hits := len(ns), 0
-	for i, serviceNs := range ns {
-		if pausing {
-			// Mirror of TakePauseNs: the engine's own GC accounting would
-			// charge this op's bytes and stall when the budget is crossed.
-			c := &t.costs[keys[i]]
-			if ps := &t.pause[c.tier]; ps.budget > 0 {
-				ps.accum += int64(c.size) + ps.perOp
-				if ps.accum >= ps.budget {
-					ps.accum = 0
-					serviceNs += ps.pauseNs
-				}
+		for k := range t.lanes {
+			ns := f.ns[k][from:end]
+			for i, key := range keys {
+				ns[i] = t.cost[int(key)*t.lanes+k][costSlot(kinds[i], hit[i])]
 			}
 		}
-		l := simclock.FromNanos(serviceNs)
-		now += l
-		lat[i] = l
-		hits += int(hit[i])
-		if maxClock > 0 && now > maxClock {
-			served = i + 1
-			break
+	}
+	if !t.pausing() {
+		return
+	}
+	for i, key := range keys {
+		m := &t.meta[key]
+		if ps := &t.pause[m.tier]; ps.budget > 0 {
+			ps.accum += int64(m.size) + ps.perOp
+			if ps.accum >= ps.budget {
+				ps.accum = 0
+				f.pauses = append(f.pauses, pauseAt{i: from + i, ns: ps.pauseNs})
+			}
 		}
 	}
-	d.clock.Advance(now - start)
-	d.ops += served
-	d.reqs[pathKernel] += int64(served)
-
-	if s != nil || w != nil {
-		d.tallyLLC(hits, served)
-	}
-	return served
 }
 
 // ResetRun rewinds a batch-capable deployment to its post-Load state
 // under a new measurement seed — the snapshot/reset that lets repeated
 // runs (ExecuteMeanCtx, Session.Compare) load the populated store once
-// instead of re-populating per run. It resets the clock, op counter,
-// private LLC walker and LLC tallies, detaches any LLC stream, re-seeds
-// the noise stream, and restores the kernel's pause accumulators to
+// instead of re-populating per run. It resets every lane's clock, the op
+// counter, private LLC walker and LLC tallies, detaches any LLC stream,
+// re-seeds each lane's noise stream (lane k at seed plus its offset),
+// and restores the kernel's pause accumulators to
 // their post-load snapshot; telemetry parity with a fresh deployment is
 // kept by re-counting the deployment.
 //
@@ -427,9 +398,11 @@ func (d *Deployment) ResetRun(seed int64) bool {
 	}
 	t := d.table
 	d.cfg.Seed = seed
-	d.clock.Reset()
+	for _, l := range d.lanes {
+		l.clock.Reset()
+		l.noise.reseed(seed + l.seedOffset)
+	}
 	d.ops = 0
-	d.noise.reseed(seed)
 	for i := range t.pause {
 		t.pause[i].accum = t.pause[i].reset
 	}
@@ -451,13 +424,15 @@ func (d *Deployment) Rewindable() bool { return !d.mutated && d.BatchTable() != 
 
 // resetRunTelemetry re-establishes the observability state a fresh
 // deployment would have: zeroed flush cursors and the deployments
-// counter bumped — so a reused deployment's metric stream is
-// indistinguishable from the fresh-populate path's.
+// counter bumped once per lane — so a reused deployment's metric stream
+// is indistinguishable from the fresh-populate path's.
 func (d *Deployment) resetRunTelemetry() {
 	tl := &d.telem
 	if tl.sink == nil {
 		return
 	}
 	tl.flushedOps, tl.flushedHits, tl.flMiss = 0, 0, 0
-	tl.sink.Counter(obs.Name("mnemo_server_deployments_total", "engine", d.cfg.Engine.String())).Inc()
+	for range d.lanes {
+		tl.countDeployment(d.cfg.Engine)
+	}
 }

@@ -4,9 +4,10 @@ import "mnemo/internal/kvstore"
 
 // The per-run replay decision (DESIGN.md §8). The client's one replay
 // loop hands every trace frame to FrameTable, run by run: FrameTable
-// names the next run of requests and whether the returned table's Serve
-// or — on nil — DoIndex serves it. Interleaving the two is sound because
-// FrameTable keeps three things straight on the way:
+// names the next run of requests and whether the returned table or — on
+// nil — the engines serve it per-op, in ServeRun's stage 1. Interleaving
+// the two is sound because FrameTable keeps three things straight on the
+// way:
 //
 //   - who holds the pause accumulators. The kernel mirrors the engines'
 //     GC accounting instead of advancing it, so before the engines are
@@ -42,8 +43,8 @@ const (
 // when the engine has a not-found row for it (MissTrace), and a Write to
 // a live record. When the table is returned, requests [from, end) are all
 // of that kind and the table is priced for them: one Serve call serves
-// the run. On nil, the engines are ready for requests [from, end)
-// through DoIndex: a Delete, a re-insert, a Read without a not-found
+// the run. On nil, the engines are ready to serve requests [from, end)
+// per-op: a Delete, a re-insert, a Read without a not-found
 // row — or the whole rest of the frame when the kernel may not serve its
 // remainder: batching is off, or the frame carries a structural request
 // and an engine's relayout journal is unbounded (treekv, a hash table

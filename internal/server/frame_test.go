@@ -488,7 +488,7 @@ func TestApplyMovesResurrectsDeleted(t *testing.T) {
 	if tab == nil || end != 2 {
 		t.Fatal("frame touching the re-created record still refused the kernel")
 	}
-	if tab.costs[3].tier != uint8(to) {
+	if tab.meta[3].tier != uint8(to) {
 		t.Fatal("re-created record not priced on its destination tier")
 	}
 	if got := d.DoIndex(3, kvstore.Read); !got.Found {

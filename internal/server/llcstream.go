@@ -20,8 +20,8 @@ import (
 // which leaves residency alone. Which records are live is the trace's
 // Deletes and Writes, also for a record a migration re-creates. So one
 // walker, llcWalker, prices every request kind from the trace, and
-// Serve and DoIndex alike read its hit bit: a run under an LLCShare
-// reads the bits a producer goroutine walks once for the whole
+// stage 1 of either path reads its hit bit (takeHits): a run under an
+// LLCShare reads the bits a producer goroutine walks once for the whole
 // measurement call (llcStream); any other run walks a private walker.
 
 // llcWalker walks the LLC over a trace, one request at a time, touching
@@ -307,23 +307,35 @@ func (d *Deployment) privateLLC() *llcWalker {
 	return d.llc
 }
 
-// llcHit returns the LLC outcome of the run's next request, record k of
-// the given kind, from the attached stream or the private walker, and
-// tallies it.
-func (d *Deployment) llcHit(k uint32, kind kvstore.OpKind) bool {
-	var hit uint8
+// takeHits writes the LLC outcome of each request of a run — record
+// keys[i] of kind kinds[i] — into hit, 1 for a hit: from the attached
+// stream, read at the run's offset, or from the private walker; every
+// request misses without an LLC model. The tallies wait for lane 0's
+// stage (finishRun), which knows how many of the requests were served.
+func (d *Deployment) takeHits(keys []uint32, kinds []uint8, hit []uint8) {
+	hit = hit[:len(keys)]
 	if s := d.llcs; s != nil {
-		if !s.covers(d.llcOff + 1) {
-			panic("server: DoIndex past the attached LLC stream's published prefix")
+		off := d.llcOff
+		if !s.covers(off + len(keys)) {
+			panic("server: serving past the attached LLC stream's published prefix")
 		}
-		hit = s.bit(d.llcOff)
-	} else if w := d.privateLLC(); w == nil {
-		return false
-	} else if w.step(k, uint8(kind)) {
-		hit = 1
+		for i := range hit {
+			hit[i] = s.bit(off + i)
+		}
+		return
 	}
-	d.tallyLLC(int(hit), 1)
-	return hit == 1
+	w := d.privateLLC()
+	if w == nil {
+		clear(hit)
+		return
+	}
+	for i, k := range keys {
+		var h uint8
+		if w.step(k, kinds[i]) {
+			h = 1
+		}
+		hit[i] = h
+	}
 }
 
 // tallyLLC counts n requests priced from the LLC model, hits of them

@@ -93,6 +93,9 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 	if len(moves) == 0 {
 		return res
 	}
+	if len(d.lanes) > 1 {
+		panic("server: ApplyMoves on a deployment of more than one lane")
+	}
 	for pass := 0; pass < 2; pass++ {
 		for _, m := range moves {
 			if (pass == 0) != (m.To == memsim.Slow) {
@@ -149,7 +152,7 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 	}
 	res.CostNs = float64(res.Bytes) * d.cfg.MigrationCostPerByte
 	if res.CostNs > 0 {
-		d.clock.Advance(simclock.FromNanos(res.CostNs))
+		d.lanes[0].clock.Advance(simclock.FromNanos(res.CostNs))
 	}
 	return res
 }

@@ -119,7 +119,7 @@ func TestApplyMovesPatchesBatchTable(t *testing.T) {
 	if tab == nil {
 		t.Fatal("no batch table before migration")
 	}
-	slowRead := tab.costs[2].ns[costSlot(uint8(kvstore.Read), 0)]
+	slowRead := tab.cost[2][costSlot(uint8(kvstore.Read), 0)]
 	res := d.ApplyMoves([]Move{{Index: 2, To: memsim.Fast}})
 	if res.Moves != 1 {
 		t.Fatalf("move dropped: %+v", res)
@@ -131,10 +131,10 @@ func TestApplyMovesPatchesBatchTable(t *testing.T) {
 	if tab2 != tab {
 		t.Fatal("migration rebuilt the table instead of patching it")
 	}
-	if tab2.costs[2].tier != uint8(memsim.Fast) {
+	if tab2.meta[2].tier != uint8(memsim.Fast) {
 		t.Fatal("moved record not re-routed to the fast instance")
 	}
-	if got := tab2.costs[2].ns[costSlot(uint8(kvstore.Read), 0)]; got >= slowRead {
+	if got := tab2.cost[2][costSlot(uint8(kvstore.Read), 0)]; got >= slowRead {
 		t.Fatalf("fast read miss %v ns not cheaper than slow %v ns", got, slowRead)
 	}
 }

@@ -32,14 +32,21 @@ func (d *Deployment) initTelemetry() {
 	if s == nil {
 		return
 	}
-	engine := d.cfg.Engine.String()
 	d.telem = deployTelemetry{
 		sink: s,
-		ops:  s.Counter(obs.Name("mnemo_server_ops_total", "engine", engine)),
+		ops:  s.Counter(obs.Name("mnemo_server_ops_total", "engine", d.cfg.Engine.String())),
 		hits: s.Counter("mnemo_server_llc_hits_total"),
 		miss: s.Counter("mnemo_server_llc_misses_total"),
 	}
-	s.Counter(obs.Name("mnemo_server_deployments_total", "engine", engine)).Inc()
+	d.telem.countDeployment(d.cfg.Engine)
+}
+
+// countDeployment counts one deployment of the engine — one per lane, so
+// a lane's metric stream is the one a deployment of its own would make.
+func (t *deployTelemetry) countDeployment(e Engine) {
+	if t.sink != nil {
+		t.sink.Counter(obs.Name("mnemo_server_deployments_total", "engine", e.String())).Inc()
+	}
 }
 
 // framePathLabels and repriceCauseLabels are the label values of the
@@ -50,12 +57,12 @@ var (
 	repriceCauseLabels = [...]string{causeLoad: "load", causeMigrate: "migrate", causeStructural: "structural"}
 )
 
-// flushTallies adds each non-zero tally to the counter labelled with its
-// index's value and zeroes it.
-func (t *deployTelemetry) flushTallies(name, label string, values []string, tallies []int64) {
+// flushTallies adds each non-zero tally, times lanes, to the counter
+// labelled with its index's value and zeroes it.
+func (t *deployTelemetry) flushTallies(name, label string, values []string, tallies []int64, lanes int64) {
 	for i, n := range tallies {
 		if n > 0 {
-			t.sink.Counter(obs.Name(name, label, values[i])).Add(n)
+			t.sink.Counter(obs.Name(name, label, values[i])).Add(n * lanes)
 			tallies[i] = 0
 		}
 	}
@@ -69,21 +76,26 @@ func (t *deployTelemetry) flushTallies(name, label string, values []string, tall
 // observable; a frame cut off counts by the runs it served).
 // It is a no-op without a sink and idempotent per served request:
 // repeated flushes publish only new deltas.
+//
+// Every lane serves every request of the walk, so each count is
+// published once per lane: a deployment of n lanes publishes what n
+// deployments of one lane each would.
 func (d *Deployment) FlushObs() {
 	t := &d.telem
 	if t.sink == nil {
 		return
 	}
+	lanes := int64(len(d.lanes))
 	d.closeFrame() // a run cut off mid-frame
-	t.flushTallies("mnemo_client_frames_total", "path", framePathLabels[:], d.frames[:])
-	t.flushTallies("mnemo_client_requests_total", "path", framePathLabels[:], d.reqs[:])
-	t.flushTallies("mnemo_server_reprice_total", "cause", repriceCauseLabels[:], d.repriced[:])
-	t.flushTallies("mnemo_server_reprice_rows_total", "cause", repriceCauseLabels[:], d.repricedRows[:])
+	t.flushTallies("mnemo_client_frames_total", "path", framePathLabels[:], d.frames[:], lanes)
+	t.flushTallies("mnemo_client_requests_total", "path", framePathLabels[:], d.reqs[:], lanes)
+	t.flushTallies("mnemo_server_reprice_total", "cause", repriceCauseLabels[:], d.repriced[:], lanes)
+	t.flushTallies("mnemo_server_reprice_rows_total", "cause", repriceCauseLabels[:], d.repricedRows[:], lanes)
 	if d.streamReqs > 0 {
-		t.sink.Counter("mnemo_server_llc_stream_requests_total").Add(d.streamReqs)
+		t.sink.Counter("mnemo_server_llc_stream_requests_total").Add(d.streamReqs * lanes)
 		d.streamReqs = 0
 	}
-	t.ops.Add(int64(d.ops - t.flushedOps))
+	t.ops.Add(int64(d.ops-t.flushedOps) * lanes)
 	t.flushedOps = d.ops
 	h, m := d.llcHits, d.llcMisses
 	if h < t.flushedHits || m < t.flMiss {
@@ -91,7 +103,7 @@ func (d *Deployment) FlushObs() {
 		// cursors rather than publish a negative delta.
 		t.flushedHits, t.flMiss = 0, 0
 	}
-	t.hits.Add(h - t.flushedHits)
-	t.miss.Add(m - t.flMiss)
+	t.hits.Add((h - t.flushedHits) * lanes)
+	t.miss.Add((m - t.flMiss) * lanes)
 	t.flushedHits, t.flMiss = h, m
 }

@@ -15,14 +15,17 @@ import (
 	"mnemo/internal/ycsb"
 )
 
-// sameCost compares two cost rows bit for bit.
-func sameCost(a, b opCost) bool {
-	for i := range a.ns {
-		if math.Float64bits(a.ns[i]) != math.Float64bits(b.ns[i]) {
-			return false
+// sameCost compares record i's cost rows, on every lane, and pause
+// metadata in two tables bit for bit.
+func sameCost(a, b *ReplayTable, i int) bool {
+	for k := range a.lanes {
+		for j, x := range a.cost[i*a.lanes+k] {
+			if math.Float64bits(x) != math.Float64bits(b.cost[i*b.lanes+k][j]) {
+				return false
+			}
 		}
 	}
-	return a.size == b.size && a.tier == b.tier
+	return a.meta[i] == b.meta[i]
 }
 
 // requireRepricedAsFull hands the table to the kernel as the next frame
@@ -51,8 +54,8 @@ func requireRepricedAsFull(t *testing.T, d *Deployment) int64 {
 		if d.nDead > 0 && d.dead[i] && !d.missRows {
 			continue
 		}
-		if !sameCost(got.costs[i], full.costs[i]) {
-			t.Fatalf("row %d: refreshed %+v, full re-price %+v", i, got.costs[i], full.costs[i])
+		if !sameCost(got, full, i) {
+			t.Fatalf("row %d: refreshed %+v, full re-price %+v", i, got.cost[i], full.cost[i])
 		}
 	}
 	for i := range got.pause {

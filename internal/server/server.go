@@ -176,18 +176,22 @@ func (c Config) Validate() error {
 }
 
 // Deployment is two engine instances on the hybrid machine with a
-// placement routing keys between them.
+// placement routing keys between them, priced on one lane or more
+// (lanes.go).
 type Deployment struct {
 	cfg       Config
 	machine   *memsim.Machine
-	clock     simclock.Clock
 	instances [2]kvstore.Store // indexed by memsim.Tier
 	// replayers holds each instance's batched-replay capability, nil
 	// where the engine has none.
 	replayers [2]kvstore.BatchReplayer
 	placement Placement
-	noise     *Noise
 	profile   kvstore.EngineProfile
+
+	// lanes are the deployment's priced views, lane 0 its own (lanes.go),
+	// and bufs the stage-1 frame buffers, built by Load.
+	lanes []*lane
+	bufs  [FrameBuffers]*Frame
 
 	// records and tiers are the index-addressed request path, built by
 	// Load: records aliases the loaded dataset and tiers[i] caches the
@@ -201,7 +205,8 @@ type Deployment struct {
 	// the KeyID. Built on first use, dropped by Load.
 	rows []int32
 
-	// ops is the served-request count, flushed to the sink by FlushObs.
+	// ops is the served-request count, flushed to the sink by FlushObs
+	// once per lane.
 	ops int
 
 	// telem carries the deployment's pre-resolved observability handles
@@ -280,9 +285,9 @@ func NewDeployment(cfg Config) *Deployment {
 		cfg:       cfg,
 		machine:   memsim.NewMachine(cfg.Machine),
 		placement: AllFast(),
-		noise:     NewNoise(cfg.NoiseSigma, cfg.Seed),
 		profile:   cfg.Engine.Profile(),
 	}
+	d.lanes = []*lane{{noise: NewNoise(cfg.NoiseSigma, cfg.Seed), machine: d.machine}}
 	d.instances[memsim.Fast] = cfg.Engine.newStore()
 	d.instances[memsim.Slow] = cfg.Engine.newStore()
 	for i, inst := range d.instances {
@@ -305,8 +310,8 @@ func NewDeployment(cfg Config) *Deployment {
 // inspection).
 func (d *Deployment) Machine() *memsim.Machine { return d.machine }
 
-// Clock returns the current simulated time.
-func (d *Deployment) Clock() simclock.Duration { return d.clock.Now() }
+// Clock returns lane 0's simulated time.
+func (d *Deployment) Clock() simclock.Duration { return d.lanes[0].clock.Now() }
 
 // Engine reports the deployed engine.
 func (d *Deployment) Engine() Engine { return d.cfg.Engine }
@@ -320,21 +325,46 @@ func (d *Deployment) Instance(t memsim.Tier) kvstore.Store { return d.instances[
 // Load populates the deployment from a dataset under the given placement.
 // Loading is the untimed setup phase (the paper's YCSB load stage): it
 // neither advances the clock nor touches the LLC model, which starts
-// cold. Node capacity is accounted; an error is returned if a tier
-// overflows a configured capacity.
+// cold. Node capacity is accounted per lane, lane by lane; the first
+// lane whose tier overflows a configured capacity fails the Load with a
+// *LaneError. A deployment with more than one lane needs a placement
+// that puts every record on one tier.
 //
 // Every path identifies a record to the LLC walker by its dataset index.
 func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
+	if err := d.place(ds, p); err != nil {
+		return err
+	}
+	for k := range d.lanes {
+		if err := d.allocLane(k); err != nil {
+			return err
+		}
+	}
+	d.populate()
+	return nil
+}
+
+// place binds the deployment to a dataset under a placement: the
+// record table and the per-record tiers.
+func (d *Deployment) place(ds ycsb.Dataset, p Placement) error {
 	d.placement = p
 	d.records = ds.Records
 	d.rows = nil
 	d.tiers = make([]memsim.Tier, len(ds.Records))
-	for i, rec := range ds.Records {
-		tier := p.TierOfIndex(i)
-		d.tiers[i] = tier
-		if err := d.machine.Node(tier).Alloc(int64(rec.Size)); err != nil {
-			return fmt.Errorf("server: loading %q: %w", rec.Key, err)
+	for i := range ds.Records {
+		d.tiers[i] = p.TierOfIndex(i)
+		if len(d.lanes) > 1 && d.tiers[i] != d.tiers[0] {
+			return fmt.Errorf("server: a deployment of %d lanes needs a uniform placement", len(d.lanes))
 		}
+	}
+	return nil
+}
+
+// populate writes the placed dataset into the engine instances and
+// resets the replay state to its post-Load snapshot.
+func (d *Deployment) populate() {
+	for i, rec := range d.records {
+		tier := d.tiers[i]
 		d.instances[tier].PutID(rec.Key, rec.ID, kvstore.Sized(rec.Size))
 		d.instances[tier].TakePauseNs() // setup-phase stalls are not timed
 	}
@@ -356,14 +386,14 @@ func (d *Deployment) Load(ds ycsb.Dataset, p Placement) error {
 	d.table, d.stale = nil, causeLoad
 	d.mutated = false
 	d.dead, d.nDead = nil, 0
-	for i := range ds.Records {
-		if !d.cfg.Engine.stores(&ds.Records[i]) {
+	for i := range d.records {
+		if !d.cfg.Engine.stores(&d.records[i]) {
 			d.markDead(i)
 		}
 	}
 	d.frameMix = 0
 	d.llc, d.llcs, d.llcOff, d.llcHits, d.llcMisses = nil, nil, 0, 0, 0
-	return nil
+	d.buildFrames()
 }
 
 // Result reports how one request was served.
@@ -403,30 +433,21 @@ func (d *Deployment) row(key string, id uint64) (int, bool) {
 }
 
 // DoIndex executes one request addressed by dataset record index — the
-// replay fast path. The record's tier comes from the table Load built
+// per-op path for a single request (the replay loop serves per-op runs
+// through ServeRun). The record's tier comes from the table Load built
 // and its identity from the dataset's cached KeyID, so no per-request
 // string work remains. Writes store the record's dataset size (the
-// trace's record sizes are fixed for the workload's lifetime). DoIndex
-// panics if the deployment has not been loaded or idx is out of range.
+// trace's record sizes are fixed for the workload's lifetime). Every
+// lane is priced; the Result is lane 0's. DoIndex panics if the
+// deployment has not been loaded or idx is out of range.
 func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
-	rec := &d.records[idx]
-	if kind != kvstore.Read {
-		d.noteStructural(idx, kind)
-	}
-	tier := d.tiers[idx]
-	st := d.instances[tier]
-	var tr kvstore.OpTrace
-	switch kind {
-	case kvstore.Read:
-		_, tr = st.GetID(rec.Key, rec.ID)
-	case kvstore.Write:
-		tr = st.PutID(rec.Key, rec.ID, kvstore.Value{Size: rec.Size})
-	case kvstore.Delete:
-		tr = st.DelID(rec.Key, rec.ID)
-	default:
-		panic(fmt.Sprintf("server: unknown op kind %v", kind))
-	}
-	return d.price(tier, st, kind, tr, rec.Size, d.llcHit(uint32(idx), kind))
+	f := d.Frame(0)
+	f.pauses = f.pauses[:0]
+	keys, kinds := [1]uint32{uint32(idx)}, [1]uint8{uint8(kind)}
+	found := d.stage1PerOp(f, keys[:], kinds[:], 0, 1)
+	d.finishRun(f, 0, 1, pathPerOp, 0, f.lat[0])
+	d.priceOtherLanes(f, 0, 1)
+	return Result{Tier: d.tiers[idx], Kind: kind, Latency: f.lat[0][0], Found: found, Hit: f.hit[0] == 1}
 }
 
 // noteStructural tracks the deleted-record set for a non-read request
@@ -474,27 +495,6 @@ func (d *Deployment) markDead(idx int) bool {
 	d.dead[idx] = true
 	d.nDead++
 	return true
-}
-
-// price turns an operation trace into simulated service time and
-// advances the clock. hit is the request's LLC outcome (llcHit).
-func (d *Deployment) price(tier memsim.Tier, st kvstore.Store, kind kvstore.OpKind, tr kvstore.OpTrace, size int, hit bool) Result {
-	medium := &d.machine.Node(tier).Params
-	if hit {
-		medium = &memsim.LLCParams
-	}
-	// One pricing formula (staticCost), shared with the batched kernel's
-	// cost table. The conversion rounds the product before the pause is
-	// added, so a platform that fuses multiply-add cannot round this path
-	// differently from the kernel, which applies the two in separate
-	// stages.
-	serviceNs := float64(d.staticCost(kind, tr.Chases, tr.Touched, d.valueBytes(tr, size), medium)*d.noise.Factor()) + st.TakePauseNs()
-	d.ops++
-	d.reqs[pathPerOp]++
-
-	lat := simclock.FromNanos(serviceNs)
-	d.clock.Advance(lat)
-	return Result{Tier: tier, Kind: kind, Latency: lat, Found: tr.Found, Hit: hit}
 }
 
 // valueBytes recovers the record's actual payload size from an operation

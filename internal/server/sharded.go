@@ -88,6 +88,19 @@ func (sd *ShardedDeployment) Shards() int { return len(sd.deps) }
 // Dep returns shard s's member deployment.
 func (sd *ShardedDeployment) Dep(s int) *Deployment { return sd.deps[s] }
 
+// AddLane adds a lane that prices every record on tier, with seed
+// offset seedOffset, to every member (Deployment.AddLane). The member
+// seeds keep the offset: member s's lane k is seeded shardSeed(seed, s)
+// plus it.
+func (sd *ShardedDeployment) AddLane(tier memsim.Tier, seedOffset int64) {
+	for _, d := range sd.deps {
+		d.AddLane(tier, seedOffset)
+	}
+}
+
+// Lanes reports the members' lane count.
+func (sd *ShardedDeployment) Lanes() int { return sd.deps[0].Lanes() }
+
 // Sub returns shard s's sub-workload: the parent workload itself in a
 // one-member cluster.
 func (sd *ShardedDeployment) Sub(s int) *ycsb.Workload {
@@ -104,27 +117,45 @@ func (sd *ShardedDeployment) Sub(s int) *ycsb.Workload {
 // deployment's — the same record lands on the same tier regardless of
 // shard count. A one-member cluster loads the parent dataset under p
 // as it is, and its errors carry no shard prefix.
+//
+// Capacity is accounted lane by lane, each lane across every shard, so
+// the error is that of the lowest lane that overflows — on the lowest
+// shard it overflows on — as if each lane were a cluster of its own.
 func (sd *ShardedDeployment) Load(p Placement) error {
-	if sd.part == nil {
-		if err := sd.deps[0].Load(sd.w.Dataset, p); err != nil {
+	for s, d := range sd.deps {
+		ds, lp := sd.w.Dataset, p
+		if sd.part != nil {
+			sub := &sd.part.Subs[s]
+			ds, lp = sub.W.Dataset, sd.localPlacement(p, sub)
+		}
+		if err := d.place(ds, lp); err != nil {
 			return err
 		}
-		sd.loaded = true
-		return nil
 	}
-	for s, d := range sd.deps {
-		sub := &sd.part.Subs[s]
-		if err := d.Load(sub.W.Dataset, sd.localPlacement(p, sub)); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
+	for k := 0; k < sd.Lanes(); k++ {
+		for s, d := range sd.deps {
+			if err := d.allocLane(k); err != nil {
+				if sd.part != nil {
+					err = &LaneError{Lane: k, Err: fmt.Errorf("shard %d: %w", s, err)}
+				}
+				return err
+			}
 		}
+	}
+	for _, d := range sd.deps {
+		d.populate()
 	}
 	sd.loaded = true
 	return nil
 }
 
 // localPlacement remaps the global placement onto one shard's local
-// record indices.
+// record indices. A placement with no per-record tiers is the same on
+// every shard.
 func (sd *ShardedDeployment) localPlacement(p Placement, sub *shard.Sub) Placement {
+	if !p.Dense() {
+		return p
+	}
 	dense := make([]memsim.Tier, len(sub.GlobalIndex))
 	for local, g := range sub.GlobalIndex {
 		dense[local] = p.TierOfIndex(int(g))

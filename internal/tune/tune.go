@@ -120,6 +120,9 @@ type Config struct {
 
 // normalized validates and applies defaults.
 func (c Config) normalized() (Config, error) {
+	if err := c.Core.Validate(); err != nil {
+		return c, fmt.Errorf("tune: %w", err)
+	}
 	if !(c.SLO > 0) { // NaN fails too
 		return c, fmt.Errorf("tune: SLO %v must be positive (the permissible slowdown, e.g. 0.10)", c.SLO)
 	}
