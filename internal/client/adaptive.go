@@ -14,8 +14,8 @@ import (
 // at or after the configured epoch length the run's EpochObserver
 // receives them and may answer with migrations, which the deployment
 // applies — and charges to the simulated clock — before the next frame
-// is read. Budget semantics are global to the run: migration cost counts
-// against RunCtx's budget exactly like request service time.
+// is read. Migration cost advances the clock exactly like request
+// service time.
 
 // epochTelemetry accumulates one adaptive run's migration accounting,
 // folded into RunStats by RunCtx.

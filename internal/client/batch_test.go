@@ -3,14 +3,10 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
-	"mnemo/internal/obs"
 	"mnemo/internal/server"
-	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
 )
 
@@ -26,20 +22,6 @@ func executeBoth(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Pla
 	batched, errB = Execute(cfg, w, p)
 	perOp, errP = Execute(perOpReference(cfg), w, p)
 	return
-}
-
-// runBudgeted loads a fresh deployment and replays the trace under a
-// RunCtx simulated-time budget, flushing the deployment's counters to
-// cfg.Obs whether or not the budget trips.
-func runBudgeted(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Placement, budget simclock.Duration) (RunStats, error) {
-	t.Helper()
-	d := server.NewDeployment(cfg)
-	if err := d.Load(w.Dataset, p); err != nil {
-		t.Fatal(err)
-	}
-	st, err := RunCtx(context.Background(), d, w, budget)
-	d.FlushObs()
-	return st, err
 }
 
 // perOpReference is the config's per-op twin, the reference every
@@ -112,102 +94,6 @@ func TestBatchedReplayBitIdentical(t *testing.T) {
 			b, r, eb, ep := executeBoth(t, cfg, w, server.AllSlow())
 			requireSameOutcome(t, e.String()+"/nonoise", b, r, eb, ep)
 		}
-	}
-}
-
-// TestBatchedReplayTimeoutParity pins the timeout error's request index
-// and clock reading: a budget-tripping batched run must cut off at the
-// same request, with the same message, as the per-op path.
-func TestBatchedReplayTimeoutParity(t *testing.T) {
-	w := testWorkload(0.9)
-	cfg := server.DefaultConfig(server.RedisLike, 7)
-	const budget = 20 * simclock.Millisecond // trips mid-trace
-	b, eb := runBudgeted(t, cfg, w, server.AllSlow(), budget)
-	r, ep := runBudgeted(t, perOpReference(cfg), w, server.AllSlow(), budget)
-	if eb == nil || ep == nil {
-		t.Fatalf("budget did not trip (batched %v, per-op %v)", eb, ep)
-	}
-	if !errors.Is(eb, ErrRunTimeout) || !errors.Is(ep, ErrRunTimeout) {
-		t.Fatalf("wrong error types: %v / %v", eb, ep)
-	}
-	requireSameOutcome(t, "timeout", b, r, eb, ep)
-}
-
-// TestBatchedCutOffTelemetryParity drives the cut-off contract of the
-// staged kernel through RunCtx with a live sink on each side: the kernel
-// has touched the LLC and drawn noise for the rest of its block when the
-// cut is found, and none of that may show in the error's request index
-// and clock or in the counters FlushObs publishes for the partial run.
-// Every engine (treekv's pause mirror included) is cut by RunCtx's
-// budget in the middle of its second block and must leave the same
-// error text and the same metrics dump as the DisableBatchReplay
-// reference.
-func TestBatchedCutOffTelemetryParity(t *testing.T) {
-	w := ycsb.MustGenerate(ycsb.Spec{
-		Name: "cutoff", Keys: 1000, Requests: 3 * replayBlockOps,
-		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
-		ReadRatio: 0.9, Sizes: ycsb.SizeFixed100KB, Seed: 5,
-	})
-	// cutIndex extracts the served-request count from a timeout error.
-	cutIndex := func(err error) int {
-		var served, total int
-		text := err.Error()
-		if _, serr := fmt.Sscanf(text[strings.Index(text, "after "):], "after %d/%d requests", &served, &total); serr != nil {
-			t.Fatalf("unparseable timeout error %q: %v", text, serr)
-		}
-		return served
-	}
-	midBlock := func(n int) bool {
-		return n > replayBlockOps && n%replayBlockOps > 100 && n%replayBlockOps < replayBlockOps-100
-	}
-	run := func(cfg server.Config, budget simclock.Duration) (string, error) {
-		cfg.Obs = obs.NewSink()
-		_, err := runBudgeted(t, cfg, w, server.AllSlow(), budget)
-		var dump strings.Builder
-		if werr := cfg.Obs.Registry().WritePrometheus(&dump); werr != nil {
-			t.Fatal(werr)
-		}
-		// The frame-path, request-path and re-price counters (re-prices
-		// and their rows) record which path served the run — the one
-		// thing the two sides differ in by design.
-		var same []string
-		for _, line := range strings.SplitAfter(dump.String(), "\n") {
-			if !strings.Contains(line, "mnemo_client_frames_total") && !strings.Contains(line, "mnemo_client_requests_total") &&
-				!strings.Contains(line, "mnemo_server_reprice_") {
-				same = append(same, line)
-			}
-		}
-		return strings.Join(same, ""), err
-	}
-
-	for _, e := range goldenEngines {
-		t.Run(e.String()+"/timeout", func(t *testing.T) {
-			cfg := server.DefaultConfig(e, 7)
-			// Half a full run's simulated time runs out in the
-			// middle of the second of the three blocks.
-			full, err := Execute(perOpReference(cfg), w, server.AllSlow())
-			if err != nil {
-				t.Fatal(err)
-			}
-			budget := full.Runtime / 2
-			wantDump, wantErr := run(perOpReference(cfg), budget)
-			if !errors.Is(wantErr, ErrRunTimeout) || !midBlock(cutIndex(wantErr)) {
-				t.Fatalf("reference was not cut mid-block: %v", wantErr)
-			}
-
-			gotDump, gotErr := run(cfg, budget)
-			if gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Fatalf("error diverged:\n  batched: %v\n  per-op:  %v", gotErr, wantErr)
-			}
-			if gotDump != wantDump {
-				t.Fatalf("metrics diverged:\n--- batched ---\n%s--- per-op ---\n%s", gotDump, wantDump)
-			}
-			for _, name := range []string{"mnemo_server_ops_total", "mnemo_server_llc_hits_total", "mnemo_server_llc_misses_total"} {
-				if !strings.Contains(gotDump, name) {
-					t.Fatalf("metrics dump carries no %s:\n%s", name, gotDump)
-				}
-			}
-		})
 	}
 }
 
@@ -286,11 +172,7 @@ func TestExecuteMeanReuseBitIdentical(t *testing.T) {
 // TestBatchedReplaySteadyStateZeroAllocs extends the zero-alloc pin to
 // the kernel path: after warmup, a full batched pass must not allocate.
 func TestBatchedReplaySteadyStateZeroAllocs(t *testing.T) {
-	w := ycsb.MustGenerate(ycsb.Spec{
-		Name: "alloc", Keys: 512, Requests: 4096,
-		Dist:      ycsb.DistSpec{Kind: ycsb.Uniform},
-		ReadRatio: 1.0, Sizes: ycsb.SizeFixed1KB, Seed: 9,
-	})
+	w := allocWorkload(1)
 	cfg := server.DefaultConfig(server.RedisLike, 3)
 	cfg.NoiseSigma = 0 // keep the latency set closed across passes
 	d := server.NewDeployment(cfg)
@@ -303,21 +185,27 @@ func TestBatchedReplaySteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// requireZeroAllocReplay warms the LLC and sizes every accumulator with
-// one pass of the replay loop, then pins further passes at zero
-// allocations.
+// requireZeroAllocReplay pins a steady-state replay pass at zero
+// allocations (replayAllocs).
 func requireZeroAllocReplay(t *testing.T, d *server.Deployment, w *ycsb.Workload) {
+	t.Helper()
+	if allocs := replayAllocs(t, d, w); allocs != 0 {
+		t.Fatalf("steady-state replay allocates %.1f times per pass, want 0", allocs)
+	}
+}
+
+// replayAllocs warms the LLC and sizes every accumulator with one pass
+// of the replay loop, then returns the allocations of a further pass.
+func replayAllocs(t *testing.T, d *server.Deployment, w *ycsb.Workload) float64 {
 	t.Helper()
 	classes := sizeClasses(w.Dataset.Records)
 	a := newReplayAccum(classes)
 	ctx := context.Background()
 	pass := func() {
-		if _, err := replayFrames(ctx, d, w, classes, a, 0); err != nil {
+		if _, err := replayFrames(ctx, d, w, classes, a); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pass()
-	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
-		t.Fatalf("steady-state replay allocates %.1f times per pass, want 0", allocs)
-	}
+	return testing.AllocsPerRun(5, pass)
 }

@@ -49,7 +49,7 @@ func benchReplay(b *testing.B, d *server.Deployment, w *ycsb.Workload) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := replayFrames(ctx, d, w, classes, newReplayAccum(classes), 0); err != nil {
+		if _, err := replayFrames(ctx, d, w, classes, newReplayAccum(classes)); err != nil {
 			b.Fatal(err)
 		}
 	}

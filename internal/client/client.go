@@ -8,7 +8,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -314,12 +313,9 @@ const replayBlockOps = server.ReplayBlockOps
 // (laneHelper), frames behind: stage 1 and lane 0 fill one of the
 // deployment's frame buffers while the helper prices the ones before.
 //
-// The cut-offs live here and nowhere else. Cancellation is polled once
-// per frame, which bounds its wall-clock latency to microseconds (replay
-// advances only simulated time). The budget (0 = unbounded) is an
-// absolute bound on lane 0's clock checked after every request on both
-// paths, so the error names the same run-global request index whichever
-// path served the request that crossed it.
+// Cancellation lives here and nowhere else. It is polled once per
+// frame, which bounds its wall-clock latency to microseconds (replay
+// advances only simulated time), so every frame is served whole.
 //
 // Under a context from ShareLLC every request of the run, on either
 // path, is priced from the share's LLC hit stream of w; AwaitFrame waits
@@ -327,7 +323,7 @@ const replayBlockOps = server.ReplayBlockOps
 //
 // With an adaptive source configured (DESIGN.md §15) an epoch is a frame
 // boundary: see epochs.
-func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum, budget simclock.Duration) (epochTelemetry, error) {
+func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, classes []uint8, a *replayAccum) (epochTelemetry, error) {
 	var tel epochTelemetry
 	frames, err := w.Frames()
 	if err != nil {
@@ -349,12 +345,6 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		h = startLaneHelper(d, a)
 		defer h.finish() // a run that fails returns after its helper exits
 	}
-	start := d.Clock()
-	var maxClock simclock.Duration
-	if budget > 0 {
-		maxClock = start + budget
-	}
-	overBudget := func() bool { return maxClock > 0 && d.Clock() > maxClock }
 	done := 0
 	buf := 0
 	for {
@@ -376,20 +366,16 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		}
 		route := a.route[buf][:len(keys)]
 		a.setRoute(route, keys, kinds, classes)
-		n := serveFrame(d, d.Frame(buf), keys, kinds, rw, route, a.lanes[0], maxClock)
-		done += n
+		serveFrame(d, d.Frame(buf), keys, kinds, rw, route, a.lanes[0])
+		done += len(keys)
 		if h != nil {
-			h.work <- laneWork{buf: buf, n: n}
+			h.work <- laneWork{buf: buf, n: len(keys)}
 		}
 		// The run's last epoch is not observed: no requests remain to
 		// recoup a migration, so consulting the policy there could only
 		// burn simulated time.
-		if ep != nil && !overBudget() && done < total && ep.frame(keys, kinds, done) {
+		if ep != nil && done < total && ep.frame(keys, kinds, done) {
 			ep.migrate(d, done, &tel)
-		}
-		if overBudget() {
-			return tel, fmt.Errorf("%w after %d/%d requests (simulated %v > budget %v)",
-				ErrRunTimeout, done, total, d.Clock()-start, budget)
 		}
 	}
 	if done != total {
@@ -408,26 +394,19 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 
 // serveFrame serves one frame run by run into frame buffer f, each run
 // down the path the deployment names (server.Deployment.FrameTable), and
-// folds lane 0's latencies into la. It returns how many requests it
-// served: all of them, unless lane 0's clock crossed maxClock (0 =
-// none), checked after every request on both paths.
-func serveFrame(d *server.Deployment, f *server.Frame, keys []uint32, kinds []uint8, rw bool, route []uint8, la *laneAccum, maxClock simclock.Duration) int {
-	lat := f.Lat(0)
-	served := 0
-	for served < len(keys) {
-		t, end := d.FrameTable(keys, kinds, rw, served)
-		n := d.ServeRun(f, t, keys, kinds, served, end, maxClock, lat[served:end])
-		served += n
-		if served < end || maxClock > 0 && d.Clock() > maxClock {
-			break
-		}
+// folds lane 0's latencies into la.
+func serveFrame(d *server.Deployment, f *server.Frame, keys []uint32, kinds []uint8, rw bool, route []uint8, la *laneAccum) {
+	lat := f.Lat(0)[:len(keys)]
+	for from := 0; from < len(keys); {
+		t, end := d.FrameTable(keys, kinds, rw, from)
+		d.ServeRun(f, t, keys, kinds, from, end, lat[from:end])
+		from = end
 	}
-	la.fold(route[:served], lat[:served])
-	return served
+	la.fold(route, lat)
 }
 
 // laneWork is one served frame handed to the lane helper: the frame
-// buffer and how many of its requests were served.
+// buffer and the frame's request count.
 type laneWork struct{ buf, n int }
 
 // laneHelper prices and folds lanes 1.. of a run on its own goroutine,
@@ -488,17 +467,17 @@ func (h *laneHelper) finish() error {
 	return h.err
 }
 
-// ErrRunTimeout marks a run whose simulated clock exceeded RunCtx's
-// budget. Detect with errors.Is.
-var ErrRunTimeout = errors.New("client: run exceeded simulated time budget")
-
 // RunCtx replays the workload trace against an already-loaded
-// deployment, with cancellation and a simulated-time budget (0 =
-// unbounded), and returns lane 0's stats. A run cut off by either
-// returns the error and no stats: partial measurements are discarded,
-// never folded into means.
+// deployment, with cancellation, and returns lane 0's stats. A run cut
+// off by cancellation returns the error and no stats: partial
+// measurements are discarded, never folded into means. budget must be
+// 0: a finite trace's replay always terminates, so there is no
+// simulated-time budget, and RunCtx refuses any other value.
 func RunCtx(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget simclock.Duration) (RunStats, error) {
-	sts, err := runLanes(ctx, d, w, budget)
+	if budget != 0 {
+		return RunStats{}, fmt.Errorf("client: RunCtx budget %v refused: there is no simulated-time budget, pass 0", budget)
+	}
+	sts, err := runLanes(ctx, d, w)
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -511,7 +490,7 @@ var walks atomic.Int64
 
 // runLanes is RunCtx for every lane of the deployment: one replay, one
 // RunStats per lane, in lane order.
-func runLanes(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budget simclock.Duration) ([]RunStats, error) {
+func runLanes(ctx context.Context, d *server.Deployment, w *ycsb.Workload) ([]RunStats, error) {
 	walks.Add(1)
 	starts := make([]simclock.Duration, d.Lanes())
 	for k := range starts {
@@ -519,7 +498,7 @@ func runLanes(ctx context.Context, d *server.Deployment, w *ycsb.Workload, budge
 	}
 	classes := sizeClasses(w.Dataset.Records)
 	a := newReplayAccum(classes)
-	tel, err := replayFrames(ctx, d, w, classes, a, budget)
+	tel, err := replayFrames(ctx, d, w, classes, a)
 	if err != nil {
 		return nil, err
 	}

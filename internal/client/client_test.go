@@ -1,10 +1,16 @@
 package client
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"mnemo/internal/kvstore"
+	"mnemo/internal/memsim"
 	"mnemo/internal/server"
+	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
 )
 
@@ -14,6 +20,64 @@ func testWorkload(readRatio float64) *ycsb.Workload {
 		Dist:      ycsb.DistSpec{Kind: ycsb.Hotspot, HotSetFraction: 0.2, HotOpnFraction: 0.9},
 		ReadRatio: readRatio, Sizes: ycsb.SizeFixed100KB, Seed: 3,
 	})
+}
+
+// TestReplayRefusals: the entry points kept for their signatures refuse
+// what the replay no longer does — a simulated-time budget, and one
+// request or one block served on a deployment of more than one lane,
+// whose other lanes it would leave behind.
+func TestReplayRefusals(t *testing.T) {
+	w := testWorkload(1.0)
+	pt := w.Packed()
+	keys, kinds := pt.Keys[:64], pt.Kinds[:64]
+	load := func(lanes int) *server.Deployment {
+		d := server.NewDeployment(server.DefaultConfig(server.RedisLike, 1))
+		if lanes > 1 {
+			d.AddLane(memsim.Slow, 1)
+		}
+		if err := d.Load(w.Dataset, server.AllFast()); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"RunCtx budget", func() error {
+			_, err := RunCtx(context.Background(), load(1), w, 3600*simclock.Second)
+			return err
+		}, "budget 1h0m0s"},
+		{"Serve clock bound", func() error {
+			tab := load(1).BatchTable()
+			tab.Serve(keys, kinds, 3600*simclock.Second, tab.Block())
+			return nil
+		}, "panic: server: Serve with a simulated-time bound of 1h0m0s"},
+		{"DoIndex two lanes", func() error {
+			load(2).DoIndex(0, kvstore.Read)
+			return nil
+		}, "panic: server: DoIndex on a deployment of more than one lane"},
+		{"Serve two lanes", func() error {
+			tab := load(2).BatchTable()
+			tab.Serve(keys, kinds, 0, tab.Block())
+			return nil
+		}, "panic: server: Serve on a deployment of more than one lane"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+				}()
+				return tc.call()
+			}()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
 }
 
 func TestExecuteBasics(t *testing.T) {

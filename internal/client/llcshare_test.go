@@ -180,7 +180,7 @@ func TestSharedLLCServeZeroAllocs(t *testing.T) {
 		if !d.ResetRun(3) {
 			t.Fatal("deployment not rewindable")
 		}
-		if _, err := replayFrames(ctx, d, w, classes, a, 0); err != nil {
+		if _, err := replayFrames(ctx, d, w, classes, a); err != nil {
 			t.Fatal(err)
 		}
 	}

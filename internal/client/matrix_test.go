@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"mnemo/internal/kvstore"
@@ -19,9 +18,9 @@ import (
 
 // The replay equivalence matrix. There is one replay loop
 // (replayFrames), so every way of feeding it — trace backing, static or
-// adaptive, kernel or per-op, private LLC walker or a shared LLC stream — and
-// every way of cutting it off must produce the outcome of one
-// reference: the in-memory trace replayed with DisableBatchReplay.
+// adaptive, kernel or per-op, private LLC walker or a shared LLC stream,
+// uncut or cancelled — must produce the outcome of one reference: the
+// in-memory trace replayed with DisableBatchReplay.
 // "Outcome" is RunStats (EpochTraffic included) under
 // reflect.DeepEqual, the error text, and the deployment's clock when
 // the run ended.
@@ -117,18 +116,12 @@ func (o outcome) comparable() outcome {
 
 func runCell(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) outcome {
 	t.Helper()
-	return runCellBudget(t, ctx, cfg, w, p, 0)
-}
-
-// runCellBudget is runCell under a RunCtx simulated-time budget.
-func runCellBudget(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement, budget simclock.Duration) outcome {
-	t.Helper()
 	cfg.Obs = obs.NewSink()
 	d := server.NewDeployment(cfg)
 	if err := d.Load(w.Dataset, p); err != nil {
 		t.Fatal(err)
 	}
-	st, err := RunCtx(ctx, d, w, budget)
+	st, err := RunCtx(ctx, d, w, 0)
 	d.FlushObs()
 	out := outcome{Stats: st, Clock: d.Clock(),
 		kernelFrames:       cfg.Obs.Counter(obs.Name("mnemo_client_frames_total", "path", "kernel")).Value(),
@@ -179,50 +172,21 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 					base.EpochOps = replayBlockOps
 					base.MigrationCostPerByte = 0.5
 				}
-				full := runCell(t, context.Background(), perOpReference(base), w, p)
-				if full.Err != "" {
-					t.Fatalf("%s/%v/%s: uncut reference failed: %s", traceName, e, mode, full.Err)
-				}
-
-				type cutSpec struct {
-					budget       simclock.Duration
-					costPerByte  float64 // overrides MigrationCostPerByte when > 0
-					ctxCancelled bool
-				}
-				cuts := map[string]cutSpec{
-					"none":      {},
-					"timeout":   {budget: full.Stats.Runtime / 2},
-					"cancelled": {ctxCancelled: true},
-				}
-				if adaptive {
-					// The first boundary's copy traffic alone blows a budget
-					// the requests themselves would have met.
-					cuts["migration-timeout"] = cutSpec{budget: full.Stats.Runtime, costPerByte: 1e6}
-				}
-
-				for cut, spec := range cuts {
-					cfg := base
-					if spec.costPerByte > 0 {
-						cfg.MigrationCostPerByte = spec.costPerByte
-					}
-					ctx := context.Background()
-					if spec.ctxCancelled {
-						ctx = cancelled
-					}
+				for cut, ctx := range map[string]context.Context{"none": context.Background(), "cancelled": cancelled} {
 					label := fmt.Sprintf("%s/%v/%s/%s", traceName, e, mode, cut)
-					ref := runCellBudget(t, ctx, perOpReference(cfg), w, p, spec.budget)
+					ref := runCell(t, ctx, perOpReference(base), w, p)
 					requireCutFired(t, label, cut, ref)
 
 					for _, b := range backings {
 						for _, cellMode := range []struct{ perOp, shared bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 							perOp := cellMode.perOp
-							c := cfg
+							c := base
 							c.DisableBatchReplay = perOp
 							cellCtx, release := ctx, func() {}
 							if cellMode.shared {
 								cellCtx, release = ShareLLC(ctx)
 							}
-							got := runCellBudget(t, cellCtx, c, b.w, p, spec.budget)
+							got := runCell(t, cellCtx, c, b.w, p)
 							release()
 							cell := fmt.Sprintf("%s/%s/perop=%t/shared=%t", label, b.name, perOp, cellMode.shared)
 							if !reflect.DeepEqual(got.comparable(), ref.comparable()) {
@@ -411,18 +375,6 @@ func requireCutFired(t *testing.T, label, cut string, ref outcome) {
 	case "none":
 		if ref.Err != "" {
 			t.Fatalf("%s: reference failed: %s", label, ref.Err)
-		}
-	case "timeout":
-		var served, total int
-		if !strings.Contains(ref.Err, ErrRunTimeout.Error()) {
-			t.Fatalf("%s: reference did not time out: %q", label, ref.Err)
-		}
-		if _, err := fmt.Sscanf(ref.Err[strings.Index(ref.Err, "after "):], "after %d/%d requests", &served, &total); err != nil || served%replayBlockOps == 0 {
-			t.Fatalf("%s: reference not cut mid-frame: %q", label, ref.Err)
-		}
-	case "migration-timeout":
-		if !strings.Contains(ref.Err, fmt.Sprintf("after %d/", replayBlockOps)) {
-			t.Fatalf("%s: reference not cut by the first boundary's migration: %q", label, ref.Err)
 		}
 	case "cancelled":
 		if ref.Err != context.Canceled.Error() || ref.Clock != 0 {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mnemo/internal/memsim"
 	"mnemo/internal/obs"
 	"mnemo/internal/server"
 	"mnemo/internal/ycsb"
@@ -46,18 +47,28 @@ func TestExecuteMeanWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReplaySteadyStateZeroAllocs pins the allocation count of the
-// replay loop's per-op path at zero, priced by the private LLC walker
-// and by a shared stream. The dataset (512 × 1 KB) fits the 12 MB LLC, so
-// after a warmup pass every request is a cache hit against warm
-// accumulators — any allocation the loop still performs is per-op
-// overhead that would show up millions of times at full scale.
-func TestReplaySteadyStateZeroAllocs(t *testing.T) {
-	w := ycsb.MustGenerate(ycsb.Spec{
-		Name: "alloc", Keys: 512, Requests: 4096,
+// allocWorkload is the allocation tests' trace: the given number of
+// full frames of uniform reads over 512 × 1 KB records, a dataset that
+// fits the 12 MB LLC.
+func allocWorkload(frames int) *ycsb.Workload {
+	return ycsb.MustGenerate(ycsb.Spec{
+		Name: "alloc", Keys: 512, Requests: frames * replayBlockOps,
 		Dist:      ycsb.DistSpec{Kind: ycsb.Uniform},
 		ReadRatio: 1.0, Sizes: ycsb.SizeFixed1KB, Seed: 9,
 	})
+}
+
+// TestReplaySteadyStateZeroAllocs pins the allocation count of the
+// replay loop's per-op path at zero, priced by the private LLC walker
+// and by a shared stream. The dataset fits the LLC, so after a warmup
+// pass every request is a cache hit against warm accumulators — any
+// allocation the loop still performs is per-op overhead that would show
+// up millions of times at full scale. A deployment of two lanes (the
+// baseline pair) allocates per run, for its lane helper, and nothing
+// per frame: a pass allocates as often over 40 frames as over 4, on the
+// kernel and on the per-op path.
+func TestReplaySteadyStateZeroAllocs(t *testing.T) {
+	w := allocWorkload(1)
 	cfg := server.DefaultConfig(server.RedisLike, 3)
 	cfg.NoiseSigma = 0 // keep the latency set closed across passes
 	cfg.DisableBatchReplay = true
@@ -69,6 +80,24 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		return d
 	}
 	requireZeroAllocReplay(t, load(cfg), w)
+
+	for _, perOp := range []bool{false, true} {
+		c := cfg
+		c.DisableBatchReplay = perOp
+		var allocs [2]float64
+		for i, frames := range []int{4, 40} {
+			fw := allocWorkload(frames)
+			d := server.NewDeployment(c)
+			d.AddLane(memsim.Slow, 1)
+			if err := d.Load(fw.Dataset, server.AllFast()); err != nil {
+				t.Fatal(err)
+			}
+			allocs[i] = replayAllocs(t, d, fw)
+		}
+		if allocs[0] != allocs[1] {
+			t.Fatalf("perop=%t: two-lane replay allocates %.1f times over 4 frames, %.1f over 40: want the same", perOp, allocs[0], allocs[1])
+		}
+	}
 
 	// A per-op run cannot be rewound, and a stream attaches only before a
 	// deployment's first request, so each shared pass gets a deployment
@@ -86,7 +115,7 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 	pass := func() {
 		d := deps[0]
 		deps = deps[1:]
-		if _, err := replayFrames(ctx, d, w, classes, a, 0); err != nil {
+		if _, err := replayFrames(ctx, d, w, classes, a); err != nil {
 			t.Fatal(err)
 		}
 	}

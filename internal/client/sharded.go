@@ -33,10 +33,10 @@ import (
 func runSharded(ctx context.Context, cfg server.Config, sd *server.ShardedDeployment) ([]RunStats, error) {
 	n := sd.Shards()
 	if n == 1 {
-		return runLanes(ctx, sd.Dep(0), sd.Sub(0), 0)
+		return runLanes(ctx, sd.Dep(0), sd.Sub(0))
 	}
 	per, err := pool.Map(ctx, n, n, cfg.Obs, func(ctx context.Context, s int) ([]RunStats, error) {
-		sts, err := runLanes(ctx, sd.Dep(s), sd.Sub(s), 0)
+		sts, err := runLanes(ctx, sd.Dep(s), sd.Sub(s))
 		if err != nil {
 			return sts, fmt.Errorf("client: shard %d: %w", s, err)
 		}

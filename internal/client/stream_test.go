@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 
 	"mnemo/internal/kvstore"
 	"mnemo/internal/server"
-	"mnemo/internal/simclock"
 	"mnemo/internal/trace"
 	"mnemo/internal/ycsb"
 )
@@ -219,27 +217,6 @@ func TestStreamedFramesShareOneLLC(t *testing.T) {
 	}
 }
 
-// TestStreamedReplayTimeoutParity pins the budget cutoff: a streamed
-// run must trip at the same request, with the same message, as the
-// in-memory run.
-func TestStreamedReplayTimeoutParity(t *testing.T) {
-	w := testWorkload(0.9)
-	tw := streamedTwin(t, w)
-	cfg := server.DefaultConfig(server.RedisLike, 7)
-	const budget = 20 * simclock.Millisecond // trips mid-trace
-	_, errW := runBudgeted(t, cfg, w, server.AllSlow(), budget)
-	_, errT := runBudgeted(t, cfg, tw, server.AllSlow(), budget)
-	if errW == nil || errT == nil {
-		t.Fatalf("budget did not trip (in-memory %v, streamed %v)", errW, errT)
-	}
-	if !errors.Is(errT, ErrRunTimeout) {
-		t.Fatalf("streamed error %v does not wrap ErrRunTimeout", errT)
-	}
-	if errW.Error() != errT.Error() {
-		t.Fatalf("timeout text diverged:\n  in-memory: %v\n  streamed:  %v", errW, errT)
-	}
-}
-
 // TestStreamedShardedBitIdentical covers the partitioner's spool path:
 // a streamed workload split across a consistent-hash cluster — on both
 // a clean read/write trace and a Delete-bearing one — must measure
@@ -315,7 +292,7 @@ func TestStreamedReplayBoundedMemory(t *testing.T) {
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			tel, err := replayFrames(context.Background(), d, w, classes, a, 0)
+			tel, err := replayFrames(context.Background(), d, w, classes, a)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+
 	"mnemo/internal/kvstore"
 	"mnemo/internal/memsim"
 	"mnemo/internal/simclock"
@@ -325,23 +327,22 @@ func (d *Deployment) staticCost(kind kvstore.OpKind, chases, touched, vb int, me
 // Serve replays one block of at most ReplayBlockOps requests — keys[i]
 // is a dataset record index, kinds[i] its op kind — through the cost
 // table, advancing the clock and writing each request's latency into
-// lat, which must hold len(keys) entries (Block does). It returns the
-// number of requests served: len(keys) normally, or fewer when maxClock
-// (an absolute simulated-time bound, 0 = none) was exceeded — the
-// request that crossed the bound is served and counted, matching the
-// per-op path's post-op budget check. Serve is ServeRun over one
-// kernel run that is its own frame; further lanes are priced inline and
-// the latencies are lane 0's.
+// lat, which must hold len(keys) entries (Block does). It serves every
+// request and returns len(keys). Serve is ServeRun over one kernel run
+// that is its own frame, on a deployment of one lane; it panics on more
+// lanes, and on a non-zero maxClock: there is no simulated-time bound.
 //
 // With a stream attached the block must lie within what the stream has
 // published: the client's AwaitFrame ensures it, and Serve panics
 // otherwise.
 func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Duration, lat []simclock.Duration) int {
+	if maxClock != 0 {
+		panic(fmt.Sprintf("server: Serve with a simulated-time bound of %v; there is none, pass 0", maxClock))
+	}
 	d := t.d
-	f := d.Frame(0)
-	n := d.ServeRun(f, t, keys, kinds, 0, len(keys), maxClock, lat)
-	d.priceOtherLanes(f, 0, n)
-	return n
+	d.oneLane("Serve")
+	d.ServeRun(d.Frame(0), t, keys, kinds, 0, len(keys), lat)
+	return len(keys)
 }
 
 // stage1 is stage 1 of a kernel run, requests [from, end) of a frame:

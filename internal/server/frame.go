@@ -88,7 +88,8 @@ func (d *Deployment) FrameTable(keys []uint32, kinds []uint8, rw bool, from int)
 		path = pathPerOp
 	}
 	if d.frameMix |= 1 << path; end == len(keys) {
-		d.closeFrame()
+		d.frames[d.frameMix-1]++
+		d.frameMix = 0
 	}
 	return t, end
 }
@@ -132,14 +133,6 @@ func (d *Deployment) relaidBounded() bool {
 		}
 	}
 	return true
-}
-
-// closeFrame tallies the frame whose runs frameMix records, if any.
-func (d *Deployment) closeFrame() {
-	if d.frameMix != 0 {
-		d.frames[d.frameMix-1]++
-		d.frameMix = 0
-	}
 }
 
 // enginesTakePauses hands the pause accounting to the engines before

@@ -45,7 +45,8 @@ type lane struct {
 // stream seeded Config.Seed + seedOffset, and returns its index. Lanes
 // are added before Load, which then requires a uniform placement and
 // accounts every lane's capacity. A deployment with more than one lane
-// serves static runs only: ApplyMoves panics on it.
+// serves whole frames through a client replay only: ApplyMoves, DoIndex
+// and ReplayTable.Serve panic on it.
 func (d *Deployment) AddLane(tier memsim.Tier, seedOffset int64) int {
 	d.lanes = append(d.lanes, &lane{
 		seedOffset: seedOffset,
@@ -170,18 +171,8 @@ func (d *Deployment) buildFrames() {
 // for them: through t's cost rows, or per-op through the engines when t
 // is nil. Stage 1 writes every lane's service times into f; lane 0's
 // stage then prices them, writing the latencies into lat[:end-from].
-// It returns how many requests lane 0 served: end-from, or fewer when
-// its clock crossed maxClock (an absolute bound, 0 = none) — the
-// request that crossed it is served and counted. The other lanes are
-// priced by PriceLane once the frame is served.
-//
-// Stage 1 runs over the whole run before lane 0's stage can discover
-// a cut, so a short ServeRun has walked the engines, the LLC and the
-// pause mirror past the requests it served. What it reports — clock,
-// op count, latencies, LLC hit/miss tallies — is exact for the served
-// prefix, but the deployment cannot resume: after a short ServeRun the
-// only legal next steps are ResetRun or discarding the deployment.
-func (d *Deployment) ServeRun(f *Frame, t *ReplayTable, keys []uint32, kinds []uint8, from, end int, maxClock simclock.Duration, lat []simclock.Duration) int {
+// The other lanes are priced by PriceLane once the frame is served.
+func (d *Deployment) ServeRun(f *Frame, t *ReplayTable, keys []uint32, kinds []uint8, from, end int, lat []simclock.Duration) {
 	if from == 0 {
 		f.pauses = f.pauses[:0]
 	}
@@ -192,23 +183,23 @@ func (d *Deployment) ServeRun(f *Frame, t *ReplayTable, keys []uint32, kinds []u
 		d.stage1PerOp(f, keys, kinds, from, end)
 		path = pathPerOp
 	}
-	return d.finishRun(f, from, end, path, maxClock, lat)
+	d.finishRun(f, from, end, path, lat)
 }
 
 // finishRun runs lane 0's stage over requests [from, end) of f and
-// tallies what it served.
-func (d *Deployment) finishRun(f *Frame, from, end, path int, maxClock simclock.Duration, lat []simclock.Duration) int {
-	served := d.lanes[0].price(f, 0, from, end, maxClock, lat)
-	d.ops += served
-	d.reqs[path] += int64(served)
+// tallies them.
+func (d *Deployment) finishRun(f *Frame, from, end, path int, lat []simclock.Duration) {
+	d.lanes[0].price(f, 0, from, end, lat)
+	n := end - from
+	d.ops += n
+	d.reqs[path] += int64(n)
 	if d.llcs != nil || d.llc != nil {
 		hits := 0
-		for _, h := range f.hit[from : from+served] {
+		for _, h := range f.hit[from:end] {
 			hits += int(h)
 		}
-		d.tallyLLC(hits, served)
+		d.tallyLLC(hits, n)
 	}
-	return served
 }
 
 // PriceLane runs lane k's stage over the first n requests of f, which
@@ -217,28 +208,26 @@ func (d *Deployment) finishRun(f *Frame, from, end, path int, maxClock simclock.
 // one frame may run on another goroutine while ServeRun fills the other
 // frame.
 func (d *Deployment) PriceLane(f *Frame, k, n int, lat []simclock.Duration) {
-	d.lanes[k].price(f, k, 0, n, 0, lat)
+	d.lanes[k].price(f, k, 0, n, lat)
 }
 
-// priceOtherLanes prices lanes 1.. over requests [from, end) of f
-// inline, for the single-request and single-block entry points (DoIndex,
-// Serve) on a deployment with more than one lane.
-func (d *Deployment) priceOtherLanes(f *Frame, from, end int) {
-	for k := 1; k < len(d.lanes); k++ {
-		d.lanes[k].price(f, k, from, end, 0, f.lat[k][from:end])
+// oneLane panics when d has more than one lane: op serves or moves lane
+// 0 alone, which would leave the other lanes behind.
+func (d *Deployment) oneLane(op string) {
+	if len(d.lanes) > 1 {
+		panic("server: " + op + " on a deployment of more than one lane")
 	}
 }
 
 // price is the lane stage over requests [from, to) of f: the noise
 // stream scales the lane's service times, the pauses are added, and
 // each time is rounded to a latency, written to lat[i-from], and added
-// to the clock. It returns the requests served: all of them, or up to
-// and including the one that took the clock past maxClock (0 = none).
+// to the clock.
 //
 // The noise multiply is rounded to a float64 before the pause is added
 // and the sum before it is rounded to a latency, so every path prices a
 // request with the same float operations.
-func (l *lane) price(f *Frame, k, from, to int, maxClock simclock.Duration, lat []simclock.Duration) int {
+func (l *lane) price(f *Frame, k, from, to int, lat []simclock.Duration) {
 	ns := f.ns[k][from:to]
 	l.noise.Scale(ns)
 	for _, p := range f.pauses {
@@ -247,20 +236,13 @@ func (l *lane) price(f *Frame, k, from, to int, maxClock simclock.Duration, lat 
 		}
 	}
 	lat = lat[:len(ns)]
-	start := l.clock.Now()
-	now := start
-	served := len(ns)
+	var sum simclock.Duration
 	for i, x := range ns {
 		v := simclock.FromNanos(x)
-		now += v
+		sum += v
 		lat[i] = v
-		if maxClock > 0 && now > maxClock {
-			served = i + 1
-			break
-		}
 	}
-	l.clock.Advance(now - start)
-	return served
+	l.clock.Advance(sum)
 }
 
 // stage1PerOp is stage 1 of a per-op run: each request drives the engine

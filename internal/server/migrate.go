@@ -93,9 +93,7 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 	if len(moves) == 0 {
 		return res
 	}
-	if len(d.lanes) > 1 {
-		panic("server: ApplyMoves on a deployment of more than one lane")
-	}
+	d.oneLane("ApplyMoves")
 	for pass := 0; pass < 2; pass++ {
 		for _, m := range moves {
 			if (pass == 0) != (m.To == memsim.Slow) {

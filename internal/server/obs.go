@@ -72,8 +72,8 @@ func (t *deployTelemetry) flushTallies(name, label string, values []string, tall
 // counts, the requests priced from a shared LLC stream, and the
 // frame-path, request-path, re-price and re-priced-row tallies, to the
 // configured sink — the run-granularity flush the client calls after a
-// replay (including a replay cut off mid-run, so partial runs stay
-// observable; a frame cut off counts by the runs it served).
+// replay (including one that failed or was cancelled between frames, so
+// partial runs stay observable).
 // It is a no-op without a sink and idempotent per served request:
 // repeated flushes publish only new deltas.
 //
@@ -86,7 +86,6 @@ func (d *Deployment) FlushObs() {
 		return
 	}
 	lanes := int64(len(d.lanes))
-	d.closeFrame() // a run cut off mid-frame
 	t.flushTallies("mnemo_client_frames_total", "path", framePathLabels[:], d.frames[:], lanes)
 	t.flushTallies("mnemo_client_requests_total", "path", framePathLabels[:], d.reqs[:], lanes)
 	t.flushTallies("mnemo_server_reprice_total", "cause", repriceCauseLabels[:], d.repriced[:], lanes)

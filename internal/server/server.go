@@ -437,16 +437,16 @@ func (d *Deployment) row(key string, id uint64) (int, bool) {
 // through ServeRun). The record's tier comes from the table Load built
 // and its identity from the dataset's cached KeyID, so no per-request
 // string work remains. Writes store the record's dataset size (the
-// trace's record sizes are fixed for the workload's lifetime). Every
-// lane is priced; the Result is lane 0's. DoIndex panics if the
-// deployment has not been loaded or idx is out of range.
+// trace's record sizes are fixed for the workload's lifetime). DoIndex
+// panics if the deployment has not been loaded, has more than one lane,
+// or idx is out of range.
 func (d *Deployment) DoIndex(idx int, kind kvstore.OpKind) Result {
+	d.oneLane("DoIndex")
 	f := d.Frame(0)
 	f.pauses = f.pauses[:0]
 	keys, kinds := [1]uint32{uint32(idx)}, [1]uint8{uint8(kind)}
 	found := d.stage1PerOp(f, keys[:], kinds[:], 0, 1)
-	d.finishRun(f, 0, 1, pathPerOp, 0, f.lat[0])
-	d.priceOtherLanes(f, 0, 1)
+	d.finishRun(f, 0, 1, pathPerOp, f.lat[0])
 	return Result{Tier: d.tiers[idx], Kind: kind, Latency: f.lat[0][0], Found: found, Hit: f.hit[0] == 1}
 }
 
