@@ -61,6 +61,9 @@ func benchReplay(b *testing.B, d *server.Deployment, w *ycsb.Workload) {
 // — only the per-request machinery differs. Indexed drives every request
 // through DoIndex (engine interface call, trace pricing, pause polling);
 // Batched streams the packed trace through the precomputed cost table.
+// BatchedPausing is Batched on DynamoLike, whose kernel charges the
+// engine's GC model once per request (ChargeReplay); it is no gated pair,
+// only the one measurement of that path.
 func BenchmarkReplayBatched(b *testing.B) {
 	w := benchWorkload(b)
 	recs := w.Dataset.Records
@@ -80,6 +83,14 @@ func BenchmarkReplayBatched(b *testing.B) {
 	})
 	b.Run("Batched", func(b *testing.B) {
 		d := benchDeployment(b, benchConfig(), w, p)
+		benchReplay(b, d, w)
+		if !d.Rewindable() {
+			b.Fatal("a frame left the kernel path")
+		}
+		perOp(b)
+	})
+	b.Run("BatchedPausing", func(b *testing.B) {
+		d := benchDeployment(b, server.DefaultConfig(server.DynamoLike, 42), w, p)
 		benchReplay(b, d, w)
 		if !d.Rewindable() {
 			b.Fatal("a frame left the kernel path")

@@ -134,10 +134,9 @@ func deleteStreamWorkload(t *testing.T) *ycsb.Workload {
 }
 
 // TestStreamedReplayDeleteBitIdentical covers the structural-frame
-// path: Delete-bearing frames drop to per-op pricing (with the
-// pause-state handshake around them) while read/write frames before and
-// after still take the kernel — and the result must equal the in-memory
-// run on either path.
+// path: Delete-bearing frames drop to per-op pricing while read/write
+// frames before and after still take the kernel — and the result must
+// equal the in-memory run on either path.
 func TestStreamedReplayDeleteBitIdentical(t *testing.T) {
 	w := deleteStreamWorkload(t)
 	if w.Packed().Batchable() {
@@ -165,7 +164,7 @@ func TestStreamedReplayDeleteBitIdentical(t *testing.T) {
 // follows, and the whole run must equal the all-per-op reference.
 // (treekv's delete leaves a full node behind, so that engine stops
 // promising static traces and serves frame 2 per-op as well; it still
-// covers the kernel-to-per-op direction, with the pause handshake.)
+// covers the kernel-to-per-op direction.)
 func TestStreamedFramesShareOneLLC(t *testing.T) {
 	const n = replayBlockOps
 	w := ycsb.MustGenerate(ycsb.Spec{

@@ -48,13 +48,16 @@ func (s *Store) StaticTrace(key string, id uint64) (getChases, putChases int, ok
 // whole bucket chain, whose length the resident keys decide.
 func (s *Store) MissTrace() (int, bool) { return 0, false }
 
-// ReplayPauses implements kvstore.BatchReplayer: the quiesced dict has
+// ChargeReplay implements kvstore.BatchReplayer: the quiesced dict has
 // no steady-state stall source (rehash hiccups only fire on growth).
-func (s *Store) ReplayPauses() kvstore.PauseModel { return kvstore.PauseModel{} }
+func (s *Store) ChargeReplay(int) float64 { return 0 }
 
-// SyncReplayAccum implements kvstore.BatchReplayer; the dict has no
-// steady-state pause accumulator to restore.
-func (s *Store) SyncReplayAccum(int64) {}
+// PauseAccum implements kvstore.BatchReplayer: no pause model.
+func (s *Store) PauseAccum() (int64, bool) { return 0, false }
+
+// SetPauseAccum implements kvstore.BatchReplayer; there is nothing to
+// restore.
+func (s *Store) SetPauseAccum(int64) {}
 
 // A key's static trace is its position in its bucket chain, so an
 // insert (at the chain head) or a remove shifts exactly the traces of

@@ -92,35 +92,15 @@ type Store interface {
 	TakePauseNs() float64
 }
 
-// PauseModel describes an engine's deterministic steady-state stall
-// source as a linear allocation budget: every operation accrues the
-// record's payload bytes plus PerOpBytes of framing garbage, and when the
-// accumulator reaches BudgetBytes it resets to zero and the operation
-// absorbs PauseNs. Engines without steady-state pauses return the zero
-// model (BudgetBytes 0), which the replay kernel skips entirely.
-type PauseModel struct {
-	// BudgetBytes is the accrual threshold that triggers a pause; 0
-	// disables the model.
-	BudgetBytes int64
-	// PerOpBytes is the fixed per-operation accrual added on top of the
-	// record's payload size.
-	PerOpBytes int64
-	// PauseNs is the stall injected when the budget is crossed.
-	PauseNs float64
-	// Accum is the accumulator's current value — the starting point a
-	// batched replay must resume from to stay bit-identical with the
-	// store's own accounting.
-	Accum int64
-}
-
 // BatchReplayer is the optional capability behind the server's batched
 // replay kernel (DESIGN.md §12). An engine that implements it can promise
 // that, once quiesced, its per-operation traces for resident keys are
 // static: no rehash in flight, no structural mutation on overwrite — so
 // Get/Put traces can be precomputed once into a flat cost table and
-// replayed without touching the store at all — and say which of those
-// traces an insert or remove has since moved (Relaid), so the table is
-// refreshed row by row rather than rebuilt.
+// replayed without walking the store — and say which of those traces an
+// insert or remove has since moved (Relaid), so the table is refreshed
+// row by row rather than rebuilt. The one thing a replayed request still
+// does to an engine is charge its pause model (ChargeReplay).
 type BatchReplayer interface {
 	// Quiesce drives deferred background work (incremental rehash,
 	// pending node splits) to completion so subsequent operations on
@@ -142,18 +122,21 @@ type BatchReplayer interface {
 	// alone. ok is false when a miss's trace depends on dynamic state (a
 	// hash chain, a tree descent).
 	MissTrace() (getChases int, ok bool)
-	// ReplayPauses exposes the engine's steady-state stall source so the
-	// batched kernel can reproduce TakePauseNs without calling it.
-	ReplayPauses() PauseModel
-	// SyncReplayAccum overwrites the engine's pause accumulator with the
-	// kernel's mirrored value. The batched kernel advances its mirror
-	// instead of the engine's accounting; when a replay must interleave
-	// per-operation requests (a streamed frame carrying deletes), it
-	// first writes the mirror back so the engine's own accounting
-	// resumes exactly where the kernel left it — and reads the engine's
-	// accumulator back (ReplayPauses().Accum) afterwards. Engines with a
-	// zero PauseModel may ignore the call.
-	SyncReplayAccum(accum int64)
+	// ChargeReplay charges one kernel-served request on a resident
+	// record of size payload bytes to the engine's steady-state stall
+	// source, exactly as serving it through GetID or PutID would, and
+	// returns the stall the request absorbs (what TakePauseNs would
+	// return after it). Engines without a pause model return 0. The
+	// engine stays the only holder of its pause accounting.
+	ChargeReplay(size int) float64
+	// PauseAccum reports the engine's pause accumulator, and false when
+	// the engine has no pause model (ChargeReplay is then always 0 and
+	// a miss leaves its accounting alone).
+	PauseAccum() (accum int64, ok bool)
+	// SetPauseAccum restores a value PauseAccum reported, so a rewound
+	// run resumes its accounting from the post-load snapshot. Engines
+	// without a pause model ignore it.
+	SetPauseAccum(accum int64)
 	// Relaid drains the engine's relayout journal: it calls fn for every
 	// resident key whose StaticTrace may differ from what it was at the
 	// previous Relaid call — the keys an insert or remove since then

@@ -28,14 +28,17 @@ func (s *Store) StaticTrace(key string, id uint64) (getChases, putChases int, ok
 	return 2, 3, true
 }
 
-// ReplayPauses implements kvstore.BatchReplayer: eviction stalls only
+// ChargeReplay implements kvstore.BatchReplayer: eviction stalls only
 // fire under a memory limit with residency growth, which a fixed-dataset
 // replay never causes.
-func (s *Store) ReplayPauses() kvstore.PauseModel { return kvstore.PauseModel{} }
+func (s *Store) ChargeReplay(int) float64 { return 0 }
 
-// SyncReplayAccum implements kvstore.BatchReplayer; the slab store has
-// no steady-state pause accumulator to restore.
-func (s *Store) SyncReplayAccum(int64) {}
+// PauseAccum implements kvstore.BatchReplayer: no pause model.
+func (s *Store) PauseAccum() (int64, bool) { return 0, false }
+
+// SetPauseAccum implements kvstore.BatchReplayer; there is nothing to
+// restore.
+func (s *Store) SetPauseAccum(int64) {}
 
 // MissTrace implements kvstore.BatchReplayer: a miss is the same two
 // dependent loads as a hit (index probe, item header), touches no item

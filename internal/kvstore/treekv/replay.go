@@ -11,8 +11,8 @@ import "mnemo/internal/kvstore"
 // after which reads and overwrites of resident keys leave the structure
 // untouched and every descent is static. Second, the GC budget (charge)
 // injects a pause every gcAllocBudget bytes of request garbage; that is
-// a pure function of the op sequence, exported to the kernel via
-// ReplayPauses as a linear PauseModel.
+// a pure function of the op sequence, and the kernel drives it through
+// ChargeReplay, so the store keeps the only copy of the GC accounting.
 
 // Quiesce implements kvstore.BatchReplayer: it splits every full node —
 // exactly the splits future Puts would perform on their way down — until
@@ -106,24 +106,20 @@ func (s *Store) StaticTrace(key string, id uint64) (getChases, putChases int, ok
 // leaf the key would sit in, a path the resident keys decide.
 func (s *Store) MissTrace() (int, bool) { return 0, false }
 
-// ReplayPauses implements kvstore.BatchReplayer, exporting the charge()
-// dynamics: every op accrues its record bytes plus the request framing
-// garbage, and crossing the GC budget resets the accumulator and injects
-// the young-gen pause.
-func (s *Store) ReplayPauses() kvstore.PauseModel {
-	return kvstore.PauseModel{
-		BudgetBytes: gcAllocBudget,
-		PerOpBytes:  requestGarbageB,
-		PauseNs:     gcPauseNs,
-		Accum:       s.allocBytes,
-	}
+// ChargeReplay implements kvstore.BatchReplayer: a resident record's Get
+// and Put both charge its payload size (GetID charges the stored size,
+// which a fixed-dataset replay never changes), and on a quiesced tree
+// they add no other stall.
+func (s *Store) ChargeReplay(size int) float64 {
+	s.charge(size)
+	return s.TakePauseNs()
 }
 
-// SyncReplayAccum implements kvstore.BatchReplayer: the kernel's
-// mirrored GC accumulator becomes the live allocation counter, so
-// per-op requests interleaved into a batched replay charge() from the
-// same point the kernel reached.
-func (s *Store) SyncReplayAccum(accum int64) { s.allocBytes = accum }
+// PauseAccum implements kvstore.BatchReplayer: the GC accumulator.
+func (s *Store) PauseAccum() (int64, bool) { return s.allocBytes, true }
+
+// SetPauseAccum implements kvstore.BatchReplayer.
+func (s *Store) SetPauseAccum(accum int64) { s.allocBytes = accum }
 
 // Relaid implements kvstore.BatchReplayer and always reports the change
 // unbounded, so callers re-probe every key. A key's trace counts the

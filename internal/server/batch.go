@@ -18,7 +18,9 @@ import (
 // runs of requests against the flat table. The only state touched per
 // request is the state that genuinely varies per request: the LLC hit
 // bit, the noise RNG stream, the GC-pause accumulator and the simulated
-// clock. No kvstore.Store interface call remains on the path.
+// clock. The accumulator is the engine's own: on an engine with a pause
+// model (treekv) each request makes one interface call,
+// kvstore.BatchReplayer.ChargeReplay; on the others none remains.
 //
 // Bit-identity with the per-operation path is by construction: the table
 // builder prices each record's static trace with the formula the per-op
@@ -36,12 +38,6 @@ const ReplayBlockOps = 4096
 // lane (CPU + memory, MLP and write penalty applied), indexed by
 // costSlot(kind, hit).
 type costRow [4]float64
-
-// costMeta is what the pause mirror needs of a record.
-type costMeta struct {
-	size int32 // payload bytes charged to the GC model
-	tier uint8 // serving instance, for pause routing
-}
 
 // costSlot indexes a costRow by a kernel request's kind (Read or Write)
 // and its LLC outcome (1 = hit): read miss, read hit, write miss, write
@@ -65,31 +61,15 @@ func llcFootprint(kind uint8, size int, readAmp float64) int {
 	return touched
 }
 
-// pauseState is the kernel-side mirror of one instance's
-// kvstore.PauseModel, with the post-load accumulator snapshot kept for
-// ResetRun.
-type pauseState struct {
-	budget, perOp int64
-	pauseNs       float64
-	accum, reset  int64
-}
-
 // ReplayTable is a deployment's batched-replay state: the per-lane cost
-// table and the per-tier pause models. It is bound to the deployment
-// that built it and shares its single-threaded discipline.
+// table. It is bound to the deployment that built it and shares its
+// single-threaded discipline.
 type ReplayTable struct {
 	d *Deployment
 	// cost holds record i's row on lane k at i·lanes + k: a record's
 	// rows on the two lanes of a baseline pair share one cache line.
 	cost  []costRow
 	lanes int
-	meta  []costMeta
-	pause [2]pauseState // indexed by memsim.Tier
-}
-
-// pausing reports whether either instance has a pause model to mirror.
-func (t *ReplayTable) pausing() bool {
-	return t.pause[memsim.Fast].budget > 0 || t.pause[memsim.Slow].budget > 0
 }
 
 // Block returns a block-sized latency scratch buffer for Serve calls:
@@ -118,7 +98,7 @@ const (
 // latched until the table next goes stale.
 //
 // Replay loops ask FrameTable, per run, instead: per-op requests may
-// interleave with Serve only under its pause handshake.
+// interleave with Serve only where it says the table is current.
 func (d *Deployment) BatchTable() *ReplayTable {
 	if d.cfg.DisableBatchReplay {
 		return nil
@@ -141,9 +121,7 @@ func (d *Deployment) BatchTable() *ReplayTable {
 // refresh (Load drops it) or an engine reports its change unbounded (a
 // hash table resize, a slabkv eviction, any treekv insert or remove).
 // Both journals are drained on every call, so each covers exactly the
-// changes since the table was last priced. The pause mirrors are
-// snapshotted from the engines, which hold the current accumulators at
-// every event that leaves the table stale. The table's identity and its
+// changes since the table was last priced. The table's identity and its
 // latency scratch survive a refresh. A deleted record's row is its
 // not-found row where the engines promise one (noteStructural writes it
 // at the Delete), and is skipped otherwise: the engines hold no trace
@@ -185,8 +163,7 @@ func (d *Deployment) reprice() {
 		}
 	} else {
 		if t == nil {
-			t = &ReplayTable{d: d, cost: make([]costRow, len(d.lanes)*len(d.records)),
-				lanes: len(d.lanes), meta: make([]costMeta, len(d.records))}
+			t = &ReplayTable{d: d, cost: make([]costRow, len(d.lanes)*len(d.records)), lanes: len(d.lanes)}
 		}
 		rows := len(d.records)
 		if !d.missRows {
@@ -199,21 +176,14 @@ func (d *Deployment) reprice() {
 			}
 		}
 	}
-	for i, br := range brs {
-		pm := br.ReplayPauses()
-		t.pause[i] = pauseState{budget: pm.BudgetBytes, perOp: pm.PerOpBytes,
-			pauseNs: pm.PauseNs, accum: pm.Accum, reset: pm.Accum}
-	}
-	d.table, d.perOp = t, false
+	d.table = t
 }
 
 // DropBatchTable latches the batched kernel off for the rest of the
 // deployment's life, as DisableBatchReplay would have from the start:
-// the engines take the pause accounting over and every later frame goes
-// per-op. It exists for regression tests that need to force
-// the mid-run per-op fallback deterministically.
+// every later frame goes per-op. It exists for regression tests that
+// need to force the mid-run per-op fallback deterministically.
 func (d *Deployment) DropBatchTable() {
-	d.enginesTakePauses()
 	d.cfg.DisableBatchReplay, d.table = true, nil
 }
 
@@ -269,7 +239,6 @@ func (d *Deployment) fillCost(t *ReplayTable, i int, brs [2]kvstore.BatchReplaye
 	if !ok {
 		return false
 	}
-	t.meta[i] = costMeta{size: int32(rec.Size), tier: uint8(tier)}
 
 	readTouched := kvstore.Amplify(rec.Size, d.profile.ReadAmplification)
 	readVB := llcFootprint(uint8(kvstore.Read), rec.Size, d.profile.ReadAmplification)
@@ -297,7 +266,6 @@ func (d *Deployment) fillMiss(t *ReplayTable, i int) {
 	tier := d.tiers[i]
 	chases := d.missChases[tier]
 	r := uint8(kvstore.Read)
-	t.meta[i] = costMeta{tier: uint8(tier)}
 	var c costRow
 	c[costSlot(r, 1)] = d.staticCost(kvstore.Read, chases, 0, 0, &memsim.LLCParams)
 	for k := range t.lanes {
@@ -347,8 +315,8 @@ func (t *ReplayTable) Serve(keys []uint32, kinds []uint8, maxClock simclock.Dura
 
 // stage1 is stage 1 of a kernel run, requests [from, end) of a frame:
 // every request's LLC hit bit, the cost it selects on each lane, and —
-// mirroring TakePauseNs — the GC pauses, whose accumulators the
-// engine's own accounting would charge with each request's bytes.
+// on an engine with a pause model — the GC pauses, charged to the
+// instance that serves the record as GetID or PutID would charge them.
 func (t *ReplayTable) stage1(f *Frame, keys []uint32, kinds []uint8, from, end int) {
 	keys, kinds = keys[from:end], kinds[from:end]
 	hit := f.hit[from:end]
@@ -366,17 +334,13 @@ func (t *ReplayTable) stage1(f *Frame, keys []uint32, kinds []uint8, from, end i
 			}
 		}
 	}
-	if !t.pausing() {
+	d := t.d
+	if !d.pausing {
 		return
 	}
 	for i, key := range keys {
-		m := &t.meta[key]
-		if ps := &t.pause[m.tier]; ps.budget > 0 {
-			ps.accum += int64(m.size) + ps.perOp
-			if ps.accum >= ps.budget {
-				ps.accum = 0
-				f.pauses = append(f.pauses, pauseAt{i: from + i, ns: ps.pauseNs})
-			}
+		if p := d.replayers[d.tiers[key]].ChargeReplay(d.records[key].Size); p != 0 {
+			f.pauses = append(f.pauses, pauseAt{i: from + i, ns: p})
 		}
 	}
 }
@@ -387,9 +351,9 @@ func (t *ReplayTable) stage1(f *Frame, keys []uint32, kinds []uint8, from, end i
 // instead of re-populating per run. It resets every lane's clock, the op
 // counter, private LLC walker and LLC tallies, detaches any LLC stream,
 // re-seeds each lane's noise stream (lane k at seed plus its offset),
-// and restores the kernel's pause accumulators to
-// their post-load snapshot; telemetry parity with a fresh deployment is
-// kept by re-counting the deployment.
+// and restores the engines' pause accumulators to their post-load
+// snapshot; telemetry parity with a fresh deployment is kept by
+// re-counting the deployment.
 //
 // It returns false — leaving the deployment untouched — when the
 // deployment is not Rewindable.
@@ -397,15 +361,14 @@ func (d *Deployment) ResetRun(seed int64) bool {
 	if !d.Rewindable() {
 		return false
 	}
-	t := d.table
 	d.cfg.Seed = seed
 	for _, l := range d.lanes {
 		l.clock.Reset()
 		l.noise.reseed(seed + l.seedOffset)
 	}
 	d.ops = 0
-	for i := range t.pause {
-		t.pause[i].accum = t.pause[i].reset
+	for i, br := range d.replayers {
+		br.SetPauseAccum(d.pauseReset[i])
 	}
 	if d.llc != nil {
 		d.llc.reset()

@@ -9,6 +9,8 @@ package server
 import (
 	"testing"
 
+	"mnemo/internal/kvstore/treekv"
+	"mnemo/internal/memsim"
 	"mnemo/internal/obs"
 	"mnemo/internal/simclock"
 	"mnemo/internal/ycsb"
@@ -131,7 +133,10 @@ func TestBatchTableRebuiltAfterLoad(t *testing.T) {
 
 // TestResetRunMatchesFreshLoad is the snapshot/reset contract at the
 // server layer: a reset deployment replays bit-identically to a freshly
-// populated one under the same seed.
+// populated one under the same seed, and leaves the engines' pause
+// accumulators where the fresh replay does. On DynamoLike the replay
+// crosses the GC budget, so a rewind that left the accumulator where
+// the first replay did would fire its pauses elsewhere.
 func TestResetRunMatchesFreshLoad(t *testing.T) {
 	for _, e := range Engines() {
 		t.Run(e.String(), func(t *testing.T) {
@@ -159,6 +164,16 @@ func TestResetRunMatchesFreshLoad(t *testing.T) {
 			if reused.llcHits != fresh.llcHits || reused.llcMisses != fresh.llcMisses {
 				t.Fatalf("LLC tallies diverged: reset %d/%d, fresh %d/%d",
 					reused.llcHits, reused.llcMisses, fresh.llcHits, fresh.llcMisses)
+			}
+			for i, br := range reused.replayers {
+				got, _ := br.PauseAccum()
+				want, _ := fresh.replayers[i].PauseAccum()
+				if got != want {
+					t.Fatalf("instance %d: pause accumulator %d after the reset replay, %d after the fresh one", i, got, want)
+				}
+			}
+			if st, ok := fresh.instances[memsim.Fast].(*treekv.Store); ok && st.GCCount() == 0 {
+				t.Fatal("the fresh replay collected no garbage on FastMem; the pause check is vacuous")
 			}
 		})
 	}

@@ -6,14 +6,11 @@ import "mnemo/internal/kvstore"
 // loop hands every trace frame to FrameTable, run by run: FrameTable
 // names the next run of requests and whether the returned table or — on
 // nil — the engines serve it per-op, in ServeRun's stage 1. Interleaving
-// the two is sound because FrameTable keeps three things straight on the
-// way:
+// the two is sound because FrameTable keeps two things straight on the
+// way. (The GC pause accounting needs no keeping: it is the engine's
+// alone, charged by the kernel through kvstore.BatchReplayer.ChargeReplay
+// as by the per-op path through GetID and PutID.)
 //
-//   - who holds the pause accumulators. The kernel mirrors the engines'
-//     GC accounting instead of advancing it, so before the engines are
-//     driven directly (a per-op run, a migration) the mirror is written
-//     into them, and before the kernel serves again it is read back — or
-//     re-snapshotted by a re-price;
 //   - whether the cost rows are current. A structural request (a Delete,
 //     a Write re-inserting a deleted record) or a migration only marks
 //     the table stale; the re-price — O(rows the engines relaid), or
@@ -77,13 +74,7 @@ func (d *Deployment) FrameTable(keys []uint32, kinds []uint8, rw bool, from int)
 		}
 	}
 	path := pathKernel
-	if t != nil {
-		if d.perOp {
-			t.resyncKernelPauses()
-			d.perOp = false
-		}
-	} else {
-		d.enginesTakePauses()
+	if t == nil {
 		d.mutated = true
 		path = pathPerOp
 	}
@@ -133,39 +124,4 @@ func (d *Deployment) relaidBounded() bool {
 		}
 	}
 	return true
-}
-
-// enginesTakePauses hands the pause accounting to the engines before
-// they are driven directly: if the kernel's mirror holds the current
-// accumulators it is written into them, so their own accounting resumes
-// where the kernel left it.
-func (d *Deployment) enginesTakePauses() {
-	if !d.perOp && d.table != nil {
-		d.table.syncEnginePauses()
-	}
-	d.perOp = true
-}
-
-// syncEnginePauses writes the kernel's mirrored pause accumulators into
-// the engines; without a pause model there is nothing to hand over.
-func (t *ReplayTable) syncEnginePauses() {
-	if !t.pausing() {
-		return
-	}
-	for i, br := range t.d.replayers {
-		br.SyncReplayAccum(t.pause[i].accum)
-	}
-}
-
-// resyncKernelPauses reads the engines' pause accumulators back into
-// the kernel's mirror. The ResetRun snapshot (pauseState.reset) is left
-// alone; a deployment that served a per-op run is mutated and not
-// rewindable anyway.
-func (t *ReplayTable) resyncKernelPauses() {
-	if !t.pausing() {
-		return
-	}
-	for i, br := range t.d.replayers {
-		t.pause[i].accum = br.ReplayPauses().Accum
-	}
 }

@@ -1,7 +1,7 @@
 package server
 
-// In-package tests of the per-run replay decision (frame.go): the
-// pause-accumulator hand-over in both directions, the mutation latch,
+// In-package tests of the per-run replay decision (frame.go): one owner
+// of the GC pause accounting across both paths, the mutation latch,
 // the deleted-record set and the lazy re-price. End-to-end bit-identity
 // of every trace backing and replay path lives in
 // internal/client/matrix_test.go; these pin FrameTable's own contracts
@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"mnemo/internal/kvstore"
+	"mnemo/internal/kvstore/treekv"
 	"mnemo/internal/memsim"
 	"mnemo/internal/obs"
 	"mnemo/internal/ycsb"
@@ -250,64 +251,57 @@ func TestLeadingDeleteTalliesLoad(t *testing.T) {
 	}
 }
 
-// TestSyncPausesBothDirections pins the accumulator hand-over on the
-// engine with real pause dynamics (DynamoLike / treekv): after batched
-// frames the kernel's mirror leads the engines; a per-op frame's
-// FrameTable writes it into them, per-op requests then advance the
-// engines past the mirror, and the next kernel frame's FrameTable reads
-// them back.
-func TestSyncPausesBothDirections(t *testing.T) {
-	w := smallWorkload(t, ycsb.SizeFixed10KB, 0.5)
-	d := loadHalfFast(t, DefaultConfig(DynamoLike, 23), w)
-	tab := d.BatchTable()
-	if tab == nil {
-		t.Fatal("no batch table")
-	}
-	serveAll(t, d, w.Packed())
-
-	brs := make([]kvstore.BatchReplayer, len(d.instances))
-	for i, inst := range d.instances {
-		br, ok := inst.(kvstore.BatchReplayer)
-		if !ok {
-			t.Fatal("treekv instance is not a BatchReplayer")
+// TestPausesOneOwner pins that the engine is the only holder of its GC
+// accounting (DynamoLike / treekv): a run that mixes kernel runs, a
+// per-op frame carrying a Delete and a migration serves the latencies
+// of the all-per-op reference and leaves every instance with its GC
+// count and accumulator — the kernel charges the engines, so no pause
+// fires that an engine did not count.
+func TestPausesOneOwner(t *testing.T) {
+	w := smallWorkload(t, ycsb.SizeFixed100KB, 0.5)
+	pt := w.Packed()
+	mid := len(pt.Keys) / 2
+	delKinds := append([]uint8(nil), pt.Kinds[mid:mid+64]...)
+	delKinds[32] = uint8(kvstore.Delete)
+	moves := []Move{{Index: 0, To: memsim.Slow}, {Index: len(w.Dataset.Records) - 1, To: memsim.Fast}}
+	run := func(cfg Config) (d *Deployment, lat []float64, kernelRuns int) {
+		d = loadHalfFast(t, cfg, w)
+		frame := func(keys []uint32, kinds []uint8, rw bool) {
+			l, k := serveRuns(t, d, keys, kinds, rw)
+			lat, kernelRuns = append(lat, l...), kernelRuns+k
 		}
-		brs[i] = br
-	}
-	diverged := false
-	for i, br := range brs {
-		if tab.pause[i].accum != br.ReplayPauses().Accum {
-			diverged = true
+		frame(pt.Keys[:mid], pt.Kinds[:mid], true)
+		frame(pt.Keys[mid:mid+64], delKinds, false)
+		if res := d.ApplyMoves(moves); res.Moves != len(moves) {
+			t.Fatalf("moves dropped: %+v", res)
 		}
+		frame(pt.Keys[mid+64:], pt.Kinds[mid+64:], true)
+		return d, lat, kernelRuns
 	}
-	if !diverged {
-		t.Fatal("batched replay never advanced the mirror past the engines; test is vacuous")
+	d, got, kernelRuns := run(DefaultConfig(DynamoLike, 23))
+	ref := DefaultConfig(DynamoLike, 23)
+	ref.DisableBatchReplay = true
+	perOp, want, _ := run(ref)
+	if kernelRuns == 0 {
+		t.Fatal("no run went through the kernel; test is vacuous")
 	}
-
-	keys := make([]uint32, 64)
-	dels, writes := make([]uint8, len(keys)), make([]uint8, len(keys))
-	for i := range keys {
-		keys[i], dels[i], writes[i] = uint32(i), uint8(kvstore.Delete), uint8(kvstore.Write)
-	}
-	if got, end := d.FrameTable(keys, dels, false, 0); got != nil || end != len(keys) {
-		t.Fatal("FrameTable offered the tree engine the kernel mid-frame")
-	}
-	for i, br := range brs {
-		if got, want := br.ReplayPauses().Accum, tab.pause[i].accum; got != want {
-			t.Fatalf("engine %d accum after the hand-over = %d, want mirror %d", i, got, want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("op %d: latency %v, per-op %v", i, got[i], want[i])
 		}
 	}
-
-	// Per-op writes advance the engines' own accounting; the mirror is
-	// stale until the kernel is asked for again.
-	for _, k := range keys {
-		d.DoIndex(int(k), kvstore.Write)
+	if d.Clock() != perOp.Clock() {
+		t.Fatalf("clocks diverged: %v, per-op %v", d.Clock(), perOp.Clock())
 	}
-	if got, _ := d.FrameTable(keys, writes, true, 0); got != tab {
-		t.Fatal("FrameTable withheld the kernel from a read/write frame")
-	}
-	for i, br := range brs {
-		if got, want := tab.pause[i].accum, br.ReplayPauses().Accum; got != want {
-			t.Fatalf("mirror %d after the hand-back = %d, want engine %d", i, got, want)
+	for i := range d.instances {
+		g, r := d.instances[i].(*treekv.Store), perOp.instances[i].(*treekv.Store)
+		if r.GCCount() < 2 {
+			t.Fatalf("instance %d: %d collections in the per-op reference; test is vacuous", i, r.GCCount())
+		}
+		ga, _ := g.PauseAccum()
+		ra, _ := r.PauseAccum()
+		if g.GCCount() != r.GCCount() || ga != ra {
+			t.Fatalf("instance %d: %d collections, accumulator %d; per-op %d, %d", i, g.GCCount(), ga, r.GCCount(), ra)
 		}
 	}
 }
@@ -488,7 +482,7 @@ func TestApplyMovesResurrectsDeleted(t *testing.T) {
 	if tab == nil || end != 2 {
 		t.Fatal("frame touching the re-created record still refused the kernel")
 	}
-	if tab.meta[3].tier != uint8(to) {
+	if d.tiers[3] != to {
 		t.Fatal("re-created record not priced on its destination tier")
 	}
 	if got := d.DoIndex(3, kvstore.Read); !got.Found {

@@ -112,8 +112,6 @@ func (d *Deployment) ApplyMoves(moves []Move) MigrationResult {
 				res.SkippedFull++
 				continue
 			}
-			// The copy drives the engines directly, like a per-op frame.
-			d.enginesTakePauses()
 			from := d.tiers[m.Index]
 			d.instances[from].DelID(rec.Key, rec.ID)
 			d.instances[from].TakePauseNs() // migration stalls are untimed, like Load

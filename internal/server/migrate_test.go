@@ -131,7 +131,7 @@ func TestApplyMovesPatchesBatchTable(t *testing.T) {
 	if tab2 != tab {
 		t.Fatal("migration rebuilt the table instead of patching it")
 	}
-	if tab2.meta[2].tier != uint8(memsim.Fast) {
+	if d.tiers[2] != memsim.Fast {
 		t.Fatal("moved record not re-routed to the fast instance")
 	}
 	if got := tab2.cost[2][costSlot(uint8(kvstore.Read), 0)]; got >= slowRead {

@@ -220,10 +220,12 @@ type Deployment struct {
 	// latched off until the next of those events.
 	table *ReplayTable
 	stale repriceCause
-	// perOp records that the engines were last driven directly (a per-op
-	// frame, a migration), so they — not the kernel's mirror — hold the
-	// current pause accumulators (frame.go).
-	perOp bool
+	// pausing reports that the engine keeps a pause model
+	// (kvstore.BatchReplayer.PauseAccum), which the kernel charges per
+	// request; pauseReset holds each instance's accumulator as Load left
+	// it, for ResetRun to restore.
+	pausing    bool
+	pauseReset [2]int64
 
 	// mutated latches once the store diverges from its post-Load
 	// snapshot — a migration, or any frame served per-op — after which
@@ -236,10 +238,10 @@ type Deployment struct {
 	// structural re-insert, or a Write the engine refuses again. A Read of
 	// one is served by the kernel when missRows is set — both engine
 	// instances promise a constant miss trace (kvstore.BatchReplayer.
-	// MissTrace), missChases chases on each tier, and keep no pause
-	// model for the kernel to mirror — and priced from the record's
-	// not-found row; otherwise its row is not priced and the Read goes
-	// per-op.
+	// MissTrace), missChases chases on each tier, and the engine is not
+	// pausing (a treekv miss charges the GC model) — and priced from the
+	// record's not-found row; otherwise its row is not priced and the
+	// Read goes per-op.
 	dead       []bool
 	nDead      int
 	missRows   bool
@@ -293,14 +295,14 @@ func NewDeployment(cfg Config) *Deployment {
 	for i, inst := range d.instances {
 		d.replayers[i], _ = inst.(kvstore.BatchReplayer)
 	}
-	d.missRows = d.replayers[0] != nil && d.replayers[1] != nil
-	for i, br := range d.replayers {
-		if !d.missRows {
-			break
+	if d.replayers[0] != nil && d.replayers[1] != nil {
+		_, d.pausing = d.replayers[0].PauseAccum() // both run one engine
+		d.missRows = !d.pausing
+		for i, br := range d.replayers {
+			var ok bool
+			d.missChases[i], ok = br.MissTrace()
+			d.missRows = d.missRows && ok
 		}
-		var ok bool
-		d.missChases[i], ok = br.MissTrace()
-		d.missRows = ok && br.ReplayPauses().BudgetBytes == 0
 	}
 	d.initTelemetry()
 	return d
@@ -381,6 +383,7 @@ func (d *Deployment) populate() {
 			br.Quiesce()
 			d.instances[i].TakePauseNs()
 			br.Relaid(func(string, uint64) {})
+			d.pauseReset[i], _ = br.PauseAccum()
 		}
 	}
 	d.table, d.stale = nil, causeLoad

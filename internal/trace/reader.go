@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 )
 
 // File is an opened .mtrc trace: the decoded schema header plus the
@@ -215,7 +214,7 @@ func (f *File) decodeHeader() error {
 // Iterators share nothing but the (read-only) source, so concurrent
 // iterators are safe.
 func (f *File) Frames() (*FrameReader, error) {
-	buf := frameBufPool.Get().(*frameBuf)
+	buf := getFrameBuf()
 	buf.r.Reset(io.NewSectionReader(f.src, f.frameOff, f.size-f.frameOff))
 	return &FrameReader{f: f, buf: buf, off: f.frameOff, remaining: f.Header.Requests}, nil
 }
@@ -230,18 +229,31 @@ type frameBuf struct {
 	payload [FrameOps * 5]byte
 }
 
-// frameBufPool recycles frame buffers across iterators: replay paths
-// open an iterator per repetition (and per shard), and allocating the
-// 64KB read-ahead plus 40KB of frame arrays per open would dominate
+// frameBufs recycles frame buffers across iterators and files: replay
+// paths open an iterator per repetition (and per shard), and allocating
+// the 64KB read-ahead plus 40KB of frame arrays per open would dominate
 // short traces. A buffer's contents are only ever read up to the
-// decoded op count, so reuse without zeroing is safe.
-var frameBufPool = sync.Pool{New: func() any { return &frameBuf{r: bufio.NewReaderSize(nil, 1<<16)} }}
+// decoded op count, so reuse without zeroing is safe. It is a bounded
+// free list, not a sync.Pool, so reuse does not depend on the build:
+// race builds drop a random share of a pool's Puts. It keeps at most 8
+// buffers, about 0.8 MB; one returned to a full list is left to the GC.
+var frameBufs = make(chan *frameBuf, 8)
+
+// getFrameBuf takes a buffer off the free list, or allocates one.
+func getFrameBuf() *frameBuf {
+	select {
+	case b := <-frameBufs:
+		return b
+	default:
+		return &frameBuf{r: bufio.NewReaderSize(nil, 1<<16)}
+	}
+}
 
 // FrameReader streams a trace's frames in order, reading, CRC-checking
 // and decoding each one in the caller's goroutine. Next's returned
 // slices alias the reader's frame buffer and are valid until the next
-// call. The buffer goes back to the pool when the iterator ends (EOF or
-// error); an iterator abandoned mid-trace leaves it to the GC.
+// call. The buffer goes back to the free list when the iterator ends
+// (EOF or error); an iterator abandoned mid-trace leaves it to the GC.
 type FrameReader struct {
 	f         *File
 	buf       *frameBuf // nil once the iterator has ended
@@ -263,7 +275,10 @@ func (it *FrameReader) Next() (keys []uint32, kinds []uint8, rw bool, err error)
 	if err != nil {
 		it.err = err
 		it.buf.r.Reset(nil) // drop the section-reader reference
-		frameBufPool.Put(it.buf)
+		select {
+		case frameBufs <- it.buf:
+		default:
+		}
 		it.buf = nil
 		return nil, nil, false, err
 	}

@@ -58,7 +58,7 @@ func TestFrameReaderStickyEOF(t *testing.T) {
 }
 
 // A frame handed out by Next stays intact while other iterators on the
-// same file run to completion and recycle their pooled buffers.
+// same file run to completion and recycle their buffers.
 func TestFrameReaderHandedFrameStable(t *testing.T) {
 	f := prefetchTrace(t)
 	it, err := f.Frames()
@@ -92,7 +92,8 @@ func TestFrameReaderHandedFrameStable(t *testing.T) {
 }
 
 // Opening and draining a trace allocates O(1): the iterator itself and
-// its section reader, with the frame buffer and read-ahead pooled.
+// its section reader, with the frame buffer and read-ahead recycled
+// (frameBufs) — in race builds too.
 func TestFrameReaderAllocs(t *testing.T) {
 	f := prefetchTrace(t)
 	allocs := testing.AllocsPerRun(50, func() {
@@ -113,7 +114,7 @@ func TestFrameReaderAllocs(t *testing.T) {
 	}
 }
 
-// A buffer returned to the pool by an iterator that stopped on a bad
+// A buffer returned to the free list by an iterator that stopped on a bad
 // frame carries stale ops and read-ahead; the next iterator to take it
 // must decode only its own trace, including a short last frame.
 func TestFrameReaderPoolReuse(t *testing.T) {
