@@ -52,6 +52,11 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative migration budget", Options{MigrationBudget: -64}, "MigrationBudget"},
 		{"migration cost without epochs", Options{MigrationCostPerByte: 0.1}, "EpochOps ≥ 1"},
 		{"migration budget without epochs", Options{MigrationBudget: 4096}, "EpochOps ≥ 1"},
+		// A NaN cost made migration silently free, and +Inf panicked the
+		// clock mid-run; NaN also slips past the EpochOps pairing rule.
+		{"NaN migration cost", Options{MigrationCostPerByte: math.NaN(), EpochOps: 4096, Policy: "adaptive-freq"}, "MigrationCostPerByte"},
+		{"infinite migration cost", Options{MigrationCostPerByte: math.Inf(1), EpochOps: 4096, Policy: "adaptive-freq"}, "MigrationCostPerByte"},
+		{"NaN migration cost without epochs", Options{MigrationCostPerByte: math.NaN()}, "MigrationCostPerByte"},
 		{"epochs on static-only policy", Options{EpochOps: 4096, Policy: "mnemot"}, "static-only"},
 		{"epochs on default policy", Options{EpochOps: 4096}, "static-only"},
 		{"epochs on unknown policy", Options{EpochOps: 4096, Policy: "no_such"}, "unknown policy"},
@@ -64,6 +69,8 @@ func TestOptionsValidation(t *testing.T) {
 		{"NaN noise sigma", Options{NoiseSigma: math.NaN()}, "NoiseSigma"},
 		{"infinite noise sigma", Options{NoiseSigma: math.Inf(1)}, "NoiseSigma"},
 		{"negative infinite noise sigma", Options{NoiseSigma: math.Inf(-1)}, "NoiseSigma"},
+		// σ = 20 overflowed the clock into "baselines not measured".
+		{"noise sigma above cap", Options{NoiseSigma: 20}, "NoiseSigma"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,9 +82,13 @@ func TestOptionsValidation(t *testing.T) {
 		})
 	}
 
-	// PriceFactor 1 is the edge of the legal (0,1] range.
+	// PriceFactor 1 is the edge of the legal (0,1] range, and
+	// MaxNoiseSigma of NoiseSigma's.
 	if _, err := Profile(w, Options{PriceFactor: 1}); err != nil {
 		t.Fatalf("PriceFactor 1 rejected: %v", err)
+	}
+	if _, err := Profile(w, Options{NoiseSigma: server.MaxNoiseSigma}); err != nil {
+		t.Fatalf("NoiseSigma %v rejected: %v", server.MaxNoiseSigma, err)
 	}
 }
 
@@ -132,10 +143,18 @@ func TestKnobTableThreeEntryPoints(t *testing.T) {
 			func(o *Options) { o.MigrationBudget = -1 },
 			func(s *experiments.Scale) { s.MigrationBudget = -1 },
 			func(c *core.Config) { c.Server.MigrationBudget = -1 }},
+		{"NaN migration cost", "MigrationCostPerByte",
+			func(o *Options) { o.MigrationCostPerByte = math.NaN() },
+			func(s *experiments.Scale) { s.MigrationCostPerByte = math.NaN() },
+			func(c *core.Config) { c.Server.MigrationCostPerByte = math.NaN() }},
 		{"noise sigma", "NoiseSigma",
 			func(o *Options) { o.NoiseSigma = math.NaN() },
 			nil,
 			func(c *core.Config) { c.Server.NoiseSigma = -0.5 }},
+		{"noise sigma above cap", "NoiseSigma",
+			func(o *Options) { o.NoiseSigma = server.MaxNoiseSigma * 2 },
+			nil,
+			func(c *core.Config) { c.Server.NoiseSigma = server.MaxNoiseSigma * 2 }},
 	}
 	check := func(t *testing.T, entry string, err error, want string) {
 		t.Helper()

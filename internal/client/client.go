@@ -196,9 +196,9 @@ func (s RunStats) String() string {
 // separate from RunStats assembly so the steady-state per-request cost —
 // and its allocation count, pinned at zero by the client tests — is
 // exactly the fold below. It holds one laneAccum per lane of the
-// deployment (server lanes.go), and the route of each of the two frame
-// buffers: request i of a frame lands in histogram route[i] of every
-// lane, its (kind, size class).
+// deployment (server lanes.go), and the route of each of the
+// server.FrameBuffers frame buffers: request i of a frame lands in
+// histogram route[i] of every lane, its (kind, size class).
 type replayAccum struct {
 	lanes []*laneAccum
 	// classes is the size-class count: the histogram table of a lane

@@ -108,9 +108,9 @@ type pauseAt struct {
 // Frame is one trace frame's stage-1 output, the arrays the lane stage
 // prices from — each lane's pre-noise service time per request, the LLC
 // hit bits and the pauses — and each lane's latencies, which the lane
-// stage writes for the caller to fold (Lat). A deployment has FrameBuffers of them, so a
-// client can let the lanes after the first price one frame while stage
-// 1 fills the other.
+// stage writes for the caller to fold (Lat). A deployment has
+// FrameBuffers of them, so a client can let the lanes after the first
+// price earlier frames while stage 1 fills the next.
 type Frame struct {
 	ns     [][]float64           // ns[k][i]: lane k's service time of request i
 	lat    [][]simclock.Duration // lat[k][i]: lane k's latency of request i
@@ -205,8 +205,8 @@ func (d *Deployment) finishRun(f *Frame, from, end, path int, lat []simclock.Dur
 // PriceLane runs lane k's stage over the first n requests of f, which
 // ServeRun filled, writing the latencies into lat[:n]. Lanes after the
 // first share no state with stage 1 or with each other, so PriceLane of
-// one frame may run on another goroutine while ServeRun fills the other
-// frame.
+// one frame may run on another goroutine while ServeRun fills another
+// of the FrameBuffers frames.
 func (d *Deployment) PriceLane(f *Frame, k, n int, lat []simclock.Duration) {
 	d.lanes[k].price(f, k, 0, n, lat)
 }

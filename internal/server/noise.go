@@ -32,6 +32,11 @@ type Noise struct {
 // DefaultNoiseSigma is the per-request lognormal σ used by experiments.
 const DefaultNoiseSigma = 0.02
 
+// MaxNoiseSigma caps σ so a run fits the int64 ns clock even if every
+// request draws the table's largest factor (|z| ≈ 3.67; ≈1.6·10³ at σ = 2,
+// so 10⁸ requests of up to 50 ms each fit; at σ = 20 it alone overflows).
+const MaxNoiseSigma = 2.0
+
 const (
 	noiseLaneBits  = 12
 	noiseTableSize = 1 << noiseLaneBits // 4096 entries, 32 KB
@@ -95,14 +100,14 @@ func tableFor(sigma float64) *noiseTable {
 // validateNoiseSigma is the one σ range rule, shared by Config.Validate
 // and NewNoise.
 func validateNoiseSigma(sigma float64) error {
-	if !(sigma >= 0) || math.IsInf(sigma, 1) {
-		return fmt.Errorf("server: NoiseSigma %v must be a finite non-negative number (0 disables noise)", sigma)
+	if !(sigma >= 0 && sigma <= MaxNoiseSigma) {
+		return fmt.Errorf("server: NoiseSigma %v outside [0,%v] (0 disables noise)", sigma, MaxNoiseSigma)
 	}
 	return nil
 }
 
 // NewNoise creates a noise source. sigma = 0 disables noise entirely;
-// a negative or non-finite sigma panics (Config.Validate rejects it
+// a sigma outside [0, MaxNoiseSigma] panics (Config.Validate rejects it
 // before a deployment is built).
 func NewNoise(sigma float64, seed int64) *Noise {
 	if err := validateNoiseSigma(sigma); err != nil {

@@ -187,3 +187,17 @@ func BenchmarkNoiseFactor(b *testing.B) {
 		b.Fatal("no draws")
 	}
 }
+
+// TestMaxNoiseSigmaFitsClock pins MaxNoiseSigma's reason: the largest
+// factor of its table, drawn by each of 10⁸ requests of 50 ms each,
+// still fits the int64 nanosecond clock.
+func TestMaxNoiseSigmaFitsClock(t *testing.T) {
+	const requests, costNs = 1e8, 50e6
+	largest := slices.Max(newNoiseTable(MaxNoiseSigma)[:])
+	if total := largest * costNs * requests; total >= math.MaxInt64 {
+		t.Fatalf("largest factor %.4g × %g ns × %g requests = %.4g ns overflows the clock", largest, costNs, float64(requests), total)
+	}
+	if err := validateNoiseSigma(math.Nextafter(MaxNoiseSigma, math.Inf(1))); err == nil {
+		t.Fatal("σ just above MaxNoiseSigma accepted")
+	}
+}

@@ -16,6 +16,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 
 	"mnemo/internal/kvstore"
 	"mnemo/internal/kvstore/hashkv"
@@ -166,8 +167,8 @@ func (c Config) Validate() error {
 	if c.EpochOps < 0 {
 		return fmt.Errorf("server: EpochOps %d must be non-negative (0 disables adaptive replay)", c.EpochOps)
 	}
-	if c.MigrationCostPerByte < 0 {
-		return fmt.Errorf("server: MigrationCostPerByte %v ns/byte must be non-negative", c.MigrationCostPerByte)
+	if !(c.MigrationCostPerByte >= 0) || math.IsInf(c.MigrationCostPerByte, 1) {
+		return fmt.Errorf("server: MigrationCostPerByte %v ns/byte must be a finite non-negative number (0 makes migration free)", c.MigrationCostPerByte)
 	}
 	if c.MigrationBudget < 0 {
 		return fmt.Errorf("server: MigrationBudget %d bytes must be non-negative (0 means unlimited)", c.MigrationBudget)

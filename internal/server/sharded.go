@@ -11,14 +11,14 @@ import (
 // Sharded replay cluster (DESIGN.md §13).
 //
 // A ShardedDeployment owns N single Deployments behind a consistent-
-// hash ring: the workload is partitioned once (internal/shard, cached),
-// each shard gets the records the ring assigns to it plus exactly its
-// subsequence of the trace, and every existing single-deployment
-// mechanism — the batched replay kernel, the ResetRun snapshot,
-// telemetry flushing — applies per shard unchanged. Shards are fully
-// independent simulations: no shared clock, no shared LLC, no
-// cross-shard requests, which is what lets the client replay them on
-// separate goroutines and still merge deterministically.
+// hash ring: the workload is partitioned once for its lifetime
+// (shard.For, memoized on the workload), each shard gets the records
+// the ring assigns to it plus exactly its subsequence of the trace, and
+// every existing single-deployment mechanism — the batched replay
+// kernel, the ResetRun snapshot, telemetry flushing — applies per shard
+// unchanged. Shards are fully independent simulations: no shared clock,
+// no shared LLC, no cross-shard requests, which is what lets the client
+// replay them on separate goroutines and still merge deterministically.
 //
 // Clock semantics are max-over-shards: the cluster's runtime is the
 // slowest shard's simulated time, the way a scatter-gather measurement
@@ -61,8 +61,8 @@ func (cfg Config) shardConfig(s int) Config {
 // NewShardedDeployment builds one empty member deployment per shard of
 // a max(cfg.Shards, 1)-member cluster. A larger cluster partitions the
 // workload over its shards (shard.DefaultVirtualNodes ring points each),
-// cached across clusters of the same workload and shape. Per-shard
-// noise streams are seeded at construction, like NewDeployment.
+// shared by every cluster of that workload and shape (shard.For).
+// Per-shard noise streams are seeded at construction, like NewDeployment.
 func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, error) {
 	n := max(cfg.Shards, 1)
 	sd := &ShardedDeployment{w: w, deps: make([]*Deployment, n)}

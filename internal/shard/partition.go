@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mnemo/internal/ycsb"
 )
@@ -39,7 +38,7 @@ type Partition struct {
 // Split partitions the workload over a fresh ring. withOps materializes
 // per-shard Op slices, which nothing on the replay path reads any more;
 // without it an in-memory parent trace is split in packed form only.
-// Callers should prefer the cached For.
+// Callers should prefer the memoized For.
 func Split(w *ycsb.Workload, shards, vnodes int, withOps bool) (*Partition, error) {
 	ring, err := NewRing(shards, vnodes)
 	if err != nil {
@@ -181,57 +180,26 @@ func (p *Partition) HotShardSpread(reads, writes []int, hot int) int {
 	return len(seen)
 }
 
-// partitionCache memoizes partitions à la the workload's sync.Once
-// packing: repeated executions of one workload at one cluster shape
-// (every repetition of ExecuteMeanCtx, every validation point) split the
-// trace once, and concurrent callers share one build. The cache is
-// keyed by workload identity plus cluster shape; a small FIFO bound
-// keeps dead workloads from pinning multi-GB partitions.
-type cacheKey struct {
-	w       *ycsb.Workload
-	shards  int
-	vnodes  int
-	withOps bool
+// forKey keys a partition in its workload's Derived memo.
+type forKey struct {
+	shards, vnodes int
+	withOps        bool
 }
 
-type cacheEntry struct {
-	once sync.Once
-	p    *Partition
-	err  error
-}
-
-var cache = struct {
-	sync.Mutex
-	m     map[cacheKey]*cacheEntry
-	order []cacheKey
-}{m: map[cacheKey]*cacheEntry{}}
-
-// cacheLimit bounds the number of retained partitions (FIFO eviction).
-// Evicting a partition still in use is harmless — the caller's pointer
-// keeps it alive; only the memoization is lost.
-const cacheLimit = 8
-
-// For returns the cached partition of w at the given cluster shape,
-// splitting at most once per (workload, shards, vnodes, withOps).
-// vnodes ≤ 0 uses DefaultVirtualNodes (the normalized value also keys
-// the cache, so explicit 64 and default hit the same entry).
+// For returns w's partition at the given cluster shape, split at most
+// once per (shards, vnodes, withOps) for the workload's lifetime
+// (ycsb.Workload.Derived): every repetition and validation point shares
+// one split, and a failed split is retried by the next call. vnodes ≤ 0
+// uses DefaultVirtualNodes, so explicit 64 and default share an entry.
 func For(w *ycsb.Workload, shards, vnodes int, withOps bool) (*Partition, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	key := cacheKey{w: w, shards: shards, vnodes: vnodes, withOps: withOps}
-	cache.Lock()
-	e, ok := cache.m[key]
-	if !ok {
-		e = &cacheEntry{}
-		cache.m[key] = e
-		cache.order = append(cache.order, key)
-		for len(cache.order) > cacheLimit {
-			delete(cache.m, cache.order[0])
-			cache.order = cache.order[1:]
-		}
+	p, err := w.Derived(forKey{shards, vnodes, withOps}, func() (any, error) {
+		return Split(w, shards, vnodes, withOps)
+	})
+	if err != nil {
+		return nil, err
 	}
-	cache.Unlock()
-	e.once.Do(func() { e.p, e.err = Split(w, shards, vnodes, withOps) })
-	return e.p, e.err
+	return p.(*Partition), nil
 }

@@ -1,7 +1,12 @@
 package shard
 
 import (
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mnemo/internal/kvstore"
 	"mnemo/internal/ycsb"
@@ -212,18 +217,111 @@ func TestForCaches(t *testing.T) {
 	if c == a {
 		t.Fatal("For returned the 4-shard partition for a 2-shard request")
 	}
-	// FIFO eviction: push past the limit, then re-request the first
-	// shape — a fresh (but equivalent) partition is rebuilt.
-	for i := 0; i < cacheLimit+2; i++ {
-		if _, err := For(w, 4, 16+i, false); err != nil {
-			t.Fatal(err)
+}
+
+// collectedWithin reports whether done closes within a few GC cycles:
+// a finalizer signalling it has run.
+func collectedWithin(done <-chan struct{}) bool {
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-done:
+			return true
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	a2, err := For(w, 4, 0, false)
-	if err != nil {
-		t.Fatal(err)
+	return false
+}
+
+// A partition lives exactly as long as its workload: once the caller
+// drops both, nothing in the package keeps the partition reachable.
+func TestForPartitionDiesWithWorkload(t *testing.T) {
+	done := make(chan struct{})
+	func() {
+		w := testWorkload(t, 1000, 5000)
+		p, err := For(w, 4, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(p, func(*Partition) { close(done) })
+	}()
+	if !collectedWithin(done) {
+		t.Fatal("partition outlived its dropped workload")
 	}
-	if a2.Requests() != a.Requests() {
-		t.Fatal("rebuilt partition differs from original")
+}
+
+// countingStream backs a workload with an in-memory trace's frames,
+// counting Frames calls and failing the first fail of them.
+type countingStream struct {
+	src   *ycsb.Workload
+	fail  int32
+	calls atomic.Int32
+}
+
+func (s *countingStream) Requests() int { return s.src.RequestCount() }
+
+func (s *countingStream) Frames() (ycsb.FrameIter, error) {
+	if s.calls.Add(1) <= s.fail {
+		return nil, errors.New("transient frame source failure")
+	}
+	f, err := s.src.Frames()
+	return &f, err
+}
+
+// streamed wraps src's dataset and trace as a stream-backed workload.
+func streamed(src *ycsb.Workload, fail int32) (*ycsb.Workload, *countingStream) {
+	cs := &countingStream{src: src, fail: fail}
+	return &ycsb.Workload{Spec: src.Spec, Dataset: src.Dataset, Stream: cs}, cs
+}
+
+// Concurrent callers of one shape share one split (a stream split opens
+// the parent twice) and get one partition.
+func TestForConcurrentOneBuild(t *testing.T) {
+	w, cs := streamed(testWorkload(t, 1000, 5000), 0)
+	const callers = 8
+	parts := make([]*Partition, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[i], errs[i] = For(w, 4, 0, false)
+		}()
+	}
+	wg.Wait()
+	for i := range parts {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if parts[i] != parts[0] {
+			t.Fatalf("caller %d got a distinct partition", i)
+		}
+	}
+	if n := cs.calls.Load(); n != 2 {
+		t.Fatalf("parent stream opened %d times, want 2 (one split)", n)
+	}
+}
+
+// A failed split is not memoized: the next call splits again, and its
+// success is then kept.
+func TestForRetriesFailedSplit(t *testing.T) {
+	w, cs := streamed(testWorkload(t, 1000, 5000), 1)
+	if _, err := For(w, 4, 0, false); err == nil {
+		t.Fatal("split over a failing stream succeeded")
+	}
+	p, err := For(w, 4, 0, false)
+	if err != nil {
+		t.Fatalf("retry after a failed split: %v", err)
+	}
+	if p.Requests() != 5000 {
+		t.Fatalf("retried partition carries %d requests, want 5000", p.Requests())
+	}
+	again, err := For(w, 4, 0, false)
+	if err != nil || again != p {
+		t.Fatalf("successful split not memoized: %v", err)
+	}
+	if n := cs.calls.Load(); n != 3 {
+		t.Fatalf("parent stream opened %d times, want 3 (one failed open, one split)", n)
 	}
 }

@@ -334,6 +334,7 @@ func TestDecodeSpecRejections(t *testing.T) {
 		{"bad engine", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"oracle","runs":1,"price_factor":0.2,"slo":0.1,"policy":"touch","expected":{}}`, `unknown engine "oracle"`},
 		{"bad policy", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"slo":0.1,"policy":"nope","expected":{}}`, `unknown policy "nope"`},
 		{"bad param", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"slo":0.1,"policy":"knapsack","params":{"anchor":7},"expected":{}}`, "outside [0,1]"},
+		{"noise_sigma above cap", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"noise_sigma":20,"slo":0.1,"policy":"touch","expected":{}}`, "NoiseSigma 20 outside"},
 		{"runs above cap", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1099511627776,"price_factor":0.2,"slo":0.1,"policy":"touch","expected":{}}`, "Runs 1099511627776 above the cap of 1000"},
 		{"bad runtime", `{"version":1,"workload":{"name":"ycsb_b"},"workload_hash":"0","engine":"redislike","runs":1,"price_factor":0.2,"slo":0.1,"policy":"touch","runtime":{"nope":1},"expected":{}}`, `unknown field "runtime"`},
 		// A runtime block once validated and was then ignored, so an

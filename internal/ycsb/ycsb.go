@@ -233,10 +233,34 @@ type Workload struct {
 	// encoding; Frames delegates to the stream.
 	Stream TraceStream
 
-	// packed caches the struct-of-arrays trace encoding; built at most
-	// once (Packed), shared by every deployment replaying this workload.
-	packedOnce sync.Once
-	packed     *PackedTrace
+	// derived memoizes the artifacts built from this trace (Derived):
+	// key → *derivedEntry.
+	derived sync.Map
+}
+
+// derivedEntry is one Derived artifact, built under once.
+type derivedEntry struct {
+	once sync.Once
+	v    any
+	err  error
+}
+
+// Derived returns the artifact build derives from w, built at most once
+// per comparable key (build must not ask for its own key): concurrent
+// callers of a key share one build, and the artifact lives exactly as
+// long as w. A failed build is dropped, so the next call builds again.
+func (w *Workload) Derived(key any, build func() (any, error)) (any, error) {
+	v, ok := w.derived.Load(key)
+	if !ok {
+		v, _ = w.derived.LoadOrStore(key, new(derivedEntry))
+	}
+	e := v.(*derivedEntry)
+	e.once.Do(func() {
+		if e.v, e.err = build(); e.err != nil {
+			w.derived.CompareAndDelete(key, e)
+		}
+	})
+	return e.v, e.err
 }
 
 // FrameIter yields a trace's frames in order. The returned slices alias
@@ -277,20 +301,22 @@ type PackedTrace struct {
 // batchable.
 func (t *PackedTrace) Batchable() bool { return t != nil && t.readWriteOnly }
 
+type packedKey struct{} // Packed's key in the Derived memo
+
 // Packed returns the workload's struct-of-arrays trace encoding, built
-// lazily and cached; concurrent callers (parallel measurement runs share
-// one *Workload) get the same instance. It returns nil when the trace is
-// not encodable (key indices beyond uint32). The encoding is read-only —
-// callers must not mutate it, and it goes stale if Ops is modified after
-// the first call.
+// lazily and memoized (Derived); concurrent callers (parallel
+// measurement runs share one *Workload) get the same instance. It
+// returns nil when the trace is not encodable (key indices beyond
+// uint32). The encoding is read-only — callers must not mutate it, and
+// it goes stale if Ops is modified after the first call.
 func (w *Workload) Packed() *PackedTrace {
 	if w.Stream != nil {
 		// A streamed trace is never materialized; replay consumes frames.
 		return nil
 	}
-	w.packedOnce.Do(func() {
+	pt, _ := w.Derived(packedKey{}, func() (any, error) {
 		if len(w.Dataset.Records) > math.MaxUint32 {
-			return
+			return (*PackedTrace)(nil), nil
 		}
 		pt := &PackedTrace{
 			Keys:  make([]uint32, len(w.Ops)),
@@ -301,24 +327,24 @@ func (w *Workload) Packed() *PackedTrace {
 			pt.Kinds[i] = uint8(op.Kind)
 		}
 		pt.readWriteOnly = readWriteOnly(pt.Kinds)
-		w.packed = pt
+		return pt, nil
 	})
-	return w.packed
+	return pt.(*PackedTrace)
 }
 
 // KeyName formats the canonical key string for a key index.
 func KeyName(i int) string { return fmt.Sprintf("user%08d", i) }
 
 // FromPacked builds a workload whose trace exists only in packed form
-// (Ops stays nil): the struct-of-arrays encoding is installed directly
-// and the packing Once is consumed at construction. The shard
+// (Ops stays nil): the struct-of-arrays encoding is installed in the
+// Derived memo at construction. The shard
 // partitioner uses this to split batchable traces without ever
 // materializing 16-byte Ops per shard. Keys and kinds must reference
 // ds.Records; the caller transfers ownership of both slices.
 func FromPacked(spec Spec, ds Dataset, keys []uint32, kinds []uint8) *Workload {
 	pt := &PackedTrace{Keys: keys, Kinds: kinds, readWriteOnly: readWriteOnly(kinds)}
 	w := &Workload{Spec: spec, Dataset: ds}
-	w.packedOnce.Do(func() { w.packed = pt })
+	w.Derived(packedKey{}, func() (any, error) { return pt, nil })
 	return w
 }
 

@@ -176,7 +176,7 @@ type Options struct {
 	// policy's space, and Tune to search it automatically.
 	PolicyParams map[string]float64
 	// NoiseSigma overrides the per-request measurement noise; negative
-	// disables noise entirely, and NaN or ±Inf is rejected.
+	// disables it, and NaN, +Inf or above server.MaxNoiseSigma is rejected.
 	NoiseSigma float64
 	// SizeAwareEstimate enables the per-size-class estimate extension —
 	// a reproduction improvement over the paper's global-average model
