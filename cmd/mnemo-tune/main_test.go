@@ -32,9 +32,9 @@ func TestRunWritesSpecAndHTML(t *testing.T) {
 	if !strings.Contains(stderr.String(), "winner ") {
 		t.Errorf("winner line missing:\n%s", stderr.String())
 	}
-	// Key stats plus one uncoarsened DP table, however many knapsack
-	// candidates the search spent its budget on.
-	if !strings.Contains(stderr.String(), "2 shared analysis artifact(s) computed") {
+	// One uncoarsened DP table, however many knapsack candidates the
+	// search spent its budget on.
+	if !strings.Contains(stderr.String(), "1 shared analysis artifact(s) computed") {
 		t.Errorf("analysis sharing line missing or off:\n%s", stderr.String())
 	}
 	f, err := os.Open(specPath)

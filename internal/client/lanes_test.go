@@ -152,7 +152,9 @@ func TestBaselinePairCapacityError(t *testing.T) {
 // measured separately: the same Prometheus dump and the same multiset
 // of journal events (wall time aside). The pool's own job counter is
 // left out of the dump: it counts the jobs the pool ran, and one walk
-// for two legs runs half as many.
+// for two legs runs half as many. So is the LLC stream counter: it
+// counts where each measuring call found its stream, and the legs'
+// second call takes the first one's from the workload's memo.
 func TestBaselinePairTelemetry(t *testing.T) {
 	ctx := context.Background()
 	for name, w := range baselineTraces(t) {
@@ -187,7 +189,8 @@ func TestBaselinePairTelemetry(t *testing.T) {
 	}
 }
 
-// promDump renders the sink's metrics without the pool job counter.
+// promDump renders the sink's metrics without the pool job counter and
+// the LLC stream counter.
 func promDump(t *testing.T, sink *obs.Sink) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -196,7 +199,7 @@ func promDump(t *testing.T, sink *obs.Sink) string {
 	}
 	var keep []string
 	for _, line := range strings.Split(buf.String(), "\n") {
-		if !strings.Contains(line, "mnemo_pool_jobs_total") {
+		if !strings.Contains(line, "mnemo_pool_jobs_total") && !strings.Contains(line, "mnemo_server_llc_streams_total") {
 			keep = append(keep, line)
 		}
 	}

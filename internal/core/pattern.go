@@ -1,22 +1,31 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"mnemo/internal/knapsack"
 	"mnemo/internal/ycsb"
 )
 
-// KeyStats tallies the per-key access pattern of the trace. The error is
-// the trace's read error (a streamed trace that fails to decode); the
-// tally then covers only the ops before it.
+type keyStatsKey struct{} // KeyStats's key in the workload's Derived memo
+
+// KeyStats tallies the per-key access pattern of the trace, once per
+// workload (ycsb.Workload.Derived): every caller gets the same slice,
+// which is read-only — callers copy entries out. The error is the
+// trace's read error (a streamed trace that fails to decode); the tally
+// then covers only the ops before it, and the next call walks the trace
+// again.
 func KeyStats(w *ycsb.Workload) ([]KeyStat, error) {
-	reads, writes, err := w.CountAccesses()
-	out := make([]KeyStat, len(w.Dataset.Records))
-	for i, rec := range w.Dataset.Records {
-		out[i] = KeyStat{Index: i, Key: rec.Key, Size: rec.Size, Reads: reads[i], Writes: writes[i]}
-	}
-	return out, err
+	stats, err := w.Derived(keyStatsKey{}, func() (any, error) {
+		reads, writes, err := w.CountAccesses()
+		out := make([]KeyStat, len(w.Dataset.Records))
+		for i, rec := range w.Dataset.Records {
+			out[i] = KeyStat{Index: i, Key: rec.Key, Size: rec.Size, Reads: reads[i], Writes: writes[i]}
+		}
+		return out, err
+	})
+	return stats.([]KeyStat), err
 }
 
 // TouchOrdering is the stand-alone Mnemo Pattern Engine (Fig 2a): keys
@@ -31,12 +40,12 @@ func TouchOrdering(w *ycsb.Workload) Ordering {
 
 func touchOrdering(w *ycsb.Workload) (Ordering, error) {
 	stats, err := KeyStats(w)
-	order := w.TouchOrder()
+	order, orderErr := w.TouchOrder()
 	keys := make([]KeyStat, len(order))
 	for i, idx := range order {
 		keys[i] = stats[idx]
 	}
-	return Ordering{Name: "touch", Keys: keys}, err
+	return Ordering{Name: "touch", Keys: keys}, cmp.Or(err, orderErr)
 }
 
 // MnemoTOrdering is the MnemoT Pattern Engine (Fig 7): each key gets a

@@ -142,13 +142,13 @@ func (p adaptiveFreqPolicy) Name() string {
 
 // Order implements core.TieringPolicy — the static degenerate case:
 // whole-trace access frequency, descending.
-func (p adaptiveFreqPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
+func (p adaptiveFreqPolicy) Order(_ context.Context, w *ycsb.Workload) (core.Ordering, error) {
 	if p.decay <= 0 || p.decay > 1 {
 		return core.Ordering{}, fmt.Errorf("adaptive-freq: decay %v outside (0,1]", p.decay)
 	}
-	stats, err := keyStats(ctx, w)
+	stats, err := core.KeyStats(w)
 	if err != nil {
-		return core.Ordering{}, err
+		return core.Ordering{}, fmt.Errorf("adaptive-freq: reading trace: %w", err)
 	}
 	score := make([]float64, len(stats))
 	for i, k := range stats {

@@ -53,23 +53,9 @@ var (
 	adaptiveFreqSpace = ParamSpace{decayParam}
 )
 
-// keyStats is core.KeyStats behind the shared-analysis seam. It walks the
-// whole trace and depends on nothing else, so sessions on one artifact
-// cache share one tally (core.SharedAnalysis): the slice is read-only. A
-// trace that fails to read is an error: no policy advises from a
-// truncated tally.
-func keyStats(ctx context.Context, w *ycsb.Workload) ([]core.KeyStat, error) {
-	return core.SharedAnalysis(ctx, "registry.keystats", func(bool) ([]core.KeyStat, error) {
-		stats, err := core.KeyStats(w)
-		if err != nil {
-			return nil, fmt.Errorf("registry: reading trace: %w", err)
-		}
-		return stats, nil
-	})
-}
-
 // orderingOf assembles an Ordering from record indices in priority order,
-// copying the entries out of the (possibly shared) stats.
+// copying the entries out of the workload's read-only stats
+// (core.KeyStats).
 func orderingOf(name string, stats []core.KeyStat, order []int) core.Ordering {
 	keys := make([]core.KeyStat, len(order))
 	for i, idx := range order {
@@ -90,10 +76,10 @@ type tahoePolicy struct{}
 
 func (tahoePolicy) Name() string { return "tahoe" }
 
-func (tahoePolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
-	stats, err := keyStats(ctx, w)
+func (tahoePolicy) Order(_ context.Context, w *ycsb.Workload) (core.Ordering, error) {
+	stats, err := core.KeyStats(w)
 	if err != nil {
-		return core.Ordering{}, err
+		return core.Ordering{}, fmt.Errorf("tahoe: reading trace: %w", err)
 	}
 	order := identityOrder(len(stats))
 	slices.SortFunc(order, func(a, b int) int {
@@ -130,16 +116,16 @@ func (p freqDecayPolicy) Name() string {
 	return p.name
 }
 
-func (p freqDecayPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
+func (p freqDecayPolicy) Order(_ context.Context, w *ycsb.Workload) (core.Ordering, error) {
 	if p.epochs <= 0 {
 		return core.Ordering{}, fmt.Errorf("freqdecay: epochs %d must be positive", p.epochs)
 	}
 	if p.decay <= 0 || p.decay > 1 {
 		return core.Ordering{}, fmt.Errorf("freqdecay: decay %v outside (0,1]", p.decay)
 	}
-	stats, err := keyStats(ctx, w)
+	stats, err := core.KeyStats(w)
 	if err != nil {
-		return core.Ordering{}, err
+		return core.Ordering{}, fmt.Errorf("freqdecay: reading trace: %w", err)
 	}
 	score := make([]float64, len(stats))
 	per := (w.RequestCount() + p.epochs - 1) / p.epochs
@@ -204,7 +190,7 @@ func (p *PageSamplePolicy) Samples() int64 {
 
 // Order implements core.TieringPolicy by profiling the replay and
 // translating the resulting record priority into an Ordering.
-func (p *PageSamplePolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
+func (p *PageSamplePolicy) Order(_ context.Context, w *ycsb.Workload) (core.Ordering, error) {
 	if p.rate <= 0 || p.rate > math.MaxInt32 {
 		return core.Ordering{}, fmt.Errorf("pagesample: sampling rate %d outside [1, %d]", p.rate, math.MaxInt32)
 	}
@@ -216,9 +202,9 @@ func (p *PageSamplePolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Or
 	p.samples = prof.Samples()
 	p.mu.Unlock()
 
-	stats, err := keyStats(ctx, w)
+	stats, err := core.KeyStats(w)
 	if err != nil {
-		return core.Ordering{}, err
+		return core.Ordering{}, fmt.Errorf("pagesample: reading trace: %w", err)
 	}
 	return orderingOf(p.name, stats, prof.KeyOrdering()), nil
 }
@@ -290,9 +276,9 @@ func (p knapsackPolicy) capacityLadder(totalUnits int64) []int64 {
 }
 
 func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
-	stats, err := keyStats(ctx, w)
+	stats, err := core.KeyStats(w)
 	if err != nil {
-		return core.Ordering{}, err
+		return core.Ordering{}, fmt.Errorf("knapsack: reading trace: %w", err)
 	}
 	const pageUnit = int64(4096)
 	items := make([]knapsack.Item, len(stats))

@@ -315,7 +315,7 @@ func TestKnapsackSharedTableMatchesPerRungDP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := keyStats(context.Background(), w)
+	stats, err := core.KeyStats(w)
 	if err != nil {
 		t.Fatal(err)
 	}

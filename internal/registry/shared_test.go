@@ -95,16 +95,16 @@ func TestKnapsackSharedTablesMatchUnshared(t *testing.T) {
 						trial, dir, pols[i].Name())
 				}
 			}
-			// Key stats, and one table each for units 1, 2, 4 and 8.
-			if st := cache.Stats(); st.AnalysisComputes != 5 || st.AnalysisHits == 0 {
-				t.Fatalf("trial %d, %s: %+v, want 5 analysis artifacts computed and some reuse", trial, dir, st)
+			// One table each for units 1, 2, 4 and 8.
+			if st := cache.Stats(); st.AnalysisComputes != 4 || st.AnalysisHits == 0 {
+				t.Fatalf("trial %d, %s: %+v, want 4 analysis artifacts computed and some reuse", trial, dir, st)
 			}
 		}
 	}
 }
 
-// Two workloads of one shape in one cache each get their own key stats
-// and DP table: every policy orders either workload as it does alone.
+// Two workloads of one shape in one cache each get their own DP table:
+// every policy orders either workload as it does alone.
 func TestSharedAnalysisKeyedByWorkloadContent(t *testing.T) {
 	ctx := context.Background()
 	cache := core.NewArtifactCache()
@@ -123,9 +123,9 @@ func TestSharedAnalysisKeyedByWorkloadContent(t *testing.T) {
 				t.Fatalf("workload seed %d, %s: ordering through the shared cache differs", seed, name)
 			}
 		}
-		// Key stats and the (single-coarsening) knapsack table, per
-		// distinct workload content.
-		wantComputes := int64(2 * min(round+1, 2))
+		// The (single-coarsening) knapsack table, per distinct workload
+		// content.
+		wantComputes := int64(min(round+1, 2))
 		if st := cache.Stats(); st.AnalysisComputes != wantComputes {
 			t.Fatalf("after round %d: %d analysis artifacts computed, want %d", round, st.AnalysisComputes, wantComputes)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +22,10 @@ import (
 // Deletes and Writes, also for a record a migration re-creates. So one
 // walker, llcWalker, prices every request kind from the trace, and
 // stage 1 of either path reads its hit bit (takeHits): a run under an
-// LLCShare reads the bits a producer goroutine walks once for the whole
-// measurement call (llcStream); any other run walks a private walker.
+// LLCShare reads the bits a producer goroutine walks once per trace
+// (llcStream), and a stream that walked the whole trace stays on the
+// workload for every later measuring call (llcMemo); any other run
+// walks a private walker.
 
 // llcWalker walks the LLC over a trace, one request at a time, touching
 // the cache with what the per-op path's valueBytes gives: a Read its
@@ -114,24 +117,33 @@ type llcStream struct {
 
 // startLLCStream walks key's trace on a new producer goroutine, which
 // returns at the trace's end, at a decode error or when ctx is
-// cancelled.
+// cancelled. A stream that walked the whole trace is installed in the
+// workload's memo before its last frame is published, so it outlives
+// the share, and no run that read the whole stream returns while the
+// producer still works (and allocates).
 func startLLCStream(ctx context.Context, key llcShareKey) *llcStream {
+	total := key.w.RequestCount()
 	s := &llcStream{
-		words: make([]atomic.Uint64, (key.w.RequestCount()+63)/64),
+		words: make([]atomic.Uint64, (total+63)/64),
 		done:  make(chan struct{}),
 	}
 	go func() {
 		defer close(s.done)
-		n, err := s.produce(ctx, key)
+		n, err := s.produce(ctx, key, total)
+		if n == total && errors.Is(err, io.EOF) {
+			llcMemo(key).Store(s)
+		}
 		s.publish(n, fmt.Errorf("server: LLC stream stopped after %d requests: %w", n, err))
 	}()
 	return s
 }
 
-// produce walks a private walker over the trace, publishing each
-// frame's outcomes, and returns how many it published and why it
-// stopped.
-func (s *llcStream) produce(ctx context.Context, key llcShareKey) (int, error) {
+// produce walks a private walker over the trace's total requests,
+// publishing each frame's outcomes but the last, and returns how many it
+// walked and why it stopped; the caller publishes the rest. Once all are
+// walked it reads on to the trace's end whatever ctx says, so a
+// finished walk always ends at io.EOF.
+func (s *llcStream) produce(ctx context.Context, key llcShareKey, total int) (int, error) {
 	frames, err := key.w.Frames()
 	if err != nil {
 		return 0, err
@@ -139,7 +151,7 @@ func (s *llcStream) produce(ctx context.Context, key llcShareKey) (int, error) {
 	w := newLLCWalker(key.w.Dataset.Records, key.engine, key.capacity)
 	n := 0
 	var word uint64
-	for ctx.Err() == nil {
+	for n == total || ctx.Err() == nil {
 		keys, kinds, _, err := frames.Next()
 		if err != nil {
 			return n, err
@@ -159,7 +171,9 @@ func (s *llcStream) produce(ctx context.Context, key llcShareKey) (int, error) {
 		if n&63 != 0 {
 			s.words[n/64].Store(word)
 		}
-		s.publish(n, nil)
+		if n < total {
+			s.publish(n, nil)
+		}
 	}
 	return n, ctx.Err()
 }
@@ -214,12 +228,31 @@ func (s *llcStream) await(ctx context.Context, n int) error {
 	return nil
 }
 
+// llcMemoKey is an LLC stream's key in its workload's Derived memo: the
+// share key without the workload.
+type llcMemoKey struct {
+	engine   Engine
+	capacity int64
+}
+
+// llcMemo returns the workload's slot for key's finished stream, nil
+// until a producer has walked the whole trace. The stream's bits depend
+// on nothing but the key (DESIGN.md §12), so it is kept as long as the
+// workload: a bit per request per (engine, cache size).
+func llcMemo(key llcShareKey) *atomic.Pointer[llcStream] {
+	slot, _ := key.w.Derived(llcMemoKey{engine: key.engine, capacity: key.capacity}, func() (any, error) {
+		return new(atomic.Pointer[llcStream]), nil
+	})
+	return slot.(*atomic.Pointer[llcStream])
+}
+
 // LLCShare is the set of LLC streams one measurement call shares among
 // its runs: one per (trace, engine, cache size), so each shard
-// sub-trace of a cluster gets its own. A stream starts when the first
-// run asks for it. Close stops every producer and waits for it; the
-// share must not outlive the call that made it, since a stream holds a
-// bit per request of its trace.
+// sub-trace of a cluster gets its own. A stream is the workload's
+// finished one (llcMemo) when it has one, and otherwise starts when the
+// first run asks for it. Close stops every producer and waits for it,
+// so a stream that walked the whole trace is in the memo once Close
+// returns; the share must not outlive the call that made it.
 type LLCShare struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -255,20 +288,33 @@ func (sh *LLCShare) Close() {
 	}
 }
 
-// stream returns the share's stream for key, starting it on first use;
+// The sources of a share's stream: a producer walk, or the workload's
+// memo.
+const (
+	sourceWalk = iota
+	sourceMemo
+	numStreamSources
+	sourceShared = -1 // nothing new: the share already held it, or is closed
+)
+
+// stream returns the share's stream for key — the workload's finished
+// stream, or a producer started on first use — and where it came from;
 // nil once the share is closed.
-func (sh *LLCShare) stream(key llcShareKey) *llcStream {
+func (sh *LLCShare) stream(key llcShareKey) (*llcStream, int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
-		return nil
+		return nil, sourceShared
 	}
-	s := sh.streams[key]
+	if s := sh.streams[key]; s != nil {
+		return s, sourceShared
+	}
+	s, src := llcMemo(key).Load(), sourceMemo
 	if s == nil {
-		s = startLLCStream(sh.ctx, key)
-		sh.streams[key] = s
+		s, src = startLLCStream(sh.ctx, key), sourceWalk
 	}
-	return s
+	sh.streams[key] = s
+	return s, src
 }
 
 // AttachLLCStream prices the run about to replay w from sh's stream of
@@ -282,7 +328,11 @@ func (d *Deployment) AttachLLCStream(sh *LLCShare, w *ycsb.Workload) bool {
 	if sh == nil || d.cfg.Machine.LLCBytes <= 0 || d.llcOff != 0 || len(w.Dataset.Records) != len(d.records) {
 		return false
 	}
-	d.llcs = sh.stream(llcShareKey{w: w, engine: d.cfg.Engine, capacity: d.cfg.Machine.LLCBytes})
+	var src int
+	d.llcs, src = sh.stream(llcShareKey{w: w, engine: d.cfg.Engine, capacity: d.cfg.Machine.LLCBytes})
+	if src != sourceShared {
+		d.streams[src]++
+	}
 	return d.llcs != nil
 }
 

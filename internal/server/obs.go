@@ -55,6 +55,7 @@ func (t *deployTelemetry) countDeployment(e Engine) {
 var (
 	framePathLabels    = [...]string{pathKernel: "kernel", pathPerOp: "perop", pathMixed: "mixed"}
 	repriceCauseLabels = [...]string{causeLoad: "load", causeMigrate: "migrate", causeStructural: "structural"}
+	streamSourceLabels = [...]string{sourceWalk: "walk", sourceMemo: "memo"}
 )
 
 // flushTallies adds each non-zero tally, times lanes, to the counter
@@ -69,8 +70,9 @@ func (t *deployTelemetry) flushTallies(name, label string, values []string, tall
 }
 
 // FlushObs publishes the deployment's accumulated op and LLC hit/miss
-// counts, the requests priced from a shared LLC stream, and the
-// frame-path, request-path, re-price and re-priced-row tallies, to the
+// counts, the requests priced from a shared LLC stream, the streams its
+// runs walked or took from the workload's memo, and the frame-path,
+// request-path, re-price and re-priced-row tallies, to the
 // configured sink — the run-granularity flush the client calls after a
 // replay (including one that failed or was cancelled between frames, so
 // partial runs stay observable).
@@ -80,6 +82,8 @@ func (t *deployTelemetry) flushTallies(name, label string, values []string, tall
 // Every lane serves every request of the walk, so each count is
 // published once per lane: a deployment of n lanes publishes what n
 // deployments of one lane each would.
+// A stream is the one exception: n deployments of one lane each under
+// one share would walk it once too.
 func (d *Deployment) FlushObs() {
 	t := &d.telem
 	if t.sink == nil {
@@ -94,6 +98,7 @@ func (d *Deployment) FlushObs() {
 		t.sink.Counter("mnemo_server_llc_stream_requests_total").Add(d.streamReqs * lanes)
 		d.streamReqs = 0
 	}
+	t.flushTallies("mnemo_server_llc_streams_total", "source", streamSourceLabels[:], d.streams[:], 1)
 	t.ops.Add(int64(d.ops-t.flushedOps) * lanes)
 	t.flushedOps = d.ops
 	h, m := d.llcHits, d.llcMisses

@@ -272,14 +272,17 @@ type Deployment struct {
 	// FlushObs, the frames FrameTable routed to each path, the requests
 	// each path served, the table re-prices by cause and the rows those
 	// re-prices probed; streamReqs the requests priced from an LLC
-	// stream. frameMix collects the paths the current frame's runs took
-	// (bit 1<<path), until FrameTable decides its last run.
+	// stream, and streams the share streams this deployment's runs
+	// started or took from the workload's memo, by source. frameMix
+	// collects the paths the current frame's runs took (bit 1<<path),
+	// until FrameTable decides its last run.
 	frames       [numFramePaths]int64
 	reqs         [2]int64 // indexed by pathKernel and pathPerOp
 	frameMix     uint8
 	repriced     [numRepriceCauses]int64
 	repricedRows [numRepriceCauses]int64
 	streamReqs   int64
+	streams      [numStreamSources]int64
 }
 
 // NewDeployment builds an empty deployment with an AllFast placement.

@@ -403,10 +403,10 @@ func TestSweepSharesAnalysisAcrossCandidates(t *testing.T) {
 			t.Fatalf("workers=%d: sweep differs from unshared sessions", workers)
 		}
 		st := tuner.Cache().Stats()
-		// The 150-key dataset fits the DP budget uncoarsened: the key
-		// stats and one table are all there is to compute.
-		if st.AnalysisComputes != 2 || st.AnalysisHits < int64(knapsacks-1) {
-			t.Fatalf("workers=%d: %+v, want 2 analysis artifacts computed and ≥ %d hits for %d knapsack candidates",
+		// The 150-key dataset fits the DP budget uncoarsened: one table
+		// is all there is to compute.
+		if st.AnalysisComputes != 1 || st.AnalysisHits < int64(knapsacks-1) {
+			t.Fatalf("workers=%d: %+v, want 1 analysis artifact computed and ≥ %d hits for %d knapsack candidates",
 				workers, st, knapsacks-1, knapsacks)
 		}
 		if workers == 1 {

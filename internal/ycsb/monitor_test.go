@@ -113,8 +113,8 @@ func TestParseRedisMonitorProfilesEndToEnd(t *testing.T) {
 	if len(w.Ops) != 100 || len(w.Dataset.Records) != 10 {
 		t.Fatalf("trace shape: %d ops, %d records", len(w.Ops), len(w.Dataset.Records))
 	}
-	order := w.TouchOrder()
-	if len(order) != 10 {
+	order, err := w.TouchOrder()
+	if err != nil || len(order) != 10 {
 		t.Fatalf("touch order len %d", len(order))
 	}
 	reads, writes := w.AccessCounts()

@@ -171,3 +171,31 @@ func TestFramesWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestTouchOrderMemo: TouchOrder walks the trace once per workload and
+// hands every caller the same slice; a trace that fails to read returns
+// its error and leaves nothing behind, so the next call walks again.
+func TestTouchOrderMemo(t *testing.T) {
+	st := &fakeStream{
+		keys:  [][]uint32{{2, 0}, {2}},
+		kinds: [][]uint8{{0, 1}, {0}},
+		err:   errors.New("no frames"),
+	}
+	w := &Workload{Spec: Spec{Keys: 3, Requests: 3}, Dataset: testDataset(3), Stream: st}
+	if order, err := w.TouchOrder(); err == nil || len(order) != 3 {
+		t.Fatalf("unreadable trace: order %v, err %v; want every key and the read error", order, err)
+	}
+	st.err = nil
+	a, err := w.TouchOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 0, 1}; len(a) != 3 || a[0] != want[0] || a[1] != want[1] || a[2] != want[2] {
+		t.Fatalf("touch order %v after the trace became readable, want %v", a, want)
+	}
+	st.err = errors.New("no frames")
+	b, err := w.TouchOrder()
+	if err != nil || &a[0] != &b[0] {
+		t.Fatalf("second call: err %v, same backing array %t; want the memoized order", err, err == nil && &a[0] == &b[0])
+	}
+}

@@ -502,25 +502,34 @@ func (w *Workload) CountAccesses() (reads, writes []int, err error) {
 	return reads, writes, err
 }
 
+type touchOrderKey struct{} // TouchOrder's key in the Derived memo
+
 // TouchOrder returns key indices in order of first touch by the trace;
 // untouched keys follow in index order. This is the incremental sizing
 // order of stand-alone Mnemo ("with the keys as they get accessed
-// (touched) by the workload access pattern").
-func (w *Workload) TouchOrder() []int {
-	seen := make([]bool, len(w.Dataset.Records))
-	order := make([]int, 0, len(w.Dataset.Records))
-	_ = w.ForEachOp(func(key int, _ kvstore.OpKind) {
-		if !seen[key] {
-			seen[key] = true
-			order = append(order, key)
+// (touched) by the workload access pattern"). The trace is walked once
+// per workload (Derived): every caller gets the same slice, which is
+// read-only. The error is the trace's read error; the order then ranks
+// the keys the ops before it touched first, and the next call walks the
+// trace again.
+func (w *Workload) TouchOrder() ([]int, error) {
+	order, err := w.Derived(touchOrderKey{}, func() (any, error) {
+		seen := make([]bool, len(w.Dataset.Records))
+		order := make([]int, 0, len(w.Dataset.Records))
+		err := w.ForEachOp(func(key int, _ kvstore.OpKind) {
+			if !seen[key] {
+				seen[key] = true
+				order = append(order, key)
+			}
+		})
+		for i := range seen {
+			if !seen[i] {
+				order = append(order, i)
+			}
 		}
+		return order, err
 	})
-	for i := range seen {
-		if !seen[i] {
-			order = append(order, i)
-		}
-	}
-	return order
+	return order.([]int), err
 }
 
 // Downsample reduces the trace by the given factor using the paper's

@@ -106,7 +106,10 @@ func TestAccessCounts(t *testing.T) {
 
 func TestTouchOrder(t *testing.T) {
 	w := MustGenerate(Trending(5))
-	order := w.TouchOrder()
+	order, err := w.TouchOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != len(w.Dataset.Records) {
 		t.Fatalf("touch order len = %d", len(order))
 	}
