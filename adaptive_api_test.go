@@ -148,18 +148,18 @@ func TestMeasureAdaptiveMatchesSerialLegs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		static, err := client.ExecuteMeanCtx(ctx, cfg.Server.Static(), w, placement, cfg.Runs, 0)
+		static, err := client.Measure(ctx, w, cfg.Runs, 0, nil, []client.Leg{{Cfg: cfg.Server.Static(), Placement: placement}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		adaptive, err := client.ExecuteMeanCtx(ctx, cfg.Server, w, placement, cfg.Runs, 0)
+		adaptive, err := client.Measure(ctx, w, cfg.Runs, 0, nil, []client.Leg{{Cfg: cfg.Server, Placement: placement}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ac.Static, static) {
+		if !reflect.DeepEqual(ac.Static, static[0]) {
 			t.Errorf("Runs %d: concurrent static leg diverged from the serial one", runs)
 		}
-		if !reflect.DeepEqual(ac.Adaptive, adaptive) {
+		if !reflect.DeepEqual(ac.Adaptive, adaptive[0]) {
 			t.Errorf("Runs %d: concurrent adaptive leg diverged from the serial one", runs)
 		}
 	}

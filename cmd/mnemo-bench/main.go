@@ -44,6 +44,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -240,10 +241,13 @@ func runTrace(path string, scale experiments.Scale, seed int64, stdout, stderr i
 			cfg.Obs = scale.Obs
 			cfg.Shards = scale.Shards
 			wall := time.Now()
-			st, err := client.Execute(cfg, w, pl.p)
+			sts, err := client.Measure(context.Background(), w, 1, 0, cfg.Obs, []client.Leg{
+				{Name: fmt.Sprintf("%s/%s", e, pl.name), Cfg: cfg, Placement: pl.p},
+			})
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", e, pl.name, err)
+				return err
 			}
+			st := sts[0]
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			fmt.Fprintf(stdout, "%-14s %-8s %10.0f ops/s  simulated %-12v wall %-8v heap %s\n",

@@ -55,10 +55,11 @@ func TestAdvisedPlacementMeetsSLOWhenDeployed(t *testing.T) {
 	}
 	runCfg := cfg.Server
 	runCfg.Seed += 999 // independent execution, fresh noise
-	measured, err := client.Execute(runCfg, w, placement)
+	runs, err := client.Measure(context.Background(), w, 1, 0, runCfg.Obs, []client.Leg{{Cfg: runCfg, Placement: placement}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	measured := runs[0]
 
 	// The measured run must honor the SLO against the measured FastMem
 	// baseline, with a small tolerance for run-to-run noise.

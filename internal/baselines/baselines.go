@@ -98,11 +98,11 @@ func MnemoTOverhead(cfg core.Config, w *ycsb.Workload) (OverheadReport, core.Bas
 func InstrumentedProfilerOverhead(cfg core.Config, w *ycsb.Workload) (OverheadReport, core.Ordering, error) {
 	// One instrumented execution on the (default) FastMem deployment.
 	runCfg := cfg.Server
-	st, err := client.Execute(runCfg, w, server.AllFast())
+	st, err := execute(runCfg, w, server.AllFast())
 	if err != nil {
 		return OverheadReport{}, core.Ordering{}, err
 	}
-	instrumented := simclock.Duration(float64(st.Runtime) * InstrumentationSlowdown)
+	instrumented := simclock.Duration(float64(st[0].Runtime) * InstrumentationSlowdown)
 
 	// X-Mem microbenchmarks: pointer-chase and streaming sweeps per tier.
 	micro := microbenchTime(runCfg)
@@ -115,6 +115,18 @@ func InstrumentedProfilerOverhead(cfg core.Config, w *ycsb.Workload) (OverheadRe
 		BaselineTime: instrumented + micro,
 		TieringTime:  tiering,
 	}, ord, nil
+}
+
+// execute runs the workload once under each placement on cfg's
+// deployment, in one measuring call (client.Measure): uniform placements
+// are measured as the lanes of one cluster, one Load and one engine
+// walk for all of them.
+func execute(cfg server.Config, w *ycsb.Workload, placements ...server.Placement) ([]client.RunStats, error) {
+	legs := make([]client.Leg, len(placements))
+	for i, p := range placements {
+		legs[i] = client.Leg{Cfg: cfg, Placement: p}
+	}
+	return client.Measure(context.Background(), w, 1, 0, cfg.Obs, legs)
 }
 
 // microbenchTime estimates the cost of X-Mem's latency/bandwidth
@@ -150,19 +162,14 @@ type TahoeResult struct {
 // the training-data collection, which is what MnemoT's second plain run
 // avoids many times over.
 func TahoeOverhead(cfg core.Config, w *ycsb.Workload, trainer *TahoeModel) (OverheadReport, TahoeResult, error) {
-	runCfg := cfg.Server
-	slow, err := client.Execute(runCfg, w, server.AllSlow())
+	// The SlowMem run the method charges, and the true FastMem run,
+	// executed only to report inference error (not charged).
+	sts, err := execute(cfg.Server, w, server.AllSlow(), server.AllFast())
 	if err != nil {
 		return OverheadReport{}, TahoeResult{}, err
 	}
+	slow, fast := sts[0], sts[1]
 	inferred := trainer.InferFastRuntimeNs(w, slow)
-
-	// The true FastMem run, executed only to report inference error (not
-	// charged to the method).
-	fast, err := client.Execute(runCfg, w, server.AllFast())
-	if err != nil {
-		return OverheadReport{}, TahoeResult{}, err
-	}
 	res := TahoeResult{
 		Slow:               slow,
 		InferredFastNs:     inferred,

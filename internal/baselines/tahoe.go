@@ -63,14 +63,11 @@ func TrainTahoe(cfg server.Config, seed int64, trainingKeys, trainingRequests in
 			if err != nil {
 				return nil, err
 			}
-			slow, err := client.Execute(cfg, w, server.AllSlow())
+			sts, err := execute(cfg, w, server.AllSlow(), server.AllFast())
 			if err != nil {
 				return nil, err
 			}
-			fast, err := client.Execute(cfg, w, server.AllFast())
-			if err != nil {
-				return nil, err
-			}
+			slow, fast := sts[0], sts[1]
 			rows = append(rows, features(w, slow))
 			targets = append(targets, float64(fast.Runtime.Nanoseconds())/float64(fast.Requests))
 			m.workloads++

@@ -71,7 +71,7 @@ func halfFast(w *ycsb.Workload) server.Placement {
 func TestAdaptiveEpochZeroIdentity(t *testing.T) {
 	w := adaptiveTestWorkload(0.9)
 	p := halfFast(w)
-	base, err := Execute(server.DefaultConfig(server.RedisLike, 7), w, p)
+	base, err := measureRun(server.DefaultConfig(server.RedisLike, 7), w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAdaptiveEpochZeroIdentity(t *testing.T) {
 	cfg.EpochOps = 0
 	cfg.MigrationCostPerByte = 5
 	cfg.MigrationBudget = 1 << 20
-	got, err := Execute(cfg, w, p)
+	got, err := measureRun(cfg, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +99,12 @@ func TestAdaptiveBatchedMatchesPerOp(t *testing.T) {
 	cfg.Adaptive = greedySource{}
 	cfg.EpochOps = 4096
 	cfg.MigrationCostPerByte = 0.5
-	batched, err := Execute(cfg, w, p)
+	batched, err := measureRun(cfg, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisableBatchReplay = true
-	perOp, err := Execute(cfg, w, p)
+	perOp, err := measureRun(cfg, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestAdaptiveShardedTelemetryMerged(t *testing.T) {
 	cfg.EpochOps = 4096
 	cfg.MigrationCostPerByte = 0.5
 	cfg.Shards = 4
-	got, err := Execute(cfg, w, p)
+	got, err := measureRun(cfg, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestAdaptiveTelemetry(t *testing.T) {
 	cfg.Adaptive = greedySource{}
 	cfg.EpochOps = 4096
 	cfg.MigrationCostPerByte = 2
-	st, err := Execute(cfg, w, halfFast(w))
+	st, err := measureRun(cfg, w, halfFast(w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAdaptiveFallbackMidRun(t *testing.T) {
 	refCfg.MigrationCostPerByte = 0.5
 	refCfg.Adaptive = greedySource{}
 	refCfg.DisableBatchReplay = true
-	ref, err := Execute(refCfg, w, p)
+	ref, err := measureRun(refCfg, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +293,11 @@ func TestAdaptiveDeploymentNotReused(t *testing.T) {
 	cfg.Adaptive = greedySource{}
 	cfg.EpochOps = 4096
 	var r meanRunner
-	st, err := r.execute(context.Background(), cfg, w, halfFast(w))
+	sts, _, err := r.executeLanes(context.Background(), []Leg{{Cfg: cfg, Placement: halfFast(w)}}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := sts[0]
 	if st.MovesApplied == 0 {
 		t.Fatalf("adaptive run never migrated: %+v", st)
 	}
@@ -325,7 +326,7 @@ func TestAdaptiveRespectsContext(t *testing.T) {
 	cfg.EpochOps = 4096
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteCtx(ctx, cfg, w, halfFast(w)); err == nil {
+	if _, err := measureOne(ctx, cfg, w, halfFast(w), 1, 0); err == nil {
 		t.Fatal("cancelled adaptive run returned no error")
 	}
 }
@@ -365,7 +366,7 @@ func TestAdaptiveTalliesArePerEpoch(t *testing.T) {
 		cfg.Adaptive = &tallySource{t: t, ops: w.Ops}
 		cfg.EpochOps = 4096
 		cfg.DisableBatchReplay = perOp
-		if _, err := Execute(cfg, w, halfFast(w)); err != nil {
+		if _, err := measureRun(cfg, w, halfFast(w)); err != nil {
 			t.Fatal(err)
 		}
 	}

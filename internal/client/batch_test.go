@@ -19,8 +19,8 @@ var goldenEngines = []server.Engine{server.RedisLike, server.MemcachedLike, serv
 // outcomes for comparison.
 func executeBoth(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Placement) (batched, perOp RunStats, errB, errP error) {
 	t.Helper()
-	batched, errB = Execute(cfg, w, p)
-	perOp, errP = Execute(perOpReference(cfg), w, p)
+	batched, errB = measureRun(cfg, w, p)
+	perOp, errP = measureRun(perOpReference(cfg), w, p)
 	return
 }
 
@@ -104,7 +104,7 @@ func TestBatchedReplayCancellation(t *testing.T) {
 	w := testWorkload(1.0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExecuteCtx(ctx, server.DefaultConfig(server.RedisLike, 1), w, server.AllFast()); !errors.Is(err, context.Canceled) {
+	if _, err := measureOne(ctx, server.DefaultConfig(server.RedisLike, 1), w, server.AllFast(), 1, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

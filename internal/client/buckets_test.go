@@ -91,7 +91,7 @@ func TestRunStatsCarryBuckets(t *testing.T) {
 		Dist:      ycsb.DistSpec{Kind: ycsb.Uniform},
 		ReadRatio: 0.5, Sizes: ycsb.SizeTrendingPreview, Seed: 2,
 	})
-	st, err := Execute(server.DefaultConfig(server.RedisLike, 1), w, server.AllSlow())
+	st, err := measureRun(server.DefaultConfig(server.RedisLike, 1), w, server.AllSlow())
 	if err != nil {
 		t.Fatal(err)
 	}

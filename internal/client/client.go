@@ -317,9 +317,11 @@ const replayBlockOps = server.ReplayBlockOps
 // frame, which bounds its wall-clock latency to microseconds (replay
 // advances only simulated time), so every frame is served whole.
 //
-// Under a context from ShareLLC every request of the run, on either
-// path, is priced from the share's LLC hit stream of w; AwaitFrame waits
-// for the stream's producer to publish each frame.
+// A deployment attached to a measuring call's LLC share
+// (server.Deployment.AttachLLCStream) prices every request of the run,
+// on either path, from the share's hit stream of w, and AwaitFrame
+// waits for the stream's producer to publish each frame; any other
+// deployment walks its private walker.
 //
 // With an adaptive source configured (DESIGN.md §15) an epoch is a frame
 // boundary: see epochs.
@@ -335,9 +337,6 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		if ep, err = beginEpochs(src, epochOps, w); err != nil {
 			return tel, err
 		}
-	}
-	if sh := llcShareFrom(ctx); sh != nil {
-		d.AttachLLCStream(sh, w)
 	}
 	a.ensureLanes(d.Lanes())
 	var h *laneHelper
@@ -528,24 +527,6 @@ func runLanes(ctx context.Context, d *server.Deployment, w *ycsb.Workload) ([]Ru
 	return out, nil
 }
 
-// Execute builds a fresh deployment, loads the dataset under the given
-// placement (the untimed load phase) and replays the trace.
-func Execute(cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
-	return ExecuteCtx(context.Background(), cfg, w, p)
-}
-
-// ExecuteCtx is Execute with cancellation. Every execution runs on a
-// server.ShardedDeployment of max(cfg.Shards, 1) members (sharded.go);
-// a one-member cluster is the single deployment itself.
-//
-// When cfg.Obs is set, each execution journals measurement start/finish
-// events and publishes run/op counters; the deployment's own counters
-// are flushed even when the replay fails mid-run, so partial runs stay
-// observable.
-func ExecuteCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
-	return new(meanRunner).execute(ctx, cfg, w, p)
-}
-
 // publishRun records a completed run on cfg.Obs: the run, op, read and
 // write counters, the adaptive migration ledger (epochs, records
 // migrated, bytes copied — emitted only by a run that had epochs, so a
@@ -565,15 +546,20 @@ func publishRun(cfg server.Config, workload string, st RunStats) {
 		workload, cfg.Engine, st.Requests, st.ThroughputOpsSec)
 }
 
-// ExecuteMeanWorkers runs the workload `runs` times with distinct
-// noise seeds and returns the per-field means — the paper reports "the
-// mean of multiple experiment runs"; percentiles are averaged across
-// runs. Repetitions execute in parallel across at most `workers`
-// goroutines (≤ 0 = GOMAXPROCS). Each repetition is an independent
-// simulation — its own noise stream seeded from the run index, and its
-// own accumulators — and results are folded in run-index order, so the
-// returned RunStats are bit-identical for every worker count: workers=1
-// is the serial reference execution of the same code path.
+// ExecuteMeanWorkers is a measuring call of one nameless leg (Measure):
+// it runs the workload `runs` times with distinct noise seeds and
+// returns the per-field means — the paper reports "the mean of multiple
+// experiment runs"; percentiles are averaged across runs. Repetitions
+// execute in parallel across at most `workers` goroutines (≤ 0 =
+// GOMAXPROCS). Each repetition is an independent simulation — its own
+// noise stream seeded from the run index, and its own accumulators — and
+// results are folded in run-index order, so the returned RunStats are
+// bit-identical for every worker count: workers=1 is the serial
+// reference execution of the same code path.
 func ExecuteMeanWorkers(cfg server.Config, w *ycsb.Workload, p server.Placement, runs, workers int) (RunStats, error) {
-	return ExecuteMeanCtx(context.Background(), cfg, w, p, runs, workers)
+	sts, err := Measure(context.Background(), w, runs, workers, cfg.Obs, []Leg{{Cfg: cfg, Placement: p}})
+	if err != nil {
+		return RunStats{}, err
+	}
+	return sts[0], nil
 }

@@ -82,7 +82,7 @@ func TestReplayRefusals(t *testing.T) {
 
 func TestExecuteBasics(t *testing.T) {
 	w := testWorkload(1.0)
-	st, err := Execute(server.DefaultConfig(server.RedisLike, 1), w, server.AllFast())
+	st, err := measureRun(server.DefaultConfig(server.RedisLike, 1), w, server.AllFast())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestExecuteBasics(t *testing.T) {
 
 func TestThroughputConsistentWithRuntime(t *testing.T) {
 	w := testWorkload(0.5)
-	st, err := Execute(server.DefaultConfig(server.MemcachedLike, 2), w, server.AllSlow())
+	st, err := measureRun(server.DefaultConfig(server.MemcachedLike, 2), w, server.AllSlow())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestThroughputConsistentWithRuntime(t *testing.T) {
 func TestFastBeatsSlow(t *testing.T) {
 	w := testWorkload(1.0)
 	cfg := server.DefaultConfig(server.RedisLike, 5)
-	fast, err := Execute(cfg, w, server.AllFast())
+	fast, err := measureRun(cfg, w, server.AllFast())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Execute(cfg, w, server.AllSlow())
+	slow, err := measureRun(cfg, w, server.AllSlow())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestHotspotLLCHitRateReflectsSkew(t *testing.T) {
 	// 90% of ops hit 200 hot keys of ~100KB; the 12MB LLC holds ~120 of
 	// them, so the hit rate must be clearly above the uniform level.
 	w := testWorkload(1.0)
-	st, err := Execute(server.DefaultConfig(server.RedisLike, 7), w, server.AllSlow())
+	st, err := measureRun(server.DefaultConfig(server.RedisLike, 7), w, server.AllSlow())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestExecuteCapacityError(t *testing.T) {
 	w := testWorkload(1.0)
 	cfg := server.DefaultConfig(server.RedisLike, 1)
 	cfg.Machine.FastCapacity = 1024
-	if _, err := Execute(cfg, w, server.AllFast()); err == nil {
+	if _, err := measureRun(cfg, w, server.AllFast()); err == nil {
 		t.Fatal("capacity overflow not reported")
 	}
 }
@@ -166,7 +166,7 @@ func TestExecuteCapacityError(t *testing.T) {
 func TestExecuteMeanAveragesRuns(t *testing.T) {
 	w := testWorkload(1.0)
 	cfg := server.DefaultConfig(server.RedisLike, 11)
-	one, err := Execute(cfg, w, server.AllFast())
+	one, err := measureRun(cfg, w, server.AllFast())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestExecuteMeanPropagatesErrors(t *testing.T) {
 func TestTailsExceedAverages(t *testing.T) {
 	// Fig 8d/8e: pauses and noise produce real tails.
 	w := testWorkload(1.0)
-	st, err := Execute(server.DefaultConfig(server.DynamoLike, 13), w, server.AllSlow())
+	st, err := measureRun(server.DefaultConfig(server.DynamoLike, 13), w, server.AllSlow())
 	if err != nil {
 		t.Fatal(err)
 	}

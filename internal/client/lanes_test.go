@@ -107,7 +107,7 @@ func TestBaselinePairLanesMatchSeparateLegs(t *testing.T) {
 								t.Fatalf("%s: the pair took %d engine walks, want one per repetition and shard (%d)", cell, n, want)
 							}
 							for k, leg := range legs {
-								want, err := ExecuteMeanCtx(ctx, leg.Cfg, b.w, leg.Placement, runs, 0)
+								want, err := measureOne(ctx, leg.Cfg, b.w, leg.Placement, runs, 0)
 								if err != nil {
 									t.Fatalf("%s: %v", cell, err)
 								}

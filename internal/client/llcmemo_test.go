@@ -108,8 +108,9 @@ type memoOutcome struct {
 }
 
 // memoRun runs a fresh half-fast deployment of cfg over w under a share
-// of its own.
-func memoRun(t *testing.T, cfg server.Config, w *ycsb.Workload) memoOutcome {
+// of its own. With a non-nil opened, the open count of w's stream, the
+// run starts once the share's producer has opened the trace.
+func memoRun(t *testing.T, cfg server.Config, w *ycsb.Workload, opened *atomic.Int32) memoOutcome {
 	t.Helper()
 	sink := obs.NewSink()
 	cfg.Obs = sink
@@ -117,9 +118,16 @@ func memoRun(t *testing.T, cfg server.Config, w *ycsb.Workload) memoOutcome {
 	if err := d.Load(w.Dataset, halfFast(w)); err != nil {
 		t.Fatal(err)
 	}
-	ctx, release := ShareLLC(context.Background())
-	st, err := RunCtx(ctx, d, w, 0)
-	release()
+	var before int32
+	if opened != nil {
+		before = opened.Load()
+	}
+	sh := attachShare(t, context.Background(), d, w)
+	if opened != nil {
+		awaitOpens(t, opened, before+1)
+	}
+	st, err := RunCtx(context.Background(), d, w, 0)
+	sh.Close()
 	d.FlushObs()
 	out := memoOutcome{st: st, err: err}
 	out.walk, out.memo = streamSources(sink)
@@ -152,7 +160,7 @@ func TestLLCMemoSkipsUnfinishedStreams(t *testing.T) {
 	cfg := server.DefaultConfig(server.RedisLike, 7)
 	cfg.Machine.LLCBytes = matrixLLCBytes
 	w := adaptiveTestWorkload(0.9)
-	fresh := memoRun(t, cfg, adaptiveTestWorkload(0.9))
+	fresh := memoRun(t, cfg, adaptiveTestWorkload(0.9), nil)
 	if fresh.err != nil {
 		t.Fatal(fresh.err)
 	}
@@ -160,11 +168,11 @@ func TestLLCMemoSkipsUnfinishedStreams(t *testing.T) {
 	// after that.
 	requireWalksThenMemo := func(t *testing.T, name string, sw *ycsb.Workload) {
 		t.Helper()
-		if o := memoRun(t, cfg, sw); o.err != nil || o.walk != 1 || o.memo != 0 || !reflect.DeepEqual(o.st, fresh.st) {
+		if o := memoRun(t, cfg, sw, nil); o.err != nil || o.walk != 1 || o.memo != 0 || !reflect.DeepEqual(o.st, fresh.st) {
 			t.Fatalf("%s: the next call: err %v, streams walk=%d memo=%d, same as fresh %t; want a walk and the fresh result",
 				name, o.err, o.walk, o.memo, reflect.DeepEqual(o.st, fresh.st))
 		}
-		if o := memoRun(t, cfg, sw); o.err != nil || o.walk != 0 || o.memo != 1 {
+		if o := memoRun(t, cfg, sw, nil); o.err != nil || o.walk != 0 || o.memo != 1 {
 			t.Fatalf("%s: the call after a finished walk: err %v, streams walk=%d memo=%d; want the memo", name, o.err, o.walk, o.memo)
 		}
 	}
@@ -177,10 +185,11 @@ func TestLLCMemoSkipsUnfinishedStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		shared, release := ShareLLC(ctx)
+		sh := attachShare(t, ctx, d, gw)
+		awaitOpens(t, gs.opened, 1)
 		done := make(chan error, 1)
 		go func() {
-			_, err := RunCtx(shared, d, gw, 0)
+			_, err := RunCtx(ctx, d, gw, 0)
 			done <- err
 		}()
 		<-gs.reading // the producer stalls before its second frame
@@ -194,14 +203,16 @@ func TestLLCMemoSkipsUnfinishedStreams(t *testing.T) {
 			t.Fatal("run still waiting 5 s after cancellation")
 		}
 		close(gs.gate)
-		release()
+		sh.Close()
 		requireWalksThenMemo(t, "cancelled", gw)
 	})
 
 	t.Run("producer open error", func(t *testing.T) {
-		// The run's own open is the first, the producer's the second.
-		sw := &ycsb.Workload{Spec: w.Spec, Dataset: w.Dataset, Stream: openFailStream{w: w, opened: new(atomic.Int32), fail: 2}}
-		if o := memoRun(t, cfg, sw); o.err == nil || o.err.Error() != "server: LLC stream stopped after 0 requests: trace file vanished" || o.walk != 1 {
+		// The producer's open is the first (memoRun awaits it), the run's
+		// the second.
+		opened := new(atomic.Int32)
+		sw := &ycsb.Workload{Spec: w.Spec, Dataset: w.Dataset, Stream: openFailStream{w: w, opened: opened, fail: 1}}
+		if o := memoRun(t, cfg, sw, opened); o.err == nil || o.err.Error() != "server: LLC stream stopped after 0 requests: trace file vanished" || o.walk != 1 {
 			t.Fatalf("open error: err %v after %d walks, want the producer's error", o.err, o.walk)
 		}
 		requireWalksThenMemo(t, "producer open error", sw)
@@ -228,9 +239,9 @@ func TestLLCMemoSkipsUnfinishedStreams(t *testing.T) {
 			return tw
 		}
 		tw := open()
-		want := memoRun(t, cfg, open()).err
+		want := memoRun(t, cfg, open(), nil).err
 		for call := 1; call <= 2; call++ {
-			if o := memoRun(t, cfg, tw); o.err == nil || want == nil || o.err.Error() != want.Error() || o.walk != 1 || o.memo != 0 {
+			if o := memoRun(t, cfg, tw, nil); o.err == nil || want == nil || o.err.Error() != want.Error() || o.walk != 1 || o.memo != 0 {
 				t.Fatalf("call %d on the corrupt trace: err %v, streams walk=%d memo=%d; want a walk and the fresh trace's error %v",
 					call, o.err, o.walk, o.memo, want)
 			}

@@ -15,14 +15,16 @@ import (
 	"mnemo/internal/ycsb"
 )
 
-// TestReplayEquivalenceMatrixShared is the equivalence matrix's shared
-// LLC stream axis at the shape the measuring calls use it: Runs: 3
-// repetitions through ExecuteMeanCtx, over {read/write, capture-shaped
-// Delete-dense} × {in-memory, .mtrc} × {unsharded, 4 shards} × {static,
-// adaptive-freq} × the three engines. Every cell's aggregate under a
-// share must equal the unshared one bit for bit, and must actually have
-// been priced from a stream; a Delete-dense cell must also equal its
-// DisableBatchReplay run, after serving requests both ways.
+// TestReplayEquivalenceMatrixShared holds the shared LLC stream to the
+// private walker at the shape the measuring calls use it: a Measure leg
+// of Runs: 3 repetitions against the same repetitions replayed by
+// RunCtx on freshly loaded deployments (RunPrivate), over {read/write,
+// capture-shaped Delete-dense} × {in-memory, .mtrc} × {unsharded, 4
+// shards} × {static, adaptive-freq} × the three engines. Every cell's
+// aggregate must equal the private walker's bit for bit, and every
+// request of the call must have been priced from a stream; a
+// Delete-dense cell must also equal its DisableBatchReplay run, after
+// serving requests both ways.
 func TestReplayEquivalenceMatrixShared(t *testing.T) {
 	gen := func() *ycsb.Workload {
 		return ycsb.MustGenerate(ycsb.Spec{
@@ -80,30 +82,28 @@ func TestReplayEquivalenceMatrixShared(t *testing.T) {
 						cfg.Adaptive, cfg.EpochOps, cfg.MigrationCostPerByte = src, server.ReplayBlockOps, 0.5
 					}
 					cell := fmt.Sprintf("%s/shards=%d/adaptive=%t/%v", b.name, shards, adaptive, e)
-					want, errW := client.ExecuteMeanCtx(context.Background(), cfg, b.w, p, 3, 0)
+					want, errW := client.RunPrivate(context.Background(), cfg, b.w, p, 3)
 					sink := obs.NewSink()
 					cfg.Obs = sink
-					ctx, release := client.ShareLLC(context.Background())
-					got, errG := client.ExecuteMeanCtx(ctx, cfg, b.w, p, 3, 0)
-					release()
+					got, errG := client.MeasureOne(context.Background(), cfg, b.w, p, 3, 0)
 					if errW != nil || errG != nil {
-						t.Fatalf("%s: unshared err %v, shared err %v", cell, errW, errG)
+						t.Fatalf("%s: private err %v, shared err %v", cell, errW, errG)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: shared aggregate diverged:\n  shared:   %+v\n  unshared: %+v", cell, got, want)
+						t.Fatalf("%s: shared aggregate diverged from the private walker's:\n  shared:  %+v\n  private: %+v", cell, got, want)
 					}
 					if got.LLCHitRate < 0.1 || got.LLCHitRate > 0.9 {
 						t.Fatalf("%s: LLC hit rate %v: the cell does not mix hits with misses", cell, got.LLCHitRate)
 					}
-					if n := sink.Counter("mnemo_server_llc_stream_requests_total").Value(); n == 0 {
-						t.Fatalf("%s: no request was priced from a stream", cell)
+					if n := sink.Counter("mnemo_server_llc_stream_requests_total").Value(); n != 3*int64(b.w.RequestCount()) {
+						t.Fatalf("%s: %d of 3 × %d requests priced from a stream, want all", cell, n, b.w.RequestCount())
 					}
 					if !b.dense {
 						continue
 					}
 					perOp := cfg
 					perOp.DisableBatchReplay, perOp.Obs = true, nil
-					ref, err := client.ExecuteMeanCtx(context.Background(), perOp, b.w, p, 3, 0)
+					ref, err := client.RunPrivate(context.Background(), perOp, b.w, p, 3)
 					if err != nil || !reflect.DeepEqual(got, ref) {
 						t.Fatalf("%s: diverged from DisableBatchReplay (%v):\n  kernel: %+v\n  per-op: %+v", cell, err, got, ref)
 					}

@@ -15,21 +15,40 @@ import (
 	"mnemo/internal/ycsb"
 )
 
-// sharedCell runs one fresh deployment over w under a new LLC share and
-// returns its outcome.
-func sharedCell(t *testing.T, cfg server.Config, w *ycsb.Workload, p server.Placement) outcome {
+// attachShare opens an LLC share under ctx and attaches d — loaded,
+// no request priced yet — to its stream of w, as a measuring call
+// attaches each member it loads. The caller closes the share once the
+// run has returned.
+func attachShare(t *testing.T, ctx context.Context, d *server.Deployment, w *ycsb.Workload) *server.LLCShare {
 	t.Helper()
-	ctx, release := ShareLLC(context.Background())
-	defer release()
-	return runCell(t, ctx, cfg, w, p)
+	sh := server.NewLLCShare(ctx)
+	if !d.AttachLLCStream(sh, w) {
+		t.Fatal("deployment refused the share's stream")
+	}
+	return sh
 }
 
-// gatedStream serves w's frames. The first iterator opened — the run's
-// own, opened before it asks the share for a stream — closes reading
-// when asked for its second frame: the run has served frame 0 and is
-// about to wait for frame 1's bits. Every later iterator — the
-// producer's — stalls before its second frame until gate closes, so
-// frame 1 is never published.
+// awaitOpens waits up to 5 s until a test stream has been opened n
+// times. Attaching a run starts the stream's producer, which opens the
+// trace on its own goroutine, so a test that tells the producer's
+// iterator from the run's by open order awaits the producer's open
+// before it starts the run.
+func awaitOpens(t *testing.T, opened *atomic.Int32, n int32) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); opened.Load() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream opened %d times in 5 s, want %d", opened.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// gatedStream serves w's frames. The second iterator opened — the
+// run's own, opened once the producer has opened its own (awaitOpens) —
+// closes reading when asked for its second frame: the run has served
+// frame 0 and is about to wait for frame 1's bits. Every other iterator
+// — the first is the producer's — stalls before its second frame until
+// gate closes, so frame 1 is never published.
 type gatedStream struct {
 	w       *ycsb.Workload
 	opened  *atomic.Int32
@@ -42,7 +61,7 @@ func (s gatedStream) Requests() int { return len(s.w.Ops) }
 func (s gatedStream) Frames() (ycsb.FrameIter, error) {
 	frames, err := s.w.Frames()
 	it := &gatedIter{frames: frames, gate: s.gate}
-	if s.opened.Add(1) == 1 {
+	if s.opened.Add(1) == 2 {
 		it.gate, it.reading = nil, s.reading
 	}
 	return it, err
@@ -80,10 +99,11 @@ func TestSharedLLCCancelWhileWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	shared, release := ShareLLC(ctx)
+	sh := attachShare(t, ctx, d, gw)
+	awaitOpens(t, gs.opened, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunCtx(shared, d, gw, 0)
+		_, err := RunCtx(ctx, d, gw, 0)
 		done <- err
 	}()
 	<-gs.reading
@@ -105,7 +125,7 @@ func TestSharedLLCCancelWhileWaiting(t *testing.T) {
 		t.Fatal("frame 0 was not served before the wait; the test did not exercise it")
 	}
 	close(gs.gate)
-	release()
+	sh.Close()
 	requireGoroutinesBack(t, warmup)
 }
 
@@ -122,8 +142,9 @@ func requireGoroutinesBack(t *testing.T, warmup int) {
 }
 
 // TestSharedLLCCorruptFrame: a .mtrc frame that fails its checksum mid
-// trace ends the producer's stream, and the run reading it fails with
-// exactly the error it fails with unshared.
+// trace ends the producer's stream, and a measuring call's run reading
+// it fails with exactly the error a run on the private walker fails
+// with.
 func TestSharedLLCCorruptFrame(t *testing.T) {
 	w := adaptiveTestWorkload(0.9)
 	path := filepath.Join(t.TempDir(), "corrupt.mtrc")
@@ -145,12 +166,10 @@ func TestSharedLLCCorruptFrame(t *testing.T) {
 	for _, e := range goldenEngines {
 		cfg := server.DefaultConfig(e, 9)
 		cfg.Machine.LLCBytes = matrixLLCBytes
-		_, want := ExecuteMeanCtx(context.Background(), cfg, tw, halfFast(w), 2, 0)
-		ctx, release := ShareLLC(context.Background())
-		_, got := ExecuteMeanCtx(ctx, cfg, tw, halfFast(w), 2, 0)
-		release()
-		if want == nil || got == nil || got.Error() != want.Error() {
-			t.Fatalf("%v: shared error %v, unshared %v; want the same decode error", e, got, want)
+		want := runCell(t, context.Background(), cfg, tw, halfFast(w), false).Err
+		_, got := measureOne(context.Background(), cfg, tw, halfFast(w), 2, 0)
+		if want == "" || got == nil || got.Error() != "client: repetition 0 (seed 9): "+want {
+			t.Fatalf("%v: shared error %v, private %q; want the same decode error", e, got, want)
 		}
 	}
 }
@@ -172,13 +191,14 @@ func TestSharedLLCServeZeroAllocs(t *testing.T) {
 	if err := d.Load(w.Dataset, server.AllFast()); err != nil {
 		t.Fatal(err)
 	}
-	ctx, release := ShareLLC(context.Background())
-	defer release()
+	ctx := context.Background()
+	sh := server.NewLLCShare(ctx)
+	defer sh.Close()
 	classes := sizeClasses(w.Dataset.Records)
 	a := newReplayAccum(classes)
 	pass := func() {
-		if !d.ResetRun(3) {
-			t.Fatal("deployment not rewindable")
+		if !d.ResetRun(3) || !d.AttachLLCStream(sh, w) {
+			t.Fatal("deployment not rewindable, or it refused the stream")
 		}
 		if _, err := replayFrames(ctx, d, w, classes, a); err != nil {
 			t.Fatal(err)
@@ -190,33 +210,24 @@ func TestSharedLLCServeZeroAllocs(t *testing.T) {
 	}
 }
 
-// reopenFailStream serves w's frames but fails every open after the
-// first: the run's own iterator opens, the producer's does not.
-type reopenFailStream struct {
-	w      *ycsb.Workload
-	opened *atomic.Int32
-}
-
-func (s reopenFailStream) Requests() int { return len(s.w.Ops) }
-
-func (s reopenFailStream) Frames() (ycsb.FrameIter, error) {
-	if s.opened.Add(1) > 1 {
-		return nil, errors.New("trace file vanished")
-	}
-	frames, err := s.w.Frames()
-	return &frames, err
-}
-
 // TestSharedLLCProducerOpenError: a producer that cannot read the trace
 // publishes nothing, and the run waiting on it fails with the
 // producer's error rather than serving unpriced requests.
 func TestSharedLLCProducerOpenError(t *testing.T) {
 	w := adaptiveTestWorkload(0.9)
-	sw := &ycsb.Workload{Spec: w.Spec, Dataset: w.Dataset, Stream: reopenFailStream{w: w, opened: new(atomic.Int32)}}
+	opened := new(atomic.Int32)
+	sw := &ycsb.Workload{Spec: w.Spec, Dataset: w.Dataset, Stream: openFailStream{w: w, opened: opened, fail: 1}}
 	cfg := server.DefaultConfig(server.RedisLike, 7)
 	cfg.Machine.LLCBytes = matrixLLCBytes
-	got := sharedCell(t, cfg, sw, halfFast(w))
-	if want := "server: LLC stream stopped after 0 requests: trace file vanished"; got.Err != want || got.Clock != 0 {
-		t.Fatalf("run error %q at clock %v, want %q before any request", got.Err, got.Clock, want)
+	d := server.NewDeployment(cfg)
+	if err := d.Load(sw.Dataset, halfFast(w)); err != nil {
+		t.Fatal(err)
+	}
+	sh := attachShare(t, context.Background(), d, sw)
+	defer sh.Close()
+	awaitOpens(t, opened, 1) // the producer's open fails, the run's does not
+	_, err := RunCtx(context.Background(), d, sw, 0)
+	if want := "server: LLC stream stopped after 0 requests: trace file vanished"; err == nil || err.Error() != want || d.Clock() != 0 {
+		t.Fatalf("run error %v at clock %v, want %q before any request", err, d.Clock(), want)
 	}
 }

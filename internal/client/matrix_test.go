@@ -114,12 +114,19 @@ func (o outcome) comparable() outcome {
 	return o
 }
 
-func runCell(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) outcome {
+// runCell loads a fresh deployment of cfg under p and runs w on it:
+// priced from a new LLC share of its own when shared, else by its
+// private walker.
+func runCell(t *testing.T, ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement, shared bool) outcome {
 	t.Helper()
 	cfg.Obs = obs.NewSink()
 	d := server.NewDeployment(cfg)
 	if err := d.Load(w.Dataset, p); err != nil {
 		t.Fatal(err)
+	}
+	if shared {
+		sh := attachShare(t, ctx, d, w)
+		defer sh.Close()
 	}
 	st, err := RunCtx(ctx, d, w, 0)
 	d.FlushObs()
@@ -174,7 +181,7 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 				}
 				for cut, ctx := range map[string]context.Context{"none": context.Background(), "cancelled": cancelled} {
 					label := fmt.Sprintf("%s/%v/%s/%s", traceName, e, mode, cut)
-					ref := runCell(t, ctx, perOpReference(base), w, p)
+					ref := runCell(t, ctx, perOpReference(base), w, p, false)
 					requireCutFired(t, label, cut, ref)
 
 					for _, b := range backings {
@@ -182,12 +189,7 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 							perOp := cellMode.perOp
 							c := base
 							c.DisableBatchReplay = perOp
-							cellCtx, release := ctx, func() {}
-							if cellMode.shared {
-								cellCtx, release = ShareLLC(ctx)
-							}
-							got := runCell(t, cellCtx, c, b.w, p)
-							release()
+							got := runCell(t, ctx, c, b.w, p, cellMode.shared)
 							cell := fmt.Sprintf("%s/%s/perop=%t/shared=%t", label, b.name, perOp, cellMode.shared)
 							if !reflect.DeepEqual(got.comparable(), ref.comparable()) {
 								t.Fatalf("%s diverged from the in-memory per-op reference:\n  got: %+v\n  ref: %+v", cell, got, ref)
@@ -303,13 +305,13 @@ func TestSharedLLCHandOverCells(t *testing.T) {
 	for _, c := range cells {
 		cfg := server.DefaultConfig(c.e, 42)
 		cfg.Machine.LLCBytes = matrixLLCBytes
-		ref := runCell(t, context.Background(), perOpReference(cfg), c.w, halfFast(c.w))
+		ref := runCell(t, context.Background(), perOpReference(cfg), c.w, halfFast(c.w), false)
 		if ref.Err != "" {
 			t.Fatalf("%s: reference failed: %s", c.name, ref.Err)
 		}
 		for _, perOp := range []bool{false, true} {
 			cfg.DisableBatchReplay = perOp
-			got := sharedCell(t, cfg, c.w, halfFast(c.w))
+			got := runCell(t, context.Background(), cfg, c.w, halfFast(c.w), true)
 			label := fmt.Sprintf("%s/perop=%t/shared=true", c.name, perOp)
 			if !reflect.DeepEqual(got.comparable(), ref.comparable()) {
 				t.Fatalf("%s diverged from the per-op reference:\n  got: %+v\n  ref: %+v", label, got, ref)
@@ -332,9 +334,9 @@ func TestSharedLLCHandOverCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.d = d
-	ctx, release := ShareLLC(context.Background())
-	got, err := RunCtx(ctx, d, aw, 0)
-	release()
+	sh := attachShare(t, context.Background(), d, aw)
+	got, err := RunCtx(context.Background(), d, aw, 0)
+	sh.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +350,7 @@ func TestSharedLLCHandOverCells(t *testing.T) {
 	}
 	refCfg := perOpReference(cfg)
 	refCfg.Adaptive, refCfg.Obs = greedySource{}, nil
-	ref, err := Execute(refCfg, aw, p)
+	ref, err := measureRun(refCfg, aw, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,21 +404,21 @@ func TestReplayMatrixShardedPackedSubs(t *testing.T) {
 			if packed.Subs[s].W.Ops != nil || withOps.Subs[s].W.Ops == nil {
 				t.Fatalf("%s shard %d: split did not produce a packed-only and an Ops-backed sub", traceName, s)
 			}
-			want := runCell(t, context.Background(), cfg, withOps.Subs[s].W, server.AllSlow())
-			got := runCell(t, context.Background(), cfg, packed.Subs[s].W, server.AllSlow())
+			want := runCell(t, context.Background(), cfg, withOps.Subs[s].W, server.AllSlow(), false)
+			got := runCell(t, context.Background(), cfg, packed.Subs[s].W, server.AllSlow(), false)
 			if want.Err != "" || !reflect.DeepEqual(got.comparable(), want.comparable()) {
 				t.Fatalf("%s shard %d: packed-only sub diverged:\n  got:  %+v\n  want: %+v", traceName, s, got, want)
 			}
 		}
 		// And end to end through the cluster path.
 		cfg.Shards = 3
-		sharded, err := Execute(cfg, w, server.AllSlow())
+		sharded, err := measureRun(cfg, w, server.AllSlow())
 		if err != nil {
 			t.Fatalf("%s: sharded per-op run: %v", traceName, err)
 		}
 		kernel := cfg
 		kernel.DisableBatchReplay = false
-		viaKernel, err := Execute(kernel, w, server.AllSlow())
+		viaKernel, err := measureRun(kernel, w, server.AllSlow())
 		if err != nil || !reflect.DeepEqual(sharded, viaKernel) {
 			t.Fatalf("%s: sharded per-op and kernel runs diverged (%v):\n  per-op: %+v\n  kernel: %+v", traceName, err, sharded, viaKernel)
 		}
@@ -444,8 +446,8 @@ func TestReplayPerOpFrameThenKernel(t *testing.T) {
 	w.Ops[41] = ycsb.Op{Key: del.Key, Kind: kvstore.Write}
 
 	cfg := server.DefaultConfig(server.RedisLike, 42)
-	got := runCell(t, context.Background(), cfg, w, halfFast(w))
-	want := runCell(t, context.Background(), perOpReference(cfg), w, halfFast(w))
+	got := runCell(t, context.Background(), cfg, w, halfFast(w), false)
+	want := runCell(t, context.Background(), perOpReference(cfg), w, halfFast(w), false)
 	if got.mixedFrames != 1 || got.kernelFrames != 4 {
 		t.Fatalf("frames: %d mixed, %d kernel; want the first mixed and the other 4 kernel",
 			got.mixedFrames, got.kernelFrames)
@@ -482,8 +484,8 @@ func TestOversizedRecordKeepsKernel(t *testing.T) {
 			cfg.Adaptive = moveSource{server.Move{Index: hot, To: to}}
 			cfg.EpochOps = replayBlockOps
 		}
-		got := runCell(t, context.Background(), cfg, w, p)
-		want := runCell(t, context.Background(), perOpReference(cfg), w, p)
+		got := runCell(t, context.Background(), cfg, w, p, false)
+		want := runCell(t, context.Background(), perOpReference(cfg), w, p, false)
 		t.Logf("adaptive=%t: %d moves; frames %d kernel, %d mixed, %d per-op; requests %d kernel, %d per-op", adaptive,
 			got.Stats.MovesApplied, got.kernelFrames, got.mixedFrames, got.perOpFrames, got.kernelRequests, got.perOpRequests)
 		if adaptive && got.Stats.MovesApplied != 1 {
@@ -515,7 +517,7 @@ func TestReplayStreamReuse(t *testing.T) {
 	tw := streamedTwin(t, w)
 	cfg := server.DefaultConfig(server.MemcachedLike, 31)
 	var r meanRunner
-	if _, err := r.execute(context.Background(), cfg, tw, server.AllFast()); err != nil {
+	if _, _, err := r.executeLanes(context.Background(), []Leg{{Cfg: cfg, Placement: server.AllFast()}}, tw); err != nil {
 		t.Fatal(err)
 	}
 	if r.sd == nil {
@@ -594,7 +596,7 @@ func TestReplayFrameSourceErrors(t *testing.T) {
 		"truncated": {server.DefaultConfig(server.RedisLike, 7), streamed(brokenStream{declared: len(w.Ops) + 1, failAfter: -1}), fmt.Sprintf("client: trace stream ended after %d of %d requests", len(w.Ops), len(w.Ops)+1), true},
 		"rejected":  {adaptive, w, "client: adaptive policy rejected workload: needs a materialized trace", false},
 	} {
-		got := runCell(t, context.Background(), tc.cfg, tc.w, halfFast(w))
+		got := runCell(t, context.Background(), tc.cfg, tc.w, halfFast(w), false)
 		if got.Err != tc.wantErr {
 			t.Errorf("%s: error %q, want %q", name, got.Err, tc.wantErr)
 		}

@@ -25,23 +25,16 @@ const runSeedStride = 1009
 // worker instead of once per run. A cluster that cannot be rewound
 // (per-op frames, migrations) is never cached, and each repetition then
 // builds a fresh one. Frame routing and migrations depend on the trace,
-// not on the noise seed, so a cached cluster stays Reusable.
+// not on the noise seed, so a cached cluster stays Reusable. Every run
+// is priced from the measuring call's LLC share, llc; a runner without
+// one walks each member's private walker.
 type meanRunner struct {
-	sd *server.ShardedDeployment
+	sd  *server.ShardedDeployment
+	llc *server.LLCShare
 }
 
 // loads counts the member deployments the runners have loaded.
 var loads atomic.Int64
-
-// execute runs one measurement of one leg: executeLanes of a group of
-// one.
-func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement) (RunStats, error) {
-	sts, _, err := r.executeLanes(ctx, []Leg{{Cfg: cfg, Placement: p}}, w)
-	if err != nil {
-		return RunStats{}, err
-	}
-	return sts[0], nil
-}
 
 // executeLanes runs one repetition of a lane group — legs whose runs differ
 // only in seed and uniform placement (laneGroups), leg k with seed
@@ -50,7 +43,9 @@ func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Wor
 // post-Load snapshot under the new seeds' per-shard derivations
 // (server.ShardedDeployment.ResetRun); otherwise it builds a cluster of
 // max(Shards, 1) members, adds a lane per further leg, and loads every
-// shard under the (remapped) placement. Either way it then replays,
+// shard under the (remapped) placement. Either way it attaches every
+// member to the runner's LLC share (server.Deployment.AttachLLCStream,
+// before the member prices a request), then replays,
 // merges, flushes the shard telemetry (complete and failed replays
 // alike) and publishes each leg's run-level counters and journal events
 // under the parent workload's name. Both paths emit the same event and
@@ -63,9 +58,6 @@ func (r *meanRunner) execute(ctx context.Context, cfg server.Config, w *ycsb.Wor
 // decides Reusable (it prices the cost table, and a per-op frame or a
 // migration latches the cluster as mutated).
 func (r *meanRunner) executeLanes(ctx context.Context, legs []Leg, w *ycsb.Workload) ([]RunStats, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -97,6 +89,9 @@ func (r *meanRunner) executeLanes(ctx context.Context, legs []Leg, w *ycsb.Workl
 	} else if !sd.ResetRun(cfg.Seed) {
 		return nil, 0, fmt.Errorf("client: cached cluster lost its run snapshot")
 	}
+	for s := range sd.Shards() {
+		sd.Dep(s).AttachLLCStream(r.llc, sd.Sub(s))
+	}
 	sts, err := runSharded(ctx, cfg, sd)
 	sd.FlushObs()
 	if r.sd == nil && sd.Reusable() {
@@ -113,21 +108,6 @@ func (r *meanRunner) executeLanes(ctx context.Context, legs []Leg, w *ycsb.Workl
 	return sts, 0, nil
 }
 
-// ExecuteMeanCtx is ExecuteMeanWorkers with cancellation: it runs the
-// workload `runs` times, repetition i under seed cfg.Seed + i·1009, and
-// returns the per-field means. Repetitions fan out over a bounded
-// worker pool (workers ≤ 0 = GOMAXPROCS) and fold in run-index order, so
-// the aggregate is bit-identical across worker counts. A replay is
-// deterministic, so a repetition that fails fails the aggregate: the
-// error of the lowest failing repetition is returned.
-func ExecuteMeanCtx(ctx context.Context, cfg server.Config, w *ycsb.Workload, p server.Placement, runs, workers int) (RunStats, error) {
-	sts, _, err := executeMean(ctx, []Leg{{Cfg: cfg, Placement: p}}, w, runs, workers)
-	if err != nil {
-		return RunStats{}, err
-	}
-	return sts[0], nil
-}
-
 // repetition is one repetition's outcome in executeMean: the stats of
 // every leg, or the error and the leg it belongs to.
 type repetition struct {
@@ -136,14 +116,17 @@ type repetition struct {
 	err error
 }
 
-// executeMean is ExecuteMeanCtx for a lane group: every repetition
+// executeMean measures a lane group for Measure: every repetition
 // measures all the legs on one cluster (meanRunner.executeLanes), leg k of
-// repetition i under seed legs[k].Cfg.Seed + i·1009, and each leg's
-// repetitions fold as ExecuteMeanCtx folds them. On failure it returns
-// the error of the lowest failing leg — of its lowest failing
-// repetition — and the leg's index; a pool error (cancellation, a
-// contained panic) is returned as is, as leg 0's.
-func executeMean(ctx context.Context, legs []Leg, w *ycsb.Workload, runs, workers int) ([]RunStats, int, error) {
+// repetition i under seed legs[k].Cfg.Seed + i·1009, priced from the
+// share sh. Repetitions fan out over a bounded worker pool (workers ≤ 0
+// = GOMAXPROCS) and each leg's fold in run-index order (foldRuns), so
+// the aggregate is bit-identical across worker counts. A replay is
+// deterministic, so a repetition that fails fails the aggregate: on
+// failure it returns the error of the lowest failing leg — of its
+// lowest failing repetition — and the leg's index; a pool error
+// (cancellation, a contained panic) is returned as is, as leg 0's.
+func executeMean(ctx context.Context, legs []Leg, w *ycsb.Workload, runs, workers int, sh *server.LLCShare) ([]RunStats, int, error) {
 	if runs <= 0 {
 		return nil, 0, fmt.Errorf("client: runs %d must be positive", runs)
 	}
@@ -158,7 +141,7 @@ func executeMean(ctx context.Context, legs []Leg, w *ycsb.Workload, runs, worker
 	nrunners := pool.Workers(workers, runs)
 	runners := make(chan *meanRunner, nrunners)
 	for k := 0; k < nrunners; k++ {
-		runners <- new(meanRunner)
+		runners <- &meanRunner{llc: sh}
 	}
 	out, err := pool.Map(ctx, runs, workers, legs[0].Cfg.Obs, func(ctx context.Context, i int) (repetition, error) {
 		rep := make([]Leg, len(legs))

@@ -11,29 +11,38 @@ import (
 )
 
 // Leg is one measured execution of a measuring call: a deployment
-// configuration and the placement it runs under. Name prefixes the
-// leg's error ("core: FastMem baseline: …").
+// configuration and the placement it runs under. A non-empty Name
+// prefixes the leg's error ("core: FastMem baseline: …"); a nameless
+// leg's error is returned as is.
 type Leg struct {
 	Name      string
 	Cfg       server.Config
 	Placement server.Placement
 }
 
-// Measure is the measuring call (DESIGN.md §12): it executes every leg
-// `runs` times (ExecuteMeanCtx) and returns the legs' aggregates in leg
-// order. Legs whose runs differ only in seed and in a uniform placement
-// (laneGroups) — the FastMem and SlowMem baselines — are measured as
-// the lanes of one cluster: one Load and one engine walk per repetition
-// and shard serve them all. The groups fan out across at most `workers`
-// goroutines (≤ 0 = GOMAXPROCS), and every group, repetition and shard
-// shares one worker budget (pool.Map) and one LLC walk per trace
-// (ShareLLC). Every leg is an independent simulation with a fixed seed,
-// so the result is bit-identical to measuring the legs back to back. A
-// pool error (cancellation, a contained panic) is returned as is;
-// otherwise the lowest failing leg's error wins, prefixed with its Name.
+// Measure is the measuring call (DESIGN.md §12), the one way a fresh
+// cluster replays a workload: it executes every leg `runs` times,
+// repetition i under seed Cfg.Seed + i·1009, and returns the legs'
+// per-field means in leg order. Legs whose runs differ only in seed and
+// in a uniform placement (laneGroups) — the FastMem and SlowMem
+// baselines — are measured as the lanes of one cluster: one Load and
+// one engine walk per repetition and shard serve them all. Each fan-out
+// of the call — the groups, and each group's repetitions — runs across
+// at most `workers` goroutines (≤ 0 = GOMAXPROCS), all under one worker
+// budget (pool.Map), and every run is priced from one LLC walk per
+// trace: Measure opens a server.LLCShare and closes it before it
+// returns. Every leg is an independent simulation with a fixed seed,
+// and repetitions fold in run-index order, so the result is
+// bit-identical for every worker count and to measuring the legs back
+// to back. A pool error (cancellation, a contained panic) is returned
+// as is; otherwise the lowest failing leg's error wins — of its lowest
+// failing repetition — prefixed with its Name.
 func Measure(ctx context.Context, w *ycsb.Workload, runs, workers int, sink *obs.Sink, legs []Leg) ([]RunStats, error) {
-	ctx, release := ShareLLC(ctx)
-	defer release()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sh := server.NewLLCShare(ctx)
+	defer sh.Close()
 	groups := laneGroups(legs)
 	type measured struct {
 		sts []RunStats
@@ -45,7 +54,7 @@ func Measure(ctx context.Context, w *ycsb.Workload, runs, workers int, sink *obs
 		for k, i := range groups[g] {
 			group[k] = legs[i]
 		}
-		sts, k, err := executeMean(ctx, group, w, runs, 0)
+		sts, k, err := executeMean(ctx, group, w, runs, workers, sh)
 		return measured{sts: sts, leg: groups[g][k], err: err}, nil
 	})
 	if err != nil {
@@ -60,7 +69,10 @@ func Measure(ctx context.Context, w *ycsb.Workload, runs, workers int, sink *obs
 	res := make([]RunStats, len(legs))
 	for g, m := range out {
 		if m.err != nil && m.leg == failed {
-			return nil, fmt.Errorf("%s: %w", legs[failed].Name, m.err)
+			if name := legs[failed].Name; name != "" {
+				return nil, fmt.Errorf("%s: %w", name, m.err)
+			}
+			return nil, m.err
 		}
 		for k, i := range groups[g] {
 			if m.err == nil {

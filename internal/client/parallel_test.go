@@ -108,13 +108,17 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 		deps[i] = load(cfg)
 	}
 	all := append([]*server.Deployment(nil), deps...)
-	ctx, release := ShareLLC(context.Background())
-	defer release()
+	ctx := context.Background()
+	sh := server.NewLLCShare(ctx)
+	defer sh.Close()
 	classes := sizeClasses(w.Dataset.Records)
 	a := newReplayAccum(classes)
 	pass := func() {
 		d := deps[0]
 		deps = deps[1:]
+		if !d.AttachLLCStream(sh, w) {
+			t.Fatal("deployment refused the share's stream")
+		}
 		if _, err := replayFrames(ctx, d, w, classes, a); err != nil {
 			t.Fatal(err)
 		}

@@ -55,12 +55,12 @@ func TestShardedOneShardGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := server.DefaultConfig(server.RedisLike, 42)
 			tc.mod(&cfg)
-			base, err := Execute(cfg, w, p)
+			base, err := measureRun(cfg, w, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Shards = 1
-			sharded, err := Execute(cfg, w, p)
+			sharded, err := measureRun(cfg, w, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,12 +78,12 @@ func TestShardedOneShardMeanGolden(t *testing.T) {
 	w := shardedTestWorkload(t, 1000, 10_000)
 	p := halfFastPlacement(w)
 	cfg := server.DefaultConfig(server.RedisLike, 42)
-	base, err := ExecuteMeanCtx(context.Background(), cfg, w, p, 4, 0)
+	base, err := measureOne(context.Background(), cfg, w, p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Shards = 1
-	sharded, err := ExecuteMeanCtx(context.Background(), cfg, w, p, 4, 0)
+	sharded, err := measureOne(context.Background(), cfg, w, p, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestShardedDeterminism(t *testing.T) {
 	p := halfFastPlacement(w)
 	cfg := server.DefaultConfig(server.RedisLike, 42)
 	cfg.Shards = 8
-	first, err := Execute(cfg, w, p)
+	first, err := measureRun(cfg, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 1; run < 50; run++ {
-		again, err := Execute(cfg, w, p)
+		again, err := measureRun(cfg, w, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestShardedMergeInvariants(t *testing.T) {
 		t.Fatalf("shards served %d requests, trace has %d", totalReq, len(w.Ops))
 	}
 
-	agg, err := Execute(cfg, w, p)
+	agg, err := measureRun(cfg, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestShardedCancellationNotRemediated(t *testing.T) {
 	cfg.Obs = sink
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ExecuteMeanCtx(ctx, cfg, w, p, 3, 1)
+	_, err := measureOne(ctx, cfg, w, p, 3, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

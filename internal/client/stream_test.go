@@ -40,8 +40,8 @@ func streamedTwin(t *testing.T, w *ycsb.Workload) *ycsb.Workload {
 // trace and asserts bit-identical stats and error text.
 func requireTwinOutcome(t *testing.T, label string, cfg server.Config, w, tw *ycsb.Workload, p server.Placement) {
 	t.Helper()
-	want, errW := Execute(cfg, w, p)
-	got, errT := Execute(cfg, tw, p)
+	want, errW := measureRun(cfg, w, p)
+	got, errT := measureRun(cfg, tw, p)
 	if (errW == nil) != (errT == nil) {
 		t.Fatalf("%s: in-memory err %v, streamed err %v", label, errW, errT)
 	}
@@ -188,7 +188,7 @@ func TestStreamedFramesShareOneLLC(t *testing.T) {
 
 	for _, e := range goldenEngines {
 		cfg := server.DefaultConfig(e, 42)
-		want, err := Execute(perOpReference(cfg), w, server.AllSlow())
+		want, err := measureRun(perOpReference(cfg), w, server.AllSlow())
 		if err != nil {
 			t.Fatal(err)
 		}

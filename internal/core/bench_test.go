@@ -4,7 +4,9 @@ package core
 // sub-benchmark is a frozen replica of the pre-optimization Validate:
 // one point after another, every repetition on a freshly populated
 // deployment driven through the per-op replay path
-// (server.Config.DisableBatchReplay). The Parallel side is the shipped
+// (server.Config.DisableBatchReplay). Each point is a one-leg measuring
+// call (client.Measure), so both sides price the LLC from the
+// workload's shared hit stream. The Parallel side is the shipped
 // ValidateWorkers, which fans the deduplicated points over the worker
 // pool and measures each through the batched kernel with post-Load
 // snapshot reuse. On a single-CPU host the measured speedup is the
@@ -23,8 +25,9 @@ import (
 )
 
 // legacyValidate is the frozen pre-optimization sweep loop, preserved
-// verbatim apart from the DisableBatchReplay pin that keeps it on the
-// per-op path it was written against.
+// apart from the DisableBatchReplay pin that keeps it on the per-op
+// path it was written against and from measuring each point with a
+// one-leg measuring call.
 func legacyValidate(ctx context.Context, cfg Config, w *ycsb.Workload, c *Curve, ord Ordering, samples int) ([]ValidationPoint, error) {
 	ncfg, err := cfg.normalized()
 	if err != nil {
@@ -45,10 +48,13 @@ func legacyValidate(ctx context.Context, cfg Config, w *ycsb.Workload, c *Curve,
 		runCfg := ncfg.Server
 		runCfg.DisableBatchReplay = true
 		runCfg.Seed += int64(i) * 104729
-		measured, err := client.ExecuteMeanCtx(ctx, runCfg, w, placement, ncfg.Runs, 0)
+		sts, err := client.Measure(ctx, w, ncfg.Runs, 0, runCfg.Obs, []client.Leg{
+			{Name: fmt.Sprintf("core: validating point %d", k), Cfg: runCfg, Placement: placement},
+		})
 		if err != nil {
-			return nil, fmt.Errorf("core: validating point %d: %w", k, err)
+			return nil, err
 		}
+		measured := sts[0]
 		vp := ValidationPoint{Point: point, Measured: measured}
 		if measured.ThroughputOpsSec > 0 {
 			vp.ThroughputErrPct = (measured.ThroughputOpsSec - point.EstThroughputOps) /

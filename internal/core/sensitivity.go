@@ -31,7 +31,7 @@ func MeasureBaselines(ctx context.Context, cfg Config, w *ycsb.Workload) (Baseli
 	// separate physical executions would be.
 	slowCfg := fastCfg
 	slowCfg.Seed += 7919
-	st, err := client.Measure(ctx, w, n.Runs, 2, n.Server.Obs, []client.Leg{
+	st, err := client.Measure(ctx, w, n.Runs, 0, n.Server.Obs, []client.Leg{
 		{Name: "core: FastMem baseline", Cfg: fastCfg, Placement: server.AllFast()},
 		{Name: "core: SlowMem baseline", Cfg: slowCfg, Placement: server.AllSlow()},
 	})

@@ -32,7 +32,7 @@ type TailPoint struct {
 
 // Estimate predicts latency percentiles when the first k keys of the
 // ordering live on FastMem. The baselines must carry per-size-class
-// latency histograms (any client.Execute result does).
+// latency histograms (any client.Measure result does).
 func (TailEstimator) Estimate(b Baselines, ord Ordering, k int) (TailPoint, error) {
 	if k < 0 || k > len(ord.Keys) {
 		return TailPoint{}, fmt.Errorf("core: tail estimate for %d of %d keys", k, len(ord.Keys))

@@ -119,13 +119,15 @@ func ClusterSweep(scale Scale, seed int64) (*ClusterSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	measured, err := client.ExecuteMeanCtx(ctx, cfg.Server, w, placement, scale.Runs, 0)
+	measured, err := client.Measure(ctx, w, scale.Runs, 0, cfg.Server.Obs, []client.Leg{
+		{Name: "experiments: cluster sweep measurement", Cfg: cfg.Server, Placement: placement},
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: cluster sweep measurement: %w", err)
+		return nil, err
 	}
-	res.Measured = measured
+	res.Measured = measured[0]
 	if fastRt := rep.Baselines.Fast.Runtime; fastRt > 0 {
-		res.MeasuredSlowdown = float64(measured.Runtime)/float64(fastRt) - 1
+		res.MeasuredSlowdown = float64(res.Measured.Runtime)/float64(fastRt) - 1
 	}
 	return res, nil
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"mnemo/internal/obs"
+	"mnemo/internal/server"
 )
 
 func TestClusterSweep(t *testing.T) {
@@ -72,5 +75,33 @@ func TestClusterSweepHonorsScaleShards(t *testing.T) {
 	}
 	if r.Shards != 2 || len(r.PerShard) != 2 {
 		t.Fatalf("shards = %d rows = %d, want 2", r.Shards, len(r.PerShard))
+	}
+}
+
+// TestMeasuringCallsPriceFromTheStream pins that the experiments which
+// once replayed outside a measuring call — the cluster sweep's advised
+// placement check and Table IV's X-Mem and Tahoe executions — price
+// every request they serve from a shared LLC stream, none by a private
+// walker.
+func TestMeasuringCallsPriceFromTheStream(t *testing.T) {
+	for _, exp := range []struct {
+		name string
+		run  func(Scale) error
+	}{
+		{"cluster-sweep", func(s Scale) error { _, err := ClusterSweep(s, 1); return err }},
+		{"table4", func(s Scale) error { _, err := Table4(s, 1); return err }},
+	} {
+		s := Quick
+		s.Obs = obs.NewSink()
+		if err := exp.run(s); err != nil {
+			t.Fatalf("%s: %v", exp.name, err)
+		}
+		var ops int64
+		for _, e := range server.Engines() {
+			ops += s.Obs.Counter(obs.Name("mnemo_server_ops_total", "engine", e.String())).Value()
+		}
+		if streamed := s.Obs.Counter("mnemo_server_llc_stream_requests_total").Value(); ops == 0 || streamed != ops {
+			t.Errorf("%s: %d of %d requests priced from an LLC stream, want all", exp.name, streamed, ops)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // fan-outs. Composed parallel layers — validation points × repeated
 // runs × per-shard replay — each ask the pool for workers; without a
 // shared cap the products multiply into far more goroutines than cores
-// (Validate×ExecuteMeanCtx×Shards on an 8-way box is hundreds), which the
+// (points×repetitions×Shards of a validation on an 8-way box is hundreds), which the
 // race detector amplifies into real slowdowns.
 //
 // The budget counts *extra* goroutines beyond the callers themselves: a

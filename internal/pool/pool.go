@@ -2,7 +2,7 @@
 // reproduction's embarrassingly parallel sweeps: the legs of a
 // measuring call (internal/client.Measure — the two baselines, the
 // validation points, the adaptive comparisons), each leg's repeated
-// runs (internal/client.ExecuteMeanCtx) and shards, and the
+// runs and shards, and the
 // workload×engine profiling matrix (mnemo.ProfileMatrix). Each job owns
 // its state (deployment, noise stream, accumulators), so parallel
 // execution changes wall-clock time only — results are folded by the

@@ -418,10 +418,11 @@ func TestAdaptiveLedgerInSink(t *testing.T) {
 		cfg := server.DefaultConfig(server.RedisLike, 1)
 		cfg.Shards = shards
 		cfg.Obs = obs.NewSink()
-		static, err := client.Execute(cfg, w, p)
+		runs, err := client.Measure(context.Background(), w, 1, 0, cfg.Obs, []client.Leg{{Cfg: cfg, Placement: p}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		static := runs[0]
 		var dump strings.Builder
 		if err := cfg.Obs.Registry().WritePrometheus(&dump); err != nil {
 			t.Fatal(err)
@@ -435,10 +436,11 @@ func TestAdaptiveLedgerInSink(t *testing.T) {
 		cfg.Obs = obs.NewSink()
 		cfg.Adaptive = AdaptiveFreq(DefaultDecay)
 		cfg.EpochOps = 4096
-		st, err := client.Execute(cfg, w, p)
+		runs, err = client.Measure(context.Background(), w, 1, 0, cfg.Obs, []client.Leg{{Cfg: cfg, Placement: p}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := runs[0]
 		if st.Epochs == 0 || st.MovesApplied == 0 || st.MigratedBytes == 0 {
 			t.Fatalf("shards %d: adaptive run migrated nothing (%d epochs, %d moves, %d bytes)", shards, st.Epochs, st.MovesApplied, st.MigratedBytes)
 		}

@@ -347,7 +347,7 @@ func (t *ReplayTable) stage1(f *Frame, keys []uint32, kinds []uint8, from, end i
 
 // ResetRun rewinds a batch-capable deployment to its post-Load state
 // under a new measurement seed — the snapshot/reset that lets repeated
-// runs (ExecuteMeanCtx, Session.Compare) load the populated store once
+// runs (client.Measure, Session.Compare) load the populated store once
 // instead of re-populating per run. It resets every lane's clock, the op
 // counter, private LLC walker and LLC tallies, detaches any LLC stream,
 // re-seeds each lane's noise stream (lane k at seed plus its offset),

@@ -368,7 +368,7 @@ func MeasureAdaptive(ctx context.Context, w *Workload, rep *Report, opts Options
 	}
 	// The two legs share one LLC walk per trace: migration leaves LLC
 	// residency alone.
-	runs, err := client.Measure(ctx, w, cfg.Runs, 2, cfg.Server.Obs, []client.Leg{
+	runs, err := client.Measure(ctx, w, cfg.Runs, 0, cfg.Server.Obs, []client.Leg{
 		{Name: "mnemo: static measured run", Cfg: cfg.Server.Static(), Placement: placement},
 		{Name: "mnemo: adaptive measured run", Cfg: cfg.Server, Placement: placement},
 	})
