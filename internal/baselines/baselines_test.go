@@ -2,11 +2,14 @@ package baselines
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"mnemo/internal/core"
+	"mnemo/internal/memsim"
 	"mnemo/internal/server"
 	"mnemo/internal/ycsb"
 )
@@ -72,6 +75,24 @@ func TestInstrumentedProfilerCostlier(t *testing.T) {
 		if mnemoOrd.Keys[i].Key != instrOrd.Keys[i].Key {
 			t.Fatalf("orderings diverge at %d", i)
 		}
+	}
+}
+
+// TestExecuteErrorNamesRepetition pins the error text of Table IV's
+// runs: each is a measuring call of one repetition and nameless legs, so
+// a failure carries the repetition prefix client.Measure gives every
+// failed repetition and nothing more.
+func TestExecuteErrorNamesRepetition(t *testing.T) {
+	w := smallTrending(4)
+	cfg := core.DefaultConfig(server.RedisLike, 4)
+	cfg.Server.Machine.FastCapacity = 512 // too small for even one record
+	_, _, err := InstrumentedProfilerOverhead(cfg, w)
+	if !errors.Is(err, memsim.ErrNoCapacity) {
+		t.Fatalf("got %v, want a capacity overflow", err)
+	}
+	want := fmt.Sprintf("client: repetition 0 (seed %d): ", cfg.Server.Seed)
+	if msg := err.Error(); !strings.HasPrefix(msg, want) || strings.Contains(msg[len(want):], "repetition") {
+		t.Fatalf("error %q, want one prefix %q", msg, want)
 	}
 }
 
