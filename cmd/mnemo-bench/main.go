@@ -224,18 +224,22 @@ func main() {
 // larger than RAM.
 func runTrace(path string, scale experiments.Scale, seed int64, stdout, stderr io.Writer) error {
 	start := time.Now()
-	w, err := trace.Open(path)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "trace %s: %d keys, %d requests, dataset %s\n",
-		w.Spec.Name, len(w.Dataset.Records), w.RequestCount(),
-		report.FormatBytes(w.Dataset.TotalBytes))
 	placements := []struct {
 		name string
 		p    server.Placement
 	}{{"FastMem", server.AllFast()}, {"SlowMem", server.AllSlow()}}
-	for _, e := range server.Engines() {
+	for i, e := range server.Engines() {
+		// A workload per engine: only the engine's SlowMem call reads the
+		// LLC stream its FastMem call memoized, so it dies with the pair.
+		w, err := trace.Open(path)
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			fmt.Fprintf(stdout, "trace %s: %d keys, %d requests, dataset %s\n",
+				w.Spec.Name, len(w.Dataset.Records), w.RequestCount(),
+				report.FormatBytes(w.Dataset.TotalBytes))
+		}
 		for _, pl := range placements {
 			cfg := server.DefaultConfig(e, seed)
 			cfg.Obs = scale.Obs

@@ -5,10 +5,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mnemo/internal/experiments"
+	"mnemo/internal/obs"
 	"mnemo/internal/trace"
 	"mnemo/internal/ycsb"
 )
@@ -56,6 +59,24 @@ func TestRunTraceFlagErrors(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRunTraceWalksOncePerEngine: each engine's FastMem call walks the
+// LLC stream and its SlowMem call reads that walk from the workload's
+// memo — three walks and three memo reads over the three engines.
+func TestRunTraceWalksOncePerEngine(t *testing.T) {
+	path := writeBenchTrace(t)
+	sink := obs.NewSink()
+	scale := experiments.Quick
+	scale.Obs = sink
+	if err := runTrace(path, scale, 42, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for source, want := range map[string]int64{"walk": 3, "memo": 3} {
+		if got := sink.Counter(obs.Name("mnemo_server_llc_streams_total", "source", source)).Value(); got != want {
+			t.Errorf("llc streams from %s = %d, want %d", source, got, want)
 		}
 	}
 }

@@ -284,30 +284,21 @@ func TestAdaptiveFallbackMidRun(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDeploymentNotReused: a migrated deployment's placement no
-// longer matches the requested one, so the execute-reuse fast path must
-// rebuild rather than replay on it.
+// TestAdaptiveDeploymentNotReused: every repetition of a measuring call
+// replays a fresh cluster, so a repetition sweep folds independent
+// migrated runs and the telemetry counters sum across them.
 func TestAdaptiveDeploymentNotReused(t *testing.T) {
 	w := adaptiveTestWorkload(1.0)
 	cfg := server.DefaultConfig(server.RedisLike, 7)
 	cfg.Adaptive = greedySource{}
 	cfg.EpochOps = 4096
-	var r meanRunner
-	sts, _, err := r.executeLanes(context.Background(), []Leg{{Cfg: cfg, Placement: halfFast(w)}}, w)
+	st, err := measureRun(cfg, w, halfFast(w))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := sts[0]
 	if st.MovesApplied == 0 {
 		t.Fatalf("adaptive run never migrated: %+v", st)
 	}
-	// A migrated deployment's placement no longer matches the requested
-	// one; the execute-reuse fast path must rebuild, not replay on it.
-	if r.sd != nil {
-		t.Fatal("migrated deployment kept for snapshot reuse")
-	}
-	// Repetition sweeps therefore fold independent migrated runs; the
-	// telemetry counters sum across them.
 	mean, err := ExecuteMeanWorkers(cfg, w, halfFast(w), 2, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -145,10 +145,8 @@ func TestResetRunMatchesFreshDeployment(t *testing.T) {
 	}
 }
 
-// TestExecuteMeanReuseBitIdentical pins the aggregate built on rewound
-// deployments (the default) against the per-op reference, which
-// repopulates per repetition — covering Session.Compare's repeated-runs
-// savings end to end.
+// TestExecuteMeanReuseBitIdentical pins the kernel's aggregate over
+// repetitions against the per-op reference at two worker counts.
 func TestExecuteMeanReuseBitIdentical(t *testing.T) {
 	w := testWorkload(0.9)
 	for _, workers := range []int{1, 4} {

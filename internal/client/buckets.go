@@ -1,25 +1,12 @@
 package client
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
-// BucketStat is the average service time observed for requests whose
-// record size falls in one power-of-two bucket. The size-aware estimate
-// extension (internal/core, SizeAware option) consumes these instead of
-// the paper's single global average, which repairs the estimate's
-// systematic bias on workloads whose FastMem/SlowMem split is
-// size-skewed (e.g. MnemoT orderings over mixed record sizes).
-type BucketStat struct {
-	// Bucket is the power-of-two class: records of size s fall in bucket
-	// bits.Len(s), i.e. bucket b covers [2^(b-1), 2^b).
-	Bucket int
-	Count  int
-	MeanNs float64
-}
-
-// SizeBucket returns the bucket index for a record size.
+// SizeBucket returns the power-of-two record-size class of a record
+// size: records of size s fall in class bits.Len(s), i.e. class b covers
+// [2^(b-1), 2^b). RunStats' per-class latency histograms
+// (ReadLatency/WriteLatency) and the size-aware and tail estimates in
+// internal/core are keyed by it.
 func SizeBucket(size int) int {
 	if size <= 0 {
 		return 0
@@ -33,42 +20,4 @@ func BucketRange(bucket int) (lo, hi int) {
 		return 0, 1
 	}
 	return 1 << (bucket - 1), 1 << bucket
-}
-
-// MeanFor returns the mean service time of the bucket, or (0, false) if
-// the bucket was never observed.
-func MeanFor(bs []BucketStat, bucket int) (float64, bool) {
-	for _, b := range bs {
-		if b.Bucket == bucket {
-			return b.MeanNs, true
-		}
-	}
-	return 0, false
-}
-
-// mergeBuckets combines two per-bucket breakdowns with count-weighted
-// means (used when averaging repeated runs).
-func mergeBuckets(a, b []BucketStat) []BucketStat {
-	byBucket := map[int]BucketStat{}
-	for _, s := range a {
-		byBucket[s.Bucket] = s
-	}
-	for _, s := range b {
-		if prev, ok := byBucket[s.Bucket]; ok {
-			n := prev.Count + s.Count
-			if n > 0 {
-				prev.MeanNs = (prev.MeanNs*float64(prev.Count) + s.MeanNs*float64(s.Count)) / float64(n)
-			}
-			prev.Count = n
-			byBucket[s.Bucket] = prev
-		} else {
-			byBucket[s.Bucket] = s
-		}
-	}
-	out := make([]BucketStat, 0, len(byBucket))
-	for _, s := range byBucket {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
-	return out
 }

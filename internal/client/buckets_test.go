@@ -47,40 +47,51 @@ func TestBucketAccum(t *testing.T) {
 	a := &laneAccum{hists: make([]*stats.Histogram, SizeBucket(100_000)+1)}
 	route := []uint8{uint8(SizeBucket(1000)), uint8(SizeBucket(1020)), uint8(SizeBucket(100_000))}
 	a.fold(route, []simclock.Duration{10, 30, 500})
-	bs, n, sum := classTotals(histograms(a.hists))
+	bhs := histograms(a.hists)
+	n, sum := classTotals(bhs)
 	if n != 3 || sum != 540 {
 		t.Fatalf("totals = %d requests, %v ns; want 3, 540", n, sum)
 	}
-	if len(bs) != 2 {
-		t.Fatalf("buckets = %d, want 2", len(bs))
+	if len(bhs) != 2 {
+		t.Fatalf("classes = %d, want 2", len(bhs))
 	}
-	if bs[0].Bucket >= bs[1].Bucket {
-		t.Fatal("buckets not sorted")
+	if bhs[0].Bucket >= bhs[1].Bucket {
+		t.Fatal("classes not sorted")
 	}
-	if m, ok := MeanFor(bs, SizeBucket(1000)); !ok || m != 20 {
-		t.Fatalf("small bucket mean = %v, %v", m, ok)
+	if h := HistFor(bhs, SizeBucket(1000)); h == nil || h.N() != 2 || h.Mean() != 20 {
+		t.Fatalf("small class = %v", h)
 	}
-	if _, ok := MeanFor(bs, 99); ok {
-		t.Fatal("missing bucket found")
+	if HistFor(bhs, 99) != nil {
+		t.Fatal("missing class found")
 	}
 }
 
+// TestMergeBuckets: repetitions fold their class histograms, so a
+// shared class's mean is the pooled (count-weighted) mean and a class
+// seen by one run only is kept.
 func TestMergeBuckets(t *testing.T) {
-	a := []BucketStat{{Bucket: 10, Count: 2, MeanNs: 10}, {Bucket: 11, Count: 1, MeanNs: 100}}
-	b := []BucketStat{{Bucket: 10, Count: 2, MeanNs: 30}, {Bucket: 17, Count: 4, MeanNs: 7}}
-	m := mergeBuckets(a, b)
+	class := func(b int, lat ...float64) BucketHistogram {
+		h := newLatencyHistogram()
+		for _, v := range lat {
+			h.Record(v)
+		}
+		return BucketHistogram{Bucket: b, Hist: h}
+	}
+	a := []BucketHistogram{class(10, 5, 15), class(11, 100)}
+	b := []BucketHistogram{class(10, 20, 40), class(17, 7, 7, 7, 7)}
+	m := mergeHistograms(a, b)
 	if len(m) != 3 {
-		t.Fatalf("merged = %d buckets", len(m))
+		t.Fatalf("merged = %d classes", len(m))
 	}
-	if v, _ := MeanFor(m, 10); v != 20 {
-		t.Fatalf("weighted mean = %v, want 20", v)
+	if h := HistFor(m, 10); h.N() != 4 || h.Mean() != 20 {
+		t.Fatalf("pooled class = %d requests, mean %v; want 4, 20", h.N(), h.Mean())
 	}
-	if v, _ := MeanFor(m, 17); v != 7 {
-		t.Fatalf("disjoint bucket lost: %v", v)
+	if h := HistFor(m, 17); h == nil || h.Mean() != 7 {
+		t.Fatalf("disjoint class lost: %v", h)
 	}
 	for i := 1; i < len(m); i++ {
 		if m[i-1].Bucket >= m[i].Bucket {
-			t.Fatal("merged buckets not sorted")
+			t.Fatal("merged classes not sorted")
 		}
 	}
 }
@@ -95,21 +106,21 @@ func TestRunStatsCarryBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.ReadBuckets) < 2 || len(st.WriteBuckets) < 2 {
-		t.Fatalf("mixed-size run produced %d read / %d write buckets",
-			len(st.ReadBuckets), len(st.WriteBuckets))
+	if len(st.ReadLatency) < 2 || len(st.WriteLatency) < 2 {
+		t.Fatalf("mixed-size run produced %d read / %d write classes",
+			len(st.ReadLatency), len(st.WriteLatency))
 	}
-	// Counts must sum to the op counts.
-	sum := 0
-	for _, b := range st.ReadBuckets {
-		sum += b.Count
+	// Class counts must sum to the op counts.
+	var sum int64
+	for _, bh := range st.ReadLatency {
+		sum += bh.Hist.N()
 	}
-	if sum != st.Reads {
-		t.Fatalf("read bucket counts %d != reads %d", sum, st.Reads)
+	if sum != int64(st.Reads) {
+		t.Fatalf("read class counts %d != reads %d", sum, st.Reads)
 	}
-	// Larger buckets cost more on SlowMem.
-	first, last := st.ReadBuckets[0], st.ReadBuckets[len(st.ReadBuckets)-1]
-	if last.MeanNs <= first.MeanNs {
-		t.Errorf("big-record bucket %.0fns not above small %.0fns", last.MeanNs, first.MeanNs)
+	// Larger classes cost more on SlowMem.
+	first, last := st.ReadLatency[0].Hist, st.ReadLatency[len(st.ReadLatency)-1].Hist
+	if last.Mean() <= first.Mean() {
+		t.Errorf("big-record class %.0fns not above small %.0fns", last.Mean(), first.Mean())
 	}
 }

@@ -47,15 +47,10 @@ type RunStats struct {
 	// LLCHitRate is the record-cache hit fraction over the run.
 	LLCHitRate float64
 
-	// ReadBuckets and WriteBuckets break the averages down by
-	// power-of-two record-size class, feeding the size-aware estimate
-	// extension. Empty buckets are omitted.
-	ReadBuckets, WriteBuckets []BucketStat
-
 	// ReadLatency and WriteLatency carry the full per-size-class latency
-	// histograms of the run, feeding the tail-latency estimation
-	// extension (internal/core TailEstimator). Empty classes are
-	// omitted.
+	// histograms of the run (SizeBucket), feeding the size-aware estimate
+	// (each class's exact Mean) and the tail-latency estimation extension
+	// (internal/core TailEstimator). Empty classes are omitted.
 	ReadLatency, WriteLatency []BucketHistogram
 
 	// Epochs, MovesApplied, MigratedBytes and MigrationNs summarize an
@@ -117,31 +112,28 @@ func histograms(hists []*stats.Histogram) []BucketHistogram {
 	return out
 }
 
-// classTotals derives one request kind's per-class count/mean table,
-// request count and exact latency sum from its class histograms, which
-// track exact counts and sums as they record — so the replay loop keeps
-// one accumulator per class instead of two. Classes are visited in
-// ascending bucket order, so the sum is reproducible bit for bit.
-func classTotals(bhs []BucketHistogram) (buckets []BucketStat, n int, sum float64) {
+// classTotals derives one request kind's request count and exact
+// latency sum from its class histograms, which track exact counts and
+// sums as they record — so the replay loop keeps one accumulator per
+// class instead of two. Classes are visited in ascending bucket order,
+// so the sum is reproducible bit for bit.
+func classTotals(bhs []BucketHistogram) (n int, sum float64) {
 	for _, bh := range bhs {
-		if c := int(bh.Hist.N()); c > 0 {
-			buckets = append(buckets, BucketStat{Bucket: bh.Bucket, Count: c, MeanNs: bh.Hist.Mean()})
-			n += c
-			sum += bh.Hist.Sum()
-		}
+		n += int(bh.Hist.N())
+		sum += bh.Hist.Sum()
 	}
-	return buckets, n, sum
+	return n, sum
 }
 
 // deriveLatency fills every figure of st that its read and write class
-// histograms determine: Reads and Writes, the per-class buckets, the
-// per-kind averages and the run-level mean, percentiles and maximum.
-// RunCtx derives a run's figures with it and mergeShardRuns a cluster's
-// from the merged class histograms, so both are one derivation.
+// histograms determine: Reads and Writes, the per-kind averages and the
+// run-level mean, percentiles and maximum. RunCtx derives a run's
+// figures with it and mergeShardRuns a cluster's from the merged class
+// histograms, so both are one derivation.
 func (st *RunStats) deriveLatency() {
 	var readSum, writeSum float64
-	st.ReadBuckets, st.Reads, readSum = classTotals(st.ReadLatency)
-	st.WriteBuckets, st.Writes, writeSum = classTotals(st.WriteLatency)
+	st.Reads, readSum = classTotals(st.ReadLatency)
+	st.Writes, writeSum = classTotals(st.WriteLatency)
 	if st.Reads > 0 {
 		st.AvgReadNs = readSum / float64(st.Reads)
 	}

@@ -18,46 +18,21 @@ import (
 // bit-identical to the seed repo's.
 const runSeedStride = 1009
 
-// meanRunner is one worker's reusable execution state across
-// repetitions: the first successfully loaded Reusable cluster is kept
-// and rewound (ResetRun) for every later repetition the worker picks
-// up, so an N-run aggregate pays the populate-and-quiesce cost once per
-// worker instead of once per run. A cluster that cannot be rewound
-// (per-op frames, migrations) is never cached, and each repetition then
-// builds a fresh one. Frame routing and migrations depend on the trace,
-// not on the noise seed, so a cached cluster stays Reusable. Every run
-// is priced from the measuring call's LLC share, llc; a runner without
-// one walks each member's private walker.
-type meanRunner struct {
-	sd  *server.ShardedDeployment
-	llc *server.LLCShare
-}
-
-// loads counts the member deployments the runners have loaded.
+// loads counts the member deployments the measuring calls have loaded.
 var loads atomic.Int64
 
-// executeLanes runs one repetition of a lane group — legs whose runs differ
-// only in seed and uniform placement (laneGroups), leg k with seed
-// legs[k].Cfg.Seed — on one cluster whose lane k is leg k, and returns
-// each leg's stats. A runner holding a cluster rewinds it to its
-// post-Load snapshot under the new seeds' per-shard derivations
-// (server.ShardedDeployment.ResetRun); otherwise it builds a cluster of
-// max(Shards, 1) members, adds a lane per further leg, and loads every
-// shard under the (remapped) placement. Either way it attaches every
-// member to the runner's LLC share (server.Deployment.AttachLLCStream,
-// before the member prices a request), then replays,
-// merges, flushes the shard telemetry (complete and failed replays
-// alike) and publishes each leg's run-level counters and journal events
-// under the parent workload's name. Both paths emit the same event and
-// counter sequence and measure bit-identically, so an observer cannot
-// tell them apart; nor, lane for lane, from a cluster of one lane per
-// leg. A failure is reported with the leg it belongs to: a lane whose
-// tier cannot hold the dataset, or lane 0 for a failed replay.
-//
-// A fresh cluster is cached after its run, never before: the run itself
-// decides Reusable (it prices the cost table, and a per-op frame or a
-// migration latches the cluster as mutated).
-func (r *meanRunner) executeLanes(ctx context.Context, legs []Leg, w *ycsb.Workload) ([]RunStats, int, error) {
+// executeLanes runs one repetition of a lane group — legs whose runs
+// differ only in seed and uniform placement (laneGroups), leg k with
+// seed legs[k].Cfg.Seed — and returns each leg's stats. It builds a
+// fresh cluster of max(Shards, 1) members with lane k for leg k, loads
+// it, attaches every member to the measuring call's LLC share llc, then
+// replays, merges, flushes the shard telemetry (complete and failed
+// replays alike) and publishes each leg's run-level counters and
+// journal events under the parent workload's name. Lane for lane, it
+// measures bit-identically to a cluster of one lane per leg. A failure
+// is reported with the leg it belongs to: a lane whose tier cannot hold
+// the dataset, or lane 0 for a failed replay.
+func executeLanes(ctx context.Context, legs []Leg, w *ycsb.Workload, llc *server.LLCShare) ([]RunStats, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -67,36 +42,28 @@ func (r *meanRunner) executeLanes(ctx context.Context, legs []Leg, w *ycsb.Workl
 		sink.Eventf(obs.EventMeasureStart, "client", 0, "%s on %s (seed %d)",
 			w.Spec.Name, leg.Cfg.Engine, leg.Cfg.Seed)
 	}
-	sd := r.sd
-	if sd == nil {
-		var err error
-		if sd, err = server.NewShardedDeployment(cfg, w); err == nil {
-			for _, leg := range legs[1:] {
-				sd.AddLane(leg.Placement.Default(), leg.Cfg.Seed-cfg.Seed)
-			}
-			err = sd.Load(legs[0].Placement)
-			loads.Add(int64(sd.Shards()))
+	sd, err := server.NewShardedDeployment(cfg, w)
+	if err == nil {
+		for _, leg := range legs[1:] {
+			sd.AddLane(leg.Placement.Default(), leg.Cfg.Seed-cfg.Seed)
 		}
-		if err != nil {
-			sink.Counter("mnemo_client_run_failures_total").Inc()
-			lane := 0
-			var le *server.LaneError
-			if errors.As(err, &le) {
-				lane = le.Lane
-			}
-			return nil, lane, err
+		err = sd.Load(legs[0].Placement)
+		loads.Add(int64(sd.Shards()))
+	}
+	if err != nil {
+		sink.Counter("mnemo_client_run_failures_total").Inc()
+		lane := 0
+		var le *server.LaneError
+		if errors.As(err, &le) {
+			lane = le.Lane
 		}
-	} else if !sd.ResetRun(cfg.Seed) {
-		return nil, 0, fmt.Errorf("client: cached cluster lost its run snapshot")
+		return nil, lane, err
 	}
 	for s := range sd.Shards() {
-		sd.Dep(s).AttachLLCStream(r.llc, sd.Sub(s))
+		sd.Dep(s).AttachLLCStream(llc, sd.Sub(s))
 	}
 	sts, err := runSharded(ctx, cfg, sd)
 	sd.FlushObs()
-	if r.sd == nil && sd.Reusable() {
-		r.sd = sd
-	}
 	if err != nil {
 		sink.Counter("mnemo_client_run_failures_total").Add(int64(len(legs)))
 		return nil, 0, err
@@ -117,7 +84,7 @@ type repetition struct {
 }
 
 // executeMean measures a lane group for Measure: every repetition
-// measures all the legs on one cluster (meanRunner.executeLanes), leg k of
+// measures all the legs on one fresh cluster (executeLanes), leg k of
 // repetition i under seed legs[k].Cfg.Seed + i·1009, priced from the
 // share sh. Repetitions fan out over a bounded worker pool (workers ≤ 0
 // = GOMAXPROCS) and each leg's fold in run-index order (foldRuns), so
@@ -130,28 +97,13 @@ func executeMean(ctx context.Context, legs []Leg, w *ycsb.Workload, runs, worker
 	if runs <= 0 {
 		return nil, 0, fmt.Errorf("client: runs %d must be positive", runs)
 	}
-	// One reusable runner per pool worker, handed out through a free
-	// list: a worker grabs any idle runner, so a batch-capable deployment
-	// is populated once per worker and rewound for each further
-	// repetition that worker executes. Which runner serves which
-	// repetition is scheduling-dependent — and irrelevant, since fresh
-	// and rewound deployments measure bit-identically. pool.Map shares
-	// one worker budget with any nested per-shard fan-out (and any outer
-	// measuring call), so composed layers cannot oversubscribe.
-	nrunners := pool.Workers(workers, runs)
-	runners := make(chan *meanRunner, nrunners)
-	for k := 0; k < nrunners; k++ {
-		runners <- &meanRunner{llc: sh}
-	}
 	out, err := pool.Map(ctx, runs, workers, legs[0].Cfg.Obs, func(ctx context.Context, i int) (repetition, error) {
 		rep := make([]Leg, len(legs))
 		for k, leg := range legs {
 			rep[k] = leg
 			rep[k].Cfg.Seed += int64(i) * runSeedStride
 		}
-		r := <-runners
-		sts, k, err := r.executeLanes(ctx, rep, w)
-		runners <- r
+		sts, k, err := executeLanes(ctx, rep, w, sh)
 		if err != nil {
 			err = fmt.Errorf("client: repetition %d (seed %d): %w", i, rep[k].Cfg.Seed, err)
 		}
@@ -186,8 +138,6 @@ func executeMean(ctx context.Context, legs []Leg, w *ycsb.Workload, runs, worker
 func foldRuns(out []RunStats) RunStats {
 	agg := out[0]
 	for _, st := range out[1:] {
-		agg.ReadBuckets = mergeBuckets(agg.ReadBuckets, st.ReadBuckets)
-		agg.WriteBuckets = mergeBuckets(agg.WriteBuckets, st.WriteBuckets)
 		agg.ReadLatency = mergeHistograms(agg.ReadLatency, st.ReadLatency)
 		agg.WriteLatency = mergeHistograms(agg.WriteLatency, st.WriteLatency)
 		agg.Runtime += st.Runtime

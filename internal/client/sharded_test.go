@@ -72,8 +72,7 @@ func TestShardedOneShardGolden(t *testing.T) {
 }
 
 // TestShardedOneShardMeanGolden extends the anchor through the
-// repeated-measurement driver, covering the snapshot/reset
-// (meanRunner's cached cluster) at both spellings of one deployment.
+// repeated-measurement driver at both spellings of one deployment.
 func TestShardedOneShardMeanGolden(t *testing.T) {
 	w := shardedTestWorkload(t, 1000, 10_000)
 	p := halfFastPlacement(w)

@@ -8,10 +8,9 @@ package core
 // call (client.Measure), so both sides price the LLC from the
 // workload's shared hit stream. The Parallel side is the shipped
 // ValidateWorkers, which fans the deduplicated points over the worker
-// pool and measures each through the batched kernel with post-Load
-// snapshot reuse. On a single-CPU host the measured speedup is the
-// kernel + reuse gain alone; with spare cores the pool fan-out
-// multiplies it. Both sides produce the same validation points up to
+// pool and measures each through the batched kernel. On a single-CPU
+// host the measured speedup is the kernel's gain alone; with spare
+// cores the pool fan-out multiplies it. Both sides produce the same validation points up to
 // the replay path's bit-identity.
 
 import (

@@ -10,17 +10,17 @@ import (
 )
 
 // bucketDiff builds a per-key penalty lookup from the slow and fast
-// per-size-bucket baselines, falling back to the global diff when either
-// side lacks the key's bucket.
-func bucketDiff(slow, fast []client.BucketStat, global float64) func(KeyStat) float64 {
+// baselines' per-size-class latency histograms (exact class means),
+// falling back to the global diff when either side lacks the key's
+// class.
+func bucketDiff(slow, fast []client.BucketHistogram, global float64) func(KeyStat) float64 {
 	return func(k KeyStat) float64 {
 		b := client.SizeBucket(k.Size)
-		s, okS := client.MeanFor(slow, b)
-		f, okF := client.MeanFor(fast, b)
-		if !okS || !okF {
+		s, f := client.HistFor(slow, b), client.HistFor(fast, b)
+		if s == nil || f == nil {
 			return global
 		}
-		return s - f
+		return s.Mean() - f.Mean()
 	}
 }
 
@@ -98,8 +98,8 @@ func (e *EstimateEngine) Curve(w *ycsb.Workload, b Baselines, ord Ordering) (*Cu
 	readDiff := func(KeyStat) float64 { return dRead }
 	writeDiff := func(KeyStat) float64 { return dWrite }
 	if e.sizeAware {
-		readDiff = bucketDiff(b.Slow.ReadBuckets, b.Fast.ReadBuckets, dRead)
-		writeDiff = bucketDiff(b.Slow.WriteBuckets, b.Fast.WriteBuckets, dWrite)
+		readDiff = bucketDiff(b.Slow.ReadLatency, b.Fast.ReadLatency, dRead)
+		writeDiff = bucketDiff(b.Slow.WriteLatency, b.Fast.WriteLatency, dWrite)
 	}
 
 	c := &Curve{

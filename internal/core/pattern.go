@@ -25,7 +25,8 @@ func KeyStats(w *ycsb.Workload) ([]KeyStat, error) {
 		}
 		return out, err
 	})
-	return stats.([]KeyStat), err
+	ks, _ := stats.([]KeyStat) // nil when a concurrent build panicked
+	return ks, err
 }
 
 // TouchOrdering is the stand-alone Mnemo Pattern Engine (Fig 2a): keys
@@ -41,9 +42,9 @@ func TouchOrdering(w *ycsb.Workload) Ordering {
 func touchOrdering(w *ycsb.Workload) (Ordering, error) {
 	stats, err := KeyStats(w)
 	order, orderErr := w.TouchOrder()
-	keys := make([]KeyStat, len(order))
-	for i, idx := range order {
-		keys[i] = stats[idx]
+	keys := make([]KeyStat, min(len(order), len(stats))) // either is nil when a concurrent build panicked
+	for i := range keys {
+		keys[i] = stats[order[i]]
 	}
 	return Ordering{Name: "touch", Keys: keys}, cmp.Or(err, orderErr)
 }

@@ -346,14 +346,13 @@ func (t *ReplayTable) stage1(f *Frame, keys []uint32, kinds []uint8, from, end i
 }
 
 // ResetRun rewinds a batch-capable deployment to its post-Load state
-// under a new measurement seed — the snapshot/reset that lets repeated
-// runs (client.Measure, Session.Compare) load the populated store once
-// instead of re-populating per run. It resets every lane's clock, the op
-// counter, private LLC walker and LLC tallies, detaches any LLC stream,
-// re-seeds each lane's noise stream (lane k at seed plus its offset),
-// and restores the engines' pause accumulators to their post-load
-// snapshot; telemetry parity with a fresh deployment is kept by
-// re-counting the deployment.
+// under a new measurement seed, so a caller replaying one populated
+// store again (the replay benchmarks) need not re-populate it. It
+// resets every lane's clock, the op counter, private LLC walker and LLC
+// tallies, detaches any LLC stream, re-seeds each lane's noise stream
+// (lane k at seed plus its offset), and restores the engines' pause
+// accumulators to their post-load snapshot; telemetry parity with a
+// fresh deployment is kept by re-counting the deployment.
 //
 // It returns false — leaving the deployment untouched — when the
 // deployment is not Rewindable.

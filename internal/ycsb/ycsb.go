@@ -248,7 +248,9 @@ type derivedEntry struct {
 // Derived returns the artifact build derives from w, built at most once
 // per comparable key (build must not ask for its own key): concurrent
 // callers of a key share one build, and the artifact lives exactly as
-// long as w. A failed build is dropped, so the next call builds again.
+// long as w. A failed build is dropped, so the next call builds again. A
+// build that panics fails too: the callers waiting on it get an error,
+// and the panic continues on the goroutine that ran the build.
 func (w *Workload) Derived(key any, build func() (any, error)) (any, error) {
 	v, ok := w.derived.Load(key)
 	if !ok {
@@ -256,6 +258,13 @@ func (w *Workload) Derived(key any, build func() (any, error)) (any, error) {
 	}
 	e := v.(*derivedEntry)
 	e.once.Do(func() {
+		defer func() {
+			if p := recover(); p != nil { // panic(nil) recovers as *runtime.PanicNilError
+				e.err = fmt.Errorf("ycsb: derived artifact build panicked: %v", p)
+				w.derived.CompareAndDelete(key, e)
+				panic(p)
+			}
+		}()
 		if e.v, e.err = build(); e.err != nil {
 			w.derived.CompareAndDelete(key, e)
 		}
@@ -329,7 +338,8 @@ func (w *Workload) Packed() *PackedTrace {
 		pt.readWriteOnly = readWriteOnly(pt.Kinds)
 		return pt, nil
 	})
-	return pt.(*PackedTrace)
+	p, _ := pt.(*PackedTrace) // nil when a concurrent build panicked
+	return p
 }
 
 // KeyName formats the canonical key string for a key index.
@@ -529,7 +539,8 @@ func (w *Workload) TouchOrder() ([]int, error) {
 		}
 		return order, err
 	})
-	return order.([]int), err
+	o, _ := order.([]int) // nil when a concurrent build panicked
+	return o, err
 }
 
 // Downsample reduces the trace by the given factor using the paper's

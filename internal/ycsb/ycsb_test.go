@@ -2,7 +2,9 @@ package ycsb
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"mnemo/internal/kvstore"
 )
@@ -293,5 +295,58 @@ func TestPackedTraceDeleteNotBatchable(t *testing.T) {
 	var nilPT *PackedTrace
 	if nilPT.Batchable() {
 		t.Fatal("nil trace marked batchable")
+	}
+}
+
+// TestDerivedPanicIsNotKept: a build that panics re-panics on the
+// goroutine that ran it, a caller that was waiting on that build gets an
+// error rather than a nil artifact, and a later call of the key builds
+// again.
+func TestDerivedPanicIsNotKept(t *testing.T) {
+	for attempt := 1; ; attempt++ {
+		w := &Workload{}
+		started := make(chan struct{})
+		type result struct {
+			v     any
+			err   error
+			built bool
+		}
+		waiter := make(chan result, 1)
+		go func() {
+			<-started
+			var r result
+			r.v, r.err = w.Derived("k", func() (any, error) { r.built = true; return "waiter's", nil })
+			waiter <- r
+		}()
+		func() {
+			defer func() {
+				if p := recover(); p != "boom" {
+					t.Fatalf("build panic surfaced as %v, want boom", p)
+				}
+			}()
+			w.Derived("k", func() (any, error) {
+				close(started)
+				time.Sleep(time.Duration(attempt) * time.Millisecond) // let the waiter block on this build
+				panic("boom")
+			})
+		}()
+		r := <-waiter
+		if !r.built {
+			// The waiter shared the panicked build.
+			if r.err == nil || !strings.Contains(r.err.Error(), "boom") || r.v != nil {
+				t.Fatalf("waiter got (%v, %v), want the build's panic as an error", r.v, r.err)
+			}
+			v, err := w.Derived("k", func() (any, error) { return "rebuilt", nil })
+			if err != nil || v != "rebuilt" {
+				t.Fatalf("later build = (%v, %v), want (rebuilt, nil)", v, err)
+			}
+			return
+		}
+		if r.err != nil || r.v != "waiter's" {
+			t.Fatalf("waiter's own build = (%v, %v)", r.v, r.err)
+		}
+		if attempt == 20 {
+			t.Fatal("the waiter never reached the panicking build")
+		}
 	}
 }
