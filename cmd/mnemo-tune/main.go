@@ -111,8 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			knapsacks++
 		}
 	}
-	fmt.Fprintf(stderr, "%d knapsack candidate(s); %d shared analysis artifact(s) computed (one DP table per weight coarsening), %d read(s) served from cache\n",
-		knapsacks, res.Stats.AnalysisComputes, res.Stats.AnalysisHits)
+	fmt.Fprintf(stderr, "%d knapsack candidate(s)\n", knapsacks)
 	fmt.Fprintf(stderr, "winner %s: cost %.4f (slowdown %.4f, %s FastMem)\n",
 		res.Winner.PolicyName, res.Winner.CostFactor, res.Winner.Slowdown,
 		report.FormatBytes(res.Winner.FastBytes))

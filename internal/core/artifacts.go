@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -33,46 +32,38 @@ import (
 // never written again. Nothing is evicted on success; artifacts live and
 // die with the cache that holds them.
 type ArtifactCache struct {
-	mu      sync.Mutex
-	whashes map[*ycsb.Workload]uint64
-	// private marks a session's own cache (newSessionCache): it holds one
-	// workload under hash 0 and keeps no analysis artifacts.
-	private bool
+	mu sync.Mutex
+	// plain is the workload of a plain session's cache (newSessionCache),
+	// keyed 0 and never hashed; nil on a shared cache.
+	plain *ycsb.Workload
 
 	baselines map[uint64]*flight[Baselines]
 	orderings map[uint64]*flight[Ordering]
 	curves    map[uint64]*flight[*Curve]
-	analyses  map[uint64]*flight[any]
 
-	measurements     atomic.Int64
-	baselineHits     atomic.Int64
-	orderingHits     atomic.Int64
-	curveHits        atomic.Int64
-	analysisComputes atomic.Int64
-	analysisHits     atomic.Int64
+	measurements atomic.Int64
+	baselineHits atomic.Int64
+	orderingHits atomic.Int64
+	curveHits    atomic.Int64
 }
 
 // NewArtifactCache returns an empty cache, ready to share across
 // sessions and goroutines.
 func NewArtifactCache() *ArtifactCache {
 	return &ArtifactCache{
-		whashes:   map[*ycsb.Workload]uint64{},
 		baselines: map[uint64]*flight[Baselines]{},
 		orderings: map[uint64]*flight[Ordering]{},
 		curves:    map[uint64]*flight[*Curve]{},
-		analyses:  map[uint64]*flight[any]{},
 	}
 }
 
 // newSessionCache is the cache of a session that was given none. It
 // serves one workload, so the workload needs no fingerprint: it is
 // keyed 0 up front and never walked (a 2M-request trace would be read
-// end to end just to name it). Nothing else can reach the cache, so it
-// keeps no analysis artifacts either (see SharedAnalysis).
+// end to end just to name it).
 func newSessionCache(w *ycsb.Workload) *ArtifactCache {
 	c := NewArtifactCache()
-	c.whashes[w] = 0
-	c.private = true
+	c.plain = w
 	return c
 }
 
@@ -87,12 +78,6 @@ type CacheStats struct {
 	BaselineHits int64
 	OrderingHits int64
 	CurveHits    int64
-	// AnalysisComputes / AnalysisHits count the workload-only analysis
-	// artifacts (SharedAnalysis) computed through the cache and served
-	// from it: in a tuning search, the DP tables solved against the
-	// knapsack candidates that read them.
-	AnalysisComputes int64
-	AnalysisHits     int64
 }
 
 // Stats snapshots the cache's counters.
@@ -102,9 +87,6 @@ func (c *ArtifactCache) Stats() CacheStats {
 		BaselineHits: c.baselineHits.Load(),
 		OrderingHits: c.orderingHits.Load(),
 		CurveHits:    c.curveHits.Load(),
-
-		AnalysisComputes: c.analysisComputes.Load(),
-		AnalysisHits:     c.analysisHits.Load(),
 	}
 }
 
@@ -177,27 +159,24 @@ func flightDo[T any](mu *sync.Mutex, m map[uint64]*flight[T], hits *atomic.Int64
 	return f.val, true, nil
 }
 
+type workloadHashKey struct{} // WorkloadHash's key in the workload's Derived memo
+
 // WorkloadHash fingerprints a workload's full content — spec name,
 // dataset (key names and sizes, in order) and request trace (key index
 // and op kind, in order) — with FNV-64a. Two workloads with equal hashes
 // produce bit-identical measurements under equal configs. The hash walks
-// the whole trace, so the cache memoizes it per *Workload pointer; a
-// streamed trace is read once end to end.
+// the whole trace, so it is memoized on the workload
+// (ycsb.Workload.Derived): concurrent first callers share one walk, and
+// a streamed trace is read once end to end whatever cache asks.
 func (c *ArtifactCache) WorkloadHash(w *ycsb.Workload) (uint64, error) {
-	c.mu.Lock()
-	if h, ok := c.whashes[w]; ok {
-		c.mu.Unlock()
-		return h, nil
+	if w == c.plain {
+		return 0, nil
 	}
-	c.mu.Unlock()
-	h, err := workloadHash(w)
+	h, err := w.Derived(workloadHashKey{}, func() (any, error) { return workloadHash(w) })
 	if err != nil {
 		return 0, fmt.Errorf("core: hashing workload: %w", err)
 	}
-	c.mu.Lock()
-	c.whashes[w] = h
-	c.mu.Unlock()
-	return h, nil
+	return h.(uint64), nil
 }
 
 func workloadHash(w *ycsb.Workload) (uint64, error) {
@@ -290,15 +269,6 @@ func curveKey(mkey, okey uint64, priceFactor float64, sizeAware bool) uint64 {
 	return x.h
 }
 
-// analysisKey fingerprints an analysis artifact: the workload and the
-// string the owning policy names the sub-result by.
-func analysisKey(whash uint64, key string) uint64 {
-	x := newArtifactHasher()
-	x.u64(whash)
-	x.str(key)
-	return x.h
-}
-
 // sharedBaselines serves the (workload, config) baseline measurement,
 // computing it at most once across every session sharing the cache.
 func (c *ArtifactCache) sharedBaselines(whash uint64, cfg Config, compute func() (Baselines, error)) (Baselines, bool, error) {
@@ -323,64 +293,6 @@ func (c *ArtifactCache) sharedCurve(whash uint64, cfg Config, policyName string,
 	key := curveKey(measurementKey(whash, cfg), orderingKey(whash, policyName, cfg.Server.Seed),
 		cfg.PriceFactor, cfg.SizeAwareEstimate)
 	return flightDo(&c.mu, c.curves, &c.curveHits, key, compute)
-}
-
-// analysisSessionKey is the context key under which a session's analyze
-// stage hands itself to TieringPolicy.Order: its cache and workload hash
-// are where SharedAnalysis keeps artifacts.
-type analysisSessionKey struct{}
-
-// SharedAnalysis is how a policy's Order shares work between candidates:
-// it returns the analysis artifact stored under key, running compute to
-// produce it if it is the first to ask. Under a session on a shared
-// ArtifactCache (NewSharedSession with a non-nil cache), the artifact is
-// held under (workload hash, key) for the cache's lifetime and every
-// later Order over the same workload content — another parameter vector
-// of the same policy, say — gets the same value back. Anywhere else (a
-// session on its private cache, a direct Order call) there is nothing to
-// share with: SharedAnalysis just runs compute and stores nothing.
-//
-// What may be stored: a value that is a function of the workload content
-// and the key alone — never of the policy's parameters, unless they are
-// spelled into the key — and that nobody writes after compute returns.
-// The value is handed to concurrent sessions as is; callers copy out of
-// it, they do not modify it.
-//
-// compute is told whether its result will be shared, so it can produce
-// the form that serves every caller (a DP table solved at the largest
-// capacity anyone can ask for) instead of the one this caller needs. An
-// unshared result may fit only its own caller, which is why a private
-// cache must not keep it: two policies compared in one plain session
-// would otherwise read each other's.
-func SharedAnalysis[T any](ctx context.Context, key string, compute func(shared bool) (T, error)) (T, error) {
-	var zero T
-	s, _ := ctx.Value(analysisSessionKey{}).(*Session)
-	if s == nil || s.cache.private {
-		return compute(false)
-	}
-	c := s.cache
-	whash, err := c.WorkloadHash(s.w)
-	if err != nil {
-		return zero, err
-	}
-	v, computed, err := flightDo(&c.mu, c.analyses, &c.analysisHits, analysisKey(whash, key), func() (any, error) {
-		v, err := compute(true)
-		if err == nil {
-			c.analysisComputes.Add(1)
-		}
-		return v, err
-	})
-	if err != nil {
-		return zero, err
-	}
-	if !computed {
-		s.cacheHit("analysis", "shared artifact cache, "+key)
-	}
-	t, ok := v.(T)
-	if !ok {
-		return zero, fmt.Errorf("core: analysis artifact %q holds a %T, not a %T", key, v, zero)
-	}
-	return t, nil
 }
 
 // artifactHasher is FNV-64a over typed fields.

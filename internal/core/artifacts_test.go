@@ -3,16 +3,12 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mnemo/internal/obs"
-	"mnemo/internal/pool"
 	"mnemo/internal/server"
 	"mnemo/internal/ycsb"
 )
@@ -373,159 +369,4 @@ func TestFlightDoPanicReleasesWaiters(t *testing.T) {
 		return
 	}
 	t.Fatal("the waiter never parked on the panicking computation")
-}
-
-// orderFunc adapts a function to TieringPolicy.
-type orderFunc struct {
-	name  string
-	order func(context.Context, *ycsb.Workload) (Ordering, error)
-}
-
-func (p orderFunc) Name() string { return p.name }
-func (p orderFunc) Order(ctx context.Context, w *ycsb.Workload) (Ordering, error) {
-	return p.order(ctx, w)
-}
-
-// probePolicy is touch order plus one analysis artifact: the shared
-// flags its compute calls saw, appended to calls, are the test's evidence.
-func probePolicy(name string, calls *[]bool) TieringPolicy {
-	return orderFunc{name: name, order: func(ctx context.Context, w *ycsb.Workload) (Ordering, error) {
-		n, err := SharedAnalysis(ctx, "probe.keys", func(shared bool) (*int, error) {
-			*calls = append(*calls, shared)
-			n := len(w.Dataset.Records)
-			return &n, nil
-		})
-		if err != nil {
-			return Ordering{}, err
-		}
-		if *n != len(w.Dataset.Records) {
-			return Ordering{}, errors.New("probe artifact belongs to another workload")
-		}
-		ord := TouchOrdering(w)
-		ord.Name = name
-		return ord, nil
-	}}
-}
-
-// Analysis artifacts are computed once per (workload content, key) in a
-// shared cache, counted in their own stats fields, journaled as cache
-// hits — and not kept anywhere when there is no shared cache.
-func TestSharedAnalysis(t *testing.T) {
-	ctx := context.Background()
-	w := artifactsWorkload(t)
-	sink := obs.NewSink()
-	cfg := DefaultConfig(server.RedisLike, 42)
-	cfg.Server.Obs = sink
-
-	var calls []bool
-	analyze := func(cache *ArtifactCache, w *ycsb.Workload, name string) {
-		t.Helper()
-		s, err := NewSharedSession(cfg, w, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Analyze(ctx, probePolicy(name, &calls)); err != nil {
-			t.Fatalf("Analyze(%s): %v", name, err)
-		}
-	}
-
-	// No cache, and no session at all: compute runs every time, unshared.
-	analyze(nil, w, "a")
-	analyze(nil, w, "b")
-	if _, err := probePolicy("direct", &calls).Order(ctx, w); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(calls, []bool{false, false, false}) {
-		t.Fatalf("without a cache compute saw shared flags %v, want three unshared calls", calls)
-	}
-	if hits := sink.Registry().Counter(obs.Name("mnemo_session_cache_hits_total", "artifact", "analysis")).Value(); hits != 0 {
-		t.Fatalf("unshared sessions journaled %d analysis hits", hits)
-	}
-
-	// One cache: the second and third policy reuse the first's artifact.
-	calls = nil
-	cache := NewArtifactCache()
-	for _, name := range []string{"a", "b", "c"} {
-		analyze(cache, w, name)
-	}
-	if !reflect.DeepEqual(calls, []bool{true}) {
-		t.Fatalf("three policies on one cache ran compute with shared flags %v, want one shared call", calls)
-	}
-	want := CacheStats{AnalysisComputes: 1, AnalysisHits: 2}
-	if st := cache.Stats(); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-	if hits := sink.Registry().Counter(obs.Name("mnemo_session_cache_hits_total", "artifact", "analysis")).Value(); hits != 2 {
-		t.Fatalf("journaled %d analysis hits, want 2", hits)
-	}
-
-	// Equal content through another pointer shares; equal shape with
-	// different content does not (probePolicy checks what it got).
-	analyze(cache, artifactsWorkload(t), "d")
-	other := artifactsWorkload(t)
-	other.Ops[0], other.Ops[1] = other.Ops[1], other.Ops[0]
-	if other.Ops[0] == other.Ops[1] {
-		t.Fatal("test workload starts with a repeated op; pick another pair")
-	}
-	analyze(cache, other, "a")
-	want = CacheStats{AnalysisComputes: 2, AnalysisHits: 3}
-	if st := cache.Stats(); st != want {
-		t.Fatalf("stats after a second workload = %+v, want %+v", st, want)
-	}
-
-	// A key held with another type is an error, not a wrong value.
-	s, err := NewSharedSession(cfg, w, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Analyze(ctx, orderFunc{name: "mistyped", order: func(ctx context.Context, w *ycsb.Workload) (Ordering, error) {
-		_, err := SharedAnalysis(ctx, "probe.keys", func(bool) (string, error) { return "", nil })
-		return Ordering{}, err
-	}})
-	if err == nil || !strings.Contains(err.Error(), `"probe.keys" holds a *int, not a string`) {
-		t.Fatalf("mistyped artifact read: err = %v", err)
-	}
-}
-
-// A policy that panics inside a shared analysis takes its own session
-// down with the panic and leaves the cache usable.
-func TestSharedAnalysisPanicEvicts(t *testing.T) {
-	ctx := context.Background()
-	w := artifactsWorkload(t)
-	cfg := DefaultConfig(server.RedisLike, 42)
-	cache := NewArtifactCache()
-	order := func(fail bool) orderFunc {
-		return orderFunc{name: fmt.Sprintf("fail=%v", fail), order: func(ctx context.Context, w *ycsb.Workload) (Ordering, error) {
-			_, err := SharedAnalysis(ctx, "table", func(bool) (int, error) {
-				if fail {
-					panic("negative weight")
-				}
-				return 1, nil
-			})
-			if err != nil {
-				return Ordering{}, err
-			}
-			return TouchOrdering(w), nil
-		}}
-	}
-	run := func(fail bool) (err error) {
-		s, serr := NewSharedSession(cfg, w, cache)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		if perr := pool.Guard(0, func() { _, err = s.Analyze(ctx, order(fail)) }); perr != nil {
-			return perr
-		}
-		return err
-	}
-	var perr *pool.PanicError
-	if err := run(true); !errors.As(err, &perr) || perr.Value != "negative weight" {
-		t.Fatalf("panicking analysis: err = %v, want the policy's panic", err)
-	}
-	if err := run(false); err != nil {
-		t.Fatalf("analysis after the panic: %v", err)
-	}
-	if st := cache.Stats(); st.AnalysisComputes != 1 || st.OrderingHits != 0 {
-		t.Fatalf("stats = %+v, want one analysis computed and nothing served from the failed flights", st)
-	}
 }

@@ -46,8 +46,7 @@ func NewSession(cfg Config, w *ycsb.Workload) (*Session, error) {
 // so any number of sessions over the same workload — one per candidate
 // config, say — execute exactly one Fast+Slow baseline measurement
 // between them. A nil cache gives the session a private one
-// (newSessionCache), which never hashes the workload and keeps no
-// analysis artifacts (see SharedAnalysis).
+// (newSessionCache), which never hashes the workload.
 func NewSharedSession(cfg Config, w *ycsb.Workload, cache *ArtifactCache) (*Session, error) {
 	ncfg, err := cfg.normalized()
 	if err != nil {
@@ -163,11 +162,10 @@ func (s *Session) analyzeLocked(ctx context.Context, p TieringPolicy) (Ordering,
 }
 
 // runAnalyze executes the policy's Pattern Engine and validates that the
-// resulting ordering covers the dataset (checkCovers). The policy gets a
-// context through which SharedAnalysis reaches the session's cache.
+// resulting ordering covers the dataset (checkCovers).
 func (s *Session) runAnalyze(ctx context.Context, p TieringPolicy) (Ordering, error) {
 	span := s.sink().StartSpan("analyze")
-	ord, err := p.Order(context.WithValue(ctx, analysisSessionKey{}, s), s.w)
+	ord, err := p.Order(ctx, s.w)
 	if err != nil {
 		return Ordering{}, fmt.Errorf("core: policy %q: %w", p.Name(), err)
 	}

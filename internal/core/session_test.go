@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mnemo/internal/server"
-	"mnemo/internal/ycsb"
 )
 
 // goldenReport replays the pre-refactor monolithic Profile pipeline by
@@ -139,7 +138,8 @@ func TestCompareMeasuresOnce(t *testing.T) {
 }
 
 // A plain session's cache serves one workload under hash 0: running the
-// whole pipeline never walks the trace to fingerprint it.
+// whole pipeline never walks the trace to fingerprint it, so the
+// workload's memo holds no hash afterwards.
 func TestPlainSessionSkipsWorkloadHash(t *testing.T) {
 	w := testWorkload(38)
 	s, err := NewSession(DefaultConfig(server.RedisLike, 38), w)
@@ -149,8 +149,16 @@ func TestPlainSessionSkipsWorkloadHash(t *testing.T) {
 	if _, err := s.Run(context.Background(), MnemoT, 0.10); err != nil {
 		t.Fatal(err)
 	}
-	if want := map[*ycsb.Workload]uint64{w: 0}; !reflect.DeepEqual(s.cache.whashes, want) {
-		t.Fatalf("plain session cache hashes = %v, want %v", s.cache.whashes, want)
+	if h, err := s.cache.WorkloadHash(w); h != 0 || err != nil {
+		t.Fatalf("plain session cache hash = (%d, %v), want 0", h, err)
+	}
+	hashed := true
+	w.Derived(workloadHashKey{}, func() (any, error) {
+		hashed = false
+		return uint64(0), nil
+	})
+	if hashed {
+		t.Fatal("a plain session hashed its workload")
 	}
 }
 

@@ -171,6 +171,10 @@ func Solve(items []Item, maxCap int64) *Table {
 	return t
 }
 
+// Capacity is the largest capacity the table was solved at: Picked
+// answers every capacity from 0 up to it.
+func (t *Table) Capacity() int64 { return int64(len(t.dp)) - 1 }
+
 // Picked reconstructs the optimal packing at capacity ≤ the solved
 // maximum, exactly as a Solve at that capacity alone would have.
 func (t *Table) Picked(capacity int64) (picked []bool, profit float64) {

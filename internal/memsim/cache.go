@@ -261,8 +261,7 @@ func (c *LRUCache) Access(rec RecordRef) bool {
 // Touch is Access without the hit/miss statistics: residency and
 // recency change exactly as they would under Access, the counters do
 // not. It serves callers that keep their own tallies — the server's LLC
-// walker, whose bits are counted where a run is served — or credit them
-// later (Credit).
+// walker, whose bits are counted where a run is served.
 func (c *LRUCache) Touch(rec RecordRef) bool {
 	size := int64(rec.Bytes)
 	if s := c.lookup(rec.ID); s >= 0 {
@@ -314,13 +313,6 @@ func (c *LRUCache) Touch(rec RecordRef) bool {
 	return false
 }
 
-// Credit adds to the hit/miss statistics on behalf of accesses made
-// through Touch.
-func (c *LRUCache) Credit(hits, misses int64) {
-	c.hits += hits
-	c.misses += misses
-}
-
 // Remove invalidates a record, if present.
 func (c *LRUCache) Remove(id uint64) {
 	if s := c.lookup(id); s >= 0 {
@@ -348,9 +340,6 @@ func (c *LRUCache) Flush() {
 	c.size = 0
 	c.used = 0
 }
-
-// ResetStats zeroes the hit/miss counters without touching contents.
-func (c *LRUCache) ResetStats() { c.hits, c.misses = 0, 0 }
 
 // Used reports resident bytes.
 func (c *LRUCache) Used() int64 { return c.used }

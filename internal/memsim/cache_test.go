@@ -86,18 +86,6 @@ func TestCacheRemoveAndFlush(t *testing.T) {
 	}
 }
 
-func TestCacheResetStats(t *testing.T) {
-	c := NewLRUCache(1 << 20)
-	c.Access(RecordRef{ID: 1, Bytes: 10})
-	c.ResetStats()
-	if c.Hits() != 0 || c.Misses() != 0 {
-		t.Fatal("ResetStats did not zero counters")
-	}
-	if c.HitRate() != 0 {
-		t.Fatal("empty hit rate should be 0")
-	}
-}
-
 func TestCachePanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -134,9 +122,9 @@ func TestCacheInvariantProperty(t *testing.T) {
 	}
 }
 
-// TestCacheTouchLeavesStatsToCredit pins the split the batched replay
-// kernel relies on: Touch changes residency and recency exactly like
-// Access but counts nothing; Credit is the only other way in.
+// TestCacheTouchLeavesStatsToCredit pins the split the LLC walker
+// relies on: Touch changes residency and recency exactly like Access but
+// counts nothing, leaving the tallies to its caller.
 func TestCacheTouchLeavesStatsToCredit(t *testing.T) {
 	c := NewLRUCache(1 << 20)
 	a := RecordRef{ID: 7, Bytes: 512}
@@ -146,15 +134,11 @@ func TestCacheTouchLeavesStatsToCredit(t *testing.T) {
 	if !c.Touch(a) {
 		t.Fatal("warm touch missed")
 	}
-	if c.Hits() != 0 || c.Misses() != 0 {
+	if c.Hits() != 0 || c.Misses() != 0 || c.HitRate() != 0 {
 		t.Fatalf("Touch counted: hits/misses = %d/%d", c.Hits(), c.Misses())
 	}
 	if !c.Access(a) {
 		t.Fatal("Access after Touch missed: Touch did not insert")
-	}
-	c.Credit(1, 1)
-	if c.Hits() != 2 || c.Misses() != 1 {
-		t.Fatalf("after Access + Credit(1, 1): hits/misses = %d/%d, want 2/1", c.Hits(), c.Misses())
 	}
 }
 

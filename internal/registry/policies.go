@@ -246,6 +246,70 @@ func (p knapsackPolicy) Name() string {
 // are coarsened.
 const dpBudget = 20_000_000
 
+// DPBudgetError is the knapsack policy's error for a dataset with more
+// records than its DP table has cells: not even capacity 0 fits Budget.
+type DPBudgetError struct {
+	Records int
+	Budget  int64
+}
+
+func (e *DPBudgetError) Error() string {
+	return fmt.Sprintf("knapsack: %d records exceed the DP budget of %d table cells", e.Records, e.Budget)
+}
+
+// knapsackBound is the largest scaled capacity whose DP table over n
+// items fits dpBudget.
+func knapsackBound(n int) (int64, error) {
+	maxCap := dpBudget/int64(n+1) - 1
+	if maxCap < 0 {
+		return 0, &DPBudgetError{Records: n, Budget: dpBudget}
+	}
+	return maxCap, nil
+}
+
+// knapsackTableKey keys a weight coarsening's DP table in the
+// workload's Derived memo.
+type knapsackTableKey struct{ unit int64 }
+
+// knapsackTableSlot is the workload's DP table for one coarsening, nil
+// until the first Order solves it.
+type knapsackTableSlot struct {
+	mu    sync.Mutex
+	table *knapsack.Table
+}
+
+// knapsackTable returns w's DP table over items coarsened by unit,
+// solved at least up to capacity need. The items, and so the table, are
+// the workload's alone — no parameter enters them — so every knapsack
+// instance ordering w reads one table per unit for as long as w lives.
+// The first caller for a unit solves only its own need, so a one-shot
+// Order costs no more than it uses; a later caller that needs more
+// re-solves once at ceiling, the largest scaled capacity any ladder or
+// anchor reaches with this unit, so no third solve follows. A table
+// answers every capacity up to its own, so a reader still holding the
+// replaced one stays correct.
+func knapsackTable(w *ycsb.Workload, unit int64, items []knapsack.Item, need, ceiling int64) *knapsack.Table {
+	v, _ := w.Derived(knapsackTableKey{unit}, func() (any, error) { return new(knapsackTableSlot), nil })
+	slot := v.(*knapsackTableSlot)
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if slot.table != nil && slot.table.Capacity() >= need {
+		return slot.table
+	}
+	if slot.table != nil {
+		need = ceiling
+	}
+	scaled := items
+	if unit > 1 {
+		scaled = make([]knapsack.Item, len(items))
+		for i, it := range items {
+			scaled[i] = knapsack.Item{Weight: (it.Weight + unit - 1) / unit, Profit: it.Profit}
+		}
+	}
+	slot.table = knapsack.Solve(scaled, need)
+	return slot.table
+}
+
 // capacityLadder builds the ascending capacity rungs in page units.
 func (p knapsackPolicy) capacityLadder(totalUnits int64) []int64 {
 	rungs := p.rungs
@@ -280,6 +344,10 @@ func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Order
 	if err != nil {
 		return core.Ordering{}, fmt.Errorf("knapsack: reading trace: %w", err)
 	}
+	maxCap, err := knapsackBound(len(stats))
+	if err != nil {
+		return core.Ordering{}, err
+	}
 	const pageUnit = int64(4096)
 	items := make([]knapsack.Item, len(stats))
 	var totalUnits int64
@@ -298,7 +366,6 @@ func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Order
 	}
 	// coarsening is the factor weights are scaled down by so a rung's DP
 	// table fits the budget; it is monotone in the capacity.
-	maxCap := dpBudget/int64(len(items)+1) - 1 // largest scaled capacity within the budget
 	coarsening := func(capUnits int64) int64 {
 		unit := int64(1)
 		for capUnits/unit > maxCap {
@@ -306,12 +373,8 @@ func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Order
 		}
 		return unit
 	}
-	// Consecutive rungs with the same coarsening share one DP table,
-	// solved at the largest of them (knapsack.Table). The items, and so
-	// the table of a given coarsening, are the workload's alone — no
-	// parameter enters them — so when the table will be shared it is
-	// solved at the coarsening's ceiling instead: the largest scaled
-	// capacity any ladder or anchor can reach with this unit.
+	// Consecutive rungs with the same coarsening share one DP table
+	// (knapsack.Table), which lives on the workload (knapsackTable).
 	for lo := 0; lo < len(capacities); {
 		if err := ctx.Err(); err != nil {
 			return core.Ordering{}, err
@@ -321,24 +384,7 @@ func (p knapsackPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Order
 		for hi < len(capacities) && coarsening(capacities[hi]) == unit {
 			hi++
 		}
-		table, err := core.SharedAnalysis(ctx, fmt.Sprintf("registry.knapsack.table/unit=%d", unit),
-			func(shared bool) (*knapsack.Table, error) {
-				scaled := items
-				if unit > 1 {
-					scaled = make([]knapsack.Item, len(items))
-					for i, it := range items {
-						scaled[i] = knapsack.Item{Weight: (it.Weight + unit - 1) / unit, Profit: it.Profit}
-					}
-				}
-				solveCap := capacities[hi-1] / unit
-				if shared {
-					solveCap = min(totalUnits/unit, maxCap)
-				}
-				return knapsack.Solve(scaled, solveCap), nil
-			})
-		if err != nil {
-			return core.Ordering{}, err
-		}
+		table := knapsackTable(w, unit, items, capacities[hi-1]/unit, min(totalUnits/unit, maxCap))
 		for tier := lo; tier < hi; tier++ {
 			picked, _ := table.Picked(capacities[tier] / unit)
 			for i, in := range picked {

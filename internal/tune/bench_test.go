@@ -34,8 +34,10 @@ func benchConfig() Config {
 // BenchmarkTuneSweep is the headline pairing (gated in CI): the frozen
 // naive pipeline measures fresh baselines for every one of 32 candidate
 // configs; the memoized sweep shares one content-addressed measurement
-// across all of them. Each iteration starts from a cold cache — the
-// speedup is pure within-sweep memoization, not cross-iteration reuse.
+// across all of them. Each iteration starts from a cold cache. What
+// depends on the trace alone (the LLC stream, key tallies, hash and
+// knapsack DP tables) lives on the workload, so both sides read it warm
+// after the first iteration.
 func BenchmarkTuneSweep(b *testing.B) {
 	w := benchWorkload(b)
 	cfg := benchConfig()

@@ -8,11 +8,13 @@
 // The tuner is fast because evaluations share a content-addressed
 // artifact cache (core.ArtifactCache): all N candidate configs reuse
 // exactly one Fast+Slow baseline measurement, candidates that share a
-// parameter vector reuse cached orderings and curves, candidates of one
-// policy share whatever part of its analysis is the workload's alone
-// (core.SharedAnalysis: one knapsack DP table per weight coarsening,
-// not one per candidate), and re-runs that only move the SLO cut
-// re-read cached curves without touching the testbed at all. Search combines successive halving with coordinate
+// parameter vector reuse cached orderings and curves, and re-runs that
+// only move the SLO cut re-read cached curves without touching the
+// testbed at all. What depends on the trace alone lives on the workload
+// (ycsb.Workload.Derived) and is shared by every candidate and every
+// search over it: the key tallies, the workload hash and the knapsack
+// policy's DP tables, one per weight coarsening rather than one per
+// candidate. Search combines successive halving with coordinate
 // descent (DESIGN.md §17), fans evaluations out on the pool worker
 // budget, and is bit-deterministic under a fixed seed for any worker
 // count.

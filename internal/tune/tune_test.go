@@ -373,43 +373,41 @@ func TestDefaultGrid(t *testing.T) {
 	}
 }
 
-// A sweep solves one knapsack table per distinct coarsening however many
-// knapsack candidates it holds and however many workers race for it, and
-// what it returns is what unshared sessions compute.
+// A sweep's knapsack candidates read their DP tables from the workload,
+// however many workers race to solve them, and what it returns is what
+// unshared sessions compute, each candidate on a fresh workload of its
+// own.
 func TestSweepSharesAnalysisAcrossCandidates(t *testing.T) {
-	w := tuneWorkload(t)
 	cfg := tuneConfig()
 	ctx := context.Background()
 	cands := DefaultGrid(32)
 	knapsacks := 0
-	for _, c := range cands {
+	want := make([]Eval, len(cands))
+	for i, c := range cands {
 		if c.Policy == "knapsack" {
 			knapsacks++
 		}
+		ev, err := Naive(ctx, cfg, tuneWorkload(t), cands[i:i+1])
+		if err != nil {
+			t.Fatalf("Naive(%s): %v", c, err)
+		}
+		want[i] = ev[0]
 	}
-	want, err := Naive(ctx, cfg, w, cands)
-	if err != nil {
-		t.Fatalf("Naive: %v", err)
+	if knapsacks < 2 {
+		t.Fatalf("the grid holds %d knapsack candidates; the test needs two to share", knapsacks)
 	}
 	var first core.CacheStats
 	for _, workers := range []int{1, 2, 4} {
 		cfg.Workers = workers
 		tuner := New()
-		got, err := tuner.Sweep(ctx, cfg, w, cands)
+		got, err := tuner.Sweep(ctx, cfg, tuneWorkload(t), cands)
 		if err != nil {
 			t.Fatalf("Sweep(workers=%d): %v", workers, err)
 		}
 		if !reflect.DeepEqual(stripped(got), stripped(want)) {
 			t.Fatalf("workers=%d: sweep differs from unshared sessions", workers)
 		}
-		st := tuner.Cache().Stats()
-		// The 150-key dataset fits the DP budget uncoarsened: one table
-		// is all there is to compute.
-		if st.AnalysisComputes != 1 || st.AnalysisHits < int64(knapsacks-1) {
-			t.Fatalf("workers=%d: %+v, want 1 analysis artifact computed and ≥ %d hits for %d knapsack candidates",
-				workers, st, knapsacks-1, knapsacks)
-		}
-		if workers == 1 {
+		if st := tuner.Cache().Stats(); workers == 1 {
 			first = st
 		} else if st != first {
 			t.Fatalf("workers=%d changed the cache stats: %+v vs %+v", workers, st, first)
