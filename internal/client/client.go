@@ -301,9 +301,10 @@ const replayBlockOps = server.ReplayBlockOps
 // of the same trace.
 //
 // A deployment of more than one lane (the two baselines of a measuring
-// call) has its further lanes priced and folded on a helper goroutine
-// (laneHelper), frames behind: stage 1 and lane 0 fill one of the
-// deployment's frame buffers while the helper prices the ones before.
+// call) has its further lanes priced, and every lane folded, on a
+// helper goroutine (laneHelper), frames behind: stage 1 and lane 0's
+// price fill one of the deployment's frame buffers while the helper
+// folds the ones before. A one-lane run folds inline.
 //
 // Cancellation lives here and nowhere else. It is polled once per
 // frame, which bounds its wall-clock latency to microseconds (replay
@@ -357,10 +358,13 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 		}
 		route := a.route[buf][:len(keys)]
 		a.setRoute(route, keys, kinds, classes)
-		serveFrame(d, d.Frame(buf), keys, kinds, rw, route, a.lanes[0])
+		f := d.Frame(buf)
+		serveFrame(d, f, keys, kinds, rw)
 		done += len(keys)
 		if h != nil {
 			h.work <- laneWork{buf: buf, n: len(keys)}
+		} else {
+			a.lanes[0].fold(route, f.Lat(0)[:len(keys)])
 		}
 		// The run's last epoch is not observed: no requests remain to
 		// recoup a migration, so consulting the policy there could only
@@ -384,30 +388,30 @@ func replayFrames(ctx context.Context, d *server.Deployment, w *ycsb.Workload, c
 }
 
 // serveFrame serves one frame run by run into frame buffer f, each run
-// down the path the deployment names (server.Deployment.FrameTable), and
-// folds lane 0's latencies into la.
-func serveFrame(d *server.Deployment, f *server.Frame, keys []uint32, kinds []uint8, rw bool, route []uint8, la *laneAccum) {
-	lat := f.Lat(0)[:len(keys)]
+// down the path the deployment names (server.Deployment.FrameTable),
+// leaving lane 0's latencies in f.Lat(0).
+func serveFrame(d *server.Deployment, f *server.Frame, keys []uint32, kinds []uint8, rw bool) {
+	lat := f.Lat(0)
 	for from := 0; from < len(keys); {
 		t, end := d.FrameTable(keys, kinds, rw, from)
 		d.ServeRun(f, t, keys, kinds, from, end, lat[from:end])
 		from = end
 	}
-	la.fold(route, lat)
 }
 
 // laneWork is one served frame handed to the lane helper: the frame
 // buffer and the frame's request count.
 type laneWork struct{ buf, n int }
 
-// laneHelper prices and folds lanes 1.. of a run on its own goroutine,
-// behind stage 1. The deployment's frame buffers circulate between the
-// replay loop, which takes a free one from free, fills it and sends it
-// on work, and the helper, which hands it back on free once every lane
-// has priced it — so neither side ever touches a buffer the other
-// holds, and nothing is allocated per frame. The helper runs outside the
-// worker budget, like the LLC stream's producer: it only prices, and
-// the run's own worker waits on it when it falls behind.
+// laneHelper folds lane 0 and prices and folds lanes 1.. of a run on
+// its own goroutine, behind stage 1. The deployment's frame buffers
+// circulate between the replay loop, which takes a free one from free,
+// fills it and sends it on work, and the helper, which hands it back on
+// free once every lane has folded it — so neither side ever touches a
+// buffer the other holds, and nothing is allocated per frame. The
+// helper runs outside the worker budget, like the LLC stream's
+// producer: it only prices and folds, and the run's own worker waits on
+// it when it falls behind.
 type laneHelper struct {
 	work   chan laneWork
 	free   chan int
@@ -437,13 +441,17 @@ func startLaneHelper(d *server.Deployment, a *replayAccum) *laneHelper {
 	return h
 }
 
-// priceLanes runs every lane after the first over one served frame.
+// priceLanes folds every lane of one served frame, in lane order:
+// lane 0 as stage 1 priced it, each lane after the first once it has
+// priced the frame.
 func priceLanes(d *server.Deployment, a *replayAccum, wk laneWork) {
 	f, route := d.Frame(wk.buf), a.route[wk.buf][:wk.n]
-	for k := 1; k < len(a.lanes); k++ {
+	for k, la := range a.lanes {
 		lat := f.Lat(k)[:wk.n]
-		d.PriceLane(f, k, wk.n, lat)
-		a.lanes[k].fold(route, lat)
+		if k > 0 {
+			d.PriceLane(f, k, wk.n, lat)
+		}
+		la.fold(route, lat)
 	}
 }
 

@@ -12,10 +12,14 @@ type keyStatsKey struct{} // KeyStats's key in the workload's Derived memo
 
 // KeyStats tallies the per-key access pattern of the trace, once per
 // workload (ycsb.Workload.Derived): every caller gets the same slice,
-// which is read-only — callers copy entries out. The error is the
-// trace's read error (a streamed trace that fails to decode); the tally
-// then covers only the ops before it, and the next call walks the trace
-// again.
+// which is read-only — callers copy entries out. The counts come from
+// ycsb.Workload.CountAccesses: after a measuring call whose LLC walk
+// covered the whole trace they are that walk's, and the trace is not
+// read again; without one (no LLC model, a sharded call, whose walks are
+// per shard, or a cancelled walk) KeyStats reads the trace itself. The
+// error is the trace's read error (a streamed trace that fails to
+// decode); the tally then covers only the ops before it, and the next
+// call walks the trace again.
 func KeyStats(w *ycsb.Workload) ([]KeyStat, error) {
 	stats, err := w.Derived(keyStatsKey{}, func() (any, error) {
 		reads, writes, err := w.CountAccesses()

@@ -110,7 +110,8 @@ type pauseAt struct {
 // hit bits and the pauses — and each lane's latencies, which the lane
 // stage writes for the caller to fold (Lat). A deployment has
 // FrameBuffers of them, so a client can let the lanes after the first
-// price earlier frames while stage 1 fills the next.
+// price earlier frames, and every lane's latencies be folded, while
+// stage 1 fills the next.
 type Frame struct {
 	ns     [][]float64           // ns[k][i]: lane k's service time of request i
 	lat    [][]simclock.Duration // lat[k][i]: lane k's latency of request i
@@ -123,25 +124,28 @@ func (f *Frame) Lat(k int) []simclock.Duration { return f.lat[k] }
 
 // Frame returns the deployment's frame buffer b, built on first use.
 // Load builds the ones a run of its lanes uses, so a replay allocates
-// none. Only what the lanes after the first read frames behind —
-// their service times and the pauses — is per buffer: every buffer
-// shares buffer 0's hit bits, lane 0's service times and every lane's
-// latencies, which stage 1 and each lane use one frame at a time.
+// none. Only what is read frames behind stage 1 is per buffer: the
+// service times of the lanes after the first, the pauses, and lane 0's
+// latencies, which stage 1's goroutine writes and a lane helper folds.
+// Every buffer shares buffer 0's hit bits, lane 0's service times and
+// the other lanes' latencies, which stage 1 and each lane use one frame
+// at a time.
 func (d *Deployment) Frame(b int) *Frame {
 	if d.bufs[b] != nil {
 		return d.bufs[b]
 	}
-	f := &Frame{ns: make([][]float64, len(d.lanes))}
+	f := &Frame{ns: make([][]float64, len(d.lanes)), lat: make([][]simclock.Duration, len(d.lanes))}
+	f.lat[0] = make([]simclock.Duration, ReplayBlockOps)
 	if b == 0 {
 		f.hit = make([]uint8, ReplayBlockOps)
-		f.lat = make([][]simclock.Duration, len(d.lanes))
-		for k := range f.lat {
+		for k := 1; k < len(f.lat); k++ {
 			f.lat[k] = make([]simclock.Duration, ReplayBlockOps)
 		}
 		f.ns[0] = make([]float64, ReplayBlockOps)
 	} else {
 		f0 := d.Frame(0)
-		f.hit, f.lat, f.ns[0] = f0.hit, f0.lat, f0.ns[0]
+		f.hit, f.ns[0] = f0.hit, f0.ns[0]
+		copy(f.lat[1:], f0.lat[1:])
 	}
 	for k := 1; k < len(f.ns); k++ {
 		f.ns[k] = make([]float64, ReplayBlockOps)

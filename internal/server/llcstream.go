@@ -25,7 +25,9 @@ import (
 // LLCShare reads the bits a producer goroutine walks once per trace
 // (llcStream), and a stream that walked the whole trace stays on the
 // workload for every later measuring call (llcMemo); any other run
-// walks a private walker.
+// walks a private walker. A producer also takes the trace's key tallies
+// as it walks (ycsb.AccessTally), so a Profile's Pattern Engine need not
+// read the trace again.
 
 // llcWalker walks the LLC over a trace, one request at a time, touching
 // the cache with what the per-op path's valueBytes gives: a Read its
@@ -117,20 +119,29 @@ type llcStream struct {
 
 // startLLCStream walks key's trace on a new producer goroutine, which
 // returns at the trace's end, at a decode error or when ctx is
-// cancelled. A stream that walked the whole trace is installed in the
-// workload's memo before its last frame is published, so it outlives
-// the share, and no run that read the whole stream returns while the
-// producer still works (and allocates).
-func startLLCStream(ctx context.Context, key llcShareKey) *llcStream {
+// cancelled. With tally set the producer also counts each record's
+// reads and writes. A stream that walked the whole trace is installed
+// in the workload's memo before its last frame is published, and its
+// tally in the workload's (ycsb.Workload.SetAccessTally), so both
+// outlive the share, and no run that read the whole stream returns
+// while the producer still works (and allocates).
+func startLLCStream(ctx context.Context, key llcShareKey, tally bool) *llcStream {
 	total := key.w.RequestCount()
 	s := &llcStream{
 		words: make([]atomic.Uint64, (total+63)/64),
 		done:  make(chan struct{}),
 	}
+	var t *ycsb.AccessTally
+	if tally {
+		t = ycsb.NewAccessTally(len(key.w.Dataset.Records))
+	}
 	go func() {
 		defer close(s.done)
-		n, err := s.produce(ctx, key, total)
+		n, err := s.produce(ctx, key, total, t)
 		if n == total && errors.Is(err, io.EOF) {
+			if t != nil {
+				key.w.SetAccessTally(t)
+			}
 			llcMemo(key).Store(s)
 		}
 		s.publish(n, fmt.Errorf("server: LLC stream stopped after %d requests: %w", n, err))
@@ -139,11 +150,12 @@ func startLLCStream(ctx context.Context, key llcShareKey) *llcStream {
 }
 
 // produce walks a private walker over the trace's total requests,
-// publishing each frame's outcomes but the last, and returns how many it
-// walked and why it stopped; the caller publishes the rest. Once all are
-// walked it reads on to the trace's end whatever ctx says, so a
-// finished walk always ends at io.EOF.
-func (s *llcStream) produce(ctx context.Context, key llcShareKey, total int) (int, error) {
+// counting each into t when t is not nil and publishing each frame's
+// outcomes but the last, and returns how many it walked and why it
+// stopped; the caller publishes the rest. Once all are walked it reads
+// on to the trace's end whatever ctx says, so a finished walk always
+// ends at io.EOF.
+func (s *llcStream) produce(ctx context.Context, key llcShareKey, total int, t *ycsb.AccessTally) (int, error) {
 	frames, err := key.w.Frames()
 	if err != nil {
 		return 0, err
@@ -158,6 +170,11 @@ func (s *llcStream) produce(ctx context.Context, key llcShareKey, total int) (in
 		}
 		if n+len(keys) > 64*len(s.words) {
 			return n, errors.New("the trace holds more requests than it declares")
+		}
+		if t != nil {
+			for i, k := range keys {
+				t.Add(k, kinds[i])
+			}
 		}
 		for i, k := range keys {
 			if w.step(k, kinds[i]) {
@@ -298,9 +315,10 @@ const (
 )
 
 // stream returns the share's stream for key — the workload's finished
-// stream, or a producer started on first use — and where it came from;
-// nil once the share is closed.
-func (sh *LLCShare) stream(key llcShareKey) (*llcStream, int) {
+// stream, or a producer started on first use, which takes the key
+// tallies when tally is set — and where it came from; nil once the
+// share is closed.
+func (sh *LLCShare) stream(key llcShareKey, tally bool) (*llcStream, int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.closed {
@@ -311,7 +329,7 @@ func (sh *LLCShare) stream(key llcShareKey) (*llcStream, int) {
 	}
 	s, src := llcMemo(key).Load(), sourceMemo
 	if s == nil {
-		s, src = startLLCStream(sh.ctx, key), sourceWalk
+		s, src = startLLCStream(sh.ctx, key, tally), sourceWalk
 	}
 	sh.streams[key] = s
 	return s, src
@@ -323,13 +341,14 @@ func (sh *LLCShare) stream(key llcShareKey) (*llcStream, int) {
 // with every record loaded, so it attaches nothing once the deployment
 // has priced a request since Load or ResetRun, nor without an LLC
 // model, nor to a trace of another dataset. Load and ResetRun detach
-// the stream.
+// the stream. The stream of a member of a larger cluster takes no key
+// tallies: nothing reads a shard sub-trace's.
 func (d *Deployment) AttachLLCStream(sh *LLCShare, w *ycsb.Workload) bool {
 	if sh == nil || d.cfg.Machine.LLCBytes <= 0 || d.llcOff != 0 || len(w.Dataset.Records) != len(d.records) {
 		return false
 	}
 	var src int
-	d.llcs, src = sh.stream(llcShareKey{w: w, engine: d.cfg.Engine, capacity: d.cfg.Machine.LLCBytes})
+	d.llcs, src = sh.stream(llcShareKey{w: w, engine: d.cfg.Engine, capacity: d.cfg.Machine.LLCBytes}, !d.shardMember)
 	if src != sourceShared {
 		d.streams[src]++
 	}

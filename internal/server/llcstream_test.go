@@ -228,7 +228,7 @@ func TestLLCWalkerMatchesReference(t *testing.T) {
 			for i, inst := range d.instances {
 				d.instances[i] = traceRecorder{Store: inst, last: &tr}
 			}
-			s, _ := sh.stream(llcShareKey{w: w, engine: e, capacity: cfg.Machine.LLCBytes})
+			s, _ := sh.stream(llcShareKey{w: w, engine: e, capacity: cfg.Machine.LLCBytes}, true)
 			if err := s.await(context.Background(), len(w.Ops)); err != nil {
 				t.Fatal(err)
 			}

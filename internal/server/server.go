@@ -267,6 +267,9 @@ type Deployment struct {
 	llcs               *llcStream
 	llcOff             int
 	llcHits, llcMisses int64
+	// shardMember marks a member of a cluster of more than one shard,
+	// which replays a shard's sub-trace.
+	shardMember bool
 
 	// frames, reqs, repriced and repricedRows tally, since the last
 	// FlushObs, the frames FrameTable routed to each path, the requests

@@ -78,6 +78,7 @@ func NewShardedDeployment(cfg Config, w *ycsb.Workload) (*ShardedDeployment, err
 	}
 	for s := range sd.deps {
 		sd.deps[s] = NewDeployment(cfg.shardConfig(s))
+		sd.deps[s].shardMember = n > 1
 	}
 	return sd, nil
 }

@@ -13,7 +13,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mnemo/internal/dist"
 	"mnemo/internal/kvstore"
@@ -498,18 +500,57 @@ func (w *Workload) AccessCounts() (reads, writes []int) {
 }
 
 // CountAccesses is AccessCounts with the stream's read error, for
-// callers that must not act on a truncated tally.
+// callers that must not act on a truncated tally. The slices are the
+// caller's. A tally another whole-trace pass took (SetAccessTally: the
+// LLC walk of a measuring call, internal/server) is copied out without
+// reading the trace; otherwise CountAccesses takes its own pass.
 func (w *Workload) CountAccesses() (reads, writes []int, err error) {
-	reads = make([]int, len(w.Dataset.Records))
-	writes = make([]int, len(w.Dataset.Records))
-	err = w.ForEachOp(func(key int, kind kvstore.OpKind) {
-		if kind == kvstore.Read {
-			reads[key]++
-		} else {
-			writes[key]++
-		}
-	})
-	return reads, writes, err
+	if t := w.tallySlot().Load(); t != nil {
+		return slices.Clone(t.reads), slices.Clone(t.writes), nil
+	}
+	t := NewAccessTally(len(w.Dataset.Records))
+	err = w.ForEachOp(func(key int, kind kvstore.OpKind) { t.Add(uint32(key), uint8(kind)) })
+	return t.reads, t.writes, err
+}
+
+// AccessTally is a trace's per-record access counts, the one definition
+// of AccessCounts: a Read counts as a read of its record, every other
+// kind (Write, Delete) as a write. CountAccesses fills one with its own
+// pass, and a pass over the trace that runs anyway (the LLC walk) fills
+// one as it goes and installs it with SetAccessTally.
+type AccessTally struct {
+	reads, writes []int
+}
+
+// NewAccessTally returns a zero tally over records records.
+func NewAccessTally(records int) *AccessTally {
+	return &AccessTally{reads: make([]int, records), writes: make([]int, records)}
+}
+
+// Add counts one request of the given kind on record key.
+func (t *AccessTally) Add(key uint32, kind uint8) {
+	if kvstore.OpKind(kind) == kvstore.Read {
+		t.reads[key]++
+	} else {
+		t.writes[key]++
+	}
+}
+
+type accessTallyKey struct{} // the installed AccessTally's key in the Derived memo
+
+// tallySlot returns the workload's slot for an installed tally, nil
+// until SetAccessTally.
+func (w *Workload) tallySlot() *atomic.Pointer[AccessTally] {
+	slot, _ := w.Derived(accessTallyKey{}, func() (any, error) { return new(atomic.Pointer[AccessTally]), nil })
+	return slot.(*atomic.Pointer[AccessTally])
+}
+
+// SetAccessTally installs t, taken by a pass over the whole trace, as
+// the workload's access counts: every later CountAccesses copies it out
+// instead of reading the trace. The workload takes t; the first tally
+// installed stays.
+func (w *Workload) SetAccessTally(t *AccessTally) {
+	w.tallySlot().CompareAndSwap(nil, t)
 }
 
 type touchOrderKey struct{} // TouchOrder's key in the Derived memo
