@@ -18,11 +18,11 @@ package tiering
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
 
-	"mnemo/internal/kvstore"
 	"mnemo/internal/ycsb"
 )
 
@@ -75,21 +75,12 @@ func (s *AddressSpace) TotalPages() int64 { return s.total }
 // would return 0 — the draw the profiler has always made, and one the
 // Go 1 compatibility promise freezes — but without an interface call or
 // an integer division per draw: the source's stream is continued inline
-// (lagged), and Int31n's mapping is reproduced with its rejection bound
+// (draws), and Int31n's mapping is reproduced with its rejection bound
 // computed once and its remainder test done by a multiply.
 type Profiler struct {
-	space *AddressSpace
-	rate  int
-	rng   lagged
-	// max is Int31n's rejection bound: a draw above it is redrawn, so
-	// the accepted ones are uniform modulo rate. For a power-of-two rate
-	// it is math.MaxInt32 (Int31n masks instead, which is the same test
-	// with no redraw).
-	max int32
-	// c is ⌈2^64/rate⌉ mod 2^64: a 32-bit v is a multiple of rate iff
-	// v·c mod 2^64 ≤ c−1 (Lemire, Kaser & Kurz, "Faster remainder by
-	// direct computation", 2019).
-	c      uint64
+	space  *AddressSpace
+	rate   int
+	draws  draws
 	counts []int64 // record → sampled page touches
 	// samples is the total number of observations taken (the profiler's
 	// data-collection cost is proportional to this).
@@ -106,9 +97,7 @@ func NewProfiler(space *AddressSpace, rate int, seed int64) *Profiler {
 	return &Profiler{
 		space:  space,
 		rate:   rate,
-		rng:    newLagged(rand.NewSource(seed)),
-		max:    int32(1<<31 - 1 - (1<<31)%uint32(rate)),
-		c:      math.MaxUint64/uint64(rate) + 1,
+		draws:  newDraws(seed, rate),
 		counts: make([]int64, len(space.pages)),
 	}
 }
@@ -121,83 +110,160 @@ const (
 	lagShort = 273
 )
 
-// lagged continues a rand.Source's Int63 stream inline, a block of
-// lagLong values at a time.
-type lagged struct {
-	// ring[k:] are the stream's next values; ring[i] is y[m+i] for the
-	// block's first index m. Bits above 62 are not the stream's: the
-	// recurrence adds mod 2^64 and no reader looks at them.
+// draws is the stream of Int31n(rate) == 0 decisions, made a block of
+// lagLong stream values at a time: the loop that steps the source's
+// recurrence to the next block also runs Int31n's test on each value it
+// computes, and records the block's outcome for the requests to consume.
+// A request's n touches take the next n accepted draws (redraws are
+// skipped in stream order, as Int31n skips them), so every touch meets
+// the same draw under the same test as with one Intn call per touch; only
+// when the test runs differs.
+type draws struct {
+	// ring[i] is y[m+i] for the block's first stream index m. Bits above
+	// 62 are not the stream's: the recurrence adds mod 2^64 and the test
+	// reads bits 32–62 only.
 	ring [lagLong]uint64
-	k    int
+	// hits[j] counts the hits among the block's first j accepted draws,
+	// for j ≤ accepted; a request's hits are a difference of two entries.
+	hits [lagLong + 1]uint16
+	// accepted is the block's draw count after Int31n's redraws; used is
+	// how many of them requests have taken.
+	accepted, used int
+	// max is Int31n's rejection bound: a draw above it is redrawn, so
+	// the accepted ones are uniform modulo rate. For a power-of-two rate
+	// it is math.MaxInt32 (Int31n masks instead, which is the same test
+	// with no redraw).
+	max uint32
+	// c is ⌈2^64/rate⌉ mod 2^64: a 32-bit v is a multiple of rate iff
+	// v·c mod 2^64 ≤ c−1 (Lemire, Kaser & Kurz, "Faster remainder by
+	// direct computation", 2019).
+	c uint64
 }
 
-// newLagged takes the source's first block of values; the recurrence
-// yields every later one.
-func newLagged(src rand.Source) lagged {
-	var g lagged
-	for i := range g.ring {
-		g.ring[i] = uint64(src.Int63())
+// newDraws takes and tests the first block of values of the source
+// seeded with seed; the recurrence yields every later one.
+func newDraws(seed int64, rate int) draws {
+	src := rand.NewSource(seed)
+	d := draws{
+		max: 1<<31 - 1 - (1<<31)%uint32(rate),
+		c:   math.MaxUint64/uint64(rate) + 1,
 	}
-	return g
+	for i := range d.ring {
+		d.ring[i] = uint64(src.Int63())
+	}
+	d.count()
+	return d
 }
 
-// next returns the stream's next values: at least one, at most n.
-func (g *lagged) next(n int64) []uint64 {
-	if g.k == lagLong {
-		// Step the block from y[m..] to y[m+lagLong..]: y[m+lagLong+i] =
-		// ring[i] + y[m+lagLong+i−lagShort], which is still in the old
-		// block for i < lagShort and already in the new one after.
-		r := &g.ring
-		for i := 0; i < lagShort; i++ {
-			r[i] += r[i+lagLong-lagShort]
+// take consumes the decisions of n page touches and returns how many
+// are observed.
+func (d *draws) take(n int64) (hits int64) {
+	for {
+		if left := d.accepted - d.used; n <= int64(left) {
+			end := d.used + int(n)
+			hits += int64(d.hits[end] - d.hits[d.used])
+			d.used = end
+			return hits
 		}
-		for i := lagShort; i < lagLong; i++ {
-			r[i] += r[i-lagShort]
-		}
-		g.k = 0
+		hits += int64(d.hits[d.accepted] - d.hits[d.used])
+		n -= int64(d.accepted - d.used)
+		d.refill()
 	}
-	end := lagLong
-	if n < int64(lagLong-g.k) {
-		end = g.k + int(n)
-	}
-	out := g.ring[g.k:end]
-	g.k = end
-	return out
 }
 
-// observed draws the observation decisions of n page touches and
-// returns how many are observed.
-func (p *Profiler) observed(n int64) (hits int64) {
-	max, c := p.max, p.c
-	for n > 0 {
-		for _, x := range p.rng.next(n) {
-			v := int32(x << 1 >> 33) // Int31: bits 32–62 of the Int63
-			if v > max {
-				continue // Int31n redraws
-			}
-			n--
-			if uint64(uint32(v))*c <= c-1 {
-				hits++
-			}
+// refill moves to the stream's next block and tests it. Stepping from
+// y[m..] to y[m+lagLong..] is y[m+lagLong+i] = ring[i] +
+// y[m+lagLong+i−lagShort], which is still in the old block for i <
+// lagShort and already in the new one after. The test does not branch on
+// a draw's outcome: the running hit count is stored at every draw and
+// advanced by the outcome, so a rate that hits often mispredicts
+// nothing. It first takes every draw as accepted; a block in which
+// Int31n would redraw, which at most rates is rarely any, is counted
+// again without the redrawn values.
+func (d *draws) refill() {
+	r, h := &d.ring, &d.hits
+	max, c := d.max, d.c
+	var hits uint16
+	redrawn := false
+	test := func(i int, x uint64) {
+		v := uint32(x << 1 >> 33) // Int31: bits 32–62 of the Int63
+		if v > max {
+			redrawn = true
 		}
+		h[i] = hits
+		hits += b2u16(uint64(v)*c < c) // v·c < c: v is a multiple of rate
 	}
-	return hits
+	for i := 0; i < lagShort; i++ {
+		r[i] += r[i+lagLong-lagShort]
+		test(i, r[i])
+	}
+	for i := lagShort; i < lagLong; i++ {
+		r[i] += r[i-lagShort]
+		test(i, r[i])
+	}
+	h[lagLong] = hits
+	d.accepted, d.used = lagLong, 0
+	if redrawn {
+		d.count()
+	}
+}
+
+// count tests the block in the ring as it stands, skipping the draws
+// Int31n redraws in stream order.
+func (d *draws) count() {
+	acc, hits := 0, uint16(0)
+	for _, x := range &d.ring {
+		v := uint32(x << 1 >> 33)
+		if v > d.max {
+			continue // Int31n redraws
+		}
+		d.hits[acc] = hits
+		hits += b2u16(uint64(v)*d.c < d.c)
+		acc++
+	}
+	d.hits[acc] = hits
+	d.accepted, d.used = acc, 0
+}
+
+// b2u16 is 1 for true and 0 for false, without a branch.
+func b2u16(b bool) uint16 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Observe replays the workload's access pattern through the sampler:
 // each request touches all pages of its record, and each touch is
 // recorded with probability 1/rate. It returns the trace's read error
 // (a streamed trace that fails to decode); the counts then cover only
-// the ops before it.
+// the ops before it. A second Observe continues the draws where the
+// first stopped and adds to its counts.
 func (p *Profiler) Observe(w *ycsb.Workload) error {
-	return w.ForEachOp(func(key int, _ kvstore.OpKind) {
-		hits := p.space.pages[key]
-		if p.rate > 1 {
-			hits = p.observed(hits)
+	frames, err := w.Frames()
+	if err != nil {
+		return err
+	}
+	pages, counts := p.space.pages, p.counts
+	for {
+		keys, _, _, err := frames.Next()
+		if err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
 		}
-		p.counts[key] += hits
-		p.samples += hits
-	})
+		var samples int64
+		for _, k := range keys {
+			hits := pages[k]
+			if p.rate > 1 {
+				hits = p.draws.take(hits)
+			}
+			counts[k] += hits
+			samples += hits
+		}
+		p.samples += samples
+	}
 }
 
 // Samples reports how many page observations were collected.

@@ -1,8 +1,10 @@
 package tiering
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -133,19 +135,38 @@ func TestProfilerPanicsOnBadRate(t *testing.T) {
 	}
 }
 
-// TestLaggedContinuesSource: the inline generator yields the Int31
-// stream of rand.NewSource over many blocks, whatever the request sizes.
+// TestLaggedContinuesSource: the blocks the sampler tests are the Int31
+// stream of rand.NewSource, over many blocks, and each block's hit
+// counts are Int31n's verdicts on its accepted draws.
 func TestLaggedContinuesSource(t *testing.T) {
 	for _, seed := range []int64{0, 1, -7, 1 << 40} {
-		want := rand.New(rand.NewSource(seed))
-		g := newLagged(rand.NewSource(seed))
-		drawn := 0
-		for drawn < 20*lagLong {
-			for _, x := range g.next(int64(1 + drawn%700)) {
-				if got, w := int32(x<<1>>33), want.Int31(); got != w {
-					t.Fatalf("seed %d, draw %d: %d, rand.Int31 %d", seed, drawn, got, w)
+		for _, rate := range []int{2, 3, 1<<30 + 1} {
+			want := rand.New(rand.NewSource(seed))
+			d := newDraws(seed, rate)
+			for block := 0; block < 20; block++ {
+				if block > 0 {
+					d.refill()
 				}
-				drawn++
+				acc, hits := 0, uint16(0)
+				for i, x := range d.ring {
+					got, w := int32(x<<1>>33), want.Int31()
+					if got != w {
+						t.Fatalf("seed %d, rate %d, draw %d: %d, rand.Int31 %d", seed, rate, block*lagLong+i, got, w)
+					}
+					if w > int32(1<<31-1-(1<<31)%uint32(rate)) {
+						continue // Int31n redraws
+					}
+					if d.hits[acc] != hits {
+						t.Fatalf("seed %d, rate %d, block %d: %d hits before accepted draw %d, want %d", seed, rate, block, d.hits[acc], acc, hits)
+					}
+					acc++
+					if w%int32(rate) == 0 {
+						hits++
+					}
+				}
+				if d.accepted != acc || d.hits[acc] != hits {
+					t.Fatalf("seed %d, rate %d, block %d: %d accepted with %d hits, want %d with %d", seed, rate, block, d.accepted, d.hits[d.accepted], acc, hits)
+				}
 			}
 		}
 	}
@@ -170,26 +191,35 @@ func (s *countingSource) Int63() int64 {
 // Int31n rejected.
 func refProfile(t *testing.T, s *AddressSpace, w *ycsb.Workload, rate int, seed int64) (samples int64, order []int, rejected int64) {
 	t.Helper()
+	return refProfileOf(t, s, rate, seed, w)
+}
+
+// refProfileOf is refProfile over several traces of one dataset in turn,
+// one rand.Rand drawing for all of them.
+func refProfileOf(t *testing.T, s *AddressSpace, rate int, seed int64, traces ...*ycsb.Workload) (samples int64, order []int, rejected int64) {
+	t.Helper()
 	src := &countingSource{Source: rand.NewSource(seed)}
 	rng := rand.New(src)
 	counts := map[int64]int64{}
 	var touches int64
-	if err := w.ForEachOp(func(key int, _ kvstore.OpKind) {
-		first, count := s.Pages(key)
-		for pg := first; pg < first+count; pg++ {
-			touches++
-			if rate == 1 || rng.Intn(rate) == 0 {
-				counts[pg]++
-				samples++
+	for _, w := range traces {
+		if err := w.ForEachOp(func(key int, _ kvstore.OpKind) {
+			first, count := s.Pages(key)
+			for pg := first; pg < first+count; pg++ {
+				touches++
+				if rate == 1 || rng.Intn(rate) == 0 {
+					counts[pg]++
+					samples++
+				}
 			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if rate > 1 {
 		rejected = src.draws - touches
 	}
-	records := len(w.Dataset.Records)
+	records := len(traces[0].Dataset.Records)
 	recordOf := func(page int64) int {
 		return sort.Search(records, func(i int) bool {
 			first, count := s.Pages(i)
@@ -279,5 +309,106 @@ func TestProfilerMatchesReference(t *testing.T) {
 				t.Fatalf("rate %d, %s: ordering %v, reference %v", rate, b.name, got, wantOrder)
 			}
 		}
+	}
+}
+
+// checkProfile fails unless p's samples and ordering equal the
+// reference's over the traces.
+func checkProfile(t *testing.T, p *Profiler, s *AddressSpace, rate int, seed int64, traces ...*ycsb.Workload) {
+	t.Helper()
+	wantSamples, wantOrder, _ := refProfileOf(t, s, rate, seed, traces...)
+	if p.Samples() != wantSamples {
+		t.Fatalf("%d samples, reference %d", p.Samples(), wantSamples)
+	}
+	if got := p.KeyOrdering(); !slices.Equal(got, wantOrder) {
+		t.Fatalf("ordering %v, reference %v", got, wantOrder)
+	}
+}
+
+// touchTrace builds a read trace over a dataset of 1- to 41-page records
+// whose requests touch exactly touches pages in all.
+func touchTrace(ds ycsb.Dataset, s *AddressSpace, touches int64, seed int64) *ycsb.Workload {
+	rng := rand.New(rand.NewSource(seed))
+	w := &ycsb.Workload{Spec: ycsb.Spec{Name: "sampler_edges"}, Dataset: ds}
+	for touches > 0 {
+		key := rng.Intn(len(ds.Records))
+		if _, pages := s.Pages(key); pages > touches {
+			key = 0 // the one-page record fills the remainder
+		}
+		_, pages := s.Pages(key)
+		touches -= pages
+		w.Ops = append(w.Ops, ycsb.Op{Key: key, Kind: kvstore.Read})
+	}
+	return w
+}
+
+// TestProfilerBlockEdges: traces whose touches end just before, on and
+// just after the end of the source-drawn first block (607 draws) and of
+// the first stepped one (1214), then a second Observe on the same
+// Profiler, which must continue the draws where the first trace left
+// them — as one rand.Rand continued across both traces does.
+func TestProfilerBlockEdges(t *testing.T) {
+	var ds ycsb.Dataset
+	for i := 0; i < 12; i++ {
+		ds.Records = append(ds.Records, ycsb.Record{Key: ycsb.KeyName(i), Size: (i*i%41 + 1) * PageSize})
+	}
+	ds.Records[0].Size = PageSize
+	s := NewAddressSpace(ds)
+	second := touchTrace(ds, s, 2000, 99)
+	for _, touches := range []int64{606, 607, 608, 1214, 1215} {
+		first := touchTrace(ds, s, touches, touches)
+		for _, rate := range []int{2, 3, 7, 1<<30 + 1} {
+			p := NewProfiler(s, rate, 11)
+			if err := p.Observe(first); err != nil {
+				t.Fatal(err)
+			}
+			checkProfile(t, p, s, rate, 11, first)
+			if err := p.Observe(second); err != nil {
+				t.Fatal(err)
+			}
+			checkProfile(t, p, s, rate, 11, first, second)
+		}
+	}
+}
+
+// TestProfilerCorruptTrace: a .mtrc trace whose third frame fails its
+// checksum makes Observe return the decode error, with the counts of the
+// two frames before it — the reference's over those ops alone.
+func TestProfilerCorruptTrace(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	w := &ycsb.Workload{Spec: ycsb.Spec{Name: "sampler_corrupt"}}
+	for i := 0; i < 30; i++ {
+		w.Dataset.Records = append(w.Dataset.Records, ycsb.Record{Key: ycsb.KeyName(i), Size: rng.Intn(9 * PageSize)})
+	}
+	for i := 0; i < 3*trace.FrameOps+100; i++ {
+		w.Ops = append(w.Ops, ycsb.Op{Key: int(30 * math.Pow(rng.Float64(), 2)), Kind: kvstore.Read})
+	}
+	path := filepath.Join(t.TempDir(), "corrupt.mtrc")
+	if err := trace.WriteWorkload(w, path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frames are the file's tail: three full ones, then 100 ops.
+	frameLen := func(ops int) int { return 4 + 1 + 5*ops + 4 }
+	third := len(raw) - frameLen(100) - frameLen(trace.FrameOps)
+	raw[third+5] ^= 0xFF // a key byte of the third frame
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := &ycsb.Workload{Spec: w.Spec, Dataset: w.Dataset, Ops: w.Ops[:2*trace.FrameOps]}
+	s := NewAddressSpace(w.Dataset)
+	for _, rate := range []int{1, 3, 4000} {
+		p := NewProfiler(s, rate, 2)
+		if err := p.Observe(streamed); !errors.Is(err, trace.ErrChecksum) {
+			t.Fatalf("rate %d: Observe returned %v, want %v", rate, err, trace.ErrChecksum)
+		}
+		checkProfile(t, p, s, rate, 2, before)
 	}
 }
