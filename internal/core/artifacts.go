@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"mnemo/internal/kvstore"
@@ -20,51 +19,38 @@ import (
 // measurement, and sessions that differ in nothing but the placement cut
 // (the SLO) re-read one cached curve.
 //
-// Every entry is computed at most once per key (singleflight): the first
-// session to need an artifact computes it while concurrent sessions
-// block on the same entry; a failed computation is evicted so a later
-// call can retry rather than caching the error forever. Construct with
-// NewArtifactCache and hand the same cache to each session via
-// NewSharedSession; a session given none gets a private cache of its own
-// (newSessionCache). Cached artifacts are shared structures — treat them
-// as immutable: an artifact is published only after its computation has
-// returned, is read concurrently by every session on the cache, and is
-// never written again. Nothing is evicted on success; artifacts live and
-// die with the cache that holds them.
+// Every entry is computed at most once per key: the stages share one
+// ycsb.Memo, the singleflight every trace-derived artifact goes through,
+// so the first session to need an artifact computes it while concurrent
+// sessions block on the same entry, and a failed computation is dropped
+// so a later call can retry rather than caching the error forever.
+// Construct with NewArtifactCache and hand the same cache to each session
+// via NewSharedSession; a session given none gets a private cache of its
+// own (newSessionCache). Cached artifacts are shared structures — treat
+// them as immutable: an artifact is published only after its computation
+// has returned, is read concurrently by every session on the cache, and
+// is never written again. Nothing is evicted on success; artifacts live
+// and die with the cache that holds them.
 type ArtifactCache struct {
-	mu sync.Mutex
 	// plain is the workload of a plain session's cache (newSessionCache),
 	// keyed 0 and never hashed; nil on a shared cache.
 	plain *ycsb.Workload
-
-	baselines map[uint64]*flight[Baselines]
-	orderings map[uint64]*flight[Ordering]
-	curves    map[uint64]*flight[*Curve]
+	memo  ycsb.Memo // artifactKey → Baselines, Ordering or *Curve
 
 	measurements atomic.Int64
-	baselineHits atomic.Int64
-	orderingHits atomic.Int64
-	curveHits    atomic.Int64
+	hits         [stages]atomic.Int64 // artifacts served from memo, by stage
 }
 
 // NewArtifactCache returns an empty cache, ready to share across
 // sessions and goroutines.
-func NewArtifactCache() *ArtifactCache {
-	return &ArtifactCache{
-		baselines: map[uint64]*flight[Baselines]{},
-		orderings: map[uint64]*flight[Ordering]{},
-		curves:    map[uint64]*flight[*Curve]{},
-	}
-}
+func NewArtifactCache() *ArtifactCache { return new(ArtifactCache) }
 
 // newSessionCache is the cache of a session that was given none. It
 // serves one workload, so the workload needs no fingerprint: it is
 // keyed 0 up front and never walked (a 2M-request trace would be read
 // end to end just to name it).
 func newSessionCache(w *ycsb.Workload) *ArtifactCache {
-	c := NewArtifactCache()
-	c.plain = w
-	return c
+	return &ArtifactCache{plain: w}
 }
 
 // CacheStats is an ArtifactCache usage snapshot.
@@ -84,79 +70,40 @@ type CacheStats struct {
 func (c *ArtifactCache) Stats() CacheStats {
 	return CacheStats{
 		Measurements: c.measurements.Load(),
-		BaselineHits: c.baselineHits.Load(),
-		OrderingHits: c.orderingHits.Load(),
-		CurveHits:    c.curveHits.Load(),
+		BaselineHits: c.hits[stageBaselines].Load(),
+		OrderingHits: c.hits[stageOrdering].Load(),
+		CurveHits:    c.hits[stageCurve].Load(),
 	}
 }
 
-// flight is one singleflight cache entry: done closes when val/err are
-// final.
-type flight[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
+// The pipeline stages whose artifacts the cache keeps.
+const (
+	stageBaselines = iota
+	stageOrdering
+	stageCurve
+	stages
+)
+
+// artifactKey names one stage artifact in the cache's memo.
+type artifactKey struct {
+	stage int
+	key   uint64
 }
 
-// ComputePanicError is what callers waiting on an artifact receive when
-// the computation they were waiting for panicked. The panic itself
-// continues on the goroutine that ran the computation.
-type ComputePanicError struct {
-	// Value is the recovered panic value.
-	Value any
-}
-
-// Error implements error.
-func (e *ComputePanicError) Error() string {
-	return fmt.Sprintf("core: artifact computation panicked: %v", e.Value)
-}
-
-// flightDo returns the cached value for key, computing it via compute if
-// absent. Concurrent callers for the same key block on the first
-// caller's computation; failures are evicted. A compute that panics is a
-// failure too: waiters get a *ComputePanicError, the entry is evicted and
-// the panic is re-raised on the computing goroutine. The returned bool
-// reports whether this caller ran compute.
-func flightDo[T any](mu *sync.Mutex, m map[uint64]*flight[T], hits *atomic.Int64, key uint64, compute func() (T, error)) (T, bool, error) {
-	mu.Lock()
-	if f, ok := m[key]; ok {
-		mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			var zero T
-			return zero, false, f.err
-		}
-		hits.Add(1)
-		return f.val, false, nil
+// cached serves one stage artifact from the cache's memo, computing it
+// if absent, and counts a hit when this caller did not compute it and
+// the computation succeeded. The returned bool reports whether this
+// caller ran compute.
+func cached[T any](c *ArtifactCache, stage int, key uint64, compute func() (T, error)) (T, bool, error) {
+	v, built, err := c.memo.Do(artifactKey{stage, key}, func() (any, error) { return compute() })
+	if err != nil {
+		var zero T
+		return zero, built, err
 	}
-	f := &flight[T]{done: make(chan struct{})}
-	m[key] = f
-	mu.Unlock()
-
-	returned := false
-	defer func() {
-		var v any
-		if !returned {
-			v = recover()
-			f.err = &ComputePanicError{Value: v}
-		}
-		if f.err != nil {
-			mu.Lock()
-			delete(m, key)
-			mu.Unlock()
-		}
-		close(f.done)
-		if !returned {
-			panic(v)
-		}
-	}()
-	f.val, f.err = compute()
-	returned = true
-	var zero T
-	if f.err != nil {
-		return zero, true, f.err
+	if !built {
+		c.hits[stage].Add(1)
 	}
-	return f.val, true, nil
+	return v.(T), built, nil
 }
 
 type workloadHashKey struct{} // WorkloadHash's key in the workload's Derived memo
@@ -273,7 +220,7 @@ func curveKey(mkey, okey uint64, priceFactor float64, sizeAware bool) uint64 {
 // computing it at most once across every session sharing the cache.
 func (c *ArtifactCache) sharedBaselines(whash uint64, cfg Config, compute func() (Baselines, error)) (Baselines, bool, error) {
 	key := measurementKey(whash, cfg)
-	return flightDo(&c.mu, c.baselines, &c.baselineHits, key, func() (Baselines, error) {
+	return cached(c, stageBaselines, key, func() (Baselines, error) {
 		b, err := compute()
 		if err == nil {
 			c.measurements.Add(1)
@@ -284,7 +231,7 @@ func (c *ArtifactCache) sharedBaselines(whash uint64, cfg Config, compute func()
 
 // sharedOrdering serves the (workload, policy, seed) ordering.
 func (c *ArtifactCache) sharedOrdering(whash uint64, policyName string, seed int64, compute func() (Ordering, error)) (Ordering, bool, error) {
-	return flightDo(&c.mu, c.orderings, &c.orderingHits, orderingKey(whash, policyName, seed), compute)
+	return cached(c, stageOrdering, orderingKey(whash, policyName, seed), compute)
 }
 
 // sharedCurve serves the estimate curve derived from a measurement and
@@ -292,7 +239,7 @@ func (c *ArtifactCache) sharedOrdering(whash uint64, policyName string, seed int
 func (c *ArtifactCache) sharedCurve(whash uint64, cfg Config, policyName string, compute func() (*Curve, error)) (*Curve, bool, error) {
 	key := curveKey(measurementKey(whash, cfg), orderingKey(whash, policyName, cfg.Server.Seed),
 		cfg.PriceFactor, cfg.SizeAwareEstimate)
-	return flightDo(&c.mu, c.curves, &c.curveHits, key, compute)
+	return cached(c, stageCurve, key, compute)
 }
 
 // artifactHasher is FNV-64a over typed fields.

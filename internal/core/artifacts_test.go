@@ -5,9 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"mnemo/internal/server"
 	"mnemo/internal/ycsb"
@@ -228,6 +226,36 @@ func TestArtifactCacheEvictsFailures(t *testing.T) {
 	if got := cache.Stats().Measurements; got != 1 {
 		t.Fatalf("measurements = %d, want 1", got)
 	}
+
+	// A policy whose Order panics once does not wedge its ordering key:
+	// the panic reaches the caller and the next Analyze orders afresh.
+	p := &panicOncePolicy{}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("Analyze panic = %v, want boom", r)
+			}
+		}()
+		s2.Analyze(context.Background(), p)
+	}()
+	if _, err := s2.Analyze(context.Background(), p); err != nil {
+		t.Fatalf("Analyze after the panic: %v", err)
+	}
+	if st := cache.Stats(); p.calls != 2 || st.OrderingHits != 0 {
+		t.Fatalf("Order ran %d times with %d ordering hits, want 2 and 0", p.calls, st.OrderingHits)
+	}
+}
+
+// panicOncePolicy is Touch, but its first Order panics.
+type panicOncePolicy struct{ calls int }
+
+func (p *panicOncePolicy) Name() string { return "panic-once" }
+
+func (p *panicOncePolicy) Order(ctx context.Context, w *ycsb.Workload) (Ordering, error) {
+	if p.calls++; p.calls == 1 {
+		panic("boom")
+	}
+	return Touch.Order(ctx, w)
 }
 
 // Concurrent shared sessions still execute the measurement exactly once
@@ -307,66 +335,4 @@ func TestWorkloadHashSensitivity(t *testing.T) {
 	if h5 == h1 {
 		t.Fatal("record-size mutation did not change the workload hash")
 	}
-}
-
-// A computation that panics must not wedge its key: a caller already
-// waiting on it gets a *ComputePanicError, the panic continues on the
-// computing goroutine, and the next call computes afresh.
-func TestFlightDoPanicReleasesWaiters(t *testing.T) {
-	var mu sync.Mutex
-	var hits atomic.Int64
-	const key = 7
-	// A waiter that reaches flightDo only after the eviction computes for
-	// itself; that run of the scenario proves nothing, so it is repeated
-	// until the waiter was parked on the panicking flight.
-	for attempt := 0; attempt < 20; attempt++ {
-		m := map[uint64]*flight[int]{}
-		computing := make(chan struct{})
-		release := make(chan struct{})
-		panicked := make(chan any, 1)
-		go func() {
-			defer func() { panicked <- recover() }()
-			flightDo(&mu, m, &hits, key, func() (int, error) {
-				close(computing)
-				<-release
-				panic("boom")
-			})
-		}()
-		<-computing
-
-		type result struct {
-			computed bool
-			err      error
-		}
-		waiter := make(chan result, 1)
-		go func() {
-			_, computed, err := flightDo(&mu, m, &hits, key, func() (int, error) { return 2, nil })
-			waiter <- result{computed, err}
-		}()
-		time.Sleep(20 * time.Millisecond) // let the waiter park; the loop covers a slow one
-		close(release)
-
-		if v := <-panicked; v != "boom" {
-			t.Fatalf("panic value on the computing goroutine = %v, want boom", v)
-		}
-		var res result
-		select {
-		case res = <-waiter:
-		case <-time.After(10 * time.Second):
-			t.Fatal("waiter still blocked after the computation panicked")
-		}
-		if res.computed {
-			continue
-		}
-		var perr *ComputePanicError
-		if !errors.As(res.err, &perr) || perr.Value != "boom" {
-			t.Fatalf("waiter error = %v, want a *ComputePanicError carrying boom", res.err)
-		}
-		v, computed, err := flightDo(&mu, m, &hits, key, func() (int, error) { return 3, nil })
-		if err != nil || !computed || v != 3 {
-			t.Fatalf("call after the panic = (%d, computed %v, %v), want a fresh computation of 3", v, computed, err)
-		}
-		return
-	}
-	t.Fatal("the waiter never parked on the panicking computation")
 }

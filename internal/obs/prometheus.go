@@ -108,22 +108,19 @@ func (r *Registry) PublishExpvar(name string) {
 	if expvar.Get(name) != nil {
 		return
 	}
-	expvar.Publish(name, expvar.Func(func() any {
-		out := map[string]any{}
-		for _, m := range r.Snapshot() {
-			if m.Hist != nil {
-				out[m.Name] = m.Hist
-			} else {
-				out[m.Name] = m.Value
-			}
-		}
-		return out
-	}))
+	expvar.Publish(name, expvar.Func(func() any { return r.expvarView() }))
 }
 
 // ExpvarJSON renders the expvar view of the registry (the same JSON the
-// published expvar.Func serves) — used by tests and the -metrics dump.
+// published expvar.Func serves). The -metrics dump writes Prometheus
+// text (WritePrometheus), not this.
 func (r *Registry) ExpvarJSON() ([]byte, error) {
+	return json.MarshalIndent(r.expvarView(), "", "  ")
+}
+
+// expvarView is the expvar view: metric name → value, histograms as
+// their snapshot struct.
+func (r *Registry) expvarView() map[string]any {
 	out := map[string]any{}
 	for _, m := range r.Snapshot() {
 		if m.Hist != nil {
@@ -132,5 +129,5 @@ func (r *Registry) ExpvarJSON() ([]byte, error) {
 			out[m.Name] = m.Value
 		}
 	}
-	return json.MarshalIndent(out, "", "  ")
+	return out
 }

@@ -367,25 +367,28 @@ type wrapperObserver struct {
 }
 
 // Observe implements server.EpochObserver. The synthetic workload it
-// hands the inner policy carries the real dataset with a trace expanded
-// from the epoch's access counts (reads then writes, per record, in
-// index order) — frequency-and-size information is preserved exactly;
-// intra-epoch request order, which the epoch counters do not keep, is
-// not. Policies whose static order depends on arrival order (first
-// touch) see an index-ordered epoch.
+// hands the inner policy carries the real dataset with a packed trace
+// (ycsb.FromPacked) expanded from the epoch's access counts (reads then
+// writes, per record, in index order) — frequency-and-size information
+// is preserved exactly; intra-epoch request order, which the epoch
+// counters do not keep, is not. Policies whose static order depends on
+// arrival order (first touch) see an index-ordered epoch.
 func (o *wrapperObserver) Observe(st server.EpochStats) []server.Move {
-	ops := make([]ycsb.Op, 0, st.Ops)
+	keys := make([]uint32, 0, st.Ops)
+	kinds := make([]uint8, 0, st.Ops)
 	for i := range st.Reads {
-		for r := int32(0); r < st.Reads[i]; r++ {
-			ops = append(ops, ycsb.Op{Key: i, Kind: kvstore.Read})
+		for range st.Reads[i] {
+			keys = append(keys, uint32(i))
+			kinds = append(kinds, uint8(kvstore.Read))
 		}
-		for w := int32(0); w < st.Writes[i]; w++ {
-			ops = append(ops, ycsb.Op{Key: i, Kind: kvstore.Write})
+		for range st.Writes[i] {
+			keys = append(keys, uint32(i))
+			kinds = append(kinds, uint8(kvstore.Write))
 		}
 	}
 	spec := o.w.Spec
-	spec.Requests = len(ops)
-	synth := &ycsb.Workload{Spec: spec, Dataset: o.w.Dataset, Ops: ops}
+	spec.Requests = len(keys)
+	synth := ycsb.FromPacked(spec, o.w.Dataset, keys, kinds)
 	ord, err := o.inner.Order(context.Background(), synth)
 	if err != nil {
 		return nil

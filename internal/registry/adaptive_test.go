@@ -117,6 +117,71 @@ func TestAdaptiveWrapperStaticOrderMatchesInner(t *testing.T) {
 	}
 }
 
+// recordingPolicy is MnemoT that keeps the trace of the last workload
+// it ordered.
+type recordingPolicy struct{ ops []ycsb.Op }
+
+func (p *recordingPolicy) Name() string { return "recording" }
+
+func (p *recordingPolicy) Order(ctx context.Context, w *ycsb.Workload) (core.Ordering, error) {
+	p.ops = p.ops[:0]
+	if err := w.ForEachOp(func(key int, kind kvstore.OpKind) { p.ops = append(p.ops, ycsb.Op{Key: key, Kind: kind}) }); err != nil {
+		return core.Ordering{}, err
+	}
+	return core.MnemoT.Order(ctx, w)
+}
+
+// TestAdaptiveWrapperObservesEpochCounts: the wrapper hands its inner
+// policy the epoch's counts expanded as reads then writes per record, in
+// index order, and plans its moves from the inner policy's ordering of
+// exactly that trace.
+func TestAdaptiveWrapperObservesEpochCounts(t *testing.T) {
+	w := convergenceWorkload(t)
+	n := len(w.Dataset.Records)
+	st := server.EpochStats{Reads: make([]int32, n), Writes: make([]int32, n), Tiers: make([]memsim.Tier, n)}
+	var want []ycsb.Op
+	for i := range n {
+		st.Reads[i], st.Writes[i] = int32(i%5), int32(i%3)
+		for range st.Reads[i] {
+			want = append(want, ycsb.Op{Key: i, Kind: kvstore.Read})
+		}
+		for range st.Writes[i] {
+			want = append(want, ycsb.Op{Key: i, Kind: kvstore.Write})
+		}
+		if i < n/2 { // the cold half starts in FastMem
+			st.Tiers[i] = memsim.Fast
+		} else {
+			st.Tiers[i] = memsim.Slow
+		}
+	}
+	st.Ops = len(want)
+
+	rec := &recordingPolicy{}
+	ob, err := Adaptive(rec).Begin(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := slices.Clone(ob.Observe(st))
+	if !slices.Equal(rec.ops, want) {
+		t.Fatalf("inner policy saw %d ops, want the %d expanded from the counts in index order", len(rec.ops), len(want))
+	}
+
+	spec := w.Spec
+	spec.Requests = len(want)
+	ord, err := core.MnemoT.Order(context.Background(), &ycsb.Workload{Spec: spec, Dataset: w.Dataset, Ops: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, len(ord.Keys))
+	for i, k := range ord.Keys {
+		order[i] = k.Index
+	}
+	plan := newMoveScratch(w.Dataset.Records)
+	if wantMoves := plan.planMoves(order, st.Tiers); len(moves) == 0 || !slices.Equal(moves, wantMoves) {
+		t.Fatalf("moves %v, want %v", moves, wantMoves)
+	}
+}
+
 // TestPlanMovesPreservesBudgetAndSkipsDegenerate covers the move
 // planner's guardrails directly.
 func TestPlanMovesPreservesBudgetAndSkipsDegenerate(t *testing.T) {

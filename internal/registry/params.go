@@ -106,8 +106,8 @@ func (ps ParamSpace) Validate(v map[string]float64) error {
 	return nil
 }
 
-// complete fills a partial vector with the space's defaults.
-func (ps ParamSpace) complete(v map[string]float64) map[string]float64 {
+// Complete overlays a partial vector on the space's defaults.
+func (ps ParamSpace) Complete(v map[string]float64) map[string]float64 {
 	out := ps.Defaults()
 	for name, val := range v {
 		out[name] = val
@@ -183,7 +183,7 @@ func NewParams(name string, seed int64, params map[string]float64) (core.Tiering
 	if err := e.Params.Validate(params); err != nil {
 		return nil, fmt.Errorf("registry: policy %q: %w", e.Name, err)
 	}
-	full := e.Params.complete(params)
+	full := e.Params.Complete(params)
 	if e.Params.isDefault(full) {
 		return e.New(seed), nil
 	}

@@ -113,7 +113,7 @@ func (t *Tuner) Run(ctx context.Context, cfg Config, w *ycsb.Workload) (*Result,
 			if !ok || len(e.Params) == 0 {
 				continue
 			}
-			base := completeVector(e.Params, leader.Candidate.Params)
+			base := e.Params.Complete(leader.Candidate.Params)
 			for _, vec := range neighborVectors(e.Params, base, temp) {
 				batch = append(batch, Candidate{Policy: e.Name, Params: vec})
 			}
@@ -259,15 +259,6 @@ func sampleParam(p registry.Param, rng *rand.Rand) float64 {
 		v = p.Min + rng.Float64()*(p.Max-p.Min)
 	}
 	return p.Clamp(v)
-}
-
-// completeVector overlays a partial vector on the space's defaults.
-func completeVector(space registry.ParamSpace, partial map[string]float64) map[string]float64 {
-	vec := space.Defaults()
-	for k, v := range partial {
-		vec[k] = v
-	}
-	return vec
 }
 
 // neighborVectors generates the coordinate-descent moves around base:

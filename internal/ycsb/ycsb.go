@@ -235,43 +235,59 @@ type Workload struct {
 	// encoding; Frames delegates to the stream.
 	Stream TraceStream
 
-	// derived memoizes the artifacts built from this trace (Derived):
-	// key → *derivedEntry.
-	derived sync.Map
+	// memo holds the artifacts built from this trace (Derived).
+	memo Memo
 }
 
-// derivedEntry is one Derived artifact, built under once.
-type derivedEntry struct {
+// Memo builds each keyed artifact at most once: the one singleflight
+// behind every artifact derived from a trace (Workload.Derived) and every
+// pipeline stage a core.ArtifactCache keeps. The zero value is ready to
+// use and must not be copied after first use.
+type Memo struct {
+	m sync.Map // comparable key → *memoEntry
+}
+
+// memoEntry is one artifact, built under once.
+type memoEntry struct {
 	once sync.Once
 	v    any
 	err  error
 }
 
-// Derived returns the artifact build derives from w, built at most once
-// per comparable key (build must not ask for its own key): concurrent
-// callers of a key share one build, and the artifact lives exactly as
-// long as w. A failed build is dropped, so the next call builds again. A
-// build that panics fails too: the callers waiting on it get an error,
-// and the panic continues on the goroutine that ran the build.
-func (w *Workload) Derived(key any, build func() (any, error)) (any, error) {
-	v, ok := w.derived.Load(key)
+// Do returns the artifact build makes for key, built at most once per
+// comparable key (build must not ask for its own key): concurrent
+// callers of a key share one build, and built reports whether this call
+// ran it. A failed build is dropped, so the next call builds again. A
+// build that panics fails too: the callers waiting on it get an error
+// carrying the panic value, and the panic continues on the goroutine
+// that ran the build.
+func (m *Memo) Do(key any, build func() (any, error)) (v any, built bool, err error) {
+	ev, ok := m.m.Load(key)
 	if !ok {
-		v, _ = w.derived.LoadOrStore(key, new(derivedEntry))
+		ev, _ = m.m.LoadOrStore(key, new(memoEntry))
 	}
-	e := v.(*derivedEntry)
+	e := ev.(*memoEntry)
 	e.once.Do(func() {
+		built = true
 		defer func() {
 			if p := recover(); p != nil { // panic(nil) recovers as *runtime.PanicNilError
-				e.err = fmt.Errorf("ycsb: derived artifact build panicked: %v", p)
-				w.derived.CompareAndDelete(key, e)
+				e.err = fmt.Errorf("ycsb: memo build panicked: %v", p)
+				m.m.CompareAndDelete(key, e)
 				panic(p)
 			}
 		}()
 		if e.v, e.err = build(); e.err != nil {
-			w.derived.CompareAndDelete(key, e)
+			m.m.CompareAndDelete(key, e)
 		}
 	})
-	return e.v, e.err
+	return e.v, built, e.err
+}
+
+// Derived returns the artifact build derives from w, built at most once
+// per key through w's Memo; the artifact lives exactly as long as w.
+func (w *Workload) Derived(key any, build func() (any, error)) (any, error) {
+	v, _, err := w.memo.Do(key, build)
+	return v, err
 }
 
 // FrameIter yields a trace's frames in order. The returned slices alias

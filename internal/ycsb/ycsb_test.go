@@ -1,8 +1,11 @@
 package ycsb
 
 import (
+	"errors"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -298,24 +301,68 @@ func TestPackedTraceDeleteNotBatchable(t *testing.T) {
 	}
 }
 
-// TestDerivedPanicIsNotKept: a build that panics re-panics on the
-// goroutine that ran it, a caller that was waiting on that build gets an
-// error rather than a nil artifact, and a later call of the key builds
-// again.
-func TestDerivedPanicIsNotKept(t *testing.T) {
+// TestMemoDo is the contract of the one memo (Memo.Do, behind Derived and
+// every core.ArtifactCache stage): one of N concurrent first callers
+// builds and the rest share its artifact; a failed build is dropped, so
+// the next call builds; a panicking build re-panics on its goroutine, a
+// caller parked on it gets an error carrying the panic value, and the
+// next call builds again.
+func TestMemoDo(t *testing.T) {
+	var m Memo
+	const n = 16
+	var builds atomic.Int32
+	vals := make([]any, n)
+	built := make([]bool, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			vals[i], built[i], err = m.Do("shared", func() (any, error) {
+				time.Sleep(time.Millisecond) // keep the build open while the others arrive
+				return int(builds.Add(1)), nil
+			})
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	nbuilt := 0
+	for i := range n {
+		if built[i] {
+			nbuilt++
+		}
+		if vals[i] != 1 {
+			t.Fatalf("caller %d got %v, want the one build's 1", i, vals[i])
+		}
+	}
+	if nbuilt != 1 || builds.Load() != 1 {
+		t.Fatalf("%d callers report building, %d builds ran; want 1 and 1", nbuilt, builds.Load())
+	}
+
+	fail := errors.New("fail")
+	if _, built, err := m.Do("failing", func() (any, error) { return nil, fail }); err != fail || !built {
+		t.Fatalf("failing build = (built %v, %v), want (true, fail)", built, err)
+	}
+	if v, built, err := m.Do("failing", func() (any, error) { return "retried", nil }); v != "retried" || !built || err != nil {
+		t.Fatalf("call after a failed build = (%v, built %v, %v), want a fresh build", v, built, err)
+	}
+
 	for attempt := 1; ; attempt++ {
-		w := &Workload{}
+		key := attempt // a fresh key per attempt
 		started := make(chan struct{})
 		type result struct {
 			v     any
-			err   error
 			built bool
+			err   error
 		}
 		waiter := make(chan result, 1)
 		go func() {
 			<-started
 			var r result
-			r.v, r.err = w.Derived("k", func() (any, error) { r.built = true; return "waiter's", nil })
+			r.v, r.built, r.err = m.Do(key, func() (any, error) { return "waiter's", nil })
 			waiter <- r
 		}()
 		func() {
@@ -324,21 +371,21 @@ func TestDerivedPanicIsNotKept(t *testing.T) {
 					t.Fatalf("build panic surfaced as %v, want boom", p)
 				}
 			}()
-			w.Derived("k", func() (any, error) {
+			m.Do(key, func() (any, error) {
 				close(started)
-				time.Sleep(time.Duration(attempt) * time.Millisecond) // let the waiter block on this build
+				time.Sleep(time.Duration(attempt) * time.Millisecond) // let the waiter park on this build
 				panic("boom")
 			})
 		}()
 		r := <-waiter
 		if !r.built {
-			// The waiter shared the panicked build.
+			// The waiter was parked on the panicked build.
 			if r.err == nil || !strings.Contains(r.err.Error(), "boom") || r.v != nil {
 				t.Fatalf("waiter got (%v, %v), want the build's panic as an error", r.v, r.err)
 			}
-			v, err := w.Derived("k", func() (any, error) { return "rebuilt", nil })
-			if err != nil || v != "rebuilt" {
-				t.Fatalf("later build = (%v, %v), want (rebuilt, nil)", v, err)
+			v, built, err := m.Do(key, func() (any, error) { return "rebuilt", nil })
+			if err != nil || !built || v != "rebuilt" {
+				t.Fatalf("call after the panic = (%v, built %v, %v), want a fresh build", v, built, err)
 			}
 			return
 		}
@@ -346,7 +393,7 @@ func TestDerivedPanicIsNotKept(t *testing.T) {
 			t.Fatalf("waiter's own build = (%v, %v)", r.v, r.err)
 		}
 		if attempt == 20 {
-			t.Fatal("the waiter never reached the panicking build")
+			t.Fatal("the waiter never parked on the panicking build")
 		}
 	}
 }
